@@ -56,7 +56,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help="worker threads for sweeps (default: GAUSSFISH_THREADS or the config value)",
+        help="accepted and validated for compatibility; sweeps run on one thread",
     )
 
 

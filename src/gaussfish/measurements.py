@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .gaussian_core import GaussianState, SymplecticOp, apply, beam_splitter_5050, rotation
-from .qfi_gaussian import GaussianModel
+from .qfi_gaussian import GaussianModel, PointMoments, evaluate
 
 _KINDS = ("general", "heterodyne", "homodyne_q", "homodyne_p")
 
@@ -151,9 +151,9 @@ def sample_outcomes(
 
 
 def cfim_gaussian_outcomes(
-    model: GaussianModel,
+    model: GaussianModel | PointMoments,
     measurement: GeneralDyne,
-    theta,
+    theta=None,
     pre_op: Optional[SymplecticOp] = None,
     dressing=None,
 ) -> np.ndarray:
@@ -161,10 +161,12 @@ def cfim_gaussian_outcomes(
 
     F = dmu^T Sigma^{-1} dmu + Tr[Sigma^{-1} dSigma Sigma^{-1} dSigma] / 2,
     with an optional symplectic pre_op applied between the model state and
-    the detectors (its shift drops out of the derivatives).
+    the detectors (its shift drops out of the derivatives).  model is a
+    GaussianModel evaluated at theta, or a PointMoments from
+    :func:`gaussfish.qfi_gaussian.evaluate`.
     """
-    st = model.state(theta)
-    dds, dVs = model.derivatives(theta)
+    pt = evaluate(model, theta)
+    st, dds, dVs = pt.st, pt.dds, pt.dVs
     if pre_op is not None:
         S = pre_op.S
         st = apply(pre_op, st)
@@ -175,7 +177,7 @@ def cfim_gaussian_outcomes(
     Sinv = np.linalg.inv(Sigma)
     dmus = [dd[rows] for dd in dds]
     dSigs = [0.5 * dV[np.ix_(rows, rows)] for dV in dVs]
-    m = model.n_params
+    m = pt.n_params
     F = np.zeros((m, m))
     for j in range(m):
         for k in range(j, m):

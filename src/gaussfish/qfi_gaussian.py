@@ -5,11 +5,17 @@ evaluated at the moment level:
 
     F^S_{mu nu} = 1/2 vec[dV_mu]^T Sigma^+ vec[dV_nu] + 2 dd_mu^T V^{-1} dd_nu
     F^R_{mu nu} = 1/2 vec[dV_mu]^T (M (x) M)^+ vec[dV_nu] + 2 dd_mu^T M^+ dd_nu
-    U_{mu nu}   = 2 vec[dV_mu]^T Sigma^+ (V (x) Omega) Sigma^+ vec[dV_nu]
+    U_{mu nu}   = vec[dV_mu]^T Sigma^+ (V (x) Omega) Sigma^+ vec[dV_nu]
                   + 2 dd_mu^T V^{-1} Omega V^{-1} dd_nu
 
 with Sigma = V (x) V - Omega (x) Omega (the kron matrix of X -> VXV + Om X Om
 under column-stacking vec) and M = V + i Omega, which is Hermitian PSD.
+
+The information functions take either a model and a parameter point or the
+:class:`PointMoments` that :func:`evaluate` returns for them, so one
+evaluation of the state, its derivatives and the shared solves serves them
+all.  When every dV is exactly zero (displacement families) the
+second-moment terms vanish and are left out, kron solves included.
 
 Scalar bounds for a weight matrix W (default identity):
 
@@ -31,6 +37,7 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -114,98 +121,148 @@ def _sigma_sld(V, Om):
     return numkit.kron(V, V) - numkit.kron(Om, Om)
 
 
-def sld_components(model: GaussianModel, theta, mu: int) -> SldComponents:
+class PointMoments:
+    """A model evaluated at one parameter point, with the solves its
+    information matrices share.
+
+    The state, the moment derivatives and Omega are taken once; V^{-1},
+    M = V + i Omega, M^+, Sigma^+ and (M (x) M)^+ are computed on first use
+    and then reused.  has_dv is False when every dV is exactly zero: the
+    second-moment terms then vanish and nothing needs the kron solves.
+    """
+
+    def __init__(self, st: GaussianState, dds, dVs, n_params: int):
+        self.st = st
+        self.dds = dds
+        self.dVs = dVs
+        self.n_params = n_params
+        self.Om = omega(st.modes)
+        self.has_dv = any(np.any(dV) for dV in dVs)
+
+    @cached_property
+    def v_inv(self) -> np.ndarray:
+        return _inv_cov(self.st.V)
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        return self.st.V + 1j * self.Om
+
+    @cached_property
+    def m_pinv(self) -> np.ndarray:
+        return numkit.pinv(self.M)
+
+    @cached_property
+    def vecs(self):
+        return [numkit.vec(dV) for dV in self.dVs]
+
+    @cached_property
+    def sigma_pinv(self) -> np.ndarray:
+        return numkit.pinv(_sigma_sld(self.st.V, self.Om))
+
+    @cached_property
+    def kron_m(self) -> np.ndarray:
+        return numkit.kron(self.M, self.M)
+
+    @cached_property
+    def kron_m_pinv(self) -> np.ndarray:
+        return numkit.pinv(self.kron_m)
+
+
+def evaluate(model: GaussianModel | PointMoments, theta=None) -> PointMoments:
+    """Evaluate a model once at theta; a PointMoments is returned unchanged."""
+    if isinstance(model, PointMoments):
+        return model
+    if theta is None:
+        raise TypeError("theta is required to evaluate a GaussianModel")
+    st = model.state(theta)
+    dds, dVs = model.derivatives(theta)
+    return PointMoments(st, dds, dVs, model.n_params)
+
+
+def sld_components(model: GaussianModel | PointMoments, theta, mu: int) -> SldComponents:
     """Moment expansion of the symmetric logarithmic derivative.
 
     L = l0 + l1^T R + R^T l2 R with l2 the solution of V l2 V + Om l2 Om = dV.
     """
-    st = model.state(theta)
-    dds, dVs = model.derivatives(theta)
-    Om = omega(st.modes)
-    sig = _sigma_sld(st.V, Om)
-    l2 = numkit.unvec(numkit.pinv(sig) @ numkit.vec(dVs[mu]))
+    pt = evaluate(model, theta)
+    st = pt.st
+    l2 = numkit.unvec(pt.sigma_pinv @ pt.vecs[mu])
     l2 = 0.5 * (l2 + l2.T)
-    Vinv = _inv_cov(st.V)
-    l1 = 2.0 * Vinv @ dds[mu] - 2.0 * l2 @ st.d
+    l1 = 2.0 * pt.v_inv @ pt.dds[mu] - 2.0 * l2 @ st.d
     l0 = -0.5 * float(np.trace(st.V @ l2)) - float(st.d @ l1) - float(st.d @ l2 @ st.d)
     return SldComponents(l0, l1, l2)
 
 
-def rld_components(model: GaussianModel, theta, mu: int) -> RldComponents:
+def rld_components(model: GaussianModel | PointMoments, theta, mu: int) -> RldComponents:
     """Moment expansion of the right logarithmic derivative.
 
     l2 solves M l2 M^T = dV with M = V + i Omega (pseudo-inverse solution when
     M is singular); l2 is complex and in general not symmetric.
     """
-    st = model.state(theta)
-    dds, dVs = model.derivatives(theta)
-    Om = omega(st.modes)
-    M = st.V + 1j * Om
-    l2 = numkit.unvec(numkit.pinv(numkit.kron(M, M)) @ numkit.vec(dVs[mu]).astype(complex))
-    l1 = 2.0 * numkit.pinv(M) @ dds[mu] - 2.0 * l2 @ st.d
+    pt = evaluate(model, theta)
+    st = pt.st
+    l2 = numkit.unvec(pt.kron_m_pinv @ pt.vecs[mu].astype(complex))
+    l1 = 2.0 * pt.m_pinv @ pt.dds[mu] - 2.0 * l2 @ st.d
     l0 = -0.5 * complex(np.trace(st.V @ l2)) - complex(st.d @ l1) - complex(st.d @ l2 @ st.d)
     return RldComponents(l0, l1, l2)
 
 
-def qfim_sld(model: GaussianModel, theta) -> np.ndarray:
+def qfim_sld(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """SLD quantum Fisher information matrix (real symmetric)."""
-    st = model.state(theta)
-    dds, dVs = model.derivatives(theta)
-    Om = omega(st.modes)
-    sig_p = numkit.pinv(_sigma_sld(st.V, Om))
-    Vinv = _inv_cov(st.V)
-    m = model.n_params
+    pt = evaluate(model, theta)
+    dds, Vinv = pt.dds, pt.v_inv
+    m = pt.n_params
     F = np.zeros((m, m))
-    vs = [numkit.vec(dV) for dV in dVs]
     for i in range(m):
         for j in range(i, m):
-            val = 0.5 * float(vs[i] @ sig_p @ vs[j]) + 2.0 * float(dds[i] @ Vinv @ dds[j])
+            val = 2.0 * float(dds[i] @ Vinv @ dds[j])
+            if pt.has_dv:
+                val += 0.5 * float(pt.vecs[i] @ pt.sigma_pinv @ pt.vecs[j])
             F[i, j] = val
             F[j, i] = val
     return F
 
 
-def qfim_rld(model: GaussianModel, theta) -> np.ndarray:
+def qfim_rld(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """RLD quantum Fisher information matrix (complex Hermitian).
 
     Computed through pseudo-inverses, which silently regularizes directions
     where the true RLD information diverges (singular M); for bound evaluation
     on such models use :func:`rld_inverse_limit`.
     """
-    st = model.state(theta)
-    dds, dVs = model.derivatives(theta)
-    Om = omega(st.modes)
-    M = st.V + 1j * Om
-    K_p = numkit.pinv(numkit.kron(M, M))
-    M_p = numkit.pinv(M)
-    m = model.n_params
+    pt = evaluate(model, theta)
+    dds, M_p = pt.dds, pt.m_pinv
+    m = pt.n_params
     F = np.zeros((m, m), dtype=complex)
-    vs = [numkit.vec(dV).astype(complex) for dV in dVs]
+    if pt.has_dv:
+        vs = [v.astype(complex) for v in pt.vecs]
     for i in range(m):
         for j in range(m):
-            F[i, j] = 0.5 * (np.conj(vs[i]) @ K_p @ vs[j]) + 2.0 * (dds[i] @ M_p @ dds[j])
+            F[i, j] = 2.0 * (dds[i] @ M_p @ dds[j])
+            if pt.has_dv:
+                F[i, j] += 0.5 * (np.conj(vs[i]) @ pt.kron_m_pinv @ vs[j])
     return numkit.hermitize(F)
 
 
-def incompatibility(model: GaussianModel, theta) -> np.ndarray:
+def incompatibility(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """Mean Uhlmann-curvature-type matrix U (real antisymmetric).
 
     U = 0 iff the SLD bound is attainable without measurement incompatibility
     penalty; in general b_h_upper = (1 + R_Q) b_s with R_Q built from U.
     """
-    st = model.state(theta)
-    dds, dVs = model.derivatives(theta)
-    Om = omega(st.modes)
-    sig_p = numkit.pinv(_sigma_sld(st.V, Om))
-    mid = sig_p @ numkit.kron(st.V, Om) @ sig_p
-    Vinv = _inv_cov(st.V)
-    VOV = Vinv @ Om @ Vinv
-    m = model.n_params
+    pt = evaluate(model, theta)
+    dds, Vinv = pt.dds, pt.v_inv
+    VOV = Vinv @ pt.Om @ Vinv
+    if pt.has_dv:
+        sig_p = pt.sigma_pinv
+        mid = sig_p @ numkit.kron(pt.st.V, pt.Om) @ sig_p
+    m = pt.n_params
     U = np.zeros((m, m))
-    vs = [numkit.vec(dV) for dV in dVs]
     for i in range(m):
         for j in range(m):
-            U[i, j] = 2.0 * float(vs[i] @ mid @ vs[j]) + 2.0 * float(dds[i] @ VOV @ dds[j])
+            U[i, j] = 2.0 * float(dds[i] @ VOV @ dds[j])
+            if pt.has_dv:
+                U[i, j] += float(pt.vecs[i] @ mid @ pt.vecs[j])
     return 0.5 * (U - U.T)
 
 
@@ -230,7 +287,7 @@ def quantumness(f_sld, u) -> float:
     return min(rq, 1.0)
 
 
-def rld_inverse_limit(model: GaussianModel, theta, f_rld=None) -> np.ndarray:
+def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None, f_rld=None) -> np.ndarray:
     """Limiting inverse of the RLD information matrix.
 
     For directions w whose moment derivatives leave the range of M = V + i Om
@@ -243,25 +300,21 @@ def rld_inverse_limit(model: GaussianModel, theta, f_rld=None) -> np.ndarray:
 
     which reduces to pinv(F_pinv) for regular models (A = 0, Q unitary).
     """
-    st = model.state(theta)
-    dds, dVs = model.derivatives(theta)
-    Om = omega(st.modes)
-    M = st.V + 1j * Om
-    K = numkit.kron(M, M)
-    P_d = np.eye(M.shape[0], dtype=complex) - M @ numkit.pinv(M)
-    P_v = np.eye(K.shape[0], dtype=complex) - K @ numkit.pinv(K)
-    cols = []
-    for mu in range(model.n_params):
-        rd = P_d @ dds[mu].astype(complex)
-        rv = P_v @ numkit.vec(dVs[mu]).astype(complex)
-        cols.append(np.concatenate([rd, rv]))
+    pt = evaluate(model, theta)
+    M = pt.M
+    P_d = np.eye(M.shape[0], dtype=complex) - M @ pt.m_pinv
+    cols = [P_d @ dd.astype(complex) for dd in pt.dds]
+    if pt.has_dv:
+        K = pt.kron_m
+        P_v = np.eye(K.shape[0], dtype=complex) - K @ pt.kron_m_pinv
+        cols = [np.concatenate([rd, P_v @ v.astype(complex)]) for rd, v in zip(cols, pt.vecs)]
     A = np.column_stack(cols)
     if f_rld is None:
-        f_rld = qfim_rld(model, theta)
+        f_rld = qfim_rld(pt)
     _, s, vh = np.linalg.svd(A)
     cutoff = 1e-10 * max(1.0, s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
-    m = model.n_params
+    m = pt.n_params
     if rank == 0:
         return numkit.pinv(np.asarray(f_rld, dtype=complex))
     if rank == m:
@@ -330,12 +383,13 @@ class QfimReport:
         }
 
 
-def qfim_report(model: GaussianModel, theta, weight=None) -> QfimReport:
+def qfim_report(model: GaussianModel | PointMoments, theta=None, weight=None) -> QfimReport:
     """Evaluate F_S, F_R, U and the scalar bound chain at one parameter point."""
-    f_s = qfim_sld(model, theta)
-    f_r = qfim_rld(model, theta)
-    u = incompatibility(model, theta)
-    fr_inv = rld_inverse_limit(model, theta, f_r)
+    pt = evaluate(model, theta)
+    f_s = qfim_sld(pt)
+    f_r = qfim_rld(pt)
+    u = incompatibility(pt)
+    fr_inv = rld_inverse_limit(pt, f_rld=f_r)
     chain = bound_chain(f_s, f_r, u, weight=weight, rld_inverse=fr_inv)
     return QfimReport(
         f_sld=f_s,

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -33,7 +32,7 @@ import numpy as np
 from . import numkit
 from .gaussian_core import GaussianState, probe_tmsdt
 from .channels import NoisyChannel
-from .qfi_gaussian import displacement_model, qfim_report
+from .qfi_gaussian import displacement_model, evaluate, qfim_report
 from .measurements import cfim_gaussian_outcomes, epr_readout
 
 PROBES = ("tmsv", "tmst", "tmdv", "tmdt")
@@ -67,7 +66,7 @@ class ScenarioConfig:
     stop: float = 1.4
     step: float = 0.1
     weight: Optional[Sequence[Sequence[float]]] = None
-    threads: int = 1
+    threads: int = 1  # accepted and validated; sweeps run on one thread
 
     def validate(self) -> None:
         if self.probe not in PROBES:
@@ -170,18 +169,21 @@ def closed_form_bounds(
 def run_point(cfg: ScenarioConfig, axis_value: float) -> SweepRow:
     """Evaluate every reported quantity at one grid point.
 
-    Any exception is converted into a NaN row carrying the message, so one bad
-    point degrades rather than aborts a sweep.
+    The displacement model is evaluated once; the QFIM report and the
+    double-homodyne information share that evaluation.  A numerical failure
+    (ValueError, LinAlgError, FloatingPointError, OverflowError) becomes a
+    NaN row carrying the message, so one bad point degrades rather than
+    aborts a sweep; any other exception is a bug and propagates.
     """
     try:
         c = replace(cfg, **{cfg.axis: float(axis_value)})
         probe = build_probe(c)
         ch = NoisyChannel.uniform(2, c.gamma, c.n_e, c.m_e)
-        model = displacement_model(probe, ch, c.t)
+        pt = evaluate(displacement_model(probe, ch, c.t), c.theta)
         W = c.weight_matrix()
-        rep = qfim_report(model, c.theta, weight=W)
+        rep = qfim_report(pt, weight=W)
         pre, gd = epr_readout()
-        F_C = cfim_gaussian_outcomes(model, gd, c.theta, pre_op=pre)
+        F_C = cfim_gaussian_outcomes(pt, gd, pre_op=pre)
         hdb = float(np.trace(W @ numkit.pinv(F_C)))
         sql = closed_form_bounds("tmdv", 0.0, 0.0, c.gamma, c.t, c.n_e).b_h_upper
         return SweepRow(
@@ -196,19 +198,19 @@ def run_point(cfg: ScenarioConfig, axis_value: float) -> SweepRow:
             ok=True,
             message="",
         )
-    except Exception as exc:  # noqa: BLE001 - degraded row carries the reason
+    except (ValueError, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         nan = float("nan")
         return SweepRow(float(axis_value), nan, nan, nan, nan, nan, nan, nan, False, str(exc))
 
 
 def sweep(cfg: ScenarioConfig) -> list:
-    """Run the configured sweep; rows come back in grid order."""
+    """Run the configured sweep on one thread; rows come back in grid order.
+
+    cfg.threads is validated but has no effect: a point is a handful of small
+    numpy calls that hold the GIL, so worker threads only added overhead.
+    """
     cfg.validate()
-    values = cfg.axis_values()
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            return list(ex.map(lambda v: run_point(cfg, v), values))
-    return [run_point(cfg, v) for v in values]
+    return [run_point(cfg, v) for v in cfg.axis_values()]
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:

@@ -19,10 +19,20 @@ from gaussfish.gaussian_core import (
     two_mode_squeezer,
     vacuum,
 )
+from gaussfish.fock_oracle import (
+    FockModel,
+    destroy,
+    fock_state,
+    num_op,
+    qfim_fock_sld,
+    sld_solve,
+    squeeze_unitary,
+)
 from gaussfish.qfi_gaussian import (
     GaussianModel,
     bound_chain,
     displacement_model,
+    evaluate,
     incompatibility,
     phase_model,
     qfim_report,
@@ -275,3 +285,104 @@ def test_report_is_consistent_with_parts():
     assert rep.b_h_upper == pytest.approx(chain.b_h_upper)
     d = rep.to_dict()
     assert d["b_s"] == rep.b_s and len(d["f_sld"]) == 2
+
+
+def _squeezed_thermal_phase_squeeze(n_th):
+    """Phase theta0 and squeezing theta1 of a single-mode squeezed-thermal state.
+
+    V(theta) = tau R(theta0) diag(e^{-2 theta1}, e^{2 theta1}) R(theta0)^T, d = 0,
+    so both parameters live in the covariance (dV != 0).
+    """
+    tau = 1.0 + 2.0 * n_th
+    om = omega(1)
+
+    def cov(theta):
+        R = rotation(theta[0]).S
+        sq = np.array([math.exp(-2.0 * theta[1]), math.exp(2.0 * theta[1])])
+        return R, tau * (R * sq) @ R.T, tau * (R * (2.0 * sq * (-1.0, 1.0))) @ R.T
+
+    def v_derivs(theta):
+        _, V, dV_sq = cov(theta)
+        return [om @ V - V @ om, dV_sq]
+
+    return GaussianModel(
+        lambda theta: GaussianState(np.zeros(2), cov(theta)[1]),
+        n_params=2,
+        d_derivs=lambda theta: [np.zeros(2), np.zeros(2)],
+        v_derivs=v_derivs,
+    )
+
+
+def _fock_phase_squeeze(n_th, dim):
+    """Number-basis twin: e^{-i theta0 n} S(theta1) rho_th S^dag e^{i theta0 n}."""
+    rho_th = fock_state("thermal", dim, n_th=n_th)
+    a = destroy(dim).astype(complex)
+    K = 0.5 * (a @ a - a.T.conj() @ a.T.conj())  # squeeze_unitary(r) = expm(r K)
+    n_op = num_op(dim)
+    phase = np.arange(dim)
+
+    def rotate(m, phi):
+        ph = np.exp(-1j * phi * phase)
+        return (ph[:, None] * m) * np.conj(ph)[None, :]
+
+    def rho_fn(theta):
+        S = squeeze_unitary(theta[1], dim)
+        return rotate(S @ rho_th @ S.conj().T, theta[0])
+
+    def drho_fn(theta):
+        rho = rho_fn(theta)
+        k_rot = rotate(K, theta[0])
+        return [-1j * (n_op @ rho - rho @ n_op), k_rot @ rho - rho @ k_rot]
+
+    return FockModel(rho_fn, 2, drho_fn=drho_fn)
+
+
+def test_incompatibility_with_covariance_derivatives_matches_fock_oracle():
+    theta = np.array([0.1, 0.4])
+    model = _squeezed_thermal_phase_squeeze(0.3)
+    fm = _fock_phase_squeeze(0.3, 80)
+    rho = fm.rho(theta)
+    L0, L1 = [sld_solve(rho, d) for d in fm.derivatives(theta)]
+    u01_fock = float(np.trace(rho @ L0 @ L1).imag)
+    rep = qfim_report(model, theta)
+    assert rep.u[0, 1] == pytest.approx(u01_fock, abs=1e-8)
+    assert np.allclose(rep.f_sld, qfim_fock_sld(fm, theta), atol=1e-8)
+    assert 0.0 <= rep.r_q <= 1.0
+    assert max(rep.b_s, rep.b_r) <= rep.b_h_mid + 1e-9
+    assert rep.b_h_mid <= rep.b_h_upper + 1e-9
+    assert rep.b_h_upper <= 2 * rep.b_s + 1e-9
+
+
+@pytest.mark.parametrize(
+    "model, theta",
+    [
+        (phase_model(squeezed_vacuum(0.5)), [0.2]),
+        (_squeezed_thermal_phase_squeeze(0.3), [0.1, 0.4]),
+    ],
+    ids=["phase_squeezed", "phase_squeeze_thermal"],
+)
+def test_report_matches_standalone_functions_with_covariance_derivatives(model, theta):
+    rep = qfim_report(model, theta)
+    f_rld = qfim_rld(model, theta)
+    assert np.array_equal(rep.f_sld, qfim_sld(model, theta))
+    assert np.array_equal(rep.f_rld, f_rld)
+    assert np.array_equal(rep.u, incompatibility(model, theta))
+    chain = bound_chain(
+        rep.f_sld, f_rld, rep.u, rld_inverse=rld_inverse_limit(model, theta, f_rld)
+    )
+    assert rep.b_r == chain.b_r
+
+
+def test_point_moments_skip_kron_solves_only_when_every_dv_vanishes():
+    probe = probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.2)
+    pt = evaluate(displacement_model(probe, NoisyChannel.uniform(2, 1.0, 0.5), 0.3), [0, 0])
+    assert evaluate(pt) is pt
+    assert not pt.has_dv
+    qfim_report(pt)
+    assert "sigma_pinv" not in pt.__dict__ and "kron_m_pinv" not in pt.__dict__
+    pv = evaluate(_squeezed_thermal_phase_squeeze(0.3), [0.1, 0.4])
+    assert pv.has_dv
+    qfim_report(pv)
+    assert "sigma_pinv" in pv.__dict__ and "kron_m_pinv" in pv.__dict__
+    with pytest.raises(TypeError):
+        evaluate(displacement_model(vacuum(1)))

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gaussfish import scenarios
 from gaussfish.scenarios import (
     CSV_HEADER,
     PROBES,
@@ -177,3 +179,78 @@ def test_json_round_trip():
     assert len(payload["rows"]) == 3
     assert payload["rows"][0]["b_s"] == rows[0].b_s
     assert payload["config"]["probe"] == "tmsv"
+
+
+def test_numerical_overflow_degrades_to_nan_row():
+    row = run_point(_cfg(axis="t"), 800.0)  # e^{gamma t} overflows in the closed form
+    assert not row.ok and math.isnan(row.b_s)
+
+
+def test_programming_error_propagates_instead_of_degrading(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken layer")
+
+    monkeypatch.setattr(scenarios, "cfim_gaussian_outcomes", broken)
+    with pytest.raises(TypeError, match="broken layer"):
+        run_point(_cfg(), 0.4)
+
+
+def test_run_point_evaluates_the_model_once(monkeypatch):
+    calls = []
+    build = scenarios.displacement_model
+
+    def counting_model(*args, **kwargs):
+        model = build(*args, **kwargs)
+        state_fn = model.state_fn
+
+        def counted(theta):
+            calls.append(1)
+            return state_fn(theta)
+
+        model.state_fn = counted
+        return model
+
+    monkeypatch.setattr(scenarios, "displacement_model", counting_model)
+    cfg = _cfg(probe="tmdt", n_th=0.5, alpha=(0.3, -0.2, 0.1, 0.4), axis="t", stop=0.4)
+    rows = sweep(cfg)
+    assert all(row.ok for row in rows)
+    assert len(calls) == len(rows) == 5
+
+
+def test_pure_probe_rld_limits_at_t0():
+    sq = run_point(_cfg(probe="tmsv", r=0.4, axis="t"), 0.0)
+    assert sq.b_r == 0.0
+    assert closed_form_bounds("tmsv", 0.4, 0.0, 1.0, 0.0, 0.5).b_r == pytest.approx(0.0, abs=1e-12)
+    disp = run_point(_cfg(probe="tmdv", alpha=(0.3, -0.2, 0.1, 0.4), axis="t"), 0.0)
+    cf = closed_form_bounds("tmdv", 0.0, 0.0, 1.0, 0.0, 0.5)
+    assert cf.b_r == 2.0
+    assert disp.b_r == pytest.approx(cf.b_r, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    probe=st.sampled_from(PROBES),
+    r=st.floats(0.0, 1.5),
+    n=st.floats(0.01, 1.0),
+    gamma=st.floats(0.2, 2.0),
+    t=st.floats(0.005, 1.0),
+)
+def test_pipeline_matches_closed_forms_property(probe, r, n, gamma, t):
+    """Closed forms and the chain on the matched slice n_th = n_e.
+
+    The draws stay out of the near-pure band, where b_r misses the closed
+    form: t >= 0.005 as in the benchmark, and n >= 0.01 because a thermal
+    occupation near 1e-6 also leaves M ill-conditioned (tmsv r = 1e-3,
+    n = 1e-6, gamma = t = 1 gives b_r 0.0010 against 4.7008; see CHANGES.md).
+    """
+    alpha = (0.3, -0.2, 0.1, 0.4) if probe in ("tmdv", "tmdt") else (0.0,) * 4
+    cfg = ScenarioConfig(probe=probe, r=r, n_th=n, n_e=n, gamma=gamma, alpha=alpha, axis="t")
+    row = run_point(cfg, t)
+    assert row.ok, row.message
+    cf = closed_form_bounds(probe, r, n, gamma, t, n)
+    pairs = ((row.b_s, cf.b_s), (row.b_r, cf.b_r), (row.r_q, cf.r_q), (row.b_h_upper, cf.b_h_upper))
+    for got, want in pairs:
+        assert got == pytest.approx(want, abs=1e-8)
+    assert max(row.b_s, row.b_r) <= row.b_h_mid + 1e-9
+    assert row.b_h_mid <= row.b_h_upper + 1e-9
+    assert row.b_h_upper <= 2 * row.b_s + 1e-9
