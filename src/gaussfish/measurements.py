@@ -89,25 +89,16 @@ def _assemble(measurement: GeneralDyne, modes: int, dressing=None):
         raise ValueError(
             "measurement covers %d modes, state has %d" % (measurement.n_modes, modes)
         )
-    factor = 1.0
-    if dressing is not None:
-        gamma, t = dressing
-        if gamma < 0 or t < 0:
-            raise ValueError("gamma and t must be nonnegative")
-        factor = float(np.exp(gamma * t))
     rows = []
     blocks = []
     for i, m in enumerate(measurement.modes):
-        if m.kind == "homodyne_q":
-            rows.append(2 * i)
-            blocks.append(np.array([[factor - 1.0]]))
-        elif m.kind == "homodyne_p":
-            rows.append(2 * i + 1)
-            blocks.append(np.array([[factor - 1.0]]))
+        if m.kind.startswith("homodyne"):
+            rows.append(2 * i + (m.kind == "homodyne_p"))
+            vm = np.zeros((1, 1))
         else:
             rows.extend((2 * i, 2 * i + 1))
             vm = measurement_cov(m)
-            blocks.append(factor * vm + (factor - 1.0) * np.eye(2))
+        blocks.append(vm if dressing is None else dress_inefficient(vm, *dressing))
     k = len(rows)
     Vm = np.zeros((k, k))
     at = 0

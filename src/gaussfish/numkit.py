@@ -18,10 +18,6 @@ def hermitize(a):
     return 0.5 * (a + np.conj(a.T))
 
 
-def kron(a, b):
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def vec(a):
     """Column-stacking vectorization: vec(AXB) = (B^T ⊗ A) vec(X)."""
     return np.asarray(a).reshape(-1, order="F")

@@ -1,21 +1,27 @@
 """Quantum Fisher information matrices and scalar bounds for Gaussian models.
 
-A model is a map theta -> GaussianState.  All information quantities are
-evaluated at the moment level:
+A model is a map theta -> GaussianState.  Every information quantity is
+evaluated at the moment level in the Williamson basis V = S diag(nu) S^T
+(S symplectic; Safranek, J. Phys. A 52, 035304 (2019); Monras,
+arXiv:1303.3682).  The rows of T = Z S^-1, Z taking each pair (q, p) to
+(q + i p, q - i p)/sqrt2, are normal coordinates a with eigenvalue nu_a and
+sign s_a = +-1, in which V + i Omega is diagonal with lam_a = nu_a + s_a.
+Both moments of parameter mu enter as one augmented matrix
+D_mu = [[dV_mu, dd_mu], [dd_mu^T, 0]], whose extra coordinate (kept as is by
+T) counts as nu = 1/2, s = 0.  Its coefficients k_mu = vec(T D_mu T^T) over
+pairs (a, b) give, with G(w)_{mu nu} = sum conj(k_mu) w k_nu,
 
-    F^S_{mu nu} = 1/2 vec[dV_mu]^T Sigma^+ vec[dV_nu] + 2 dd_mu^T V^{-1} dd_nu
-    F^R_{mu nu} = 1/2 vec[dV_mu]^T (M (x) M)^+ vec[dV_nu] + 2 dd_mu^T M^+ dd_nu
-    U_{mu nu}   = vec[dV_mu]^T Sigma^+ (V (x) Omega) Sigma^+ vec[dV_nu]
-                  + 2 dd_mu^T V^{-1} Omega V^{-1} dd_nu
+    F^S = Re G(w_S),  w_S = 1 / (2 (nu_a nu_b + s_a s_b))
+    F^R =    G(w_R),  w_R = 1 / (2 lam_a lam_b)
+    U   = Re G(w_U),  w_U = -i (s_a nu_b + s_b nu_a) / (2 (nu_a nu_b + s_a s_b)^2)
 
-with Sigma = V (x) V - Omega (x) Omega (the kron matrix of X -> VXV + Om X Om
-under column-stacking vec) and M = V + i Omega, which is Hermitian PSD.
-
-The information functions take either a model and a parameter point or the
-:class:`PointMoments` that :func:`evaluate` returns for them, so one
-evaluation of the state, its derivatives and the shared solves serves them
-all.  When every dV is exactly zero (displacement families) the
-second-moment terms vanish and are left out, kron solves included.
+These are the blockwise solutions of the SLD equation V X V + Om X Om = dV
+and the RLD equation M X M^T = dV (M = V + i Omega); on the pairs (a, extra)
+and (extra, a) the weights sum to the first-moment terms 2 / nu_a,
+2 / lam_a and -2i s_a / nu_a^2 of 2 dd^T V^-1 dd, 2 dd^T M^-1 dd and
+2 dd^T V^-1 Om V^-1 dd.  :func:`evaluate` returns a :class:`PointMoments`
+that every information function accepts in place of (model, theta), so one
+evaluation and one decomposition serve them all.
 
 Scalar bounds for a weight matrix W (default identity):
 
@@ -26,14 +32,12 @@ Scalar bounds for a weight matrix W (default identity):
 
 and the chain max(b_s, b_r) <= b_h_mid <= b_h_upper <= 2 b_s holds pointwise.
 
-When M is singular (pure states) the RLD information diverges in the
-directions whose derivatives leave the range of M.  The correct limit of
-F_R^{-1} is computed by projecting onto the parameter subspace that stays
-inside the range; see :func:`rld_inverse_limit`.
+A pure mode (nu = 1) makes M singular; see :func:`rld_inverse_limit`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -45,7 +49,6 @@ import numpy as np
 from . import numkit
 from .gaussian_core import (
     GaussianState,
-    SymplecticOp,
     apply,
     displacement_op,
     omega,
@@ -107,28 +110,65 @@ SldComponents = namedtuple("SldComponents", ["l0", "l1", "l2"])
 RldComponents = namedtuple("RldComponents", ["l0", "l1", "l2"])
 BoundChain = namedtuple("BoundChain", ["b_s", "b_r", "b_h_mid", "b_h_upper", "r_q"])
 
-
-def _inv_cov(V):
-    """Inverse covariance; falls back to pinv (with a warning) if singular."""
-    s = np.linalg.svd(V, compute_uv=False)
-    if s[-1] <= 1e-12 * s[0]:
-        warnings.warn("covariance is numerically singular; using pseudo-inverse")
-        return numkit.pinv(V)
-    return np.linalg.inv(V)
+# Relative tolerance on nu - 1, scaled by cond(V): the round-off of the
+# decomposition grows like eps * cond(V) (about 6e-9 at cond(V) = 5e8).
+PURE_TOL = 1e-12
 
 
-def _sigma_sld(V, Om):
-    return numkit.kron(V, V) - numkit.kron(Om, Om)
+def williamson(V):
+    """(nu, S^-1) with V = S diag(nu) S^T, nu repeated per quadrature.
+
+    The eigenvectors u_k of the Hermitian i V^-1/2 Omega V^-1/2 for its
+    eigenvalues 1/nu_k give the orthogonal O with columns sqrt2 (Im u_k,
+    Re u_k), and S^-1 = diag(nu)^1/2 O^T V^-1/2.  A mode with
+    nu - 1 <= PURE_TOL cond(V) is pure and gets nu = 1 exactly; an unphysical
+    V (not positive definite, or nu below 1 by more) raises ValueError.
+    """
+    w, u = np.linalg.eigh(V)
+    if not w[0] > 0.0:
+        raise ValueError("covariance is not positive definite (smallest eigenvalue %.3e)" % w[0])
+    v_isqrt = (u / np.sqrt(w)) @ u.T
+    n = V.shape[0] // 2
+    lam, vecs = np.linalg.eigh(1j * (v_isqrt @ omega(n) @ v_isqrt))
+    nu = 1.0 / lam[n:]  # eigenvalues come as -1/nu_k, +1/nu_k in ascending order
+    tol = PURE_TOL * w[-1] / w[0]
+    if nu.min() < 1.0 - tol:
+        raise ValueError("unphysical state: symplectic eigenvalue %.15g < 1" % nu.min())
+    nu = np.repeat(np.where(nu - 1.0 <= tol, 1.0, nu), 2)
+    O = np.empty((2 * n, 2 * n))
+    O[:, 0::2] = math.sqrt(2.0) * vecs[:, n:].imag
+    O[:, 1::2] = math.sqrt(2.0) * vecs[:, n:].real
+    return nu, np.sqrt(nu)[:, None] * (O.T @ v_isqrt)
+
+
+def _inverse(x, zero_to):
+    """Elementwise 1/x, with zero_to where x == 0 (a pure-mode direction)."""
+    return np.divide(1.0, x, out=np.full(x.shape, zero_to, dtype=x.dtype), where=x != 0)
+
+
+def _weights(nu, s) -> dict:
+    """w_S, w_R and w_U (module docstring) on every coefficient pair (a, b), flattened.
+
+    A zero denominator occurs only with pure modes: it gives weight 0 to F_S
+    and U (the pseudo-inverse, exact for a physical model) and weight inf to
+    F_R, whose information diverges along it.
+    """
+    nu_a, nu_b, s_a, s_b = nu[:, None], nu[None, :], s[:, None], s[None, :]
+    g = _inverse(nu_a * nu_b + s_a * s_b, 0.0)
+    w = {
+        "sld": 0.5 * g,
+        "rld": 0.5 * _inverse((nu_a + s_a) * (nu_b + s_b), np.inf),
+        "u": -0.5j * (s_a * nu_b + nu_a * s_b) * g * g,
+    }
+    return {kind: wk.ravel() for kind, wk in w.items()}
 
 
 class PointMoments:
-    """A model evaluated at one parameter point, with the solves its
-    information matrices share.
+    """A model evaluated at one parameter point.
 
-    The state, the moment derivatives and Omega are taken once; V^{-1},
-    M = V + i Omega, M^+, Sigma^+ and (M (x) M)^+ are computed on first use
-    and then reused.  has_dv is False when every dV is exactly zero: the
-    second-moment terms then vanish and nothing needs the kron solves.
+    Holds the state and its moment derivatives and, on first use, one
+    Williamson decomposition of V and the coefficient rows and weights of
+    the module docstring.
     """
 
     def __init__(self, st: GaussianState, dds, dVs, n_params: int):
@@ -136,36 +176,59 @@ class PointMoments:
         self.dds = dds
         self.dVs = dVs
         self.n_params = n_params
-        self.Om = omega(st.modes)
-        self.has_dv = any(np.any(dV) for dV in dVs)
 
     @cached_property
-    def v_inv(self) -> np.ndarray:
-        return _inv_cov(self.st.V)
+    def normal_modes(self):
+        """(T, nu, s) on the augmented coordinates from one Williamson decomposition of V."""
+        nu, s_inv = williamson(self.st.V)
+        n = nu.size
+        T = np.zeros((n + 1, n + 1), dtype=complex)
+        T[0:n:2, :n] = (s_inv[0::2] + 1j * s_inv[1::2]) / math.sqrt(2.0)
+        T[1:n:2, :n] = np.conj(T[0:n:2, :n])
+        T[n, n] = 1.0
+        signs = np.zeros(n + 1)
+        signs[0:n:2], signs[1:n:2] = 1.0, -1.0
+        return T, np.append(nu, 0.5), signs
 
     @cached_property
-    def M(self) -> np.ndarray:
-        return self.st.V + 1j * self.Om
+    def rows(self):
+        """Coefficient rows K, column mu = vec(T D_mu T^T), and their weights of each kind.
+
+        D_mu = [[dV_mu, dd_mu], [dd_mu^T, 0]].
+        """
+        T, nu, s = self.normal_modes
+        n = nu.size - 1
+        D = np.zeros((self.n_params, n + 1, n + 1))
+        D[:, :n, :n] = self.dVs
+        D[:, :n, n] = D[:, n, :n] = self.dds
+        return (T @ D @ T.T).reshape(self.n_params, -1).T, _weights(nu, s)
+
+    def gram(self, kind: str) -> np.ndarray:
+        K, w = self.rows
+        return np.conj(K.T) @ (w[kind][:, None] * K)
 
     @cached_property
-    def m_pinv(self) -> np.ndarray:
-        return numkit.pinv(self.M)
+    def rld_split(self):
+        """(C, A): weighted in-range rows with F_R = C^H C, and the out-of-range rows.
 
-    @cached_property
-    def vecs(self):
-        return [numkit.vec(dV) for dV in self.dVs]
+        Rows that vanish for every parameter (all second-moment rows when
+        every dV is zero) are left out of both.
+        """
+        K, w = self.rows
+        live = np.any(K != 0, axis=1)
+        out = np.isinf(w["rld"])
+        keep = live & ~out
+        return np.sqrt(w["rld"][keep])[:, None] * K[keep], K[live & out]
 
-    @cached_property
-    def sigma_pinv(self) -> np.ndarray:
-        return numkit.pinv(_sigma_sld(self.st.V, self.Om))
-
-    @cached_property
-    def kron_m(self) -> np.ndarray:
-        return numkit.kron(self.M, self.M)
-
-    @cached_property
-    def kron_m_pinv(self) -> np.ndarray:
-        return numkit.pinv(self.kron_m)
+    def components(self, kind: str, mu: int):
+        """(l0, l1, l2) of L = l0 + l1^T R + R^T l2 R, the SLD or RLD of parameter mu."""
+        T, nu, _ = self.normal_modes
+        K, w = self.rows
+        x = 2.0 * np.where(np.isinf(w[kind]), 0.0, w[kind]) * K[:, mu]
+        X = np.conj(T.T) @ x.reshape(nu.size, nu.size) @ np.conj(T)
+        l2, d = X[:-1, :-1], self.st.d
+        l1 = X[:-1, -1] - 2.0 * l2 @ d
+        return -0.5 * np.trace(self.st.V @ l2) - d @ l1 - d @ l2 @ d, l1, l2
 
 
 def evaluate(model: GaussianModel | PointMoments, theta=None) -> PointMoments:
@@ -184,64 +247,34 @@ def sld_components(model: GaussianModel | PointMoments, theta, mu: int) -> SldCo
 
     L = l0 + l1^T R + R^T l2 R with l2 the solution of V l2 V + Om l2 Om = dV.
     """
-    pt = evaluate(model, theta)
-    st = pt.st
-    l2 = numkit.unvec(pt.sigma_pinv @ pt.vecs[mu])
-    l2 = 0.5 * (l2 + l2.T)
-    l1 = 2.0 * pt.v_inv @ pt.dds[mu] - 2.0 * l2 @ st.d
-    l0 = -0.5 * float(np.trace(st.V @ l2)) - float(st.d @ l1) - float(st.d @ l2 @ st.d)
-    return SldComponents(l0, l1, l2)
+    l0, l1, l2 = evaluate(model, theta).components("sld", mu)
+    return SldComponents(float(l0.real), l1.real, numkit.hermitize(l2.real))
 
 
 def rld_components(model: GaussianModel | PointMoments, theta, mu: int) -> RldComponents:
     """Moment expansion of the right logarithmic derivative.
 
-    l2 solves M l2 M^T = dV with M = V + i Omega (pseudo-inverse solution when
-    M is singular); l2 is complex and in general not symmetric.
+    l2 solves M l2 M^T = dV with M = V + i Omega (on the range of M when M is
+    singular); l2 is complex and in general not symmetric.
     """
-    pt = evaluate(model, theta)
-    st = pt.st
-    l2 = numkit.unvec(pt.kron_m_pinv @ pt.vecs[mu].astype(complex))
-    l1 = 2.0 * pt.m_pinv @ pt.dds[mu] - 2.0 * l2 @ st.d
-    l0 = -0.5 * complex(np.trace(st.V @ l2)) - complex(st.d @ l1) - complex(st.d @ l2 @ st.d)
-    return RldComponents(l0, l1, l2)
+    l0, l1, l2 = evaluate(model, theta).components("rld", mu)
+    return RldComponents(complex(l0), l1, l2)
 
 
 def qfim_sld(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """SLD quantum Fisher information matrix (real symmetric)."""
-    pt = evaluate(model, theta)
-    dds, Vinv = pt.dds, pt.v_inv
-    m = pt.n_params
-    F = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            val = 2.0 * float(dds[i] @ Vinv @ dds[j])
-            if pt.has_dv:
-                val += 0.5 * float(pt.vecs[i] @ pt.sigma_pinv @ pt.vecs[j])
-            F[i, j] = val
-            F[j, i] = val
-    return F
+    return numkit.hermitize(evaluate(model, theta).gram("sld").real)
 
 
 def qfim_rld(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """RLD quantum Fisher information matrix (complex Hermitian).
 
-    Computed through pseudo-inverses, which silently regularizes directions
-    where the true RLD information diverges (singular M); for bound evaluation
-    on such models use :func:`rld_inverse_limit`.
+    Directions where the true RLD information diverges (pure modes) are left
+    out, which silently regularizes it; for bound evaluation on such models
+    use :func:`rld_inverse_limit`.
     """
-    pt = evaluate(model, theta)
-    dds, M_p = pt.dds, pt.m_pinv
-    m = pt.n_params
-    F = np.zeros((m, m), dtype=complex)
-    if pt.has_dv:
-        vs = [v.astype(complex) for v in pt.vecs]
-    for i in range(m):
-        for j in range(m):
-            F[i, j] = 2.0 * (dds[i] @ M_p @ dds[j])
-            if pt.has_dv:
-                F[i, j] += 0.5 * (np.conj(vs[i]) @ pt.kron_m_pinv @ vs[j])
-    return numkit.hermitize(F)
+    C, _ = evaluate(model, theta).rld_split
+    return numkit.hermitize(np.conj(C.T) @ C)
 
 
 def incompatibility(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
@@ -250,19 +283,7 @@ def incompatibility(model: GaussianModel | PointMoments, theta=None) -> np.ndarr
     U = 0 iff the SLD bound is attainable without measurement incompatibility
     penalty; in general b_h_upper = (1 + R_Q) b_s with R_Q built from U.
     """
-    pt = evaluate(model, theta)
-    dds, Vinv = pt.dds, pt.v_inv
-    VOV = Vinv @ pt.Om @ Vinv
-    if pt.has_dv:
-        sig_p = pt.sigma_pinv
-        mid = sig_p @ numkit.kron(pt.st.V, pt.Om) @ sig_p
-    m = pt.n_params
-    U = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            U[i, j] = 2.0 * float(dds[i] @ VOV @ dds[j])
-            if pt.has_dv:
-                U[i, j] += float(pt.vecs[i] @ mid @ pt.vecs[j])
+    U = evaluate(model, theta).gram("u").real
     return 0.5 * (U - U.T)
 
 
@@ -275,11 +296,14 @@ def quantumness(f_sld, u) -> float:
     are clamped.
     """
     f_sld = np.asarray(f_sld, dtype=float)
-    u = np.asarray(u, dtype=float)
+    return _quantumness(numkit.sqrtm_psd(numkit.pinv(f_sld)), np.asarray(u, dtype=float))
+
+
+def _quantumness(root_finv, u) -> float:
+    """R_Q from the PSD root of F^{-1}; see :func:`quantumness`."""
     if not np.any(u):
         return 0.0
-    s = numkit.sqrtm_psd(numkit.pinv(f_sld))
-    h = numkit.hermitize(1j * (s @ u @ s))
+    h = numkit.hermitize(1j * (root_finv @ u @ root_finv))
     rq = float(np.max(np.abs(np.linalg.eigvalsh(h))))
     if rq > 1.0 + 1e-8:
         warnings.warn("quantumness ratio %.6g exceeds 1; F and U are inconsistent" % rq)
@@ -290,38 +314,23 @@ def quantumness(f_sld, u) -> float:
 def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None, f_rld=None) -> np.ndarray:
     """Limiting inverse of the RLD information matrix.
 
-    For directions w whose moment derivatives leave the range of M = V + i Om
-    (possible only when M is singular, e.g. pure states) the RLD information
-    diverges, and the inverse must vanish on those directions.  Writing A for
-    the stacked out-of-range components of the derivatives and Q for an
-    orthonormal basis of ker A in parameter space, the limit is
+    Coefficient rows with an infinite RLD weight (pure-mode directions, see
+    :func:`_weights`) make the RLD information diverge, and the inverse must
+    vanish on the parameter directions that reach them.  With A those rows,
+    Q an orthonormal basis of ker A (rank relative to the largest
+    coefficient) and F_R = C^H C from the remaining weighted rows, the limit is
 
-        F_R^{-1} -> Q (Q^+ F_pinv Q)^{-1} Q^+
+        F_R^{-1} -> Q pinv(C Q) pinv(C Q)^+ Q^+
 
-    which reduces to pinv(F_pinv) for regular models (A = 0, Q unitary).
+    which covers every rank of A: pinv(F_R) when A = 0, zero when ker A = 0.
+    f_rld is accepted for compatibility and not needed.
     """
     pt = evaluate(model, theta)
-    M = pt.M
-    P_d = np.eye(M.shape[0], dtype=complex) - M @ pt.m_pinv
-    cols = [P_d @ dd.astype(complex) for dd in pt.dds]
-    if pt.has_dv:
-        K = pt.kron_m
-        P_v = np.eye(K.shape[0], dtype=complex) - K @ pt.kron_m_pinv
-        cols = [np.concatenate([rd, P_v @ v.astype(complex)]) for rd, v in zip(cols, pt.vecs)]
-    A = np.column_stack(cols)
-    if f_rld is None:
-        f_rld = qfim_rld(pt)
+    C, A = pt.rld_split
     _, s, vh = np.linalg.svd(A)
-    cutoff = 1e-10 * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    m = pt.n_params
-    if rank == 0:
-        return numkit.pinv(np.asarray(f_rld, dtype=complex))
-    if rank == m:
-        return np.zeros((m, m), dtype=complex)
-    Q = np.conj(vh[rank:, :]).T  # orthonormal basis of ker A
-    B = np.conj(Q.T) @ np.asarray(f_rld, dtype=complex) @ Q
-    return Q @ numkit.pinv(B) @ np.conj(Q.T)
+    Q = np.conj(vh[int(np.sum(s > 1e-10 * np.max(np.abs(pt.rows[0])))) :]).T
+    P = numkit.pinv(C @ Q)
+    return Q @ P @ np.conj(P.T) @ np.conj(Q.T)
 
 
 def bound_chain(f_sld, f_rld, u, weight=None, rld_inverse=None) -> BoundChain:
@@ -350,7 +359,7 @@ def bound_chain(f_sld, f_rld, u, weight=None, rld_inverse=None) -> BoundChain:
     b_r = float(np.trace(W @ finv_r.real)) + numkit.trace_abs(sw @ finv_r.imag @ sw)
     u = np.asarray(u, dtype=float)
     b_h_mid = b_s + numkit.trace_abs(sw @ finv_s @ u @ finv_s @ sw)
-    r_q = quantumness(f_sld, u)
+    r_q = _quantumness(numkit.sqrtm_psd(finv_s), u)
     b_h_upper = (1.0 + r_q) * b_s
     return BoundChain(b_s, b_r, b_h_mid, b_h_upper, r_q)
 
@@ -389,7 +398,7 @@ def qfim_report(model: GaussianModel | PointMoments, theta=None, weight=None) ->
     f_s = qfim_sld(pt)
     f_r = qfim_rld(pt)
     u = incompatibility(pt)
-    fr_inv = rld_inverse_limit(pt, f_rld=f_r)
+    fr_inv = rld_inverse_limit(pt)
     chain = bound_chain(f_s, f_r, u, weight=weight, rld_inverse=fr_inv)
     return QfimReport(
         f_sld=f_s,

@@ -160,7 +160,7 @@ def closed_form_bounds(
         sh2 = math.sinh(r) ** 2
         num = 2.0 * n_th * (1.0 + n_th) * x * x + 2.0 * (x - 1.0) * tau * tau * sh2
         den = n_th * x + tau * sh2
-        b_r = num / den if den > 0 else 0.0
+        b_r = num / den if den > 0 else b_s + x  # den = 0 only for the vacuum pair, as tmdv
         r_q = x / (tau * K)
         return ClosedForm(b_s, b_r, r_q, (1.0 + r_q) * b_s)
     raise ValueError("probe must be one of %s" % (PROBES,))

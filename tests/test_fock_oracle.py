@@ -110,7 +110,7 @@ def test_sld_solve_matches_dense_pseudoinverse():
     rho = b @ b.conj().T
     rho /= np.trace(rho).real
     drho = numkit.hermitize(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-    big = numkit.kron(np.eye(5), rho) + numkit.kron(rho.T, np.eye(5))
+    big = np.kron(np.eye(5), rho) + np.kron(rho.T, np.eye(5))
     ref = numkit.unvec(2.0 * numkit.pinv(big) @ numkit.vec(drho))
     assert np.allclose(sld_solve(rho, drho), ref, atol=1e-9)
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gaussfish import numkit
 from gaussfish.channels import NoisyChannel
@@ -42,6 +43,7 @@ from gaussfish.qfi_gaussian import (
     rld_components,
     rld_inverse_limit,
     sld_components,
+    williamson,
 )
 
 
@@ -98,7 +100,7 @@ def test_sld_l2_matches_dense_least_squares():
     st = model.state([0.3])
     _, dVs = model.derivatives([0.3])
     Om = omega(1)
-    sig = numkit.kron(st.V, st.V) - numkit.kron(Om, Om)
+    sig = np.kron(st.V, st.V) - np.kron(Om, Om)
     ref, *_ = np.linalg.lstsq(sig, numkit.vec(dVs[0]), rcond=None)
     comp = sld_components(model, [0.3], 0)
     assert np.allclose(numkit.vec(comp.l2), ref, atol=1e-9)
@@ -377,12 +379,78 @@ def test_point_moments_skip_kron_solves_only_when_every_dv_vanishes():
     probe = probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.2)
     pt = evaluate(displacement_model(probe, NoisyChannel.uniform(2, 1.0, 0.5), 0.3), [0, 0])
     assert evaluate(pt) is pt
-    assert not pt.has_dv
-    qfim_report(pt)
-    assert "sigma_pinv" not in pt.__dict__ and "kron_m_pinv" not in pt.__dict__
-    pv = evaluate(_squeezed_thermal_phase_squeeze(0.3), [0.1, 0.4])
-    assert pv.has_dv
-    qfim_report(pv)
-    assert "sigma_pinv" in pv.__dict__ and "kron_m_pinv" in pv.__dict__
     with pytest.raises(TypeError):
         evaluate(displacement_model(vacuum(1)))
+
+
+def _kron_oracle(pt):
+    """F_S, F_R, U and pinv(F_R) from the kron-matrix pseudo-inverses.
+
+    With Sigma = V (x) V - Om (x) Om and M = V + i Om:
+    F_S = 1/2 vec[dV]^T Sigma^+ vec[dV] + 2 dd^T V^-1 dd,
+    F_R = 1/2 vec[dV]^H (M (x) M)^+ vec[dV] + 2 dd^T M^+ dd,
+    U   = vec[dV]^T Sigma^+ (V (x) Om) Sigma^+ vec[dV] + 2 dd^T V^-1 Om V^-1 dd.
+    """
+    V, Om = pt.st.V, omega(pt.st.modes)
+    M = V + 1j * Om
+    v_inv = np.linalg.inv(V)
+    sig_p = np.linalg.pinv(np.kron(V, V) - np.kron(Om, Om))
+    mid = sig_p @ np.kron(V, Om) @ sig_p
+    kron_m_p = np.linalg.pinv(np.kron(M, M))
+    dds = np.column_stack(pt.dds)
+    vecs = np.column_stack([numkit.vec(dV) for dV in pt.dVs])
+    f_s = 2.0 * dds.T @ v_inv @ dds + 0.5 * vecs.T @ sig_p @ vecs
+    f_r = 2.0 * dds.T @ np.linalg.pinv(M) @ dds + 0.5 * vecs.T @ kron_m_p @ vecs
+    u = 2.0 * dds.T @ v_inv @ Om @ v_inv @ dds + vecs.T @ mid @ vecs
+    return f_s, f_r, 0.5 * (u - u.T), np.linalg.pinv(f_r)
+
+
+def _random_point(rng, modes, n_params=3):
+    """A random physical mixed state with random first- and second-moment derivatives."""
+    H = rng.normal(size=(2 * modes, 2 * modes))
+    H = H + H.T
+    S = expm(omega(modes) @ (0.5 * H / np.linalg.norm(H, 2)))
+    V = (S * np.repeat(rng.uniform(1.2, 2.5, modes), 2)) @ S.T
+    st = GaussianState(rng.normal(size=2 * modes), 0.5 * (V + V.T))
+    dds = [rng.normal(size=2 * modes) for _ in range(n_params)]
+    dVs = [a + a.T for a in rng.normal(size=(n_params, 2 * modes, 2 * modes))]
+    return evaluate(GaussianModel(lambda th: st, n_params, lambda th: dds, lambda th: dVs), np.zeros(n_params))
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4])
+def test_williamson_basis_matches_kron_oracle(modes):
+    rng = np.random.default_rng(100 + modes)
+    for _ in range(5):
+        pt = _random_point(rng, modes)
+        nu, s_inv = williamson(pt.st.V)
+        Om = omega(modes)
+        assert np.allclose(s_inv @ pt.st.V @ s_inv.T, np.diag(nu), atol=1e-12)
+        assert np.allclose(s_inv @ Om @ s_inv.T, Om, atol=1e-12)
+        got = (qfim_sld(pt), qfim_rld(pt), incompatibility(pt), rld_inverse_limit(pt))
+        for new, ref in zip(got, _kron_oracle(pt)):
+            assert np.max(np.abs(new - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_th", [0.0, 1e-9, 1e-6])
+def test_incompatibility_near_pure_matches_fock_oracle(n_th):
+    theta = np.array([0.1, 0.4])
+    fm = _fock_phase_squeeze(n_th, 80)
+    rho = fm.rho(theta)
+    L0, L1 = [sld_solve(rho, d) for d in fm.derivatives(theta)]
+    u01_fock = float(np.trace(rho @ L0 @ L1).imag)
+    rep = qfim_report(_squeezed_thermal_phase_squeeze(n_th), theta)
+    assert rep.u[0, 1] == pytest.approx(u01_fock, abs=1e-8)
+    assert 0.0 <= rep.r_q <= 1.0
+
+
+@pytest.mark.parametrize(
+    "V, match",
+    [(0.5 * np.eye(2), "unphysical"), (np.diag([2.0, -1.0]), "positive definite")],
+    ids=["below_uncertainty", "indefinite"],
+)
+def test_unphysical_covariance_raises(V, match):
+    with pytest.raises(ValueError, match=match):
+        williamson(V)
+    model = GaussianModel(lambda th: GaussianState(np.zeros(2), V), 2)
+    with pytest.raises(ValueError, match=match):
+        qfim_report(model, [0.0, 0.0])

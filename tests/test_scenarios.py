@@ -227,23 +227,43 @@ def test_pure_probe_rld_limits_at_t0():
     assert disp.b_r == pytest.approx(cf.b_r, abs=1e-12)
 
 
+def test_tmst_closed_form_vacuum_pair_corner():
+    # r = 0 and n_th = n_e = 0 make tmst the vacuum pair, which is tmdv
+    x = math.exp(0.3)
+    cf = closed_form_bounds("tmst", 0.0, 0.0, 1.0, 0.3, 0.0)
+    assert cf.b_r == pytest.approx(closed_form_bounds("tmdv", 0.0, 0.0, 1.0, 0.3, 0.0).b_r, abs=1e-12)
+    assert cf.b_r == pytest.approx(cf.b_s + x, abs=1e-12)
+    row = run_point(_cfg(probe="tmst", r=0.0, n_th=0.0, n_e=0.0, axis="t"), 0.3)
+    assert row.b_r == pytest.approx(cf.b_r, abs=1e-8)
+
+
+def _zero_or(lo, hi):
+    return st.one_of(st.just(0.0), st.floats(lo, hi))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     probe=st.sampled_from(PROBES),
-    r=st.floats(0.0, 1.5),
-    n=st.floats(0.01, 1.0),
+    r=_zero_or(0.01, 1.5),
+    n=_zero_or(1e-8, 1.0),
     gamma=st.floats(0.2, 2.0),
-    t=st.floats(0.005, 1.0),
+    gamma_t=_zero_or(1e-8, 2.0),
 )
-def test_pipeline_matches_closed_forms_property(probe, r, n, gamma, t):
-    """Closed forms and the chain on the matched slice n_th = n_e.
+def test_pipeline_matches_closed_forms_property(probe, r, n, gamma, gamma_t):
+    """Closed forms and the chain on the matched slice n_th = n_e, pure states included.
 
-    The draws stay out of the near-pure band, where b_r misses the closed
-    form: t >= 0.005 as in the benchmark, and n >= 0.01 because a thermal
-    occupation near 1e-6 also leaves M ill-conditioned (tmsv r = 1e-3,
-    n = 1e-6, gamma = t = 1 gives b_r 0.0010 against 4.7008; see CHANGES.md).
+    Each range is 0 plus an interval: r >= 0.01, n >= 1e-8, gamma t >= 1e-8.
+    At those lower ends nu - 1 of the least mixed mode is about 2 n = 2e-8
+    for the thermal probes and 2 gamma t sinh^2 r for tmsv in vacuum noise,
+    down to 2e-12 at r = 0.01, gamma t = 1e-8.  Nearer to
+    purity both sides lose digits to cancellation: the closed forms in
+    cosh 2r - 1 and D - x, the program in nu - 1, which it forms by
+    subtraction.  tmsv at r = 1e-4, n = 0, gamma t = 1e-8 has nu - 1 of about
+    2e-16, which the program takes as pure (b_r = 0), against a closed-form
+    b_r of 2.3e-8.
     """
     alpha = (0.3, -0.2, 0.1, 0.4) if probe in ("tmdv", "tmdt") else (0.0,) * 4
+    t = gamma_t / gamma
     cfg = ScenarioConfig(probe=probe, r=r, n_th=n, n_e=n, gamma=gamma, alpha=alpha, axis="t")
     row = run_point(cfg, t)
     assert row.ok, row.message
