@@ -13,6 +13,10 @@ m_e (complex):
     V_inf = [[2 n_e + 1 + Re m_e, Im m_e], [Im m_e, 2 n_e + 1 - Re m_e]]
 
 Physicality of the reservoir requires |m_e|^2 <= n_e (n_e + 1).
+
+A stack of K channels holds (K, modes) parameter arrays, and :func:`evolve`
+takes a stack of times (K,) and a stack of states: its leading axes
+broadcast, so one call evolves a whole grid.
 """
 
 from __future__ import annotations
@@ -46,44 +50,40 @@ class NoisyChannel:
 
     @property
     def modes(self) -> int:
-        return self.gamma.size
+        return self.gamma.shape[-1]
 
     @classmethod
-    def uniform(cls, modes: int, gamma: float, n_e: float, m_e: complex = 0.0) -> "NoisyChannel":
+    def uniform(cls, modes: int, gamma, n_e, m_e=0.0) -> "NoisyChannel":
+        """The same reservoir on every mode; array parameters give a stack of channels."""
+        shape = np.broadcast(gamma, n_e, m_e).shape + (modes,)
         return cls(
-            np.full(modes, float(gamma)),
-            np.full(modes, float(n_e)),
-            np.full(modes, complex(m_e)),
+            np.full(shape, np.asarray(gamma)[..., None], dtype=float),
+            np.full(shape, np.asarray(n_e)[..., None], dtype=float),
+            np.full(shape, np.asarray(m_e)[..., None], dtype=complex),
         )
 
 
 def diffusion_matrix(ch: NoisyChannel) -> np.ndarray:
     """Direct sum of the stationary reservoir blocks."""
-    out = np.zeros((2 * ch.modes, 2 * ch.modes))
+    out = np.zeros(ch.n_e.shape[:-1] + (2 * ch.modes, 2 * ch.modes))
+    tau, re, im = 2.0 * ch.n_e + 1.0, ch.m_e.real, ch.m_e.imag
     for i in range(ch.modes):
-        ne = ch.n_e[i]
-        me = ch.m_e[i]
-        out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = np.array(
-            [
-                [2.0 * ne + 1.0 + me.real, me.imag],
-                [me.imag, 2.0 * ne + 1.0 - me.real],
-            ]
-        )
+        q, p = 2 * i, 2 * i + 1
+        out[..., q, q] = tau[..., i] + re[..., i]
+        out[..., p, p] = tau[..., i] - re[..., i]
+        out[..., q, p] = out[..., p, q] = im[..., i]
     return out
 
 
-def evolve(ch: NoisyChannel, state: GaussianState, t: float) -> GaussianState:
-    """Damp the state for a time t >= 0."""
+def evolve(ch: NoisyChannel, state: GaussianState, t) -> GaussianState:
+    """Damp the state for a time t >= 0 (a float, or an array of times)."""
     if ch.modes != state.modes:
         raise ValueError("channel acts on %d modes, state has %d" % (ch.modes, state.modes))
-    t = float(t)
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any():
         raise ValueError("t must be >= 0")
-    g = np.repeat(np.exp(-0.5 * ch.gamma * t), 2)  # diagonal of G(t)
-    V = g[:, None] * state.V * g[None, :]
-    V_inf = diffusion_matrix(ch)
-    relax = 1.0 - np.exp(-ch.gamma * t)
-    for i in range(ch.modes):
-        sl = slice(2 * i, 2 * i + 2)
-        V[sl, sl] += relax[i] * V_inf[sl, sl]
+    rate = ch.gamma * t[..., None]
+    g = np.repeat(np.exp(-0.5 * rate), 2, axis=-1)  # diagonal of G(t)
+    relax = np.repeat(1.0 - np.exp(-rate), 2, axis=-1)  # per row of the block-diagonal V_inf
+    V = g[..., :, None] * state.V * g[..., None, :] + relax[..., :, None] * diffusion_matrix(ch)
     return GaussianState(g * state.d, V)

@@ -36,27 +36,34 @@ def omega(modes: int) -> np.ndarray:
 
 @dataclass
 class GaussianState:
-    """First moments d (length 2N) and covariance V (2N x 2N, symmetric)."""
+    """First moments d (length 2N) and covariance V (2N x 2N, symmetric).
+
+    A stack of K states has d of shape (K, 2N) and V of shape (K, 2N, 2N);
+    :func:`apply` and :func:`gaussfish.channels.evolve` act on each member.
+    """
 
     d: np.ndarray
     V: np.ndarray
 
     def __post_init__(self):
-        self.d = np.asarray(self.d, dtype=float).reshape(-1)
         self.V = np.asarray(self.V, dtype=float)
-        n = self.d.size
+        self.d = np.asarray(self.d, dtype=float)
+        if self.V.ndim <= 2:
+            self.d = self.d.reshape(-1)
+        n = self.d.shape[-1]
         if n < 2 or n % 2 != 0:
             raise ValueError("first-moment vector must have even length >= 2")
-        if self.V.shape != (n, n):
+        if self.V.shape != self.d.shape + (n,):
             raise ValueError("covariance shape %s does not match d" % (self.V.shape,))
-        asym = np.max(np.abs(self.V - self.V.T))
+        Vt = self.V.swapaxes(-1, -2)
+        asym = np.abs(self.V - Vt).max()
         if asym > _SYM_TOL:
             raise ValueError("covariance is not symmetric (max asymmetry %.3e)" % asym)
-        self.V = 0.5 * (self.V + self.V.T)
+        self.V = 0.5 * (self.V + Vt)
 
     @property
     def modes(self) -> int:
-        return self.d.size // 2
+        return self.d.shape[-1] // 2
 
     def physical(self, tol: float = 1e-8) -> bool:
         """Uncertainty relation V + i Omega >= 0."""
@@ -98,7 +105,8 @@ class SymplecticOp:
 def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
     if op.modes != state.modes:
         raise ValueError("mode count mismatch between operation and state")
-    return GaussianState(op.S @ state.d + op.shift, op.S @ state.V @ op.S.T)
+    d = (op.S @ state.d[..., None])[..., 0] + op.shift
+    return GaussianState(d, op.S @ state.V @ op.S.T)
 
 
 def compose(outer: SymplecticOp, inner: SymplecticOp) -> SymplecticOp:
@@ -152,6 +160,15 @@ def single_mode_squeezer(r: float) -> SymplecticOp:
     return SymplecticOp(np.diag([np.exp(-r), np.exp(r)]))
 
 
+def _two_mode(blocks) -> np.ndarray:
+    """4x4 matrix from its 2x2 blocks [[a, b], [c, d]] (np.block, without its overhead)."""
+    out = np.empty((4, 4))
+    for i, row in enumerate(blocks):
+        for j, b in enumerate(row):
+            out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = b
+    return out
+
+
 def _reflection(phi: float) -> np.ndarray:
     # det = -1, R^2 = 1, R omega R = -omega
     c, s = np.cos(phi), np.sin(phi)
@@ -168,14 +185,12 @@ def two_mode_squeezer(r: float, phi: float = 0.0) -> SymplecticOp:
     ch, sh = np.cosh(r), np.sinh(r)
     R = _reflection(phi)
     I2 = np.eye(2)
-    S = np.block([[ch * I2, sh * R], [sh * R, ch * I2]])
-    return SymplecticOp(S)
+    return SymplecticOp(_two_mode([[ch * I2, sh * R], [sh * R, ch * I2]]))
 
 
 def beam_splitter_5050() -> SymplecticOp:
     I2 = np.eye(2)
-    S = np.block([[I2, I2], [-I2, I2]]) / np.sqrt(2.0)
-    return SymplecticOp(S)
+    return SymplecticOp(_two_mode([[I2, I2], [-I2, I2]]) / np.sqrt(2.0))
 
 
 def displacement_op(theta1: float, theta2: float, mode: int = 0, modes: int = 1) -> SymplecticOp:

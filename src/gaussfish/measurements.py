@@ -24,6 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .gaussian_core import GaussianState, SymplecticOp, apply, beam_splitter_5050, rotation
+from .numkit import transpose
 from .qfi_gaussian import GaussianModel, PointMoments, evaluate
 
 _KINDS = ("general", "heterodyne", "homodyne_q", "homodyne_p")
@@ -154,29 +155,24 @@ def cfim_gaussian_outcomes(
     with an optional symplectic pre_op applied between the model state and
     the detectors (its shift drops out of the derivatives).  model is a
     GaussianModel evaluated at theta, or a PointMoments from
-    :func:`gaussfish.qfi_gaussian.evaluate`.
+    :func:`gaussfish.qfi_gaussian.evaluate`; a stacked PointMoments gives a
+    (K, p, p) stack of matrices.
     """
     pt = evaluate(model, theta)
     st, dds, dVs = pt.st, pt.dds, pt.dVs
     if pre_op is not None:
         S = pre_op.S
         st = apply(pre_op, st)
-        dds = [S @ dd for dd in dds]
-        dVs = [S @ dV @ S.T for dV in dVs]
+        dds = dds @ S.T
+        dVs = S @ dVs @ S.T
     rows, Vm = _assemble(measurement, st.modes, dressing)
-    Sigma = 0.5 * (st.V[np.ix_(rows, rows)] + Vm)
-    Sinv = np.linalg.inv(Sigma)
-    dmus = [dd[rows] for dd in dds]
-    dSigs = [0.5 * dV[np.ix_(rows, rows)] for dV in dVs]
-    m = pt.n_params
-    F = np.zeros((m, m))
-    for j in range(m):
-        for k in range(j, m):
-            val = float(dmus[j] @ Sinv @ dmus[k])
-            val += 0.5 * float(np.trace(Sinv @ dSigs[j] @ Sinv @ dSigs[k]))
-            F[j, k] = val
-            F[k, j] = val
-    return F
+    Sinv = np.linalg.inv(0.5 * (st.V[..., rows, :][..., rows] + Vm))
+    dmus = dds[..., rows]
+    X = Sinv[..., None, :, :] @ (0.5 * dVs[..., rows, :][..., rows])  # Sigma^-1 dSigma_mu
+    # Tr[X_j X_k] is the dot product of X_j and X_k^T, each flattened
+    flat = X.reshape(X.shape[:-2] + (-1,))
+    F = dmus @ Sinv @ transpose(dmus) + 0.5 * flat @ transpose(transpose(X).reshape(flat.shape))
+    return 0.5 * (F + transpose(F))
 
 
 def epr_readout() -> Tuple[SymplecticOp, GeneralDyne]:

@@ -12,10 +12,20 @@ import numpy as np
 EPS = float(np.finfo(float).eps)
 
 
+def transpose(a):
+    """Transpose of the last two axes: of a matrix, or of each matrix of a stack."""
+    return a.swapaxes(-1, -2)
+
+
+def adjoint(a):
+    """Conjugate transpose of the last two axes."""
+    return a.swapaxes(-1, -2).conj()
+
+
 def hermitize(a):
     """Return the Hermitian part (a + a†)/2, absorbing round-off asymmetry."""
     a = np.asarray(a)
-    return 0.5 * (a + np.conj(a.T))
+    return 0.5 * (a + adjoint(a))
 
 
 def vec(a):
@@ -34,24 +44,31 @@ def unvec(v, shape=None):
     return v.reshape(shape, order="F")
 
 
-def pinv(a, tol=None):
+def pinv(a, tol=None, size=None):
     """Moore-Penrose pseudo-inverse via SVD with an absolute cutoff.
 
     Singular values <= tol are treated as zero.  The default cutoff is
-    eps * max(rows, cols) * sigma_max, i.e. zero matrices map to zero.
+    eps * size * sigma_max with size = max(rows, cols), i.e. zero matrices
+    map to zero.  A stack (..., rows, cols) is inverted matrix by matrix,
+    each with its own cutoff; tol and size broadcast over the stack, so a
+    stack padded with zero rows passes each matrix's unpadded size.
     """
     a = np.asarray(a)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ValueError("pinv expects a matrix")
+    if a.size == 0:
+        return np.zeros(adjoint(a).shape, dtype=a.dtype)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0:
-        return np.zeros(a.T.shape, dtype=a.dtype)
     if tol is None:
-        tol = EPS * max(a.shape) * s[0]
-    keep = s > tol
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    return np.conj(vh.T) @ (inv_s[:, None] * np.conj(u.T))
+        tol = EPS * (max(a.shape[-2:]) if size is None else np.asarray(size)) * s[..., 0]
+    keep = s > np.asarray(tol)[..., None]
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    return adjoint(vh) @ (inv_s[..., :, None] * adjoint(u))
+
+
+def float_or_stack(x):
+    """A float for one matrix, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def trace_abs(a, tol=1e-12):
@@ -61,21 +78,29 @@ def trace_abs(a, tol=1e-12):
     (nearly) skew-Hermitian input the eigenvalues come in +-i*kappa pairs and
     i*a is diagonalized instead -- this is the case needed for the imaginary
     part of an inverse RLD information matrix, which is real antisymmetric.
-    Anything else falls back to the general eigenvalue spectrum.
+    Anything else falls back to the general eigenvalue spectrum.  A stack
+    (..., n, n) picks the branch matrix by matrix and returns an array.
     """
     a = np.asarray(a, dtype=complex)
-    if a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("trace_abs expects a square matrix")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    herm = 0.5 * (a + np.conj(a.T))
-    skew = 0.5 * (a - np.conj(a.T))
-    if np.max(np.abs(skew)) <= tol * scale:
-        w = np.linalg.eigvalsh(herm)
-    elif np.max(np.abs(herm)) <= tol * scale:
-        w = np.linalg.eigvalsh(1j * skew)
-    else:
-        w = np.linalg.eigvals(a)
-    return float(np.sum(np.abs(w)))
+    axes = (-2, -1)
+    bound = tol * np.maximum(1.0, np.abs(a).max(axis=axes, initial=0.0))
+    herm = hermitize(a)
+    skew = 0.5 * (a - adjoint(a))
+    is_herm = np.abs(skew).max(axis=axes, initial=0.0) <= bound
+    is_skew = ~is_herm & (np.abs(herm).max(axis=axes, initial=0.0) <= bound)
+    out = np.empty(a.shape[:-2])
+    for branch, spectrum, m in (
+        (is_herm, np.linalg.eigvalsh, herm),
+        (is_skew, np.linalg.eigvalsh, 1j * skew),
+        (~(is_herm | is_skew), np.linalg.eigvals, a),
+    ):
+        if branch.all():  # one branch for the whole stack: no masked copy
+            return float_or_stack(np.abs(spectrum(m)).sum(axis=-1))
+        if branch.any():
+            out[branch] = np.abs(spectrum(m[branch])).sum(axis=-1)
+    return float_or_stack(out)
 
 
 def largest_eig_abs(a):
@@ -98,13 +123,11 @@ def sqrtm_psd(a, neg_tol=1e-10):
     """Symmetric square root of a PSD matrix via eigendecomposition.
 
     Eigenvalues below -neg_tol are rejected; small negative round-off is
-    clipped to zero.
+    clipped to zero.  A stack (..., n, n) is rooted matrix by matrix.
     """
+    a = np.asarray(a)
     w, u = np.linalg.eigh(hermitize(a))
-    if w.size and w[0] < -neg_tol:
-        raise ValueError("matrix is not positive semidefinite (min eig %.3e)" % w[0])
-    w = np.clip(w, 0.0, None)
-    root = (u * np.sqrt(w)) @ np.conj(u.T)
-    if np.isrealobj(np.asarray(a)):
-        root = root.real
-    return root
+    if w.size and w[..., 0].min() < -neg_tol:
+        raise ValueError("matrix is not positive semidefinite (min eig %.3e)" % w[..., 0].min())
+    root = (u * np.sqrt(w.clip(0.0, None))[..., None, :]) @ adjoint(u)
+    return root.real if np.isrealobj(a) else root

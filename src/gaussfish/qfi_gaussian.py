@@ -33,6 +33,16 @@ Scalar bounds for a weight matrix W (default identity):
 and the chain max(b_s, b_r) <= b_h_mid <= b_h_upper <= 2 b_s holds pointwise.
 
 A pure mode (nu = 1) makes M singular; see :func:`rld_inverse_limit`.
+
+Stack axis.  A PointMoments may hold K points at once: a state with d of
+shape (K, 2N) and V of shape (K, 2N, 2N), with dds (K, p, 2N) and dVs
+(K, p, 2N, 2N), as a model evaluated on a whole sweep grid gives.  Every
+function here then works on the leading axis in one call and returns
+(K, p, p) matrices and (K,) bounds; without the axis it is the one-point
+case and returns (p, p) matrices and floats.  The formulas are elementwise
+in nu, so a point's values do not depend on the other points of its stack:
+the purity cut, the rank cut of :func:`rld_inverse_limit` and every pinv
+cutoff are taken point by point.
 """
 
 from __future__ import annotations
@@ -123,22 +133,25 @@ def williamson(V):
     Re u_k), and S^-1 = diag(nu)^1/2 O^T V^-1/2.  A mode with
     nu - 1 <= PURE_TOL cond(V) is pure and gets nu = 1 exactly; an unphysical
     V (not positive definite, or nu below 1 by more) raises ValueError.
+    A stack V (K, 2N, 2N) is decomposed matrix by matrix.
     """
     w, u = np.linalg.eigh(V)
-    if not w[0] > 0.0:
-        raise ValueError("covariance is not positive definite (smallest eigenvalue %.3e)" % w[0])
-    v_isqrt = (u / np.sqrt(w)) @ u.T
-    n = V.shape[0] // 2
+    if not (w[..., 0] > 0.0).all():
+        raise ValueError(
+            "covariance is not positive definite (smallest eigenvalue %.3e)" % w[..., 0].min()
+        )
+    v_isqrt = (u / np.sqrt(w)[..., None, :]) @ numkit.transpose(u)
+    n = V.shape[-1] // 2
     lam, vecs = np.linalg.eigh(1j * (v_isqrt @ omega(n) @ v_isqrt))
-    nu = 1.0 / lam[n:]  # eigenvalues come as -1/nu_k, +1/nu_k in ascending order
-    tol = PURE_TOL * w[-1] / w[0]
-    if nu.min() < 1.0 - tol:
+    nu = 1.0 / lam[..., n:]  # eigenvalues come as -1/nu_k, +1/nu_k in ascending order
+    tol = (PURE_TOL * w[..., -1] / w[..., 0])[..., None]
+    if not (nu >= 1.0 - tol).all():
         raise ValueError("unphysical state: symplectic eigenvalue %.15g < 1" % nu.min())
-    nu = np.repeat(np.where(nu - 1.0 <= tol, 1.0, nu), 2)
-    O = np.empty((2 * n, 2 * n))
-    O[:, 0::2] = math.sqrt(2.0) * vecs[:, n:].imag
-    O[:, 1::2] = math.sqrt(2.0) * vecs[:, n:].real
-    return nu, np.sqrt(nu)[:, None] * (O.T @ v_isqrt)
+    nu = np.repeat(np.where(nu - 1.0 <= tol, 1.0, nu), 2, axis=-1)
+    O = np.empty(V.shape)
+    O[..., 0::2] = math.sqrt(2.0) * vecs[..., n:].imag
+    O[..., 1::2] = math.sqrt(2.0) * vecs[..., n:].real
+    return nu, np.sqrt(nu)[..., :, None] * (numkit.transpose(O) @ v_isqrt)
 
 
 def _inverse(x, zero_to):
@@ -153,42 +166,47 @@ def _weights(nu, s) -> dict:
     and U (the pseudo-inverse, exact for a physical model) and weight inf to
     F_R, whose information diverges along it.
     """
-    nu_a, nu_b, s_a, s_b = nu[:, None], nu[None, :], s[:, None], s[None, :]
+    nu_a, nu_b, s_a, s_b = nu[..., :, None], nu[..., None, :], s[:, None], s[None, :]
     g = _inverse(nu_a * nu_b + s_a * s_b, 0.0)
     w = {
         "sld": 0.5 * g,
         "rld": 0.5 * _inverse((nu_a + s_a) * (nu_b + s_b), np.inf),
         "u": -0.5j * (s_a * nu_b + nu_a * s_b) * g * g,
     }
-    return {kind: wk.ravel() for kind, wk in w.items()}
+    return {kind: wk.reshape(nu.shape[:-1] + (-1,)) for kind, wk in w.items()}
 
 
 class PointMoments:
-    """A model evaluated at one parameter point.
+    """A model evaluated at one parameter point, or at a stack of K points.
 
-    Holds the state and its moment derivatives and, on first use, one
-    Williamson decomposition of V and the coefficient rows and weights of
-    the module docstring.
+    Holds the state and its moment derivatives, dds (..., p, 2N) and dVs
+    (..., p, 2N, 2N), and, on first use, one Williamson decomposition of V
+    per point and the coefficient rows and weights of the module docstring.
+    A stack carries a leading axis of length K on the state, dds, dVs and
+    everything derived from them; each point's values do not depend on the
+    other points of its stack.
     """
 
     def __init__(self, st: GaussianState, dds, dVs, n_params: int):
         self.st = st
-        self.dds = dds
-        self.dVs = dVs
+        self.dds = np.stack(dds, axis=-2)
+        self.dVs = np.stack(dVs, axis=-3)
         self.n_params = n_params
 
     @cached_property
     def normal_modes(self):
         """(T, nu, s) on the augmented coordinates from one Williamson decomposition of V."""
         nu, s_inv = williamson(self.st.V)
-        n = nu.size
-        T = np.zeros((n + 1, n + 1), dtype=complex)
-        T[0:n:2, :n] = (s_inv[0::2] + 1j * s_inv[1::2]) / math.sqrt(2.0)
-        T[1:n:2, :n] = np.conj(T[0:n:2, :n])
-        T[n, n] = 1.0
+        lead, n = nu.shape[:-1], nu.shape[-1]
+        T = np.zeros(lead + (n + 1, n + 1), dtype=complex)
+        T[..., 0:n:2, :n] = (s_inv[..., 0::2, :] + 1j * s_inv[..., 1::2, :]) / math.sqrt(2.0)
+        T[..., 1:n:2, :n] = np.conj(T[..., 0:n:2, :n])
+        T[..., n, n] = 1.0
+        nu_aug = np.full(lead + (n + 1,), 0.5)
+        nu_aug[..., :n] = nu
         signs = np.zeros(n + 1)
         signs[0:n:2], signs[1:n:2] = 1.0, -1.0
-        return T, np.append(nu, 0.5), signs
+        return T, nu_aug, signs
 
     @cached_property
     def rows(self):
@@ -197,31 +215,43 @@ class PointMoments:
         D_mu = [[dV_mu, dd_mu], [dd_mu^T, 0]].
         """
         T, nu, s = self.normal_modes
-        n = nu.size - 1
-        D = np.zeros((self.n_params, n + 1, n + 1))
-        D[:, :n, :n] = self.dVs
-        D[:, :n, n] = D[:, n, :n] = self.dds
-        return (T @ D @ T.T).reshape(self.n_params, -1).T, _weights(nu, s)
+        lead, n = nu.shape[:-1], nu.shape[-1] - 1
+        D = np.zeros(lead + (self.n_params, n + 1, n + 1))
+        D[..., :n, :n] = self.dVs
+        D[..., :n, n] = D[..., n, :n] = self.dds
+        T = T[..., None, :, :]
+        K = (T @ D @ numkit.transpose(T)).reshape(lead + (self.n_params, -1))
+        return numkit.transpose(K), _weights(nu, s)
 
     def gram(self, kind: str) -> np.ndarray:
         K, w = self.rows
-        return np.conj(K.T) @ (w[kind][:, None] * K)
+        return numkit.adjoint(K) @ (w[kind][..., :, None] * K)
 
     @cached_property
     def rld_split(self):
-        """(C, A): weighted in-range rows with F_R = C^H C, and the out-of-range rows.
+        """(C, A, n_c): weighted in-range rows with F_R = C^H C, and the out-of-range rows.
 
-        Rows that vanish for every parameter (all second-moment rows when
-        every dV is zero) are left out of both.
+        Rows that vanish for every parameter at every point of the stack (all
+        second-moment rows when every dV is zero) are left out of both.  The
+        rows kept are the same at every point, so C holds a point's
+        out-of-range rows as zero rows and A its in-range rows; n_c is each
+        point's count of nonzero in-range rows, the row count of its C on its
+        own.
         """
         K, w = self.rows
-        live = np.any(K != 0, axis=1)
-        out = np.isinf(w["rld"])
-        keep = live & ~out
-        return np.sqrt(w["rld"][keep])[:, None] * K[keep], K[live & out]
+        nonzero = (K != 0).any(axis=-1)
+        live = nonzero.reshape(-1, nonzero.shape[-1]).any(axis=0)
+        K, w = K[..., live, :], w["rld"][..., live]
+        out = np.isinf(w)
+        C = np.sqrt(np.where(out, 0.0, w))[..., None] * K
+        A = np.where(out[..., None], K, 0.0)
+        return C, A, (C != 0).any(axis=-1).sum(axis=-1)
 
     def components(self, kind: str, mu: int):
-        """(l0, l1, l2) of L = l0 + l1^T R + R^T l2 R, the SLD or RLD of parameter mu."""
+        """(l0, l1, l2) of L = l0 + l1^T R + R^T l2 R, the SLD or RLD of parameter mu.
+
+        For one point (no stack axis).
+        """
         T, nu, _ = self.normal_modes
         K, w = self.rows
         x = 2.0 * np.where(np.isinf(w[kind]), 0.0, w[kind]) * K[:, mu]
@@ -232,7 +262,11 @@ class PointMoments:
 
 
 def evaluate(model: GaussianModel | PointMoments, theta=None) -> PointMoments:
-    """Evaluate a model once at theta; a PointMoments is returned unchanged."""
+    """Evaluate a model once at theta; a PointMoments is returned unchanged.
+
+    A model whose state_fn returns a stack of states (and whose derivative
+    hooks return matching stacks) gives a stacked PointMoments.
+    """
     if isinstance(model, PointMoments):
         return model
     if theta is None:
@@ -262,29 +296,29 @@ def rld_components(model: GaussianModel | PointMoments, theta, mu: int) -> RldCo
 
 
 def qfim_sld(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
-    """SLD quantum Fisher information matrix (real symmetric)."""
+    """SLD quantum Fisher information matrix (real symmetric; (K, p, p) for a stack)."""
     return numkit.hermitize(evaluate(model, theta).gram("sld").real)
 
 
 def qfim_rld(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
-    """RLD quantum Fisher information matrix (complex Hermitian).
+    """RLD quantum Fisher information matrix (complex Hermitian; (K, p, p) for a stack).
 
     Directions where the true RLD information diverges (pure modes) are left
     out, which silently regularizes it; for bound evaluation on such models
     use :func:`rld_inverse_limit`.
     """
-    C, _ = evaluate(model, theta).rld_split
-    return numkit.hermitize(np.conj(C.T) @ C)
+    C = evaluate(model, theta).rld_split[0]
+    return numkit.hermitize(numkit.adjoint(C) @ C)
 
 
 def incompatibility(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
-    """Mean Uhlmann-curvature-type matrix U (real antisymmetric).
+    """Mean Uhlmann-curvature-type matrix U (real antisymmetric; (K, p, p) for a stack).
 
     U = 0 iff the SLD bound is attainable without measurement incompatibility
     penalty; in general b_h_upper = (1 + R_Q) b_s with R_Q built from U.
     """
     U = evaluate(model, theta).gram("u").real
-    return 0.5 * (U - U.T)
+    return 0.5 * (U - numkit.transpose(U))
 
 
 def quantumness(f_sld, u) -> float:
@@ -293,22 +327,22 @@ def quantumness(f_sld, u) -> float:
     Evaluated through the similarity-equivalent Hermitian matrix
     i F^{-1/2} U F^{-1/2}.  Values outside [0, 1] by more than 1e-8 indicate
     an inconsistent (F, U) pair and trigger a warning; round-off excursions
-    are clamped.
+    are clamped.  Stacks of (F, U) give an array of ratios.
     """
     f_sld = np.asarray(f_sld, dtype=float)
     return _quantumness(numkit.sqrtm_psd(numkit.pinv(f_sld)), np.asarray(u, dtype=float))
 
 
-def _quantumness(root_finv, u) -> float:
+def _quantumness(root_finv, u):
     """R_Q from the PSD root of F^{-1}; see :func:`quantumness`."""
-    if not np.any(u):
-        return 0.0
+    if not u.any():
+        return numkit.float_or_stack(np.zeros(u.shape[:-2]))
     h = numkit.hermitize(1j * (root_finv @ u @ root_finv))
-    rq = float(np.max(np.abs(np.linalg.eigvalsh(h))))
-    if rq > 1.0 + 1e-8:
-        warnings.warn("quantumness ratio %.6g exceeds 1; F and U are inconsistent" % rq)
-        return rq
-    return min(rq, 1.0)
+    rq = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
+    inconsistent = rq > 1.0 + 1e-8
+    if inconsistent.any():
+        warnings.warn("quantumness ratio %.6g exceeds 1; F and U are inconsistent" % rq.max())
+    return numkit.float_or_stack(np.where(inconsistent, rq, np.minimum(rq, 1.0)))
 
 
 def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None, f_rld=None) -> np.ndarray:
@@ -323,14 +357,33 @@ def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None, f_rld=Non
         F_R^{-1} -> Q pinv(C Q) pinv(C Q)^+ Q^+
 
     which covers every rank of A: pinv(F_R) when A = 0, zero when ker A = 0.
-    f_rld is accepted for compatibility and not needed.
+    A stack is cut point by point and solved in groups of equal rank, each
+    point's pinv with its own cutoff.  f_rld is accepted for compatibility
+    and not needed.
     """
     pt = evaluate(model, theta)
-    C, A = pt.rld_split
-    _, s, vh = np.linalg.svd(A)
-    Q = np.conj(vh[int(np.sum(s > 1e-10 * np.max(np.abs(pt.rows[0])))) :]).T
-    P = numkit.pinv(C @ Q)
-    return Q @ P @ np.conj(P.T) @ np.conj(Q.T)
+    C, A, n_c = pt.rld_split
+    p = C.shape[-1]
+    out = np.zeros(C.shape[:-2] + (p, p), dtype=complex)
+    pure = A.any(axis=(-2, -1))  # points with out-of-range rows
+    rank = np.zeros(pure.shape, dtype=int)
+    if pure.any():
+        _, s, vh = np.linalg.svd(A[pure])
+        cut = 1e-10 * np.abs(pt.rows[0][pure]).max(axis=(-2, -1))
+        rank[pure] = (s > cut[..., None]).sum(axis=-1)
+    ranks = sorted(set(rank.ravel().tolist()))
+    for r in ranks:
+        if r == p:  # ker A = 0 leaves the zero inverse
+            continue
+        at = Ellipsis if len(ranks) == 1 else rank == r
+        if r == 0:  # ker A is the whole space, Q = I
+            P = numkit.pinv(C[at], size=np.maximum(n_c[at], p))
+            out[at] = P @ numkit.adjoint(P)
+        else:
+            Q = numkit.adjoint(vh[rank[pure] == r][..., r:, :])
+            P = numkit.pinv(C[at] @ Q, size=np.maximum(n_c[at], p - r))
+            out[at] = Q @ P @ numkit.adjoint(P) @ numkit.adjoint(Q)
+    return out
 
 
 def bound_chain(f_sld, f_rld, u, weight=None, rld_inverse=None) -> BoundChain:
@@ -338,35 +391,39 @@ def bound_chain(f_sld, f_rld, u, weight=None, rld_inverse=None) -> BoundChain:
 
     rld_inverse overrides the naive pinv(f_rld) - pass the output of
     :func:`rld_inverse_limit` for models with singular M (qfim_report does).
+    Stacked matrices (K, p, p) share the weight and give arrays of K bounds.
     """
     f_sld = np.asarray(f_sld, dtype=float)
-    m = f_sld.shape[0]
+    m = f_sld.shape[-1]
     if weight is None:
         W = np.eye(m)
     else:
         W = np.asarray(weight, dtype=float)
         if W.shape != (m, m) or np.max(np.abs(W - W.T)) > 1e-10:
             raise ValueError("weight must be a symmetric matrix matching the QFIM")
-        if not numkit.is_psd(W, tol=1e-10):
-            raise ValueError("weight must be positive semidefinite")
+    try:
+        sw = numkit.sqrtm_psd(W)  # its eigendecomposition also checks W >= 0
+    except ValueError:
+        raise ValueError("weight must be positive semidefinite") from None
     finv_s = numkit.pinv(f_sld)
-    b_s = float(np.trace(W @ finv_s))
     if rld_inverse is None:
         finv_r = numkit.pinv(np.asarray(f_rld, dtype=complex))
     else:
         finv_r = np.asarray(rld_inverse, dtype=complex)
-    sw = numkit.sqrtm_psd(W)
-    b_r = float(np.trace(W @ finv_r.real)) + numkit.trace_abs(sw @ finv_r.imag @ sw)
     u = np.asarray(u, dtype=float)
-    b_h_mid = b_s + numkit.trace_abs(sw @ finv_s @ u @ finv_s @ sw)
+    # one stacked call for both trace norms, of sw Im F_R^-1 sw and of sw F_S^-1 U F_S^-1 sw
+    tn_r, tn_u = numkit.trace_abs(np.array([sw @ finv_r.imag @ sw, sw @ finv_s @ u @ finv_s @ sw]))
+    b_s = (W @ finv_s).trace(axis1=-2, axis2=-1)
+    b_r = (W @ finv_r.real).trace(axis1=-2, axis2=-1) + tn_r
+    b_h_mid = b_s + tn_u
     r_q = _quantumness(numkit.sqrtm_psd(finv_s), u)
     b_h_upper = (1.0 + r_q) * b_s
-    return BoundChain(b_s, b_r, b_h_mid, b_h_upper, r_q)
+    return BoundChain(*(numkit.float_or_stack(x) for x in (b_s, b_r, b_h_mid, b_h_upper, r_q)))
 
 
 @dataclass
 class QfimReport:
-    """All information matrices and scalar bounds of a model at one point."""
+    """All information matrices and scalar bounds of a model at one point (or a stack)."""
 
     f_sld: np.ndarray
     f_rld: np.ndarray
@@ -393,7 +450,10 @@ class QfimReport:
 
 
 def qfim_report(model: GaussianModel | PointMoments, theta=None, weight=None) -> QfimReport:
-    """Evaluate F_S, F_R, U and the scalar bound chain at one parameter point."""
+    """Evaluate F_S, F_R, U and the scalar bound chain at one parameter point.
+
+    A stacked PointMoments gives a report of (K, p, p) matrices and (K,) bounds.
+    """
     pt = evaluate(model, theta)
     f_s = qfim_sld(pt)
     f_r = qfim_rld(pt)
@@ -421,13 +481,15 @@ def qfim_report(model: GaussianModel | PointMoments, theta=None, weight=None) ->
 def displacement_model(
     probe: GaussianState,
     channel: Optional[NoisyChannel] = None,
-    t: float = 0.0,
+    t=0.0,
 ) -> GaussianModel:
     """Two displacement parameters on the first mode, then optional damping.
 
     theta = (theta1, theta2) shifts (Q1, P1) of the probe before the channel,
     so dd = e^{-gamma t / 2} (e1, e2) and dV = 0: the covariance carries no
-    parameter dependence and the QFIM is purely first-moment.
+    parameter dependence and the QFIM is purely first-moment.  A stacked
+    probe, channel or array of times t gives a model of stacked states, one
+    per grid point (see :func:`gaussfish.channels.evolve`).
     """
     modes = probe.modes
     if channel is not None and channel.modes != modes:
@@ -439,17 +501,14 @@ def displacement_model(
             st = evolve(channel, st, t)
         return st
 
-    eta = 1.0 if channel is None else float(np.exp(-0.5 * channel.gamma[0] * t))
-    e1 = np.zeros(2 * modes)
-    e2 = np.zeros(2 * modes)
-    e1[0] = eta
-    e2[1] = eta
-    zero = np.zeros((2 * modes, 2 * modes))
+    eta = 1.0
+    if channel is not None:
+        eta = np.exp(-0.5 * channel.gamma[..., 0] * np.asarray(t, dtype=float))
+    dd = np.zeros((2,) + np.broadcast_shapes(np.shape(eta), probe.V.shape[:-2]) + (2 * modes,))
+    dd[0, ..., 0] = dd[1, ..., 1] = eta  # e1, e2
+    zero = np.zeros(dd.shape + (2 * modes,))
     return GaussianModel(
-        state_fn,
-        n_params=2,
-        d_derivs=lambda theta: [e1, e2],
-        v_derivs=lambda theta: [zero, zero],
+        state_fn, n_params=2, d_derivs=lambda theta: dd, v_derivs=lambda theta: zero
     )
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import numkit
 from .gaussian_core import GaussianState, probe_tmsdt
 from .channels import NoisyChannel
-from .qfi_gaussian import displacement_model, evaluate, qfim_report
+from .qfi_gaussian import PointMoments, displacement_model, evaluate, qfim_report
 from .measurements import cfim_gaussian_outcomes, epr_readout
 
 PROBES = ("tmsv", "tmst", "tmdv", "tmdt")
@@ -166,51 +166,88 @@ def closed_form_bounds(
     raise ValueError("probe must be one of %s" % (PROBES,))
 
 
+# Failures of one grid point that degrade its row instead of aborting the sweep.
+NUMERICAL_ERRORS = (ValueError, np.linalg.LinAlgError, FloatingPointError, OverflowError)
+
+
+def _on_axis(cfg: ScenarioConfig, name: str, values: np.ndarray):
+    """The grid values if name is the sweep axis, else the configured value."""
+    return values if cfg.axis == name else getattr(cfg, name)
+
+
+def _stacked_moments(cfg: ScenarioConfig, values: np.ndarray) -> PointMoments:
+    """The displacement model evaluated once on the whole grid, one stack point per value.
+
+    The probe is built once, or once per value on the r and n_th axes; the
+    channel is one stacked NoisyChannel and the decay one call of
+    :func:`gaussfish.channels.evolve`.
+    """
+    if cfg.axis in ("r", "n_th"):
+        probes = [build_probe(replace(cfg, **{cfg.axis: v})) for v in values.tolist()]
+        probe = GaussianState(np.array([p.d for p in probes]), np.array([p.V for p in probes]))
+    else:
+        probe = build_probe(cfg)
+    gamma, n_e, t = (_on_axis(cfg, name, values) for name in ("gamma", "n_e", "t"))
+    ch = NoisyChannel.uniform(2, gamma, n_e, cfg.m_e)
+    return evaluate(displacement_model(probe, ch, t), cfg.theta)
+
+
+def _evaluate(cfg: ScenarioConfig, values) -> list:
+    """Rows at every axis value from one stacked evaluation per layer.
+
+    numpy overflow, invalid and divide-by-zero results raise
+    FloatingPointError, so a point that overflows fails instead of
+    carrying infs into its row.
+    """
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        pt = _stacked_moments(cfg, values)
+        W = cfg.weight_matrix()
+        rep = qfim_report(pt, weight=W)
+        pre, gd = epr_readout()
+        F_C = cfim_gaussian_outcomes(pt, gd, pre_op=pre)
+        hdb = (W @ numkit.pinv(F_C)).trace(axis1=-2, axis2=-1)
+    channel = [
+        values.tolist() if cfg.axis == name else [getattr(cfg, name)] * values.size
+        for name in ("gamma", "t", "n_e")
+    ]
+    sql = [closed_form_bounds("tmdv", 0.0, 0.0, *c).b_h_upper for c in zip(*channel)]
+    columns = [c.tolist() for c in (rep.b_s, rep.b_r, rep.b_h_mid, rep.b_h_upper, hdb, rep.r_q)]
+    return [
+        SweepRow(*bounds, ok=True, message="")
+        for bounds in zip(values.tolist(), *columns, sql)
+    ]
+
+
 def run_point(cfg: ScenarioConfig, axis_value: float) -> SweepRow:
     """Evaluate every reported quantity at one grid point.
 
-    The displacement model is evaluated once; the QFIM report and the
-    double-homodyne information share that evaluation.  A numerical failure
+    This is the sweep evaluation on a one-point grid.  A numerical failure
     (ValueError, LinAlgError, FloatingPointError, OverflowError) becomes a
     NaN row carrying the message, so one bad point degrades rather than
     aborts a sweep; any other exception is a bug and propagates.
     """
     try:
-        c = replace(cfg, **{cfg.axis: float(axis_value)})
-        probe = build_probe(c)
-        ch = NoisyChannel.uniform(2, c.gamma, c.n_e, c.m_e)
-        pt = evaluate(displacement_model(probe, ch, c.t), c.theta)
-        W = c.weight_matrix()
-        rep = qfim_report(pt, weight=W)
-        pre, gd = epr_readout()
-        F_C = cfim_gaussian_outcomes(pt, gd, pre_op=pre)
-        hdb = float(np.trace(W @ numkit.pinv(F_C)))
-        sql = closed_form_bounds("tmdv", 0.0, 0.0, c.gamma, c.t, c.n_e).b_h_upper
-        return SweepRow(
-            axis=float(axis_value),
-            b_s=rep.b_s,
-            b_r=rep.b_r,
-            b_h_mid=rep.b_h_mid,
-            b_h_upper=rep.b_h_upper,
-            hdb=hdb,
-            r_q=rep.r_q,
-            sql=sql,
-            ok=True,
-            message="",
-        )
-    except (ValueError, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+        return _evaluate(cfg, [float(axis_value)])[0]
+    except NUMERICAL_ERRORS as exc:
         nan = float("nan")
         return SweepRow(float(axis_value), nan, nan, nan, nan, nan, nan, nan, False, str(exc))
 
 
 def sweep(cfg: ScenarioConfig) -> list:
-    """Run the configured sweep on one thread; rows come back in grid order.
+    """Run the configured sweep; rows come back in grid order.
 
-    cfg.threads is validated but has no effect: a point is a handful of small
-    numpy calls that hold the GIL, so worker threads only added overhead.
+    The whole grid is one stacked evaluation.  If it fails numerically, the
+    grid is evaluated again point by point through :func:`run_point`, so each
+    bad point degrades with its own message and the others keep their
+    values.  cfg.threads is validated but has no effect.
     """
     cfg.validate()
-    return [run_point(cfg, v) for v in cfg.axis_values()]
+    values = cfg.axis_values()
+    try:
+        return _evaluate(cfg, values)
+    except NUMERICAL_ERRORS:
+        return [run_point(cfg, v) for v in values]
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:

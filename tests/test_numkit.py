@@ -122,3 +122,58 @@ def test_sqrtm_psd():
 def test_sqrtm_psd_clips_roundoff():
     s = numkit.sqrtm_psd(np.diag([1.0, -1e-14]))
     assert np.allclose(s, np.diag([1.0, 0.0]), atol=1e-7)
+
+
+def _stack_cases():
+    """Matrices of mixed shape class: full rank, rank-deficient, zero, complex."""
+    rng = np.random.default_rng(21)
+    real = [_rng_matrix(30 + k, 3, 2, rank=r) if r else np.zeros((3, 2)) for k, r in enumerate((2, 1, 0, 2))]
+    cplx = [_rng_matrix(40 + k, 3, 2, rank=r, complex_=True) for k, r in enumerate((2, 1, 2))]
+    return np.array(real), np.array(cplx), rng
+
+
+def test_pinv_on_a_stack_is_the_per_matrix_pinv():
+    real, cplx, _ = _stack_cases()
+    scaled = real * np.array([1.0, 1e-9, 1.0, 1e8])[:, None, None]  # each matrix keeps its own cutoff
+    for stack in (real, cplx, scaled):
+        got = numkit.pinv(stack)
+        assert got.shape == (stack.shape[0], 2, 3)
+        for a, p in zip(stack, got):
+            np.testing.assert_allclose(p, numkit.pinv(a), rtol=1e-12, atol=1e-12 * np.max(np.abs(p), initial=0.0))
+    # a stack padded with zero rows keeps each matrix's own cutoff through `size`
+    a = np.diag([1.0, 6e-16])  # kept by a 2-row cutoff (4.4e-16), dropped by a 4-row one (8.9e-16)
+    padded = np.array([np.vstack([a, np.zeros((2, 2))])])
+    assert numkit.pinv(padded)[0, 1, 1] == 0.0
+    assert numkit.pinv(padded, size=[2])[0, 1, 1] == numkit.pinv(a)[1, 1] > 1e15
+
+
+def test_sqrtm_psd_on_a_stack_is_the_per_matrix_root():
+    _, _, rng = _stack_cases()
+    b = rng.normal(size=(4, 3, 3))
+    stack = b @ b.transpose(0, 2, 1)
+    stack[2] = np.diag([1.0, 0.0, 0.0])
+    got = numkit.sqrtm_psd(stack)
+    for a, s in zip(stack, got):
+        np.testing.assert_allclose(s, numkit.sqrtm_psd(a), rtol=1e-12, atol=1e-13)
+    with pytest.raises(ValueError):
+        numkit.sqrtm_psd(np.array([np.eye(2), np.diag([1.0, -0.5])]))
+
+
+def test_trace_abs_on_a_stack_picks_the_branch_per_matrix():
+    rng = np.random.default_rng(13)
+    h = rng.normal(size=(3, 3))
+    stack = np.array([
+        h + h.T,  # Hermitian
+        h - h.T,  # skew
+        h,  # general
+        np.zeros((3, 3)),
+        np.array([[1.0, 5.0, 0.0], [0.0, -3.0, 0.0], [0.0, 0.0, 2.0]]),  # non-normal
+    ])
+    got = numkit.trace_abs(stack)
+    assert got.shape == (5,)
+    for a, t in zip(stack, got):
+        assert t == pytest.approx(numkit.trace_abs(a), rel=1e-12, abs=1e-15)
+    assert got[4] == pytest.approx(6.0)
+    # one stack of a single branch takes the unmasked path and agrees too
+    skews = np.array([h - h.T, 2.0 * (h - h.T)])
+    assert numkit.trace_abs(skews) == pytest.approx([numkit.trace_abs(a) for a in skews], rel=1e-12)

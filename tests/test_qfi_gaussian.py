@@ -31,6 +31,7 @@ from gaussfish.fock_oracle import (
 )
 from gaussfish.qfi_gaussian import (
     GaussianModel,
+    PointMoments,
     bound_chain,
     displacement_model,
     evaluate,
@@ -454,3 +455,61 @@ def test_unphysical_covariance_raises(V, match):
     model = GaussianModel(lambda th: GaussianState(np.zeros(2), V), 2)
     with pytest.raises(ValueError, match=match):
         qfim_report(model, [0.0, 0.0])
+
+
+def _stack_points(points):
+    """One stacked PointMoments from per-point ones of the same model shape."""
+    st = GaussianState(np.array([pt.st.d for pt in points]), np.array([pt.st.V for pt in points]))
+    n_params = points[0].n_params
+    dds = [np.array([pt.dds[mu] for pt in points]) for mu in range(n_params)]
+    dVs = [np.array([pt.dVs[mu] for pt in points]) for mu in range(n_params)]
+    return PointMoments(st, dds, dVs, n_params)
+
+
+def test_stacked_information_layer_matches_each_point():
+    """rld_inverse_limit cuts rank per point: a stack of ranks 2, 1 and 0 equals its points."""
+    ch = NoisyChannel.uniform(2, 1.0, 0.5)
+    points = [
+        evaluate(displacement_model(probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.0), ch, 0.0), [0, 0]),  # rank 2
+        evaluate(displacement_model(probe_tmsdt(0.0, math.pi, 0.3, -0.2, 0.1, 0.4, 0.0), ch, 0.0), [0, 0]),  # rank 1
+        evaluate(displacement_model(probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.5), ch, 0.3), [0, 0]),  # rank 0
+        evaluate(displacement_model(probe_tmsdt(0.8, math.pi, 0, 0, 0, 0, 0.0), ch, 0.0), [0, 0]),  # rank 2
+    ]
+    stack = _stack_points(points)
+    limits = rld_inverse_limit(stack)
+    assert limits.shape == (4, 2, 2)
+    assert not np.any(limits[0]) and not np.any(limits[3])
+    assert np.linalg.matrix_rank(limits[1]) == 1 and np.linalg.matrix_rank(limits[2]) == 2
+    W = np.array([[2.0, 0.3], [0.3, 1.0]])
+    rep = qfim_report(stack, weight=W)
+    for k, pt in enumerate(points):
+        np.testing.assert_allclose(limits[k], rld_inverse_limit(pt), rtol=1e-12, atol=1e-15)
+        one = qfim_report(pt, weight=W)
+        for name in ("f_sld", "f_rld", "u", "b_s", "b_r", "b_h_mid", "b_h_upper", "r_q"):
+            np.testing.assert_allclose(getattr(rep, name)[k], getattr(one, name), rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_stacked_rld_inverse_keeps_each_points_own_pinv_cutoff():
+    """A point's pinv cutoff counts its own nonzero rows, not the rows its stack keeps.
+
+    Point b displaces mode 1 only, so its four mode-2 rows vanish, while point a
+    keeps all eight rows of the stack live.  b's two displacements differ by
+    3e-15, which puts the small singular value of its C at about 6 eps times
+    the largest: above b's own cutoff (4 rows) and below an 8-row one.  That
+    value carries a round-off of about eps times the largest, so the stacked
+    and the single inverse, about 1e29, agree to tens of percent; a dropped
+    direction would leave entries near 1.
+    """
+    V = 3.0 * np.eye(4)
+    zero = np.zeros((4, 4))
+
+    def point(dd1, dd2):
+        return PointMoments(GaussianState(np.zeros(4), V), [np.array(dd1), np.array(dd2)], [zero, zero], 2)
+
+    a = point([1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0])
+    b = point([1.0, 0.0, 0.0, 0.0], [1.0, 3e-15, 0.0, 0.0])
+    alone = rld_inverse_limit(b)
+    stacked = rld_inverse_limit(_stack_points([a, b]))
+    assert np.max(np.abs(alone)) > 1e25 and np.max(np.abs(stacked[1])) > 1e25
+    np.testing.assert_allclose(stacked[1], alone, rtol=0.5)
+    np.testing.assert_allclose(stacked[0], rld_inverse_limit(a), rtol=1e-12)

@@ -1,11 +1,16 @@
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaussfish import scenarios
+from gaussfish import numkit, scenarios
+from gaussfish.channels import NoisyChannel
+from gaussfish.measurements import cfim_gaussian_outcomes, epr_readout
+from gaussfish.qfi_gaussian import displacement_model, qfim_report
 from gaussfish.scenarios import (
     CSV_HEADER,
     PROBES,
@@ -182,8 +187,12 @@ def test_json_round_trip():
 
 
 def test_numerical_overflow_degrades_to_nan_row():
-    row = run_point(_cfg(axis="t"), 800.0)  # e^{gamma t} overflows in the closed form
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        row = run_point(_cfg(axis="t"), 800.0)  # F_R ~ e^{-800}: its limiting inverse overflows
     assert not row.ok and math.isnan(row.b_s)
+    assert "overflow" in row.message
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_programming_error_propagates_instead_of_degrading(monkeypatch):
@@ -196,7 +205,8 @@ def test_programming_error_propagates_instead_of_degrading(monkeypatch):
 
 
 def test_run_point_evaluates_the_model_once(monkeypatch):
-    calls = []
+    """A sweep is one stacked model evaluation; run_point is the same on a one-point stack."""
+    stacks = []
     build = scenarios.displacement_model
 
     def counting_model(*args, **kwargs):
@@ -204,17 +214,79 @@ def test_run_point_evaluates_the_model_once(monkeypatch):
         state_fn = model.state_fn
 
         def counted(theta):
-            calls.append(1)
-            return state_fn(theta)
+            st = state_fn(theta)
+            stacks.append(st.V.shape[0])
+            return st
 
         model.state_fn = counted
         return model
 
+    point_calls = []
+    point = scenarios.run_point
+
+    def counting_point(*args, **kwargs):
+        point_calls.append(1)
+        return point(*args, **kwargs)
+
     monkeypatch.setattr(scenarios, "displacement_model", counting_model)
+    monkeypatch.setattr(scenarios, "run_point", counting_point)
     cfg = _cfg(probe="tmdt", n_th=0.5, alpha=(0.3, -0.2, 0.1, 0.4), axis="t", stop=0.4)
     rows = sweep(cfg)
     assert all(row.ok for row in rows)
-    assert len(calls) == len(rows) == 5
+    assert stacks == [len(rows)] == [5]
+    assert point_calls == []
+    assert scenarios.run_point(cfg, 0.2).ok
+    assert stacks == [5, 1]
+
+
+SWEEP_AXES = {"t": (0.0, 1.0, 0.25), "r": (0.0, 1.2, 0.3), "n_e": (0.0, 1.0, 0.25), "n_th": (0.0, 1.0, 0.25), "gamma": (0.0, 2.0, 0.5)}
+ROW_FIELDS = ("b_s", "b_r", "b_h_mid", "b_h_upper", "hdb", "r_q", "sql")
+
+
+def _generic_row(cfg, value):
+    """The row at one value through the per-point GaussianModel route (qfim_report, cfim)."""
+    c = replace(cfg, **{cfg.axis: value})
+    model = displacement_model(build_probe(c), NoisyChannel.uniform(2, c.gamma, c.n_e, c.m_e), c.t)
+    W = c.weight_matrix()
+    rep = qfim_report(model, c.theta, weight=W)
+    pre, gd = epr_readout()
+    hdb = float(np.trace(W @ numkit.pinv(cfim_gaussian_outcomes(model, gd, c.theta, pre_op=pre))))
+    sql = closed_form_bounds("tmdv", 0.0, 0.0, c.gamma, c.t, c.n_e).b_h_upper
+    return (rep.b_s, rep.b_r, rep.b_h_mid, rep.b_h_upper, hdb, rep.r_q, sql)
+
+
+@pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
+@pytest.mark.parametrize("probe", PROBES)
+def test_stacked_sweep_matches_generic_per_point_path(probe, axis):
+    start, stop, step = SWEEP_AXES[axis]
+    cfg = _cfg(probe=probe, r=0.6, n_th=0.3, n_e=0.4, gamma=0.7, t=0.4, alpha=(0.3, -0.2, 0.1, 0.4),
+               axis=axis, start=start, stop=stop, step=step, weight=[[2.0, 0.3], [0.3, 1.0]])
+    rows = sweep(cfg)
+    assert len(rows) == 5 and all(row.ok for row in rows)
+    for row in rows:
+        got = [getattr(row, name) for name in ROW_FIELDS]
+        np.testing.assert_allclose(got, _generic_row(cfg, row.axis), rtol=1e-12, atol=0)
+        point = run_point(cfg, row.axis)
+        np.testing.assert_allclose(got, [getattr(point, name) for name in ROW_FIELDS], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "axis, start, stop, step, first, last",
+    [
+        ("t", -0.1, 799.9, 200.0, "t must be >= 0", "overflow"),
+        ("gamma", -0.5, 800.0, 200.125, "damping rates must be >= 0", "overflow"),
+    ],
+)
+def test_failing_points_degrade_alone_in_a_stacked_sweep(axis, start, stop, step, first, last):
+    cfg = _cfg(axis=axis, t=1.0, start=start, stop=stop, step=step)
+    rows = sweep(cfg)
+    assert len(rows) == 5
+    assert not rows[0].ok and first in rows[0].message
+    assert not rows[-1].ok and last in rows[-1].message
+    assert all(math.isnan(v) for row in (rows[0], rows[-1]) for v in row[1:8])
+    for row in rows[1:-1]:
+        assert row.ok
+        assert row == run_point(cfg, row.axis)
 
 
 def test_pure_probe_rld_limits_at_t0():
