@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -60,7 +61,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused for the rest of the process."""
     p = argparse.ArgumentParser(prog="gaussfish", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -253,8 +256,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         force=True,  # rebind the stream on every entry so repeated in-process calls behave
     )
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

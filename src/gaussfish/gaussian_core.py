@@ -21,6 +21,8 @@ from . import numkit
 
 _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
+# Symmetry and symplecticity tolerance, relative to the matrix scale: max(1, max|V|)
+# for an asymmetry of V, max(1, max|S|)^2 for the defect of S Omega S^T = Omega.
 _SYM_TOL = 1e-10
 
 
@@ -56,9 +58,10 @@ class GaussianState:
         if self.V.shape != self.d.shape + (n,):
             raise ValueError("covariance shape %s does not match d" % (self.V.shape,))
         Vt = self.V.swapaxes(-1, -2)
-        asym = np.abs(self.V - Vt).max()
-        if asym > _SYM_TOL:
-            raise ValueError("covariance is not symmetric (max asymmetry %.3e)" % asym)
+        axes = (-2, -1)
+        asym = np.abs(self.V - Vt).max(axis=axes)
+        if (asym > _SYM_TOL * np.maximum(1.0, np.abs(self.V).max(axis=axes))).any():
+            raise ValueError("covariance is not symmetric (max asymmetry %.3e)" % asym.max())
         self.V = 0.5 * (self.V + Vt)
 
     @property
@@ -94,7 +97,7 @@ class SymplecticOp:
             raise ValueError("shift length does not match S")
         om = omega(n // 2)
         defect = np.max(np.abs(self.S @ om @ self.S.T - om))
-        if defect > _SYM_TOL:
+        if defect > _SYM_TOL * max(1.0, np.max(np.abs(self.S))) ** 2:
             raise ValueError("matrix is not symplectic (defect %.3e)" % defect)
 
     @property

@@ -66,6 +66,28 @@ def pinv(a, tol=None, size=None):
     return adjoint(vh) @ (inv_s[..., :, None] * adjoint(u))
 
 
+def pinv_psd(a, neg_tol=1e-10):
+    """Pseudo-inverse of a symmetric (Hermitian) PSD matrix and the PSD root of that inverse.
+
+    One eigendecomposition of the Hermitian part gives both, equal to
+    pinv(a) and sqrtm_psd(pinv(a)).  The cutoff is pinv's: for a Hermitian
+    matrix the singular values are |w|, so eigenvalues with
+    |w| <= eps * n * max|w| count as zero.  A kept inverse eigenvalue below
+    -neg_tol is rejected as sqrtm_psd rejects it.  A stack (..., n, n) is
+    treated matrix by matrix, each with its own cutoff.
+    """
+    a = np.asarray(a)
+    w, u = np.linalg.eigh(hermitize(a))
+    tol = EPS * a.shape[-1] * np.abs(w).max(axis=-1, initial=0.0)
+    inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > tol[..., None])
+    if inv_w.size and inv_w.min() < -neg_tol:
+        raise ValueError("matrix is not positive semidefinite (min eig %.3e)" % inv_w.min())
+    uh = adjoint(u)
+    inverse = (u * inv_w[..., None, :]) @ uh
+    root = (u * np.sqrt(inv_w.clip(0.0, None))[..., None, :]) @ uh
+    return inverse, root
+
+
 def float_or_stack(x):
     """A float for one matrix, the array for a stack."""
     return float(x) if np.ndim(x) == 0 else x

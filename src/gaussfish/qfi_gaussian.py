@@ -329,8 +329,8 @@ def quantumness(f_sld, u) -> float:
     an inconsistent (F, U) pair and trigger a warning; round-off excursions
     are clamped.  Stacks of (F, U) give an array of ratios.
     """
-    f_sld = np.asarray(f_sld, dtype=float)
-    return _quantumness(numkit.sqrtm_psd(numkit.pinv(f_sld)), np.asarray(u, dtype=float))
+    _, root_finv = numkit.pinv_psd(np.asarray(f_sld, dtype=float))
+    return _quantumness(root_finv, np.asarray(u, dtype=float))
 
 
 def _quantumness(root_finv, u):
@@ -405,7 +405,7 @@ def bound_chain(f_sld, f_rld, u, weight=None, rld_inverse=None) -> BoundChain:
         sw = numkit.sqrtm_psd(W)  # its eigendecomposition also checks W >= 0
     except ValueError:
         raise ValueError("weight must be positive semidefinite") from None
-    finv_s = numkit.pinv(f_sld)
+    finv_s, root_finv_s = numkit.pinv_psd(f_sld)
     if rld_inverse is None:
         finv_r = numkit.pinv(np.asarray(f_rld, dtype=complex))
     else:
@@ -416,7 +416,7 @@ def bound_chain(f_sld, f_rld, u, weight=None, rld_inverse=None) -> BoundChain:
     b_s = (W @ finv_s).trace(axis1=-2, axis2=-1)
     b_r = (W @ finv_r.real).trace(axis1=-2, axis2=-1) + tn_r
     b_h_mid = b_s + tn_u
-    r_q = _quantumness(numkit.sqrtm_psd(finv_s), u)
+    r_q = _quantumness(root_finv_s, u)
     b_h_upper = (1.0 + r_q) * b_s
     return BoundChain(*(numkit.float_or_stack(x) for x in (b_s, b_r, b_h_mid, b_h_upper, r_q)))
 

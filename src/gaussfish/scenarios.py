@@ -45,6 +45,7 @@ SweepRow = namedtuple(
 ClosedForm = namedtuple("ClosedForm", ["b_s", "b_r", "r_q", "b_h_upper"])
 
 CSV_HEADER = "axis,b_s,b_r,b_h_mid,b_h_upper,hdb,r_q,sql"
+_CSV_ROW = ",".join(["%.17g"] * 8)  # the eight numeric fields of a SweepRow, in CSV_HEADER order
 
 
 @dataclass
@@ -137,10 +138,13 @@ def closed_form_bounds(
         b_s = D - s * s / D
         if s == 0.0:
             b_r = D + x  # vacuum pair: no squeezing singularity
-        elif D > x:
-            b_r = D + x - s * s / (D - x)
         else:
-            b_r = 0.0  # pure squeezed probe (t = 0): RLD bound collapses
+            # D + x - s^2 / (D - x) over a common denominator, in u = x - 1,
+            # e = eps - 1 and h = c - 1, where every term is nonnegative: no
+            # cancellation near purity, and b_r = 0 exactly for the pure
+            # squeezed probe at t = 0
+            u, e, h = math.expm1(gamma * t), 2.0 * n_e, 2.0 * math.sinh(r) ** 2
+            b_r = u * (u * e * (2.0 + e) + 2.0 * (e + h + e * h)) / (u * e + h)
         r_q = x / D
         return ClosedForm(b_s, b_r, r_q, (1.0 + r_q) * b_s)
     if probe == "tmdv":
@@ -206,7 +210,7 @@ def _evaluate(cfg: ScenarioConfig, values) -> list:
         rep = qfim_report(pt, weight=W)
         pre, gd = epr_readout()
         F_C = cfim_gaussian_outcomes(pt, gd, pre_op=pre)
-        hdb = (W @ numkit.pinv(F_C)).trace(axis1=-2, axis2=-1)
+        hdb = (W @ numkit.pinv_psd(F_C)[0]).trace(axis1=-2, axis2=-1)
     channel = [
         values.tolist() if cfg.axis == name else [getattr(cfg, name)] * values.size
         for name in ("gamma", "t", "n_e")
@@ -253,22 +257,7 @@ def sweep(cfg: ScenarioConfig) -> list:
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     """CSV with a fixed header; floats at full precision, '\\n' newlines."""
     lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                "%.17g" % v
-                for v in (
-                    row.axis,
-                    row.b_s,
-                    row.b_r,
-                    row.b_h_mid,
-                    row.b_h_upper,
-                    row.hdb,
-                    row.r_q,
-                    row.sql,
-                )
-            )
-        )
+    lines.extend(_CSV_ROW % row[:8] for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -151,3 +151,37 @@ def test_classical_demo_seed_override(capsys):
     out2 = capsys.readouterr().out
     assert out1 == out2
     assert "seed=5" in out1
+
+
+def test_repeated_calls_in_one_process_match_first_calls(tmp_path, capsys):
+    from gaussfish import cli
+
+    cfg = _write_config(tmp_path, stop=0.3)
+    bad = _write_config(tmp_path, name="bad.json", probe="nope")
+    calls = [
+        ["sweep", "--config", cfg],
+        ["sweep", "--config", cfg, "--format", "json"],
+        ["bounds", "--config", cfg],
+        ["sweep", "--config", bad],
+        ["sweep", "--config", cfg, "--format", "json", "--threads", "2"],
+        ["sweep", "--config", cfg, "--format", "json"],
+        ["sweep", "--config", cfg],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    firsts = []
+    for argv in calls:  # each call as the first of its process: a freshly built parser
+        cli._parser.cache_clear()
+        firsts.append(run(argv))
+    cli._parser.cache_clear()
+    repeated = [run(argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1  # one parser for the whole sequence
+    assert repeated == firsts
+    assert [code for code, _, _ in repeated] == [0, 0, 0, 2, 0, 0, 0]
+    assert json.loads(repeated[4][1])["config"]["threads"] == 2
+    assert json.loads(repeated[5][1])["config"]["threads"] == 1
+    assert repeated[0][1] == repeated[6][1]

@@ -83,6 +83,37 @@ def test_symplectic_defect_rejected():
         SymplecticOp(2.0 * np.eye(2))
 
 
+def test_symplectic_check_is_relative_to_the_matrix_scale():
+    for r in (8.0, 9.0):  # entries ~ cosh r; round-off of S Omega S^T is ~ eps cosh^2 r
+        two_mode_squeezer(r)
+    with pytest.raises(ValueError, match="not symplectic"):
+        SymplecticOp(np.diag([1.0 + 1e-8, 1.0]))
+    S = two_mode_squeezer(8.0).S @ np.diag([1.0 + 1e-8, 1.0, 1.0, 1.0])
+    om = omega(2)
+    relative = np.max(np.abs(S @ om @ S.T - om)) / np.max(np.abs(S)) ** 2
+    assert 1e-9 < relative < 1e-7
+    with pytest.raises(ValueError, match="not symplectic"):
+        SymplecticOp(S)
+
+
+def test_symmetry_check_is_relative_to_each_matrix_scale():
+    # entries ~ cosh 18 ~ 3e7: a local rotation leaves round-off asymmetry of ~4e-9
+    R = SymplecticOp(np.kron(np.eye(2), rotation(0.3).S))
+    probe = probe_tmsdt(9.0, math.pi, 0.0, 0.0, 0.0, 0.0, 0.0)
+    V = R.S @ probe.V @ R.S.T
+    assert np.abs(V - V.T).max() > 1e-10
+    assert np.array_equal(apply(R, probe).V, 0.5 * (V + V.T))
+    skewed = V.copy()
+    skewed[0, 1] += 1e-8 * np.abs(V).max()
+    with pytest.raises(ValueError, match="not symmetric"):
+        GaussianState(np.zeros(4), skewed)
+    # in a stack each matrix is held to its own scale
+    small = np.eye(4)
+    small[0, 1] += 1e-8
+    with pytest.raises(ValueError, match="not symmetric"):
+        GaussianState(np.zeros((2, 4)), np.array([V, small]))
+
+
 def test_rotation_moves_coherent_clockwise():
     phi = 0.7
     st = apply(rotation(phi), coherent(1.0, 0.0))

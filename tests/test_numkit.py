@@ -177,3 +177,42 @@ def test_trace_abs_on_a_stack_picks_the_branch_per_matrix():
     # one stack of a single branch takes the unmasked path and agrees too
     skews = np.array([h - h.T, 2.0 * (h - h.T)])
     assert numkit.trace_abs(skews) == pytest.approx([numkit.trace_abs(a) for a in skews], rel=1e-12)
+
+
+def test_pinv_psd_is_pinv_and_the_root_of_pinv_per_matrix():
+    rng = np.random.default_rng(5)
+    b = rng.normal(size=(3, 3))
+    well = b @ b.T + np.eye(3)
+    a2 = rng.normal(size=(2, 2))
+    singular = np.zeros((3, 3))
+    singular[:2, :2] = a2 @ a2.T  # exactly singular: a zero row and column
+    pair = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])  # exactly singular, eigenvalues 0, 2, 2
+    stack = np.array([well, singular, pair, np.zeros((3, 3)), 1e-9 * well, 1e8 * singular, 1e-9 * singular])
+    inverse, root = numkit.pinv_psd(stack)
+    assert inverse.shape == root.shape == stack.shape
+    for a, p, s in zip(stack, inverse, root):
+        want = numkit.pinv(a)
+        scale = np.max(np.abs(want), initial=0.0)
+        np.testing.assert_allclose(p, want, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(s, numkit.sqrtm_psd(want), rtol=1e-12, atol=1e-12 * np.sqrt(scale))
+    # a rank-1 product from floating point: round-off eigenvalues under the cutoff count
+    # as zero, so the root squares to the inverse and has no null-space noise to root
+    c = rng.normal(size=(3, 1))
+    p, s = numkit.pinv_psd(c @ c.T)
+    np.testing.assert_allclose(p, numkit.pinv(c @ c.T), rtol=1e-12, atol=1e-12 * np.abs(p).max())
+    np.testing.assert_allclose(s @ s, p, rtol=1e-12, atol=1e-12 * np.abs(p).max())
+    # one matrix: same shapes as its input, and the input's dtype
+    p, s = numkit.pinv_psd(well)
+    assert p.shape == s.shape == (3, 3) and np.isrealobj(p) and np.isrealobj(s)
+
+
+def test_pinv_psd_rejects_an_indefinite_matrix_like_sqrtm_psd():
+    bad = np.diag([1.0, -0.5])
+    with pytest.raises(ValueError) as want:
+        numkit.sqrtm_psd(numkit.pinv(bad))
+    with pytest.raises(ValueError) as got:
+        numkit.pinv_psd(np.array([np.eye(2), bad]))
+    assert str(got.value) == str(want.value)
+    # a negative round-off eigenvalue under the cutoff is dropped, not rejected
+    p, s = numkit.pinv_psd(np.diag([1.0, -1e-17]))
+    assert np.array_equal(p, np.diag([1.0, 0.0])) and np.array_equal(s, np.diag([1.0, 0.0]))

@@ -346,3 +346,63 @@ def test_pipeline_matches_closed_forms_property(probe, r, n, gamma, gamma_t):
     assert max(row.b_s, row.b_r) <= row.b_h_mid + 1e-9
     assert row.b_h_mid <= row.b_h_upper + 1e-9
     assert row.b_h_upper <= 2 * row.b_s + 1e-9
+
+
+def test_rows_to_csv_golden():
+    nan = float("nan")
+    rows = [
+        scenarios.SweepRow(0.0, 1.5, -0.25, 2.0, 3.0, 1e-300, -0.0, 0.1, True, ""),
+        scenarios.SweepRow(0.5, nan, nan, nan, nan, nan, nan, nan, False, "degraded"),
+        scenarios.SweepRow(-1.25, 1 / 3, -2 / 3, 12345678.9, -1e20, 5e-324, 1.0, -0.0, True, ""),
+    ]
+    assert rows_to_csv(rows) == (
+        "axis,b_s,b_r,b_h_mid,b_h_upper,hdb,r_q,sql\n"
+        "0,1.5,-0.25,2,3,1e-300,-0,0.10000000000000001\n"
+        "0.5,nan,nan,nan,nan,nan,nan,nan\n"
+        "-1.25,0.33333333333333331,-0.66666666666666663,12345678.9,-1e+20,"
+        "4.9406564584124654e-324,1,-0\n"
+    )
+    assert rows_to_csv([]) == CSV_HEADER + "\n"
+
+
+def test_tmsv_closed_form_b_r_vanishes_for_the_pure_probe():
+    # 6.58e-5 is the point_calls draw where the subtracted form gave -2.5e-8
+    for r in [6.580906613401494e-05] + np.logspace(-8, -2, 25).tolist():
+        assert closed_form_bounds("tmsv", r, 0.0, 1.0, 0.0, 0.5).b_r == 0.0
+        assert closed_form_bounds("tmsv", r, 0.0, 0.3, 0.0, 0.0).b_r == 0.0
+
+
+def _tmsv_closed_form_mp(r, gamma_t, n_e):
+    """The tmsv closed form as first written, D + x - s^2 / (D - x), at 50 digits."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        r, gamma_t, n_e = mp.mpf(r), mp.mpf(gamma_t), mp.mpf(n_e)
+        x, eps = mp.exp(gamma_t), 1 + 2 * n_e
+        c, s = mp.cosh(2 * r), mp.sinh(2 * r)
+        D = (x - 1) * eps + c
+        b_s = D - s * s / D
+        b_r = D + x if s == 0 else D + x - s * s / (D - x)
+        r_q = x / D
+        return tuple(float(v) for v in (b_s, b_r, r_q, (1 + r_q) * b_s))
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.5])
+def test_tmsv_closed_form_matches_high_precision(r):
+    for gamma_t in (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.3, 2.0):
+        for n_e in (0.0, 1e-8, 1e-5, 1e-2, 0.5, 1.0):
+            got = closed_form_bounds("tmsv", r, 0.0, 1.0, gamma_t, n_e)
+            want = _tmsv_closed_form_mp(r, gamma_t, n_e)
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, rel=1e-12, abs=1e-14), (r, gamma_t, n_e)
+
+
+@pytest.mark.parametrize("r", [8.0, 9.0])
+def test_strongly_squeezed_tmsv_is_evaluated(r):
+    # the symplectic and symmetry checks scale with the matrix, so the
+    # round-off of cosh r ~ 1e3 entries is not taken for a defect
+    row = run_point(_cfg(probe="tmsv", r=r, axis="t"), 0.3)
+    assert row.ok, row.message
+    cf = closed_form_bounds("tmsv", r, 0.0, 1.0, 0.3, 0.5)
+    for got, want in zip((row.b_s, row.b_r, row.r_q, row.b_h_upper), cf):
+        assert got == pytest.approx(want, rel=1e-6)
