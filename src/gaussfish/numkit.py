@@ -28,30 +28,14 @@ def hermitize(a):
     return 0.5 * (a + adjoint(a))
 
 
-def vec(a):
-    """Column-stacking vectorization: vec(AXB) = (B^T ⊗ A) vec(X)."""
-    return np.asarray(a).reshape(-1, order="F")
+def pinv(a, size=None):
+    """Moore-Penrose pseudo-inverse via SVD.
 
-
-def unvec(v, shape=None):
-    """Inverse of :func:`vec`.  Square matrix assumed when shape is omitted."""
-    v = np.asarray(v)
-    if shape is None:
-        n = int(round(np.sqrt(v.size)))
-        if n * n != v.size:
-            raise ValueError("unvec of non-square length %d" % v.size)
-        shape = (n, n)
-    return v.reshape(shape, order="F")
-
-
-def pinv(a, tol=None, size=None):
-    """Moore-Penrose pseudo-inverse via SVD with an absolute cutoff.
-
-    Singular values <= tol are treated as zero.  The default cutoff is
-    eps * size * sigma_max with size = max(rows, cols), i.e. zero matrices
-    map to zero.  A stack (..., rows, cols) is inverted matrix by matrix,
-    each with its own cutoff; tol and size broadcast over the stack, so a
-    stack padded with zero rows passes each matrix's unpadded size.
+    Singular values <= eps * size * sigma_max are treated as zero, with
+    size = max(rows, cols) by default, i.e. zero matrices map to zero.  A
+    stack (..., rows, cols) is inverted matrix by matrix, each with its own
+    cutoff; size broadcasts over the stack, so a stack padded with zero rows
+    passes each matrix's unpadded size.
     """
     a = np.asarray(a)
     if a.ndim < 2:
@@ -59,9 +43,8 @@ def pinv(a, tol=None, size=None):
     if a.size == 0:
         return np.zeros(adjoint(a).shape, dtype=a.dtype)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if tol is None:
-        tol = EPS * (max(a.shape[-2:]) if size is None else np.asarray(size)) * s[..., 0]
-    keep = s > np.asarray(tol)[..., None]
+    tol = EPS * (max(a.shape[-2:]) if size is None else np.asarray(size)) * s[..., 0]
+    keep = s > tol[..., None]
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     return adjoint(vh) @ (inv_s[..., :, None] * adjoint(u))
 
@@ -93,46 +76,18 @@ def float_or_stack(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def trace_abs(a, tol=1e-12):
-    """Sum of |eigenvalues|.
+def trace_abs(a):
+    """Sum of |eigenvalues| of a real antisymmetric matrix, or of each matrix of a stack.
 
-    For (nearly) Hermitian input the Hermitian part is diagonalized; for
-    (nearly) skew-Hermitian input the eigenvalues come in +-i*kappa pairs and
-    i*a is diagonalized instead -- this is the case needed for the imaginary
-    part of an inverse RLD information matrix, which is real antisymmetric.
-    Anything else falls back to the general eigenvalue spectrum.  A stack
-    (..., n, n) picks the branch matrix by matrix and returns an array.
+    The eigenvalues come in +-i*kappa pairs, so i (a - a^T)/2 is Hermitian
+    with eigenvalues +-kappa and one eigvalsh gives them.  This is the trace
+    norm needed for the imaginary part of an inverse RLD information matrix
+    and for the incompatibility term of b_h_mid.  A symmetric part of the
+    input (round-off, for those callers) is dropped.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise ValueError("trace_abs expects a square matrix")
-    axes = (-2, -1)
-    bound = tol * np.maximum(1.0, np.abs(a).max(axis=axes, initial=0.0))
-    herm = hermitize(a)
-    skew = 0.5 * (a - adjoint(a))
-    is_herm = np.abs(skew).max(axis=axes, initial=0.0) <= bound
-    is_skew = ~is_herm & (np.abs(herm).max(axis=axes, initial=0.0) <= bound)
-    out = np.empty(a.shape[:-2])
-    for branch, spectrum, m in (
-        (is_herm, np.linalg.eigvalsh, herm),
-        (is_skew, np.linalg.eigvalsh, 1j * skew),
-        (~(is_herm | is_skew), np.linalg.eigvals, a),
-    ):
-        if branch.all():  # one branch for the whole stack: no masked copy
-            return float_or_stack(np.abs(spectrum(m)).sum(axis=-1))
-        if branch.any():
-            out[branch] = np.abs(spectrum(m[branch])).sum(axis=-1)
-    return float_or_stack(out)
-
-
-def largest_eig_abs(a):
-    """max |lambda_i|.  Uses the Hermitian path when the input allows it."""
     a = np.asarray(a)
-    if np.allclose(a, np.conj(a.T), atol=1e-12 * max(1.0, np.max(np.abs(a)))):
-        w = np.linalg.eigvalsh(hermitize(a))
-    else:
-        w = np.linalg.eigvals(a)
-    return float(np.max(np.abs(w))) if w.size else 0.0
+    skew = 0.5 * (a - transpose(a))
+    return float_or_stack(np.abs(np.linalg.eigvalsh(1j * skew)).sum(axis=-1))
 
 
 def is_psd(a, tol=1e-9):

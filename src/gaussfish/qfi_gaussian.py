@@ -345,53 +345,45 @@ def _quantumness(root_finv, u):
     return numkit.float_or_stack(np.where(inconsistent, rq, np.minimum(rq, 1.0)))
 
 
-def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None, f_rld=None) -> np.ndarray:
+def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """Limiting inverse of the RLD information matrix.
 
     Coefficient rows with an infinite RLD weight (pure-mode directions, see
     :func:`_weights`) make the RLD information diverge, and the inverse must
     vanish on the parameter directions that reach them.  With A those rows,
-    Q an orthonormal basis of ker A (rank relative to the largest
-    coefficient) and F_R = C^H C from the remaining weighted rows, the limit is
+    F_R = C^H C from the remaining weighted rows, and Q the right-singular
+    vectors of A with the first rank(A) (rank relative to the largest
+    coefficient) set to zero, the limit is
 
-        F_R^{-1} -> Q pinv(C Q) pinv(C Q)^+ Q^+
+        F_R^{-1} -> P P^+,   P = Q pinv(C Q)
 
-    which covers every rank of A: pinv(F_R) when A = 0, zero when ker A = 0.
-    A stack is cut point by point and solved in groups of equal rank, each
-    point's pinv with its own cutoff.  f_rld is accepted for compatibility
-    and not needed.
+    which covers every rank of A: Q = I (pinv(F_R)) when A = 0, Q = 0 (the
+    zero inverse) when ker A = 0.  A stack is one pinv call, each point with
+    its own Q and its own cutoff, size max(n_c, p - rank(A)).
     """
     pt = evaluate(model, theta)
     C, A, n_c = pt.rld_split
     p = C.shape[-1]
-    out = np.zeros(C.shape[:-2] + (p, p), dtype=complex)
+    Q = np.zeros(C.shape[:-2] + (p, p), dtype=complex)
+    Q[..., range(p), range(p)] = 1.0
     pure = A.any(axis=(-2, -1))  # points with out-of-range rows
     rank = np.zeros(pure.shape, dtype=int)
     if pure.any():
         _, s, vh = np.linalg.svd(A[pure])
         cut = 1e-10 * np.abs(pt.rows[0][pure]).max(axis=(-2, -1))
         rank[pure] = (s > cut[..., None]).sum(axis=-1)
-    ranks = sorted(set(rank.ravel().tolist()))
-    for r in ranks:
-        if r == p:  # ker A = 0 leaves the zero inverse
-            continue
-        at = Ellipsis if len(ranks) == 1 else rank == r
-        if r == 0:  # ker A is the whole space, Q = I
-            P = numkit.pinv(C[at], size=np.maximum(n_c[at], p))
-            out[at] = P @ numkit.adjoint(P)
-        else:
-            Q = numkit.adjoint(vh[rank[pure] == r][..., r:, :])
-            P = numkit.pinv(C[at] @ Q, size=np.maximum(n_c[at], p - r))
-            out[at] = Q @ P @ numkit.adjoint(P) @ numkit.adjoint(Q)
-    return out
+        Q[pure] = numkit.adjoint(vh) * (np.arange(p) >= rank[pure][..., None])[..., None, :]
+    P = Q @ numkit.pinv(C @ Q, size=np.maximum(n_c, p - rank))
+    return P @ numkit.adjoint(P)
 
 
-def bound_chain(f_sld, f_rld, u, weight=None, rld_inverse=None) -> BoundChain:
+def bound_chain(f_sld, u, *, rld_inverse, weight=None) -> BoundChain:
     """Scalar bound family for a weight matrix (identity by default).
 
-    rld_inverse overrides the naive pinv(f_rld) - pass the output of
-    :func:`rld_inverse_limit` for models with singular M (qfim_report does).
-    Stacked matrices (K, p, p) share the weight and give arrays of K bounds.
+    rld_inverse is the limiting inverse of the RLD information matrix, the
+    output of :func:`rld_inverse_limit`; a plain pinv of F_R is wrong at
+    pure points.  Stacked matrices (K, p, p) share the weight and give
+    arrays of K bounds.
     """
     f_sld = np.asarray(f_sld, dtype=float)
     m = f_sld.shape[-1]
@@ -406,10 +398,7 @@ def bound_chain(f_sld, f_rld, u, weight=None, rld_inverse=None) -> BoundChain:
     except ValueError:
         raise ValueError("weight must be positive semidefinite") from None
     finv_s, root_finv_s = numkit.pinv_psd(f_sld)
-    if rld_inverse is None:
-        finv_r = numkit.pinv(np.asarray(f_rld, dtype=complex))
-    else:
-        finv_r = np.asarray(rld_inverse, dtype=complex)
+    finv_r = np.asarray(rld_inverse, dtype=complex)
     u = np.asarray(u, dtype=float)
     # one stacked call for both trace norms, of sw Im F_R^-1 sw and of sw F_S^-1 U F_S^-1 sw
     tn_r, tn_u = numkit.trace_abs(np.array([sw @ finv_r.imag @ sw, sw @ finv_s @ u @ finv_s @ sw]))
@@ -458,8 +447,7 @@ def qfim_report(model: GaussianModel | PointMoments, theta=None, weight=None) ->
     f_s = qfim_sld(pt)
     f_r = qfim_rld(pt)
     u = incompatibility(pt)
-    fr_inv = rld_inverse_limit(pt)
-    chain = bound_chain(f_s, f_r, u, weight=weight, rld_inverse=fr_inv)
+    chain = bound_chain(f_s, u, rld_inverse=rld_inverse_limit(pt), weight=weight)
     return QfimReport(
         f_sld=f_s,
         f_rld=f_r,

@@ -46,6 +46,18 @@ ClosedForm = namedtuple("ClosedForm", ["b_s", "b_r", "r_q", "b_h_upper"])
 
 CSV_HEADER = "axis,b_s,b_r,b_h_mid,b_h_upper,hdb,r_q,sql"
 _CSV_ROW = ",".join(["%.17g"] * 8)  # the eight numeric fields of a SweepRow, in CSV_HEADER order
+# ScenarioConfig fields that hold numbers (weight only when given): each must be real and finite.
+_NUMERIC_FIELDS = (
+    "r", "phi", "alpha", "n_th", "gamma", "n_e", "m_e", "t", "theta", "start", "stop", "step", "weight",
+)
+_REAL_TYPES = (int, float, np.integer, np.floating)  # bool, an int subclass, is refused apart
+
+
+def _leaves(value) -> list:
+    """The entries of a scalar, or of a (nested) list, tuple or array."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [x for v in value for x in _leaves(v)]
+    return [value]
 
 
 @dataclass
@@ -70,6 +82,15 @@ class ScenarioConfig:
     threads: int = 1  # accepted and validated; sweeps run on one thread
 
     def validate(self) -> None:
+        for name in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "weight":
+                continue
+            for x in _leaves(value):
+                if isinstance(x, bool) or not isinstance(x, _REAL_TYPES):
+                    raise ValueError("%s must be a number or an array of numbers" % name)
+                if not math.isfinite(x):
+                    raise ValueError("%s must be finite" % name)
         if self.probe not in PROBES:
             raise ValueError("probe must be one of %s" % (PROBES,))
         if self.axis not in AXES:

@@ -74,6 +74,25 @@ def test_empty_range_rejected(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("gamma", math.inf),
+        ("stop", math.inf),
+        ("t", math.nan),
+        ("weight", [[math.nan, 0.0], [0.0, 1.0]]),
+        ("alpha", [0.0, -math.inf, 0.0, 0.0]),
+    ],
+)
+def test_non_finite_config_value_exits_2(tmp_path, capsys, field, value):
+    cfg = _write_config(tmp_path, **{field: value})  # json writes Infinity and NaN
+    for command in ("sweep", "bounds"):
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "%s must be finite" % field in captured.err
+
+
 def test_degraded_sweep_exits_3_but_writes_rows(tmp_path, capsys):
     cfg = _write_config(tmp_path, axis="t", start=-0.1, stop=0.1, step=0.1)
     assert main(["sweep", "--config", cfg]) == 3

@@ -29,6 +29,8 @@ from gaussfish.fock_oracle import (
 from gaussfish.gaussian_core import squeezed_vacuum, thermal, vacuum
 from gaussfish.qfi_gaussian import displacement_model, phase_model, qfim_rld, qfim_sld
 
+from linalg_helpers import largest_eig_abs, unvec, vec
+
 
 def test_ladder_algebra():
     dim = 12
@@ -111,7 +113,7 @@ def test_sld_solve_matches_dense_pseudoinverse():
     rho /= np.trace(rho).real
     drho = numkit.hermitize(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
     big = np.kron(np.eye(5), rho) + np.kron(rho.T, np.eye(5))
-    ref = numkit.unvec(2.0 * numkit.pinv(big) @ numkit.vec(drho))
+    ref = unvec(2.0 * numkit.pinv(big) @ vec(drho))
     assert np.allclose(sld_solve(rho, drho), ref, atol=1e-9)
 
 
@@ -202,7 +204,7 @@ def _random_model_and_povm(rng, dim, n_out):
         c = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         raw.append(c @ c.conj().T)
     total = sum(raw)
-    scale = numkit.largest_eig_abs(total) * 1.2
+    scale = largest_eig_abs(total) * 1.2
     povm = [el / scale for el in raw]
     povm.append(np.eye(dim) - sum(povm))
     return model, povm

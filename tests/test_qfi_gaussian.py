@@ -47,6 +47,8 @@ from gaussfish.qfi_gaussian import (
     williamson,
 )
 
+from linalg_helpers import vec
+
 
 def test_displacement_qfim_vacuum_and_thermal():
     assert np.allclose(qfim_sld(displacement_model(vacuum(1)), [0, 0]), 2 * np.eye(2), atol=1e-12)
@@ -102,9 +104,9 @@ def test_sld_l2_matches_dense_least_squares():
     _, dVs = model.derivatives([0.3])
     Om = omega(1)
     sig = np.kron(st.V, st.V) - np.kron(Om, Om)
-    ref, *_ = np.linalg.lstsq(sig, numkit.vec(dVs[0]), rcond=None)
+    ref, *_ = np.linalg.lstsq(sig, vec(dVs[0]), rcond=None)
     comp = sld_components(model, [0.3], 0)
-    assert np.allclose(numkit.vec(comp.l2), ref, atol=1e-9)
+    assert np.allclose(vec(comp.l2), ref, atol=1e-9)
 
 
 def test_rld_components_solve_their_equation():
@@ -180,22 +182,33 @@ def test_bound_chain_ordering_random_draws():
 def test_bound_chain_weight_matrix():
     model = displacement_model(thermal(0.3))
     f = qfim_sld(model, [0, 0])
-    fr = qfim_rld(model, [0, 0])
     u = incompatibility(model, [0, 0])
+    inv = rld_inverse_limit(model, [0, 0])
     W = np.diag([2.0, 1.0])
-    ch = bound_chain(f, fr, u, weight=W)
+    ch = bound_chain(f, u, rld_inverse=inv, weight=W)
     tau = 1 + 2 * 0.3
     assert ch.b_s == pytest.approx(3.0 * tau / 2.0, abs=1e-12)
     with pytest.raises(ValueError):
-        bound_chain(f, fr, u, weight=np.diag([-1.0, 1.0]))
+        bound_chain(f, u, rld_inverse=inv, weight=np.diag([-1.0, 1.0]))
     with pytest.raises(ValueError):
-        bound_chain(f, fr, u, weight=np.array([[1.0, 0.3], [0.0, 1.0]]))
+        bound_chain(f, u, rld_inverse=inv, weight=np.array([[1.0, 0.3], [0.0, 1.0]]))
+
+
+def test_bound_chain_requires_the_limiting_rld_inverse():
+    """The old positional form (f_sld, f_rld, u) and a missing rld_inverse raise, not a naive pinv."""
+    model = displacement_model(thermal(0.3))
+    f, fr, u = qfim_sld(model, [0, 0]), qfim_rld(model, [0, 0]), incompatibility(model, [0, 0])
+    with pytest.raises(TypeError):
+        bound_chain(f, fr, u)
+    with pytest.raises(TypeError):
+        bound_chain(f, u)
+    with pytest.raises(TypeError):
+        rld_inverse_limit(model, [0, 0], fr)
 
 
 def test_rld_inverse_limit_vacuum_pair():
     model = displacement_model(vacuum(1))
-    f_rld = qfim_rld(model, [0, 0])
-    inv = rld_inverse_limit(model, [0, 0], f_rld)
+    inv = rld_inverse_limit(model, [0, 0])
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert np.allclose(inv, (np.eye(2) + 1j * w) / 2.0, atol=1e-10)
     # trace + absolute antisymmetric part = 2, matching the known bound
@@ -212,9 +225,8 @@ def test_rld_inverse_limit_pure_squeezed_pair_collapses():
 
 def test_rld_inverse_limit_regular_model_matches_pinv():
     model = displacement_model(thermal(0.4))
-    f_rld = qfim_rld(model, [0, 0])
-    inv = rld_inverse_limit(model, [0, 0], f_rld)
-    assert np.allclose(inv, numkit.pinv(f_rld), atol=1e-10)
+    inv = rld_inverse_limit(model, [0, 0])
+    assert np.allclose(inv, numkit.pinv(qfim_rld(model, [0, 0])), atol=1e-10)
 
 
 def test_fd_derivatives_match_analytic_hooks():
@@ -276,12 +288,7 @@ def test_report_is_consistent_with_parts():
     assert np.allclose(rep.f_sld, qfim_sld(model, [0, 0]), atol=1e-12)
     assert np.allclose(rep.f_rld, qfim_rld(model, [0, 0]), atol=1e-12)
     assert np.allclose(rep.u, incompatibility(model, [0, 0]), atol=1e-12)
-    chain = bound_chain(
-        rep.f_sld,
-        rep.f_rld,
-        rep.u,
-        rld_inverse=rld_inverse_limit(model, [0, 0], rep.f_rld),
-    )
+    chain = bound_chain(rep.f_sld, rep.u, rld_inverse=rld_inverse_limit(model, [0, 0]))
     assert rep.b_s == pytest.approx(chain.b_s)
     assert rep.b_r == pytest.approx(chain.b_r)
     assert rep.b_h_mid == pytest.approx(chain.b_h_mid)
@@ -370,9 +377,7 @@ def test_report_matches_standalone_functions_with_covariance_derivatives(model, 
     assert np.array_equal(rep.f_sld, qfim_sld(model, theta))
     assert np.array_equal(rep.f_rld, f_rld)
     assert np.array_equal(rep.u, incompatibility(model, theta))
-    chain = bound_chain(
-        rep.f_sld, f_rld, rep.u, rld_inverse=rld_inverse_limit(model, theta, f_rld)
-    )
+    chain = bound_chain(rep.f_sld, rep.u, rld_inverse=rld_inverse_limit(model, theta))
     assert rep.b_r == chain.b_r
 
 
@@ -399,7 +404,7 @@ def _kron_oracle(pt):
     mid = sig_p @ np.kron(V, Om) @ sig_p
     kron_m_p = np.linalg.pinv(np.kron(M, M))
     dds = np.column_stack(pt.dds)
-    vecs = np.column_stack([numkit.vec(dV) for dV in pt.dVs])
+    vecs = np.column_stack([vec(dV) for dV in pt.dVs])
     f_s = 2.0 * dds.T @ v_inv @ dds + 0.5 * vecs.T @ sig_p @ vecs
     f_r = 2.0 * dds.T @ np.linalg.pinv(M) @ dds + 0.5 * vecs.T @ kron_m_p @ vecs
     u = 2.0 * dds.T @ v_inv @ Om @ v_inv @ dds + vecs.T @ mid @ vecs
@@ -466,8 +471,11 @@ def _stack_points(points):
     return PointMoments(st, dds, dVs, n_params)
 
 
-def test_stacked_information_layer_matches_each_point():
-    """rld_inverse_limit cuts rank per point: a stack of ranks 2, 1 and 0 equals its points."""
+def test_stacked_information_layer_matches_each_point(monkeypatch):
+    """rld_inverse_limit cuts rank per point: a stack of ranks 2, 1 and 0 equals its points.
+
+    The whole stack, whatever its ranks, is one pinv call.
+    """
     ch = NoisyChannel.uniform(2, 1.0, 0.5)
     points = [
         evaluate(displacement_model(probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.0), ch, 0.0), [0, 0]),  # rank 2
@@ -476,7 +484,12 @@ def test_stacked_information_layer_matches_each_point():
         evaluate(displacement_model(probe_tmsdt(0.8, math.pi, 0, 0, 0, 0, 0.0), ch, 0.0), [0, 0]),  # rank 2
     ]
     stack = _stack_points(points)
+    calls = []
+    pinv = numkit.pinv
+    monkeypatch.setattr(numkit, "pinv", lambda *a, **kw: calls.append(a[0].shape) or pinv(*a, **kw))
     limits = rld_inverse_limit(stack)
+    monkeypatch.undo()
+    assert calls == [(4, 8, 2)]
     assert limits.shape == (4, 2, 2)
     assert not np.any(limits[0]) and not np.any(limits[3])
     assert np.linalg.matrix_rank(limits[1]) == 1 and np.linalg.matrix_rank(limits[2]) == 2

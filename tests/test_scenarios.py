@@ -130,6 +130,19 @@ def test_config_validation():
         _cfg(threads=0).validate()
     with pytest.raises(ValueError):
         _cfg(weight=[[1.0, 0.0]]).validate()
+    for bad in (math.inf, -math.inf, math.nan):
+        for name in ("r", "phi", "n_th", "gamma", "n_e", "m_e", "t", "start", "stop", "step"):
+            with pytest.raises(ValueError, match="%s must be finite" % name):
+                _cfg(**{name: bad}).validate()
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            _cfg(alpha=(0.0, bad, 0.0, 0.0)).validate()
+        with pytest.raises(ValueError, match="theta must be finite"):
+            _cfg(theta=(bad, 0.0)).validate()
+        with pytest.raises(ValueError, match="weight must be finite"):
+            _cfg(weight=[[1.0, 0.0], [bad, 1.0]]).validate()
+    for name, bad in (("r", "0.4"), ("gamma", None), ("alpha", (0.0, "x", 0.0, 0.0)), ("step", True)):
+        with pytest.raises(ValueError, match="%s must be a number" % name):
+            _cfg(**{name: bad}).validate()
     cfg = _cfg()
     cfg.validate()
     assert cfg.n_values() == 15
