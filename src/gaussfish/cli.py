@@ -110,10 +110,6 @@ def _load_config(args) -> ScenarioConfig:
     unknown = sorted(set(data) - known)
     if unknown:
         raise CliError("unknown config keys: %s" % ", ".join(unknown))
-    if "alpha" in data:
-        data["alpha"] = tuple(float(v) for v in data["alpha"])
-    if "theta" in data:
-        data["theta"] = tuple(float(v) for v in data["theta"])
     try:
         cfg = ScenarioConfig(**data)
     except TypeError as exc:

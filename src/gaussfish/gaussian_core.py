@@ -164,11 +164,11 @@ def single_mode_squeezer(r: float) -> SymplecticOp:
 
 
 def _two_mode(blocks) -> np.ndarray:
-    """4x4 matrix from its 2x2 blocks [[a, b], [c, d]] (np.block, without its overhead)."""
-    out = np.empty((4, 4))
+    """(..., 4, 4) stack of blocks [[a, b], [c, d]] shaped like a; np.block minus its overhead."""
+    out = np.empty(np.shape(blocks[0][0])[:-2] + (4, 4))
     for i, row in enumerate(blocks):
         for j, b in enumerate(row):
-            out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = b
+            out[..., 2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = b
     return out
 
 
@@ -178,6 +178,13 @@ def _reflection(phi: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]])
 
 
+def _s2(r, phi: float) -> np.ndarray:
+    """The matrix of :func:`two_mode_squeezer`; an array of r gives a (..., 4, 4) stack."""
+    ch, sh = (np.asarray(f(r))[..., None, None] for f in (np.cosh, np.sinh))
+    R = _reflection(phi)
+    return _two_mode([[ch * np.eye(2), sh * R], [sh * R, ch * np.eye(2)]])
+
+
 def two_mode_squeezer(r: float, phi: float = 0.0) -> SymplecticOp:
     """Two-mode squeezer with reflection-type off-diagonal block.
 
@@ -185,10 +192,7 @@ def two_mode_squeezer(r: float, phi: float = 0.0) -> SymplecticOp:
     R_phi = [[cos phi, sin phi], [sin phi, -cos phi]].  Acting on vacuum it
     produces the EPR covariance [[cosh 2r I, sinh 2r R], [sinh 2r R, cosh 2r I]].
     """
-    ch, sh = np.cosh(r), np.sinh(r)
-    R = _reflection(phi)
-    I2 = np.eye(2)
-    return SymplecticOp(_two_mode([[ch * I2, sh * R], [sh * R, ch * I2]]))
+    return SymplecticOp(_s2(r, phi))
 
 
 def beam_splitter_5050() -> SymplecticOp:
@@ -211,14 +215,17 @@ def probe_tmsdt(r, phi, q1, p1, q2, p2, n_th) -> GaussianState:
 
     A two-mode thermal state (occupation n_th per mode) is displaced by
     (q1, p1, q2, p2) and then two-mode squeezed with S2(r, phi), so
-    d = S2 (q1, p1, q2, p2)^T and V = (2 n_th + 1) S2 S2^T.
+    d = S2 (q1, p1, q2, p2)^T and V = (2 n_th + 1) S2 S2^T.  Arrays of r and
+    n_th broadcast to a stack of probes, one per element.
     """
-    sq = two_mode_squeezer(r, phi)
-    alpha = np.array([q1, p1, q2, p2], dtype=float)
-    tau = 2.0 * float(n_th) + 1.0
-    if n_th < 0:
+    n_th = np.asarray(n_th, dtype=float)
+    if (n_th < 0).any():
         raise ValueError("n_th must be >= 0")
-    return GaussianState(sq.S @ alpha, tau * (sq.S @ sq.S.T))
+    S = _s2(r, phi)
+    V = (2.0 * n_th + 1.0)[..., None, None] * (S @ S.swapaxes(-1, -2))
+    d = np.empty(V.shape[:-1])
+    d[...] = S @ np.array([q1, p1, q2, p2], dtype=float)
+    return GaussianState(d, V)
 
 
 # ----------------------------------------------------------------------------

@@ -377,6 +377,17 @@ def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.nda
     return P @ numkit.adjoint(P)
 
 
+def weight_root(weight, m: int) -> np.ndarray:
+    """sqrt(W) of a weight matrix W; W must be a symmetric positive semidefinite m x m matrix."""
+    W = np.asarray(weight, dtype=float)
+    if W.shape != (m, m) or np.max(np.abs(W - W.T)) > 1e-10:
+        raise ValueError("weight must be a symmetric %dx%d matrix" % (m, m))
+    try:
+        return numkit.sqrtm_psd(W)  # its eigendecomposition also checks W >= 0
+    except ValueError:
+        raise ValueError("weight must be positive semidefinite") from None
+
+
 def bound_chain(f_sld, u, *, rld_inverse, weight=None) -> BoundChain:
     """Scalar bound family for a weight matrix (identity by default).
 
@@ -387,16 +398,8 @@ def bound_chain(f_sld, u, *, rld_inverse, weight=None) -> BoundChain:
     """
     f_sld = np.asarray(f_sld, dtype=float)
     m = f_sld.shape[-1]
-    if weight is None:
-        W = np.eye(m)
-    else:
-        W = np.asarray(weight, dtype=float)
-        if W.shape != (m, m) or np.max(np.abs(W - W.T)) > 1e-10:
-            raise ValueError("weight must be a symmetric matrix matching the QFIM")
-    try:
-        sw = numkit.sqrtm_psd(W)  # its eigendecomposition also checks W >= 0
-    except ValueError:
-        raise ValueError("weight must be positive semidefinite") from None
+    W = np.eye(m) if weight is None else np.asarray(weight, dtype=float)
+    sw = weight_root(W, m)
     finv_s, root_finv_s = numkit.pinv_psd(f_sld)
     finv_r = np.asarray(rld_inverse, dtype=complex)
     u = np.asarray(u, dtype=float)

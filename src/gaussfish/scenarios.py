@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from . import numkit
 from .gaussian_core import GaussianState, probe_tmsdt
 from .channels import NoisyChannel
-from .qfi_gaussian import PointMoments, displacement_model, evaluate, qfim_report
+from .qfi_gaussian import PointMoments, displacement_model, evaluate, qfim_report, weight_root
 from .measurements import cfim_gaussian_outcomes, epr_readout
 
 PROBES = ("tmsv", "tmst", "tmdv", "tmdt")
@@ -46,10 +46,12 @@ ClosedForm = namedtuple("ClosedForm", ["b_s", "b_r", "r_q", "b_h_upper"])
 
 CSV_HEADER = "axis,b_s,b_r,b_h_mid,b_h_upper,hdb,r_q,sql"
 _CSV_ROW = ",".join(["%.17g"] * 8)  # the eight numeric fields of a SweepRow, in CSV_HEADER order
-# ScenarioConfig fields that hold numbers (weight only when given): each must be real and finite.
-_NUMERIC_FIELDS = (
-    "r", "phi", "alpha", "n_th", "gamma", "n_e", "m_e", "t", "theta", "start", "stop", "step", "weight",
+# ScenarioConfig fields that hold numbers (weight only when given), with their shapes: each
+# entry must be real and finite.
+_NUMERIC_FIELDS = dict.fromkeys(
+    ("r", "phi", "n_th", "gamma", "n_e", "m_e", "t", "start", "stop", "step"), ()
 )
+_NUMERIC_FIELDS.update(alpha=(4,), theta=(2,), weight=(2, 2))
 _REAL_TYPES = (int, float, np.integer, np.floating)  # bool, an int subclass, is refused apart
 
 
@@ -82,7 +84,7 @@ class ScenarioConfig:
     threads: int = 1  # accepted and validated; sweeps run on one thread
 
     def validate(self) -> None:
-        for name in _NUMERIC_FIELDS:
+        for name, shape in _NUMERIC_FIELDS.items():
             value = getattr(self, name)
             if value is None and name == "weight":
                 continue
@@ -91,30 +93,35 @@ class ScenarioConfig:
                     raise ValueError("%s must be a number or an array of numbers" % name)
                 if not math.isfinite(x):
                     raise ValueError("%s must be finite" % name)
+            try:
+                ok = np.shape(value) == shape
+            except ValueError:  # a ragged nesting
+                ok = False
+            if not ok:
+                what = "an array of shape %s" % (shape,) if shape else "a number"
+                raise ValueError("%s must be %s" % (name, what))
         if self.probe not in PROBES:
             raise ValueError("probe must be one of %s" % (PROBES,))
         if self.axis not in AXES:
             raise ValueError("axis must be one of %s" % (AXES,))
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if self.n_e < 0 or self.n_th < 0:
-            raise ValueError("occupations must be nonnegative")
+        try:
+            NoisyChannel.uniform(2, self.gamma, self.n_e, self.m_e)
+        except ValueError as exc:
+            raise ValueError("channel (gamma, n_e, m_e): %s" % exc) from None
+        if self.n_th < 0:
+            raise ValueError("n_th must be nonnegative")
         if self.t < 0:
             raise ValueError("t must be nonnegative")
         if not self.step > 0:
             raise ValueError("step must be positive")
-        if len(tuple(self.alpha)) != 4:
-            raise ValueError("alpha must have four components (q1, p1, q2, p2)")
-        if len(tuple(self.theta)) != 2:
-            raise ValueError("theta must have two components")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise ValueError("sweep range: (stop - start) / step is not finite")
         if self.n_values() < 1:
             raise ValueError("empty sweep range")
         if self.weight is not None:
-            W = np.asarray(self.weight, dtype=float)
-            if W.shape != (2, 2):
-                raise ValueError("weight must be a 2x2 matrix")
+            weight_root(self.weight, 2)
 
     def n_values(self) -> int:
         return int(round((self.stop - self.start) / self.step)) + 1
@@ -128,16 +135,18 @@ class ScenarioConfig:
         return np.asarray(self.weight, dtype=float)
 
 
-def build_probe(cfg: ScenarioConfig) -> GaussianState:
-    """Input state of the configured probe family."""
+def build_probe(cfg: ScenarioConfig, r=None, n_th=None) -> GaussianState:
+    """The configured probe at r and n_th (arrays give a stack), by default cfg.r and cfg.n_th."""
+    r = cfg.r if r is None else r
+    n_th = cfg.n_th if n_th is None else n_th
     if cfg.probe == "tmsv":
-        return probe_tmsdt(cfg.r, cfg.phi, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return probe_tmsdt(r, cfg.phi, 0.0, 0.0, 0.0, 0.0, 0.0)
     if cfg.probe == "tmst":
-        return probe_tmsdt(cfg.r, cfg.phi, 0.0, 0.0, 0.0, 0.0, cfg.n_th)
+        return probe_tmsdt(r, cfg.phi, 0.0, 0.0, 0.0, 0.0, n_th)
     if cfg.probe == "tmdv":
         return probe_tmsdt(0.0, cfg.phi, *cfg.alpha, 0.0)
     if cfg.probe == "tmdt":
-        return probe_tmsdt(0.0, cfg.phi, *cfg.alpha, cfg.n_th)
+        return probe_tmsdt(0.0, cfg.phi, *cfg.alpha, n_th)
     raise ValueError("probe must be one of %s" % (PROBES,))
 
 
@@ -147,9 +156,10 @@ def closed_form_bounds(
     """Analytic bound family for the four probe classes.
 
     Thermal probes (tmst, tmdt) are only covered on the matched slice
-    n_th = n_e, where the channel keeps the state in the same family.
+    n_th = n_e, where the channel keeps the state in the same family.  The
+    tmdv family is elementwise: arrays of gamma, t and n_e give arrays of bounds.
     """
-    x = math.exp(gamma * t)
+    x = np.exp(gamma * t)
     eps = 1.0 + 2.0 * n_e
     tau = 1.0 + 2.0 * n_th
     c = math.cosh(2.0 * r)
@@ -192,29 +202,25 @@ def closed_form_bounds(
 
 
 # Failures of one grid point that degrade its row instead of aborting the sweep.
-NUMERICAL_ERRORS = (ValueError, np.linalg.LinAlgError, FloatingPointError, OverflowError)
+NUMERICAL_ERRORS = (ValueError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def _on_axis(cfg: ScenarioConfig, name: str, values: np.ndarray):
-    """The grid values if name is the sweep axis, else the configured value."""
-    return values if cfg.axis == name else getattr(cfg, name)
+def _on_axis(cfg: ScenarioConfig, values: np.ndarray, *names: str) -> list:
+    """Each named parameter: the grid values on the sweep axis, else the configured value."""
+    return [values if cfg.axis == name else getattr(cfg, name) for name in names]
 
 
 def _stacked_moments(cfg: ScenarioConfig, values: np.ndarray) -> PointMoments:
     """The displacement model evaluated once on the whole grid, one stack point per value.
 
-    The probe is built once, or once per value on the r and n_th axes; the
-    channel is one stacked NoisyChannel and the decay one call of
-    :func:`gaussfish.channels.evolve`.
+    The probe is one :func:`probe_tmsdt` call on the grid's r and n_th, the channel one
+    stacked NoisyChannel and the decay one :func:`gaussfish.channels.evolve` call on a t
+    that spans the grid, so an axis that the probe ignores still gives one point per value.
     """
-    if cfg.axis in ("r", "n_th"):
-        probes = [build_probe(replace(cfg, **{cfg.axis: v})) for v in values.tolist()]
-        probe = GaussianState(np.array([p.d for p in probes]), np.array([p.V for p in probes]))
-    else:
-        probe = build_probe(cfg)
-    gamma, n_e, t = (_on_axis(cfg, name, values) for name in ("gamma", "n_e", "t"))
+    r, n_th, gamma, n_e, t = _on_axis(cfg, values, "r", "n_th", "gamma", "n_e", "t")
     ch = NoisyChannel.uniform(2, gamma, n_e, cfg.m_e)
-    return evaluate(displacement_model(probe, ch, t), cfg.theta)
+    model = displacement_model(build_probe(cfg, r, n_th), ch, np.full(values.shape, t))
+    return evaluate(model, cfg.theta)
 
 
 def _evaluate(cfg: ScenarioConfig, values) -> list:
@@ -232,25 +238,19 @@ def _evaluate(cfg: ScenarioConfig, values) -> list:
         pre, gd = epr_readout()
         F_C = cfim_gaussian_outcomes(pt, gd, pre_op=pre)
         hdb = (W @ numkit.pinv_psd(F_C)[0]).trace(axis1=-2, axis2=-1)
-    channel = [
-        values.tolist() if cfg.axis == name else [getattr(cfg, name)] * values.size
-        for name in ("gamma", "t", "n_e")
-    ]
-    sql = [closed_form_bounds("tmdv", 0.0, 0.0, *c).b_h_upper for c in zip(*channel)]
-    columns = [c.tolist() for c in (rep.b_s, rep.b_r, rep.b_h_mid, rep.b_h_upper, hdb, rep.r_q)]
-    return [
-        SweepRow(*bounds, ok=True, message="")
-        for bounds in zip(values.tolist(), *columns, sql)
-    ]
+        gamma, t, n_e = _on_axis(cfg, values, "gamma", "t", "n_e")
+        sql = closed_form_bounds("tmdv", 0.0, 0.0, gamma, np.full(values.shape, t), n_e)
+    columns = (values, rep.b_s, rep.b_r, rep.b_h_mid, rep.b_h_upper, hdb, rep.r_q, sql.b_h_upper)
+    return [SweepRow(*row, ok=True, message="") for row in zip(*(c.tolist() for c in columns))]
 
 
 def run_point(cfg: ScenarioConfig, axis_value: float) -> SweepRow:
     """Evaluate every reported quantity at one grid point.
 
     This is the sweep evaluation on a one-point grid.  A numerical failure
-    (ValueError, LinAlgError, FloatingPointError, OverflowError) becomes a
-    NaN row carrying the message, so one bad point degrades rather than
-    aborts a sweep; any other exception is a bug and propagates.
+    (ValueError, LinAlgError, FloatingPointError) becomes a NaN row carrying
+    the message, so one bad point degrades rather than aborts a sweep; any
+    other exception is a bug and propagates.
     """
     try:
         return _evaluate(cfg, [float(axis_value)])[0]

@@ -93,6 +93,47 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, field, value):
         assert "%s must be finite" % field in captured.err
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"alpha": ["x", 0, 0, 0]}, "alpha must be a number"),
+        ({"alpha": 5}, "alpha must be an array of shape (4,)"),
+        ({"theta": [0.0, 0.0, 0.0]}, "theta must be an array of shape (2,)"),
+        ({"theta": "xy"}, "theta must be a number"),
+        ({"t": [0.1, 0.2]}, "t must be a number"),
+        ({"stop": 1e300, "step": 1e-300}, "sweep range: (stop - start) / step is not finite"),
+        ({"weight": [[1, 2], [0, 1]]}, "weight must be a symmetric 2x2 matrix"),
+        ({"weight": [[1, 0], [0, -1]]}, "weight must be positive semidefinite"),
+        ({"m_e": 2.0}, "channel (gamma, n_e, m_e): reservoir squeezing violates |m_e|^2"),
+        ({"gamma": -1.0}, "channel (gamma, n_e, m_e): damping rates must be >= 0"),
+    ],
+)
+def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, fields, message):
+    cfg = _write_config(tmp_path, **fields)
+    for command in ("sweep", "bounds"):
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+def test_schema_only_config_runs(tmp_path, capsys):
+    path = tmp_path / "schema.json"
+    path.write_text('{"schema": 1}')
+    assert main(["sweep", "--config", str(path)]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 15
+
+
+def test_reservoir_squeezing_on_an_n_e_axis_degrades_row_by_row(tmp_path, capsys):
+    cfg = _write_config(tmp_path, axis="n_e", n_e=2.0, m_e=1.0, start=0.0, stop=1.0, step=0.25)
+    assert main(["sweep", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.strip().split("\n")[1:]]
+    # |m_e|^2 = 1 <= n_e (n_e + 1) from n_e = 0.618...
+    assert [row[1] == "nan" for row in rows] == [True, True, True, False, False]
+    assert "reservoir squeezing" in captured.err
+
+
 def test_degraded_sweep_exits_3_but_writes_rows(tmp_path, capsys):
     cfg = _write_config(tmp_path, axis="t", start=-0.1, stop=0.1, step=0.1)
     assert main(["sweep", "--config", cfg]) == 3

@@ -174,6 +174,22 @@ def test_probe_tmsdt():
     assert st2.physical()
 
 
+def test_probe_tmsdt_on_arrays_stacks_the_per_value_probes_bit_for_bit():
+    r = np.linspace(0.0, 2.0, 9)
+    n_th = np.linspace(0.0, 1.5, 9)
+    alpha = (0.3, -0.2, 0.1, 0.4)
+    for rs, ns in ((r, 0.3), (0.7, n_th), (r, n_th)):
+        stack = probe_tmsdt(rs, 2.1, *alpha, ns)
+        assert stack.V.shape == (9, 4, 4) and stack.d.shape == (9, 4)
+        for k, (rk, nk) in enumerate(np.broadcast(rs, ns)):
+            one = probe_tmsdt(float(rk), 2.1, *alpha, float(nk))
+            assert np.array_equal(stack.V[k], one.V) and np.array_equal(stack.d[k], one.d)
+            S = two_mode_squeezer(rk, 2.1).S
+            assert np.array_equal(one.V, (2.0 * nk + 1.0) * (S @ S.T))
+    with pytest.raises(ValueError, match="n_th"):
+        probe_tmsdt(r, 0.0, 0, 0, 0, 0, -n_th)
+
+
 def test_purity():
     assert purity(vacuum(2)) == pytest.approx(1.0)
     assert purity(thermal(0.5)) == pytest.approx(0.5)

@@ -252,6 +252,35 @@ def test_run_point_evaluates_the_model_once(monkeypatch):
     assert stacks == [5, 1]
 
 
+@pytest.mark.parametrize("axis", scenarios.AXES)
+def test_sweep_builds_the_probe_once_on_every_axis(monkeypatch, axis):
+    built = []
+    probe_tmsdt = scenarios.probe_tmsdt
+
+    def counting_probe(*args):
+        built.append(args)
+        return probe_tmsdt(*args)
+
+    monkeypatch.setattr(scenarios, "probe_tmsdt", counting_probe)
+    for probe in PROBES:
+        built.clear()
+        cfg = _cfg(probe=probe, n_th=0.3, axis=axis, start=0.1, stop=0.5, step=0.1)
+        rows = sweep(cfg)
+        assert len(rows) == 5 and all(row.ok for row in rows)
+        assert len(built) == 1
+
+
+def test_sql_column_is_the_scalar_closed_form_at_every_point():
+    for axis, stop in (("t", 2.0), ("gamma", 3.0), ("n_e", 2.0), ("r", 1.0)):
+        cfg = _cfg(probe="tmst", axis=axis, start=0.0, stop=stop, step=stop / 200)
+        rows = sweep(cfg)
+        assert len(rows) == 201
+        for row in rows:
+            c = replace(cfg, **{axis: row.axis})
+            want = closed_form_bounds("tmdv", 0.0, 0.0, c.gamma, c.t, c.n_e).b_h_upper
+            assert abs(row.sql - want) <= 4.4e-16 * want
+
+
 SWEEP_AXES = {"t": (0.0, 1.0, 0.25), "r": (0.0, 1.2, 0.3), "n_e": (0.0, 1.0, 0.25), "n_th": (0.0, 1.0, 0.25), "gamma": (0.0, 2.0, 0.5)}
 ROW_FIELDS = ("b_s", "b_r", "b_h_mid", "b_h_upper", "hdb", "r_q", "sql")
 
