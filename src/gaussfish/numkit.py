@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 
 
 def transpose(a):
@@ -49,6 +50,37 @@ def pinv(a, size=None):
     return adjoint(vh) @ (inv_s[..., :, None] * adjoint(u))
 
 
+def pinv_gram(a, size=None):
+    """pinv(a) pinv(a)^H, matrix by matrix, with pinv's cutoff (size as in :func:`pinv`).
+
+    One QR of the whole stack, a = Q R, gives R^-1 R^-H for every matrix (m, p)
+    whose R passes a full-rank certificate, prod |r_ii| / ||R||_F^p > eps * size.
+    As |det R| <= sigma_min sigma_max^(p-1) and ||R||_F >= sigma_max, it bounds
+    sigma_min / sigma_max from below, so it admits only matrices that pinv keeps
+    at full rank; each |r_ii| is divided by ||R||_F before the product, so no
+    scale overflows.  Any other matrix (rank-deficient, a zero column, or m < p)
+    goes through pinv, for that subset only.
+    """
+    a = np.asarray(a)
+    m, p = a.shape[-2:]
+    size = np.asarray(max(m, p) if size is None else size)
+    if m < p:
+        x = pinv(a, size)
+        return x @ adjoint(x)
+    r = np.linalg.qr(a, mode="r")
+    ab = np.abs(r)
+    norm = np.sqrt((ab * ab).sum(axis=(-2, -1)))
+    ok = (ab.diagonal(0, -2, -1) / np.maximum(norm, TINY)[..., None]).prod(axis=-1) > EPS * size
+    if ok.all():
+        r_inv = np.linalg.inv(r)
+        return r_inv @ adjoint(r_inv)
+    r_inv = np.linalg.inv(np.where(ok[..., None, None], r, np.eye(p)))
+    gram = r_inv @ adjoint(r_inv)
+    x = pinv(a[~ok], np.broadcast_to(size, ok.shape)[~ok])
+    gram[~ok] = x @ adjoint(x)
+    return gram
+
+
 def pinv_psd(a, neg_tol=1e-10):
     """Pseudo-inverse of a symmetric (Hermitian) PSD matrix and the PSD root of that inverse.
 
@@ -80,12 +112,16 @@ def trace_abs(a):
     """Sum of |eigenvalues| of a real antisymmetric matrix, or of each matrix of a stack.
 
     The eigenvalues come in +-i*kappa pairs, so i (a - a^T)/2 is Hermitian
-    with eigenvalues +-kappa and one eigvalsh gives them.  This is the trace
-    norm needed for the imaginary part of an inverse RLD information matrix
-    and for the incompatibility term of b_h_mid.  A symmetric part of the
-    input (round-off, for those callers) is dropped.
+    with eigenvalues +-kappa and one eigvalsh gives them; a 2x2 matrix has the
+    one pair +-i a_01, so its trace norm is 2 |(a - a^T)_01 / 2| without
+    eigvalsh.  This is the trace norm needed for the imaginary part of an
+    inverse RLD information matrix and for the incompatibility term of
+    b_h_mid.  A symmetric part of the input (round-off, for those callers) is
+    dropped.
     """
     a = np.asarray(a)
+    if a.shape[-2:] == (2, 2):
+        return float_or_stack(np.abs(a[..., 0, 1] - a[..., 1, 0]))
     skew = 0.5 * (a - transpose(a))
     return float_or_stack(np.abs(np.linalg.eigvalsh(1j * skew)).sum(axis=-1))
 

@@ -325,9 +325,11 @@ def quantumness(f_sld, u) -> float:
     """R_Q = largest |eigenvalue| of i F^{-1} U, the incompatibility ratio.
 
     Evaluated through the similarity-equivalent Hermitian matrix
-    i F^{-1/2} U F^{-1/2}.  Values outside [0, 1] by more than 1e-8 indicate
-    an inconsistent (F, U) pair and trigger a warning; round-off excursions
-    are clamped.  Stacks of (F, U) give an array of ratios.
+    i F^{-1/2} U F^{-1/2}.  For p = 2 its eigenvalues are
+    +-|(F^{-1/2} U F^{-1/2})_01| (an antisymmetric 2x2 x has the one pair
+    +-i x_01), so no eigvalsh is needed.  Values outside [0, 1] by more than
+    1e-8 indicate an inconsistent (F, U) pair and trigger a warning; round-off
+    excursions are clamped.  Stacks of (F, U) give an array of ratios.
     """
     _, root_finv = numkit.pinv_psd(np.asarray(f_sld, dtype=float))
     return _quantumness(root_finv, np.asarray(u, dtype=float))
@@ -337,8 +339,11 @@ def _quantumness(root_finv, u):
     """R_Q from the PSD root of F^{-1}; see :func:`quantumness`."""
     if not u.any():
         return numkit.float_or_stack(np.zeros(u.shape[:-2]))
-    h = numkit.hermitize(1j * (root_finv @ u @ root_finv))
-    rq = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
+    x = root_finv @ u @ root_finv
+    if x.shape[-2:] == (2, 2):  # the entry of the antisymmetric part, as hermitize keeps it
+        rq = 0.5 * np.abs(x[..., 0, 1] - x[..., 1, 0])
+    else:
+        rq = np.abs(np.linalg.eigvalsh(numkit.hermitize(1j * x))).max(axis=-1)
     inconsistent = rq > 1.0 + 1e-8
     if inconsistent.any():
         warnings.warn("quantumness ratio %.6g exceeds 1; F and U are inconsistent" % rq.max())
@@ -358,23 +363,28 @@ def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.nda
         F_R^{-1} -> P P^+,   P = Q pinv(C Q)
 
     which covers every rank of A: Q = I (pinv(F_R)) when A = 0, Q = 0 (the
-    zero inverse) when ker A = 0.  A stack is one pinv call, each point with
-    its own Q and its own cutoff, size max(n_c, p - rank(A)).
+    zero inverse) when ker A = 0.  A stack is one :func:`numkit.pinv_gram`
+    call on X = C, or C Q at the points with out-of-range rows, each point
+    with its own cutoff, size max(n_c, p - rank(A)): a QR for the points of
+    full rank and the SVD pinv for the others.  Q and the products with it
+    are formed only at the points with out-of-range rows.
     """
     pt = evaluate(model, theta)
     C, A, n_c = pt.rld_split
-    p = C.shape[-1]
-    Q = np.zeros(C.shape[:-2] + (p, p), dtype=complex)
-    Q[..., range(p), range(p)] = 1.0
     pure = A.any(axis=(-2, -1))  # points with out-of-range rows
-    rank = np.zeros(pure.shape, dtype=int)
-    if pure.any():
-        _, s, vh = np.linalg.svd(A[pure])
-        cut = 1e-10 * np.abs(pt.rows[0][pure]).max(axis=(-2, -1))
-        rank[pure] = (s > cut[..., None]).sum(axis=-1)
-        Q[pure] = numkit.adjoint(vh) * (np.arange(p) >= rank[pure][..., None])[..., None, :]
-    P = Q @ numkit.pinv(C @ Q, size=np.maximum(n_c, p - rank))
-    return P @ numkit.adjoint(P)
+    if not pure.any():
+        return numkit.pinv_gram(C, n_c)
+    p = C.shape[-1]
+    _, s, vh = np.linalg.svd(A[pure])
+    cut = 1e-10 * np.abs(pt.rows[0][pure]).max(axis=(-2, -1))
+    rank = (s > cut[..., None]).sum(axis=-1)
+    Q = numkit.adjoint(vh) * (np.arange(p) >= rank[..., None])[..., None, :]
+    X, size = C.copy(), np.array(n_c)
+    X[pure] = C[pure] @ Q
+    size[pure] = np.maximum(size[pure], p - rank)
+    G = numkit.pinv_gram(X, size)
+    G[pure] = Q @ G[pure] @ numkit.adjoint(Q)
+    return G
 
 
 def weight_root(weight, m: int) -> np.ndarray:
@@ -398,8 +408,11 @@ def bound_chain(f_sld, u, *, rld_inverse, weight=None) -> BoundChain:
     """
     f_sld = np.asarray(f_sld, dtype=float)
     m = f_sld.shape[-1]
-    W = np.eye(m) if weight is None else np.asarray(weight, dtype=float)
-    sw = weight_root(W, m)
+    if weight is None:
+        W = sw = np.eye(m)
+    else:
+        W = np.asarray(weight, dtype=float)
+        sw = weight_root(W, m)
     finv_s, root_finv_s = numkit.pinv_psd(f_sld)
     finv_r = np.asarray(rld_inverse, dtype=complex)
     u = np.asarray(u, dtype=float)

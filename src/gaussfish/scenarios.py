@@ -114,8 +114,9 @@ class ScenarioConfig:
             raise ValueError("t must be nonnegative")
         if not self.step > 0:
             raise ValueError("step must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
+        threads = self.threads
+        if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+            raise ValueError("threads must be an integer of at least 1")
         if not math.isfinite((self.stop - self.start) / self.step):
             raise ValueError("sweep range: (stop - start) / step is not finite")
         if self.n_values() < 1:
@@ -234,7 +235,7 @@ def _evaluate(cfg: ScenarioConfig, values) -> list:
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         pt = _stacked_moments(cfg, values)
         W = cfg.weight_matrix()
-        rep = qfim_report(pt, weight=W)
+        rep = qfim_report(pt, weight=cfg.weight)
         pre, gd = epr_readout()
         F_C = cfim_gaussian_outcomes(pt, gd, pre_op=pre)
         hdb = (W @ numkit.pinv_psd(F_C)[0]).trace(axis1=-2, axis2=-1)

@@ -106,6 +106,9 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, field, value):
         ({"weight": [[1, 0], [0, -1]]}, "weight must be positive semidefinite"),
         ({"m_e": 2.0}, "channel (gamma, n_e, m_e): reservoir squeezing violates |m_e|^2"),
         ({"gamma": -1.0}, "channel (gamma, n_e, m_e): damping rates must be >= 0"),
+        ({"threads": "2"}, "threads must be an integer"),
+        ({"threads": 1.5}, "threads must be an integer"),
+        ({"threads": True}, "threads must be an integer"),
     ],
 )
 def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, fields, message):

@@ -3,6 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaussfish import numkit
+from gaussfish.channels import NoisyChannel
+from gaussfish.gaussian_core import probe_tmsdt
+from gaussfish.qfi_gaussian import (
+    _quantumness,
+    bound_chain,
+    displacement_model,
+    evaluate,
+    incompatibility,
+    qfim_sld,
+    rld_inverse_limit,
+)
 
 from linalg_helpers import largest_eig_abs, unvec, vec
 
@@ -203,3 +214,123 @@ def test_pinv_psd_rejects_an_indefinite_matrix_like_sqrtm_psd():
     # a negative round-off eigenvalue under the cutoff is dropped, not rejected
     p, s = numkit.pinv_psd(np.diag([1.0, -1e-17]))
     assert np.array_equal(p, np.diag([1.0, 0.0])) and np.array_equal(s, np.diag([1.0, 0.0]))
+
+
+def _conditioned(rng, m, p, cond, complex_=False):
+    """An m x p matrix with singular values spaced from 1 down to 1 / cond."""
+    def orthonormal(n, k):
+        z = rng.normal(size=(n, k)) + (1j * rng.normal(size=(n, k)) if complex_ else 0.0)
+        return np.linalg.qr(z)[0]
+    return orthonormal(m, p) @ np.diag(np.geomspace(1.0, 1.0 / cond, p)) @ orthonormal(p, p).conj().T
+
+
+def _pinv_gram_cases(p, complex_):
+    """(stack, count of matrices that the certificate leaves to pinv) for a 5 x p stack.
+
+    The stack mixes full-rank, rank-deficient and zero matrices, a matrix with a zero
+    column, and the scales 1e-150 and 1e150.  At p = 3, cond 1e14 is kept at full rank by
+    pinv but fails the certificate (prod sigma / sigma_max^3 = 1e-21 with the middle
+    singular value at 1e-7), so pinv takes it: the certificate is one-sided.
+    """
+    rng = np.random.default_rng(77 + 2 * p + complex_)
+    full = [_conditioned(rng, 5, p, c, complex_) for c in (1.0, 1e3, 1e8, 1e14)]
+    deficient = [_rng_matrix(50 + k, 5, p, rank=r, complex_=complex_) for k, r in enumerate((1, p - 1))]
+    zero_column = _rng_matrix(60, 5, p, complex_=complex_)
+    zero_column[:, 1] = 0.0
+    scaled = [1e-150 * full[1], 1e150 * full[1], 1e-150 * deficient[0], 1e150 * deficient[1]]
+    stack = np.array(full + deficient + [zero_column, np.zeros((5, p))] + scaled)
+    return stack, 2 + 2 + 2 + (p == 3)
+
+
+def _gram_of_pinv(a, size=None):
+    x = numkit.pinv(a, size)
+    return x @ numkit.adjoint(x)
+
+
+def _assert_pinv_gram_per_matrix(stack, got, sizes):
+    for a, g, size in zip(stack, got, sizes):
+        want = _gram_of_pinv(a, size)
+        scale = np.max(np.abs(want), initial=0.0)
+        # both are backward stable: the entries agree to about eps cond(a) of the largest
+        cond = np.linalg.cond(a) if scale else 1.0
+        np.testing.assert_allclose(g, want, rtol=0, atol=10 * numkit.EPS * min(cond, 1e16) * scale)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_pinv_gram_is_the_gram_of_pinv_per_matrix(monkeypatch, p, complex_):
+    stack, n_pinv = _pinv_gram_cases(p, complex_)
+    calls = []
+    pinv = numkit.pinv
+    monkeypatch.setattr(numkit, "pinv", lambda *a, **kw: calls.append(a[0].shape) or pinv(*a, **kw))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # as a sweep runs it
+        got = numkit.pinv_gram(stack)
+    monkeypatch.undo()
+    assert got.shape == (stack.shape[0], p, p)
+    assert np.iscomplexobj(got) == complex_
+    # only the matrices that the certificate does not admit go through pinv, in one call
+    assert calls == [(n_pinv, 5, p)]
+    _assert_pinv_gram_per_matrix(stack, got, [None] * len(stack))
+    # one matrix, and a stack of certified matrices, take no pinv at all
+    monkeypatch.setattr(numkit, "pinv", lambda *a, **kw: pytest.fail("pinv called on certified matrices"))
+    one, certified = numkit.pinv_gram(stack[1]), numkit.pinv_gram(stack[:3])
+    monkeypatch.undo()
+    assert one.shape == (p, p)
+    _assert_pinv_gram_per_matrix(stack[1:2], [one], [None])
+    _assert_pinv_gram_per_matrix(stack[:3], certified, [None] * 3)
+
+
+def test_pinv_gram_of_wide_matrices_and_a_broadcast_size():
+    rng = np.random.default_rng(79)
+    wide = np.array([_rng_matrix(70, 2, 3), _rng_matrix(71, 2, 3, rank=1), np.zeros((2, 3))])  # m < p
+    _assert_pinv_gram_per_matrix(wide, numkit.pinv_gram(wide), [None] * 3)
+    # a stack padded with zero rows keeps each matrix's own cutoff through `size`
+    a = np.diag([1.0, 6e-16])  # kept by a 2-row cutoff (4.4e-16), dropped by a 4-row one (8.9e-16)
+    padded = np.array([np.vstack([a, np.zeros((2, 2))]), np.vstack([_conditioned(rng, 2, 2, 10.0), np.zeros((2, 2))])])
+    assert numkit.pinv_gram(padded)[0, 1, 1] == 0.0
+    for size in (2, [2, 2], np.array([2, 4])):
+        got = numkit.pinv_gram(padded, size)
+        assert got[0, 1, 1] == pytest.approx(1.0 / 6e-16**2, rel=1e-12)
+        _assert_pinv_gram_per_matrix(padded, got, np.broadcast_to(size, (2,)))
+
+
+def _skew_stack(rng, k, sym_scale):
+    """k random 2x2 antisymmetric matrices plus a symmetric part of relative size sym_scale."""
+    a = rng.normal(size=(k, 2, 2)) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
+    b = rng.normal(size=(k, 2, 2))
+    return (a - numkit.transpose(a)) + sym_scale * np.abs(a).max() * (b + numkit.transpose(b))
+
+
+@pytest.mark.parametrize("sym_scale", [0.0, 1e-16, 1e-3])
+def test_two_by_two_trace_abs_is_the_eigvalsh_trace_norm(sym_scale):
+    a = _skew_stack(np.random.default_rng(80), 200, sym_scale)
+    skew = 0.5 * (a - numkit.transpose(a))
+    want = np.abs(np.linalg.eigvalsh(1j * skew)).sum(axis=-1)
+    np.testing.assert_allclose(numkit.trace_abs(a), want, rtol=4 * numkit.EPS, atol=0)
+    assert isinstance(numkit.trace_abs(a[0]), float)
+
+
+@pytest.mark.parametrize("sym_scale", [0.0, 1e-16, 1e-3])
+def test_two_by_two_quantumness_is_the_eigvalsh_ratio(sym_scale):
+    rng = np.random.default_rng(81)
+    b = rng.normal(size=(200, 2, 2))
+    _, root = numkit.pinv_psd(b @ numkit.transpose(b) + 0.1 * np.eye(2))
+    u = _skew_stack(rng, 200, sym_scale)
+    x = root @ u @ root
+    u *= (rng.uniform(0.0, 1.0, 200) / np.abs(x[:, 0, 1] - x[:, 1, 0]))[:, None, None]  # R_Q < 1
+    want = np.abs(np.linalg.eigvalsh(numkit.hermitize(1j * (root @ u @ root)))).max(axis=-1)
+    got = _quantumness(root, u)
+    assert got.shape == (200,) and got.max() < 1.0
+    np.testing.assert_allclose(got, want, rtol=4 * numkit.EPS, atol=0)
+    assert _quantumness(root[0], u[0]) == got[0]
+
+
+def test_bound_chain_without_a_weight_is_the_identity_weight_bit_for_bit():
+    ch = NoisyChannel.uniform(2, 1.0, 0.5)
+    for probe in (probe_tmsdt(0.4, np.pi, 0, 0, 0, 0, 0.0), probe_tmsdt(0.4, np.pi, 0, 0, 0, 0, 0.5)):
+        pt = evaluate(displacement_model(probe, ch, np.linspace(0.0, 1.0, 11)), [0.0, 0.0])
+        args = (qfim_sld(pt), incompatibility(pt))
+        default = bound_chain(*args, rld_inverse=rld_inverse_limit(pt))
+        identity = bound_chain(*args, rld_inverse=rld_inverse_limit(pt), weight=np.eye(2))
+        for name, x, y in zip(default._fields, default, identity):
+            assert np.array_equal(x, y), name

@@ -474,7 +474,7 @@ def _stack_points(points):
 def test_stacked_information_layer_matches_each_point(monkeypatch):
     """rld_inverse_limit cuts rank per point: a stack of ranks 2, 1 and 0 equals its points.
 
-    The whole stack, whatever its ranks, is one pinv call.
+    The whole stack, whatever its ranks, is one pinv_gram call.
     """
     ch = NoisyChannel.uniform(2, 1.0, 0.5)
     points = [
@@ -485,8 +485,8 @@ def test_stacked_information_layer_matches_each_point(monkeypatch):
     ]
     stack = _stack_points(points)
     calls = []
-    pinv = numkit.pinv
-    monkeypatch.setattr(numkit, "pinv", lambda *a, **kw: calls.append(a[0].shape) or pinv(*a, **kw))
+    pinv_gram = numkit.pinv_gram
+    monkeypatch.setattr(numkit, "pinv_gram", lambda *a, **kw: calls.append(a[0].shape) or pinv_gram(*a, **kw))
     limits = rld_inverse_limit(stack)
     monkeypatch.undo()
     assert calls == [(4, 8, 2)]

@@ -448,3 +448,37 @@ def test_strongly_squeezed_tmsv_is_evaluated(r):
     cf = closed_form_bounds("tmsv", r, 0.0, 1.0, 0.3, 0.5)
     for got, want in zip((row.b_s, row.b_r, row.r_q, row.b_h_upper), cf):
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_tmst_bounds_keep_their_scale_up_to_gamma_t_700():
+    """Kernels must not lose the scale of rows at gamma t up to 700, where x = e^(gamma t) ~ 1e304.
+
+    The tmst closed form in units of x, with k = K / x = 1 + (cosh 2r - 1) / x:
+    b_s / x = tau (k^2 - sinh^2 2r / x^2) / k, r_q = 1 / (tau k), b_h_upper = (1 + r_q) b_s.
+    An unscaled 2x2 kernel that underflows there halves b_s and still reports ok.
+    """
+    cfg = _cfg(probe="tmst", n_th=0.5, n_e=0.5, t=1.0, axis="gamma", start=300.0, stop=700.0, step=4.0)
+    rows = sweep(cfg)
+    assert len(rows) == 101 and all(row.ok for row in rows)
+    gamma = np.array([row.axis for row in rows])
+    y = np.exp(-gamma * cfg.t)  # 1 / x
+    tau, c, s = 1.0 + 2.0 * cfg.n_th, math.cosh(2.0 * cfg.r), math.sinh(2.0 * cfg.r)
+    k = 1.0 + (c - 1.0) * y
+    b_s_x = tau * (k * k - s * s * y * y) / k
+    r_q = 1.0 / (tau * k)
+    got = {name: np.array([getattr(row, name) for row in rows]) for name in ("b_s", "b_h_upper", "r_q")}
+    np.testing.assert_allclose(got["b_s"] * y, b_s_x, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got["b_h_upper"] * y, (1.0 + r_q) * b_s_x, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got["r_q"], r_q, rtol=1e-12, atol=0)
+
+
+def test_mixed_sweep_makes_one_qr_and_no_svd_or_eigvalsh(monkeypatch):
+    """A 201-point tmst t sweep has no pure point: every limiting RLD inverse is certified by one QR."""
+    calls = []
+    for name in ("svd", "eigvalsh", "qr"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, fn=fn, **kw: calls.append(name) or fn(*a, **kw))
+    rows = sweep(_cfg(probe="tmst", n_th=0.5, axis="t", start=0.0, stop=1.0, step=0.005))
+    monkeypatch.undo()
+    assert len(rows) == 201 and all(row.ok for row in rows)
+    assert calls == ["qr"]
