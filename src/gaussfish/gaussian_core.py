@@ -69,7 +69,7 @@ class GaussianState:
         return self.d.shape[-1] // 2
 
     def physical(self, tol: float = 1e-8) -> bool:
-        """Uncertainty relation V + i Omega >= 0."""
+        """Uncertainty relation V + i Omega >= 0; a stack is physical iff every member is."""
         return numkit.is_psd(self.V + 1j * omega(self.modes), tol=tol)
 
     def require_physical(self, tol: float = 1e-8) -> "GaussianState":

@@ -11,8 +11,10 @@ records a single quadrature with no added noise.  Outcomes are Gaussian with
     mu = selected components of d,   Sigma = (A + V_m) / 2
 
 where A is the corresponding submatrix of V; a homodyne row contributes the
-scalar A/2.  Detector inefficiency modeled as loss before an ideal detector
-dresses V_m -> e^{gamma t} V_m + (e^{gamma t} - 1) I (homodyne scalars gain
+scalar A/2.  A symplectic pre_op S between the state and the detectors
+enters only through its recorded rows S_r = S[rows]: A = S_r V S_r^T.
+Detector inefficiency modeled as loss before an ideal detector dresses
+V_m -> e^{gamma t} V_m + (e^{gamma t} - 1) I (homodyne scalars gain
 e^{gamma t} - 1).
 """
 
@@ -23,8 +25,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gaussian_core import GaussianState, SymplecticOp, apply, beam_splitter_5050, rotation
-from .numkit import transpose
+from .gaussian_core import GaussianState, SymplecticOp, beam_splitter_5050, rotation
+from .numkit import hermitize, transpose
 from .qfi_gaussian import GaussianModel, PointMoments, evaluate
 
 _KINDS = ("general", "heterodyne", "homodyne_q", "homodyne_p")
@@ -110,12 +112,32 @@ def _assemble(measurement: GeneralDyne, modes: int, dressing=None):
     return np.asarray(rows, dtype=int), Vm
 
 
+def _recorded(measurement: GeneralDyne, modes: int, pre_op, dressing):
+    """(rows, S_r, Vm): the recorded rows, their map from the state and the measurement covariance.
+
+    S_r = pre_op.S[rows] is the part of the pre_op that reaches the
+    detectors; without a pre_op it is the selection eye(2N)[rows].
+    """
+    rows, Vm = _assemble(measurement, modes, dressing)
+    if pre_op is None:
+        return rows, np.eye(2 * modes)[rows], Vm
+    if pre_op.modes != modes:
+        raise ValueError("mode count mismatch between operation and state")
+    return rows, pre_op.S[rows], Vm
+
+
+def _outcome_cov(V, S_r, Vm):
+    """Sigma = (A + V_m) / 2 with A the symmetric part of S_r V S_r^T."""
+    return 0.5 * (hermitize(S_r @ V @ S_r.T) + Vm)
+
+
 def outcome_mean_cov(state: GaussianState, measurement: GeneralDyne, dressing=None):
-    """Mean and covariance of the outcome distribution."""
-    rows, Vm = _assemble(measurement, state.modes, dressing)
-    mu = state.d[rows]
-    Sigma = 0.5 * (state.V[np.ix_(rows, rows)] + Vm)
-    return mu, Sigma
+    """Mean and covariance of the outcome distribution.
+
+    A stacked state (d of shape (K, 2N)) gives stacks of means and covariances.
+    """
+    _, S_r, Vm = _recorded(measurement, state.modes, None, dressing)
+    return state.d @ S_r.T, _outcome_cov(state.V, S_r, Vm)
 
 
 def outcome_density(state: GaussianState, measurement: GeneralDyne, x, dressing=None) -> float:
@@ -153,25 +175,24 @@ def cfim_gaussian_outcomes(
 
     F = dmu^T Sigma^{-1} dmu + Tr[Sigma^{-1} dSigma Sigma^{-1} dSigma] / 2,
     with an optional symplectic pre_op applied between the model state and
-    the detectors (its shift drops out of the derivatives).  model is a
+    the detectors (its shift drops out of the derivatives).  Only the
+    recorded rows are formed: with S_r = pre_op.S[rows], Sigma =
+    (S_r V S_r^T + V_m) / 2, dmu = dd S_r^T and dSigma = S_r dV S_r^T / 2;
+    the trace term is added only when some dV is nonzero.  model is a
     GaussianModel evaluated at theta, or a PointMoments from
     :func:`gaussfish.qfi_gaussian.evaluate`; a stacked PointMoments gives a
     (K, p, p) stack of matrices.
     """
     pt = evaluate(model, theta)
-    st, dds, dVs = pt.st, pt.dds, pt.dVs
-    if pre_op is not None:
-        S = pre_op.S
-        st = apply(pre_op, st)
-        dds = dds @ S.T
-        dVs = S @ dVs @ S.T
-    rows, Vm = _assemble(measurement, st.modes, dressing)
-    Sinv = np.linalg.inv(0.5 * (st.V[..., rows, :][..., rows] + Vm))
-    dmus = dds[..., rows]
-    X = Sinv[..., None, :, :] @ (0.5 * dVs[..., rows, :][..., rows])  # Sigma^-1 dSigma_mu
-    # Tr[X_j X_k] is the dot product of X_j and X_k^T, each flattened
-    flat = X.reshape(X.shape[:-2] + (-1,))
-    F = dmus @ Sinv @ transpose(dmus) + 0.5 * flat @ transpose(transpose(X).reshape(flat.shape))
+    _, S_r, Vm = _recorded(measurement, pt.st.modes, pre_op, dressing)
+    Sinv = np.linalg.inv(_outcome_cov(pt.st.V, S_r, Vm))
+    dmus = pt.dds @ S_r.T
+    F = dmus @ Sinv @ transpose(dmus)
+    if pt.dVs.any():
+        X = Sinv[..., None, :, :] @ (0.5 * (S_r @ pt.dVs @ S_r.T))  # Sigma^-1 dSigma_mu
+        # Tr[X_j X_k] is the dot product of X_j and X_k^T, each flattened
+        flat = X.reshape(X.shape[:-2] + (-1,))
+        F = F + 0.5 * flat @ transpose(transpose(X).reshape(flat.shape))
     return 0.5 * (F + transpose(F))
 
 

@@ -127,9 +127,9 @@ def trace_abs(a):
 
 
 def is_psd(a, tol=1e-9):
-    """Minimum eigenvalue of the Hermitian part >= -tol."""
+    """Minimum eigenvalue of the Hermitian part >= -tol; for a stack, of every matrix."""
     w = np.linalg.eigvalsh(hermitize(a))
-    return bool(w[0] >= -tol)
+    return bool(w[..., 0].min() >= -tol)
 
 
 def sqrtm_psd(a, neg_tol=1e-10):

@@ -23,6 +23,15 @@ and (extra, a) the weights sum to the first-moment terms 2 / nu_a,
 that every information function accepts in place of (model, theta), so one
 evaluation and one decomposition serve them all.
 
+Live rows.  Only coefficient rows that can be nonzero are formed, and the
+sums above run over them alone: the border T_n dd_mu (T_n = T[:n, :n]) on
+the pairs (a, extra) and (extra, a), and the block T_n dV_mu T_n^T only
+when some dV is nonzero (T_n is invertible, so the block vanishes
+otherwise); of those, the rows that vanish for every parameter at every
+point of a stack are dropped.  A displacement model (dV = 0) thus has 2n
+rows, not (n+1)^2, and every Gram matrix, the RLD split and the SLD/RLD
+components work on the same rows.
+
 Scalar bounds for a weight matrix W (default identity):
 
     b_s        = Tr[W F_S^{-1}]
@@ -51,7 +60,7 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -159,21 +168,36 @@ def _inverse(x, zero_to):
     return np.divide(1.0, x, out=np.full(x.shape, zero_to, dtype=x.dtype), where=x != 0)
 
 
-def _weights(nu, s) -> dict:
-    """w_S, w_R and w_U (module docstring) on every coefficient pair (a, b), flattened.
+def _weights(nu, s, ia, ib) -> dict:
+    """w_S, w_R and w_U (module docstring) on the coefficient pairs (ia, ib), the live rows.
 
     A zero denominator occurs only with pure modes: it gives weight 0 to F_S
     and U (the pseudo-inverse, exact for a physical model) and weight inf to
     F_R, whose information diverges along it.
     """
-    nu_a, nu_b, s_a, s_b = nu[..., :, None], nu[..., None, :], s[:, None], s[None, :]
+    nu_a, nu_b, s_a, s_b = nu[..., ia], nu[..., ib], s[ia], s[ib]
     g = _inverse(nu_a * nu_b + s_a * s_b, 0.0)
-    w = {
+    return {
         "sld": 0.5 * g,
         "rld": 0.5 * _inverse((nu_a + s_a) * (nu_b + s_b), np.inf),
         "u": -0.5j * (s_a * nu_b + nu_a * s_b) * g * g,
     }
-    return {kind: wk.reshape(nu.shape[:-1] + (-1,)) for kind, wk in w.items()}
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int, has_block: bool):
+    """(ia, ib, src): the pairs of the (n+1) x (n+1) layout that can be nonzero, in row-major order.
+
+    src is the entry each pair reads from the coefficients of
+    :attr:`PointMoments.rows`: the border (index a of (a, extra) and
+    (extra, a)), then, with has_block, the flattened block (n + a n + b).
+    """
+    src = np.full((n + 1, n + 1), -1)
+    src[:n, n] = src[n, :n] = np.arange(n)
+    if has_block:
+        src[:n, :n] = n + np.arange(n * n).reshape(n, n)
+    ia, ib = np.nonzero(src >= 0)
+    return ia, ib, src[ia, ib]
 
 
 class PointMoments:
@@ -210,52 +234,62 @@ class PointMoments:
 
     @cached_property
     def rows(self):
-        """Coefficient rows K, column mu = vec(T D_mu T^T), and their weights of each kind.
+        """(K, (ia, ib), w): the live coefficient rows, their pairs and their weights of each kind.
 
-        D_mu = [[dV_mu, dd_mu], [dd_mu^T, 0]].
+        Row (a, b) of K, column mu, is (T D_mu T^T)_ab with
+        D_mu = [[dV_mu, dd_mu], [dd_mu^T, 0]]: the border T_n dd_mu
+        (T_n = T[:n, :n]) on the pairs (a, extra) and (extra, a), and the
+        block T_n dV_mu T_n^T on the pairs (a, b) of normal coordinates.  The
+        block is formed only when some dV of the stack is nonzero (T_n is
+        invertible, so it vanishes otherwise), and only the rows that are
+        nonzero at some point of the stack are kept, in the row-major order
+        of the (n+1) x (n+1) layout; a displacement model keeps its 2n border
+        rows.  ia, ib are the pair indices of the rows kept.
         """
         T, nu, s = self.normal_modes
-        lead, n = nu.shape[:-1], nu.shape[-1] - 1
-        D = np.zeros(lead + (self.n_params, n + 1, n + 1))
-        D[..., :n, :n] = self.dVs
-        D[..., :n, n] = D[..., n, :n] = self.dds
-        T = T[..., None, :, :]
-        K = (T @ D @ numkit.transpose(T)).reshape(lead + (self.n_params, -1))
-        return numkit.transpose(K), _weights(nu, s)
+        n = nu.shape[-1] - 1
+        Tn = T[..., None, :n, :n]
+        coef = (Tn @ self.dds[..., None])[..., 0]  # (..., p, n): the border T_n dd_mu
+        has_block = bool(self.dVs.any())
+        if has_block:
+            block = Tn @ self.dVs @ numkit.transpose(Tn)
+            coef = np.concatenate([coef, block.reshape(coef.shape[:-1] + (n * n,))], axis=-1)
+        ia, ib, src = _layout(n, has_block)
+        live = (coef != 0).any(axis=-2).reshape(-1, coef.shape[-1]).any(axis=0)[src]
+        ia, ib, src = ia[live], ib[live], src[live]
+        K = numkit.transpose(np.take(coef, src, axis=-1))
+        return K, (ia, ib), _weights(nu, s, ia, ib)
 
     def gram(self, kind: str) -> np.ndarray:
-        K, w = self.rows
+        K, _, w = self.rows
         return numkit.adjoint(K) @ (w[kind][..., :, None] * K)
 
     @cached_property
     def rld_split(self):
-        """(C, A, n_c): weighted in-range rows with F_R = C^H C, and the out-of-range rows.
+        """(C, A, n_c): weighted in-range live rows with F_R = C^H C, and the out-of-range rows.
 
-        Rows that vanish for every parameter at every point of the stack (all
-        second-moment rows when every dV is zero) are left out of both.  The
-        rows kept are the same at every point, so C holds a point's
-        out-of-range rows as zero rows and A its in-range rows; n_c is each
-        point's count of nonzero in-range rows, the row count of its C on its
-        own.
+        The live rows (see :attr:`rows`) are the same at every point of the
+        stack, so C holds a point's out-of-range rows as zero rows and A its
+        in-range rows; n_c is each point's count of nonzero in-range rows, the
+        row count of its C on its own.
         """
-        K, w = self.rows
-        nonzero = (K != 0).any(axis=-1)
-        live = nonzero.reshape(-1, nonzero.shape[-1]).any(axis=0)
-        K, w = K[..., live, :], w["rld"][..., live]
-        out = np.isinf(w)
-        C = np.sqrt(np.where(out, 0.0, w))[..., None] * K
+        K, _, w = self.rows
+        out = np.isinf(w["rld"])
+        C = np.sqrt(np.where(out, 0.0, w["rld"]))[..., None] * K
         A = np.where(out[..., None], K, 0.0)
         return C, A, (C != 0).any(axis=-1).sum(axis=-1)
 
     def components(self, kind: str, mu: int):
         """(l0, l1, l2) of L = l0 + l1^T R + R^T l2 R, the SLD or RLD of parameter mu.
 
-        For one point (no stack axis).
+        For one point (no stack axis).  The weighted live rows are scattered
+        back into the (n+1) x (n+1) layout, zero on the other pairs.
         """
         T, nu, _ = self.normal_modes
-        K, w = self.rows
-        x = 2.0 * np.where(np.isinf(w[kind]), 0.0, w[kind]) * K[:, mu]
-        X = np.conj(T.T) @ x.reshape(nu.size, nu.size) @ np.conj(T)
+        K, (ia, ib), w = self.rows
+        x = np.zeros((nu.size, nu.size), dtype=complex)
+        x[ia, ib] = 2.0 * np.where(np.isinf(w[kind]), 0.0, w[kind]) * K[:, mu]
+        X = np.conj(T.T) @ x @ np.conj(T)
         l2, d = X[:-1, :-1], self.st.d
         l1 = X[:-1, -1] - 2.0 * l2 @ d
         return -0.5 * np.trace(self.st.V @ l2) - d @ l1 - d @ l2 @ d, l1, l2

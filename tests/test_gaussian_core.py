@@ -78,6 +78,15 @@ def test_physicality_flags_heisenberg_violation():
     assert vacuum(1).require_physical() is vacuum(1) or True  # no raise
 
 
+def test_physicality_of_a_stack_needs_every_member():
+    V = np.array([np.eye(2), 3.0 * np.eye(2), np.diag([0.5, 1.5])])  # det 0.75 < 1: the last is unphysical
+    st = GaussianState(np.zeros((3, 2)), V)
+    assert not st.physical()
+    with pytest.raises(ValueError):
+        st.require_physical()
+    assert GaussianState(np.zeros((2, 2)), V[:2]).physical()
+
+
 def test_symplectic_defect_rejected():
     with pytest.raises(ValueError):
         SymplecticOp(2.0 * np.eye(2))

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from gaussfish import gaussian_core, measurements, qfi_gaussian, scenarios
 from gaussfish.channels import NoisyChannel
 from gaussfish.gaussian_core import (
+    GaussianState,
+    SymplecticOp,
+    apply,
+    beam_splitter_5050,
     coherent,
     omega,
     probe_tmsdt,
@@ -22,7 +27,7 @@ from gaussfish.measurements import (
     outcome_mean_cov,
     sample_outcomes,
 )
-from gaussfish.qfi_gaussian import displacement_model, qfim_sld
+from gaussfish.qfi_gaussian import PointMoments, displacement_model, qfim_sld
 
 
 def test_measurement_cov_examples():
@@ -187,3 +192,89 @@ def test_cfim_never_beats_qfim_across_phases():
 def test_measurement_mode_count_must_match():
     with pytest.raises(ValueError):
         outcome_mean_cov(vacuum(2), GeneralDyne((MeasureMode("heterodyne"),)))
+
+
+def _two_mode_stack(seed, k):
+    """k random physical two-mode states, thermal ones squeezed by a two-mode squeezer."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(k):
+        S = gaussian_core.two_mode_squeezer(rng.uniform(0.1, 0.8), rng.uniform(0, 2 * math.pi)).S
+        V = S @ np.diag(np.repeat(rng.uniform(1.0, 2.5, 2), 2)) @ S.T
+        states.append(GaussianState(rng.normal(size=4), V))
+    return states
+
+
+def _shifted_beam_splitter():
+    return SymplecticOp(beam_splitter_5050().S, np.array([0.3, -0.1, 0.2, 0.5]))
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_outcome_moments_on_a_stack_match_each_state(k):
+    states = _two_mode_stack(k, k)
+    st = GaussianState(np.array([s.d for s in states]), np.array([s.V for s in states]))
+    gd = GeneralDyne((MeasureMode("general", s=0.3, phi=0.4), MeasureMode("homodyne_p")))
+    pre = _shifted_beam_splitter()
+    mu, Sigma = outcome_mean_cov(st, gd, dressing=(1.0, 0.2))
+    mu_op, Sigma_op = outcome_mean_cov(apply(pre, st), gd)
+    assert mu.shape == (k, 3) and Sigma.shape == (k, 3, 3)
+    for i, one in enumerate(states):
+        want_mu, want_sigma = outcome_mean_cov(one, gd, dressing=(1.0, 0.2))
+        assert np.array_equal(mu[i], want_mu) and np.array_equal(Sigma[i], want_sigma)
+        want_mu, want_sigma = outcome_mean_cov(apply(pre, one), gd)
+        np.testing.assert_allclose(mu_op[i], want_mu, rtol=0, atol=1e-14 * np.abs(want_mu).max())
+        np.testing.assert_allclose(Sigma_op[i], want_sigma, rtol=0, atol=1e-14 * np.abs(want_sigma).max())
+
+
+def test_recorded_row_readout_matches_the_pre_op_folded_into_the_model():
+    """Only the recorded rows of pre_op.S are formed; the result is the readout of the mapped model."""
+    rng = np.random.default_rng(21)
+    gd = GeneralDyne((MeasureMode("general", s=0.3, phi=0.4), MeasureMode("homodyne_p")))
+    pre = _shifted_beam_splitter()
+    S = pre.S
+    for st in _two_mode_stack(4, 3):
+        dds = [rng.normal(size=4) for _ in range(3)]
+        dVs = [a + a.T for a in rng.normal(size=(3, 4, 4))]
+        got = cfim_gaussian_outcomes(PointMoments(st, dds, dVs, 3), gd, pre_op=pre, dressing=(1.0, 0.1))
+        folded = PointMoments(apply(pre, st), [S @ dd for dd in dds], [S @ dV @ S.T for dV in dVs], 3)
+        want = cfim_gaussian_outcomes(folded, gd, dressing=(1.0, 0.1))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the Gaussian formula term by term on the folded moments, whose recorded rows are Q1, P1, P2
+        rows = [0, 1, 3]
+        _, Sigma = outcome_mean_cov(folded.st, gd, dressing=(1.0, 0.1))
+        Si = np.linalg.inv(Sigma)
+        dmu = [dd[rows] for dd in folded.dds]
+        dsig = [0.5 * dV[np.ix_(rows, rows)] for dV in folded.dVs]
+        ref = np.array(
+            [[dmu[j] @ Si @ dmu[k] + 0.5 * np.trace(Si @ dsig[j] @ Si @ dsig[k]) for k in range(3)] for j in range(3)]
+        )
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_readout_pre_op_must_match_the_state_modes():
+    model = displacement_model(vacuum(1))
+    gd = GeneralDyne((MeasureMode("heterodyne"),))
+    with pytest.raises(ValueError, match="mode count mismatch"):
+        cfim_gaussian_outcomes(model, gd, [0, 0], pre_op=beam_splitter_5050())
+
+
+def test_sweep_readout_makes_no_apply_call(monkeypatch):
+    """The readout of a 201-point sweep reads the recorded rows of the stacked moments directly."""
+    calls = []
+    for mod in (gaussian_core, qfi_gaussian, measurements):
+        if hasattr(mod, "apply"):
+            monkeypatch.setattr(mod, "apply", lambda *a, fn=mod.apply: calls.append("apply") or fn(*a))
+    readout = scenarios.cfim_gaussian_outcomes
+
+    def traced(*a, **kw):
+        calls.append("readout")
+        out = readout(*a, **kw)
+        calls.append("done")
+        return out
+
+    monkeypatch.setattr(scenarios, "cfim_gaussian_outcomes", traced)
+    cfg = scenarios.ScenarioConfig(probe="tmst", n_th=0.5, axis="t", start=0.0, stop=1.0, step=0.005)
+    rows = scenarios.sweep(cfg)
+    monkeypatch.undo()
+    assert len(rows) == 201 and all(row.ok for row in rows)
+    assert calls[calls.index("readout") + 1] == "done"

@@ -106,6 +106,14 @@ def test_is_psd():
     assert numkit.is_psd(np.diag([1.0, -1e-12]))  # inside tolerance
 
 
+def test_is_psd_on_a_stack_needs_every_member():
+    stack = np.array([np.eye(2), np.diag([1.0, 2.0]), np.diag([3.0, 0.5])])
+    assert numkit.is_psd(stack)
+    stack[1, 1, 1] = -1e-6
+    assert numkit.is_psd(stack) is False
+    assert numkit.is_psd(stack[[0, 2]]) is True
+
+
 def test_sqrtm_psd():
     rng = np.random.default_rng(9)
     b = rng.normal(size=(4, 4))

@@ -526,3 +526,128 @@ def test_stacked_rld_inverse_keeps_each_points_own_pinv_cutoff():
     assert np.max(np.abs(alone)) > 1e25 and np.max(np.abs(stacked[1])) > 1e25
     np.testing.assert_allclose(stacked[1], alone, rtol=0.5)
     np.testing.assert_allclose(stacked[0], rld_inverse_limit(a), rtol=1e-12)
+
+
+def _every_pair_reference(pt):
+    """F_S, F_R, U and the limiting RLD inverse of a one-point PointMoments over all (n+1)^2 pairs.
+
+    The coefficients k_mu = vec(T D_mu T^T) of the full augmented matrix
+    D_mu = [[dV_mu, dd_mu], [dd_mu^T, 0]], zero rows included, with the weights
+    of the module docstring on every pair; the limiting inverse is
+    Q pinv(C Q) (Q pinv(C Q))^H with Q the right-singular vectors of the
+    out-of-range rows A past their rank.
+    """
+    T, nu, s = pt.normal_modes
+    n, p = nu.size - 1, pt.n_params
+    D = np.zeros((p, n + 1, n + 1))
+    D[:, :n, :n] = pt.dVs
+    D[:, :n, n] = D[:, n, :n] = pt.dds
+    K = (T @ D @ T.T).reshape(p, -1).T
+    nu_a, nu_b, s_a, s_b = nu[:, None], nu[None, :], s[:, None], s[None, :]
+    with np.errstate(divide="ignore"):
+        g = np.where(nu_a * nu_b + s_a * s_b == 0, 0.0, 1.0 / (nu_a * nu_b + s_a * s_b))
+        w_r = 0.5 / ((nu_a + s_a) * (nu_b + s_b))
+    w = {"sld": 0.5 * g, "rld": w_r, "u": -0.5j * (s_a * nu_b + nu_a * s_b) * g * g}
+    w = {kind: wk.reshape(-1) for kind, wk in w.items()}
+
+    def gram(weight):
+        return K.conj().T @ (weight[:, None] * K)
+
+    out = np.isinf(w["rld"])
+    C = np.sqrt(np.where(out, 0.0, w["rld"]))[:, None] * K
+    A = K[out]
+    f_r = C.conj().T @ C
+    Q = np.eye(p)
+    if A.size:
+        _, sv, vh = np.linalg.svd(A)
+        rank = int((sv > 1e-10 * np.abs(K).max()).sum())
+        Q = vh.conj().T[:, rank:]
+    P = Q @ np.linalg.pinv(C @ Q)
+    u = gram(w["u"]).real
+    return {
+        "f_sld": gram(w["sld"]).real,
+        "f_rld": f_r,
+        "u": 0.5 * (u - u.T),
+        "rld_inverse_limit": P @ P.conj().T,
+        "layout": (T, K, w),
+    }
+
+
+def _reference_components(pt, kind, mu):
+    """(l0, l1, l2) from the weighted coefficients laid out over all (n+1)^2 pairs."""
+    T, K, w = _every_pair_reference(pt)["layout"]
+    x = 2.0 * np.where(np.isinf(w[kind]), 0.0, w[kind]) * K[:, mu]
+    X = np.conj(T.T) @ x.reshape(T.shape) @ np.conj(T)
+    l2, d = X[:-1, :-1], pt.st.d
+    l1 = X[:-1, -1] - 2.0 * l2 @ d
+    return -0.5 * np.trace(pt.st.V @ l2) - d @ l1 - d @ l2 @ d, l1, l2
+
+
+def _random_stack(seed, dv_at):
+    """Random two-mode points, three parameters each, with dV kept only where dv_at is True."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for keep in dv_at:
+        pt = _random_point(rng, 2)
+        dVs = list(pt.dVs) if keep else [np.zeros_like(dV) for dV in pt.dVs]
+        points.append(PointMoments(pt.st, list(pt.dds), dVs, pt.n_params))
+    return points
+
+
+def _displacement_points():
+    """Displacement-model points with pure (t = 0) and mixed states, dV = 0."""
+    ch = NoisyChannel.uniform(2, 1.0, 0.5)
+    return [
+        evaluate(displacement_model(probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.0), ch, 0.0), [0, 0]),
+        evaluate(displacement_model(probe_tmsdt(0.0, math.pi, 0.3, -0.2, 0.1, 0.4, 0.0), ch, 0.0), [0, 0]),
+        evaluate(displacement_model(probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.5), ch, 0.3), [0, 0]),
+    ]
+
+
+def test_displacement_stack_keeps_exactly_its_border_rows():
+    """dV = 0 forms no second-moment block: the rows are (a, extra) and (extra, a), a < 2N."""
+    probe = probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.5)
+    pt = evaluate(displacement_model(probe, NoisyChannel.uniform(2, 1.0, 0.5), np.linspace(0.0, 1.0, 5)), [0, 0])
+    K, (ia, ib), w = pt.rows
+    n = 4
+    assert K.shape == (5, 2 * n, 2)
+    assert ia.tolist() == list(range(n)) + [n] * n and ib.tolist() == [n] * n + list(range(n))
+    assert all(wk.shape == (5, 2 * n) for wk in w.values())
+    assert np.array_equal(K[:, :n], K[:, n:])  # the border is one vector T_n dd_mu, read twice
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        pytest.param(lambda: _random_stack(7, [True] * 4), id="dv_everywhere"),
+        pytest.param(lambda: _random_stack(8, [False] * 4), id="dv_zero"),
+        pytest.param(lambda: _random_stack(9, [False, True, False, True]), id="dv_at_some_points"),
+        pytest.param(_displacement_points, id="displacement_with_pure_points"),
+    ],
+)
+def test_live_rows_match_every_pair_reference(points):
+    """The live-row layer equals the full vec(T D T^T) layout, point by point and stacked."""
+    points = points()
+    stack = _stack_points(points)
+    stacked = {
+        "f_sld": qfim_sld(stack),
+        "f_rld": qfim_rld(stack),
+        "u": incompatibility(stack),
+        "rld_inverse_limit": rld_inverse_limit(stack),
+    }
+    for k, pt in enumerate(points):
+        ref = _every_pair_reference(pt)
+        alone = {
+            "f_sld": qfim_sld(pt),
+            "f_rld": qfim_rld(pt),
+            "u": incompatibility(pt),
+            "rld_inverse_limit": rld_inverse_limit(pt),
+        }
+        for name, got in alone.items():
+            scale = np.max(np.abs(ref[name]))
+            assert np.max(np.abs(got - ref[name]), initial=0.0) <= 1e-13 * scale, name
+            assert np.max(np.abs(stacked[name][k] - ref[name]), initial=0.0) <= 1e-13 * scale, name
+        for kind in ("sld", "rld"):
+            for mu in range(pt.n_params):
+                for got, want in zip(pt.components(kind, mu), _reference_components(pt, kind, mu)):
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (kind, mu)
