@@ -11,6 +11,9 @@ import numpy as np
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
+# Eigenvalues below -NEG_TOL reject a matrix as not positive semidefinite;
+# smaller negative round-off is clipped to zero.
+NEG_TOL = 1e-10
 
 
 def transpose(a):
@@ -81,21 +84,21 @@ def pinv_gram(a, size=None):
     return gram
 
 
-def pinv_psd(a, neg_tol=1e-10):
+def pinv_psd(a):
     """Pseudo-inverse of a symmetric (Hermitian) PSD matrix and the PSD root of that inverse.
 
     One eigendecomposition of the Hermitian part gives both, equal to
     pinv(a) and sqrtm_psd(pinv(a)).  The cutoff is pinv's: for a Hermitian
     matrix the singular values are |w|, so eigenvalues with
     |w| <= eps * n * max|w| count as zero.  A kept inverse eigenvalue below
-    -neg_tol is rejected as sqrtm_psd rejects it.  A stack (..., n, n) is
+    -NEG_TOL is rejected as sqrtm_psd rejects it.  A stack (..., n, n) is
     treated matrix by matrix, each with its own cutoff.
     """
     a = np.asarray(a)
     w, u = np.linalg.eigh(hermitize(a))
     tol = EPS * a.shape[-1] * np.abs(w).max(axis=-1, initial=0.0)
     inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > tol[..., None])
-    if inv_w.size and inv_w.min() < -neg_tol:
+    if inv_w.size and inv_w.min() < -NEG_TOL:
         raise ValueError("matrix is not positive semidefinite (min eig %.3e)" % inv_w.min())
     uh = adjoint(u)
     inverse = (u * inv_w[..., None, :]) @ uh
@@ -132,15 +135,15 @@ def is_psd(a, tol=1e-9):
     return bool(w[..., 0].min() >= -tol)
 
 
-def sqrtm_psd(a, neg_tol=1e-10):
+def sqrtm_psd(a):
     """Symmetric square root of a PSD matrix via eigendecomposition.
 
-    Eigenvalues below -neg_tol are rejected; small negative round-off is
+    Eigenvalues below -NEG_TOL are rejected; small negative round-off is
     clipped to zero.  A stack (..., n, n) is rooted matrix by matrix.
     """
     a = np.asarray(a)
     w, u = np.linalg.eigh(hermitize(a))
-    if w.size and w[..., 0].min() < -neg_tol:
+    if w.size and w[..., 0].min() < -NEG_TOL:
         raise ValueError("matrix is not positive semidefinite (min eig %.3e)" % w[..., 0].min())
     root = (u * np.sqrt(w.clip(0.0, None))[..., None, :]) @ adjoint(u)
     return root.real if np.isrealobj(a) else root

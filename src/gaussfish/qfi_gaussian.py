@@ -3,9 +3,10 @@
 A model is a map theta -> GaussianState.  Every information quantity is
 evaluated at the moment level in the Williamson basis V = S diag(nu) S^T
 (S symplectic; Safranek, J. Phys. A 52, 035304 (2019); Monras,
-arXiv:1303.3682).  The rows of T = Z S^-1, Z taking each pair (q, p) to
+arXiv:1303.3682).  The rows of T = J S^-1, J taking each pair (q, p) to
 (q + i p, q - i p)/sqrt2, are normal coordinates a with eigenvalue nu_a and
-sign s_a = +-1, in which V + i Omega is diagonal with lam_a = nu_a + s_a.
+sign s_a = +-1, in which V + i Omega is diagonal with lam_a = nu_a + s_a
+(:func:`williamson` gives them up to a unit phase per row).
 Both moments of parameter mu enter as one augmented matrix
 D_mu = [[dV_mu, dd_mu], [dd_mu^T, 0]], whose extra coordinate (kept as is by
 T) counts as nu = 1/2, s = 0.  Its coefficients k_mu = vec(T D_mu T^T) over
@@ -56,10 +57,9 @@ cutoff are taken point by point.
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -84,14 +84,13 @@ class GaussianModel:
 
     state_fn maps a parameter vector (length n_params) to a GaussianState.
     Analytic derivative hooks may be supplied; otherwise symmetric finite
-    differences with the given step are used.
+    differences are used (see :meth:`fd_derivatives`).
     """
 
     state_fn: Callable[[np.ndarray], GaussianState]
     n_params: int
     d_derivs: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]] = None
     v_derivs: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]] = None
-    step: float = DEFAULT_FD_STEP
 
     def state(self, theta) -> GaussianState:
         theta = np.asarray(theta, dtype=float).reshape(-1)
@@ -108,10 +107,10 @@ class GaussianModel:
             return dds, dVs
         return self.fd_derivatives(theta)
 
-    def fd_derivatives(self, theta, step: Optional[float] = None):
+    def fd_derivatives(self, theta, step: float = DEFAULT_FD_STEP):
         """Symmetric finite differences of the moments (always numerical)."""
         theta = np.asarray(theta, dtype=float).reshape(-1)
-        h = self.step if step is None else float(step)
+        h = float(step)
         dds, dVs = [], []
         for mu in range(self.n_params):
             tp = theta.copy()
@@ -135,14 +134,16 @@ PURE_TOL = 1e-12
 
 
 def williamson(V):
-    """(nu, S^-1) with V = S diag(nu) S^T, nu repeated per quadrature.
+    """(nu, Z): the symplectic eigenvalues, one per mode, and the normal coordinates of V.
 
     The eigenvectors u_k of the Hermitian i V^-1/2 Omega V^-1/2 for its
-    eigenvalues 1/nu_k give the orthogonal O with columns sqrt2 (Im u_k,
-    Re u_k), and S^-1 = diag(nu)^1/2 O^T V^-1/2.  A mode with
-    nu - 1 <= PURE_TOL cond(V) is pure and gets nu = 1 exactly; an unphysical
-    V (not positive definite, or nu below 1 by more) raises ValueError.
-    A stack V (K, 2N, 2N) is decomposed matrix by matrix.
+    eigenvalues 1/nu_k give the rows z_k = sqrt(nu_k) u_k^H V^-1/2 of the
+    complex Z (N x 2N).  These are the s = +1 rows of the normal coordinates
+    T of the module docstring, and conj(Z) its s = -1 rows, so
+    T (V + i Omega) T^H = diag(nu + s).  A mode with
+    nu - 1 <= PURE_TOL cond(V) is pure and gets nu = 1 exactly; an
+    unphysical V (not positive definite, or nu below 1 by more) raises
+    ValueError.  A stack V (K, 2N, 2N) is decomposed matrix by matrix.
     """
     w, u = np.linalg.eigh(V)
     if not (w[..., 0] > 0.0).all():
@@ -156,11 +157,8 @@ def williamson(V):
     tol = (PURE_TOL * w[..., -1] / w[..., 0])[..., None]
     if not (nu >= 1.0 - tol).all():
         raise ValueError("unphysical state: symplectic eigenvalue %.15g < 1" % nu.min())
-    nu = np.repeat(np.where(nu - 1.0 <= tol, 1.0, nu), 2, axis=-1)
-    O = np.empty(V.shape)
-    O[..., 0::2] = math.sqrt(2.0) * vecs[..., n:].imag
-    O[..., 1::2] = math.sqrt(2.0) * vecs[..., n:].real
-    return nu, np.sqrt(nu)[..., :, None] * (numkit.transpose(O) @ v_isqrt)
+    nu = np.where(nu - 1.0 <= tol, 1.0, nu)
+    return nu, np.sqrt(nu)[..., :, None] * (numkit.adjoint(vecs[..., n:]) @ v_isqrt)
 
 
 def _inverse(x, zero_to):
@@ -219,15 +217,20 @@ class PointMoments:
 
     @cached_property
     def normal_modes(self):
-        """(T, nu, s) on the augmented coordinates from one Williamson decomposition of V."""
-        nu, s_inv = williamson(self.st.V)
-        lead, n = nu.shape[:-1], nu.shape[-1]
+        """(T, nu, s) on the augmented coordinates from one Williamson decomposition of V.
+
+        The rows of T alternate z_k and conj(z_k) (s = +1, -1) from
+        :func:`williamson`, each with the eigenvalue nu_k of its mode; the
+        extra coordinate is kept as is, with nu = 1/2 and s = 0.
+        """
+        nu, Z = williamson(self.st.V)
+        lead, n = nu.shape[:-1], 2 * nu.shape[-1]
         T = np.zeros(lead + (n + 1, n + 1), dtype=complex)
-        T[..., 0:n:2, :n] = (s_inv[..., 0::2, :] + 1j * s_inv[..., 1::2, :]) / math.sqrt(2.0)
-        T[..., 1:n:2, :n] = np.conj(T[..., 0:n:2, :n])
+        T[..., 0:n:2, :n] = Z
+        T[..., 1:n:2, :n] = np.conj(Z)
         T[..., n, n] = 1.0
         nu_aug = np.full(lead + (n + 1,), 0.5)
-        nu_aug[..., :n] = nu
+        nu_aug[..., :n] = np.repeat(nu, 2, axis=-1)
         signs = np.zeros(n + 1)
         signs[0:n:2], signs[1:n:2] = 1.0, -1.0
         return T, nu_aug, signs
@@ -371,8 +374,6 @@ def quantumness(f_sld, u) -> float:
 
 def _quantumness(root_finv, u):
     """R_Q from the PSD root of F^{-1}; see :func:`quantumness`."""
-    if not u.any():
-        return numkit.float_or_stack(np.zeros(u.shape[:-2]))
     x = root_finv @ u @ root_finv
     if x.shape[-2:] == (2, 2):  # the entry of the antisymmetric part, as hermitize keeps it
         rq = 0.5 * np.abs(x[..., 0, 1] - x[..., 1, 0])
@@ -472,7 +473,6 @@ class QfimReport:
     b_h_mid: float
     b_h_upper: float
     r_q: float
-    weight: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def to_dict(self):
         return {
@@ -498,17 +498,7 @@ def qfim_report(model: GaussianModel | PointMoments, theta=None, weight=None) ->
     f_r = qfim_rld(pt)
     u = incompatibility(pt)
     chain = bound_chain(f_s, u, rld_inverse=rld_inverse_limit(pt), weight=weight)
-    return QfimReport(
-        f_sld=f_s,
-        f_rld=f_r,
-        u=u,
-        b_s=chain.b_s,
-        b_r=chain.b_r,
-        b_h_mid=chain.b_h_mid,
-        b_h_upper=chain.b_h_upper,
-        r_q=chain.r_q,
-        weight=weight,
-    )
+    return QfimReport(f_s, f_r, u, *chain)
 
 
 # ----------------------------------------------------------------------------

@@ -142,6 +142,14 @@ def test_incompatibility_vacuum_pair():
     assert np.allclose(U1, 0, atol=1e-12)
 
 
+def test_single_parameter_report_has_exactly_no_incompatibility_penalty():
+    # U = 0 exactly, so R_Q is 0.0 and the Holevo-type bounds equal b_s, bit for bit
+    for probe in (squeezed_vacuum(0.5), coherent(0.7, 0.2), thermal(0.4)):
+        rep = qfim_report(phase_model(probe), [0.3])
+        assert rep.r_q == 0.0
+        assert rep.b_h_mid == rep.b_h_upper == rep.b_s
+
+
 def test_quantumness_values():
     assert quantumness(2 * np.eye(2), np.zeros((2, 2))) == 0.0
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -426,12 +434,16 @@ def _random_point(rng, modes, n_params=3):
 @pytest.mark.parametrize("modes", [1, 2, 3, 4])
 def test_williamson_basis_matches_kron_oracle(modes):
     rng = np.random.default_rng(100 + modes)
-    for _ in range(5):
-        pt = _random_point(rng, modes)
-        nu, s_inv = williamson(pt.st.V)
-        Om = omega(modes)
-        assert np.allclose(s_inv @ pt.st.V @ s_inv.T, np.diag(nu), atol=1e-12)
-        assert np.allclose(s_inv @ Om @ s_inv.T, Om, atol=1e-12)
+    points = [_random_point(rng, modes) for _ in range(5)]
+    V = np.array([pt.st.V for pt in points])
+    M, s = V + 1j * omega(modes), np.tile([1.0, -1.0], modes)
+    # T (V + i Omega) T^H = diag(nu + s), for the (K, 2N, 2N) stack and for each point alone
+    for m, (nu, Z) in [(M, williamson(V))] + [(m, williamson(v)) for m, v in zip(M, V)]:
+        T = np.empty(m.shape, dtype=complex)
+        T[..., 0::2, :], T[..., 1::2, :] = Z, np.conj(Z)
+        lam = np.repeat(nu, 2, axis=-1) + s
+        assert np.max(np.abs(T @ m @ numkit.adjoint(T) - lam[..., None] * np.eye(2 * modes))) <= 1e-12
+    for pt in points:
         got = (qfim_sld(pt), qfim_rld(pt), incompatibility(pt), rld_inverse_limit(pt))
         for new, ref in zip(got, _kron_oracle(pt)):
             assert np.max(np.abs(new - ref)) <= 1e-10 * np.max(np.abs(ref))
