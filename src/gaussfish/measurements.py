@@ -20,6 +20,7 @@ e^{gamma t} - 1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -196,12 +197,14 @@ def cfim_gaussian_outcomes(
     return 0.5 * (F + transpose(F))
 
 
+@functools.lru_cache(maxsize=None)
 def epr_readout() -> Tuple[SymplecticOp, GeneralDyne]:
     """Balanced beam splitter followed by Q homodyne on one output, P on the other.
 
     On a two-mode squeezed input with the right phase, both recorded
     quadratures are squeezed combinations, which is what makes this readout
-    competitive for joint displacement sensing.
+    competitive for joint displacement sensing.  Built once; every call returns the
+    same pair.
     """
     gd = GeneralDyne((MeasureMode("homodyne_q"), MeasureMode("homodyne_p")))
     return beam_splitter_5050(), gd

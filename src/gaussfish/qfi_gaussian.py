@@ -69,7 +69,6 @@ from . import numkit
 from .gaussian_core import (
     GaussianState,
     apply,
-    displacement_op,
     omega,
     rotation,
 )
@@ -524,7 +523,9 @@ def displacement_model(
         raise ValueError("channel/probe mode mismatch")
 
     def state_fn(theta):
-        st = apply(displacement_op(theta[0], theta[1], mode=0, modes=modes), probe)
+        shift = np.zeros(2 * modes)
+        shift[:2] = theta[0], theta[1]
+        st = GaussianState(probe.d + shift, probe.V)
         if channel is not None:
             st = evolve(channel, st, t)
         return st

@@ -14,9 +14,9 @@ the double-homodyne bound hdb = Tr[W F_C^{-1}], and the coherent-probe
 benchmark sql (the b_h_upper of the displaced-vacuum probe under the same
 channel), all for the weight W (identity by default).
 
-Closed-form expressions for the four probe families are provided for
-cross-checking the full pipeline; the thermal-probe forms hold only on the
-matched-temperature slice n_th = n_e and raise otherwise.
+:func:`closed_form_bounds` gives every column of every probe family in closed
+form, elementwise over arrays, for cross-checking the full pipeline; the sql
+column is its displaced-vacuum b_h_upper.
 """
 
 from __future__ import annotations
@@ -36,13 +36,15 @@ from .qfi_gaussian import PointMoments, displacement_model, evaluate, qfim_repor
 from .measurements import cfim_gaussian_outcomes, epr_readout
 
 PROBES = ("tmsv", "tmst", "tmdv", "tmdt")
+_SQUEEZED = ("tmsv", "tmst")  # the probes that read r; the others read alpha
+_THERMAL = ("tmst", "tmdt")  # the probes that read n_th
 AXES = ("r", "t", "n_e", "n_th", "gamma")
 
 SweepRow = namedtuple(
     "SweepRow",
     ["axis", "b_s", "b_r", "b_h_mid", "b_h_upper", "hdb", "r_q", "sql", "ok", "message"],
 )
-ClosedForm = namedtuple("ClosedForm", ["b_s", "b_r", "r_q", "b_h_upper"])
+ClosedForm = namedtuple("ClosedForm", ["b_s", "b_r", "r_q", "b_h_upper", "b_h_mid", "hdb"])
 
 CSV_HEADER = "axis,b_s,b_r,b_h_mid,b_h_upper,hdb,r_q,sql"
 _CSV_ROW = ",".join(["%.17g"] * 8)  # the eight numeric fields of a SweepRow, in CSV_HEADER order
@@ -53,6 +55,8 @@ _NUMERIC_FIELDS = dict.fromkeys(
 )
 _NUMERIC_FIELDS.update(alpha=(4,), theta=(2,), weight=(2, 2))
 _REAL_TYPES = (int, float, np.integer, np.floating)  # bool, an int subclass, is refused apart
+# Largest sweep grid: a stacked sweep holds about 3 KB per point.
+MAX_POINTS = 100_000
 
 
 def _leaves(value) -> list:
@@ -119,8 +123,11 @@ class ScenarioConfig:
             raise ValueError("threads must be an integer of at least 1")
         if not math.isfinite((self.stop - self.start) / self.step):
             raise ValueError("sweep range: (stop - start) / step is not finite")
-        if self.n_values() < 1:
+        n = self.n_values()
+        if n < 1:
             raise ValueError("empty sweep range")
+        if n > MAX_POINTS:
+            raise ValueError("sweep range: %d points exceed the cap of %d" % (n, MAX_POINTS))
         if self.weight is not None:
             weight_root(self.weight, 2)
 
@@ -138,68 +145,51 @@ class ScenarioConfig:
 
 def build_probe(cfg: ScenarioConfig, r=None, n_th=None) -> GaussianState:
     """The configured probe at r and n_th (arrays give a stack), by default cfg.r and cfg.n_th."""
-    r = cfg.r if r is None else r
-    n_th = cfg.n_th if n_th is None else n_th
-    if cfg.probe == "tmsv":
-        return probe_tmsdt(r, cfg.phi, 0.0, 0.0, 0.0, 0.0, 0.0)
-    if cfg.probe == "tmst":
-        return probe_tmsdt(r, cfg.phi, 0.0, 0.0, 0.0, 0.0, n_th)
-    if cfg.probe == "tmdv":
-        return probe_tmsdt(0.0, cfg.phi, *cfg.alpha, 0.0)
-    if cfg.probe == "tmdt":
-        return probe_tmsdt(0.0, cfg.phi, *cfg.alpha, n_th)
-    raise ValueError("probe must be one of %s" % (PROBES,))
+    if cfg.probe not in PROBES:
+        raise ValueError("probe must be one of %s" % (PROBES,))
+    r = (cfg.r if r is None else r) if cfg.probe in _SQUEEZED else 0.0
+    n_th = (cfg.n_th if n_th is None else n_th) if cfg.probe in _THERMAL else 0.0
+    alpha = (0.0,) * 4 if cfg.probe in _SQUEEZED else cfg.alpha
+    return probe_tmsdt(r, cfg.phi, *alpha, n_th)
 
 
-def closed_form_bounds(
-    probe: str, r: float, n_th: float, gamma: float, t: float, n_e: float
-) -> ClosedForm:
-    """Analytic bound family for the four probe classes.
+def closed_form_bounds(probe: str, r, n_th, gamma, t, n_e, phi=math.pi, weight=None) -> ClosedForm:
+    """Every column of a probe's row in closed form, elementwise over array arguments.
 
-    Thermal probes (tmst, tmdt) are only covered on the matched slice
-    n_th = n_e, where the channel keeps the state in the same family.  The
-    tmdv family is elementwise: arrays of gamma, t and n_e give arrays of bounds.
+    The channel keeps each probe in the standard form V = [[a I, c Z], [c Z^T, a I]],
+    a = y tau cosh 2r + v eps and c = y tau sinh 2r, in y = e^(-gamma t), v = 1 - y,
+    tau = 1 + 2 n_th and eps = 1 + 2 n_e; r counts only for tmsv and tmst, n_th only
+    for tmst and tmdt.  With x = 1 / y, kappa = a^2 - c^2 - 1 and the weight W:
+    b_s = (Tr W / 2) x (1 + kappa) / a, b_h_mid = b_s + sqrt(det W) x (1 + kappa) / a^2,
+    r_q = 1 / a, b_h_upper = (1 + r_q) b_s, hdb = Tr W x (a + c cos phi) and
+    b_r = x k (a Tr W / 2 + sqrt(det W)) with k = kappa / (a^2 - 1), 1 at a = 1.
+    kappa and a - 1 are sums of nonnegative terms, so nothing cancels near purity.
     """
-    x = np.exp(gamma * t)
-    eps = 1.0 + 2.0 * n_e
-    tau = 1.0 + 2.0 * n_th
-    c = math.cosh(2.0 * r)
-    s = math.sinh(2.0 * r)
-    if probe == "tmsv":
-        D = (x - 1.0) * eps + c
-        b_s = D - s * s / D
-        if s == 0.0:
-            b_r = D + x  # vacuum pair: no squeezing singularity
-        else:
-            # D + x - s^2 / (D - x) over a common denominator, in u = x - 1,
-            # e = eps - 1 and h = c - 1, where every term is nonnegative: no
-            # cancellation near purity, and b_r = 0 exactly for the pure
-            # squeezed probe at t = 0
-            u, e, h = math.expm1(gamma * t), 2.0 * n_e, 2.0 * math.sinh(r) ** 2
-            b_r = u * (u * e * (2.0 + e) + 2.0 * (e + h + e * h)) / (u * e + h)
-        r_q = x / D
-        return ClosedForm(b_s, b_r, r_q, (1.0 + r_q) * b_s)
-    if probe == "tmdv":
-        b_s = 1.0 + (x - 1.0) * eps
-        r_q = x / b_s
-        return ClosedForm(b_s, b_s + x, r_q, b_s + x)
-    if probe in ("tmst", "tmdt"):
-        if abs(n_th - n_e) > 1e-12:
-            raise ValueError(
-                "closed forms for thermal probes hold only at matched temperature n_th = n_e"
-            )
-        if probe == "tmdt":
-            b_s = x * tau
-            return ClosedForm(b_s, b_s + x, 1.0 / tau, b_s + x)
-        K = c + x - 1.0
-        b_s = tau * (K * K - s * s) / K
-        sh2 = math.sinh(r) ** 2
-        num = 2.0 * n_th * (1.0 + n_th) * x * x + 2.0 * (x - 1.0) * tau * tau * sh2
-        den = n_th * x + tau * sh2
-        b_r = num / den if den > 0 else b_s + x  # den = 0 only for the vacuum pair, as tmdv
-        r_q = x / (tau * K)
-        return ClosedForm(b_s, b_r, r_q, (1.0 + r_q) * b_s)
-    raise ValueError("probe must be one of %s" % (PROBES,))
+    if probe not in PROBES:
+        raise ValueError("probe must be one of %s" % (PROBES,))
+    r = r if probe in _SQUEEZED else 0.0
+    n_th = n_th if probe in _THERMAL else 0.0
+    gt = np.multiply(gamma, t)
+    x, y, v = np.exp(gt), np.exp(-gt), -np.expm1(-gt)
+    tau, eps, sh2 = 1.0 + 2.0 * n_th, 1.0 + 2.0 * n_e, np.sinh(r) ** 2
+    a_1 = 2.0 * (y * (n_th + tau * sh2) + v * n_e)  # a - 1
+    a = 1.0 + a_1
+    kappa = 4.0 * (
+        y * y * n_th * (1.0 + n_th)
+        + v * y * (n_e + n_th + 2.0 * n_e * n_th + eps * tau * sh2)
+        + v * v * n_e * (1.0 + n_e)
+    )
+    k = np.divide(kappa, a_1 * (a + 1.0), out=np.ones(np.shape(kappa)), where=a_1 > 0.0)
+    W = np.eye(2) if weight is None else np.asarray(weight, dtype=float)
+    half_tr = 0.5 * (W[0, 0] + W[1, 1])
+    root_det = math.sqrt(max(0.0, W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]))
+    b_s = half_tr * x * (1.0 + kappa) / a
+    r_q = 1.0 / a
+    b_h_mid = b_s + root_det * x * (1.0 + kappa) / (a * a)
+    # a + c cos phi = y tau (e^(-2r) + 2 sinh 2r cos^2(phi/2)) + v eps, free of cancellation
+    a_phi = y * tau * (np.exp(-2.0 * r) + 2.0 * np.sinh(2.0 * r) * np.cos(0.5 * phi) ** 2) + v * eps
+    hdb = 2.0 * half_tr * x * a_phi
+    return ClosedForm(b_s, x * k * (a * half_tr + root_det), r_q, (1.0 + r_q) * b_s, b_h_mid, hdb)
 
 
 # Failures of one grid point that degrade its row instead of aborting the sweep.
@@ -240,8 +230,9 @@ def _evaluate(cfg: ScenarioConfig, values) -> list:
         F_C = cfim_gaussian_outcomes(pt, gd, pre_op=pre)
         hdb = (W @ numkit.pinv_psd(F_C)[0]).trace(axis1=-2, axis2=-1)
         gamma, t, n_e = _on_axis(cfg, values, "gamma", "t", "n_e")
-        sql = closed_form_bounds("tmdv", 0.0, 0.0, gamma, np.full(values.shape, t), n_e)
-    columns = (values, rep.b_s, rep.b_r, rep.b_h_mid, rep.b_h_upper, hdb, rep.r_q, sql.b_h_upper)
+        t = np.full(values.shape, t)
+        sql = closed_form_bounds("tmdv", 0.0, 0.0, gamma, t, n_e, weight=cfg.weight).b_h_upper
+    columns = (values, rep.b_s, rep.b_r, rep.b_h_mid, rep.b_h_upper, hdb, rep.r_q, sql)
     return [SweepRow(*row, ok=True, message="") for row in zip(*(c.tolist() for c in columns))]
 
 

@@ -109,6 +109,7 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, field, value):
         ({"threads": "2"}, "threads must be an integer"),
         ({"threads": 1.5}, "threads must be an integer"),
         ({"threads": True}, "threads must be an integer"),
+        ({"stop": 1e10, "step": 1e-3}, "sweep range: 10000000000001 points exceed the cap of 100000"),
     ],
 )
 def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, fields, message):

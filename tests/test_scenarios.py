@@ -48,13 +48,6 @@ def test_closed_form_spot_values():
     assert cfd.b_h_upper == pytest.approx(cfd.b_r)
 
 
-def test_closed_form_thermal_requires_matched_temperature():
-    with pytest.raises(ValueError, match="matched"):
-        closed_form_bounds("tmst", 0.4, 0.3, 1.0, 0.2, 0.5)
-    with pytest.raises(ValueError):
-        closed_form_bounds("tmdt", 0.0, 0.0, 1.0, 0.2, 0.5)
-
-
 def test_pipeline_matches_closed_forms_everywhere():
     for probe in PROBES:
         n_th = 0.5 if probe in ("tmst", "tmdt") else 0.0
@@ -73,12 +66,15 @@ def test_pipeline_matches_closed_forms_everywhere():
 
 
 def test_double_homodyne_never_beats_scalar_bound():
+    rng = np.random.default_rng(5)
     for probe in PROBES:
         n_th = 0.5 if probe in ("tmst", "tmdt") else 0.0
         for r in (0.0, 0.4, 1.0):
-            cfg = _cfg(probe=probe, r=r, n_th=n_th, t=0.35)
-            row = run_point(cfg, r)
-            assert row.hdb >= row.b_s - 1e-9
+            for weight in (None, [[2.0, 0.3], [0.3, 1.0]]):
+                cfg = _cfg(probe=probe, r=r, n_th=n_th, t=0.35, phi=rng.uniform(0.0, 2 * math.pi), weight=weight)
+                row = run_point(cfg, r)
+                assert row.hdb >= row.b_s - 1e-9
+                assert row.hdb >= row.b_r - 1e-9
 
 
 def test_upper_bound_improves_with_squeezing_on_reference_grid():
@@ -281,6 +277,15 @@ def test_sql_column_is_the_scalar_closed_form_at_every_point():
             assert abs(row.sql - want) <= 4.4e-16 * want
 
 
+def test_weighted_sql_is_the_displaced_vacuum_upper_bound():
+    for weight in ([[2.0, 0.0], [0.0, 2.0]], [[2.0, 0.3], [0.3, 1.0]]):
+        rows = sweep(_cfg(probe="tmdv", weight=weight, axis="t", start=0.0, stop=1.0, step=0.25))
+        for row in rows:
+            assert row.sql == pytest.approx(row.b_h_upper, rel=1e-12)
+        squeezed = sweep(_cfg(weight=weight, axis="r", start=0.0, stop=0.4, step=0.2))
+        assert squeezed[0].sql == pytest.approx(squeezed[0].b_h_upper, rel=1e-12)  # r = 0
+
+
 SWEEP_AXES = {"t": (0.0, 1.0, 0.25), "r": (0.0, 1.2, 0.3), "n_e": (0.0, 1.0, 0.25), "n_th": (0.0, 1.0, 0.25), "gamma": (0.0, 2.0, 0.5)}
 ROW_FIELDS = ("b_s", "b_r", "b_h_mid", "b_h_upper", "hdb", "r_q", "sql")
 
@@ -293,7 +298,7 @@ def _generic_row(cfg, value):
     rep = qfim_report(model, c.theta, weight=W)
     pre, gd = epr_readout()
     hdb = float(np.trace(W @ numkit.pinv(cfim_gaussian_outcomes(model, gd, c.theta, pre_op=pre))))
-    sql = closed_form_bounds("tmdv", 0.0, 0.0, c.gamma, c.t, c.n_e).b_h_upper
+    sql = closed_form_bounds("tmdv", 0.0, 0.0, c.gamma, c.t, c.n_e, weight=W).b_h_upper
     return (rep.b_s, rep.b_r, rep.b_h_mid, rep.b_h_upper, hdb, rep.r_q, sql)
 
 
@@ -355,39 +360,52 @@ def _zero_or(lo, hi):
     return st.one_of(st.just(0.0), st.floats(lo, hi))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     probe=st.sampled_from(PROBES),
+    axis=st.sampled_from(scenarios.AXES),
     r=_zero_or(0.01, 1.5),
-    n=_zero_or(1e-8, 1.0),
+    n_th=_zero_or(1e-8, 1.0),
+    n_e=_zero_or(1e-8, 1.0),
     gamma=st.floats(0.2, 2.0),
     gamma_t=_zero_or(1e-8, 2.0),
+    phi=st.one_of(st.just(math.pi), st.floats(0.0, 2 * math.pi)),
+    weight=st.sampled_from([None, [[2.0, 0.3], [0.3, 1.0]]]),
 )
-def test_pipeline_matches_closed_forms_property(probe, r, n, gamma, gamma_t):
-    """Closed forms and the chain on the matched slice n_th = n_e, pure states included.
+def test_pipeline_matches_closed_forms_property(probe, axis, r, n_th, n_e, gamma, gamma_t, phi, weight):
+    """Every column of the row against the closed forms, pure states included.
 
-    Each range is 0 plus an interval: r >= 0.01, n >= 1e-8, gamma t >= 1e-8.
-    At those lower ends nu - 1 of the least mixed mode is about 2 n = 2e-8
-    for the thermal probes and 2 gamma t sinh^2 r for tmsv in vacuum noise,
-    down to 2e-12 at r = 0.01, gamma t = 1e-8.  Nearer to
-    purity both sides lose digits to cancellation: the closed forms in
-    cosh 2r - 1 and D - x, the program in nu - 1, which it forms by
-    subtraction.  tmsv at r = 1e-4, n = 0, gamma t = 1e-8 has nu - 1 of about
-    2e-16, which the program takes as pure (b_r = 0), against a closed-form
-    b_r of 2.3e-8.
+    Each range is 0 plus an interval: r >= 0.01, n_th and n_e >= 1e-8,
+    gamma t >= 1e-8.  At those lower ends nu - 1 of the least mixed mode is
+    about 2 n for a thermal probe or noise and 2 gamma t sinh^2 r for tmsv in
+    vacuum noise, down to 2e-12 at r = 0.01, gamma t = 1e-8.  Nearer to
+    purity the program loses digits in nu - 1, which it forms by subtraction:
+    tmsv at r = 1e-4, n = 0, gamma t = 1e-8 has nu - 1 of about 2e-16, which
+    the program takes as pure (b_r = 0), against a closed-form b_r of 2.3e-8.
     """
     alpha = (0.3, -0.2, 0.1, 0.4) if probe in ("tmdv", "tmdt") else (0.0,) * 4
     t = gamma_t / gamma
-    cfg = ScenarioConfig(probe=probe, r=r, n_th=n, n_e=n, gamma=gamma, alpha=alpha, axis="t")
-    row = run_point(cfg, t)
+    params = dict(r=r, n_th=n_th, n_e=n_e, gamma=gamma, t=t)
+    cfg = ScenarioConfig(probe=probe, phi=phi, alpha=alpha, weight=weight, axis=axis, **params)
+    row = run_point(cfg, params[axis])
     assert row.ok, row.message
-    cf = closed_form_bounds(probe, r, n, gamma, t, n)
-    pairs = ((row.b_s, cf.b_s), (row.b_r, cf.b_r), (row.r_q, cf.r_q), (row.b_h_upper, cf.b_h_upper))
-    for got, want in pairs:
-        assert got == pytest.approx(want, abs=1e-8)
+    cf = closed_form_bounds(probe, r, n_th, gamma, t, n_e, phi=phi, weight=weight)
+    for name in cf._fields:
+        assert getattr(row, name) == pytest.approx(getattr(cf, name), abs=1e-8), name
+    sql = closed_form_bounds("tmdv", 0.0, 0.0, gamma, t, n_e, weight=weight)
+    assert row.sql == pytest.approx(sql.b_h_upper, abs=1e-8)
     assert max(row.b_s, row.b_r) <= row.b_h_mid + 1e-9
     assert row.b_h_mid <= row.b_h_upper + 1e-9
     assert row.b_h_upper <= 2 * row.b_s + 1e-9
+    if weight is None and phi == math.pi:
+        # the readout reaches the RLD bound exactly where a - c = 1 (standard form a, c)
+        r = r if probe in ("tmsv", "tmst") else 0.0
+        n_th = n_th if probe in ("tmst", "tmdt") else 0.0
+        y, v, tau = math.exp(-gamma_t), -math.expm1(-gamma_t), 1.0 + 2.0 * n_th
+        a = y * tau * math.cosh(2 * r) + v * (1.0 + 2.0 * n_e)
+        c = y * tau * math.sinh(2 * r)
+        a_1 = 2.0 * (y * (n_th + tau * math.sinh(r) ** 2) + v * n_e)
+        assert (row.hdb - row.b_r) * a_1 == pytest.approx((a - c - 1.0) ** 2 / y, abs=1e-8)
 
 
 def test_rows_to_csv_golden():
@@ -473,12 +491,17 @@ def test_tmst_bounds_keep_their_scale_up_to_gamma_t_700():
 
 
 def test_mixed_sweep_makes_one_qr_and_no_svd_or_eigvalsh(monkeypatch):
-    """A 201-point tmst t sweep has no pure point: every limiting RLD inverse is certified by one QR."""
+    """The LAPACK budget of a 201-point tmst t sweep, whatever its length.
+
+    It has no pure point, so every limiting RLD inverse is certified by one QR and
+    one inv of its R.  williamson makes two eigh, pinv_psd one each for F_S and F_C,
+    and the readout one inv of its outcome covariance.
+    """
     calls = []
-    for name in ("svd", "eigvalsh", "qr"):
+    for name in ("svd", "eigvalsh", "qr", "eigh", "inv"):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, name=name, fn=fn, **kw: calls.append(name) or fn(*a, **kw))
     rows = sweep(_cfg(probe="tmst", n_th=0.5, axis="t", start=0.0, stop=1.0, step=0.005))
     monkeypatch.undo()
     assert len(rows) == 201 and all(row.ok for row in rows)
-    assert calls == ["qr"]
+    assert sorted(calls) == ["eigh"] * 4 + ["inv"] * 2 + ["qr"]
