@@ -142,8 +142,11 @@ def williamson(V):
     T (V + i Omega) T^H = diag(nu + s).  A mode with
     nu - 1 <= PURE_TOL cond(V) is pure and gets nu = 1 exactly; an
     unphysical V (not positive definite, or nu below 1 by more) raises
-    ValueError.  A stack V (K, 2N, 2N) is decomposed matrix by matrix.
+    ValueError, as does a V with an entry that is not finite.  A stack V
+    (K, 2N, 2N) is decomposed matrix by matrix.
     """
+    if not np.isfinite(V).all():
+        raise ValueError("covariance is not finite")
     w, u = np.linalg.eigh(V)
     if not (w[..., 0] > 0.0).all():
         raise ValueError(

@@ -32,7 +32,7 @@ import numpy as np
 from . import numkit
 from .gaussian_core import GaussianState, probe_tmsdt
 from .channels import NoisyChannel
-from .qfi_gaussian import PointMoments, displacement_model, evaluate, qfim_report, weight_root
+from .qfi_gaussian import displacement_model, evaluate, qfim_report, weight_root
 from .measurements import cfim_gaussian_outcomes, epr_readout
 
 PROBES = ("tmsv", "tmst", "tmdv", "tmdt")
@@ -192,8 +192,8 @@ def closed_form_bounds(probe: str, r, n_th, gamma, t, n_e, phi=math.pi, weight=N
     return ClosedForm(b_s, x * k * (a * half_tr + root_det), r_q, (1.0 + r_q) * b_s, b_h_mid, hdb)
 
 
-# Failures of one grid point that degrade its row instead of aborting the sweep.
-NUMERICAL_ERRORS = (ValueError, np.linalg.LinAlgError, FloatingPointError)
+# Failures a layer raises for a point outside its domain; such a point degrades alone.
+NUMERICAL_ERRORS = (ValueError, np.linalg.LinAlgError)
 
 
 def _on_axis(cfg: ScenarioConfig, values: np.ndarray, *names: str) -> list:
@@ -201,70 +201,64 @@ def _on_axis(cfg: ScenarioConfig, values: np.ndarray, *names: str) -> list:
     return [values if cfg.axis == name else getattr(cfg, name) for name in names]
 
 
-def _stacked_moments(cfg: ScenarioConfig, values: np.ndarray) -> PointMoments:
-    """The displacement model evaluated once on the whole grid, one stack point per value.
+def _evaluate(cfg: ScenarioConfig, values: np.ndarray) -> np.ndarray:
+    """The (8, K) row columns at the K axis values, from one stacked evaluation per layer.
 
     The probe is one :func:`probe_tmsdt` call on the grid's r and n_th, the channel one
     stacked NoisyChannel and the decay one :func:`gaussfish.channels.evolve` call on a t
     that spans the grid, so an axis that the probe ignores still gives one point per value.
+    What a layer raises for the stack propagates; an overflow leaves a non-finite entry.
     """
     r, n_th, gamma, n_e, t = _on_axis(cfg, values, "r", "n_th", "gamma", "n_e", "t")
+    t = np.full(values.shape, t)
     ch = NoisyChannel.uniform(2, gamma, n_e, cfg.m_e)
-    model = displacement_model(build_probe(cfg, r, n_th), ch, np.full(values.shape, t))
-    return evaluate(model, cfg.theta)
+    pt = evaluate(displacement_model(build_probe(cfg, r, n_th), ch, t), cfg.theta)
+    rep = qfim_report(pt, weight=cfg.weight)
+    pre, gd = epr_readout()
+    F_C = cfim_gaussian_outcomes(pt, gd, pre_op=pre)
+    hdb = (cfg.weight_matrix() @ numkit.pinv_psd(F_C)[0]).trace(axis1=-2, axis2=-1)
+    sql = closed_form_bounds("tmdv", 0.0, 0.0, gamma, t, n_e, weight=cfg.weight).b_h_upper
+    return np.array((values, rep.b_s, rep.b_r, rep.b_h_mid, rep.b_h_upper, hdb, rep.r_q, sql))
 
 
-def _evaluate(cfg: ScenarioConfig, values) -> list:
-    """Rows at every axis value from one stacked evaluation per layer.
+def _rows(cfg: ScenarioConfig, values: np.ndarray) -> list:
+    """The rows at the axis values, from one evaluation of the stack with numpy errors ignored.
 
-    numpy overflow, invalid and divide-by-zero results raise
-    FloatingPointError, so a point that overflows fails instead of
-    carrying infs into its row.
+    A row with a non-finite column becomes NaN with an "overflow" message.  If a layer
+    raises NUMERICAL_ERRORS, each half of the stack is evaluated the same way, down to
+    single points that keep the layer's message: at most 2K - 1 evaluations.
     """
-    values = np.asarray(values, dtype=float)
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        pt = _stacked_moments(cfg, values)
-        W = cfg.weight_matrix()
-        rep = qfim_report(pt, weight=cfg.weight)
-        pre, gd = epr_readout()
-        F_C = cfim_gaussian_outcomes(pt, gd, pre_op=pre)
-        hdb = (W @ numkit.pinv_psd(F_C)[0]).trace(axis1=-2, axis2=-1)
-        gamma, t, n_e = _on_axis(cfg, values, "gamma", "t", "n_e")
-        t = np.full(values.shape, t)
-        sql = closed_form_bounds("tmdv", 0.0, 0.0, gamma, t, n_e, weight=cfg.weight).b_h_upper
-    columns = (values, rep.b_s, rep.b_r, rep.b_h_mid, rep.b_h_upper, hdb, rep.r_q, sql)
-    return [SweepRow(*row, ok=True, message="") for row in zip(*(c.tolist() for c in columns))]
+    try:
+        with np.errstate(all="ignore"):
+            columns = _evaluate(cfg, values)
+    except NUMERICAL_ERRORS as exc:
+        if len(values) == 1:
+            return [SweepRow(float(values[0]), *[math.nan] * 7, False, str(exc))]
+        half = len(values) // 2
+        return _rows(cfg, values[:half]) + _rows(cfg, values[half:])
+    rows = [SweepRow(*row, True, "") for row in columns.T.tolist()]
+    for i in np.flatnonzero(~np.isfinite(columns).all(axis=0)):
+        bad = SweepRow._fields[np.isfinite(columns[:, i]).argmin()]  # the first non-finite column
+        rows[i] = SweepRow(rows[i].axis, *[math.nan] * 7, False, "overflow: %s is not finite" % bad)
+    return rows
 
 
 def run_point(cfg: ScenarioConfig, axis_value: float) -> SweepRow:
-    """Evaluate every reported quantity at one grid point.
+    """Every reported quantity at one grid point: the row of a one-point grid (:func:`_rows`).
 
-    This is the sweep evaluation on a one-point grid.  A numerical failure
-    (ValueError, LinAlgError, FloatingPointError) becomes a NaN row carrying
-    the message, so one bad point degrades rather than aborts a sweep; any
-    other exception is a bug and propagates.
+    A numerical failure becomes a NaN row carrying its message; any other exception
+    is a bug and propagates.
     """
-    try:
-        return _evaluate(cfg, [float(axis_value)])[0]
-    except NUMERICAL_ERRORS as exc:
-        nan = float("nan")
-        return SweepRow(float(axis_value), nan, nan, nan, nan, nan, nan, nan, False, str(exc))
+    return _rows(cfg, np.array([float(axis_value)]))[0]
 
 
 def sweep(cfg: ScenarioConfig) -> list:
-    """Run the configured sweep; rows come back in grid order.
+    """Run the configured sweep: the rows of :func:`_rows` on the whole grid, in grid order.
 
-    The whole grid is one stacked evaluation.  If it fails numerically, the
-    grid is evaluated again point by point through :func:`run_point`, so each
-    bad point degrades with its own message and the others keep their
-    values.  cfg.threads is validated but has no effect.
+    A failing point degrades alone.  cfg.threads is validated but has no effect.
     """
     cfg.validate()
-    values = cfg.axis_values()
-    try:
-        return _evaluate(cfg, values)
-    except NUMERICAL_ERRORS:
-        return [run_point(cfg, v) for v in values]
+    return _rows(cfg, cfg.axis_values())
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:

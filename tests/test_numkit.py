@@ -271,7 +271,7 @@ def test_pinv_gram_is_the_gram_of_pinv_per_matrix(monkeypatch, p, complex_):
     calls = []
     pinv = numkit.pinv
     monkeypatch.setattr(numkit, "pinv", lambda *a, **kw: calls.append(a[0].shape) or pinv(*a, **kw))
-    with np.errstate(over="raise", invalid="raise", divide="raise"):  # as a sweep runs it
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # no step meets a floating-point error
         got = numkit.pinv_gram(stack)
     monkeypatch.undo()
     assert got.shape == (stack.shape[0], p, p)

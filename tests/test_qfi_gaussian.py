@@ -463,8 +463,12 @@ def test_incompatibility_near_pure_matches_fock_oracle(n_th):
 
 @pytest.mark.parametrize(
     "V, match",
-    [(0.5 * np.eye(2), "unphysical"), (np.diag([2.0, -1.0]), "positive definite")],
-    ids=["below_uncertainty", "indefinite"],
+    [
+        (0.5 * np.eye(2), "unphysical"),
+        (np.diag([2.0, -1.0]), "positive definite"),
+        (np.diag([1.0, np.nan]), "not finite"),
+    ],
+    ids=["below_uncertainty", "indefinite", "not_finite"],
 )
 def test_unphysical_covariance_raises(V, match):
     with pytest.raises(ValueError, match=match):

@@ -336,6 +336,66 @@ def test_failing_points_degrade_alone_in_a_stacked_sweep(axis, start, stop, step
         assert row == run_point(cfg, row.axis)
 
 
+# Grids whose points fail, by overflow or outside a layer's domain, beside points that do not.
+DEGRADE_GRIDS = [
+    ("gamma", 600.0, 800.0, 10.0, {}),
+    ("t", -0.1, 1599.9, 80.0, {}),
+    ("n_e", 0.0, 1e200, 5e198, {}),
+    ("n_th", -1.0, 1.0, 0.1, {}),
+    ("n_e", -1.0, 1.0, 0.1, {"m_e": 0.1}),
+    ("r", 0.0, 20.0, 1.0, {}),
+    ("r", 0.0, 600.0, 30.0, {}),
+]
+
+
+@pytest.mark.parametrize("axis, start, stop, step, extra", DEGRADE_GRIDS)
+def test_a_row_degrades_exactly_where_the_per_point_path_fails(axis, start, stop, step, extra):
+    """The per-point path, with numpy errors raised, referees which rows degrade."""
+    for probe in PROBES:
+        cfg = _cfg(probe=probe, n_th=0.5, t=1.0, alpha=(0.3, -0.2, 0.1, 0.4),
+                   axis=axis, start=start, stop=stop, step=step, **extra)
+        for row in sweep(cfg):
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    want = _generic_row(cfg, row.axis)
+            except (ValueError, np.linalg.LinAlgError, FloatingPointError):
+                want = None
+            assert row.ok == (want is not None), (probe, row)
+            got = [getattr(row, name) for name in ROW_FIELDS]
+            if row.ok:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            else:
+                assert all(math.isnan(v) for v in got)
+
+
+def test_failing_points_cost_no_point_by_point_rerun(monkeypatch):
+    """An overflow costs nothing extra; a point that raises is isolated by halving the stack."""
+    stacks = []
+    evaluate_stack = scenarios._evaluate
+    monkeypatch.setattr(scenarios, "_evaluate", lambda cfg, values: stacks.append(len(values)) or evaluate_stack(cfg, values))
+    monkeypatch.setattr(scenarios, "run_point", lambda *a: pytest.fail("sweep called run_point"))
+
+    def run(cfg):
+        stacks.clear()
+        rows = sweep(cfg)
+        assert len(stacks) <= 2 * len(rows) - 1
+        return rows
+
+    for probe in PROBES:
+        base = _cfg(probe=probe, n_th=0.5, t=1.0, alpha=(0.3, -0.2, 0.1, 0.4))
+        rows = run(replace(base, axis="gamma", start=0.0, stop=800.0, step=4.0))
+        assert stacks == [201]
+        assert [row.ok for row in rows] == [row.axis < 712.0 for row in rows]  # 23 rows fail
+        assert all(row.message.startswith("overflow") for row in rows if not row.ok)
+        rows = run(replace(base, axis="t", start=-0.005, stop=0.995, step=0.005))
+        assert len(rows) == 201 and len(stacks) <= 1 + 2 * math.ceil(math.log2(201))
+        assert [row.ok for row in rows] == [False] + [True] * 200
+        assert rows[0].message == "t must be >= 0"
+        rows = run(replace(base, axis="n_e", start=-1.0, stop=-0.1, step=0.1))
+        assert len(stacks) == 2 * len(rows) - 1 and not any(row.ok for row in rows)
+        run(replace(base, axis="n_e", start=-1.0, stop=1.0, step=0.1, m_e=0.1))
+
+
 def test_pure_probe_rld_limits_at_t0():
     sq = run_point(_cfg(probe="tmsv", r=0.4, axis="t"), 0.0)
     assert sq.b_r == 0.0
