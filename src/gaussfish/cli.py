@@ -91,6 +91,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ScenarioConfig:
+    """The scenario config of --config, --threads and GAUSSFISH_THREADS, not yet validated."""
     data = {}
     if args.config:
         try:
@@ -124,10 +125,6 @@ def _load_config(args) -> ScenarioConfig:
                 raise CliError("GAUSSFISH_THREADS must be an integer") from exc
     if threads is not None:
         cfg.threads = threads
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     return cfg
 
 
@@ -155,14 +152,21 @@ def _rows_out(args, cfg, rows) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     row = run_point(cfg, getattr(cfg, cfg.axis))
     return _rows_out(args, cfg, [row])
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    log.info("sweep: %d points along %s", cfg.n_values(), cfg.axis)
-    rows = sweep(cfg)
+    try:
+        rows = sweep(cfg)  # validates cfg; a numerical failure becomes a row, so only validate raises
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    log.info("sweep: %d points along %s", len(rows), cfg.axis)
     return _rows_out(args, cfg, rows)
 
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .gaussian_core import GaussianState, SymplecticOp, beam_splitter_5050, rotation
-from .numkit import hermitize, transpose
+from .numkit import hermitize, inv_sym, transpose
 from .qfi_gaussian import GaussianModel, PointMoments, evaluate
 
 _KINDS = ("general", "heterodyne", "homodyne_q", "homodyne_p")
@@ -179,14 +179,16 @@ def cfim_gaussian_outcomes(
     the detectors (its shift drops out of the derivatives).  Only the
     recorded rows are formed: with S_r = pre_op.S[rows], Sigma =
     (S_r V S_r^T + V_m) / 2, dmu = dd S_r^T and dSigma = S_r dV S_r^T / 2;
-    the trace term is added only when some dV is nonzero.  model is a
+    the trace term is added only when some dV is nonzero.  Sigma^-1 is
+    :func:`gaussfish.numkit.inv_sym`: a 2x2 closed form, or LAPACK's inv,
+    which raises LinAlgError for a singular Sigma.  model is a
     GaussianModel evaluated at theta, or a PointMoments from
     :func:`gaussfish.qfi_gaussian.evaluate`; a stacked PointMoments gives a
     (K, p, p) stack of matrices.
     """
     pt = evaluate(model, theta)
     _, S_r, Vm = _recorded(measurement, pt.st.modes, pre_op, dressing)
-    Sinv = np.linalg.inv(_outcome_cov(pt.st.V, S_r, Vm))
+    Sinv = inv_sym(_outcome_cov(pt.st.V, S_r, Vm))
     dmus = pt.dds @ S_r.T
     F = dmus @ Sinv @ transpose(dmus)
     if pt.dVs.any():

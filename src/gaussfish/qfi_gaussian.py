@@ -185,18 +185,35 @@ def _weights(nu, s, ia, ib) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _signs(n: int) -> np.ndarray:
+    """The signs s of the n normal coordinates, alternating +1, -1, and 0 for the extra one."""
+    signs = np.zeros(n + 1)
+    signs[0:n:2], signs[1:n:2] = 1.0, -1.0
+    signs.flags.writeable = False  # one cached array serves every caller
+    return signs
+
+
+@lru_cache(maxsize=None)
 def _layout(n: int, has_block: bool):
-    """(ia, ib, src): the pairs of the (n+1) x (n+1) layout that can be nonzero, in row-major order.
+    """(ia, ib, src): the pairs of the (n+1) x (n+1) layout that can be nonzero, by s_a + s_b.
 
     src is the entry each pair reads from the coefficients of
     :attr:`PointMoments.rows`: the border (index a of (a, extra) and
     (extra, a)), then, with has_block, the flattened block (n + a n + b).
+    The pairs are sorted by s_a + s_b, ascending and otherwise row-major, so
+    the rows with the largest RLD weight 1 / (2 lam_a lam_b), lam = nu + s,
+    come first near a pure mode: Householder QR of the RLD split is
+    row-wise stable only with its heavy rows first (Powell and Reid 1969;
+    Cox and Higham 1998).
     """
     src = np.full((n + 1, n + 1), -1)
     src[:n, n] = src[n, :n] = np.arange(n)
     if has_block:
         src[:n, :n] = n + np.arange(n * n).reshape(n, n)
     ia, ib = np.nonzero(src >= 0)
+    s = _signs(n)
+    order = np.argsort(s[ia] + s[ib], kind="stable")
+    ia, ib = ia[order], ib[order]
     return ia, ib, src[ia, ib]
 
 
@@ -233,9 +250,7 @@ class PointMoments:
         T[..., n, n] = 1.0
         nu_aug = np.full(lead + (n + 1,), 0.5)
         nu_aug[..., :n] = np.repeat(nu, 2, axis=-1)
-        signs = np.zeros(n + 1)
-        signs[0:n:2], signs[1:n:2] = 1.0, -1.0
-        return T, nu_aug, signs
+        return T, nu_aug, _signs(n)
 
     @cached_property
     def rows(self):
@@ -247,9 +262,9 @@ class PointMoments:
         block T_n dV_mu T_n^T on the pairs (a, b) of normal coordinates.  The
         block is formed only when some dV of the stack is nonzero (T_n is
         invertible, so it vanishes otherwise), and only the rows that are
-        nonzero at some point of the stack are kept, in the row-major order
-        of the (n+1) x (n+1) layout; a displacement model keeps its 2n border
-        rows.  ia, ib are the pair indices of the rows kept.
+        nonzero at some point of the stack are kept, in the order of
+        :func:`_layout`; a displacement model keeps its 2n border rows.
+        ia, ib are the pair indices of the rows kept.
         """
         T, nu, s = self.normal_modes
         n = nu.shape[-1] - 1

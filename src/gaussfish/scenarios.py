@@ -255,7 +255,8 @@ def run_point(cfg: ScenarioConfig, axis_value: float) -> SweepRow:
 def sweep(cfg: ScenarioConfig) -> list:
     """Run the configured sweep: the rows of :func:`_rows` on the whole grid, in grid order.
 
-    A failing point degrades alone.  cfg.threads is validated but has no effect.
+    A failing point degrades alone, so the only ValueError raised is cfg.validate()'s
+    for an invalid config.  cfg.threads is validated but has no effect.
     """
     cfg.validate()
     return _rows(cfg, cfg.axis_values())

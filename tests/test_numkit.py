@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaussfish import numkit
+from gaussfish import measurements, numkit
 from gaussfish.channels import NoisyChannel
-from gaussfish.gaussian_core import probe_tmsdt
+from gaussfish.gaussian_core import GaussianState, probe_tmsdt
+from gaussfish.measurements import GeneralDyne, MeasureMode, cfim_gaussian_outcomes, epr_readout
 from gaussfish.qfi_gaussian import (
+    PointMoments,
     _quantumness,
     bound_chain,
     displacement_model,
@@ -342,3 +344,141 @@ def test_bound_chain_without_a_weight_is_the_identity_weight_bit_for_bit():
         identity = bound_chain(*args, rld_inverse=rld_inverse_limit(pt), weight=np.eye(2))
         for name, x, y in zip(default._fields, default, identity):
             assert np.array_equal(x, y), name
+
+
+# The 2x2 closed forms against LAPACK.  Both sides are backward stable, so a member's
+# entries agree to c eps cond of its largest; 20,000 random members gave c <= 2.2.
+KERNEL_C = 8.0
+_KINDS2 = ("full", "rank1", "zero", "near_cutoff", "indefinite")
+
+
+@st.composite
+def _sym2_stacks(draw, kinds=_KINDS2, exponents=(-290.0, 300.0)):
+    """A (K, 2, 2) stack of symmetric members R diag(1, lam) R^T 10^e of mixed kinds.
+
+    lam is 10^-13..1 (full), 0 (rank1), 0.7..280 eps around pinv's cutoff 2 eps and the
+    closed form's certificate (near_cutoff), or -10^-13..-1 (indefinite); e >= -290 keeps
+    every kept inverse eigenvalue below about 1e306.
+    """
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            members.append(np.zeros((2, 2)))
+            continue
+        u = draw(st.floats(-13.0, 0.0))
+        lam = {"full": 10.0**u, "rank1": 0.0, "near_cutoff": numkit.EPS * 10.0 ** (-0.15 - u / 5.0), "indefinite": -(10.0**u)}[kind]
+        angle = draw(st.floats(0.0, 2 * np.pi))
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        members.append(10.0 ** draw(st.floats(*exponents)) * (rot @ np.diag([1.0, lam]) @ rot.T))
+    return np.array(members)
+
+
+def _eigh_pinv_psd(a):
+    """(inverse, root, cond) of pinv_psd's definition by np.linalg.eigh, or its ValueError.
+
+    cond is each member's |w|max / |w|min over its kept eigenvalues (1 when none is kept).
+    """
+    w, u = np.linalg.eigh(0.5 * (a + numkit.transpose(a)))
+    keep = np.abs(w) > 2 * numkit.EPS * np.abs(w).max(axis=-1, keepdims=True)
+    inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    if inv_w.min() < -numkit.NEG_TOL:
+        raise ValueError("matrix is not positive semidefinite (min eig %.3e)" % inv_w.min())
+    ut = numkit.transpose(u)
+    kept = np.where(keep, np.abs(w), np.inf).min(axis=-1)
+    cond = np.where(keep.any(axis=-1), np.abs(w).max(axis=-1) / kept, 1.0)
+    return (u * inv_w[..., None, :]) @ ut, (u * np.sqrt(inv_w.clip(0.0, None))[..., None, :]) @ ut, cond
+
+
+def _assert_close_per_member(got, want, cond):
+    for g, x, c in zip(got, want, cond):
+        np.testing.assert_allclose(g, x, rtol=0, atol=KERNEL_C * numkit.EPS * c * np.abs(x).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=_sym2_stacks())
+def test_two_by_two_pinv_psd_is_the_eigh_pinv_psd(stack):
+    try:
+        want, want_root, cond = _eigh_pinv_psd(stack)
+    except ValueError as exc:  # a kept negative inverse eigenvalue: the same refusal
+        with pytest.raises(ValueError) as got:
+            numkit.pinv_psd(stack)
+        assert str(got.value) == str(exc)
+        return
+    inverse, root = numkit.pinv_psd(stack)
+    assert inverse.shape == root.shape == stack.shape
+    _assert_close_per_member(inverse, want, cond)
+    _assert_close_per_member(root, want_root, cond)
+
+
+@settings(max_examples=50, deadline=None)
+@given(stack=_sym2_stacks(kinds=("full",)))
+def test_two_by_two_pinv_psd_of_one_matrix_is_its_stack_member(stack):
+    inverse, root = numkit.pinv_psd(stack[0])
+    assert inverse.shape == root.shape == (2, 2)
+    want, want_root, cond = _eigh_pinv_psd(stack[:1])
+    _assert_close_per_member([inverse], want, cond)
+    _assert_close_per_member([root], want_root, cond)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=_sym2_stacks(kinds=("full", "near_cutoff", "indefinite")), singular=st.booleans())
+def test_two_by_two_inv_sym_is_the_lapack_inv(stack, singular):
+    if singular:  # an exactly singular member: LAPACK's refusal, for the whole stack
+        stack = np.concatenate([stack, [[[1.0, 2.0], [2.0, 4.0]]]])
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            numkit.inv_sym(stack)
+        return
+    want = np.linalg.inv(stack)
+    got = numkit.inv_sym(stack)
+    assert got.shape == stack.shape and numkit.inv_sym(stack[0]).shape == (2, 2)
+    _assert_close_per_member(got, want, np.linalg.cond(stack))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), complex_=st.booleans(), m=st.integers(2, 8))
+def test_two_column_pinv_gram_mixes_certified_and_uncertified_members(data, complex_, m):
+    """Members of cond 1..1e10, rank 1, zero or with a zero column, at scales 1e-140..1e140."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for kind in data.draw(st.lists(st.sampled_from(("full", "rank1", "zero", "zero_column")), min_size=1, max_size=6)):
+        if kind == "full":
+            a = _conditioned(rng, m, 2, 10.0 ** data.draw(st.floats(0.0, 10.0)), complex_)
+        elif kind == "zero":
+            a = np.zeros((m, 2), dtype=complex if complex_ else float)
+        else:
+            a = _rng_matrix(int(rng.integers(10**6)), m, 2, rank=1, complex_=complex_)
+            if kind == "zero_column":
+                a[:, int(rng.integers(2))] = 0.0
+        members.append(10.0 ** data.draw(st.floats(-140.0, 140.0)) * a)
+    stack = np.array(members)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # none, on uncertified members either
+        got = numkit.pinv_gram(stack)
+    assert got.shape == (len(members), 2, 2) and np.iscomplexobj(got) == complex_
+    _assert_pinv_gram_per_matrix(stack, got, [None] * len(stack))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), has_dv=st.booleans(), scale=st.floats(-100.0, 100.0))
+def test_cfim_with_the_closed_form_sigma_inverse_is_the_lapack_one(seed, k, has_dv, scale):
+    """The 2x2 outcome covariance of the EPR readout, and a 4x4 one, against np.linalg.inv."""
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(k, 4, 4))
+    V = 10.0**scale * (np.eye(4) + b @ numkit.transpose(b))
+    dds = rng.normal(size=(2, k, 4))
+    dVs = rng.normal(size=(2, k, 4, 4)) * has_dv
+    pt = PointMoments(GaussianState(np.zeros((k, 4)), V), dds, dVs + numkit.transpose(dVs), 2)
+    pre, gd = epr_readout()
+    het = GeneralDyne((MeasureMode("heterodyne"), MeasureMode("heterodyne")))
+    for args in ((gd,), (gd, None, pre), (het,)):
+        got = cfim_gaussian_outcomes(pt, *args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measurements, "inv_sym", np.linalg.inv)
+            want = cfim_gaussian_outcomes(pt, *args)
+        sigma = measurements.outcome_mean_cov(pt.st, args[0])[1]
+        cond = np.linalg.cond(sigma) ** (2 if has_dv else 1)  # the trace term holds Sigma^-1 twice
+        _assert_close_per_member(got, want, cond)
+    V[-1] = 0.0  # a singular outcome covariance stops the stack, as LAPACK does
+    singular = PointMoments(GaussianState(np.zeros((k, 4)), V), dds, dVs, 2)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        cfim_gaussian_outcomes(singular, gd, pre_op=pre)

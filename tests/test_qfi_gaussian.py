@@ -621,15 +621,20 @@ def _displacement_points():
 
 
 def test_displacement_stack_keeps_exactly_its_border_rows():
-    """dV = 0 forms no second-moment block: the rows are (a, extra) and (extra, a), a < 2N."""
+    """dV = 0 forms no second-moment block: the rows are (a, extra) and (extra, a), a < 2N.
+
+    The s = -1 rows (odd a), whose RLD weight is the largest near a pure mode, come first.
+    """
     probe = probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.5)
     pt = evaluate(displacement_model(probe, NoisyChannel.uniform(2, 1.0, 0.5), np.linspace(0.0, 1.0, 5)), [0, 0])
     K, (ia, ib), w = pt.rows
     n = 4
     assert K.shape == (5, 2 * n, 2)
-    assert ia.tolist() == list(range(n)) + [n] * n and ib.tolist() == [n] * n + list(range(n))
+    assert ia.tolist() == [1, 3, n, n, 0, 2, n, n] and ib.tolist() == [n, n, 1, 3, n, n, 0, 2]
     assert all(wk.shape == (5, 2 * n) for wk in w.values())
-    assert np.array_equal(K[:, :n], K[:, n:])  # the border is one vector T_n dd_mu, read twice
+    pairs = list(zip(ia.tolist(), ib.tolist()))
+    mirror = [pairs.index((b, a)) for a, b in pairs]
+    assert np.array_equal(K, K[:, mirror])  # the border is one vector T_n dd_mu, read twice
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gaussfish import numkit, scenarios
 from gaussfish.channels import NoisyChannel
@@ -432,6 +432,8 @@ def _zero_or(lo, hi):
     phi=st.one_of(st.just(math.pi), st.floats(0.0, 2 * math.pi)),
     weight=st.sampled_from([None, [[2.0, 0.3], [0.3, 1.0]]]),
 )
+# near-pure b_r: a QR of the RLD split with its light rows first missed the closed form by 1e-9
+@example(probe="tmsv", axis="r", r=0.0, n_th=0.0, n_e=6.103515625e-05, gamma=1.0, gamma_t=1e-08, phi=math.pi, weight=None)
 def test_pipeline_matches_closed_forms_property(probe, axis, r, n_th, n_e, gamma, gamma_t, phi, weight):
     """Every column of the row against the closed forms, pure states included.
 
@@ -553,9 +555,10 @@ def test_tmst_bounds_keep_their_scale_up_to_gamma_t_700():
 def test_mixed_sweep_makes_one_qr_and_no_svd_or_eigvalsh(monkeypatch):
     """The LAPACK budget of a 201-point tmst t sweep, whatever its length.
 
-    It has no pure point, so every limiting RLD inverse is certified by one QR and
-    one inv of its R.  williamson makes two eigh, pinv_psd one each for F_S and F_C,
-    and the readout one inv of its outcome covariance.
+    williamson makes two eigh.  No point has a pure mode, so every limiting RLD
+    inverse is certified by one QR, and R^-1 R^-H of its 2x2 R is a closed form.
+    F_S, F_C and the readout's outcome covariance are 2x2 and positive definite, so
+    pinv_psd and inv_sym take their certified closed forms: no eigh or inv.
     """
     calls = []
     for name in ("svd", "eigvalsh", "qr", "eigh", "inv"):
@@ -564,4 +567,4 @@ def test_mixed_sweep_makes_one_qr_and_no_svd_or_eigvalsh(monkeypatch):
     rows = sweep(_cfg(probe="tmst", n_th=0.5, axis="t", start=0.0, stop=1.0, step=0.005))
     monkeypatch.undo()
     assert len(rows) == 201 and all(row.ok for row in rows)
-    assert sorted(calls) == ["eigh"] * 4 + ["inv"] * 2 + ["qr"]
+    assert sorted(calls) == ["eigh"] * 2 + ["qr"]
