@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numkit
 from .gaussian_core import GaussianState
 
 
@@ -86,4 +87,4 @@ def evolve(ch: NoisyChannel, state: GaussianState, t) -> GaussianState:
     g = np.repeat(np.exp(-0.5 * rate), 2, axis=-1)  # diagonal of G(t)
     relax = np.repeat(1.0 - np.exp(-rate), 2, axis=-1)  # per row of the block-diagonal V_inf
     V = g[..., :, None] * state.V * g[..., None, :] + relax[..., :, None] * diffusion_matrix(ch)
-    return GaussianState(g * state.d, V)
+    return GaussianState._built(g * state.d, numkit.hermitize(V))

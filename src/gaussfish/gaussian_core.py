@@ -64,6 +64,13 @@ class GaussianState:
             raise ValueError("covariance is not symmetric (max asymmetry %.3e)" % asym.max())
         self.V = 0.5 * (self.V + Vt)
 
+    @classmethod
+    def _built(cls, d, V) -> "GaussianState":
+        """A state from float moments the program built, not re-checked: V must be symmetric."""
+        st = cls.__new__(cls)
+        st.d, st.V = d, V
+        return st
+
     @property
     def modes(self) -> int:
         return self.d.shape[-1] // 2
@@ -109,7 +116,7 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
     if op.modes != state.modes:
         raise ValueError("mode count mismatch between operation and state")
     d = (op.S @ state.d[..., None])[..., 0] + op.shift
-    return GaussianState(d, op.S @ state.V @ op.S.T)
+    return GaussianState._built(d, numkit.hermitize(op.S @ state.V @ op.S.T))
 
 
 def compose(outer: SymplecticOp, inner: SymplecticOp) -> SymplecticOp:
@@ -225,7 +232,7 @@ def probe_tmsdt(r, phi, q1, p1, q2, p2, n_th) -> GaussianState:
     V = (2.0 * n_th + 1.0)[..., None, None] * (S @ S.swapaxes(-1, -2))
     d = np.empty(V.shape[:-1])
     d[...] = S @ np.array([q1, p1, q2, p2], dtype=float)
-    return GaussianState(d, V)
+    return GaussianState._built(d, numkit.hermitize(V))
 
 
 # ----------------------------------------------------------------------------

@@ -120,15 +120,15 @@ def pinv_psd(a):
     (..., n, n) is treated matrix by matrix, each with its own cutoff.
     """
     a = np.asarray(a)
-    if a.shape[-2:] != (2, 2) or np.iscomplexobj(a):
+    if a.shape[-2:] != (2, 2) or a.dtype.kind == "c":
         return _pinv_psd_eigh(a)
     flat = a.reshape(-1, 2, 2)
     with np.errstate(all="ignore"):  # only a matrix that fails the certificate meets an error
-        ok, inverse, (p, q, s, det, tr) = _spd2(flat)
+        ok, inverse, (s, nq, p), det, tr = _spd2(flat)
         g = np.sqrt(det)
-        f = 1.0 / (g * np.sqrt(1.0 + 2.0 * g) * np.sqrt(tr))
-        root = _sym2((s + g) * f, -q * f, (p + g) * f)
-    if not ok.all():
+        f = np.reciprocal(g * np.sqrt(1.0 + 2.0 * g) * np.sqrt(tr))
+        root = _sym2((s + g) * f, nq * f, (p + g) * f)
+    if np.count_nonzero(ok) < ok.size:
         inverse[~ok], root[~ok] = _pinv_psd_eigh(flat[~ok])
     return inverse.reshape(a.shape), root.reshape(a.shape)
 
@@ -154,22 +154,22 @@ def inv_sym(a):
     which raises LinAlgError for a singular matrix.
     """
     a = np.asarray(a)
-    if a.shape[-2:] != (2, 2) or np.iscomplexobj(a):
+    if a.shape[-2:] != (2, 2) or a.dtype.kind == "c":
         return np.linalg.inv(a)
     flat = a.reshape(-1, 2, 2)
     with np.errstate(all="ignore"):  # only a matrix that fails the certificate meets an error
-        ok, inverse, _ = _spd2(flat)
-    if not ok.all():
+        ok, inverse, *_ = _spd2(flat)
+    if np.count_nonzero(ok) < ok.size:
         inverse[~ok] = np.linalg.inv(flat[~ok])
     return inverse.reshape(a.shape)
 
 
 def _spd2(a):
-    """Certified closed-form inverses of a real (K, 2, 2) stack: (ok, inverse, (p, q, s, det, tr)).
+    """Certified closed-form inverses of a real (K, 2, 2) stack: (ok, inverse, (s, -q, p), det, tr).
 
     Each matrix a is read as symmetric and divided by its trace tr first, so no
     scale over- or underflows: b = [[p, q], [q, s]] = (a + a^T) / (2 tr) has
-    trace 1 and determinant det, and a^-1 = [[s, -q], [-q, p]] / (det tr).  For
+    trace 1 and determinant det, and a^-1 = adj / (det tr), adj = [[s, -q], [-q, p]].  For
     a PSD matrix the trace lies between max |entry| and twice it, and det is
     about lam_min / lam_max.  The certificate ok is det > SPD2_MARGIN eps and
     det tr > TINY (so tr > 0): the smaller eigenvalue then exceeds the rounding
@@ -178,24 +178,24 @@ def _spd2(a):
     their inverse is finite.  Where ok is False the values are meaningless: a
     zero, indefinite or non-finite matrix fails, so call this under
     np.errstate(all="ignore").  The work is on (K,) columns, which numpy runs
-    faster than (K, 2, 2) stacks.
+    faster than (K, 2, 2) stacks, in few calls: each costs about 1 us whatever K.
     """
-    tr = a[:, 0, 0] + a[:, 1, 1]
-    h = 1.0 / tr
-    p, s, q = a[:, 0, 0] * h, a[:, 1, 1] * h, (a[:, 0, 1] + a[:, 1, 0]) * (0.5 * h)
+    a00, a11 = a[:, 0, 0], a[:, 1, 1]
+    tr = a00 + a11
+    h = np.reciprocal(tr)
+    p, s, q = a00 * h, a11 * h, (a[:, 0, 1] + a[:, 1, 0]) * (0.5 * h)
     det = p * s - q * q
     det_tr = det * tr
     ok = (det > SPD2_MARGIN * EPS) & (det_tr > TINY)
-    f = 1.0 / det_tr
-    return ok, _sym2(s * f, -q * f, p * f), (p, q, s, det, tr)
+    nq, f = -q, np.reciprocal(det_tr)
+    return ok, _sym2(s * f, nq * f, p * f), (s, nq, p), det, tr
 
 
 def _sym2(p, q, s):
     """The (K, 2, 2) stack [[p, q], [q, s]] from its (K,) columns."""
-    out = np.empty(p.shape + (2, 2))
-    out[:, 0, 0], out[:, 1, 1] = p, s
-    out[:, 0, 1] = out[:, 1, 0] = q
-    return out
+    out = np.empty(p.shape + (4,))
+    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = p, q, q, s
+    return out.reshape(-1, 2, 2)
 
 
 def float_or_stack(x):

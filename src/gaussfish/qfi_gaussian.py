@@ -543,7 +543,7 @@ def displacement_model(
     def state_fn(theta):
         shift = np.zeros(2 * modes)
         shift[:2] = theta[0], theta[1]
-        st = GaussianState(probe.d + shift, probe.V)
+        st = GaussianState._built(probe.d + shift, probe.V)
         if channel is not None:
             st = evolve(channel, st, t)
         return st

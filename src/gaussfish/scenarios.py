@@ -169,6 +169,20 @@ def closed_form_bounds(probe: str, r, n_th, gamma, t, n_e, phi=math.pi, weight=N
         raise ValueError("probe must be one of %s" % (PROBES,))
     r = r if probe in _SQUEEZED else 0.0
     n_th = n_th if probe in _THERMAL else 0.0
+    W = np.eye(2) if weight is None else np.asarray(weight, dtype=float)
+    b_s, b_h_upper, terms = _standard_form(r, n_th, gamma, t, n_e, W)
+    x, y, v, tau, eps, a_1, a, kappa, half_tr = terms
+    k = np.divide(kappa, a_1 * (a + 1.0), out=np.ones(np.shape(kappa)), where=a_1 > 0.0)
+    root_det = math.sqrt(max(0.0, W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]))
+    b_h_mid = b_s + root_det * x * (1.0 + kappa) / (a * a)
+    # a + c cos phi = y tau (e^(-2r) + 2 sinh 2r cos^2(phi/2)) + v eps, free of cancellation
+    a_phi = y * tau * (np.exp(-2.0 * r) + 2.0 * np.sinh(2.0 * r) * np.cos(0.5 * phi) ** 2) + v * eps
+    hdb = 2.0 * half_tr * x * a_phi
+    return ClosedForm(b_s, x * k * (a * half_tr + root_det), 1.0 / a, b_h_upper, b_h_mid, hdb)
+
+
+def _standard_form(r, n_th, gamma, t, n_e, W):
+    """b_s, b_h_upper and the standard-form terms of :func:`closed_form_bounds` at the weight W."""
     gt = np.multiply(gamma, t)
     x, y, v = np.exp(gt), np.exp(-gt), -np.expm1(-gt)
     tau, eps, sh2 = 1.0 + 2.0 * n_th, 1.0 + 2.0 * n_e, np.sinh(r) ** 2
@@ -179,17 +193,9 @@ def closed_form_bounds(probe: str, r, n_th, gamma, t, n_e, phi=math.pi, weight=N
         + v * y * (n_e + n_th + 2.0 * n_e * n_th + eps * tau * sh2)
         + v * v * n_e * (1.0 + n_e)
     )
-    k = np.divide(kappa, a_1 * (a + 1.0), out=np.ones(np.shape(kappa)), where=a_1 > 0.0)
-    W = np.eye(2) if weight is None else np.asarray(weight, dtype=float)
     half_tr = 0.5 * (W[0, 0] + W[1, 1])
-    root_det = math.sqrt(max(0.0, W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]))
     b_s = half_tr * x * (1.0 + kappa) / a
-    r_q = 1.0 / a
-    b_h_mid = b_s + root_det * x * (1.0 + kappa) / (a * a)
-    # a + c cos phi = y tau (e^(-2r) + 2 sinh 2r cos^2(phi/2)) + v eps, free of cancellation
-    a_phi = y * tau * (np.exp(-2.0 * r) + 2.0 * np.sinh(2.0 * r) * np.cos(0.5 * phi) ** 2) + v * eps
-    hdb = 2.0 * half_tr * x * a_phi
-    return ClosedForm(b_s, x * k * (a * half_tr + root_det), r_q, (1.0 + r_q) * b_s, b_h_mid, hdb)
+    return b_s, (1.0 + 1.0 / a) * b_s, (x, y, v, tau, eps, a_1, a, kappa, half_tr)
 
 
 # Failures a layer raises for a point outside its domain; such a point degrades alone.
@@ -216,8 +222,9 @@ def _evaluate(cfg: ScenarioConfig, values: np.ndarray) -> np.ndarray:
     rep = qfim_report(pt, weight=cfg.weight)
     pre, gd = epr_readout()
     F_C = cfim_gaussian_outcomes(pt, gd, pre_op=pre)
-    hdb = (cfg.weight_matrix() @ numkit.pinv_psd(F_C)[0]).trace(axis1=-2, axis2=-1)
-    sql = closed_form_bounds("tmdv", 0.0, 0.0, gamma, t, n_e, weight=cfg.weight).b_h_upper
+    W = cfg.weight_matrix()
+    hdb = (W @ numkit.pinv_psd(F_C)[0]).trace(axis1=-2, axis2=-1)
+    sql = _standard_form(0.0, 0.0, gamma, t, n_e, W)[1]  # the tmdv closed form's b_h_upper
     return np.array((values, rep.b_s, rep.b_r, rep.b_h_mid, rep.b_h_upper, hdb, rep.r_q, sql))
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussfish.channels import NoisyChannel, evolve
 from gaussfish.gaussian_core import (
     DuanResult,
     GaussianState,
@@ -25,6 +26,7 @@ from gaussfish.gaussian_core import (
     vacuum,
     wigner_at,
 )
+from gaussfish.qfi_gaussian import displacement_model
 
 
 def test_omega_blocks():
@@ -121,6 +123,42 @@ def test_symmetry_check_is_relative_to_each_matrix_scale():
     small[0, 1] += 1e-8
     with pytest.raises(ValueError, match="not symmetric"):
         GaussianState(np.zeros((2, 4)), np.array([V, small]))
+
+
+def test_internal_builders_return_exactly_symmetric_covariances():
+    """probe_tmsdt, evolve and the displacement model build their states unchecked.
+
+    Their covariances must then be exactly symmetric, over stacks and scalars alike,
+    while the public constructor keeps refusing an asymmetric V and a d/V mismatch.
+    """
+
+    def symmetric(st):
+        return np.array_equal(st.V, st.V.swapaxes(-1, -2))
+
+    r, n_th = np.linspace(0.0, 3.0, 31), np.linspace(0.0, 2.0, 31)
+    alpha = (0.3, -0.2, 0.1, 0.4)
+    singles = [probe_tmsdt(ri, 2.1, *alpha, ni) for ri, ni in zip(r, n_th)]
+    stacks = [
+        probe_tmsdt(r, 2.1, *alpha, n_th),
+        probe_tmsdt(r, math.pi, *alpha, 0.5),
+        probe_tmsdt(1.1, 2.1, *alpha, n_th),
+    ]
+    assert all(symmetric(st) for st in singles + stacks)
+    t, gamma = np.linspace(0.0, 2.0, 31), np.linspace(0.1, 3.0, 31)
+    # unequal rates per mode: g V g then rounds differently above and below the diagonal
+    per_mode = NoisyChannel(np.array([0.3, 1.7]), np.array([0.7, 0.2]), np.array([0.3 - 0.2j, 0.1]))
+    assert all(symmetric(evolve(per_mode, st, t)) for st in singles + stacks)
+    for m_e in (0.0, 0.3 - 0.2j):
+        channel = NoisyChannel.uniform(2, gamma, 0.7, m_e)
+        assert all(symmetric(evolve(channel, st, t)) for st in singles + stacks)
+        single = NoisyChannel.uniform(2, 0.9, 0.7, m_e)
+        assert all(symmetric(evolve(single, st, 0.4)) for st in singles)
+    for channel in (per_mode, NoisyChannel.uniform(2, gamma, 0.7, 0.1j)):
+        assert symmetric(displacement_model(stacks[0], channel, t).state([0.4, -0.9]))
+    with pytest.raises(ValueError, match="covariance is not symmetric"):
+        GaussianState(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="does not match d"):
+        GaussianState(np.zeros((3, 4)), np.eye(4))
 
 
 def test_rotation_moves_coherent_clockwise():

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gaussfish import numkit, scenarios
 from gaussfish.channels import NoisyChannel
+from gaussfish.gaussian_core import GaussianState
 from gaussfish.measurements import cfim_gaussian_outcomes, epr_readout
 from gaussfish.qfi_gaussian import displacement_model, qfim_report
 from gaussfish.scenarios import (
@@ -454,8 +456,8 @@ def test_pipeline_matches_closed_forms_property(probe, axis, r, n_th, n_e, gamma
     cf = closed_form_bounds(probe, r, n_th, gamma, t, n_e, phi=phi, weight=weight)
     for name in cf._fields:
         assert getattr(row, name) == pytest.approx(getattr(cf, name), abs=1e-8), name
-    sql = closed_form_bounds("tmdv", 0.0, 0.0, gamma, t, n_e, weight=weight)
-    assert row.sql == pytest.approx(sql.b_h_upper, abs=1e-8)
+    # sql and the closed form share one set of standard-form expressions
+    assert row.sql == closed_form_bounds("tmdv", 0.0, 0.0, gamma, t, n_e, weight=weight).b_h_upper
     assert max(row.b_s, row.b_r) <= row.b_h_mid + 1e-9
     assert row.b_h_mid <= row.b_h_upper + 1e-9
     assert row.b_h_upper <= 2 * row.b_s + 1e-9
@@ -550,6 +552,28 @@ def test_tmst_bounds_keep_their_scale_up_to_gamma_t_700():
     np.testing.assert_allclose(got["b_s"] * y, b_s_x, rtol=1e-12, atol=0)
     np.testing.assert_allclose(got["b_h_upper"] * y, (1.0 + r_q) * b_s_x, rtol=1e-12, atol=0)
     np.testing.assert_allclose(got["r_q"], r_q, rtol=1e-12, atol=0)
+
+
+def test_states_built_inside_a_run_are_not_rechecked(monkeypatch):
+    """Input is checked at the boundary only: structural, since host noise hides a 5 % change.
+
+    run_point and a 201-point tmst sweep build every GaussianState through the unchecked
+    internal constructor, so the public check runs zero times.  The channel's public
+    check runs once per evaluation, and once more in sweep's validate.
+    """
+    calls = Counter()
+    for cls in (GaussianState, NoisyChannel):
+        check = cls.__post_init__
+        spy = lambda self, check=check, name=cls.__name__: calls.update([name]) or check(self)
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    assert run_point(_cfg(probe="tmst", n_th=0.5, axis="t"), 0.3).ok
+    assert calls == {"NoisyChannel": 1}
+    calls.clear()
+    rows = sweep(_cfg(probe="tmst", n_th=0.5, axis="t", start=0.0, stop=1.0, step=0.005))
+    assert len(rows) == 201 and all(row.ok for row in rows)
+    assert calls == {"NoisyChannel": 2}
+    GaussianState(np.zeros(2), np.eye(2))  # the spy sees the public constructor
+    assert calls == {"NoisyChannel": 2, "GaussianState": 1}
 
 
 def test_mixed_sweep_makes_one_qr_and_no_svd_or_eigvalsh(monkeypatch):
