@@ -16,6 +16,13 @@ TINY = float(np.finfo(float).tiny)
 NEG_TOL = 1e-10
 # Margin of the 2x2 closed-form certificate det(a / tr a) > SPD2_MARGIN eps (see _spd2).
 SPD2_MARGIN = 16.0
+# Margin of the 4x4 closed-form certificate |p| - |q| > ANTISYM4_MARGIN eps |p| (see eigh_antisym).
+ANTISYM4_MARGIN = 16.0
+# A stack of at least STACK_MIN matrices takes the closed forms of inv_sym and eigh_antisym;
+# a shorter one takes LAPACK, whose fixed cost per call is lower.  Measured on one core,
+# eigh_antisym breaks even near 18 matrices and inv_sym near 48; at 24 the two together
+# cost less than LAPACK's eigh and inv (CHANGES.md has the timings).
+STACK_MIN = 24
 
 
 def transpose(a):
@@ -149,12 +156,13 @@ def _pinv_psd_eigh(a):
 def inv_sym(a):
     """Inverse of a real symmetric matrix, or of each matrix of a stack.
 
-    A 2x2 matrix that passes the certificate of :func:`_spd2` takes the closed
-    form adj / det; any other matrix takes np.linalg.inv, for that subset only,
-    which raises LinAlgError for a singular matrix.
+    In a stack of at least STACK_MIN 2x2 matrices, a matrix that passes the
+    certificate of :func:`_spd2` takes the closed form adj / det; any other
+    matrix takes np.linalg.inv, for that subset only, which raises LinAlgError
+    for a singular matrix.  A shorter stack takes np.linalg.inv whole.
     """
     a = np.asarray(a)
-    if a.shape[-2:] != (2, 2) or a.dtype.kind == "c":
+    if a.shape[-2:] != (2, 2) or a.dtype.kind == "c" or a.size < 4 * STACK_MIN:
         return np.linalg.inv(a)
     flat = a.reshape(-1, 2, 2)
     with np.errstate(all="ignore"):  # only a matrix that fails the certificate meets an error
@@ -196,6 +204,85 @@ def _sym2(p, q, s):
     out = np.empty(p.shape + (4,))
     out[:, 0], out[:, 1], out[:, 2], out[:, 3] = p, q, q, s
     return out.reshape(-1, 2, 2)
+
+
+def _unit_antisym4():
+    """(L, R, MAP, IU): two commuting triples of real antisymmetric 4x4 unit matrices.
+
+    With e_ab = E_ab - E_ba, L = (e01 + e23, e02 - e13, e03 + e12) and
+    R = (e01 - e23, e02 + e13, e03 - e12) are left and right multiplication by the
+    quaternion units i, j, k: each squares to -I, each triple anticommutes, and every
+    L_m commutes with every R_n.  Together they span the antisymmetric 4x4 matrices,
+    a = sum p_m L_m + sum q_m R_m with (p, q) = a[IU] @ MAP over the upper entries a[IU],
+    and L_1 = Omega of two modes.
+    """
+    eye = np.eye(4)
+
+    def e(i, j):
+        return np.outer(eye[i], eye[j]) - np.outer(eye[j], eye[i])
+
+    L = np.array([e(0, 1) + e(2, 3), e(0, 2) - e(1, 3), e(0, 3) + e(1, 2)])
+    R = np.array([e(0, 1) - e(2, 3), e(0, 2) + e(1, 3), e(0, 3) - e(1, 2)])
+    iu = np.triu_indices(4, 1)
+    return L.reshape(3, 16), R.reshape(3, 16), 0.5 * np.concatenate([L, R])[:, iu[0], iu[1]].T, iu
+
+
+_L4, _R4, _PQ_MAP, _IU4 = _unit_antisym4()
+_SIGNS2 = np.array([-1.0, 1.0])[:, None, None]  # eigenvalue |p| - |q|, then |p| + |q|
+
+
+def eigh_antisym(a):
+    """(lam, u): the n positive eigenvalues, ascending, and unit eigenvectors of the Hermitian i a.
+
+    a is a real antisymmetric 2n x 2n matrix, or a stack of them, whose i a has n
+    positive and n negative eigenvalues (a = V^-1/2 Omega V^-1/2 of a covariance V):
+    lam (..., n) and u (..., 2n, n) are the upper halves of np.linalg.eigh(1j * a).
+
+    A stack of at least STACK_MIN 4x4 matrices takes a closed form.  Write
+    a = P + Q, P = sum p_m L_m and Q = sum q_m R_m (:func:`_unit_antisym4`): P and Q
+    commute, P^2 = -|p|^2 I and Q^2 = -|q|^2 I, so i a has the eigenvalues
+    +-|p| +-|q|, and |p|^2 - |q|^2 = Pf(a) > 0 for a covariance.  The positive ones are
+    |p| - |q| and |p| + |q|, with the rank-1 projectors
+    Pi = (I + i P/|p|)(I -+ i Q/|q|) / 4.  Each eigenvector is the column of Pi with
+    the largest diagonal entry (at least 1/4), divided by its root; it is u up to a
+    unit phase.  |p| and |q| are hypot chains, so no scale over- or underflows.  At
+    q = 0 (a double eigenvalue) any unit q works and e_1 is taken, as it is for
+    |q| < TINY, where q has too few digits for a direction and |q| < eps |p|.  A
+    member passes the certificate if |p| - |q| > ANTISYM4_MARGIN eps |p| and
+    |p| > TINY / eps, which a non-finite, zero or subnormal member fails; any other
+    member takes eigh, for that subset only.  Shorter stacks, one matrix and other
+    sizes take eigh.
+    """
+    a = np.asarray(a)
+    if a.shape[-2:] != (4, 4) or a.size < 16 * STACK_MIN:
+        return _eigh_antisym_lapack(a)
+    flat = a.reshape(-1, 4, 4)
+    p1, p2, p3, q1, q2, q3 = pq = (flat[:, _IU4[0], _IU4[1]] @ _PQ_MAP).T
+    with np.errstate(all="ignore"):  # only a member that fails the certificate meets an error
+        norm_p, norm_q = np.hypot(np.hypot(p1, p2), p3), np.hypot(np.hypot(q1, q2), q3)
+        ok = (norm_p - norm_q > ANTISYM4_MARGIN * EPS * norm_p) & (norm_p > TINY / EPS)
+        q_zero = norm_q < TINY
+        p_hat = ((pq[:3] / norm_p).T @ _L4).reshape(-1, 1, 4, 4)
+        q_unit = pq[3:] / np.where(q_zero, 1.0, norm_q)
+        q_unit[0, q_zero] = 1.0
+        q_hat = (q_unit.T @ _R4).reshape(-1, 1, 4, 4)
+        proj = np.empty((len(flat), 2, 4, 4), dtype=complex)  # 4 Pi of each eigenvalue
+        proj.real = np.eye(4) - _SIGNS2 * (p_hat @ q_hat)
+        proj.imag = p_hat + _SIGNS2 * q_hat
+        diag = proj.real.diagonal(0, 2, 3)
+        k = diag.argmax(axis=-1)[..., None, None]
+        u = np.take_along_axis(proj, k, axis=3)[..., 0] / (2.0 * np.sqrt(diag.max(axis=-1)))[..., None]
+    lam, u = np.stack([norm_p - norm_q, norm_p + norm_q], axis=-1), u.swapaxes(1, 2)
+    if np.count_nonzero(ok) < ok.size:
+        lam[~ok], u[~ok] = _eigh_antisym_lapack(flat[~ok])
+    return lam.reshape(a.shape[:-2] + (2,)), u.reshape(a.shape[:-1] + (2,))
+
+
+def _eigh_antisym_lapack(a):
+    """:func:`eigh_antisym` by np.linalg.eigh of i a."""
+    n = a.shape[-1] // 2
+    lam, u = np.linalg.eigh(1j * a)
+    return lam[..., n:], u[..., n:]
 
 
 def float_or_stack(x):

@@ -50,9 +50,12 @@ shape (K, 2N) and V of shape (K, 2N, 2N), with dds (K, p, 2N) and dVs
 function here then works on the leading axis in one call and returns
 (K, p, p) matrices and (K,) bounds; without the axis it is the one-point
 case and returns (p, p) matrices and floats.  The formulas are elementwise
-in nu, so a point's values do not depend on the other points of its stack:
-the purity cut, the rank cut of :func:`rld_inverse_limit` and every pinv
-cutoff are taken point by point.
+in nu, and the purity cut, the rank cut of :func:`rld_inverse_limit` and
+every pinv cutoff are taken point by point, so no point's cut depends on the
+other points of its stack.  The kernel may: a two-mode stack of at least
+numkit.STACK_MIN points takes the closed form of :func:`williamson` where a
+shorter one takes eigh, so there a point's values may differ from its
+one-point evaluation by rounding.
 """
 
 from __future__ import annotations
@@ -136,14 +139,18 @@ def williamson(V):
     """(nu, Z): the symplectic eigenvalues, one per mode, and the normal coordinates of V.
 
     The eigenvectors u_k of the Hermitian i V^-1/2 Omega V^-1/2 for its
-    eigenvalues 1/nu_k give the rows z_k = sqrt(nu_k) u_k^H V^-1/2 of the
-    complex Z (N x 2N).  These are the s = +1 rows of the normal coordinates
-    T of the module docstring, and conj(Z) its s = -1 rows, so
-    T (V + i Omega) T^H = diag(nu + s).  A mode with
-    nu - 1 <= PURE_TOL cond(V) is pure and gets nu = 1 exactly; an
+    eigenvalues 1/nu_k (:func:`numkit.eigh_antisym`) give the rows
+    z_k = sqrt(nu_k) u_k^H V^-1/2 of the complex Z (N x 2N).  These are the
+    s = +1 rows of the normal coordinates T of the module docstring, and
+    conj(Z) its s = -1 rows, so T (V + i Omega) T^H = diag(nu + s).  A mode
+    with nu - 1 <= PURE_TOL cond(V) is pure and gets nu = 1 exactly; an
     unphysical V (not positive definite, or nu below 1 by more) raises
     ValueError, as does a V with an entry that is not finite.  A stack V
-    (K, 2N, 2N) is decomposed matrix by matrix.
+    (K, 2N, 2N) is decomposed matrix by matrix, and the purity cut is taken
+    point by point.  A two-mode stack of at least numkit.STACK_MIN points
+    takes eigh_antisym's closed form where a shorter one takes eigh, so its
+    nu and Z may differ from a one-point call by rounding (and each row of Z
+    by a unit phase).
     """
     if not np.isfinite(V).all():
         raise ValueError("covariance is not finite")
@@ -154,13 +161,13 @@ def williamson(V):
         )
     v_isqrt = (u / np.sqrt(w)[..., None, :]) @ numkit.transpose(u)
     n = V.shape[-1] // 2
-    lam, vecs = np.linalg.eigh(1j * (v_isqrt @ omega(n) @ v_isqrt))
-    nu = 1.0 / lam[..., n:]  # eigenvalues come as -1/nu_k, +1/nu_k in ascending order
+    lam, vecs = numkit.eigh_antisym(v_isqrt @ omega(n) @ v_isqrt)
+    nu = 1.0 / lam
     tol = (PURE_TOL * w[..., -1] / w[..., 0])[..., None]
     if not (nu >= 1.0 - tol).all():
         raise ValueError("unphysical state: symplectic eigenvalue %.15g < 1" % nu.min())
     nu = np.where(nu - 1.0 <= tol, 1.0, nu)
-    return nu, np.sqrt(nu)[..., :, None] * (numkit.adjoint(vecs[..., n:]) @ v_isqrt)
+    return nu, np.sqrt(nu)[..., :, None] * (numkit.adjoint(vecs) @ v_isqrt)
 
 
 def _inverse(x, zero_to):

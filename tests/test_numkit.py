@@ -353,15 +353,15 @@ _KINDS2 = ("full", "rank1", "zero", "near_cutoff", "indefinite")
 
 
 @st.composite
-def _sym2_stacks(draw, kinds=_KINDS2, exponents=(-290.0, 300.0)):
-    """A (K, 2, 2) stack of symmetric members R diag(1, lam) R^T 10^e of mixed kinds.
+def _sym2_stacks(draw, kinds=_KINDS2, exponents=(-290.0, 300.0), sizes=(1, 6)):
+    """A (K, 2, 2) stack of symmetric members R diag(1, lam) R^T 10^e of mixed kinds, K in sizes.
 
     lam is 10^-13..1 (full), 0 (rank1), 0.7..280 eps around pinv's cutoff 2 eps and the
     closed form's certificate (near_cutoff), or -10^-13..-1 (indefinite); e >= -290 keeps
     every kept inverse eigenvalue below about 1e306.
     """
     members = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(*sizes))):
         kind = draw(st.sampled_from(kinds))
         if kind == "zero":
             members.append(np.zeros((2, 2)))
@@ -422,8 +422,12 @@ def test_two_by_two_pinv_psd_of_one_matrix_is_its_stack_member(stack):
 
 
 @settings(max_examples=200, deadline=None)
-@given(stack=_sym2_stacks(kinds=("full", "near_cutoff", "indefinite")), singular=st.booleans())
+@given(stack=_sym2_stacks(kinds=("full", "near_cutoff", "indefinite"), sizes=(numkit.STACK_MIN, numkit.STACK_MIN + 6)),
+       singular=st.booleans())
 def test_two_by_two_inv_sym_is_the_lapack_inv(stack, singular):
+    """A stack of at least STACK_MIN members takes the closed form; a shorter one is LAPACK's inv."""
+    short = stack[: numkit.STACK_MIN - 1]
+    assert np.array_equal(numkit.inv_sym(short), np.linalg.inv(short))
     if singular:  # an exactly singular member: LAPACK's refusal, for the whole stack
         stack = np.concatenate([stack, [[[1.0, 2.0], [2.0, 4.0]]]])
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
@@ -433,6 +437,82 @@ def test_two_by_two_inv_sym_is_the_lapack_inv(stack, singular):
     got = numkit.inv_sym(stack)
     assert got.shape == stack.shape and numkit.inv_sym(stack[0]).shape == (2, 2)
     _assert_close_per_member(got, want, np.linalg.cond(stack))
+
+
+# eigh_antisym's closed form against the upper half of eigh(1j * a), in units of
+# eps |a|_2: over 32,000 members of the kinds below (1,000 stacks of 32) the eigenvalue
+# gap reached 11, the residual |i a u - u lam| 2, and |u^H u - I| 3 eps.
+ANTISYM_C = 32.0
+_ANTISYM4_KINDS = ("exact_degenerate", "degenerate", "near_degenerate", "distinct", "uncertified", "tiny", "zero")
+
+
+def _antisym4_member(rng, kind):
+    """c O (Omega_1 / nu_1 (+) Omega_1 / nu_2) O^T, so i a has the eigenvalues +-c / nu_k.
+
+    O is a random rotation (det O = 1, so Pf(a) > 0) and c / nu_1 = 1e-200..1e200.
+    nu_2 / nu_1 is 1 (degenerate), 1 + 1e-14..1e-6 (near_degenerate), 1..1e6 (distinct)
+    or 1e16..1e17 (uncertified: the certificate refuses it).  exact_degenerate is
+    sum p_m L_m, whose q is exactly 0; tiny is degenerate at c / nu_1 = 1e-323..1e-293,
+    below the certificate's floor TINY / eps; zero is 0.
+    """
+    x = 10.0 ** rng.uniform(-200.0, 200.0)
+    if kind == "tiny":
+        x, kind = 10.0 ** rng.uniform(-323.0, -293.0), "degenerate"
+    if kind == "zero":
+        return np.zeros((4, 4))
+    if kind == "exact_degenerate":
+        p = x * rng.normal(size=3)
+        return np.array([[0, p[0], p[1], p[2]], [-p[0], 0, p[2], -p[1]], [-p[1], -p[2], 0, p[0]], [-p[2], p[1], -p[0], 0]])
+    ratio = {
+        "degenerate": 1.0,
+        "near_degenerate": 1.0 + 10.0 ** rng.uniform(-14.0, -6.0),
+        "distinct": 10.0 ** rng.uniform(0.0, 6.0),
+        "uncertified": 10.0 ** rng.uniform(16.0, 17.0),
+    }[kind]
+    o = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    o[:, 0] *= np.sign(np.linalg.det(o))
+    block = np.zeros((4, 4))
+    block[0, 1], block[2, 3] = x, x / ratio
+    a = o @ (block - block.T) @ o.T
+    return 0.5 * (a - a.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(_ANTISYM4_KINDS), min_size=numkit.STACK_MIN, max_size=numkit.STACK_MIN + 8),
+    nonfinite=st.sampled_from([None, np.nan, np.inf]),
+)
+def test_eigh_antisym_is_the_upper_half_of_eigh(seed, kinds, nonfinite):
+    """A stack of at least STACK_MIN takes the closed form; a shorter one is eigh's, bit for bit.
+
+    Certified members agree with eigh within ANTISYM_C eps |a|_2 (the eigenvectors up to a
+    unit phase, or any basis of a double eigenvalue); refused members are eigh's.  A
+    non-finite member makes both raise.
+    """
+    rng = np.random.default_rng(seed)
+    a = np.array([_antisym4_member(rng, kind) for kind in kinds])
+    if nonfinite is not None:
+        k = rng.integers(len(a))
+        a[k, 0, 1], a[k, 1, 0] = nonfinite, -nonfinite
+        with np.errstate(invalid="ignore"):  # 1j * inf
+            for run in (lambda: np.linalg.eigh(1j * a), lambda: numkit.eigh_antisym(a)):
+                with pytest.raises(np.linalg.LinAlgError):
+                    run()
+        return
+    w, v = np.linalg.eigh(1j * a)
+    short = numkit.eigh_antisym(a[: numkit.STACK_MIN - 1])
+    assert np.array_equal(short[0], w[: numkit.STACK_MIN - 1, 2:]) and np.array_equal(short[1], v[: numkit.STACK_MIN - 1, :, 2:])
+    lam, u = numkit.eigh_antisym(a)
+    assert lam.shape == (len(a), 2) and u.shape == (len(a), 4, 2)
+    for k, kind in enumerate(kinds):
+        if kind in ("uncertified", "tiny", "zero"):
+            assert np.array_equal(lam[k], w[k, 2:]) and np.array_equal(u[k], v[k, :, 2:]), kind
+            continue
+        bound = ANTISYM_C * numkit.EPS * np.abs(w[k]).max()
+        assert np.abs(lam[k] - w[k, 2:]).max() <= bound, kind
+        assert np.abs(1j * a[k] @ u[k] - u[k] * lam[k]).max() <= bound, kind
+        assert np.abs(numkit.adjoint(u[k]) @ u[k] - np.eye(2)).max() <= ANTISYM_C * numkit.EPS, kind
 
 
 @settings(max_examples=100, deadline=None)
@@ -459,9 +539,13 @@ def test_two_column_pinv_gram_mixes_certified_and_uncertified_members(data, comp
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), has_dv=st.booleans(), scale=st.floats(-100.0, 100.0))
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(numkit.STACK_MIN, numkit.STACK_MIN + 4), has_dv=st.booleans(),
+       scale=st.floats(-100.0, 100.0))
 def test_cfim_with_the_closed_form_sigma_inverse_is_the_lapack_one(seed, k, has_dv, scale):
-    """The 2x2 outcome covariance of the EPR readout, and a 4x4 one, against np.linalg.inv."""
+    """The 2x2 outcome covariance of the EPR readout, and a 4x4 one, against np.linalg.inv.
+
+    k >= STACK_MIN, so the readout's Sigma^-1 takes the closed form.
+    """
     rng = np.random.default_rng(seed)
     b = rng.normal(size=(k, 4, 4))
     V = 10.0**scale * (np.eye(4) + b @ numkit.transpose(b))

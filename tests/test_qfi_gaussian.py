@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from gaussfish import numkit
@@ -419,11 +420,16 @@ def _kron_oracle(pt):
     return f_s, f_r, 0.5 * (u - u.T), np.linalg.pinv(f_r)
 
 
-def _random_point(rng, modes, n_params=3):
-    """A random physical mixed state with random first- and second-moment derivatives."""
+def _random_symplectic(rng, modes, strength=0.5):
+    """expm(Omega H) for a random symmetric H of norm strength: cond(S S^T) <= e^(4 strength)."""
     H = rng.normal(size=(2 * modes, 2 * modes))
     H = H + H.T
-    S = expm(omega(modes) @ (0.5 * H / np.linalg.norm(H, 2)))
+    return expm(omega(modes) @ (strength * H / np.linalg.norm(H, 2)))
+
+
+def _random_point(rng, modes, n_params=3):
+    """A random physical mixed state with random first- and second-moment derivatives."""
+    S = _random_symplectic(rng, modes)
     V = (S * np.repeat(rng.uniform(1.2, 2.5, modes), 2)) @ S.T
     st = GaussianState(rng.normal(size=2 * modes), 0.5 * (V + V.T))
     dds = [rng.normal(size=2 * modes) for _ in range(n_params)]
@@ -431,22 +437,107 @@ def _random_point(rng, modes, n_params=3):
     return evaluate(GaussianModel(lambda th: st, n_params, lambda th: dds, lambda th: dVs), np.zeros(n_params))
 
 
+def _normal_form_error(V, nu, Z):
+    """max |T (V + i Omega) T^H - diag(nu + s)| of each matrix, T the rows Z and conj(Z) interleaved."""
+    modes = V.shape[-1] // 2
+    T = np.empty(V.shape, dtype=complex)
+    T[..., 0::2, :], T[..., 1::2, :] = Z, np.conj(Z)
+    lam = np.repeat(nu, 2, axis=-1) + np.tile([1.0, -1.0], modes)
+    gap = T @ (V + 1j * omega(modes)) @ numkit.adjoint(T) - lam[..., None] * np.eye(2 * modes)
+    return np.abs(gap).max(axis=(-2, -1))
+
+
 @pytest.mark.parametrize("modes", [1, 2, 3, 4])
 def test_williamson_basis_matches_kron_oracle(modes):
+    """The five-point stack and each point alone take eigh; two modes add a stack of
+    STACK_MIN points, which takes the closed-form kernel, through the information layer too."""
     rng = np.random.default_rng(100 + modes)
     points = [_random_point(rng, modes) for _ in range(5)]
     V = np.array([pt.st.V for pt in points])
-    M, s = V + 1j * omega(modes), np.tile([1.0, -1.0], modes)
-    # T (V + i Omega) T^H = diag(nu + s), for the (K, 2N, 2N) stack and for each point alone
-    for m, (nu, Z) in [(M, williamson(V))] + [(m, williamson(v)) for m, v in zip(M, V)]:
-        T = np.empty(m.shape, dtype=complex)
-        T[..., 0::2, :], T[..., 1::2, :] = Z, np.conj(Z)
-        lam = np.repeat(nu, 2, axis=-1) + s
-        assert np.max(np.abs(T @ m @ numkit.adjoint(T) - lam[..., None] * np.eye(2 * modes))) <= 1e-12
+    stacks = [V] + list(V)
+    if modes == 2:
+        kernel_points = [_random_point(rng, modes) for _ in range(numkit.STACK_MIN)]
+        stacks.append(np.array([pt.st.V for pt in kernel_points]))
+    # T (V + i Omega) T^H = diag(nu + s), for each stack and for each point alone
+    for v in stacks:
+        assert np.max(_normal_form_error(v, *williamson(v))) <= 1e-12
+    if modes == 2:
+        stacked = _stack_points(kernel_points)
+        got = (qfim_sld(stacked), qfim_rld(stacked), incompatibility(stacked), rld_inverse_limit(stacked))
+        for k, pt in enumerate(kernel_points):
+            for new, ref in zip(got, _kron_oracle(pt)):
+                assert np.max(np.abs(new[k] - ref)) <= 1e-10 * np.max(np.abs(ref))
     for pt in points:
         got = (qfim_sld(pt), qfim_rld(pt), incompatibility(pt), rld_inverse_limit(pt))
         for new, ref in zip(got, _kron_oracle(pt)):
             assert np.max(np.abs(new - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+# williamson's closed-form kernel against its eigh path, in units of eps cond(V): over
+# 25,600 members of the kinds below (800 stacks of 32) the normal-form error, divided by
+# nu_max + 1, reached 8.9 (eigh's own: 8.9) and the relative gap in nu 4.4.
+KERNEL_C = 32.0
+_WILLIAMSON_KINDS = ("identity", "standard_form", "degenerate", "near_degenerate", "pure", "hot", "generic", "uncertified")
+
+
+def _williamson_member(rng, kind):
+    """A two-mode covariance of the given kind, most of them c S diag(nu) S^T.
+
+    identity is a I_4 and standard_form [[a I, c Z], [c Z, a I]] (Z = diag(1, -1)): the
+    tmdv, tmdt and symmetric tmst forms, with nu_1 = nu_2 exactly.  S squeezes up to
+    cond(S S^T) = 1e10; nu_2 / nu_1 - 1 is 0 (degenerate), 1e-14..1e-6 (near_degenerate)
+    or up to 1e6 (hot, each nu 1..1e6); pure has nu_1 = 1.  A third of these are scaled
+    by c = 1..1e150.  uncertified is diag(nu_1, nu_1, nu_2, nu_2), nu_2 / nu_1 = 1e15..1e17,
+    which the kernel's certificate refuses.
+    """
+    if kind == "identity":
+        return rng.uniform(1.0, 3.0) * np.eye(4)
+    if kind == "standard_form":
+        a = rng.uniform(1.0, 1e3)
+        c = rng.uniform(0.0, np.sqrt(a * a - 1.0))
+        V = a * np.eye(4)
+        V[0, 2] = V[2, 0] = c
+        V[1, 3] = V[3, 1] = -c
+        return V
+    if kind == "uncertified":
+        nu = rng.uniform(1.0, 2.0) * np.array([1.0, 10.0 ** rng.uniform(15.0, 17.0)])
+        return np.diag(np.repeat(nu[:: rng.choice([1, -1])], 2))
+    nu_1 = rng.uniform(1.2, 2.5)
+    nu = {
+        "degenerate": [nu_1, nu_1],
+        "near_degenerate": [nu_1, nu_1 * (1.0 + 10.0 ** rng.uniform(-14.0, -6.0))],
+        "pure": [1.0, rng.choice([1.0, nu_1])],
+        "hot": 10.0 ** rng.uniform(0.0, 6.0, 2),
+        "generic": rng.uniform(1.0, 3.0, 2),
+    }[kind]
+    S = _random_symplectic(rng, 2, 0.25 * np.log(10.0) * rng.uniform(0.0, 10.0))
+    scale = 10.0 ** rng.uniform(0.0, 150.0) if rng.random() < 1 / 3 else 1.0
+    V = scale * (S * np.repeat(nu, 2)) @ S.T
+    return 0.5 * (V + V.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(_WILLIAMSON_KINDS), min_size=numkit.STACK_MIN, max_size=numkit.STACK_MIN + 8),
+)
+def test_williamson_kernel_matches_the_eigh_path(seed, kinds):
+    """A stack of at least STACK_MIN two-mode covariances against each member alone (eigh).
+
+    nu and the normal form T (V + i Omega) T^H = diag(nu + s) agree within
+    KERNEL_C eps cond(V); a member the certificate refuses is eigh's, bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    V = np.array([_williamson_member(rng, kind) for kind in kinds])
+    nu, Z = williamson(V)
+    bound = KERNEL_C * numkit.EPS * np.linalg.cond(V)
+    error = _normal_form_error(V, nu, Z)
+    for k, (kind, v) in enumerate(zip(kinds, V)):
+        nu_alone, _ = williamson(v)
+        np.testing.assert_allclose(nu[k], nu_alone, rtol=bound[k], atol=0, err_msg=kind)
+        assert error[k] <= bound[k] * (nu[k].max() + 1.0), kind
+        if kind == "uncertified":
+            assert np.array_equal(nu[k], nu_alone)
 
 
 @pytest.mark.parametrize("n_th", [0.0, 1e-9, 1e-6])

@@ -288,7 +288,16 @@ def test_weighted_sql_is_the_displaced_vacuum_upper_bound():
         assert squeezed[0].sql == pytest.approx(squeezed[0].b_h_upper, rel=1e-12)  # r = 0
 
 
-SWEEP_AXES = {"t": (0.0, 1.0, 0.25), "r": (0.0, 1.2, 0.3), "n_e": (0.0, 1.0, 0.25), "n_th": (0.0, 1.0, 0.25), "gamma": (0.0, 2.0, 0.5)}
+# Each axis on 5 points, and a t grid of 33 points, above numkit.STACK_MIN, whose stack
+# takes williamson's closed-form kernel.
+SWEEP_GRIDS = {
+    "t": ("t", 0.0, 1.0, 0.25),
+    "r": ("r", 0.0, 1.2, 0.3),
+    "n_e": ("n_e", 0.0, 1.0, 0.25),
+    "n_th": ("n_th", 0.0, 1.0, 0.25),
+    "gamma": ("gamma", 0.0, 2.0, 0.5),
+    "t_stack": ("t", 0.0, 1.0, 1.0 / 32),
+}
 ROW_FIELDS = ("b_s", "b_r", "b_h_mid", "b_h_upper", "hdb", "r_q", "sql")
 
 
@@ -304,14 +313,14 @@ def _generic_row(cfg, value):
     return (rep.b_s, rep.b_r, rep.b_h_mid, rep.b_h_upper, hdb, rep.r_q, sql)
 
 
-@pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
+@pytest.mark.parametrize("grid", sorted(SWEEP_GRIDS))
 @pytest.mark.parametrize("probe", PROBES)
-def test_stacked_sweep_matches_generic_per_point_path(probe, axis):
-    start, stop, step = SWEEP_AXES[axis]
+def test_stacked_sweep_matches_generic_per_point_path(probe, grid):
+    axis, start, stop, step = SWEEP_GRIDS[grid]
     cfg = _cfg(probe=probe, r=0.6, n_th=0.3, n_e=0.4, gamma=0.7, t=0.4, alpha=(0.3, -0.2, 0.1, 0.4),
                axis=axis, start=start, stop=stop, step=step, weight=[[2.0, 0.3], [0.3, 1.0]])
     rows = sweep(cfg)
-    assert len(rows) == 5 and all(row.ok for row in rows)
+    assert len(rows) == (33 if grid == "t_stack" else 5) and all(row.ok for row in rows)
     for row in rows:
         got = [getattr(row, name) for name in ROW_FIELDS]
         np.testing.assert_allclose(got, _generic_row(cfg, row.axis), rtol=1e-12, atol=0)
@@ -576,19 +585,39 @@ def test_states_built_inside_a_run_are_not_rechecked(monkeypatch):
     assert calls == {"NoisyChannel": 2, "GaussianState": 1}
 
 
-def test_mixed_sweep_makes_one_qr_and_no_svd_or_eigvalsh(monkeypatch):
-    """The LAPACK budget of a 201-point tmst t sweep, whatever its length.
-
-    williamson makes two eigh.  No point has a pure mode, so every limiting RLD
-    inverse is certified by one QR, and R^-1 R^-H of its 2x2 R is a closed form.
-    F_S, F_C and the readout's outcome covariance are 2x2 and positive definite, so
-    pinv_psd and inv_sym take their certified closed forms: no eigh or inv.
-    """
+def _lapack_calls(monkeypatch, run):
+    """run()'s result and the sorted names of the LAPACK drivers it called."""
     calls = []
     for name in ("svd", "eigvalsh", "qr", "eigh", "inv"):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, name=name, fn=fn, **kw: calls.append(name) or fn(*a, **kw))
-    rows = sweep(_cfg(probe="tmst", n_th=0.5, axis="t", start=0.0, stop=1.0, step=0.005))
-    monkeypatch.undo()
+    try:
+        return run(), sorted(calls)
+    finally:
+        monkeypatch.undo()
+
+
+def test_mixed_sweep_makes_one_qr_and_no_svd_or_eigvalsh(monkeypatch):
+    """The LAPACK budget of a 201-point tmst t sweep, whatever its length.
+
+    williamson makes one eigh, of V; the 201-point stack is above numkit.STACK_MIN, so
+    the eigenvectors of i V^-1/2 Omega V^-1/2 come from the closed-form kernel.  No
+    point has a pure mode, so every limiting RLD inverse is certified by one QR, and
+    R^-1 R^-H of its 2x2 R is a closed form.  F_S, F_C and the readout's outcome
+    covariance are 2x2 and positive definite, so pinv_psd and inv_sym take their
+    certified closed forms: no further eigh and no inv.
+    """
+    rows, calls = _lapack_calls(monkeypatch, lambda: sweep(_cfg(probe="tmst", n_th=0.5, axis="t", start=0.0, stop=1.0, step=0.005)))
     assert len(rows) == 201 and all(row.ok for row in rows)
-    assert sorted(calls) == ["eigh"] * 2 + ["qr"]
+    assert calls == ["eigh", "qr"]
+
+
+def test_one_point_makes_two_eigh_one_inv_and_one_qr(monkeypatch):
+    """The LAPACK budget of one run_point, a stack of one, below numkit.STACK_MIN.
+
+    williamson makes its two eigh, inv_sym takes LAPACK's inv for the readout's
+    Sigma^-1, and the limiting RLD inverse one QR; pinv_psd keeps its closed forms.
+    """
+    row, calls = _lapack_calls(monkeypatch, lambda: run_point(_cfg(probe="tmst", n_th=0.5, axis="t"), 0.3))
+    assert row.ok
+    assert calls == ["eigh", "eigh", "inv", "qr"]
