@@ -16,13 +16,12 @@ TINY = float(np.finfo(float).tiny)
 NEG_TOL = 1e-10
 # Margin of the 2x2 closed-form certificate det(a / tr a) > SPD2_MARGIN eps (see _spd2).
 SPD2_MARGIN = 16.0
-# Margin of the 4x4 closed-form certificate |p| - |q| > ANTISYM4_MARGIN eps |p| (see eigh_antisym).
+# Margin of the 4x4 closed-form certificate |p| - |q| > ANTISYM4_MARGIN eps |p| (see eigvals_antisym).
 ANTISYM4_MARGIN = 16.0
-# A stack of at least STACK_MIN matrices takes the closed forms of inv_sym and eigh_antisym;
-# a shorter one takes LAPACK, whose fixed cost per call is lower.  Measured on one core,
-# eigh_antisym breaks even near 18 matrices and inv_sym near 48; at 24 the two together
-# cost less than LAPACK's eigh and inv (CHANGES.md has the timings).
-STACK_MIN = 24
+# A stack of at least STACK_MIN 2x2 matrices takes the closed form of inv_sym; a shorter one
+# takes LAPACK's inv, whose fixed cost per call is lower.  Measured on one core, the closed
+# form breaks even near 48 matrices (CHANGES.md has the timings).
+STACK_MIN = 48
 
 
 def transpose(a):
@@ -114,8 +113,8 @@ def _inverse_gram(r):
 def pinv_psd(a):
     """Pseudo-inverse of a symmetric (Hermitian) PSD matrix and the PSD root of that inverse.
 
-    Both equal pinv(a) and sqrtm_psd(pinv(a)).  A real 2x2 matrix that passes
-    the certificate of :func:`_spd2` (positive definite, well inside pinv's
+    Both equal pinv(a) and sqrtm_psd(pinv(a)).  A 2x2 matrix, real or complex, that
+    passes the certificate of :func:`_spd2` (positive definite, well inside pinv's
     cutoff) takes closed forms in b = a / tr(a), which has trace 1: with
     g = sqrt(det b), a^-1 = adj(b) / (det(b) tr(a)) and
     a^-1/2 = (adj(b) + g I) / (g sqrt(1 + 2 g) sqrt(tr(a))), the root of a
@@ -127,7 +126,7 @@ def pinv_psd(a):
     (..., n, n) is treated matrix by matrix, each with its own cutoff.
     """
     a = np.asarray(a)
-    if a.shape[-2:] != (2, 2) or a.dtype.kind == "c":
+    if a.shape[-2:] != (2, 2):
         return _pinv_psd_eigh(a)
     flat = a.reshape(-1, 2, 2)
     with np.errstate(all="ignore"):  # only a matrix that fails the certificate meets an error
@@ -172,27 +171,89 @@ def inv_sym(a):
     return inverse.reshape(a.shape)
 
 
-def _spd2(a):
-    """Certified closed-form inverses of a real (K, 2, 2) stack: (ok, inverse, (s, -q, p), det, tr).
+def inv_certified(a):
+    """(ok, inverse) of each square n x n matrix of a stack, ok where it is certified of full rank.
 
-    Each matrix a is read as symmetric and divided by its trace tr first, so no
-    scale over- or underflows: b = [[p, q], [q, s]] = (a + a^T) / (2 tr) has
-    trace 1 and determinant det, and a^-1 = adj / (det tr), adj = [[s, -q], [-q, p]].  For
-    a PSD matrix the trace lies between max |entry| and twice it, and det is
-    about lam_min / lam_max.  The certificate ok is det > SPD2_MARGIN eps and
-    det tr > TINY (so tr > 0): the smaller eigenvalue then exceeds the rounding
-    of det (about eps) and pinv's cutoff 2 eps lam_max with room to spare, so
-    only positive definite matrices that eigh keeps at full rank pass, and
-    their inverse is finite.  Where ok is False the values are meaningless: a
-    zero, indefinite or non-finite matrix fails, so call this under
-    np.errstate(all="ignore").  The work is on (K,) columns, which numpy runs
-    faster than (K, 2, 2) stacks, in few calls: each costs about 1 us whatever K.
+    With b = a / max|a|, so that no scale over- or underflows, the certificate is
+    |det b| > SPD2_MARGIN eps n^n: as sigma_max(b) >= max|b| = 1 and
+    |det b| <= sigma_min sigma_max^(n-1) <= sigma_min sigma_max^n, it bounds
+    sigma_min / sigma_max from below by SPD2_MARGIN eps.  A zero or non-finite matrix
+    fails it, and where ok is False the inverse is meaningless.  A real 2x2 matrix
+    takes adj(b) / (det(b) max|a|), by its entries; other sizes take np.linalg.det and
+    np.linalg.inv.
     """
-    a00, a11 = a[:, 0, 0], a[:, 1, 1]
+    a = np.asarray(a)
+    n = a.shape[-1]
+    margin = SPD2_MARGIN * EPS * float(n) ** n
+    if n != 2:
+        with np.errstate(all="ignore"):
+            ok = np.abs(np.linalg.det(a / np.abs(a).max(axis=(-2, -1))[..., None, None])) > margin
+        return ok, np.linalg.inv(np.where(ok[..., None, None], a, np.eye(n)))
+    flat = a.reshape(-1, 4)
+    with np.errstate(all="ignore"):  # only a matrix that fails the certificate meets an error
+        scale = np.abs(flat).max(axis=-1)
+        b00, b01, b10, b11 = (flat / scale[:, None]).T
+        det = b00 * b11 - b01 * b10
+        f = np.reciprocal(det * scale)
+        inverse = np.empty_like(flat)
+        inverse[:, 0], inverse[:, 1], inverse[:, 2], inverse[:, 3] = b11 * f, -b01 * f, -b10 * f, b00 * f
+    return (np.abs(det) > margin).reshape(a.shape[:-2]), inverse.reshape(a.shape)
+
+
+def schur_psd(m, p):
+    """The generalized Schur complement m_pp - m_pc pinv(m_cc) m_cp of each Hermitian PSD m.
+
+    m is a matrix or a stack; m_pp is its leading p x p block, m_cc the trailing one,
+    and pinv(m_cc) is :func:`pinv_psd`'s.  As m is PSD, the range of m_cp lies in that
+    of m_cc, so this is the limit of the ordinary Schur complement as a singular m_cc
+    is approached.
+    A 4x4 stack with p = 2 is computed by its entries, which numpy runs faster than
+    matmul's loop over complex 2x2 matrices.
+    """
+    m = np.asarray(m)
+    if m.shape[-1] != 4 or p != 2:
+        m_pc = m[..., :p, p:]
+        return m[..., :p, :p] - m_pc @ pinv_psd(m[..., p:, p:])[0] @ adjoint(m_pc)
+    flat = m[..., 2:, 2:].reshape(-1, 2, 2)
+    with np.errstate(all="ignore"):  # only a matrix that fails the certificate meets an error
+        ok, P, *_ = _spd2(flat)  # pinv_psd's inverse, without its root
+    if np.count_nonzero(ok) < ok.size:
+        P[~ok] = _pinv_psd_eigh(flat[~ok])[0]
+    P = P.reshape(m.shape[:-2] + (2, 2))
+    (m00, m01), (m10, m11) = m[..., 0, 2:].T, m[..., 1, 2:].T  # m_pc
+    p00, p01, p11 = P[..., 0, 0].T, P[..., 0, 1].T, P[..., 1, 1].T
+    p10 = p01.conj()
+    y00, y01 = m00 * p00 + m01 * p10, m00 * p01 + m01 * p11  # m_pc pinv(m_cc)
+    y10, y11 = m10 * p00 + m11 * p10, m10 * p01 + m11 * p11
+    s = m[..., :2, :2].copy()
+    s[..., 0, 0] -= (y00 * m00.conj() + y01 * m01.conj()).real.T
+    s[..., 1, 1] -= (y10 * m10.conj() + y11 * m11.conj()).real.T
+    s[..., 0, 1] -= (y00 * m10.conj() + y01 * m11.conj()).T
+    s[..., 1, 0] = s[..., 0, 1].conj()
+    return s
+
+
+def _spd2(a):
+    """Certified closed-form inverses of a (K, 2, 2) stack: (ok, inverse, (s, -q, p), det, tr).
+
+    Each matrix a is read as Hermitian (real: symmetric) and divided by its trace tr
+    first, so no scale over- or underflows: b = [[p, q], [conj(q), s]] = (a + a^H) / (2 tr)
+    has trace 1 and determinant det, and a^-1 = adj / (det tr),
+    adj = [[s, -q], [-conj(q), p]].  For a PSD matrix the trace lies between max |entry|
+    and twice it, and det is about lam_min / lam_max.  The certificate ok is
+    det > SPD2_MARGIN eps and det tr > TINY (so tr > 0): the smaller eigenvalue then
+    exceeds the rounding of det (about eps) and pinv's cutoff 2 eps lam_max with room
+    to spare, so only positive definite matrices that eigh keeps at full rank pass, and
+    their inverse is finite.  Where ok is False the values are meaningless: a zero,
+    indefinite or non-finite matrix fails, so call this under np.errstate(all="ignore").
+    The work is on (K,) columns, which numpy runs faster than (K, 2, 2) stacks, in few
+    calls: each costs about 1 us whatever K.
+    """
+    a00, a11 = a[:, 0, 0].real, a[:, 1, 1].real
     tr = a00 + a11
     h = np.reciprocal(tr)
-    p, s, q = a00 * h, a11 * h, (a[:, 0, 1] + a[:, 1, 0]) * (0.5 * h)
-    det = p * s - q * q
+    p, s, q = a00 * h, a11 * h, (a[:, 0, 1] + a[:, 1, 0].conj()) * (0.5 * h)
+    det = p * s - (q * q.conj()).real
     det_tr = det * tr
     ok = (det > SPD2_MARGIN * EPS) & (det_tr > TINY)
     nq, f = -q, np.reciprocal(det_tr)
@@ -200,89 +261,64 @@ def _spd2(a):
 
 
 def _sym2(p, q, s):
-    """The (K, 2, 2) stack [[p, q], [q, s]] from its (K,) columns."""
-    out = np.empty(p.shape + (4,))
-    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = p, q, q, s
+    """The (K, 2, 2) stack [[p, q], [conj(q), s]] from its (K,) columns."""
+    out = np.empty(p.shape + (4,), dtype=q.dtype)
+    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = p, q, q.conj(), s
     return out.reshape(-1, 2, 2)
 
 
-def _unit_antisym4():
-    """(L, R, MAP, IU): two commuting triples of real antisymmetric 4x4 unit matrices.
+def _pq_map():
+    """(MAP, IU): the map from the upper entries of a real antisymmetric 4x4 a to (p, q).
 
     With e_ab = E_ab - E_ba, L = (e01 + e23, e02 - e13, e03 + e12) and
     R = (e01 - e23, e02 + e13, e03 - e12) are left and right multiplication by the
     quaternion units i, j, k: each squares to -I, each triple anticommutes, and every
     L_m commutes with every R_n.  Together they span the antisymmetric 4x4 matrices,
-    a = sum p_m L_m + sum q_m R_m with (p, q) = a[IU] @ MAP over the upper entries a[IU],
-    and L_1 = Omega of two modes.
+    a = sum p_m L_m + sum q_m R_m with (p, q) = a.ravel()[IU] @ MAP, and L_1 = Omega of two
+    modes.
     """
     eye = np.eye(4)
 
     def e(i, j):
         return np.outer(eye[i], eye[j]) - np.outer(eye[j], eye[i])
 
-    L = np.array([e(0, 1) + e(2, 3), e(0, 2) - e(1, 3), e(0, 3) + e(1, 2)])
-    R = np.array([e(0, 1) - e(2, 3), e(0, 2) + e(1, 3), e(0, 3) - e(1, 2)])
+    L = [e(0, 1) + e(2, 3), e(0, 2) - e(1, 3), e(0, 3) + e(1, 2)]
+    R = [e(0, 1) - e(2, 3), e(0, 2) + e(1, 3), e(0, 3) - e(1, 2)]
     iu = np.triu_indices(4, 1)
-    return L.reshape(3, 16), R.reshape(3, 16), 0.5 * np.concatenate([L, R])[:, iu[0], iu[1]].T, iu
+    return 0.5 * np.array(L + R)[:, iu[0], iu[1]].T, 4 * iu[0] + iu[1]
 
 
-_L4, _R4, _PQ_MAP, _IU4 = _unit_antisym4()
-_SIGNS2 = np.array([-1.0, 1.0])[:, None, None]  # eigenvalue |p| - |q|, then |p| + |q|
+_PQ_MAP, _IU4 = _pq_map()
 
 
-def eigh_antisym(a):
-    """(lam, u): the n positive eigenvalues, ascending, and unit eigenvectors of the Hermitian i a.
+def eigvals_antisym(a):
+    """The n positive eigenvalues, ascending, of the Hermitian i a, for each matrix of a stack.
 
     a is a real antisymmetric 2n x 2n matrix, or a stack of them, whose i a has n
     positive and n negative eigenvalues (a = V^-1/2 Omega V^-1/2 of a covariance V):
-    lam (..., n) and u (..., 2n, n) are the upper halves of np.linalg.eigh(1j * a).
+    the result (..., n) is the upper half of np.linalg.eigvalsh(1j * a).
 
-    A stack of at least STACK_MIN 4x4 matrices takes a closed form.  Write
-    a = P + Q, P = sum p_m L_m and Q = sum q_m R_m (:func:`_unit_antisym4`): P and Q
-    commute, P^2 = -|p|^2 I and Q^2 = -|q|^2 I, so i a has the eigenvalues
-    +-|p| +-|q|, and |p|^2 - |q|^2 = Pf(a) > 0 for a covariance.  The positive ones are
-    |p| - |q| and |p| + |q|, with the rank-1 projectors
-    Pi = (I + i P/|p|)(I -+ i Q/|q|) / 4.  Each eigenvector is the column of Pi with
-    the largest diagonal entry (at least 1/4), divided by its root; it is u up to a
-    unit phase.  |p| and |q| are hypot chains, so no scale over- or underflows.  At
-    q = 0 (a double eigenvalue) any unit q works and e_1 is taken, as it is for
-    |q| < TINY, where q has too few digits for a direction and |q| < eps |p|.  A
-    member passes the certificate if |p| - |q| > ANTISYM4_MARGIN eps |p| and
-    |p| > TINY / eps, which a non-finite, zero or subnormal member fails; any other
-    member takes eigh, for that subset only.  Shorter stacks, one matrix and other
-    sizes take eigh.
+    A 4x4 matrix takes a closed form.  Write a = P + Q, P = sum p_m L_m and
+    Q = sum q_m R_m (:func:`_pq_map`): P and Q commute, P^2 = -|p|^2 I and
+    Q^2 = -|q|^2 I, so i a has the eigenvalues +-|p| +-|q|, and |p|^2 - |q|^2 = Pf(a) > 0
+    for a covariance.  The positive ones are |p| - |q| and |p| + |q|.  |p| and |q| are
+    hypot chains, so no scale over- or underflows.  A member passes the certificate if
+    |p| - |q| > ANTISYM4_MARGIN eps |p| and |p| > TINY / eps, which a non-finite, zero or
+    subnormal member fails; any other member takes eigvalsh, for that subset only, as
+    do other sizes.
     """
     a = np.asarray(a)
-    if a.shape[-2:] != (4, 4) or a.size < 16 * STACK_MIN:
-        return _eigh_antisym_lapack(a)
-    flat = a.reshape(-1, 4, 4)
-    p1, p2, p3, q1, q2, q3 = pq = (flat[:, _IU4[0], _IU4[1]] @ _PQ_MAP).T
+    if a.shape[-2:] != (4, 4):
+        return np.linalg.eigvalsh(1j * a)[..., a.shape[-1] // 2 :]
+    flat = a.reshape(-1, 16)
+    p1, p2, p3, q1, q2, q3 = (flat[:, _IU4] @ _PQ_MAP).T
     with np.errstate(all="ignore"):  # only a member that fails the certificate meets an error
         norm_p, norm_q = np.hypot(np.hypot(p1, p2), p3), np.hypot(np.hypot(q1, q2), q3)
         ok = (norm_p - norm_q > ANTISYM4_MARGIN * EPS * norm_p) & (norm_p > TINY / EPS)
-        q_zero = norm_q < TINY
-        p_hat = ((pq[:3] / norm_p).T @ _L4).reshape(-1, 1, 4, 4)
-        q_unit = pq[3:] / np.where(q_zero, 1.0, norm_q)
-        q_unit[0, q_zero] = 1.0
-        q_hat = (q_unit.T @ _R4).reshape(-1, 1, 4, 4)
-        proj = np.empty((len(flat), 2, 4, 4), dtype=complex)  # 4 Pi of each eigenvalue
-        proj.real = np.eye(4) - _SIGNS2 * (p_hat @ q_hat)
-        proj.imag = p_hat + _SIGNS2 * q_hat
-        diag = proj.real.diagonal(0, 2, 3)
-        k = diag.argmax(axis=-1)[..., None, None]
-        u = np.take_along_axis(proj, k, axis=3)[..., 0] / (2.0 * np.sqrt(diag.max(axis=-1)))[..., None]
-    lam, u = np.stack([norm_p - norm_q, norm_p + norm_q], axis=-1), u.swapaxes(1, 2)
+    lam = np.stack([norm_p - norm_q, norm_p + norm_q], axis=-1)
     if np.count_nonzero(ok) < ok.size:
-        lam[~ok], u[~ok] = _eigh_antisym_lapack(flat[~ok])
-    return lam.reshape(a.shape[:-2] + (2,)), u.reshape(a.shape[:-1] + (2,))
-
-
-def _eigh_antisym_lapack(a):
-    """:func:`eigh_antisym` by np.linalg.eigh of i a."""
-    n = a.shape[-1] // 2
-    lam, u = np.linalg.eigh(1j * a)
-    return lam[..., n:], u[..., n:]
+        lam[~ok] = np.linalg.eigvalsh(1j * flat[~ok].reshape(-1, 4, 4))[..., 2:]
+    return lam.reshape(a.shape[:-2] + (2,))
 
 
 def float_or_stack(x):

@@ -1,9 +1,24 @@
 """Quantum Fisher information matrices and scalar bounds for Gaussian models.
 
 A model is a map theta -> GaussianState.  Every information quantity is
-evaluated at the moment level in the Williamson basis V = S diag(nu) S^T
-(S symplectic; Safranek, J. Phys. A 52, 035304 (2019); Monras,
-arXiv:1303.3682).  The rows of T = J S^-1, J taking each pair (q, p) to
+evaluated at the moment level (Monras, arXiv:1303.3682; Safranek, J. Phys. A
+52, 035304 (2019)), by one of two paths.
+
+First-moment models.  Where every dV is zero, as in every displacement
+sweep, the information lies in the first moments, D = (dd_mu) (p x 2N), and
+has closed forms in V and M = V + i Omega:
+
+    F^S = 2 D V^-1 D^T,   U = 2 D V^-1 Omega V^-1 D^T,   F^R = 2 D M^-1 D^T.
+
+:attr:`PointMoments.solved` takes them by solves, with no eigenvectors: F^S
+and U from G = D V^-1/2, and the limiting inverse of F^R from the Schur
+complement of M onto the directions of D, which stays finite at pure points
+(Genoni et al., PRA 87, 012107 (2013); :func:`_first_moment`).
+
+The Williamson basis.  Every other model (some dV nonzero, a dd not of full
+row rank, or a point pure in part) is evaluated in the Williamson basis
+V = S diag(nu) S^T (S symplectic), which also referees the solves in the
+tests.  The rows of T = J S^-1, J taking each pair (q, p) to
 (q + i p, q - i p)/sqrt2, are normal coordinates a with eigenvalue nu_a and
 sign s_a = +-1, in which V + i Omega is diagonal with lam_a = nu_a + s_a
 (:func:`williamson` gives them up to a unit phase per row).
@@ -17,12 +32,14 @@ pairs (a, b) give, with G(w)_{mu nu} = sum conj(k_mu) w k_nu,
     U   = Re G(w_U),  w_U = -i (s_a nu_b + s_b nu_a) / (2 (nu_a nu_b + s_a s_b)^2)
 
 These are the blockwise solutions of the SLD equation V X V + Om X Om = dV
-and the RLD equation M X M^T = dV (M = V + i Omega); on the pairs (a, extra)
-and (extra, a) the weights sum to the first-moment terms 2 / nu_a,
-2 / lam_a and -2i s_a / nu_a^2 of 2 dd^T V^-1 dd, 2 dd^T M^-1 dd and
-2 dd^T V^-1 Om V^-1 dd.  :func:`evaluate` returns a :class:`PointMoments`
-that every information function accepts in place of (model, theta), so one
-evaluation and one decomposition serve them all.
+and the RLD equation M X M^T = dV; on the pairs (a, extra) and (extra, a)
+the weights sum to the first-moment terms 2 / nu_a, 2 / lam_a and
+-2i s_a / nu_a^2 of the closed forms above.  :func:`evaluate` returns a
+:class:`PointMoments` that every information function accepts in place of
+(model, theta), so one evaluation and one decomposition serve them all.
+F^R itself (:func:`qfim_rld`, :attr:`QfimReport.f_rld`) always takes this
+basis: it drops the directions along which the information diverges, which a
+pseudo-inverse of the Schur complement does not.
 
 Live rows.  Only coefficient rows that can be nonzero are formed, and the
 sums above run over them alone: the border T_n dd_mu (T_n = T[:n, :n]) on
@@ -52,9 +69,8 @@ function here then works on the leading axis in one call and returns
 case and returns (p, p) matrices and floats.  The formulas are elementwise
 in nu, and the purity cut, the rank cut of :func:`rld_inverse_limit` and
 every pinv cutoff are taken point by point, so no point's cut depends on the
-other points of its stack.  The kernel may: a two-mode stack of at least
-numkit.STACK_MIN points takes the closed form of :func:`williamson` where a
-shorter one takes eigh, so there a point's values may differ from its
+other points of its stack.  The path may: a stack takes the solves only when
+each of its points qualifies, so a point's values may differ from its
 one-point evaluation by rounding.
 """
 
@@ -62,7 +78,7 @@ from __future__ import annotations
 
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -135,22 +151,13 @@ BoundChain = namedtuple("BoundChain", ["b_s", "b_r", "b_h_mid", "b_h_upper", "r_
 PURE_TOL = 1e-12
 
 
-def williamson(V):
-    """(nu, Z): the symplectic eigenvalues, one per mode, and the normal coordinates of V.
+def _whiten(V):
+    """(w, V^-1/2, A): the eigenvalues of V, ascending, V^-1/2 and A = V^-1/2 Omega V^-1/2.
 
-    The eigenvectors u_k of the Hermitian i V^-1/2 Omega V^-1/2 for its
-    eigenvalues 1/nu_k (:func:`numkit.eigh_antisym`) give the rows
-    z_k = sqrt(nu_k) u_k^H V^-1/2 of the complex Z (N x 2N).  These are the
-    s = +1 rows of the normal coordinates T of the module docstring, and
-    conj(Z) its s = -1 rows, so T (V + i Omega) T^H = diag(nu + s).  A mode
-    with nu - 1 <= PURE_TOL cond(V) is pure and gets nu = 1 exactly; an
-    unphysical V (not positive definite, or nu below 1 by more) raises
-    ValueError, as does a V with an entry that is not finite.  A stack V
-    (K, 2N, 2N) is decomposed matrix by matrix, and the purity cut is taken
-    point by point.  A two-mode stack of at least numkit.STACK_MIN points
-    takes eigh_antisym's closed form where a shorter one takes eigh, so its
-    nu and Z may differ from a one-point call by rounding (and each row of Z
-    by a unit phase).
+    One eigh of V gives w and V^-1/2, after V is checked: a V with an entry that is
+    not finite, or that is not positive definite, raises ValueError.  The Hermitian
+    i A has the eigenvalues +-1/nu of the symplectic eigenvalues nu of V.  A stack V
+    (K, 2N, 2N) is decomposed matrix by matrix.
     """
     if not np.isfinite(V).all():
         raise ValueError("covariance is not finite")
@@ -159,15 +166,80 @@ def williamson(V):
         raise ValueError(
             "covariance is not positive definite (smallest eigenvalue %.3e)" % w[..., 0].min()
         )
-    v_isqrt = (u / np.sqrt(w)[..., None, :]) @ numkit.transpose(u)
-    n = V.shape[-1] // 2
-    lam, vecs = numkit.eigh_antisym(v_isqrt @ omega(n) @ v_isqrt)
+    # a contiguous u^T: numpy's matmul of small stacks is slower on a transposed view
+    v_isqrt = (u / np.sqrt(w)[..., None, :]) @ numkit.transpose(u).copy()
+    return w, v_isqrt, v_isqrt @ omega(V.shape[-1] // 2) @ v_isqrt
+
+
+def _purity_cut(lam, w):
+    """The symplectic eigenvalues nu = 1 / lam of a V with eigenvalues w, checked and cut.
+
+    lam are the positive eigenvalues of i V^-1/2 Omega V^-1/2.  A mode with
+    nu - 1 <= PURE_TOL cond(V) is pure and gets nu = 1 exactly; a nu below 1 by
+    more raises ValueError.  The cut is taken point by point.
+    """
     nu = 1.0 / lam
     tol = (PURE_TOL * w[..., -1] / w[..., 0])[..., None]
     if not (nu >= 1.0 - tol).all():
         raise ValueError("unphysical state: symplectic eigenvalue %.15g < 1" % nu.min())
-    nu = np.where(nu - 1.0 <= tol, 1.0, nu)
-    return nu, np.sqrt(nu)[..., :, None] * (numkit.adjoint(vecs) @ v_isqrt)
+    return np.where(nu - 1.0 <= tol, 1.0, nu)
+
+
+def williamson(V):
+    """(nu, Z): the symplectic eigenvalues, one per mode, and the normal coordinates of V.
+
+    The eigenvectors u_k of the Hermitian i A, A = V^-1/2 Omega V^-1/2, for its
+    eigenvalues 1/nu_k (np.linalg.eigh) give the rows
+    z_k = sqrt(nu_k) u_k^H V^-1/2 of the complex Z (N x 2N).  These are the
+    s = +1 rows of the normal coordinates T of the module docstring, and
+    conj(Z) its s = -1 rows, so T (V + i Omega) T^H = diag(nu + s).  The checks
+    of V and the purity cut are those of :func:`_whiten` and :func:`_purity_cut`.
+    A stack V (K, 2N, 2N) is decomposed matrix by matrix.
+    """
+    w, v_isqrt, a = _whiten(V)
+    n = V.shape[-1] // 2
+    lam, vecs = np.linalg.eigh(1j * a)
+    nu = _purity_cut(lam[..., n:], w)
+    return nu, np.sqrt(nu)[..., :, None] * (numkit.adjoint(vecs[..., n:]) @ v_isqrt)
+
+
+def _first_moment(V, D, Y):
+    """(F_S, U, limiting F_R^-1) of a model with dV = 0 from solves on V and M = V + i Omega.
+
+    D (..., p, 2N) is the stack of dd, and Y an invertible (..., 2N, 2N) with
+    D Y = [I, 0].  V^-1/2 and A = V^-1/2 Omega V^-1/2 come from :func:`_whiten`,
+    the symplectic eigenvalues nu from :func:`numkit.eigvals_antisym` of A, with no
+    eigenvectors, and :func:`_purity_cut`.  With G = D V^-1/2,
+    F_S = 2 G G^T and U = 2 G A G^T.  F_R = 2 D M^-1 D^T = 2 ((Y^T M Y)^-1)_pp, so
+    F_R^-1 = S / 2 with S the Schur complement of Y^T M Y onto its first p
+    coordinates, the generalized one where the rest is singular (a pure idler;
+    M is PSD: :func:`numkit.schur_psd`).  S is finite at pure points, so this is
+    the limiting inverse.  At a point whose modes are all pure, (I - i A) / 2 is the
+    projector onto the null coordinates of M; where every parameter direction reaches
+    them (the p columns of (I - i A) G^T have full rank relative to 1e-10 max|G|, the
+    rank cut of :func:`rld_inverse_limit`), the limit is 0 exactly, which S carries
+    only to rounding.  A stack with a point whose modes are pure in part gives None:
+    there only eigenvectors separate the null coordinates, and the Williamson basis
+    serves it.
+    """
+    w, v_isqrt, a = _whiten(V)
+    pure = _purity_cut(numkit.eigvals_antisym(a), w) == 1.0
+    if pure.any() and np.any(pure.any(axis=-1) & ~pure.all(axis=-1)):
+        return None
+    n = V.shape[-1] // 2
+    G = D @ v_isqrt
+    Gt = np.ascontiguousarray(numkit.transpose(G))
+    f_s, u = G @ Gt, G @ a @ Gt  # halves of F_S and U, returned exactly (anti)symmetric
+    Yt = np.ascontiguousarray(numkit.transpose(Y))
+    f_r_inv = 0.5 * numkit.schur_psd(Yt @ V @ Y + 1j * (Yt @ omega(n) @ Y), D.shape[-2])
+    if pure.any():
+        pure = np.asarray(pure.all(axis=-1))  # 0-d for one point
+        reach = (np.eye(2 * n) - 1j * a[pure]) @ Gt[pure]
+        s = np.linalg.svd(reach, compute_uv=False)
+        vanish = pure.copy()
+        vanish[pure] = s[..., -1] > 1e-10 * np.abs(G[pure]).max(axis=(-2, -1))
+        f_r_inv[vanish] = 0.0
+    return f_s + numkit.transpose(f_s), u - numkit.transpose(u), f_r_inv
 
 
 def _inverse(x, zero_to):
@@ -228,11 +300,11 @@ class PointMoments:
     """A model evaluated at one parameter point, or at a stack of K points.
 
     Holds the state and its moment derivatives, dds (..., p, 2N) and dVs
-    (..., p, 2N, 2N), and, on first use, one Williamson decomposition of V
-    per point and the coefficient rows and weights of the module docstring.
-    A stack carries a leading axis of length K on the state, dds, dVs and
-    everything derived from them; each point's values do not depend on the
-    other points of its stack.
+    (..., p, 2N, 2N), and, on first use, the solves of a first-moment model
+    (:attr:`solved`) or one Williamson decomposition of V per point with the
+    coefficient rows and weights of the module docstring.  A stack carries a
+    leading axis of length K on the state, dds, dVs and everything derived from
+    them; each point's cuts do not depend on the other points of its stack.
     """
 
     def __init__(self, st: GaussianState, dds, dVs, n_params: int):
@@ -240,6 +312,34 @@ class PointMoments:
         self.dds = np.stack(dds, axis=-2)
         self.dVs = np.stack(dVs, axis=-3)
         self.n_params = n_params
+
+    @cached_property
+    def solved(self):
+        """(F_S, U, limiting F_R^-1) by solves (:func:`_first_moment`), or None.
+
+        The solves serve a stack whose every dV is zero and whose dd has full row
+        rank, certified at every point (:func:`numkit.inv_certified`).  With X the
+        permutation that puts the coordinates some dd reaches first, when there are
+        p of them, or else the Q of a QR of D^T, D X = [B, 0], and
+        Y = X diag(B^-1, I) gives D Y = [I, 0].  Any other stack is None, as is one
+        that :func:`_first_moment` refuses, and the Williamson basis serves it.
+        """
+        if self.dVs.any():
+            return None
+        D = self.dds
+        p, n2 = D.shape[-2:]
+        reached = D.reshape(-1, n2).any(axis=0)
+        if np.count_nonzero(reached) == p:
+            X = np.eye(n2)[:, np.argsort(~reached, kind="stable")]
+        elif np.count_nonzero(reached) > p:
+            X = np.linalg.qr(numkit.transpose(D), mode="complete")[0]
+        else:
+            return None
+        ok, B_inv = numkit.inv_certified(D @ X[..., :p])
+        if not ok.all():
+            return None
+        rest = np.broadcast_to(X[..., p:], B_inv.shape[:-2] + (n2, n2 - p))
+        return _first_moment(self.st.V, D, np.concatenate([X[..., :p] @ B_inv, rest], axis=-1))
 
     @cached_property
     def normal_modes(self):
@@ -358,7 +458,10 @@ def rld_components(model: GaussianModel | PointMoments, theta, mu: int) -> RldCo
 
 def qfim_sld(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """SLD quantum Fisher information matrix (real symmetric; (K, p, p) for a stack)."""
-    return numkit.hermitize(evaluate(model, theta).gram("sld").real)
+    pt = evaluate(model, theta)
+    if pt.solved is not None:
+        return pt.solved[0]
+    return numkit.hermitize(pt.gram("sld").real)
 
 
 def qfim_rld(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
@@ -378,7 +481,10 @@ def incompatibility(model: GaussianModel | PointMoments, theta=None) -> np.ndarr
     U = 0 iff the SLD bound is attainable without measurement incompatibility
     penalty; in general b_h_upper = (1 + R_Q) b_s with R_Q built from U.
     """
-    U = evaluate(model, theta).gram("u").real
+    pt = evaluate(model, theta)
+    if pt.solved is not None:
+        return pt.solved[1]
+    U = pt.gram("u").real
     return 0.5 * (U - numkit.transpose(U))
 
 
@@ -412,8 +518,10 @@ def _quantumness(root_finv, u):
 def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """Limiting inverse of the RLD information matrix.
 
-    Coefficient rows with an infinite RLD weight (pure-mode directions, see
-    :func:`_weights`) make the RLD information diverge, and the inverse must
+    A first-moment model takes the Schur complement of :func:`_first_moment`.
+    In the Williamson basis, coefficient rows with an infinite RLD weight
+    (pure-mode directions, see :func:`_weights`) make the RLD information
+    diverge, and the inverse must
     vanish on the parameter directions that reach them.  With A those rows,
     F_R = C^H C from the remaining weighted rows, and Q the right-singular
     vectors of A with the first rank(A) (rank relative to the largest
@@ -429,6 +537,8 @@ def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.nda
     are formed only at the points with out-of-range rows.
     """
     pt = evaluate(model, theta)
+    if pt.solved is not None:
+        return pt.solved[2]
     C, A, n_c = pt.rld_split
     pure = A.any(axis=(-2, -1))  # points with out-of-range rows
     if not pure.any():
@@ -447,14 +557,26 @@ def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.nda
 
 
 def weight_root(weight, m: int) -> np.ndarray:
-    """sqrt(W) of a weight matrix W; W must be a symmetric positive semidefinite m x m matrix."""
+    """sqrt(W) of a weight matrix W; W must be a symmetric positive semidefinite m x m matrix.
+
+    The root of each W is taken once per process and shared, read-only: a weighted
+    sweep's check and every evaluation of its grid take one eigh of W between them.
+    """
     W = np.asarray(weight, dtype=float)
     if W.shape != (m, m) or np.max(np.abs(W - W.T)) > 1e-10:
         raise ValueError("weight must be a symmetric %dx%d matrix" % (m, m))
+    return _psd_root(W.tobytes(), m)
+
+
+@lru_cache(maxsize=64)
+def _psd_root(w_bytes: bytes, m: int) -> np.ndarray:
+    """:func:`weight_root` of the m x m matrix whose float64 bytes are w_bytes."""
     try:
-        return numkit.sqrtm_psd(W)  # its eigendecomposition also checks W >= 0
+        root = numkit.sqrtm_psd(np.frombuffer(w_bytes).reshape(m, m))  # its eigh also checks W >= 0
     except ValueError:
         raise ValueError("weight must be positive semidefinite") from None
+    root.flags.writeable = False
+    return root
 
 
 def bound_chain(f_sld, u, *, rld_inverse, weight=None) -> BoundChain:
@@ -463,22 +585,25 @@ def bound_chain(f_sld, u, *, rld_inverse, weight=None) -> BoundChain:
     rld_inverse is the limiting inverse of the RLD information matrix, the
     output of :func:`rld_inverse_limit`; a plain pinv of F_R is wrong at
     pure points.  Stacked matrices (K, p, p) share the weight and give
-    arrays of K bounds.
+    arrays of K bounds.  Without a weight no product with the identity is
+    formed; a weight's root comes from :func:`weight_root`.
     """
     f_sld = np.asarray(f_sld, dtype=float)
-    m = f_sld.shape[-1]
-    if weight is None:
-        W = sw = np.eye(m)
-    else:
-        W = np.asarray(weight, dtype=float)
-        sw = weight_root(W, m)
     finv_s, root_finv_s = numkit.pinv_psd(f_sld)
     finv_r = np.asarray(rld_inverse, dtype=complex)
     u = np.asarray(u, dtype=float)
+    if weight is None:  # W = sqrt(W) = I, whose products would change no finite entry
+        w_s, w_r = finv_s, finv_r.real
+        inner_r, inner_u = finv_r.imag, finv_s @ u @ finv_s
+    else:
+        W = np.asarray(weight, dtype=float)
+        sw = weight_root(W, f_sld.shape[-1])
+        w_s, w_r = W @ finv_s, W @ finv_r.real
+        inner_r, inner_u = sw @ finv_r.imag @ sw, sw @ finv_s @ u @ finv_s @ sw
     # one stacked call for both trace norms, of sw Im F_R^-1 sw and of sw F_S^-1 U F_S^-1 sw
-    tn_r, tn_u = numkit.trace_abs(np.array([sw @ finv_r.imag @ sw, sw @ finv_s @ u @ finv_s @ sw]))
-    b_s = (W @ finv_s).trace(axis1=-2, axis2=-1)
-    b_r = (W @ finv_r.real).trace(axis1=-2, axis2=-1) + tn_r
+    tn_r, tn_u = numkit.trace_abs(np.array([inner_r, inner_u]))
+    b_s = w_s.trace(axis1=-2, axis2=-1)
+    b_r = w_r.trace(axis1=-2, axis2=-1) + tn_r
     b_h_mid = b_s + tn_u
     r_q = _quantumness(root_finv_s, u)
     b_h_upper = (1.0 + r_q) * b_s
@@ -487,16 +612,23 @@ def bound_chain(f_sld, u, *, rld_inverse, weight=None) -> BoundChain:
 
 @dataclass
 class QfimReport:
-    """All information matrices and scalar bounds of a model at one point (or a stack)."""
+    """All information matrices and scalar bounds of a model at one point (or a stack).
+
+    f_rld is :func:`qfim_rld` of the evaluated model, formed on first read.
+    """
 
     f_sld: np.ndarray
-    f_rld: np.ndarray
     u: np.ndarray
     b_s: float
     b_r: float
     b_h_mid: float
     b_h_upper: float
     r_q: float
+    moments: PointMoments = field(repr=False, compare=False)
+
+    @cached_property
+    def f_rld(self) -> np.ndarray:
+        return qfim_rld(self.moments)
 
     def to_dict(self):
         return {
@@ -513,16 +645,15 @@ class QfimReport:
 
 
 def qfim_report(model: GaussianModel | PointMoments, theta=None, weight=None) -> QfimReport:
-    """Evaluate F_S, F_R, U and the scalar bound chain at one parameter point.
+    """Evaluate F_S, U and the scalar bound chain at one parameter point, and F_R when read.
 
     A stacked PointMoments gives a report of (K, p, p) matrices and (K,) bounds.
     """
     pt = evaluate(model, theta)
     f_s = qfim_sld(pt)
-    f_r = qfim_rld(pt)
     u = incompatibility(pt)
     chain = bound_chain(f_s, u, rld_inverse=rld_inverse_limit(pt), weight=weight)
-    return QfimReport(f_s, f_r, u, *chain)
+    return QfimReport(f_s, u, *chain, moments=pt)
 
 
 # ----------------------------------------------------------------------------

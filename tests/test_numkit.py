@@ -353,12 +353,13 @@ _KINDS2 = ("full", "rank1", "zero", "near_cutoff", "indefinite")
 
 
 @st.composite
-def _sym2_stacks(draw, kinds=_KINDS2, exponents=(-290.0, 300.0), sizes=(1, 6)):
+def _sym2_stacks(draw, kinds=_KINDS2, exponents=(-290.0, 300.0), sizes=(1, 6), complex_=False):
     """A (K, 2, 2) stack of symmetric members R diag(1, lam) R^T 10^e of mixed kinds, K in sizes.
 
     lam is 10^-13..1 (full), 0 (rank1), 0.7..280 eps around pinv's cutoff 2 eps and the
     closed form's certificate (near_cutoff), or -10^-13..-1 (indefinite); e >= -290 keeps
-    every kept inverse eigenvalue below about 1e306.
+    every kept inverse eigenvalue below about 1e306.  With complex_, the members are
+    Hermitian: R's second column carries a random phase, and R^T is R^H.
     """
     members = []
     for _ in range(draw(st.integers(*sizes))):
@@ -370,7 +371,9 @@ def _sym2_stacks(draw, kinds=_KINDS2, exponents=(-290.0, 300.0), sizes=(1, 6)):
         lam = {"full": 10.0**u, "rank1": 0.0, "near_cutoff": numkit.EPS * 10.0 ** (-0.15 - u / 5.0), "indefinite": -(10.0**u)}[kind]
         angle = draw(st.floats(0.0, 2 * np.pi))
         rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-        members.append(10.0 ** draw(st.floats(*exponents)) * (rot @ np.diag([1.0, lam]) @ rot.T))
+        if complex_:
+            rot = rot * np.exp(1j * np.array([0.0, draw(st.floats(0.0, 2 * np.pi))]))
+        members.append(10.0 ** draw(st.floats(*exponents)) * (rot @ np.diag([1.0, lam]) @ rot.conj().T))
     return np.array(members)
 
 
@@ -379,12 +382,12 @@ def _eigh_pinv_psd(a):
 
     cond is each member's |w|max / |w|min over its kept eigenvalues (1 when none is kept).
     """
-    w, u = np.linalg.eigh(0.5 * (a + numkit.transpose(a)))
+    w, u = np.linalg.eigh(numkit.hermitize(a))
     keep = np.abs(w) > 2 * numkit.EPS * np.abs(w).max(axis=-1, keepdims=True)
     inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
     if inv_w.min() < -numkit.NEG_TOL:
         raise ValueError("matrix is not positive semidefinite (min eig %.3e)" % inv_w.min())
-    ut = numkit.transpose(u)
+    ut = numkit.adjoint(u)
     kept = np.where(keep, np.abs(w), np.inf).min(axis=-1)
     cond = np.where(keep.any(axis=-1), np.abs(w).max(axis=-1) / kept, 1.0)
     return (u * inv_w[..., None, :]) @ ut, (u * np.sqrt(inv_w.clip(0.0, None))[..., None, :]) @ ut, cond
@@ -396,7 +399,7 @@ def _assert_close_per_member(got, want, cond):
 
 
 @settings(max_examples=200, deadline=None)
-@given(stack=_sym2_stacks())
+@given(stack=_sym2_stacks() | _sym2_stacks(complex_=True))
 def test_two_by_two_pinv_psd_is_the_eigh_pinv_psd(stack):
     try:
         want, want_root, cond = _eigh_pinv_psd(stack)
@@ -439,9 +442,55 @@ def test_two_by_two_inv_sym_is_the_lapack_inv(stack, singular):
     _assert_close_per_member(got, want, np.linalg.cond(stack))
 
 
-# eigh_antisym's closed form against the upper half of eigh(1j * a), in units of
+def test_inv_certified_inverts_exactly_the_members_it_certifies():
+    """2x2 by its entries, other sizes by LAPACK; the certificate refuses rank-deficient,
+    nearly rank-deficient, zero and non-finite members, and no scale over- or underflows."""
+    rng = np.random.default_rng(83)
+    good = [_conditioned(rng, 2, 2, c) for c in (1.0, 1e3, 1e10)] + [np.diag([2.0, 3.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    good += [1e-150 * good[1], 1e150 * good[1]]
+    bad = [np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 3e-15]]), np.array([[1.0, 2.0], [2.0, 4.0]]), np.full((2, 2), np.nan), np.diag([1.0, np.inf])]
+    ok, inverse = numkit.inv_certified(np.array(good + bad))
+    assert ok.tolist() == [True] * len(good) + [False] * len(bad)
+    for a, x in zip(good, inverse):
+        want = np.linalg.inv(a)
+        np.testing.assert_allclose(x, want, rtol=0, atol=KERNEL_C * numkit.EPS * np.linalg.cond(a) * np.abs(want).max())
+    one_ok, one = numkit.inv_certified(good[1])
+    assert one_ok.shape == () and one_ok and np.array_equal(one, inverse[1])
+    three = np.array([_conditioned(rng, 3, 3, 10.0), np.zeros((3, 3))])
+    ok, inverse = numkit.inv_certified(three)
+    assert ok.tolist() == [True, False]
+    np.testing.assert_allclose(inverse[0], np.linalg.inv(three[0]), rtol=1e-12, atol=1e-12)
+
+
+def _psd_with_singular_trailing_block(rng, n, p, rank_c):
+    """A complex Hermitian PSD L L^H (n x n) whose trailing (n - p) block has rank rank_c."""
+    L = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    L[p:] = (rng.normal(size=(n - p, rank_c)) + 1j * rng.normal(size=(n - p, rank_c))) @ L[p : p + rank_c]
+    return L @ L.conj().T
+
+
+@pytest.mark.parametrize("n, p", [(4, 2), (4, 1), (4, 3), (6, 2), (2, 2)])
+def test_schur_psd_is_the_pinv_schur_complement_per_matrix(n, p):
+    """The entry-wise form (4x4, p = 2) and the matmul form against m_pp - m_pc pinv(m_cc) m_cp."""
+    rng = np.random.default_rng(84 + n + p)
+    c = n - p
+    members = [_psd_with_singular_trailing_block(rng, n, p, r) for r in range(c, -1, -1) for _ in range(2)]
+    members += [1e-100 * members[0], 1e100 * members[1]]
+    stack = np.array(members)
+    got = numkit.schur_psd(stack, p)
+    assert got.shape == (len(members), p, p)
+    for m, s in zip(stack, got):
+        m_pc = m[:p, p:]
+        want = m[:p, :p] - m_pc @ numkit.pinv(m[p:, p:]) @ m_pc.conj().T
+        scale = np.abs(m).max()
+        np.testing.assert_allclose(s, want, rtol=0, atol=1e-12 * scale)
+        assert np.array_equal(s, s.conj().T) or n != 4 or p != 2  # the entry-wise form is Hermitian exactly
+    np.testing.assert_allclose(numkit.schur_psd(stack[0], p), got[0], rtol=0, atol=1e-14 * np.abs(got[0]).max())
+
+
+# eigvals_antisym's closed form against the upper half of eigvalsh(1j * a), in units of
 # eps |a|_2: over 32,000 members of the kinds below (1,000 stacks of 32) the eigenvalue
-# gap reached 11, the residual |i a u - u lam| 2, and |u^H u - I| 3 eps.
+# gap reached 9.8.
 ANTISYM_C = 32.0
 _ANTISYM4_KINDS = ("exact_degenerate", "degenerate", "near_degenerate", "distinct", "uncertified", "tiny", "zero")
 
@@ -480,15 +529,14 @@ def _antisym4_member(rng, kind):
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    kinds=st.lists(st.sampled_from(_ANTISYM4_KINDS), min_size=numkit.STACK_MIN, max_size=numkit.STACK_MIN + 8),
+    kinds=st.lists(st.sampled_from(_ANTISYM4_KINDS), min_size=1, max_size=12),
     nonfinite=st.sampled_from([None, np.nan, np.inf]),
 )
-def test_eigh_antisym_is_the_upper_half_of_eigh(seed, kinds, nonfinite):
-    """A stack of at least STACK_MIN takes the closed form; a shorter one is eigh's, bit for bit.
+def test_eigvals_antisym_is_the_upper_half_of_eigvalsh(seed, kinds, nonfinite):
+    """Every stack, of one matrix or more, takes the closed form.
 
-    Certified members agree with eigh within ANTISYM_C eps |a|_2 (the eigenvectors up to a
-    unit phase, or any basis of a double eigenvalue); refused members are eigh's.  A
-    non-finite member makes both raise.
+    Certified members agree with eigvalsh within ANTISYM_C eps |a|_2; refused members
+    are eigvalsh's, bit for bit, as is a 6x6 stack.  A non-finite member makes both raise.
     """
     rng = np.random.default_rng(seed)
     a = np.array([_antisym4_member(rng, kind) for kind in kinds])
@@ -496,23 +544,21 @@ def test_eigh_antisym_is_the_upper_half_of_eigh(seed, kinds, nonfinite):
         k = rng.integers(len(a))
         a[k, 0, 1], a[k, 1, 0] = nonfinite, -nonfinite
         with np.errstate(invalid="ignore"):  # 1j * inf
-            for run in (lambda: np.linalg.eigh(1j * a), lambda: numkit.eigh_antisym(a)):
+            for run in (lambda: np.linalg.eigvalsh(1j * a), lambda: numkit.eigvals_antisym(a)):
                 with pytest.raises(np.linalg.LinAlgError):
                     run()
         return
-    w, v = np.linalg.eigh(1j * a)
-    short = numkit.eigh_antisym(a[: numkit.STACK_MIN - 1])
-    assert np.array_equal(short[0], w[: numkit.STACK_MIN - 1, 2:]) and np.array_equal(short[1], v[: numkit.STACK_MIN - 1, :, 2:])
-    lam, u = numkit.eigh_antisym(a)
-    assert lam.shape == (len(a), 2) and u.shape == (len(a), 4, 2)
+    w = np.linalg.eigvalsh(1j * a)
+    lam = numkit.eigvals_antisym(a)
+    assert lam.shape == (len(a), 2)
+    assert np.array_equal(numkit.eigvals_antisym(a[0]), lam[0])
     for k, kind in enumerate(kinds):
         if kind in ("uncertified", "tiny", "zero"):
-            assert np.array_equal(lam[k], w[k, 2:]) and np.array_equal(u[k], v[k, :, 2:]), kind
+            assert np.array_equal(lam[k], w[k, 2:]), kind
             continue
-        bound = ANTISYM_C * numkit.EPS * np.abs(w[k]).max()
-        assert np.abs(lam[k] - w[k, 2:]).max() <= bound, kind
-        assert np.abs(1j * a[k] @ u[k] - u[k] * lam[k]).max() <= bound, kind
-        assert np.abs(numkit.adjoint(u[k]) @ u[k] - np.eye(2)).max() <= ANTISYM_C * numkit.EPS, kind
+        assert np.abs(lam[k] - w[k, 2:]).max() <= ANTISYM_C * numkit.EPS * np.abs(w[k]).max(), kind
+    b = rng.normal(size=(3, 6, 6))
+    assert np.array_equal(numkit.eigvals_antisym(b - numkit.transpose(b)), np.linalg.eigvalsh(1j * (b - numkit.transpose(b)))[:, 3:])
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gaussfish import numkit, scenarios
+from gaussfish import numkit, qfi_gaussian, scenarios
 from gaussfish.channels import NoisyChannel
 from gaussfish.gaussian_core import GaussianState
 from gaussfish.measurements import cfim_gaussian_outcomes, epr_readout
@@ -288,15 +288,15 @@ def test_weighted_sql_is_the_displaced_vacuum_upper_bound():
         assert squeezed[0].sql == pytest.approx(squeezed[0].b_h_upper, rel=1e-12)  # r = 0
 
 
-# Each axis on 5 points, and a t grid of 33 points, above numkit.STACK_MIN, whose stack
-# takes williamson's closed-form kernel.
+# Each axis on 5 points, and a t grid of 65 points, above numkit.STACK_MIN, whose stack
+# takes inv_sym's closed form for the readout's Sigma^-1.
 SWEEP_GRIDS = {
     "t": ("t", 0.0, 1.0, 0.25),
     "r": ("r", 0.0, 1.2, 0.3),
     "n_e": ("n_e", 0.0, 1.0, 0.25),
     "n_th": ("n_th", 0.0, 1.0, 0.25),
     "gamma": ("gamma", 0.0, 2.0, 0.5),
-    "t_stack": ("t", 0.0, 1.0, 1.0 / 32),
+    "t_stack": ("t", 0.0, 1.0, 1.0 / 64),
 }
 ROW_FIELDS = ("b_s", "b_r", "b_h_mid", "b_h_upper", "hdb", "r_q", "sql")
 
@@ -320,7 +320,7 @@ def test_stacked_sweep_matches_generic_per_point_path(probe, grid):
     cfg = _cfg(probe=probe, r=0.6, n_th=0.3, n_e=0.4, gamma=0.7, t=0.4, alpha=(0.3, -0.2, 0.1, 0.4),
                axis=axis, start=start, stop=stop, step=step, weight=[[2.0, 0.3], [0.3, 1.0]])
     rows = sweep(cfg)
-    assert len(rows) == (33 if grid == "t_stack" else 5) and all(row.ok for row in rows)
+    assert len(rows) == (65 if grid == "t_stack" else 5) and all(row.ok for row in rows)
     for row in rows:
         got = [getattr(row, name) for name in ROW_FIELDS]
         np.testing.assert_allclose(got, _generic_row(cfg, row.axis), rtol=1e-12, atol=0)
@@ -597,27 +597,57 @@ def _lapack_calls(monkeypatch, run):
         monkeypatch.undo()
 
 
-def test_mixed_sweep_makes_one_qr_and_no_svd_or_eigvalsh(monkeypatch):
+def test_mixed_sweep_makes_one_eigh_and_no_other_lapack_call(monkeypatch):
     """The LAPACK budget of a 201-point tmst t sweep, whatever its length.
 
-    williamson makes one eigh, of V; the 201-point stack is above numkit.STACK_MIN, so
-    the eigenvectors of i V^-1/2 Omega V^-1/2 come from the closed-form kernel.  No
-    point has a pure mode, so every limiting RLD inverse is certified by one QR, and
-    R^-1 R^-H of its 2x2 R is a closed form.  F_S, F_C and the readout's outcome
-    covariance are 2x2 and positive definite, so pinv_psd and inv_sym take their
-    certified closed forms: no further eigh and no inv.
+    dV = 0, so F_S, U and the limiting RLD inverse come from solves on V: one eigh of V,
+    the symplectic eigenvalues from numkit.eigvals_antisym's closed form, and the 2x2
+    inverses of the idler block and of dd's B in closed form.  F_S, F_C and the
+    readout's outcome covariance are 2x2 and positive definite, so pinv_psd and inv_sym
+    take their certified closed forms: no qr, svd, eigvalsh or inv.  A tmsv sweep from
+    t = 0 adds one svd, of the pure point's null coordinates.
     """
     rows, calls = _lapack_calls(monkeypatch, lambda: sweep(_cfg(probe="tmst", n_th=0.5, axis="t", start=0.0, stop=1.0, step=0.005)))
     assert len(rows) == 201 and all(row.ok for row in rows)
-    assert calls == ["eigh", "qr"]
+    assert calls == ["eigh"]
+    rows, calls = _lapack_calls(monkeypatch, lambda: sweep(_cfg(probe="tmsv", axis="t", start=0.0, stop=1.0, step=0.005)))
+    assert len(rows) == 201 and all(row.ok for row in rows) and rows[0].b_r == 0.0
+    assert calls == ["eigh", "svd"]
 
 
-def test_one_point_makes_two_eigh_one_inv_and_one_qr(monkeypatch):
+def test_one_point_makes_one_eigh_and_one_inv(monkeypatch):
     """The LAPACK budget of one run_point, a stack of one, below numkit.STACK_MIN.
 
-    williamson makes its two eigh, inv_sym takes LAPACK's inv for the readout's
-    Sigma^-1, and the limiting RLD inverse one QR; pinv_psd keeps its closed forms.
+    The solves make their one eigh of V, and inv_sym takes LAPACK's inv for the
+    readout's Sigma^-1; the other kernels keep their closed forms.
     """
     row, calls = _lapack_calls(monkeypatch, lambda: run_point(_cfg(probe="tmst", n_th=0.5, axis="t"), 0.3))
     assert row.ok
-    assert calls == ["eigh", "eigh", "inv", "qr"]
+    assert calls == ["eigh", "inv"]
+
+
+def test_near_pure_rld_bound_matches_its_closed_form():
+    """tmst at r = 1e-4, n_th = n_e = 1e-10, gamma t = 0.3: nu - 1 is about 1e-8.
+
+    The Williamson basis missed the closed form's b_r by 1.8e-7 relative here; the solves
+    on V and M = V + i Omega come within 2e-8.
+    """
+    row = run_point(_cfg(probe="tmst", r=1e-4, n_th=1e-10, n_e=1e-10, gamma=1.0, axis="t"), 0.3)
+    assert row.ok
+    assert row.b_r == pytest.approx(closed_form_bounds("tmst", 1e-4, 1e-10, 1.0, 0.3, 1e-10).b_r, rel=5e-8)
+
+
+def test_weighted_sweep_takes_one_root_of_its_weight(monkeypatch):
+    """validate's check and every evaluation of the grid share one sqrt(W), bit for bit."""
+    weight = [[2.0, 0.3], [0.3, 1.0]]
+    cfg = _cfg(probe="tmst", n_th=0.5, weight=weight, axis="t", start=0.0, stop=1.0, step=0.005)
+    qfi_gaussian._psd_root.cache_clear()
+    roots = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: roots.append(np.shape(a)) or eigh(a, *args, **kw))
+    rows = sweep(cfg)
+    monkeypatch.undo()
+    assert len(rows) == 201 and all(row.ok for row in rows)
+    assert roots.count((2, 2)) == 1
+    sw = numkit.sqrtm_psd(np.array(weight))
+    assert np.array_equal(qfi_gaussian.weight_root(weight, 2), sw)
