@@ -62,52 +62,9 @@ def pinv(a, size=None):
 
 
 def pinv_gram(a, size=None):
-    """pinv(a) pinv(a)^H, matrix by matrix, with pinv's cutoff (size as in :func:`pinv`).
-
-    One QR of the whole stack, a = Q R, gives R^-1 R^-H for every matrix (m, p)
-    whose R passes a full-rank certificate, prod |r_ii| / ||R||_F^p > eps * size.
-    As |det R| <= sigma_min sigma_max^(p-1) and ||R||_F >= sigma_max, it bounds
-    sigma_min / sigma_max from below, so it admits only matrices that pinv keeps
-    at full rank; each |r_ii| is divided by ||R||_F before the product, so no
-    scale overflows.  Any other matrix (rank-deficient, a zero column, or m < p)
-    goes through pinv, for that subset only.
-    """
-    a = np.asarray(a)
-    m, p = a.shape[-2:]
-    size = np.asarray(max(m, p) if size is None else size)
-    if m < p:
-        x = pinv(a, size)
-        return x @ adjoint(x)
-    r = np.linalg.qr(a, mode="r")
-    ab = np.abs(r)
-    norm = np.sqrt((ab * ab).sum(axis=(-2, -1)))
-    ok = (ab.diagonal(0, -2, -1) / np.maximum(norm, TINY)[..., None]).prod(axis=-1) > EPS * size
-    if ok.all():
-        return _inverse_gram(r)
-    gram = _inverse_gram(np.where(ok[..., None, None], r, np.eye(p)))
-    x = pinv(a[~ok], np.broadcast_to(size, ok.shape)[~ok])
-    gram[~ok] = x @ adjoint(x)
-    return gram
-
-
-def _inverse_gram(r):
-    """R^-1 R^-H of each invertible upper-triangular R of a stack; p = 2 in closed form.
-
-    With R = [[a, b], [0, d]], R^-1 = [[1/a, x], [0, 1/d]] with x = -(b/a)/d, so the Gram
-    matrix is [[|1/a|^2 + |x|^2, x conj(1/d)], [conj(x) (1/d), |1/d|^2]]; b/a is formed
-    before the division by d, so a d never underflows.  Other sizes take inv.
-    """
-    if r.shape[-1] != 2:
-        r_inv = np.linalg.inv(r)
-        return r_inv @ adjoint(r_inv)
-    inv_a, inv_d = 1.0 / r[..., 0, 0], 1.0 / r[..., 1, 1]
-    x = -(r[..., 0, 1] * inv_a) * inv_d
-    gram = np.empty_like(r)
-    gram[..., 0, 0] = np.abs(inv_a) ** 2 + np.abs(x) ** 2
-    gram[..., 0, 1] = x * inv_d.conj()
-    gram[..., 1, 0] = gram[..., 0, 1].conj()
-    gram[..., 1, 1] = np.abs(inv_d) ** 2
-    return gram
+    """pinv(a) pinv(a)^H, matrix by matrix, with pinv's cutoff (size as in :func:`pinv`)."""
+    x = pinv(a, size)
+    return x @ adjoint(x)
 
 
 def pinv_psd(a):

@@ -15,8 +15,8 @@ and U from G = D V^-1/2, and the limiting inverse of F^R from the Schur
 complement of M onto the directions of D, which stays finite at pure points
 (Genoni et al., PRA 87, 012107 (2013); :func:`_first_moment`).
 
-The Williamson basis.  Every other model (some dV nonzero, a dd not of full
-row rank, or a point pure in part) is evaluated in the Williamson basis
+The Williamson basis.  Every other point (some dV nonzero, a dd not of full
+row rank, or modes pure in part) is evaluated in the Williamson basis
 V = S diag(nu) S^T (S symplectic), which also referees the solves in the
 tests.  The rows of T = J S^-1, J taking each pair (q, p) to
 (q + i p, q - i p)/sqrt2, are normal coordinates a with eigenvalue nu_a and
@@ -41,14 +41,14 @@ F^R itself (:func:`qfim_rld`, :attr:`QfimReport.f_rld`) always takes this
 basis: it drops the directions along which the information diverges, which a
 pseudo-inverse of the Schur complement does not.
 
-Live rows.  Only coefficient rows that can be nonzero are formed, and the
-sums above run over them alone: the border T_n dd_mu (T_n = T[:n, :n]) on
-the pairs (a, extra) and (extra, a), and the block T_n dV_mu T_n^T only
-when some dV is nonzero (T_n is invertible, so the block vanishes
-otherwise); of those, the rows that vanish for every parameter at every
-point of a stack are dropped.  A displacement model (dV = 0) thus has 2n
-rows, not (n+1)^2, and every Gram matrix, the RLD split and the SLD/RLD
-components work on the same rows.
+Live rows.  The sums above run over the coefficient rows that are nonzero:
+the border T_n dd_mu (T_n = T[:n, :n]) on the pairs (a, extra) and
+(extra, a), and the block T_n dV_mu T_n^T, less the rows that vanish for
+every parameter at every point of a stack.  The block of a zero dV is
+exactly zero, so a displacement model (dV = 0) has 2n rows, not (n+1)^2,
+and every Gram matrix, the RLD split and the SLD/RLD components work on the
+same rows.  The rows come heaviest RLD weight first (:func:`_layout`), which
+the SVD of the RLD split needs near a pure mode.
 
 Scalar bounds for a weight matrix W (default identity):
 
@@ -67,11 +67,11 @@ shape (K, 2N) and V of shape (K, 2N, 2N), with dds (K, p, 2N) and dVs
 function here then works on the leading axis in one call and returns
 (K, p, p) matrices and (K,) bounds; without the axis it is the one-point
 case and returns (p, p) matrices and floats.  The formulas are elementwise
-in nu, and the purity cut, the rank cut of :func:`rld_inverse_limit` and
-every pinv cutoff are taken point by point, so no point's cut depends on the
-other points of its stack.  The path may: a stack takes the solves only when
-each of its points qualifies, so a point's values may differ from its
-one-point evaluation by rounding.
+in nu, and the path, the purity cut, the rank cut of :func:`rld_inverse_limit`
+and every pinv cutoff are taken point by point, so no point's values depend
+on the other points of its stack beyond rounding: the solves serve each point
+that qualifies, and the Williamson basis the others, as one sub-stack
+(:meth:`PointMoments.merged`).
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def williamson(V):
 
 
 def _first_moment(V, D, Y):
-    """(F_S, U, limiting F_R^-1) of a model with dV = 0 from solves on V and M = V + i Omega.
+    """(served, (F_S, U, limiting F_R^-1)) of a model with dV = 0 from solves on V and M = V + i Omega.
 
     D (..., p, 2N) is the stack of dd, and Y an invertible (..., 2N, 2N) with
     D Y = [I, 0].  V^-1/2 and A = V^-1/2 Omega V^-1/2 come from :func:`_whiten`,
@@ -218,28 +218,29 @@ def _first_moment(V, D, Y):
     projector onto the null coordinates of M; where every parameter direction reaches
     them (the p columns of (I - i A) G^T have full rank relative to 1e-10 max|G|, the
     rank cut of :func:`rld_inverse_limit`), the limit is 0 exactly, which S carries
-    only to rounding.  A stack with a point whose modes are pure in part gives None:
-    there only eigenvectors separate the null coordinates, and the Williamson basis
-    serves it.
+    only to rounding.  served is False at a point whose modes are pure in part (and
+    True, a scalar, where no mode is pure): there only eigenvectors separate the null
+    coordinates, and its values are meaningless.
     """
     w, v_isqrt, a = _whiten(V)
     pure = _purity_cut(numkit.eigvals_antisym(a), w) == 1.0
-    if pure.any() and np.any(pure.any(axis=-1) & ~pure.all(axis=-1)):
-        return None
     n = V.shape[-1] // 2
     G = D @ v_isqrt
     Gt = np.ascontiguousarray(numkit.transpose(G))
     f_s, u = G @ Gt, G @ a @ Gt  # halves of F_S and U, returned exactly (anti)symmetric
     Yt = np.ascontiguousarray(numkit.transpose(Y))
     f_r_inv = 0.5 * numkit.schur_psd(Yt @ V @ Y + 1j * (Yt @ omega(n) @ Y), D.shape[-2])
+    served = True
     if pure.any():
-        pure = np.asarray(pure.all(axis=-1))  # 0-d for one point
-        reach = (np.eye(2 * n) - 1j * a[pure]) @ Gt[pure]
-        s = np.linalg.svd(reach, compute_uv=False)
-        vanish = pure.copy()
-        vanish[pure] = s[..., -1] > 1e-10 * np.abs(G[pure]).max(axis=(-2, -1))
-        f_r_inv[vanish] = 0.0
-    return f_s + numkit.transpose(f_s), u - numkit.transpose(u), f_r_inv
+        whole = np.asarray(pure.all(axis=-1))  # 0-d for one point
+        served = whole | ~pure.any(axis=-1)
+        if whole.any():
+            reach = (np.eye(2 * n) - 1j * a[whole]) @ Gt[whole]
+            s = np.linalg.svd(reach, compute_uv=False)
+            vanish = whole.copy()
+            vanish[whole] = s[..., -1] > 1e-10 * np.abs(G[whole]).max(axis=(-2, -1))
+            f_r_inv[vanish] = 0.0
+    return served, (f_s + numkit.transpose(f_s), u - numkit.transpose(u), f_r_inv)
 
 
 def _inverse(x, zero_to):
@@ -273,22 +274,22 @@ def _signs(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _layout(n: int, has_block: bool):
+def _layout(n: int):
     """(ia, ib, src): the pairs of the (n+1) x (n+1) layout that can be nonzero, by s_a + s_b.
 
     src is the entry each pair reads from the coefficients of
     :attr:`PointMoments.rows`: the border (index a of (a, extra) and
-    (extra, a)), then, with has_block, the flattened block (n + a n + b).
+    (extra, a)), then the flattened block (n + a n + b).
     The pairs are sorted by s_a + s_b, ascending and otherwise row-major, so
     the rows with the largest RLD weight 1 / (2 lam_a lam_b), lam = nu + s,
-    come first near a pure mode: Householder QR of the RLD split is
-    row-wise stable only with its heavy rows first (Powell and Reid 1969;
+    come first near a pure mode.  The SVD pinv of the RLD split needs that
+    order: LAPACK reduces a tall matrix by Householder QR first, which is
+    row-wise stable only with its heavy rows on top (Powell and Reid 1969;
     Cox and Higham 1998).
     """
     src = np.full((n + 1, n + 1), -1)
     src[:n, n] = src[n, :n] = np.arange(n)
-    if has_block:
-        src[:n, :n] = n + np.arange(n * n).reshape(n, n)
+    src[:n, :n] = n + np.arange(n * n).reshape(n, n)
     ia, ib = np.nonzero(src >= 0)
     s = _signs(n)
     order = np.argsort(s[ia] + s[ib], kind="stable")
@@ -300,11 +301,12 @@ class PointMoments:
     """A model evaluated at one parameter point, or at a stack of K points.
 
     Holds the state and its moment derivatives, dds (..., p, 2N) and dVs
-    (..., p, 2N, 2N), and, on first use, the solves of a first-moment model
-    (:attr:`solved`) or one Williamson decomposition of V per point with the
-    coefficient rows and weights of the module docstring.  A stack carries a
-    leading axis of length K on the state, dds, dVs and everything derived from
-    them; each point's cuts do not depend on the other points of its stack.
+    (..., p, 2N, 2N), and, on first use, the solves at the points of a
+    first-moment model (:attr:`solved`) and one Williamson decomposition of V
+    per other point (:attr:`unserved`) with the coefficient rows and weights of
+    the module docstring.  A stack carries a leading axis of length K on the
+    state, dds, dVs and everything derived from them; each point's path and cuts
+    do not depend on the other points of its stack.
     """
 
     def __init__(self, st: GaussianState, dds, dVs, n_params: int):
@@ -315,16 +317,19 @@ class PointMoments:
 
     @cached_property
     def solved(self):
-        """(F_S, U, limiting F_R^-1) by solves (:func:`_first_moment`), or None.
+        """(served, (F_S, U, limiting F_R^-1)) by solves (:func:`_first_moment`), or None.
 
-        The solves serve a stack whose every dV is zero and whose dd has full row
-        rank, certified at every point (:func:`numkit.inv_certified`).  With X the
-        permutation that puts the coordinates some dd reaches first, when there are
-        p of them, or else the Q of a QR of D^T, D X = [B, 0], and
-        Y = X diag(B^-1, I) gives D Y = [I, 0].  Any other stack is None, as is one
-        that :func:`_first_moment` refuses, and the Williamson basis serves it.
+        The solves serve each point whose every dV is zero, whose dd has full row
+        rank, certified point by point (:func:`numkit.inv_certified`), and whose
+        modes are not pure in part; served marks them, and the values of the other
+        points are meaningless.  With X the permutation that puts the coordinates
+        some dd reaches first, when there are p of them, or else the Q of a QR of
+        D^T, D X = [B, 0], and Y = X diag(B^-1, I) gives D Y = [I, 0]; an
+        uncertified B takes I in place of B^-1, so its point stays finite.  None
+        means that no point is served, and the Williamson basis serves them all.
         """
-        if self.dVs.any():
+        dv = self.dVs.any(axis=(-3, -2, -1))  # the points with a nonzero dV
+        if dv.all():
             return None
         D = self.dds
         p, n2 = D.shape[-2:]
@@ -336,10 +341,46 @@ class PointMoments:
         else:
             return None
         ok, B_inv = numkit.inv_certified(D @ X[..., :p])
+        ok = ok & ~dv
         if not ok.all():
-            return None
+            if not ok.any():
+                return None
+            B_inv = np.where(ok[..., None, None], B_inv, np.eye(p))
         rest = np.broadcast_to(X[..., p:], B_inv.shape[:-2] + (n2, n2 - p))
-        return _first_moment(self.st.V, D, np.concatenate([X[..., :p] @ B_inv, rest], axis=-1))
+        served, values = _first_moment(self.st.V, D, np.concatenate([X[..., :p] @ B_inv, rest], axis=-1))
+        served = ok & served
+        return (served, values) if served.any() else None
+
+    @cached_property
+    def unserved(self):
+        """The points that :attr:`solved` does not serve, as one PointMoments for the Williamson basis.
+
+        None when it serves every point.
+        """
+        served = self.solved[0]
+        if served.all():
+            return None
+        keep = ~served
+        st = GaussianState._built(self.st.d[keep], self.st.V[keep])
+        dds, dVs = np.moveaxis(self.dds[keep], -2, 0), np.moveaxis(self.dVs[keep], -3, 0)
+        return PointMoments(st, dds, dVs, self.n_params)
+
+    def merged(self, k: int, in_basis: Callable[["PointMoments"], np.ndarray]) -> np.ndarray:
+        """Quantity k of :attr:`solved` at the points it serves, in_basis of the Williamson basis elsewhere.
+
+        k indexes (F_S, U, limiting F_R^-1).  A stack that the solves serve whole
+        returns their array as is; one that they do not serve at all, the one-point
+        case included, goes to in_basis whole; any other takes in_basis of
+        :attr:`unserved` at its points.
+        """
+        if self.solved is None:
+            return in_basis(self)
+        served, values = self.solved
+        if self.unserved is None:
+            return values[k]
+        out = values[k].copy()
+        out[~served] = in_basis(self.unserved)
+        return out
 
     @cached_property
     def normal_modes(self):
@@ -366,22 +407,19 @@ class PointMoments:
         Row (a, b) of K, column mu, is (T D_mu T^T)_ab with
         D_mu = [[dV_mu, dd_mu], [dd_mu^T, 0]]: the border T_n dd_mu
         (T_n = T[:n, :n]) on the pairs (a, extra) and (extra, a), and the
-        block T_n dV_mu T_n^T on the pairs (a, b) of normal coordinates.  The
-        block is formed only when some dV of the stack is nonzero (T_n is
-        invertible, so it vanishes otherwise), and only the rows that are
-        nonzero at some point of the stack are kept, in the order of
-        :func:`_layout`; a displacement model keeps its 2n border rows.
+        block T_n dV_mu T_n^T on the pairs (a, b) of normal coordinates.  Only
+        the rows that are nonzero at some point of the stack are kept, in the
+        order of :func:`_layout`; the block of a zero dV is exactly zero, so a
+        displacement model keeps its 2n border rows.
         ia, ib are the pair indices of the rows kept.
         """
         T, nu, s = self.normal_modes
         n = nu.shape[-1] - 1
         Tn = T[..., None, :n, :n]
         coef = (Tn @ self.dds[..., None])[..., 0]  # (..., p, n): the border T_n dd_mu
-        has_block = bool(self.dVs.any())
-        if has_block:
-            block = Tn @ self.dVs @ numkit.transpose(Tn)
-            coef = np.concatenate([coef, block.reshape(coef.shape[:-1] + (n * n,))], axis=-1)
-        ia, ib, src = _layout(n, has_block)
+        block = Tn @ self.dVs @ numkit.transpose(Tn)
+        coef = np.concatenate([coef, block.reshape(coef.shape[:-1] + (n * n,))], axis=-1)
+        ia, ib, src = _layout(n)
         live = (coef != 0).any(axis=-2).reshape(-1, coef.shape[-1]).any(axis=0)[src]
         ia, ib, src = ia[live], ib[live], src[live]
         K = numkit.transpose(np.take(coef, src, axis=-1))
@@ -458,10 +496,7 @@ def rld_components(model: GaussianModel | PointMoments, theta, mu: int) -> RldCo
 
 def qfim_sld(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """SLD quantum Fisher information matrix (real symmetric; (K, p, p) for a stack)."""
-    pt = evaluate(model, theta)
-    if pt.solved is not None:
-        return pt.solved[0]
-    return numkit.hermitize(pt.gram("sld").real)
+    return evaluate(model, theta).merged(0, lambda pt: numkit.hermitize(pt.gram("sld").real))
 
 
 def qfim_rld(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
@@ -481,9 +516,10 @@ def incompatibility(model: GaussianModel | PointMoments, theta=None) -> np.ndarr
     U = 0 iff the SLD bound is attainable without measurement incompatibility
     penalty; in general b_h_upper = (1 + R_Q) b_s with R_Q built from U.
     """
-    pt = evaluate(model, theta)
-    if pt.solved is not None:
-        return pt.solved[1]
+    return evaluate(model, theta).merged(1, _incompatibility_in_basis)
+
+
+def _incompatibility_in_basis(pt: PointMoments) -> np.ndarray:
     U = pt.gram("u").real
     return 0.5 * (U - numkit.transpose(U))
 
@@ -518,7 +554,7 @@ def _quantumness(root_finv, u):
 def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """Limiting inverse of the RLD information matrix.
 
-    A first-moment model takes the Schur complement of :func:`_first_moment`.
+    A point the solves serve takes the Schur complement of :func:`_first_moment`.
     In the Williamson basis, coefficient rows with an infinite RLD weight
     (pure-mode directions, see :func:`_weights`) make the RLD information
     diverge, and the inverse must
@@ -532,13 +568,13 @@ def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.nda
     which covers every rank of A: Q = I (pinv(F_R)) when A = 0, Q = 0 (the
     zero inverse) when ker A = 0.  A stack is one :func:`numkit.pinv_gram`
     call on X = C, or C Q at the points with out-of-range rows, each point
-    with its own cutoff, size max(n_c, p - rank(A)): a QR for the points of
-    full rank and the SVD pinv for the others.  Q and the products with it
-    are formed only at the points with out-of-range rows.
+    with its own cutoff, size max(n_c, p - rank(A)).  Q and the products with
+    it are formed only at the points with out-of-range rows.
     """
-    pt = evaluate(model, theta)
-    if pt.solved is not None:
-        return pt.solved[2]
+    return evaluate(model, theta).merged(2, _rld_inverse_in_basis)
+
+
+def _rld_inverse_in_basis(pt: PointMoments) -> np.ndarray:
     C, A, n_c = pt.rld_split
     pure = A.any(axis=(-2, -1))  # points with out-of-range rows
     if not pure.any():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from gaussfish import numkit
+from gaussfish import numkit, qfi_gaussian
 from gaussfish.channels import NoisyChannel
 from gaussfish.gaussian_core import (
     GaussianState,
@@ -50,6 +50,7 @@ from gaussfish.qfi_gaussian import (
     _purity_cut,
     _whiten,
 )
+from gaussfish.scenarios import closed_form_bounds
 
 from linalg_helpers import vec
 
@@ -593,8 +594,8 @@ def _by_williamson(pt):
 def test_stacked_information_layer_matches_each_point(monkeypatch):
     """rld_inverse_limit cuts rank per point: a stack of ranks 2, 1 and 0 equals its points.
 
-    The solves serve the stack with no pinv_gram call; in the Williamson basis the whole
-    stack, whatever its ranks, is one pinv_gram call, with the same limits.
+    The solves serve the stack with no SVD pinv; in the Williamson basis the whole
+    stack, whatever its ranks, is one pinv call (through pinv_gram), with the same limits.
     """
     ch = NoisyChannel.uniform(2, 1.0, 0.5)
     points = [
@@ -605,8 +606,8 @@ def test_stacked_information_layer_matches_each_point(monkeypatch):
     ]
     stack = _stack_points(points)
     calls = []
-    pinv_gram = numkit.pinv_gram
-    monkeypatch.setattr(numkit, "pinv_gram", lambda *a, **kw: calls.append(a[0].shape) or pinv_gram(*a, **kw))
+    pinv = numkit.pinv
+    monkeypatch.setattr(numkit, "pinv", lambda *a, **kw: calls.append(a[0].shape) or pinv(*a, **kw))
     limits = rld_inverse_limit(stack)
     assert calls == []
     in_basis = rld_inverse_limit(_by_williamson(stack))
@@ -701,6 +702,90 @@ def test_solves_match_the_williamson_basis_on_random_first_moment_models(seed, m
         assert pt.solved is None
         return
     _assert_solves_match_the_williamson_basis(pt, 1e-10)
+
+
+def _unserved_points():
+    """Two-parameter points that the solves do not serve: modes pure in part, dV != 0, dd = 0."""
+    ch = NoisyChannel.uniform(2, 1.0, 0.5)
+    S = two_mode_squeezer(0.3).S
+    part_pure = GaussianState(np.array([0.1, 0.2, 0.0, 0.0]), S @ np.diag([1.0, 1.0, 3.0, 3.0]) @ S.T)
+    mixed = evaluate(displacement_model(probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.5), ch, 0.3), [0, 0])
+    dV = np.random.default_rng(5).normal(size=(4, 4))
+    return [
+        evaluate(displacement_model(part_pure), [0, 0]),
+        PointMoments(mixed.st, list(mixed.dds), [dV + dV.T, np.zeros((4, 4))], 2),
+        evaluate(displacement_model(probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.5), ch, 1600.0), [0, 0]),
+    ]
+
+
+def test_a_stack_routes_each_point_alone(monkeypatch):
+    """Served and unserved points mixed in one stack: each equals its own evaluation.
+
+    Only the unserved points reach the Williamson basis, as one stack; f_rld, which
+    always takes the basis, is read after the spy is gone.
+    """
+    served, unserved = _displacement_points(), _unserved_points()
+    points = [served[0], unserved[0], served[1], unserved[1], unserved[2], served[2]]
+    stack = _stack_points(points)
+    assert np.array_equal(stack.solved[0], [True, False, True, False, False, True])
+    sizes = []
+    real = qfi_gaussian.williamson
+    monkeypatch.setattr(qfi_gaussian, "williamson", lambda V: sizes.append(V.shape) or real(V))
+    W = np.array([[2.0, 0.3], [0.3, 1.0]])
+    rep = qfim_report(stack, weight=W)
+    monkeypatch.undo()
+    assert sizes == [(3, 4, 4)]
+    limits = rld_inverse_limit(stack)
+    for k, pt in enumerate(points):
+        np.testing.assert_allclose(limits[k], rld_inverse_limit(pt), rtol=1e-12, atol=0)
+        one = qfim_report(pt, weight=W)
+        for name in ("f_sld", "f_rld", "u", "b_s", "b_r", "b_h_mid", "b_h_upper", "r_q"):
+            np.testing.assert_allclose(getattr(rep, name)[k], getattr(one, name), rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_williamson_row_order_keeps_near_pure_b_r():
+    """The RLD split's rows, heaviest first, keep b_r of the basis at the closed form.
+
+    At tmsv, r = 0, n_e = 2^-14, gamma t = 1e-8 (nu - 1 about 1.2e-12) the solves
+    serve the point, so the basis is forced.  LAPACK's SVD of the tall split starts
+    with a Householder QR: with the light rows on top b_r missed by 5e-10 relative.
+    """
+    n_e, t = 6.103515625e-05, 1e-8
+    model = displacement_model(probe_tmsdt(0.0, math.pi, 0, 0, 0, 0, 0.0), NoisyChannel.uniform(2, 1.0, n_e), t)
+    pt = _by_williamson(evaluate(model, [0.0, 0.0]))
+    chain = bound_chain(qfim_sld(pt), incompatibility(pt), rld_inverse=rld_inverse_limit(pt))
+    assert chain.b_r == pytest.approx(closed_form_bounds("tmsv", 0.0, 0.0, 1.0, t, n_e).b_r, rel=1e-12, abs=0)
+
+
+def _haar_passive(rng, modes):
+    """The orthogonal symplectic matrix (Q, P per mode) of a Haar-random N x N unitary."""
+    z = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    q, r = np.linalg.qr(z)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    O = np.empty((2 * modes, 2 * modes))
+    O[0::2, 0::2], O[0::2, 1::2] = u.real, -u.imag  # a -> u a with a = (Q + i P) / sqrt 2
+    O[1::2, 0::2], O[1::2, 1::2] = u.imag, u.real
+    return O
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+def test_information_is_invariant_under_a_passive_network(modes):
+    """F_S, U, F_R and the limiting F_R^-1 of random mixed models with dV != 0, before
+    and after a Haar-random passive network O: d -> O d, V -> O V O^T, likewise the
+    derivatives."""
+    rng = np.random.default_rng(400 + modes)
+    for _ in range(3):
+        pt = _random_point(rng, modes)
+        O = _haar_passive(rng, modes)
+        assert np.allclose(O @ O.T, np.eye(2 * modes), atol=1e-13)
+        assert np.allclose(O @ omega(modes) @ O.T, omega(modes), atol=1e-13)
+        V = O @ pt.st.V @ O.T
+        moved = PointMoments(
+            GaussianState(O @ pt.st.d, 0.5 * (V + V.T)), list(pt.dds @ O.T), list(O @ pt.dVs @ O.T), pt.n_params
+        )
+        for fn in (qfim_sld, incompatibility, qfim_rld, rld_inverse_limit):
+            want = fn(pt)
+            assert np.abs(fn(moved) - want).max() <= 1e-10 * np.abs(want).max(), fn.__name__
 
 
 def test_stacked_rld_inverse_keeps_each_points_own_pinv_cutoff():

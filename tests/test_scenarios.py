@@ -443,7 +443,8 @@ def _zero_or(lo, hi):
     phi=st.one_of(st.just(math.pi), st.floats(0.0, 2 * math.pi)),
     weight=st.sampled_from([None, [[2.0, 0.3], [0.3, 1.0]]]),
 )
-# near-pure b_r: a QR of the RLD split with its light rows first missed the closed form by 1e-9
+# near-pure b_r (nu - 1 about 1.2e-12), which the solves serve; the Williamson basis at this
+# point is checked by test_williamson_row_order_keeps_near_pure_b_r in test_qfi_gaussian.py
 @example(probe="tmsv", axis="r", r=0.0, n_th=0.0, n_e=6.103515625e-05, gamma=1.0, gamma_t=1e-08, phi=math.pi, weight=None)
 def test_pipeline_matches_closed_forms_property(probe, axis, r, n_th, n_e, gamma, gamma_t, phi, weight):
     """Every column of the row against the closed forms, pure states included.
