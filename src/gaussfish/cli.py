@@ -8,10 +8,10 @@ Subcommands:
     classical-demo  MLE variance against the classical CRLB
     phase-demo      phase-estimation scalings for coherent and squeezed probes
 
-Data goes to stdout (or --out); logging goes to stderr.  Exit codes: 0 on
-success, 2 on configuration or validation errors (malformed JSON is reported
-with line and column), 3 when a computation degraded (NaN rows, oracle gap
-above tolerance).
+Data goes to stdout (or --out, rewritten in place); logging goes to stderr.
+Exit codes: 0 on success, 2 on configuration or validation errors (malformed
+JSON is reported with line and column) and when --out cannot be written, 3 when
+a computation degraded (NaN rows, oracle gap above tolerance).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import json
 import logging
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -129,12 +130,23 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        log.info("wrote %s", args.out)
-    else:
+    """Write text to stdout, or as UTF-8 over --out in place.
+
+    --out is opened without O_TRUNC: truncating an existing file to zero costs more
+    than the whole write.  A regular file is cut to the written length afterwards;
+    any other target (a device, a pipe) is written as a stream.
+    """
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()  # flushes, then cuts the file at the written length
+    except OSError as exc:
+        raise CliError("cannot write output: %s" % exc) from exc
+    log.info("wrote %s", args.out)
 
 
 def _rows_out(args, cfg, rows) -> int:

@@ -200,7 +200,10 @@ def williamson(V):
     n = V.shape[-1] // 2
     lam, vecs = np.linalg.eigh(1j * a)
     nu = _purity_cut(lam[..., n:], w)
-    return nu, np.sqrt(nu)[..., :, None] * (numkit.adjoint(vecs[..., n:]) @ v_isqrt)
+    uh = numkit.adjoint(vecs[..., n:])
+    z = np.empty(uh.shape, complex)  # u^H V^-1/2 by two real products: V^-1/2 is not cast
+    z.real, z.imag = uh.real @ v_isqrt, uh.imag @ v_isqrt
+    return nu, np.sqrt(nu)[..., :, None] * z
 
 
 def _first_moment(V, D, Y):

@@ -87,7 +87,8 @@ class ScenarioConfig:
     weight: Optional[Sequence[Sequence[float]]] = None
     threads: int = 1  # accepted and validated; sweeps run on one thread
 
-    def validate(self) -> None:
+    def validate(self) -> NoisyChannel:
+        """Raise ValueError for an invalid config; else return the configured channel."""
         for name, shape in _NUMERIC_FIELDS.items():
             value = getattr(self, name)
             if value is None and name == "weight":
@@ -109,7 +110,7 @@ class ScenarioConfig:
         if self.axis not in AXES:
             raise ValueError("axis must be one of %s" % (AXES,))
         try:
-            NoisyChannel.uniform(2, self.gamma, self.n_e, self.m_e)
+            channel = NoisyChannel.uniform(2, self.gamma, self.n_e, self.m_e)
         except ValueError as exc:
             raise ValueError("channel (gamma, n_e, m_e): %s" % exc) from None
         if self.n_th < 0:
@@ -130,6 +131,7 @@ class ScenarioConfig:
             raise ValueError("sweep range: %d points exceed the cap of %d" % (n, MAX_POINTS))
         if self.weight is not None:
             weight_root(self.weight, 2)
+        return channel
 
     def n_values(self) -> int:
         return int(round((self.stop - self.start) / self.step)) + 1
@@ -207,17 +209,18 @@ def _on_axis(cfg: ScenarioConfig, values: np.ndarray, *names: str) -> list:
     return [values if cfg.axis == name else getattr(cfg, name) for name in names]
 
 
-def _evaluate(cfg: ScenarioConfig, values: np.ndarray) -> np.ndarray:
+def _evaluate(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> np.ndarray:
     """The (8, K) row columns at the K axis values, from one stacked evaluation per layer.
 
-    The probe is one :func:`probe_tmsdt` call on the grid's r and n_th, the channel one
-    stacked NoisyChannel and the decay one :func:`gaussfish.channels.evolve` call on a t
-    that spans the grid, so an axis that the probe ignores still gives one point per value.
-    What a layer raises for the stack propagates; an overflow leaves a non-finite entry.
+    The probe is one :func:`probe_tmsdt` call on the grid's r and n_th, the channel ch (one
+    stacked NoisyChannel if None or on a gamma or n_e axis) and the decay one :func:`evolve`
+    call on a t that spans the grid, so an axis that the probe ignores still gives one point
+    per value.  What a layer raises for the stack propagates; an overflow leaves a non-finite entry.
     """
     r, n_th, gamma, n_e, t = _on_axis(cfg, values, "r", "n_th", "gamma", "n_e", "t")
     t = np.full(values.shape, t)
-    ch = NoisyChannel.uniform(2, gamma, n_e, cfg.m_e)
+    if ch is None or cfg.axis in ("gamma", "n_e"):
+        ch = NoisyChannel.uniform(2, gamma, n_e, cfg.m_e)
     pt = evaluate(displacement_model(build_probe(cfg, r, n_th), ch, t), cfg.theta)
     rep = qfim_report(pt, weight=cfg.weight)
     pre, gd = epr_readout()
@@ -228,7 +231,7 @@ def _evaluate(cfg: ScenarioConfig, values: np.ndarray) -> np.ndarray:
     return np.array((values, rep.b_s, rep.b_r, rep.b_h_mid, rep.b_h_upper, hdb, rep.r_q, sql))
 
 
-def _rows(cfg: ScenarioConfig, values: np.ndarray) -> list:
+def _rows(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> list:
     """The rows at the axis values, from one evaluation of the stack with numpy errors ignored.
 
     A row with a non-finite column becomes NaN with an "overflow" message.  If a layer
@@ -237,12 +240,12 @@ def _rows(cfg: ScenarioConfig, values: np.ndarray) -> list:
     """
     try:
         with np.errstate(all="ignore"):
-            columns = _evaluate(cfg, values)
+            columns = _evaluate(cfg, values, ch)
     except NUMERICAL_ERRORS as exc:
         if len(values) == 1:
             return [SweepRow(float(values[0]), *[math.nan] * 7, False, str(exc))]
         half = len(values) // 2
-        return _rows(cfg, values[:half]) + _rows(cfg, values[half:])
+        return _rows(cfg, values[:half], ch) + _rows(cfg, values[half:], ch)
     rows = [SweepRow(*row, True, "") for row in columns.T.tolist()]
     for i in np.flatnonzero(~np.isfinite(columns).all(axis=0)):
         bad = SweepRow._fields[np.isfinite(columns[:, i]).argmin()]  # the first non-finite column
@@ -265,8 +268,8 @@ def sweep(cfg: ScenarioConfig) -> list:
     A failing point degrades alone, so the only ValueError raised is cfg.validate()'s
     for an invalid config.  cfg.threads is validated but has no effect.
     """
-    cfg.validate()
-    return _rows(cfg, cfg.axis_values())
+    ch = cfg.validate()
+    return _rows(cfg, cfg.axis_values(), ch)
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:

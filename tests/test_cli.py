@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -154,6 +155,78 @@ def test_out_file_and_byte_determinism(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(a)]) == 0
     assert main(["sweep", "--config", cfg, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_out_rewritten_in_place_leaves_the_bytes_of_a_fresh_write(tmp_path):
+    """A sweep over a longer file (junk, then its own JSON) leaves only its new bytes."""
+    cfg = _write_config(tmp_path, axis="t", start=0.0, stop=1.0, step=0.005)
+    fresh = {}
+    for fmt in ("json", "csv"):
+        path = tmp_path / ("fresh." + fmt)
+        assert main(["sweep", "--config", cfg, "--format", fmt, "--out", str(path)]) == 0
+        fresh[fmt] = path.read_bytes()
+    assert len(fresh["json"]) > len(fresh["csv"])
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * (len(fresh["json"]) + 100))
+    for fmt in ("json", "csv"):
+        assert main(["sweep", "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == fresh[fmt]
+
+
+def test_out_writes_through_a_symlink(tmp_path):
+    cfg = _write_config(tmp_path)
+    fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(fresh)]) == 0
+    target.write_bytes(b"old\n" * 10_000)
+    link.symlink_to(target)
+    assert main(["sweep", "--config", cfg, "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_out_to_a_device_or_a_pipe_is_written_as_a_stream(tmp_path):
+    """ftruncate fails on /dev/null and on pipes, so neither is cut to length."""
+    cfg = _write_config(tmp_path)
+    assert main(["sweep", "--config", cfg, "--out", os.devnull]) == 0
+    assert main(["sweep", "--config", cfg, "--format", "json", "--out", os.devnull]) == 0
+    fresh = tmp_path / "fresh.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(fresh)]) == 0
+    if os.path.isdir("/dev/fd"):
+        r, w = os.pipe()  # the CSV (about 3 KB) fits in the pipe's buffer: no reader needed
+        with os.fdopen(r, "rb") as reader:
+            try:
+                assert main(["sweep", "--config", cfg, "--out", "/dev/fd/%d" % w]) == 0
+            finally:
+                os.close(w)
+            assert reader.read() == fresh.read_bytes()
+
+
+def test_rewriting_an_existing_out_does_not_truncate_on_open(tmp_path, monkeypatch):
+    """Structural, since host noise hides the timing: an O_TRUNC open of an existing file
+    costs more than the whole write, so the rewrite opens without it and cuts to length."""
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    first = out.read_bytes()
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *args, **kw):
+        if os.fspath(path) == str(out):
+            flags.append(flag)
+        return real_open(path, flag, *args, **kw)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+    assert out.read_bytes() == first
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "cannot write output" in capsys.readouterr().err
 
 
 def test_threads_flag_and_env(tmp_path, capsys, monkeypatch):

@@ -542,6 +542,27 @@ def test_symplectic_eigenvalue_kernel_matches_williamson(seed, kinds):
         assert np.array_equal(nu[k] == 1.0, nu_alone == 1.0), kind
 
 
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_williamson_normal_coordinates_equal_the_complex_product(modes):
+    """williamson forms u^H V^-1/2 as two real products; they equal the complex product bit for bit.
+
+    Random mixed stacks, and for two modes the 201-point tmst t 0..1 grid of the reference sweep.
+    """
+    rng = np.random.default_rng(300 + modes)
+    stacks = [np.array([_random_point(rng, modes).st.V for _ in range(7)])]
+    if modes == 2:
+        t = np.linspace(0.0, 1.0, 201)
+        ch = NoisyChannel.uniform(2, 1.0, 0.5)
+        tmst = probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.5)
+        stacks.append(displacement_model(tmst, ch, t).state([0, 0]).V)
+    for V in stacks:
+        nu, Z = williamson(V)
+        _, v_isqrt, a = _whiten(V)
+        vecs = np.linalg.eigh(1j * a)[1][..., modes:]
+        ref = np.sqrt(nu)[..., :, None] * (numkit.adjoint(vecs) @ v_isqrt.astype(complex))
+        assert np.array_equal(Z, ref)
+
+
 @pytest.mark.parametrize("n_th", [0.0, 1e-9, 1e-6])
 def test_incompatibility_near_pure_matches_fock_oracle(n_th):
     theta = np.array([0.1, 0.4])

@@ -383,7 +383,7 @@ def test_failing_points_cost_no_point_by_point_rerun(monkeypatch):
     """An overflow costs nothing extra; a point that raises is isolated by halving the stack."""
     stacks = []
     evaluate_stack = scenarios._evaluate
-    monkeypatch.setattr(scenarios, "_evaluate", lambda cfg, values: stacks.append(len(values)) or evaluate_stack(cfg, values))
+    monkeypatch.setattr(scenarios, "_evaluate", lambda cfg, values, *ch: stacks.append(len(values)) or evaluate_stack(cfg, values, *ch))
     monkeypatch.setattr(scenarios, "run_point", lambda *a: pytest.fail("sweep called run_point"))
 
     def run(cfg):
@@ -569,7 +569,7 @@ def test_states_built_inside_a_run_are_not_rechecked(monkeypatch):
 
     run_point and a 201-point tmst sweep build every GaussianState through the unchecked
     internal constructor, so the public check runs zero times.  The channel's public
-    check runs once per evaluation, and once more in sweep's validate.
+    check runs once per run_point and once per sweep: the evaluation takes validate's.
     """
     calls = Counter()
     for cls in (GaussianState, NoisyChannel):
@@ -581,9 +581,9 @@ def test_states_built_inside_a_run_are_not_rechecked(monkeypatch):
     calls.clear()
     rows = sweep(_cfg(probe="tmst", n_th=0.5, axis="t", start=0.0, stop=1.0, step=0.005))
     assert len(rows) == 201 and all(row.ok for row in rows)
-    assert calls == {"NoisyChannel": 2}
+    assert calls == {"NoisyChannel": 1}
     GaussianState(np.zeros(2), np.eye(2))  # the spy sees the public constructor
-    assert calls == {"NoisyChannel": 2, "GaussianState": 1}
+    assert calls == {"NoisyChannel": 1, "GaussianState": 1}
 
 
 def _lapack_calls(monkeypatch, run):
