@@ -77,7 +77,13 @@ def diffusion_matrix(ch: NoisyChannel) -> np.ndarray:
 
 
 def evolve(ch: NoisyChannel, state: GaussianState, t) -> GaussianState:
-    """Damp the state for a time t >= 0 (a float, or an array of times)."""
+    """Damp the state for a time t >= 0 (a float, or an array of times).
+
+    A state's eigen-factor (O, lam) is kept where G and V_inf are multiples of the
+    identity, m_e = 0 with gamma and n_e equal across modes at every stack point:
+    V -> O diag(e^{-gamma t} lam + (1 - e^{-gamma t}) (2 n_e + 1)) O^T.  Any other
+    channel drops it.
+    """
     if ch.modes != state.modes:
         raise ValueError("channel acts on %d modes, state has %d" % (ch.modes, state.modes))
     t = np.asarray(t, dtype=float)
@@ -87,4 +93,9 @@ def evolve(ch: NoisyChannel, state: GaussianState, t) -> GaussianState:
     g = np.repeat(np.exp(-0.5 * rate), 2, axis=-1)  # diagonal of G(t)
     relax = np.repeat(1.0 - np.exp(-rate), 2, axis=-1)  # per row of the block-diagonal V_inf
     V = g[..., :, None] * state.V * g[..., None, :] + relax[..., :, None] * diffusion_matrix(ch)
-    return GaussianState._built(g * state.d, numkit.hermitize(V))
+    factor = None
+    if state.factor is not None and not ch.m_e.any():
+        if (ch.gamma == ch.gamma[..., :1]).all() and (ch.n_e == ch.n_e[..., :1]).all():
+            O, lam = state.factor
+            factor = O, g[..., :1] ** 2 * lam + relax[..., :1] * (2.0 * ch.n_e[..., :1] + 1.0)
+    return GaussianState._built(g * state.d, numkit.hermitize(V), factor)

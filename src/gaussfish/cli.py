@@ -133,17 +133,21 @@ def _emit(args, text: str) -> None:
     """Write text to stdout, or as UTF-8 over --out in place.
 
     --out is opened without O_TRUNC: truncating an existing file to zero costs more
-    than the whole write.  A regular file is cut to the written length afterwards;
-    any other target (a device, a pipe) is written as a stream.
+    than the whole write.  A regular file that was longer than the text is cut to
+    the written length afterwards (a rewrite of the same length, as a repeated sweep
+    makes, is not); any other target (a device, a pipe) is written as a stream.
     """
     if not args.out:
         sys.stdout.write(text)
         return
+    data = text.encode("utf-8")
     try:
         with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-            fh.write(text.encode("utf-8"))
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()  # flushes, then cuts the file at the written length
+            fh.write(data)
+            fh.flush()
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+                os.ftruncate(fh.fileno(), len(data))
     except OSError as exc:
         raise CliError("cannot write output: %s" % exc) from exc
     log.info("wrote %s", args.out)

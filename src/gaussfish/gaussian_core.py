@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -42,10 +44,18 @@ class GaussianState:
 
     A stack of K states has d of shape (K, 2N) and V of shape (K, 2N, 2N);
     :func:`apply` and :func:`gaussfish.channels.evolve` act on each member.
+
+    factor is None, or the eigen-factor (O, lam) with V = O diag(lam) O^T: O
+    orthogonal (2N x 2N, or one per member of a stack) and lam (..., 2N) positive.
+    It keeps a small eigenvalue that the dense V loses at strong squeezing.  Only
+    :func:`probe_tmsdt` sets it; :func:`gaussfish.channels.evolve` keeps it where it
+    stays exact, and so do the displacement model's states.  The public constructor,
+    :func:`apply` and every other operation give None.
     """
 
     d: np.ndarray
     V: np.ndarray
+    factor: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.V = np.asarray(self.V, dtype=float)
@@ -65,10 +75,10 @@ class GaussianState:
         self.V = 0.5 * (self.V + Vt)
 
     @classmethod
-    def _built(cls, d, V) -> "GaussianState":
+    def _built(cls, d, V, factor=None) -> "GaussianState":
         """A state from float moments the program built, not re-checked: V must be symmetric."""
         st = cls.__new__(cls)
-        st.d, st.V = d, V
+        st.d, st.V, st.factor = d, V, factor
         return st
 
     @property
@@ -185,6 +195,20 @@ def _reflection(phi: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]])
 
 
+@lru_cache(maxsize=64)
+def _eigenbasis(phi: float) -> np.ndarray:
+    """The orthogonal O with (2 n_th + 1) S2 S2^T = O diag(lam) O^T for every r (:func:`probe_tmsdt`).
+
+    With f+ = (cos phi/2, sin phi/2) and f- = (-sin phi/2, cos phi/2), the eigenvectors
+    of R_phi for +1 and -1, the columns are (f+, f+), (f-, -f-), (f+, -f+) and (f-, f-),
+    each over sqrt 2, for the eigenvalues tau (e^2r, e^2r, e^-2r, e^-2r).
+    """
+    c, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
+    O = np.array([[c, -s, c, -s], [s, c, s, c], [c, s, -c, -s], [s, -c, -s, c]]) / np.sqrt(2.0)
+    O.flags.writeable = False  # one cached array serves every caller
+    return O
+
+
 def _s2(r, phi: float) -> np.ndarray:
     """The matrix of :func:`two_mode_squeezer`; an array of r gives a (..., 4, 4) stack."""
     ch, sh = (np.asarray(f(r))[..., None, None] for f in (np.cosh, np.sinh))
@@ -223,7 +247,8 @@ def probe_tmsdt(r, phi, q1, p1, q2, p2, n_th) -> GaussianState:
     A two-mode thermal state (occupation n_th per mode) is displaced by
     (q1, p1, q2, p2) and then two-mode squeezed with S2(r, phi), so
     d = S2 (q1, p1, q2, p2)^T and V = (2 n_th + 1) S2 S2^T.  Arrays of r and
-    n_th broadcast to a stack of probes, one per element.
+    n_th broadcast to a stack of probes, one per element.  The state carries its
+    eigen-factor (O, lam): O fixed by phi and lam = (2 n_th + 1) (e^2r, e^2r, e^-2r, e^-2r).
     """
     n_th = np.asarray(n_th, dtype=float)
     if (n_th < 0).any():
@@ -232,7 +257,8 @@ def probe_tmsdt(r, phi, q1, p1, q2, p2, n_th) -> GaussianState:
     V = (2.0 * n_th + 1.0)[..., None, None] * (S @ S.swapaxes(-1, -2))
     d = np.empty(V.shape[:-1])
     d[...] = S @ np.array([q1, p1, q2, p2], dtype=float)
-    return GaussianState._built(d, numkit.hermitize(V))
+    lam = (2.0 * n_th + 1.0)[..., None] * np.exp(np.multiply.outer(r, (2.0, 2.0, -2.0, -2.0)))
+    return GaussianState._built(d, numkit.hermitize(V), (_eigenbasis(phi), lam))
 
 
 # ----------------------------------------------------------------------------

@@ -127,9 +127,20 @@ def _recorded(measurement: GeneralDyne, modes: int, pre_op, dressing):
     return rows, pre_op.S[rows], Vm
 
 
-def _outcome_cov(V, S_r, Vm):
-    """Sigma = (A + V_m) / 2 with A the symmetric part of S_r V S_r^T."""
-    return 0.5 * (hermitize(S_r @ V @ S_r.T) + Vm)
+def _outcome_cov(state, S_r, Vm):
+    """Sigma = (A + V_m) / 2 with A the symmetric part of S_r V S_r^T.
+
+    A state that carries its eigen-factor V = O diag(lam) O^T gives
+    A = (S_r O) diag(lam) (S_r O)^T, which keeps a squeezed quadrature that the
+    dense V loses to rounding.
+    """
+    if state.factor is None:
+        A = S_r @ state.V @ S_r.T
+    else:
+        O, lam = state.factor
+        B = S_r @ O
+        A = (B * lam[..., None, :]) @ transpose(B)
+    return 0.5 * (hermitize(A) + Vm)
 
 
 def outcome_mean_cov(state: GaussianState, measurement: GeneralDyne, dressing=None):
@@ -138,7 +149,7 @@ def outcome_mean_cov(state: GaussianState, measurement: GeneralDyne, dressing=No
     A stacked state (d of shape (K, 2N)) gives stacks of means and covariances.
     """
     _, S_r, Vm = _recorded(measurement, state.modes, None, dressing)
-    return state.d @ S_r.T, _outcome_cov(state.V, S_r, Vm)
+    return state.d @ S_r.T, _outcome_cov(state, S_r, Vm)
 
 
 def outcome_density(state: GaussianState, measurement: GeneralDyne, x, dressing=None) -> float:
@@ -178,7 +189,8 @@ def cfim_gaussian_outcomes(
     with an optional symplectic pre_op applied between the model state and
     the detectors (its shift drops out of the derivatives).  Only the
     recorded rows are formed: with S_r = pre_op.S[rows], Sigma =
-    (S_r V S_r^T + V_m) / 2, dmu = dd S_r^T and dSigma = S_r dV S_r^T / 2;
+    (S_r V S_r^T + V_m) / 2 (:func:`_outcome_cov`, from the state's eigen-factor
+    where it carries one), dmu = dd S_r^T and dSigma = S_r dV S_r^T / 2;
     the trace term is added only when some dV is nonzero.  Sigma^-1 is
     :func:`gaussfish.numkit.inv_sym`: a 2x2 closed form, or LAPACK's inv,
     which raises LinAlgError for a singular Sigma.  model is a
@@ -188,7 +200,7 @@ def cfim_gaussian_outcomes(
     """
     pt = evaluate(model, theta)
     _, S_r, Vm = _recorded(measurement, pt.st.modes, pre_op, dressing)
-    Sinv = inv_sym(_outcome_cov(pt.st.V, S_r, Vm))
+    Sinv = inv_sym(_outcome_cov(pt.st, S_r, Vm))
     dmus = pt.dds @ S_r.T
     F = dmus @ Sinv @ transpose(dmus)
     if pt.dVs.any():

@@ -11,7 +11,8 @@ has closed forms in V and M = V + i Omega:
     F^S = 2 D V^-1 D^T,   U = 2 D V^-1 Omega V^-1 D^T,   F^R = 2 D M^-1 D^T.
 
 :attr:`PointMoments.solved` takes them by solves, with no eigenvectors: F^S
-and U from G = D V^-1/2, and the limiting inverse of F^R from the Schur
+and U from G = D V^-1/2 (V^-1/2 from the state's eigen-factor where it carries
+one, :class:`GaussianState`), and the limiting inverse of F^R from the Schur
 complement of M onto the directions of D, which stays finite at pure points
 (Genoni et al., PRA 87, 012107 (2013); :func:`_first_moment`).
 
@@ -151,41 +152,47 @@ BoundChain = namedtuple("BoundChain", ["b_s", "b_r", "b_h_mid", "b_h_upper", "r_
 PURE_TOL = 1e-12
 
 
-def _whiten(V):
-    """(w, V^-1/2, A): the eigenvalues of V, ascending, V^-1/2 and A = V^-1/2 Omega V^-1/2.
+def _whiten(V, factor=None):
+    """(cond(V), V^-1/2, A): the condition number of V, V^-1/2 and A = V^-1/2 Omega V^-1/2.
 
-    One eigh of V gives w and V^-1/2, after V is checked: a V with an entry that is
-    not finite, or that is not positive definite, raises ValueError.  The Hermitian
-    i A has the eigenvalues +-1/nu of the symplectic eigenvalues nu of V.  A stack V
+    V^-1/2 = (O / sqrt(lam)) O^T from the eigen-factor V = O diag(lam) O^T: the
+    state's factor where it carries one (:class:`GaussianState`), with no LAPACK
+    call, and else one eigh of V.  lam is checked first: an entry that is not
+    finite, or a lam that is not positive, raises ValueError.  The Hermitian i A has
+    the eigenvalues +-1/nu of the symplectic eigenvalues nu of V.  A stack V
     (K, 2N, 2N) is decomposed matrix by matrix.
     """
-    if not np.isfinite(V).all():
-        raise ValueError("covariance is not finite")
-    w, u = np.linalg.eigh(V)
-    if not (w[..., 0] > 0.0).all():
-        raise ValueError(
-            "covariance is not positive definite (smallest eigenvalue %.3e)" % w[..., 0].min()
-        )
+    if factor is None:
+        if not np.isfinite(V).all():
+            raise ValueError("covariance is not finite")
+        lam, u = np.linalg.eigh(V)
+    else:
+        u, lam = factor
+        if not np.isfinite(lam).all():
+            raise ValueError("covariance is not finite")
+    lo = lam.min(axis=-1)
+    if not (lo > 0.0).all():
+        raise ValueError("covariance is not positive definite (smallest eigenvalue %.3e)" % lo.min())
     # a contiguous u^T: numpy's matmul of small stacks is slower on a transposed view
-    v_isqrt = (u / np.sqrt(w)[..., None, :]) @ numkit.transpose(u).copy()
-    return w, v_isqrt, v_isqrt @ omega(V.shape[-1] // 2) @ v_isqrt
+    v_isqrt = (u / np.sqrt(lam)[..., None, :]) @ numkit.transpose(u).copy()
+    return lam.max(axis=-1) / lo, v_isqrt, v_isqrt @ omega(V.shape[-1] // 2) @ v_isqrt
 
 
-def _purity_cut(lam, w):
-    """The symplectic eigenvalues nu = 1 / lam of a V with eigenvalues w, checked and cut.
+def _purity_cut(lam, cond):
+    """The symplectic eigenvalues nu = 1 / lam of a V of condition number cond, checked and cut.
 
     lam are the positive eigenvalues of i V^-1/2 Omega V^-1/2.  A mode with
     nu - 1 <= PURE_TOL cond(V) is pure and gets nu = 1 exactly; a nu below 1 by
     more raises ValueError.  The cut is taken point by point.
     """
     nu = 1.0 / lam
-    tol = (PURE_TOL * w[..., -1] / w[..., 0])[..., None]
+    tol = (PURE_TOL * cond)[..., None]
     if not (nu >= 1.0 - tol).all():
         raise ValueError("unphysical state: symplectic eigenvalue %.15g < 1" % nu.min())
     return np.where(nu - 1.0 <= tol, 1.0, nu)
 
 
-def williamson(V):
+def williamson(V, factor=None):
     """(nu, Z): the symplectic eigenvalues, one per mode, and the normal coordinates of V.
 
     The eigenvectors u_k of the Hermitian i A, A = V^-1/2 Omega V^-1/2, for its
@@ -193,26 +200,27 @@ def williamson(V):
     z_k = sqrt(nu_k) u_k^H V^-1/2 of the complex Z (N x 2N).  These are the
     s = +1 rows of the normal coordinates T of the module docstring, and
     conj(Z) its s = -1 rows, so T (V + i Omega) T^H = diag(nu + s).  The checks
-    of V and the purity cut are those of :func:`_whiten` and :func:`_purity_cut`.
-    A stack V (K, 2N, 2N) is decomposed matrix by matrix.
+    of V and the purity cut are those of :func:`_whiten` (of the eigen-factor where
+    one is given) and :func:`_purity_cut`.  A stack V (K, 2N, 2N) is decomposed
+    matrix by matrix.
     """
-    w, v_isqrt, a = _whiten(V)
+    cond, v_isqrt, a = _whiten(V, factor)
     n = V.shape[-1] // 2
     lam, vecs = np.linalg.eigh(1j * a)
-    nu = _purity_cut(lam[..., n:], w)
+    nu = _purity_cut(lam[..., n:], cond)
     uh = numkit.adjoint(vecs[..., n:])
     z = np.empty(uh.shape, complex)  # u^H V^-1/2 by two real products: V^-1/2 is not cast
     z.real, z.imag = uh.real @ v_isqrt, uh.imag @ v_isqrt
     return nu, np.sqrt(nu)[..., :, None] * z
 
 
-def _first_moment(V, D, Y):
+def _first_moment(V, D, Y, factor=None):
     """(served, (F_S, U, limiting F_R^-1)) of a model with dV = 0 from solves on V and M = V + i Omega.
 
     D (..., p, 2N) is the stack of dd, and Y an invertible (..., 2N, 2N) with
-    D Y = [I, 0].  V^-1/2 and A = V^-1/2 Omega V^-1/2 come from :func:`_whiten`,
-    the symplectic eigenvalues nu from :func:`numkit.eigvals_antisym` of A, with no
-    eigenvectors, and :func:`_purity_cut`.  With G = D V^-1/2,
+    D Y = [I, 0].  V^-1/2 and A = V^-1/2 Omega V^-1/2 come from :func:`_whiten`
+    (of the eigen-factor where one is given), the symplectic eigenvalues nu from
+    :func:`numkit.eigvals_antisym` of A, with no eigenvectors, and :func:`_purity_cut`.  With G = D V^-1/2,
     F_S = 2 G G^T and U = 2 G A G^T.  F_R = 2 D M^-1 D^T = 2 ((Y^T M Y)^-1)_pp, so
     F_R^-1 = S / 2 with S the Schur complement of Y^T M Y onto its first p
     coordinates, the generalized one where the rest is singular (a pure idler;
@@ -225,8 +233,8 @@ def _first_moment(V, D, Y):
     True, a scalar, where no mode is pure): there only eigenvectors separate the null
     coordinates, and its values are meaningless.
     """
-    w, v_isqrt, a = _whiten(V)
-    pure = _purity_cut(numkit.eigvals_antisym(a), w) == 1.0
+    cond, v_isqrt, a = _whiten(V, factor)
+    pure = _purity_cut(numkit.eigvals_antisym(a), cond) == 1.0
     n = V.shape[-1] // 2
     G = D @ v_isqrt
     Gt = np.ascontiguousarray(numkit.transpose(G))
@@ -350,7 +358,8 @@ class PointMoments:
                 return None
             B_inv = np.where(ok[..., None, None], B_inv, np.eye(p))
         rest = np.broadcast_to(X[..., p:], B_inv.shape[:-2] + (n2, n2 - p))
-        served, values = _first_moment(self.st.V, D, np.concatenate([X[..., :p] @ B_inv, rest], axis=-1))
+        Y = np.concatenate([X[..., :p] @ B_inv, rest], axis=-1)
+        served, values = _first_moment(self.st.V, D, Y, self.st.factor)
         served = ok & served
         return (served, values) if served.any() else None
 
@@ -364,7 +373,11 @@ class PointMoments:
         if served.all():
             return None
         keep = ~served
-        st = GaussianState._built(self.st.d[keep], self.st.V[keep])
+        factor = self.st.factor
+        if factor is not None:
+            O, lam = factor
+            factor = O if O.ndim == 2 else O[keep], lam[keep]
+        st = GaussianState._built(self.st.d[keep], self.st.V[keep], factor)
         dds, dVs = np.moveaxis(self.dds[keep], -2, 0), np.moveaxis(self.dVs[keep], -3, 0)
         return PointMoments(st, dds, dVs, self.n_params)
 
@@ -393,7 +406,7 @@ class PointMoments:
         :func:`williamson`, each with the eigenvalue nu_k of its mode; the
         extra coordinate is kept as is, with nu = 1/2 and s = 0.
         """
-        nu, Z = williamson(self.st.V)
+        nu, Z = williamson(self.st.V, self.st.factor)
         lead, n = nu.shape[:-1], 2 * nu.shape[-1]
         T = np.zeros(lead + (n + 1, n + 1), dtype=complex)
         T[..., 0:n:2, :n] = Z
@@ -720,7 +733,7 @@ def displacement_model(
     def state_fn(theta):
         shift = np.zeros(2 * modes)
         shift[:2] = theta[0], theta[1]
-        st = GaussianState._built(probe.d + shift, probe.V)
+        st = GaussianState._built(probe.d + shift, probe.V, probe.factor)
         if channel is not None:
             st = evolve(channel, st, t)
         return st

@@ -23,6 +23,37 @@ def test_diffusion_matrix_with_correlated_noise():
     assert np.allclose(D2, [[1.8, 0.3], [0.3, 1.8]])
 
 
+def test_evolve_keeps_the_eigen_factor_only_for_a_symmetric_channel():
+    """m_e = 0 with gamma and n_e equal across modes at each point keeps O and maps
+    lam -> y lam + v (2 n_e + 1); any other channel, or a state with no factor, drops it."""
+    probe = probe_tmsdt(0.6, 2.1, 0.3, -0.2, 0.1, 0.4, 0.5)
+    O, lam = probe.factor
+    t = np.linspace(0.0, 2.0, 7)
+    gamma, n_e = np.linspace(0.2, 2.0, 7), np.linspace(0.0, 1.0, 7)
+    out = evolve(NoisyChannel.uniform(2, gamma, n_e), probe, t)
+    assert out.factor[0] is O
+    y = np.exp(-gamma * t)
+    np.testing.assert_allclose(out.factor[1], y[:, None] * lam + (1.0 - y)[:, None] * (2.0 * n_e + 1.0)[:, None], rtol=1e-14)
+    scale = np.abs(out.V).max(axis=(-2, -1), keepdims=True)
+    assert (np.abs((O * out.factor[1][..., None, :]) @ O.T - out.V) <= 1e-15 * scale).all()
+    for ch in (
+        NoisyChannel.uniform(2, 1.0, 0.5, 0.2),
+        NoisyChannel([1.0, 1.5], [0.5, 0.5], [0.0, 0.0]),
+        NoisyChannel([1.0, 1.0], [0.5, 0.6], [0.0, 0.0]),
+        NoisyChannel(np.array([[1.0, 1.0], [1.0, 1.2]]), np.full((2, 2), 0.5), np.zeros((2, 2))),
+    ):
+        assert evolve(ch, probe, 0.3).factor is None
+    assert evolve(NoisyChannel.uniform(2, 1.0, 0.5), GaussianState(probe.d, probe.V), 0.3).factor is None
+
+
+def test_evolve_keeps_a_strongly_squeezed_eigenvalue():
+    """At r = 15 the dense V holds e^30-size entries; the factor's small eigenvalue stays exact."""
+    gt, n_e = 1.0, 0.5
+    out = evolve(NoisyChannel.uniform(2, 1.0, n_e), probe_tmsdt(15.0, np.pi, 0, 0, 0, 0, 0.0), gt)
+    y = np.exp(-gt)
+    assert out.factor[1][-1] == pytest.approx(y * np.exp(-30.0) + (1.0 - y) * (2.0 * n_e + 1.0), rel=1e-15)
+
+
 def test_uniform_constructor():
     ch = NoisyChannel.uniform(3, 0.7, 0.2)
     assert ch.modes == 3

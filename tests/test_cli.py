@@ -223,6 +223,23 @@ def test_rewriting_an_existing_out_does_not_truncate_on_open(tmp_path, monkeypat
     assert out.read_bytes() == first
 
 
+def test_rewriting_an_out_of_the_same_length_does_not_truncate(tmp_path, monkeypatch):
+    """Structural: a file that is not longer than the text is not cut; a longer one is, once."""
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    first = out.read_bytes()
+    cuts = []
+    real_ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, length: cuts.append(length) or real_ftruncate(fd, length))
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert cuts == [] and out.read_bytes() == first
+    out.write_bytes(first + b"junk")
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert cuts == [len(first)] and out.read_bytes() == first
+    monkeypatch.undo()
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -237,6 +237,30 @@ def test_probe_tmsdt_on_arrays_stacks_the_per_value_probes_bit_for_bit():
         probe_tmsdt(r, 0.0, 0, 0, 0, 0, -n_th)
 
 
+def test_probe_tmsdt_carries_its_eigen_factor():
+    """V = O diag(lam) O^T with O orthogonal, cached per phi and read-only.
+
+    lam = tau (e^2r, e^2r, e^-2r, e^-2r); the public constructor and apply give no factor,
+    and the displacement model's states keep the probe's.
+    """
+    for phi in (math.pi, 0.0, 2.1, -1.2):
+        for r, n_th in ((0.4, 0.5), (-0.7, 0.0), (np.linspace(0.0, 2.0, 5), 0.3), (1.1, np.linspace(0.0, 1.0, 3))):
+            st = probe_tmsdt(r, phi, 0.3, -0.2, 0.1, 0.4, n_th)
+            O, lam = st.factor
+            assert O is probe_tmsdt(0.0, phi, 0, 0, 0, 0, 0.0).factor[0] and not O.flags.writeable
+            np.testing.assert_allclose(O @ O.T, np.eye(4), rtol=0, atol=1e-15)
+            e = np.exp(2.0 * np.asarray(r))[..., None]
+            tau = (2.0 * np.asarray(n_th) + 1.0)[..., None]
+            np.testing.assert_allclose(lam, tau * np.concatenate([e, e, 1 / e, 1 / e], axis=-1), rtol=1e-15)
+            scale = np.abs(st.V).max(axis=(-2, -1), keepdims=True)
+            assert (np.abs((O * lam[..., None, :]) @ O.T - st.V) <= 4e-16 * scale).all()
+    assert GaussianState(st.d, st.V).factor is None
+    assert apply(rotation(0.3), GaussianState(np.zeros(2), np.eye(2))).factor is None
+    assert apply(two_mode_squeezer(0.2), probe_tmsdt(0.4, 2.1, 0, 0, 0, 0, 0.5)).factor is None
+    probe = probe_tmsdt(0.4, 2.1, 0, 0, 0, 0, 0.5)
+    assert displacement_model(probe).state([0.1, 0.2]).factor is probe.factor
+
+
 def test_purity():
     assert purity(vacuum(2)) == pytest.approx(1.0)
     assert purity(thermal(0.5)) == pytest.approx(0.5)

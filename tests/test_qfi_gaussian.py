@@ -593,8 +593,14 @@ def test_unphysical_covariance_raises(V, match):
 
 
 def _stack_points(points):
-    """One stacked PointMoments from per-point ones of the same model shape."""
+    """One stacked PointMoments from per-point ones of the same model shape.
+
+    Where every point's state carries its eigen-factor (O, lam), the stack carries
+    the stacked factor, so each point takes the same path as it does alone.
+    """
     st = GaussianState(np.array([pt.st.d for pt in points]), np.array([pt.st.V for pt in points]))
+    if all(pt.st.factor is not None for pt in points):
+        st.factor = tuple(np.array(x) for x in zip(*(pt.st.factor for pt in points)))
     n_params = points[0].n_params
     dds = [np.array([pt.dds[mu] for pt in points]) for mu in range(n_params)]
     dVs = [np.array([pt.dVs[mu] for pt in points]) for mu in range(n_params)]
@@ -726,10 +732,15 @@ def test_solves_match_the_williamson_basis_on_random_first_moment_models(seed, m
 
 
 def _unserved_points():
-    """Two-parameter points that the solves do not serve: modes pure in part, dV != 0, dd = 0."""
+    """Two-parameter points that the solves do not serve: modes pure in part, dV != 0, dd = 0.
+
+    Each state carries an eigen-factor, so :func:`_stack_points` stacks them with it.
+    """
     ch = NoisyChannel.uniform(2, 1.0, 0.5)
     S = two_mode_squeezer(0.3).S
-    part_pure = GaussianState(np.array([0.1, 0.2, 0.0, 0.0]), S @ np.diag([1.0, 1.0, 3.0, 3.0]) @ S.T)
+    V = numkit.hermitize(S @ np.diag([1.0, 1.0, 3.0, 3.0]) @ S.T)
+    lam, O = np.linalg.eigh(V)  # an eigen-factor, as every other point here carries one
+    part_pure = GaussianState._built(np.array([0.1, 0.2, 0.0, 0.0]), V, (O, lam))
     mixed = evaluate(displacement_model(probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.5), ch, 0.3), [0, 0])
     dV = np.random.default_rng(5).normal(size=(4, 4))
     return [
@@ -751,7 +762,7 @@ def test_a_stack_routes_each_point_alone(monkeypatch):
     assert np.array_equal(stack.solved[0], [True, False, True, False, False, True])
     sizes = []
     real = qfi_gaussian.williamson
-    monkeypatch.setattr(qfi_gaussian, "williamson", lambda V: sizes.append(V.shape) or real(V))
+    monkeypatch.setattr(qfi_gaussian, "williamson", lambda V, *f: sizes.append(V.shape) or real(V, *f))
     W = np.array([[2.0, 0.3], [0.3, 1.0]])
     rep = qfim_report(stack, weight=W)
     monkeypatch.undo()

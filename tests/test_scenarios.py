@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from gaussfish import numkit, qfi_gaussian, scenarios
 from gaussfish.channels import NoisyChannel
-from gaussfish.gaussian_core import GaussianState
+from gaussfish.gaussian_core import GaussianState, probe_tmsdt
 from gaussfish.measurements import cfim_gaussian_outcomes, epr_readout
-from gaussfish.qfi_gaussian import displacement_model, qfim_report
+from gaussfish.qfi_gaussian import PointMoments, displacement_model, evaluate, qfim_report
 from gaussfish.scenarios import (
     CSV_HEADER,
     PROBES,
@@ -598,33 +598,121 @@ def _lapack_calls(monkeypatch, run):
         monkeypatch.undo()
 
 
-def test_mixed_sweep_makes_one_eigh_and_no_other_lapack_call(monkeypatch):
-    """The LAPACK budget of a 201-point tmst t sweep, whatever its length.
+def test_factored_sweeps_make_no_lapack_call(monkeypatch):
+    """The LAPACK budget of each probe's 201-point t sweep, whatever its length.
 
-    dV = 0, so F_S, U and the limiting RLD inverse come from solves on V: one eigh of V,
-    the symplectic eigenvalues from numkit.eigvals_antisym's closed form, and the 2x2
-    inverses of the idler block and of dd's B in closed form.  F_S, F_C and the
+    dV = 0, so F_S, U and the limiting RLD inverse come from solves on V, whose V^-1/2
+    comes from the probe's eigen-factor, kept through the symmetric channel: no eigh of
+    V.  The symplectic eigenvalues come from numkit.eigvals_antisym's closed form, and
+    the 2x2 inverses of the idler block and of dd's B in closed form.  F_S, F_C and the
     readout's outcome covariance are 2x2 and positive definite, so pinv_psd and inv_sym
-    take their certified closed forms: no qr, svd, eigvalsh or inv.  A tmsv sweep from
-    t = 0 adds one svd, of the pure point's null coordinates.
+    take their certified closed forms: tmst and tmdt make no LAPACK call at all.  tmsv
+    from t = 0 adds one svd, of the pure point's null coordinates; tmdv adds that svd
+    and one eigh, the pinv of its pure point's singular idler block.
     """
-    rows, calls = _lapack_calls(monkeypatch, lambda: sweep(_cfg(probe="tmst", n_th=0.5, axis="t", start=0.0, stop=1.0, step=0.005)))
-    assert len(rows) == 201 and all(row.ok for row in rows)
-    assert calls == ["eigh"]
-    rows, calls = _lapack_calls(monkeypatch, lambda: sweep(_cfg(probe="tmsv", axis="t", start=0.0, stop=1.0, step=0.005)))
-    assert len(rows) == 201 and all(row.ok for row in rows) and rows[0].b_r == 0.0
-    assert calls == ["eigh", "svd"]
+    alpha = (0.3, -0.2, 0.1, 0.4)
+    budget = {"tmst": [], "tmdt": [], "tmsv": ["svd"], "tmdv": ["eigh", "svd"]}
+    for probe, want in budget.items():
+        n_th = 0.5 if probe in ("tmst", "tmdt") else 0.0
+        cfg = _cfg(probe=probe, n_th=n_th, alpha=alpha, axis="t", start=0.0, stop=1.0, step=0.005)
+        rows, calls = _lapack_calls(monkeypatch, lambda: sweep(cfg))
+        assert len(rows) == 201 and all(row.ok for row in rows), probe
+        assert calls == want, probe
+        if probe == "tmsv":
+            assert rows[0].b_r == 0.0
 
 
-def test_one_point_makes_one_eigh_and_one_inv(monkeypatch):
+def test_one_point_makes_one_inv(monkeypatch):
     """The LAPACK budget of one run_point, a stack of one, below numkit.STACK_MIN.
 
-    The solves make their one eigh of V, and inv_sym takes LAPACK's inv for the
-    readout's Sigma^-1; the other kernels keep their closed forms.
+    inv_sym takes LAPACK's inv for the readout's Sigma^-1; V^-1/2 comes from the
+    probe's eigen-factor, and the other kernels keep their closed forms.
     """
     row, calls = _lapack_calls(monkeypatch, lambda: run_point(_cfg(probe="tmst", n_th=0.5, axis="t"), 0.3))
     assert row.ok
-    assert calls == ["eigh", "inv"]
+    assert calls == ["inv"]
+
+
+def _report_and_hdb(pt, weight):
+    """Every qfim_report field and hdb of a PointMoments, as sweep rows take them."""
+    rep = qfim_report(pt, weight=weight)
+    out = {name: getattr(rep, name) for name in ("f_sld", "f_rld", "u", "b_s", "b_r", "b_h_mid", "b_h_upper", "r_q")}
+    pre, gd = epr_readout()
+    W = np.eye(2) if weight is None else weight
+    out["hdb"] = (W @ numkit.pinv_psd(cfim_gaussian_outcomes(pt, gd, pre_op=pre))[0]).trace(axis1=-2, axis2=-1)
+    return out
+
+
+def _assert_factor_matches_eigh(pt):
+    """pt, whose state carries its eigen-factor, against the same moments through the public
+    GaussianState, which carries none and takes the eigh of V: every field to 1e-12, a
+    matrix relative to its largest entry at each point (entries that vanish in exact
+    arithmetic carry rounding of that size), a scalar relative to itself."""
+    assert pt.st.factor is not None
+    p = pt.n_params
+    st = GaussianState(pt.st.d, pt.st.V)
+    assert st.factor is None
+    plain = PointMoments(st, [pt.dds[..., mu, :] for mu in range(p)], [pt.dVs[..., mu, :, :] for mu in range(p)], p)
+    for weight in (None, np.array([[2.0, 0.3], [0.3, 1.0]])):
+        got, want = _report_and_hdb(pt, weight), _report_and_hdb(plain, weight)
+        for name, g in got.items():
+            w = np.asarray(want[name])
+            if w.ndim > np.ndim(pt.st.d) - 1:  # a (p, p) matrix per point
+                gap = np.abs(g - w).max(axis=(-2, -1)) / np.abs(w).max(axis=(-2, -1))
+                assert (gap <= 1e-12).all(), (name, gap.max())
+            else:
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_eigen_factor_matches_the_eigh_of_v_on_the_reference_grids(probe):
+    """The four 201-point t grids of the reference sweep, whose states carry the factor."""
+    n_th = 0.5 if probe in ("tmst", "tmdt") else 0.0
+    cfg = _cfg(probe=probe, n_th=n_th, alpha=(0.3, -0.2, 0.1, 0.4), axis="t", start=0.0, stop=1.0, step=0.005)
+    t = cfg.axis_values()
+    model = displacement_model(build_probe(cfg), NoisyChannel.uniform(2, cfg.gamma, cfg.n_e), t)
+    _assert_factor_matches_eigh(evaluate(model, cfg.theta))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("k", [None, 3, 60])
+def test_eigen_factor_matches_the_eigh_of_v_on_random_draws(seed, k):
+    """Random two-mode draws of r <= 1.5, phi, n_th, n_e and gamma t: single points (k None)
+    and stacks on both sides of numkit.STACK_MIN, one channel per point."""
+    rng = np.random.default_rng([seed, k or 1])
+    shape = () if k is None else (k,)
+    r, n_th, n_e = rng.uniform(0.0, 1.5, shape), rng.uniform(0.0, 1.0, shape), rng.uniform(0.0, 1.0, shape)
+    gamma, t = rng.uniform(0.2, 2.0, shape), rng.uniform(0.0, 1.0, shape)
+    alpha = rng.uniform(-1.0, 1.0, 4) * rng.integers(0, 2)
+    probe = probe_tmsdt(r, rng.uniform(-math.pi, math.pi), *alpha, n_th)
+    _assert_factor_matches_eigh(evaluate(displacement_model(probe, NoisyChannel.uniform(2, gamma, n_e), t), [0.1, -0.2]))
+
+
+@pytest.mark.parametrize("probe", ["tmsv", "tmst"])
+def test_strongly_squeezed_rows_match_the_closed_form(probe):
+    """The r 0..20 grid, n_e 0.5, gamma = t = 1: cond(V) reaches about e^80.
+
+    The dense V loses its small eigenvalue y tau e^-2r + v eps there, and rows went wrong
+    or degraded; the eigen-factor keeps it, so every row is ok and b_s, b_h_mid, b_h_upper
+    and hdb are within 1e-8 of the closed form.  b_r and r_q still read the dense M or
+    cancel (CHANGES.md), so they are not pinned here.
+    """
+    n_th = 0.5 if probe == "tmst" else 0.0
+    rows = sweep(_cfg(probe=probe, n_th=n_th, gamma=1.0, n_e=0.5, t=1.0, axis="r", start=0.0, stop=20.0, step=0.1))
+    assert len(rows) == 201 and all(row.ok for row in rows), [row.message for row in rows if not row.ok]
+    r = np.array([row.axis for row in rows])
+    cf = closed_form_bounds(probe, r, n_th, 1.0, 1.0, 0.5)
+    for name in ("b_s", "b_h_mid", "b_h_upper", "hdb"):
+        got = np.array([getattr(row, name) for row in rows])
+        np.testing.assert_allclose(got, getattr(cf, name), rtol=1e-8, atol=0, err_msg=name)
+
+
+def test_a_very_strongly_squeezed_point_keeps_b_s():
+    """r = 108 (cond(V) about 1e94): b_s read 1.26e78 from the dense V, and marked ok."""
+    row = run_point(_cfg(probe="tmsv", n_e=0.5, gamma=1.0, t=1.0, axis="r"), 108.0)
+    assert row.ok
+    assert row.b_s == pytest.approx(closed_form_bounds("tmsv", 108.0, 0.0, 1.0, 1.0, 0.5).b_s, rel=1e-12)
+    assert row.b_s == pytest.approx(6.873127314, rel=1e-9)
 
 
 def test_near_pure_rld_bound_matches_its_closed_form():
