@@ -81,8 +81,8 @@ def evolve(ch: NoisyChannel, state: GaussianState, t) -> GaussianState:
 
     A state's eigen-factor (O, lam) is kept where G and V_inf are multiples of the
     identity, m_e = 0 with gamma and n_e equal across modes at every stack point:
-    V -> O diag(e^{-gamma t} lam + (1 - e^{-gamma t}) (2 n_e + 1)) O^T.  Any other
-    channel drops it.
+    V -> O diag(e^{-gamma t} lam + (1 - e^{-gamma t}) (2 n_e + 1)) O^T, still in
+    Williamson form (:class:`GaussianState`).  Any other channel drops it.
     """
     if ch.modes != state.modes:
         raise ValueError("channel acts on %d modes, state has %d" % (ch.modes, state.modes))

@@ -45,9 +45,11 @@ class GaussianState:
     A stack of K states has d of shape (K, 2N) and V of shape (K, 2N, 2N);
     :func:`apply` and :func:`gaussfish.channels.evolve` act on each member.
 
-    factor is None, or the eigen-factor (O, lam) with V = O diag(lam) O^T: O
-    orthogonal (2N x 2N, or one per member of a stack) and lam (..., 2N) positive.
-    It keeps a small eigenvalue that the dense V loses at strong squeezing.  Only
+    factor is None, or the eigen-factor (O, lam) with V = O diag(lam) O^T in Williamson
+    form: O orthogonal and symplectic (2N x 2N, or one per member of a stack) and lam
+    (..., 2N) positive, so each pair (lam_2k, lam_2k+1) is one mode squeezed along its
+    axes and nu_k = sqrt(lam_2k lam_2k+1) are the symplectic eigenvalues of V.  It keeps
+    a small eigenvalue that the dense V loses at strong squeezing.  Only
     :func:`probe_tmsdt` sets it; :func:`gaussfish.channels.evolve` keeps it where it
     stays exact, and so do the displacement model's states.  The public constructor,
     :func:`apply` and every other operation give None.
@@ -197,14 +199,15 @@ def _reflection(phi: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _eigenbasis(phi: float) -> np.ndarray:
-    """The orthogonal O with (2 n_th + 1) S2 S2^T = O diag(lam) O^T for every r (:func:`probe_tmsdt`).
+    """The orthogonal symplectic O with (2 n_th + 1) S2 S2^T = O diag(lam) O^T for every r (:func:`probe_tmsdt`).
 
-    With f+ = (cos phi/2, sin phi/2) and f- = (-sin phi/2, cos phi/2), the eigenvectors
-    of R_phi for +1 and -1, the columns are (f+, f+), (f-, -f-), (f+, -f+) and (f-, f-),
-    each over sqrt 2, for the eigenvalues tau (e^2r, e^2r, e^-2r, e^-2r).
+    O = [[R, R], [R, -R]] / sqrt 2, R the rotation by phi/2, whose columns
+    f+ = (cos phi/2, sin phi/2) and f- = (-sin phi/2, cos phi/2) are the eigenvectors
+    of R_phi for +1 and -1: O's columns are (f+, f+), (f-, f-), (f+, -f+) and (f-, -f-),
+    each over sqrt 2, for the eigenvalues tau (e^2r, e^-2r, e^-2r, e^2r).
     """
     c, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
-    O = np.array([[c, -s, c, -s], [s, c, s, c], [c, s, -c, -s], [s, -c, -s, c]]) / np.sqrt(2.0)
+    O = np.array([[c, -s, c, -s], [s, c, s, c], [c, -s, -c, s], [s, c, -s, -c]]) / np.sqrt(2.0)
     O.flags.writeable = False  # one cached array serves every caller
     return O
 
@@ -248,7 +251,8 @@ def probe_tmsdt(r, phi, q1, p1, q2, p2, n_th) -> GaussianState:
     (q1, p1, q2, p2) and then two-mode squeezed with S2(r, phi), so
     d = S2 (q1, p1, q2, p2)^T and V = (2 n_th + 1) S2 S2^T.  Arrays of r and
     n_th broadcast to a stack of probes, one per element.  The state carries its
-    eigen-factor (O, lam): O fixed by phi and lam = (2 n_th + 1) (e^2r, e^2r, e^-2r, e^-2r).
+    eigen-factor (O, lam) in Williamson form (:class:`GaussianState`): O fixed by phi
+    and lam = (2 n_th + 1) (e^2r, e^-2r, e^-2r, e^2r), so nu = (2 n_th + 1, 2 n_th + 1).
     """
     n_th = np.asarray(n_th, dtype=float)
     if (n_th < 0).any():
@@ -257,7 +261,7 @@ def probe_tmsdt(r, phi, q1, p1, q2, p2, n_th) -> GaussianState:
     V = (2.0 * n_th + 1.0)[..., None, None] * (S @ S.swapaxes(-1, -2))
     d = np.empty(V.shape[:-1])
     d[...] = S @ np.array([q1, p1, q2, p2], dtype=float)
-    lam = (2.0 * n_th + 1.0)[..., None] * np.exp(np.multiply.outer(r, (2.0, 2.0, -2.0, -2.0)))
+    lam = (2.0 * n_th + 1.0)[..., None] * np.exp(np.multiply.outer(r, (2.0, -2.0, -2.0, 2.0)))
     return GaussianState._built(d, numkit.hermitize(V), (_eigenbasis(phi), lam))
 
 

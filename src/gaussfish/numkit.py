@@ -16,8 +16,6 @@ TINY = float(np.finfo(float).tiny)
 NEG_TOL = 1e-10
 # Margin of the 2x2 closed-form certificate det(a / tr a) > SPD2_MARGIN eps (see _spd2).
 SPD2_MARGIN = 16.0
-# Margin of the 4x4 closed-form certificate |p| - |q| > ANTISYM4_MARGIN eps |p| (see eigvals_antisym).
-ANTISYM4_MARGIN = 16.0
 # A stack of at least STACK_MIN 2x2 matrices takes the closed form of inv_sym; a shorter one
 # takes LAPACK's inv, whose fixed cost per call is lower.  Measured on one core, the closed
 # form breaks even near 48 matrices (CHANGES.md has the timings).
@@ -222,60 +220,6 @@ def _sym2(p, q, s):
     out = np.empty(p.shape + (4,), dtype=q.dtype)
     out[:, 0], out[:, 1], out[:, 2], out[:, 3] = p, q, q.conj(), s
     return out.reshape(-1, 2, 2)
-
-
-def _pq_map():
-    """(MAP, IU): the map from the upper entries of a real antisymmetric 4x4 a to (p, q).
-
-    With e_ab = E_ab - E_ba, L = (e01 + e23, e02 - e13, e03 + e12) and
-    R = (e01 - e23, e02 + e13, e03 - e12) are left and right multiplication by the
-    quaternion units i, j, k: each squares to -I, each triple anticommutes, and every
-    L_m commutes with every R_n.  Together they span the antisymmetric 4x4 matrices,
-    a = sum p_m L_m + sum q_m R_m with (p, q) = a.ravel()[IU] @ MAP, and L_1 = Omega of two
-    modes.
-    """
-    eye = np.eye(4)
-
-    def e(i, j):
-        return np.outer(eye[i], eye[j]) - np.outer(eye[j], eye[i])
-
-    L = [e(0, 1) + e(2, 3), e(0, 2) - e(1, 3), e(0, 3) + e(1, 2)]
-    R = [e(0, 1) - e(2, 3), e(0, 2) + e(1, 3), e(0, 3) - e(1, 2)]
-    iu = np.triu_indices(4, 1)
-    return 0.5 * np.array(L + R)[:, iu[0], iu[1]].T, 4 * iu[0] + iu[1]
-
-
-_PQ_MAP, _IU4 = _pq_map()
-
-
-def eigvals_antisym(a):
-    """The n positive eigenvalues, ascending, of the Hermitian i a, for each matrix of a stack.
-
-    a is a real antisymmetric 2n x 2n matrix, or a stack of them, whose i a has n
-    positive and n negative eigenvalues (a = V^-1/2 Omega V^-1/2 of a covariance V):
-    the result (..., n) is the upper half of np.linalg.eigvalsh(1j * a).
-
-    A 4x4 matrix takes a closed form.  Write a = P + Q, P = sum p_m L_m and
-    Q = sum q_m R_m (:func:`_pq_map`): P and Q commute, P^2 = -|p|^2 I and
-    Q^2 = -|q|^2 I, so i a has the eigenvalues +-|p| +-|q|, and |p|^2 - |q|^2 = Pf(a) > 0
-    for a covariance.  The positive ones are |p| - |q| and |p| + |q|.  |p| and |q| are
-    hypot chains, so no scale over- or underflows.  A member passes the certificate if
-    |p| - |q| > ANTISYM4_MARGIN eps |p| and |p| > TINY / eps, which a non-finite, zero or
-    subnormal member fails; any other member takes eigvalsh, for that subset only, as
-    do other sizes.
-    """
-    a = np.asarray(a)
-    if a.shape[-2:] != (4, 4):
-        return np.linalg.eigvalsh(1j * a)[..., a.shape[-1] // 2 :]
-    flat = a.reshape(-1, 16)
-    p1, p2, p3, q1, q2, q3 = (flat[:, _IU4] @ _PQ_MAP).T
-    with np.errstate(all="ignore"):  # only a member that fails the certificate meets an error
-        norm_p, norm_q = np.hypot(np.hypot(p1, p2), p3), np.hypot(np.hypot(q1, q2), q3)
-        ok = (norm_p - norm_q > ANTISYM4_MARGIN * EPS * norm_p) & (norm_p > TINY / EPS)
-    lam = np.stack([norm_p - norm_q, norm_p + norm_q], axis=-1)
-    if np.count_nonzero(ok) < ok.size:
-        lam[~ok] = np.linalg.eigvalsh(1j * flat[~ok].reshape(-1, 4, 4))[..., 2:]
-    return lam.reshape(a.shape[:-2] + (2,))
 
 
 def float_or_stack(x):

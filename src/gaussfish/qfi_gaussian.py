@@ -11,10 +11,11 @@ has closed forms in V and M = V + i Omega:
     F^S = 2 D V^-1 D^T,   U = 2 D V^-1 Omega V^-1 D^T,   F^R = 2 D M^-1 D^T.
 
 :attr:`PointMoments.solved` takes them by solves, with no eigenvectors: F^S
-and U from G = D V^-1/2 (V^-1/2 from the state's eigen-factor where it carries
-one, :class:`GaussianState`), and the limiting inverse of F^R from the Schur
-complement of M onto the directions of D, which stays finite at pure points
-(Genoni et al., PRA 87, 012107 (2013); :func:`_first_moment`).
+and U from G = D V^-1/2 (V^-1/2, A = V^-1/2 Omega V^-1/2 and nu from the
+state's Williamson form where it carries one, :class:`GaussianState`), and the
+limiting inverse of F^R from the Schur complement of M onto the directions of
+D, which stays finite at pure points (Genoni et al., PRA 87, 012107 (2013);
+:func:`_first_moment`).
 
 The Williamson basis.  Every other point (some dV nonzero, a dd not of full
 row rank, or modes pure in part) is evaluated in the Williamson basis
@@ -153,14 +154,17 @@ PURE_TOL = 1e-12
 
 
 def _whiten(V, factor=None):
-    """(cond(V), V^-1/2, A): the condition number of V, V^-1/2 and A = V^-1/2 Omega V^-1/2.
+    """(cond(V), V^-1/2, A, 1/nu): the condition number of V, V^-1/2, A = V^-1/2 Omega V^-1/2
+    and the inverse symplectic eigenvalues of V.
 
-    V^-1/2 = (O / sqrt(lam)) O^T from the eigen-factor V = O diag(lam) O^T: the
-    state's factor where it carries one (:class:`GaussianState`), with no LAPACK
-    call, and else one eigh of V.  lam is checked first: an entry that is not
-    finite, or a lam that is not positive, raises ValueError.  The Hermitian i A has
-    the eigenvalues +-1/nu of the symplectic eigenvalues nu of V.  A stack V
-    (K, 2N, 2N) is decomposed matrix by matrix.
+    The state's Williamson form V = O diag(lam) O^T, where it carries one
+    (:class:`GaussianState`), gives them with no LAPACK call:
+    V^-1/2 = (O / sqrt(lam)) O^T, 1/nu_k = 1 / sqrt(lam_2k lam_2k+1), and, as
+    O^T Omega O = Omega, A = (O diag(1/nu_1, 1/nu_1, 1/nu_2, ...)) Omega O^T, a product
+    in which nothing cancels.  Without a factor one eigh of V gives V^-1/2 and A, and
+    1/nu is None: it is the positive eigenvalues of the Hermitian i A.  lam is checked
+    first: an entry that is not finite, or a lam that is not positive, raises
+    ValueError.  A stack V (K, 2N, 2N) is decomposed matrix by matrix.
     """
     if factor is None:
         if not np.isfinite(V).all():
@@ -173,9 +177,15 @@ def _whiten(V, factor=None):
     lo = lam.min(axis=-1)
     if not (lo > 0.0).all():
         raise ValueError("covariance is not positive definite (smallest eigenvalue %.3e)" % lo.min())
+    cond, root = lam.max(axis=-1) / lo, np.sqrt(lam)
     # a contiguous u^T: numpy's matmul of small stacks is slower on a transposed view
-    v_isqrt = (u / np.sqrt(lam)[..., None, :]) @ numkit.transpose(u).copy()
-    return lam.max(axis=-1) / lo, v_isqrt, v_isqrt @ omega(V.shape[-1] // 2) @ v_isqrt
+    ut = numkit.transpose(u).copy()
+    v_isqrt = (u / root[..., None, :]) @ ut
+    om = omega(V.shape[-1] // 2)
+    if factor is None:
+        return cond, v_isqrt, v_isqrt @ om @ v_isqrt, None
+    inv_nu = 1.0 / (root[..., 0::2] * root[..., 1::2])
+    return cond, v_isqrt, (u * np.repeat(inv_nu, 2, axis=-1)[..., None, :]) @ (om @ ut), inv_nu
 
 
 def _purity_cut(lam, cond):
@@ -204,7 +214,7 @@ def williamson(V, factor=None):
     one is given) and :func:`_purity_cut`.  A stack V (K, 2N, 2N) is decomposed
     matrix by matrix.
     """
-    cond, v_isqrt, a = _whiten(V, factor)
+    cond, v_isqrt, a, _ = _whiten(V, factor)
     n = V.shape[-1] // 2
     lam, vecs = np.linalg.eigh(1j * a)
     nu = _purity_cut(lam[..., n:], cond)
@@ -218,9 +228,10 @@ def _first_moment(V, D, Y, factor=None):
     """(served, (F_S, U, limiting F_R^-1)) of a model with dV = 0 from solves on V and M = V + i Omega.
 
     D (..., p, 2N) is the stack of dd, and Y an invertible (..., 2N, 2N) with
-    D Y = [I, 0].  V^-1/2 and A = V^-1/2 Omega V^-1/2 come from :func:`_whiten`
-    (of the eigen-factor where one is given), the symplectic eigenvalues nu from
-    :func:`numkit.eigvals_antisym` of A, with no eigenvectors, and :func:`_purity_cut`.  With G = D V^-1/2,
+    D Y = [I, 0].  V^-1/2, A = V^-1/2 Omega V^-1/2 and 1/nu come from :func:`_whiten`:
+    of the Williamson form where one is given, and else 1/nu is the positive
+    eigenvalues of i A by one eigvalsh, with no eigenvectors.  :func:`_purity_cut`
+    finds the pure modes.  With G = D V^-1/2,
     F_S = 2 G G^T and U = 2 G A G^T.  F_R = 2 D M^-1 D^T = 2 ((Y^T M Y)^-1)_pp, so
     F_R^-1 = S / 2 with S the Schur complement of Y^T M Y onto its first p
     coordinates, the generalized one where the rest is singular (a pure idler;
@@ -233,9 +244,11 @@ def _first_moment(V, D, Y, factor=None):
     True, a scalar, where no mode is pure): there only eigenvectors separate the null
     coordinates, and its values are meaningless.
     """
-    cond, v_isqrt, a = _whiten(V, factor)
-    pure = _purity_cut(numkit.eigvals_antisym(a), cond) == 1.0
+    cond, v_isqrt, a, inv_nu = _whiten(V, factor)
     n = V.shape[-1] // 2
+    if inv_nu is None:
+        inv_nu = np.linalg.eigvalsh(1j * a)[..., n:]
+    pure = _purity_cut(inv_nu, cond) == 1.0
     G = D @ v_isqrt
     Gt = np.ascontiguousarray(numkit.transpose(G))
     f_s, u = G @ Gt, G @ a @ Gt  # halves of F_S and U, returned exactly (anti)symmetric

@@ -12,6 +12,7 @@ from gaussfish.gaussian_core import (
     two_mode_squeezer,
     vacuum,
 )
+from gaussfish.scenarios import _standard_form
 
 
 def test_diffusion_matrix_with_correlated_noise():
@@ -51,7 +52,19 @@ def test_evolve_keeps_a_strongly_squeezed_eigenvalue():
     gt, n_e = 1.0, 0.5
     out = evolve(NoisyChannel.uniform(2, 1.0, n_e), probe_tmsdt(15.0, np.pi, 0, 0, 0, 0, 0.0), gt)
     y = np.exp(-gt)
-    assert out.factor[1][-1] == pytest.approx(y * np.exp(-30.0) + (1.0 - y) * (2.0 * n_e + 1.0), rel=1e-15)
+    assert out.factor[1][1] == pytest.approx(y * np.exp(-30.0) + (1.0 - y) * (2.0 * n_e + 1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("gt", [0.0, 0.3, 1.0, 3.0])
+def test_evolve_keeps_the_williamson_form(gt):
+    """tmst (n_th = n_e = 0.5) on r 0..20: each pair of lam gives the symplectic eigenvalue
+    sqrt(lam_0 lam_1) = sqrt(lam_2 lam_3) = sqrt(a^2 - c^2) of the standard form, whose
+    closed form sqrt(1 + kappa) is a sum of nonnegative terms, while a and c reach e^40."""
+    r, n_th, n_e = np.linspace(0.0, 20.0, 201), 0.5, 0.5
+    lam = evolve(NoisyChannel.uniform(2, 1.0, n_e), probe_tmsdt(r, np.pi, 0, 0, 0, 0, n_th), gt).factor[1]
+    kappa = _standard_form(r, n_th, 1.0, gt, n_e, np.eye(2))[2][7]
+    for pair in (lam[:, :2], lam[:, 2:]):
+        np.testing.assert_allclose(np.sqrt(pair.prod(axis=-1)), np.sqrt(1.0 + kappa), rtol=1e-15, atol=0)
 
 
 def test_uniform_constructor():

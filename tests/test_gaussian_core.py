@@ -8,6 +8,7 @@ from gaussfish.gaussian_core import (
     DuanResult,
     GaussianState,
     SymplecticOp,
+    _eigenbasis,
     apply,
     beam_splitter_5050,
     char_fn_at,
@@ -237,10 +238,18 @@ def test_probe_tmsdt_on_arrays_stacks_the_per_value_probes_bit_for_bit():
         probe_tmsdt(r, 0.0, 0, 0, 0, 0, -n_th)
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.3, 1.0, 2.1, math.pi, -1.2])
+def test_eigenbasis_is_orthogonal_and_symplectic(phi):
+    """O^T O = I and O^T Omega O = Omega, so V = O diag(lam) O^T is a Williamson form."""
+    O = _eigenbasis(phi)
+    np.testing.assert_allclose(O.T @ O, np.eye(4), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(O.T @ omega(2) @ O, omega(2), rtol=0, atol=1e-15)
+
+
 def test_probe_tmsdt_carries_its_eigen_factor():
     """V = O diag(lam) O^T with O orthogonal, cached per phi and read-only.
 
-    lam = tau (e^2r, e^2r, e^-2r, e^-2r); the public constructor and apply give no factor,
+    lam = tau (e^2r, e^-2r, e^-2r, e^2r); the public constructor and apply give no factor,
     and the displacement model's states keep the probe's.
     """
     for phi in (math.pi, 0.0, 2.1, -1.2):
@@ -251,7 +260,7 @@ def test_probe_tmsdt_carries_its_eigen_factor():
             np.testing.assert_allclose(O @ O.T, np.eye(4), rtol=0, atol=1e-15)
             e = np.exp(2.0 * np.asarray(r))[..., None]
             tau = (2.0 * np.asarray(n_th) + 1.0)[..., None]
-            np.testing.assert_allclose(lam, tau * np.concatenate([e, e, 1 / e, 1 / e], axis=-1), rtol=1e-15)
+            np.testing.assert_allclose(lam, tau * np.concatenate([e, 1 / e, 1 / e, e], axis=-1), rtol=1e-15)
             scale = np.abs(st.V).max(axis=(-2, -1), keepdims=True)
             assert (np.abs((O * lam[..., None, :]) @ O.T - st.V) <= 4e-16 * scale).all()
     assert GaussianState(st.d, st.V).factor is None

@@ -473,79 +473,6 @@ def test_schur_psd_is_the_pinv_schur_complement_per_matrix(n, p):
     np.testing.assert_allclose(numkit.schur_psd(stack[0], p), got[0], rtol=0, atol=1e-14 * np.abs(got[0]).max())
 
 
-# eigvals_antisym's closed form against the upper half of eigvalsh(1j * a), in units of
-# eps |a|_2: over 32,000 members of the kinds below (1,000 stacks of 32) the eigenvalue
-# gap reached 9.8.
-ANTISYM_C = 32.0
-_ANTISYM4_KINDS = ("exact_degenerate", "degenerate", "near_degenerate", "distinct", "uncertified", "tiny", "zero")
-
-
-def _antisym4_member(rng, kind):
-    """c O (Omega_1 / nu_1 (+) Omega_1 / nu_2) O^T, so i a has the eigenvalues +-c / nu_k.
-
-    O is a random rotation (det O = 1, so Pf(a) > 0) and c / nu_1 = 1e-200..1e200.
-    nu_2 / nu_1 is 1 (degenerate), 1 + 1e-14..1e-6 (near_degenerate), 1..1e6 (distinct)
-    or 1e16..1e17 (uncertified: the certificate refuses it).  exact_degenerate is
-    sum p_m L_m, whose q is exactly 0; tiny is degenerate at c / nu_1 = 1e-323..1e-293,
-    below the certificate's floor TINY / eps; zero is 0.
-    """
-    x = 10.0 ** rng.uniform(-200.0, 200.0)
-    if kind == "tiny":
-        x, kind = 10.0 ** rng.uniform(-323.0, -293.0), "degenerate"
-    if kind == "zero":
-        return np.zeros((4, 4))
-    if kind == "exact_degenerate":
-        p = x * rng.normal(size=3)
-        return np.array([[0, p[0], p[1], p[2]], [-p[0], 0, p[2], -p[1]], [-p[1], -p[2], 0, p[0]], [-p[2], p[1], -p[0], 0]])
-    ratio = {
-        "degenerate": 1.0,
-        "near_degenerate": 1.0 + 10.0 ** rng.uniform(-14.0, -6.0),
-        "distinct": 10.0 ** rng.uniform(0.0, 6.0),
-        "uncertified": 10.0 ** rng.uniform(16.0, 17.0),
-    }[kind]
-    o = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-    o[:, 0] *= np.sign(np.linalg.det(o))
-    block = np.zeros((4, 4))
-    block[0, 1], block[2, 3] = x, x / ratio
-    a = o @ (block - block.T) @ o.T
-    return 0.5 * (a - a.T)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    kinds=st.lists(st.sampled_from(_ANTISYM4_KINDS), min_size=1, max_size=12),
-    nonfinite=st.sampled_from([None, np.nan, np.inf]),
-)
-def test_eigvals_antisym_is_the_upper_half_of_eigvalsh(seed, kinds, nonfinite):
-    """Every stack, of one matrix or more, takes the closed form.
-
-    Certified members agree with eigvalsh within ANTISYM_C eps |a|_2; refused members
-    are eigvalsh's, bit for bit, as is a 6x6 stack.  A non-finite member makes both raise.
-    """
-    rng = np.random.default_rng(seed)
-    a = np.array([_antisym4_member(rng, kind) for kind in kinds])
-    if nonfinite is not None:
-        k = rng.integers(len(a))
-        a[k, 0, 1], a[k, 1, 0] = nonfinite, -nonfinite
-        with np.errstate(invalid="ignore"):  # 1j * inf
-            for run in (lambda: np.linalg.eigvalsh(1j * a), lambda: numkit.eigvals_antisym(a)):
-                with pytest.raises(np.linalg.LinAlgError):
-                    run()
-        return
-    w = np.linalg.eigvalsh(1j * a)
-    lam = numkit.eigvals_antisym(a)
-    assert lam.shape == (len(a), 2)
-    assert np.array_equal(numkit.eigvals_antisym(a[0]), lam[0])
-    for k, kind in enumerate(kinds):
-        if kind in ("uncertified", "tiny", "zero"):
-            assert np.array_equal(lam[k], w[k, 2:]), kind
-            continue
-        assert np.abs(lam[k] - w[k, 2:]).max() <= ANTISYM_C * numkit.EPS * np.abs(w[k]).max(), kind
-    b = rng.normal(size=(3, 6, 6))
-    assert np.array_equal(numkit.eigvals_antisym(b - numkit.transpose(b)), np.linalg.eigvalsh(1j * (b - numkit.transpose(b)))[:, 3:])
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), complex_=st.booleans(), m=st.integers(2, 8))
 def test_two_column_pinv_gram_mixes_certified_and_uncertified_members(data, complex_, m):
