@@ -132,13 +132,14 @@ def _outcome_cov(state, S_r, Vm):
 
     A state that carries its eigen-factor V = O diag(lam) O^T gives
     A = (S_r O) diag(lam) (S_r O)^T, which keeps a squeezed quadrature that the
-    dense V loses to rounding.
+    dense V loses to rounding.  S_r O is summed from rounded products (einsum; BLAS
+    may fuse them), so an entry that cancels exactly is 0 before lam multiplies it.
     """
     if state.factor is None:
         A = S_r @ state.V @ S_r.T
     else:
         O, lam = state.factor
-        B = S_r @ O
+        B = np.einsum("ij,...jk->...ik", S_r, O)
         A = (B * lam[..., None, :]) @ transpose(B)
     return 0.5 * (hermitize(A) + Vm)
 

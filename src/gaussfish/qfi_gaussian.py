@@ -11,8 +11,9 @@ has closed forms in V and M = V + i Omega:
     F^S = 2 D V^-1 D^T,   U = 2 D V^-1 Omega V^-1 D^T,   F^R = 2 D M^-1 D^T.
 
 :attr:`PointMoments.solved` takes them by solves, with no eigenvectors: F^S
-and U from G = D V^-1/2 (V^-1/2, A = V^-1/2 Omega V^-1/2 and nu from the
-state's Williamson form where it carries one, :class:`GaussianState`), and the
+and U from G = D W, with W = u diag(lam)^-1/2 of an eigenbasis V = u diag(lam) u^T
+whitening on one side, V^-1 = W W^T (W, A = W^T Omega W and nu from the state's
+Williamson form where it carries one, :class:`GaussianState`), and the
 limiting inverse of F^R from the Schur complement of M onto the directions of
 D, which stays finite at pure points (Genoni et al., PRA 87, 012107 (2013);
 :func:`_first_moment`).
@@ -154,17 +155,18 @@ PURE_TOL = 1e-12
 
 
 def _whiten(V, factor=None):
-    """(cond(V), V^-1/2, A, 1/nu): the condition number of V, V^-1/2, A = V^-1/2 Omega V^-1/2
+    """(cond(V), W, A, 1/nu): the condition number of V, W = u diag(lam)^-1/2, A = W^T Omega W
     and the inverse symplectic eigenvalues of V.
 
-    The state's Williamson form V = O diag(lam) O^T, where it carries one
-    (:class:`GaussianState`), gives them with no LAPACK call:
-    V^-1/2 = (O / sqrt(lam)) O^T, 1/nu_k = 1 / sqrt(lam_2k lam_2k+1), and, as
-    O^T Omega O = Omega, A = (O diag(1/nu_1, 1/nu_1, 1/nu_2, ...)) Omega O^T, a product
-    in which nothing cancels.  Without a factor one eigh of V gives V^-1/2 and A, and
-    1/nu is None: it is the positive eigenvalues of the Hermitian i A.  lam is checked
-    first: an entry that is not finite, or a lam that is not positive, raises
-    ValueError.  A stack V (K, 2N, 2N) is decomposed matrix by matrix.
+    (u, lam) is an eigenbasis of V = u diag(lam) u^T, so V^-1 = W W^T: W whitens on
+    one side, each column at its own scale lam^-1/2.  The state's Williamson form
+    V = O diag(lam) O^T, where it carries one (:class:`GaussianState`), is that basis with
+    no LAPACK call; as O^T Omega O = Omega, A is then the blocks omega / nu_k,
+    1/nu_k = 1 / sqrt(lam_2k lam_2k+1), with no matrix product and no lam in it.
+    Without a factor one eigh of V gives W and A, and 1/nu is None: it is the positive
+    eigenvalues of the Hermitian i A.  lam is checked first: an entry that is not
+    finite, or a lam that is not positive, raises ValueError.  A stack V (K, 2N, 2N) is
+    decomposed matrix by matrix.
     """
     if factor is None:
         if not np.isfinite(V).all():
@@ -178,20 +180,17 @@ def _whiten(V, factor=None):
     if not (lo > 0.0).all():
         raise ValueError("covariance is not positive definite (smallest eigenvalue %.3e)" % lo.min())
     cond, root = lam.max(axis=-1) / lo, np.sqrt(lam)
-    # a contiguous u^T: numpy's matmul of small stacks is slower on a transposed view
-    ut = numkit.transpose(u).copy()
-    v_isqrt = (u / root[..., None, :]) @ ut
-    om = omega(V.shape[-1] // 2)
+    w, om = u / root[..., None, :], omega(V.shape[-1] // 2)
     if factor is None:
-        return cond, v_isqrt, v_isqrt @ om @ v_isqrt, None
+        return cond, w, numkit.transpose(w) @ (om @ w), None
     inv_nu = 1.0 / (root[..., 0::2] * root[..., 1::2])
-    return cond, v_isqrt, (u * np.repeat(inv_nu, 2, axis=-1)[..., None, :]) @ (om @ ut), inv_nu
+    return cond, w, om * np.repeat(inv_nu, 2, axis=-1)[..., None, :], inv_nu
 
 
 def _purity_cut(lam, cond):
     """The symplectic eigenvalues nu = 1 / lam of a V of condition number cond, checked and cut.
 
-    lam are the positive eigenvalues of i V^-1/2 Omega V^-1/2.  A mode with
+    lam are the positive eigenvalues of i A, A = W^T Omega W (:func:`_whiten`).  A mode with
     nu - 1 <= PURE_TOL cond(V) is pure and gets nu = 1 exactly; a nu below 1 by
     more raises ValueError.  The cut is taken point by point.
     """
@@ -205,22 +204,22 @@ def _purity_cut(lam, cond):
 def williamson(V, factor=None):
     """(nu, Z): the symplectic eigenvalues, one per mode, and the normal coordinates of V.
 
-    The eigenvectors u_k of the Hermitian i A, A = V^-1/2 Omega V^-1/2, for its
-    eigenvalues 1/nu_k (np.linalg.eigh) give the rows
-    z_k = sqrt(nu_k) u_k^H V^-1/2 of the complex Z (N x 2N).  These are the
+    The eigenvectors u_k of the Hermitian i A, A = W^T Omega W with W W^T = V^-1
+    (:func:`_whiten`), for its eigenvalues 1/nu_k (np.linalg.eigh) give the rows
+    z_k = sqrt(nu_k) u_k^H W^T of the complex Z (N x 2N).  These are the
     s = +1 rows of the normal coordinates T of the module docstring, and
     conj(Z) its s = -1 rows, so T (V + i Omega) T^H = diag(nu + s).  The checks
     of V and the purity cut are those of :func:`_whiten` (of the eigen-factor where
     one is given) and :func:`_purity_cut`.  A stack V (K, 2N, 2N) is decomposed
     matrix by matrix.
     """
-    cond, v_isqrt, a, _ = _whiten(V, factor)
+    cond, w, a, _ = _whiten(V, factor)
     n = V.shape[-1] // 2
     lam, vecs = np.linalg.eigh(1j * a)
     nu = _purity_cut(lam[..., n:], cond)
-    uh = numkit.adjoint(vecs[..., n:])
-    z = np.empty(uh.shape, complex)  # u^H V^-1/2 by two real products: V^-1/2 is not cast
-    z.real, z.imag = uh.real @ v_isqrt, uh.imag @ v_isqrt
+    uh, wt = numkit.adjoint(vecs[..., n:]), numkit.transpose(w)
+    z = np.empty(uh.shape, complex)  # u^H W^T by two real products: W is not cast
+    z.real, z.imag = uh.real @ wt, uh.imag @ wt
     return nu, np.sqrt(nu)[..., :, None] * z
 
 
@@ -228,11 +227,12 @@ def _first_moment(V, D, Y, factor=None):
     """(served, (F_S, U, limiting F_R^-1)) of a model with dV = 0 from solves on V and M = V + i Omega.
 
     D (..., p, 2N) is the stack of dd, and Y an invertible (..., 2N, 2N) with
-    D Y = [I, 0].  V^-1/2, A = V^-1/2 Omega V^-1/2 and 1/nu come from :func:`_whiten`:
+    D Y = [I, 0].  W (V^-1 = W W^T), A = W^T Omega W and 1/nu come from :func:`_whiten`:
     of the Williamson form where one is given, and else 1/nu is the positive
     eigenvalues of i A by one eigvalsh, with no eigenvectors.  :func:`_purity_cut`
-    finds the pure modes.  With G = D V^-1/2,
-    F_S = 2 G G^T and U = 2 G A G^T.  F_R = 2 D M^-1 D^T = 2 ((Y^T M Y)^-1)_pp, so
+    finds the pure modes.  With G = D W,
+    F_S = 2 G G^T and U = 2 G A G^T; from a Williamson form A holds no lam, so
+    nothing of size lam cancels in U.  F_R = 2 D M^-1 D^T = 2 ((Y^T M Y)^-1)_pp, so
     F_R^-1 = S / 2 with S the Schur complement of Y^T M Y onto its first p
     coordinates, the generalized one where the rest is singular (a pure idler;
     M is PSD: :func:`numkit.schur_psd`).  S is finite at pure points, so this is
@@ -244,12 +244,12 @@ def _first_moment(V, D, Y, factor=None):
     True, a scalar, where no mode is pure): there only eigenvectors separate the null
     coordinates, and its values are meaningless.
     """
-    cond, v_isqrt, a, inv_nu = _whiten(V, factor)
+    cond, w, a, inv_nu = _whiten(V, factor)
     n = V.shape[-1] // 2
     if inv_nu is None:
         inv_nu = np.linalg.eigvalsh(1j * a)[..., n:]
     pure = _purity_cut(inv_nu, cond) == 1.0
-    G = D @ v_isqrt
+    G = D @ w
     Gt = np.ascontiguousarray(numkit.transpose(G))
     f_s, u = G @ Gt, G @ a @ Gt  # halves of F_S and U, returned exactly (anti)symmetric
     Yt = np.ascontiguousarray(numkit.transpose(Y))

@@ -174,9 +174,10 @@ def closed_form_bounds(probe: str, r, n_th, gamma, t, n_e, phi=math.pi, weight=N
     W = np.eye(2) if weight is None else np.asarray(weight, dtype=float)
     b_s, b_h_upper, terms = _standard_form(r, n_th, gamma, t, n_e, W)
     x, y, v, tau, eps, a_1, a, kappa, half_tr = terms
-    k = np.divide(kappa, a_1 * (a + 1.0), out=np.ones(np.shape(kappa)), where=a_1 > 0.0)
+    # divided one factor at a time: a_1 (a + 1) and a^2 overflow from r of about 177
+    k = np.divide(kappa / (a + 1.0), a_1, out=np.ones(np.shape(kappa)), where=a_1 > 0.0)
     root_det = math.sqrt(max(0.0, W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]))
-    b_h_mid = b_s + root_det * x * (1.0 + kappa) / (a * a)
+    b_h_mid = b_s + root_det * x * ((1.0 + kappa) / a) / a
     # a + c cos phi = y tau (e^(-2r) + 2 sinh 2r cos^2(phi/2)) + v eps, free of cancellation
     a_phi = y * tau * (np.exp(-2.0 * r) + 2.0 * np.sinh(2.0 * r) * np.cos(0.5 * phi) ** 2) + v * eps
     hdb = 2.0 * half_tr * x * a_phi

@@ -529,7 +529,7 @@ def test_symplectic_eigenvalue_kernel_matches_williamson(seed, kinds):
 
 @pytest.mark.parametrize("modes", [1, 2, 3])
 def test_williamson_normal_coordinates_equal_the_complex_product(modes):
-    """williamson forms u^H V^-1/2 as two real products; they equal the complex product bit for bit.
+    """williamson forms u^H W^T as two real products; they equal the complex product bit for bit.
 
     Random mixed stacks, and for two modes the 201-point tmst t 0..1 grid of the reference sweep.
     """
@@ -542,10 +542,44 @@ def test_williamson_normal_coordinates_equal_the_complex_product(modes):
         stacks.append(displacement_model(tmst, ch, t).state([0, 0]).V)
     for V in stacks:
         nu, Z = williamson(V)
-        _, v_isqrt, a, _ = _whiten(V)
+        _, w, a, _ = _whiten(V)
         vecs = np.linalg.eigh(1j * a)[1][..., modes:]
-        ref = np.sqrt(nu)[..., :, None] * (numkit.adjoint(vecs) @ v_isqrt.astype(complex))
+        ref = np.sqrt(nu)[..., :, None] * (numkit.adjoint(vecs) @ numkit.transpose(w).astype(complex))
         assert np.array_equal(Z, ref)
+
+
+def _whiten_cases(factored):
+    """(V, factor) stacks: random mixed states of 1..3 modes with no factor, or the tmst
+    probe at r 0..1.5 through a channel, whose states carry their Williamson form."""
+    if not factored:
+        rng = np.random.default_rng(500)
+        return [(np.array([_random_point(rng, modes).st.V for _ in range(5)]), None) for modes in (1, 2, 3)]
+    probe = probe_tmsdt(np.linspace(0.0, 1.5, 11), 0.7, 0, 0, 0, 0, 0.3)
+    st = displacement_model(probe, NoisyChannel.uniform(2, 1.0, 0.5), np.linspace(0.0, 1.0, 11)).state([0, 0])
+    assert st.factor is not None
+    return [(st.V, st.factor)]
+
+
+@pytest.mark.parametrize("factored", [False, True])
+def test_whiten_factors_the_inverse_on_one_side(factored):
+    """W W^T = V^-1 and W^T Omega W = A, from an eigh of V or from the state's Williamson
+    form.  From the form A is exactly the blocks omega / nu_k, with 1/nu_k the positive
+    eigenvalues of i A that the eigh of V gives."""
+    for V, factor in _whiten_cases(factored):
+        cond, w, a, inv_nu = _whiten(V, factor)
+        n2 = V.shape[-1]
+        wt = numkit.transpose(w)
+        eye = np.broadcast_to(np.eye(n2), V.shape)
+        np.testing.assert_allclose(V @ w @ wt, eye, rtol=0, atol=1e-13 * cond.max())
+        np.testing.assert_allclose(wt @ omega(n2 // 2) @ w, a, rtol=0, atol=1e-13 * np.abs(a).max())
+        if not factored:
+            assert inv_nu is None
+            continue
+        blocks = np.zeros(V.shape)
+        blocks[..., 0::2, 1::2] = inv_nu[..., None, :] * np.eye(n2 // 2)
+        assert np.array_equal(a, blocks - numkit.transpose(blocks))
+        dense = np.linalg.eigvalsh(1j * _whiten(V)[2])[..., n2 // 2 :]
+        np.testing.assert_allclose(np.sort(inv_nu, axis=-1), dense, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("n_th", [0.0, 1e-9, 1e-6])

@@ -507,10 +507,11 @@ def test_tmsv_closed_form_b_r_vanishes_for_the_pure_probe():
 
 
 def _tmsv_closed_form_mp(r, gamma_t, n_e):
-    """The tmsv closed form as first written, D + x - s^2 / (D - x), at 50 digits."""
+    """The tmsv closed form as first written, D + x - s^2 / (D - x), at 50 + 0.87 r digits:
+    D - s^2 / (D - x) cancels terms of size e^2r, that is 0.87 r digits."""
     import mpmath as mp
 
-    with mp.workdps(50):
+    with mp.workdps(50 + math.ceil(0.87 * r)):
         r, gamma_t, n_e = mp.mpf(r), mp.mpf(gamma_t), mp.mpf(n_e)
         x, eps = mp.exp(gamma_t), 1 + 2 * n_e
         c, s = mp.cosh(2 * r), mp.sinh(2 * r)
@@ -521,7 +522,7 @@ def _tmsv_closed_form_mp(r, gamma_t, n_e):
         return tuple(float(v) for v in (b_s, b_r, r_q, (1 + r_q) * b_s))
 
 
-@pytest.mark.parametrize("r", [0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.5])
+@pytest.mark.parametrize("r", [0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.5, 178.0, 200.0, 300.0, 354.0])
 def test_tmsv_closed_form_matches_high_precision(r):
     for gamma_t in (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.3, 2.0):
         for n_e in (0.0, 1e-8, 1e-5, 1e-2, 0.5, 1.0):
@@ -700,22 +701,25 @@ def test_eigen_factor_matches_the_eigh_of_v_on_random_draws(seed, k):
 
 @pytest.mark.parametrize("probe", ["tmsv", "tmst"])
 def test_strongly_squeezed_rows_match_the_closed_form(probe):
-    """The r 0..20 grid, n_e 0.5, gamma = t = 1: cond(V) reaches about e^80.
+    """The r 0..20 and 20..40 grids, n_e 0.5, gamma = t = 1: cond(V) reaches about e^160.
 
     The dense V loses its small eigenvalue y tau e^-2r + v eps there, and rows went wrong
     or degraded; the eigen-factor keeps it, so every row is ok and b_s, b_h_mid, b_h_upper
-    and hdb are within 1e-8 of the closed form.  r_q, which A = V^-1/2 Omega V^-1/2 of the
-    dense V missed by up to 55 %, is within 1e-7 with A from the Williamson form.  b_r
-    still reads the dense M (CHANGES.md), so it is not pinned here.
+    and hdb are within 1e-8 of the closed form.  r_q is within 1e-12: U = 2 G A G^T with
+    G = D V^-1/2 cancelled terms of size e^2r (r_q was off by 1.3 relative on r 20..40),
+    and G = D W with W W^T = V^-1 does not.  b_r still reads the dense M (CHANGES.md),
+    so it is not pinned here.
     """
     n_th = 0.5 if probe == "tmst" else 0.0
-    rows = sweep(_cfg(probe=probe, n_th=n_th, gamma=1.0, n_e=0.5, t=1.0, axis="r", start=0.0, stop=20.0, step=0.1))
-    assert len(rows) == 201 and all(row.ok for row in rows), [row.message for row in rows if not row.ok]
-    r = np.array([row.axis for row in rows])
-    cf = closed_form_bounds(probe, r, n_th, 1.0, 1.0, 0.5)
-    for name, rtol in (("b_s", 1e-8), ("b_h_mid", 1e-8), ("b_h_upper", 1e-8), ("hdb", 1e-8), ("r_q", 1e-7)):
-        got = np.array([getattr(row, name) for row in rows])
-        np.testing.assert_allclose(got, getattr(cf, name), rtol=rtol, atol=0, err_msg=name)
+    for start in (0.0, 20.0):
+        cfg = _cfg(probe=probe, n_th=n_th, gamma=1.0, n_e=0.5, t=1.0, axis="r", start=start, stop=start + 20.0, step=0.1)
+        rows = sweep(cfg)
+        assert len(rows) == 201 and all(row.ok for row in rows), [row.message for row in rows if not row.ok]
+        r = np.array([row.axis for row in rows])
+        cf = closed_form_bounds(probe, r, n_th, 1.0, 1.0, 0.5)
+        for name, rtol in (("b_s", 1e-8), ("b_h_mid", 1e-8), ("b_h_upper", 1e-8), ("hdb", 1e-8), ("r_q", 1e-12)):
+            got = np.array([getattr(row, name) for row in rows])
+            np.testing.assert_allclose(got, getattr(cf, name), rtol=rtol, atol=0, err_msg=(start, name))
 
 
 @pytest.mark.parametrize("probe", ["tmsv", "tmst"])
@@ -723,8 +727,8 @@ def test_very_strongly_squeezed_rows_keep_the_holevo_bounds(probe):
     """The r 0..600 step 1 grid, n_e 0.5, gamma = t = 1: the rows to r = 354 are ok, the rest
     degrade as lam overflows.  With A from the dense V, the rows at r = 41..52 gave
     b_h_mid = b_h_upper = 13.75 and r_q = 1 against the closed form's 6.873; every ok row
-    now has b_s, b_h_mid and b_h_upper within 1e-12 of it.  The closed form's a^2
-    overflows past r = 177, where b_h_mid - b_s is below 1e-150 of b_s.
+    now has b_s, b_h_mid, b_h_upper, r_q and hdb within 1e-12 of it, and the closed form
+    meets no floating-point error on them.
     """
     n_th = 0.5 if probe == "tmst" else 0.0
     rows = sweep(_cfg(probe=probe, n_th=n_th, gamma=1.0, n_e=0.5, t=1.0, axis="r", start=0.0, stop=600.0, step=1.0))
@@ -732,9 +736,8 @@ def test_very_strongly_squeezed_rows_keep_the_holevo_bounds(probe):
     ok = np.array([row.ok for row in rows])
     assert np.array_equal(ok, r <= 354.0)
     assert {row.message for row in rows if not row.ok} == {"covariance is not finite"}
-    with np.errstate(over="ignore"):
-        cf = closed_form_bounds(probe, r[ok], n_th, 1.0, 1.0, 0.5)
-    for name in ("b_s", "b_h_mid", "b_h_upper"):
+    cf = closed_form_bounds(probe, r[ok], n_th, 1.0, 1.0, 0.5)
+    for name in ("b_s", "b_h_mid", "b_h_upper", "r_q", "hdb"):
         got = np.array([getattr(row, name) for row in rows if row.ok])
         np.testing.assert_allclose(got, getattr(cf, name), rtol=1e-12, atol=0, err_msg=name)
 
