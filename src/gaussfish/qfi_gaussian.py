@@ -10,21 +10,21 @@ has closed forms in V and M = V + i Omega:
 
     F^S = 2 D V^-1 D^T,   U = 2 D V^-1 Omega V^-1 D^T,   F^R = 2 D M^-1 D^T.
 
-:attr:`PointMoments.solved` takes them by solves, with no eigenvectors: F^S
+:attr:`PointMoments.solved` takes them by solves, with no eigenvectors and no QR: F^S
 and U from G = D W, with W = u diag(lam)^-1/2 of an eigenbasis V = u diag(lam) u^T
 whitening on one side, V^-1 = W W^T (W, A = W^T Omega W and nu from the state's
-Williamson form where it carries one, :class:`GaussianState`), and the
-limiting inverse of F^R from the Schur complement of M onto the directions of
-D, which stays finite at pure points (Genoni et al., PRA 87, 012107 (2013);
-:func:`_first_moment`).
+Williamson form where it carries one, :class:`GaussianState`), and the limiting inverse
+of F^R from the Schur complement S of M onto the directions of D, finite at pure points
+and set to 0 at a point whose modes are all pure where S is rounding (Genoni et al., PRA
+87, 012107 (2013); :func:`_first_moment`).
 
-The Williamson basis.  Every other point (some dV nonzero, a dd not of full
-row rank, or modes pure in part) is evaluated in the Williamson basis
-V = S diag(nu) S^T (S symplectic), which also referees the solves in the
-tests.  The rows of T = J S^-1, J taking each pair (q, p) to
-(q + i p, q - i p)/sqrt2, are normal coordinates a with eigenvalue nu_a and
-sign s_a = +-1, in which V + i Omega is diagonal with lam_a = nu_a + s_a
-(:func:`williamson` gives them up to a unit phase per row).
+The Williamson basis.  Every other point (some dV nonzero, a dd not of full row rank, or
+modes pure in part), and a whole stack whose dd reach more than p coordinates between
+them (no built-in model builds one), is evaluated in the Williamson basis
+V = S diag(nu) S^T (S symplectic), which also referees the solves in the tests.  The rows
+of T = J S^-1, J taking each pair (q, p) to (q + i p, q - i p)/sqrt2, are normal
+coordinates a with eigenvalue nu_a and sign s_a = +-1, in which V + i Omega is diagonal
+with lam_a = nu_a + s_a (:func:`williamson` gives them up to a unit phase per row).
 Both moments of parameter mu enter as one augmented matrix
 D_mu = [[dV_mu, dd_mu], [dd_mu^T, 0]], whose extra coordinate (kept as is by
 T) counts as nu = 1/2, s = 0.  Its coefficients k_mu = vec(T D_mu T^T) over
@@ -64,17 +64,16 @@ and the chain max(b_s, b_r) <= b_h_mid <= b_h_upper <= 2 b_s holds pointwise.
 
 A pure mode (nu = 1) makes M singular; see :func:`rld_inverse_limit`.
 
-Stack axis.  A PointMoments may hold K points at once: a state with d of
-shape (K, 2N) and V of shape (K, 2N, 2N), with dds (K, p, 2N) and dVs
-(K, p, 2N, 2N), as a model evaluated on a whole sweep grid gives.  Every
-function here then works on the leading axis in one call and returns
-(K, p, p) matrices and (K,) bounds; without the axis it is the one-point
-case and returns (p, p) matrices and floats.  The formulas are elementwise
-in nu, and the path, the purity cut, the rank cut of :func:`rld_inverse_limit`
-and every pinv cutoff are taken point by point, so no point's values depend
-on the other points of its stack beyond rounding: the solves serve each point
-that qualifies, and the Williamson basis the others, as one sub-stack
-(:meth:`PointMoments.merged`).
+Stack axis.  A PointMoments may hold K points at once: a state with d of shape (K, 2N)
+and V of shape (K, 2N, 2N), with dds (K, p, 2N) and dVs (K, p, 2N, 2N), as a model
+evaluated on a whole sweep grid gives.  Every function here then works on the leading
+axis in one call and returns (K, p, p) matrices and (K,) bounds; without the axis it is
+the one-point case and returns (p, p) matrices and floats.  The formulas are elementwise
+in nu, and the purity cut, the rank cut of :func:`rld_inverse_limit` and every pinv
+cutoff are taken point by point, so no point's values depend on the other points of its
+stack beyond rounding.  So is the path, once the coordinates that the stack's dd reach
+are counted for the whole stack: the solves serve each point that qualifies, and the
+Williamson basis the others, as one sub-stack (:meth:`PointMoments.merged`).
 """
 
 from __future__ import annotations
@@ -153,6 +152,10 @@ BoundChain = namedtuple("BoundChain", ["b_s", "b_r", "b_h_mid", "b_h_upper", "r_
 # decomposition grows like eps * cond(V) (about 6e-9 at cond(V) = 5e8).
 PURE_TOL = 1e-12
 
+# Relative rank cut of the limiting RLD inverse at a pure point: the solves (_first_moment)
+# and the Williamson basis (_rld_inverse_in_basis) must cut at the same relative size.
+RANK_CUT = 1e-10
+
 
 def _whiten(V, factor=None):
     """(cond(V), W, A, 1/nu): the condition number of V, W = u diag(lam)^-1/2, A = W^T Omega W
@@ -226,23 +229,20 @@ def williamson(V, factor=None):
 def _first_moment(V, D, Y, factor=None):
     """(served, (F_S, U, limiting F_R^-1)) of a model with dV = 0 from solves on V and M = V + i Omega.
 
-    D (..., p, 2N) is the stack of dd, and Y an invertible (..., 2N, 2N) with
-    D Y = [I, 0].  W (V^-1 = W W^T), A = W^T Omega W and 1/nu come from :func:`_whiten`:
-    of the Williamson form where one is given, and else 1/nu is the positive
-    eigenvalues of i A by one eigvalsh, with no eigenvectors.  :func:`_purity_cut`
-    finds the pure modes.  With G = D W,
-    F_S = 2 G G^T and U = 2 G A G^T; from a Williamson form A holds no lam, so
-    nothing of size lam cancels in U.  F_R = 2 D M^-1 D^T = 2 ((Y^T M Y)^-1)_pp, so
-    F_R^-1 = S / 2 with S the Schur complement of Y^T M Y onto its first p
-    coordinates, the generalized one where the rest is singular (a pure idler;
-    M is PSD: :func:`numkit.schur_psd`).  S is finite at pure points, so this is
-    the limiting inverse.  At a point whose modes are all pure, (I - i A) / 2 is the
-    projector onto the null coordinates of M; where every parameter direction reaches
-    them (the p columns of (I - i A) G^T have full rank relative to 1e-10 max|G|, the
-    rank cut of :func:`rld_inverse_limit`), the limit is 0 exactly, which S carries
-    only to rounding.  served is False at a point whose modes are pure in part (and
-    True, a scalar, where no mode is pure): there only eigenvectors separate the null
-    coordinates, and its values are meaningless.
+    D (..., p, 2N) is the stack of dd, and Y an invertible (..., 2N, 2N) with D Y = [I, 0].
+    W (V^-1 = W W^T), A = W^T Omega W and 1/nu come from :func:`_whiten`: of the
+    Williamson form where one is given, and else 1/nu is the positive eigenvalues of i A
+    by one eigvalsh, with no eigenvectors.  :func:`_purity_cut` finds the pure modes.
+    With G = D W, F_S = 2 G G^T and U = 2 G A G^T; from a Williamson form A holds no lam,
+    so nothing of size lam cancels in U.  F_R = 2 D M^-1 D^T = 2 ((Y^T M Y)^-1)_pp, so
+    F_R^-1 = S / 2 with S the Schur complement of Y^T M Y onto its first p coordinates,
+    the generalized one where the rest is singular (a pure idler; M is PSD:
+    :func:`numkit.schur_psd`).  S is finite at pure points, so this is the limiting
+    inverse.  At a point whose modes are all pure, where every parameter direction reaches
+    the null coordinates of M, the limit is 0 and S is rounding (up to about eps e^2r for
+    tmsv): there max|S| <= RANK_CUT max|(Y^T M Y)_pp|, and the limit is set to 0 exactly;
+    elsewhere S is kept.  served is False at a point whose modes are pure in part (True, a
+    scalar, where no mode is pure): only eigenvectors separate its null coordinates.
     """
     cond, w, a, inv_nu = _whiten(V, factor)
     n = V.shape[-1] // 2
@@ -252,19 +252,17 @@ def _first_moment(V, D, Y, factor=None):
     G = D @ w
     Gt = np.ascontiguousarray(numkit.transpose(G))
     f_s, u = G @ Gt, G @ a @ Gt  # halves of F_S and U, returned exactly (anti)symmetric
-    Yt = np.ascontiguousarray(numkit.transpose(Y))
-    f_r_inv = 0.5 * numkit.schur_psd(Yt @ V @ Y + 1j * (Yt @ omega(n) @ Y), D.shape[-2])
+    Yt, p = np.ascontiguousarray(numkit.transpose(Y)), D.shape[-2]
+    m = Yt @ V @ Y + 1j * (Yt @ omega(n) @ Y)
+    s = numkit.schur_psd(m, p)
     served = True
     if pure.any():
-        whole = np.asarray(pure.all(axis=-1))  # 0-d for one point
+        whole = pure.all(axis=-1)
         served = whole | ~pure.any(axis=-1)
         if whole.any():
-            reach = (np.eye(2 * n) - 1j * a[whole]) @ Gt[whole]
-            s = np.linalg.svd(reach, compute_uv=False)
-            vanish = whole.copy()
-            vanish[whole] = s[..., -1] > 1e-10 * np.abs(G[whole]).max(axis=(-2, -1))
-            f_r_inv[vanish] = 0.0
-    return served, (f_s + numkit.transpose(f_s), u - numkit.transpose(u), f_r_inv)
+            rounding = np.abs(s).max(axis=(-2, -1)) <= RANK_CUT * np.abs(m[..., :p, :p]).max(axis=(-2, -1))
+            s[whole & rounding] = 0.0
+    return served, (f_s + numkit.transpose(f_s), u - numkit.transpose(u), 0.5 * s)
 
 
 def _inverse(x, zero_to):
@@ -343,14 +341,14 @@ class PointMoments:
     def solved(self):
         """(served, (F_S, U, limiting F_R^-1)) by solves (:func:`_first_moment`), or None.
 
-        The solves serve each point whose every dV is zero, whose dd has full row
-        rank, certified point by point (:func:`numkit.inv_certified`), and whose
-        modes are not pure in part; served marks them, and the values of the other
-        points are meaningless.  With X the permutation that puts the coordinates
-        some dd reaches first, when there are p of them, or else the Q of a QR of
-        D^T, D X = [B, 0], and Y = X diag(B^-1, I) gives D Y = [I, 0]; an
-        uncertified B takes I in place of B^-1, so its point stays finite.  None
-        means that no point is served, and the Williamson basis serves them all.
+        The solves serve each point whose every dV is zero, whose dd has full row rank,
+        certified point by point (:func:`numkit.inv_certified`), and whose modes are not
+        pure in part; served marks them, and the values of the other points are
+        meaningless.  The stack's dd must reach p coordinates between them: with X the
+        permutation that puts those first, D X = [B, 0], and Y = X diag(B^-1, I) gives
+        D Y = [I, 0]; an uncertified B takes I in place of B^-1, so its point stays
+        finite.  There is no QR: a stack whose dd reach another count returns None, as
+        one with no point served does, and the Williamson basis serves it whole.
         """
         dv = self.dVs.any(axis=(-3, -2, -1))  # the points with a nonzero dV
         if dv.all():
@@ -358,20 +356,17 @@ class PointMoments:
         D = self.dds
         p, n2 = D.shape[-2:]
         reached = D.reshape(-1, n2).any(axis=0)
-        if np.count_nonzero(reached) == p:
-            X = np.eye(n2)[:, np.argsort(~reached, kind="stable")]
-        elif np.count_nonzero(reached) > p:
-            X = np.linalg.qr(numkit.transpose(D), mode="complete")[0]
-        else:
+        if np.count_nonzero(reached) != p:
             return None
-        ok, B_inv = numkit.inv_certified(D @ X[..., :p])
+        X = np.eye(n2)[:, np.argsort(~reached, kind="stable")]
+        ok, B_inv = numkit.inv_certified(D @ X[:, :p])
         ok = ok & ~dv
         if not ok.all():
             if not ok.any():
                 return None
             B_inv = np.where(ok[..., None, None], B_inv, np.eye(p))
-        rest = np.broadcast_to(X[..., p:], B_inv.shape[:-2] + (n2, n2 - p))
-        Y = np.concatenate([X[..., :p] @ B_inv, rest], axis=-1)
+        rest = np.broadcast_to(X[:, p:], B_inv.shape[:-2] + (n2, n2 - p))
+        Y = np.concatenate([X[:, :p] @ B_inv, rest], axis=-1)
         served, values = _first_moment(self.st.V, D, Y, self.st.factor)
         served = ok & served
         return (served, values) if served.any() else None
@@ -583,14 +578,14 @@ def _quantumness(root_finv, u):
 def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """Limiting inverse of the RLD information matrix.
 
-    A point the solves serve takes the Schur complement of :func:`_first_moment`.
-    In the Williamson basis, coefficient rows with an infinite RLD weight
-    (pure-mode directions, see :func:`_weights`) make the RLD information
-    diverge, and the inverse must
-    vanish on the parameter directions that reach them.  With A those rows,
-    F_R = C^H C from the remaining weighted rows, and Q the right-singular
-    vectors of A with the first rank(A) (rank relative to the largest
-    coefficient) set to zero, the limit is
+    A point the solves serve takes the Schur complement of :func:`_first_moment`, set to 0
+    at a point whose modes are all pure where it is rounding, by the same RANK_CUT as the
+    rank below.  In the Williamson basis, coefficient rows with an infinite RLD weight
+    (pure-mode directions, see :func:`_weights`) make the RLD information diverge, and the
+    inverse must vanish on the parameter directions that reach them.  With A those rows,
+    F_R = C^H C from the remaining weighted rows, and Q the right-singular vectors of A
+    with the first rank(A) (rank relative to RANK_CUT times the largest coefficient) set
+    to zero, the limit is
 
         F_R^{-1} -> P P^+,   P = Q pinv(C Q)
 
@@ -610,7 +605,7 @@ def _rld_inverse_in_basis(pt: PointMoments) -> np.ndarray:
         return numkit.pinv_gram(C, n_c)
     p = C.shape[-1]
     _, s, vh = np.linalg.svd(A[pure])
-    cut = 1e-10 * np.abs(pt.rows[0][pure]).max(axis=(-2, -1))
+    cut = RANK_CUT * np.abs(pt.rows[0][pure]).max(axis=(-2, -1))
     rank = (s > cut[..., None]).sum(axis=-1)
     Q = numkit.adjoint(vh) * (np.arange(p) >= rank[..., None])[..., None, :]
     X, size = C.copy(), np.array(n_c)

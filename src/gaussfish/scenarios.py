@@ -284,9 +284,14 @@ def rows_to_json(rows: Sequence[SweepRow], cfg: Optional[ScenarioConfig] = None)
     out = {"schema": 1, "rows": [row._asdict() for row in rows]}
     if cfg is not None:
         d = dict(cfg.__dict__)
-        d["alpha"] = list(d["alpha"])
-        d["theta"] = list(d["theta"])
-        if d["weight"] is not None:
+        if d["weight"] is not None:  # as floats, so a weight of ints reads 2.0, not 2
             d["weight"] = np.asarray(d["weight"], dtype=float).tolist()
         out["config"] = d
-    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+    return json.dumps(out, indent=2, sort_keys=True, default=_numpy_to_json) + "\n"
+
+
+def _numpy_to_json(x):
+    """The Python value of a numpy scalar or array, which validate accepts in a config."""
+    if isinstance(x, (np.generic, np.ndarray)):
+        return x.tolist()
+    raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)

@@ -726,8 +726,9 @@ def test_solves_match_the_williamson_basis_on_random_first_moment_models(seed, m
     """dV = 0 and a full-row-rank dd: random N-mode states, mixed or pure.
 
     A sparse dd reaches p coordinates only (the solves permute them first); a dense one
-    reaches them all (the solves take a QR of dd^T).  A state pure in part is left to
-    the Williamson basis.
+    reaches them all, and where that is more than p it is left to the Williamson basis,
+    refereed by solves on V: F_S = 2 D V^-1 D^T and U = 2 D V^-1 Omega V^-1 D^T.  A state
+    pure in part is left to the Williamson basis too.
     """
     rng = np.random.default_rng(seed)
     p = min(n_params, 2 * modes)
@@ -744,6 +745,14 @@ def test_solves_match_the_williamson_basis_on_random_first_moment_models(seed, m
     dd[:, reach] = rng.uniform(1.0, 3.0, (p, 1)) * np.linalg.qr(rng.normal(size=(reach.size, p)))[0].T
     st_ = GaussianState(rng.normal(size=2 * modes), 0.5 * (V + V.T))
     pt = PointMoments(st_, list(dd), [np.zeros((2 * modes, 2 * modes))] * p, p)
+    if reach.size > p:
+        assert pt.solved is None
+        x = np.linalg.solve(pt.st.V, dd.T)  # V^-1 D^T
+        f_s, u = 2.0 * dd @ x, 2.0 * x.T @ omega(modes) @ x
+        scale = np.abs(f_s).max()  # U's scale too: |U_ij| <= sqrt(F_ii F_jj)
+        assert np.abs(qfim_sld(pt) - f_s).max() <= 1e-10 * scale
+        assert np.abs(incompatibility(pt) - u).max() <= 1e-10 * scale
+        return
     if 0 < np.count_nonzero(nu == 1.0) < modes:
         assert pt.solved is None
         return

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gaussfish import numkit, qfi_gaussian, scenarios
 from gaussfish.channels import NoisyChannel
-from gaussfish.gaussian_core import GaussianState, probe_tmsdt
+from gaussfish.gaussian_core import GaussianState, probe_tmsdt, vacuum
 from gaussfish.measurements import cfim_gaussian_outcomes, epr_readout
 from gaussfish.qfi_gaussian import PointMoments, displacement_model, evaluate, qfim_report
 from gaussfish.scenarios import (
@@ -195,6 +195,19 @@ def test_json_round_trip():
     assert len(payload["rows"]) == 3
     assert payload["rows"][0]["b_s"] == rows[0].b_s
     assert payload["config"]["probe"] == "tmsv"
+
+
+def test_json_round_trips_numpy_scalars_that_validate_accepts():
+    """validate takes numpy scalars and arrays; the JSON output carries their Python values."""
+    cfg = _cfg(axis="r", start=0.0, stop=0.1, step=0.1, threads=np.int64(2), t=np.float32(0.25))
+    cfg.alpha, cfg.weight = np.array([0.1, 0.2, 0.3, 0.4]), np.array([[2, 0], [0, 1]])
+    rows = sweep(cfg)
+    config = json.loads(rows_to_json(rows, cfg))["config"]
+    assert config["threads"] == 2 and config["t"] == 0.25
+    assert config["alpha"] == [0.1, 0.2, 0.3, 0.4] and config["weight"] == [[2.0, 0.0], [0.0, 1.0]]
+    plain = _cfg(axis="r", start=0.0, stop=0.1, step=0.1, threads=2, t=0.25, alpha=(0.1, 0.2, 0.3, 0.4))
+    plain.weight = [[2, 0], [0, 1]]
+    assert rows_to_json(rows, cfg) == rows_to_json(rows, plain)
 
 
 def test_numerical_overflow_degrades_to_nan_row():
@@ -417,6 +430,24 @@ def test_pure_probe_rld_limits_at_t0():
     assert disp.b_r == pytest.approx(cf.b_r, abs=1e-12)
 
 
+def test_whole_pure_points_zero_the_rld_limit_only_where_every_direction_is_null():
+    """At a point whose modes are all pure, the solves set the limiting F_R^-1 to 0 where the
+    Schur complement S is rounding of the leading block of Y^T M Y, and keep S elsewhere.
+
+    tmsv at t = 0: at r = 0 the two directions reach one null coordinate, and b_r is 2.0;
+    from r = 1 they reach them all, S is rounding of up to about eps e^2r, and b_r is 0.0.
+    Every ok row of the r 0..600 grid equals the closed form exactly.  The single-mode
+    vacuum's directions reach one null coordinate, so its limit keeps S.
+    """
+    rows = sweep(_cfg(probe="tmsv", n_e=0.5, gamma=1.0, t=0.0, axis="r", start=0.0, stop=600.0, step=1.0))
+    ok = [row for row in rows if row.ok]
+    r, b_r = np.array([row.axis for row in ok]), np.array([row.b_r for row in ok])
+    assert len(ok) == 355 and b_r[0] == 2.0 and (b_r[1:] == 0.0).all()
+    assert np.array_equal(b_r, closed_form_bounds("tmsv", r, 0.0, 1.0, 0.0, 0.5).b_r)
+    limit = qfi_gaussian.rld_inverse_limit(displacement_model(vacuum(1)), [0.0, 0.0])
+    assert np.array_equal(limit, [[0.5, 0.5j], [-0.5j, 0.5]])
+
+
 def test_tmst_closed_form_vacuum_pair_corner():
     # r = 0 and n_th = n_e = 0 make tmst the vacuum pair, which is tmdv
     x = math.exp(0.3)
@@ -590,7 +621,8 @@ def test_states_built_inside_a_run_are_not_rechecked(monkeypatch):
 def _lapack_calls(monkeypatch, run):
     """run()'s result and the sorted names of the LAPACK drivers it called."""
     calls = []
-    for name in ("svd", "eigvalsh", "qr", "eigh", "inv"):
+    drivers = ("svd", "eigvalsh", "qr", "eigh", "inv", "det", "solve", "eig", "eigvals", "cholesky", "lstsq", "pinv", "slogdet")
+    for name in drivers:
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, name=name, fn=fn, **kw: calls.append(name) or fn(*a, **kw))
     try:
@@ -607,12 +639,11 @@ def test_factored_sweeps_make_no_lapack_call(monkeypatch):
     V.  The symplectic eigenvalues come from the same Williamson form, and the 2x2
     inverses of the idler block and of dd's B in closed form.  F_S, F_C and the
     readout's outcome covariance are 2x2 and positive definite, so pinv_psd and inv_sym
-    take their certified closed forms: tmst and tmdt make no LAPACK call at all.  tmsv
-    from t = 0 adds one svd, of the pure point's null coordinates; tmdv adds that svd
-    and one eigh, the pinv of its pure point's singular idler block.
+    take their certified closed forms: tmst, tmdt and tmsv make no LAPACK call at all.
+    tmdv adds one eigh, the pinv of its pure point's singular idler block.
     """
     alpha = (0.3, -0.2, 0.1, 0.4)
-    budget = {"tmst": [], "tmdt": [], "tmsv": ["svd"], "tmdv": ["eigh", "svd"]}
+    budget = {"tmst": [], "tmdt": [], "tmsv": [], "tmdv": ["eigh"]}
     for probe, want in budget.items():
         n_th = 0.5 if probe in ("tmst", "tmdt") else 0.0
         cfg = _cfg(probe=probe, n_th=n_th, alpha=alpha, axis="t", start=0.0, stop=1.0, step=0.005)
