@@ -15,8 +15,8 @@ and U from G = D W, with W = u diag(lam)^-1/2 of an eigenbasis V = u diag(lam) u
 whitening on one side, V^-1 = W W^T (W, A = W^T Omega W and nu from the state's
 Williamson form where it carries one, :class:`GaussianState`), and the limiting inverse
 of F^R from the Schur complement S of M onto the directions of D, finite at pure points
-and set to 0 at a point whose modes are all pure where S is rounding (Genoni et al., PRA
-87, 012107 (2013); :func:`_first_moment`).
+and 0 where the directions reach the null coordinates of M with full rank (Genoni et
+al., PRA 87, 012107 (2013); :func:`_first_moment`).
 
 The Williamson basis.  Every other point (some dV nonzero, a dd not of full row rank, or
 modes pure in part), and a whole stack whose dd reach more than p coordinates between
@@ -152,8 +152,9 @@ BoundChain = namedtuple("BoundChain", ["b_s", "b_r", "b_h_mid", "b_h_upper", "r_
 # decomposition grows like eps * cond(V) (about 6e-9 at cond(V) = 5e8).
 PURE_TOL = 1e-12
 
-# Relative rank cut of the limiting RLD inverse at a pure point: the solves (_first_moment)
-# and the Williamson basis (_rld_inverse_in_basis) must cut at the same relative size.
+# Relative rank cut of the limiting RLD inverse at a pure point: a singular value at most
+# RANK_CUT times the largest entry counts as 0, of the reach (I - i A) G^T in the solves
+# (_first_moment) and of the pure-mode rows in the Williamson basis (_rld_inverse_in_basis).
 RANK_CUT = 1e-10
 
 
@@ -238,11 +239,12 @@ def _first_moment(V, D, Y, factor=None):
     F_R^-1 = S / 2 with S the Schur complement of Y^T M Y onto its first p coordinates,
     the generalized one where the rest is singular (a pure idler; M is PSD:
     :func:`numkit.schur_psd`).  S is finite at pure points, so this is the limiting
-    inverse.  At a point whose modes are all pure, where every parameter direction reaches
-    the null coordinates of M, the limit is 0 and S is rounding (up to about eps e^2r for
-    tmsv): there max|S| <= RANK_CUT max|(Y^T M Y)_pp|, and the limit is set to 0 exactly;
-    elsewhere S is kept.  served is False at a point whose modes are pure in part (True, a
-    scalar, where no mode is pure): only eigenvectors separate its null coordinates.
+    inverse.  At a point whose modes are all pure, (I - i A) / 2 is the projector onto the
+    null coordinates of M; where the p columns of the reach (I - i A) G^T have full rank
+    (:func:`_sigma_min_floor` above RANK_CUT max|G|), every direction reaches them and the
+    limit is 0 exactly, which S carries only to rounding.  served is False at a point whose
+    modes are pure in part (True, a scalar, where no mode is pure): only eigenvectors
+    separate its null coordinates.
     """
     cond, w, a, inv_nu = _whiten(V, factor)
     n = V.shape[-1] // 2
@@ -252,17 +254,35 @@ def _first_moment(V, D, Y, factor=None):
     G = D @ w
     Gt = np.ascontiguousarray(numkit.transpose(G))
     f_s, u = G @ Gt, G @ a @ Gt  # halves of F_S and U, returned exactly (anti)symmetric
-    Yt, p = np.ascontiguousarray(numkit.transpose(Y)), D.shape[-2]
-    m = Yt @ V @ Y + 1j * (Yt @ omega(n) @ Y)
-    s = numkit.schur_psd(m, p)
+    Yt = np.ascontiguousarray(numkit.transpose(Y))
+    f_r_inv = 0.5 * numkit.schur_psd(Yt @ V @ Y + 1j * (Yt @ omega(n) @ Y), D.shape[-2])
     served = True
     if pure.any():
-        whole = pure.all(axis=-1)
+        whole = np.asarray(pure.all(axis=-1))  # 0-d for one point
         served = whole | ~pure.any(axis=-1)
         if whole.any():
-            rounding = np.abs(s).max(axis=(-2, -1)) <= RANK_CUT * np.abs(m[..., :p, :p]).max(axis=(-2, -1))
-            s[whole & rounding] = 0.0
-    return served, (f_s + numkit.transpose(f_s), u - numkit.transpose(u), 0.5 * s)
+            reach = (np.eye(2 * n) - 1j * a[whole]) @ Gt[whole]
+            vanish = whole.copy()
+            vanish[whole] = _sigma_min_floor(reach) > RANK_CUT * np.abs(G[whole]).max(axis=(-2, -1))
+            f_r_inv[vanish] = 0.0
+    return served, (f_s + numkit.transpose(f_s), u - numkit.transpose(u), f_r_inv)
+
+
+def _sigma_min_floor(r):
+    """A floor on the smallest singular value of each (m, p) matrix r of a stack, with no LAPACK call.
+
+    Gram-Schmidt gives prod h_j = prod sigma, h_j the norm of column j less its part in the
+    span of those before it, each to eps times the column (det r^H r would lose a sigma_min
+    below sqrt(eps) sigma_max).  As sigma_max <= ||r||_F, sigma_min >= prod h_j / ||r||_F^(p-1):
+    equal for p = 1, within sqrt(2) for p = 2.
+    """
+    floor, q = np.linalg.norm(r, axis=(-2, -1)) ** (1 - r.shape[-1]), []
+    for v in np.moveaxis(r, -1, 0):
+        for qi in q:
+            v = v - qi * (qi.conj() * v).sum(axis=-1, keepdims=True)
+        h = np.linalg.norm(v, axis=-1, keepdims=True)
+        floor, q = floor * h[..., 0], q + [v / np.where(h > 0.0, h, 1.0)]
+    return floor
 
 
 def _inverse(x, zero_to):
@@ -327,8 +347,9 @@ class PointMoments:
     first-moment model (:attr:`solved`) and one Williamson decomposition of V
     per other point (:attr:`unserved`) with the coefficient rows and weights of
     the module docstring.  A stack carries a leading axis of length K on the
-    state, dds, dVs and everything derived from them; each point's path and cuts
-    do not depend on the other points of its stack.
+    state, dds, dVs and everything derived from them; each point's cuts, and its path
+    once the stack's reach has been counted for the whole stack, do not depend on the
+    other points of its stack.
     """
 
     def __init__(self, st: GaussianState, dds, dVs, n_params: int):
@@ -578,9 +599,9 @@ def _quantumness(root_finv, u):
 def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """Limiting inverse of the RLD information matrix.
 
-    A point the solves serve takes the Schur complement of :func:`_first_moment`, set to 0
-    at a point whose modes are all pure where it is rounding, by the same RANK_CUT as the
-    rank below.  In the Williamson basis, coefficient rows with an infinite RLD weight
+    A point the solves serve takes the Schur complement of :func:`_first_moment`, or 0 where
+    the directions reach the null coordinates of M with full rank, cut by the RANK_CUT of
+    the rank below.  In the Williamson basis, coefficient rows with an infinite RLD weight
     (pure-mode directions, see :func:`_weights`) make the RLD information diverge, and the
     inverse must vanish on the parameter directions that reach them.  With A those rows,
     F_R = C^H C from the remaining weighted rows, and Q the right-singular vectors of A

@@ -432,11 +432,14 @@ def test_pure_probe_rld_limits_at_t0():
 
 def test_whole_pure_points_zero_the_rld_limit_only_where_every_direction_is_null():
     """At a point whose modes are all pure, the solves set the limiting F_R^-1 to 0 where the
-    Schur complement S is rounding of the leading block of Y^T M Y, and keep S elsewhere.
+    reach (I - i A) G^T has full rank, and keep the Schur complement S elsewhere.
 
     tmsv at t = 0: at r = 0 the two directions reach one null coordinate, and b_r is 2.0;
-    from r = 1 they reach them all, S is rounding of up to about eps e^2r, and b_r is 0.0.
-    Every ok row of the r 0..600 grid equals the closed form exactly.  The single-mode
+    for r > 0 they reach them all, and b_r is 0.0.  At small r the idler block of Y^T M Y is
+    near singular (its scaled determinant is about r^2), so S is rounding far above eps
+    there, and at large r S is rounding of up to about eps e^2r: neither is cut by its
+    size.  Every ok row of the r 0..600 grid equals the closed form exactly, as do the
+    small r down to 1e-8, the point_calls draw 6.58e-5 among them.  The single-mode
     vacuum's directions reach one null coordinate, so its limit keeps S.
     """
     rows = sweep(_cfg(probe="tmsv", n_e=0.5, gamma=1.0, t=0.0, axis="r", start=0.0, stop=600.0, step=1.0))
@@ -444,6 +447,8 @@ def test_whole_pure_points_zero_the_rld_limit_only_where_every_direction_is_null
     r, b_r = np.array([row.axis for row in ok]), np.array([row.b_r for row in ok])
     assert len(ok) == 355 and b_r[0] == 2.0 and (b_r[1:] == 0.0).all()
     assert np.array_equal(b_r, closed_form_bounds("tmsv", r, 0.0, 1.0, 0.0, 0.5).b_r)
+    for r in [6.580906613401494e-05] + np.logspace(-8, -2, 25).tolist():
+        assert run_point(_cfg(probe="tmsv", r=r, n_e=0.5, gamma=1.0, axis="t"), 0.0).b_r == 0.0, r
     limit = qfi_gaussian.rld_inverse_limit(displacement_model(vacuum(1)), [0.0, 0.0])
     assert np.array_equal(limit, [[0.5, 0.5j], [-0.5j, 0.5]])
 
