@@ -18,9 +18,9 @@ of F^R from the Schur complement S of M onto the directions of D, finite at pure
 and 0 where the directions reach the null coordinates of M with full rank (Genoni et
 al., PRA 87, 012107 (2013); :func:`_first_moment`).
 
-The Williamson basis.  Every other point (some dV nonzero, a dd not of full row rank, or
-modes pure in part), and a whole stack whose dd reach more than p coordinates between
-them (no built-in model builds one), is evaluated in the Williamson basis
+The Williamson basis.  Every other stack (some dV nonzero, a nonzero dd not of full row
+rank, or modes pure in part, at any of its points, or dd that reach more than p
+coordinates between them; no built-in model builds one) is evaluated in the Williamson basis
 V = S diag(nu) S^T (S symplectic), which also referees the solves in the tests.  The rows
 of T = J S^-1, J taking each pair (q, p) to (q + i p, q - i p)/sqrt2, are normal
 coordinates a with eigenvalue nu_a and sign s_a = +-1, in which V + i Omega is diagonal
@@ -70,10 +70,11 @@ evaluated on a whole sweep grid gives.  Every function here then works on the le
 axis in one call and returns (K, p, p) matrices and (K,) bounds; without the axis it is
 the one-point case and returns (p, p) matrices and floats.  The formulas are elementwise
 in nu, and the purity cut, the rank cut of :func:`rld_inverse_limit` and every pinv
-cutoff are taken point by point, so no point's values depend on the other points of its
-stack beyond rounding.  So is the path, once the coordinates that the stack's dd reach
-are counted for the whole stack: the solves serve each point that qualifies, and the
-Williamson basis the others, as one sub-stack (:meth:`PointMoments.merged`).
+cutoff are taken point by point.  The path is chosen per stack: the solves serve the
+stack whole or not at all (:meth:`PointMoments.merged`), so a point whose modes are pure
+in part moves its neighbours to the Williamson basis, where they match their own
+evaluation to rounding.  A point whose dd is exactly 0 (dd = e^{-gamma t / 2} (e1, e2)
+underflows from gamma t of about 1490) stays in the solves.
 """
 
 from __future__ import annotations
@@ -227,13 +228,16 @@ def williamson(V, factor=None):
     return nu, np.sqrt(nu)[..., :, None] * z
 
 
-def _first_moment(V, D, Y, factor=None):
-    """(served, (F_S, U, limiting F_R^-1)) of a model with dV = 0 from solves on V and M = V + i Omega.
+def _first_moment(V, D, Y, zero, factor=None):
+    """(F_S, U, limiting F_R^-1) of a model with dV = 0 from solves on V and M = V + i Omega, or None.
 
-    D (..., p, 2N) is the stack of dd, and Y an invertible (..., 2N, 2N) with D Y = [I, 0].
-    W (V^-1 = W W^T), A = W^T Omega W and 1/nu come from :func:`_whiten`: of the
-    Williamson form where one is given, and else 1/nu is the positive eigenvalues of i A
-    by one eigvalsh, with no eigenvectors.  :func:`_purity_cut` finds the pure modes.
+    D (..., p, 2N) is the stack of dd, and Y an invertible (..., 2N, 2N) with D Y = [I, 0],
+    except where zero marks dd = 0 (Y a permutation there).  W (V^-1 = W W^T),
+    A = W^T Omega W and 1/nu come from :func:`_whiten`: of the Williamson form where one
+    is given, and else 1/nu is the positive eigenvalues of i A by one eigvalsh, with no
+    eigenvectors.  :func:`_purity_cut` finds the pure modes; where some point's modes are
+    pure in part the result is None for the whole stack, as only eigenvectors separate
+    that point's null coordinates.
     With G = D W, F_S = 2 G G^T and U = 2 G A G^T; from a Williamson form A holds no lam,
     so nothing of size lam cancels in U.  F_R = 2 D M^-1 D^T = 2 ((Y^T M Y)^-1)_pp, so
     F_R^-1 = S / 2 with S the Schur complement of Y^T M Y onto its first p coordinates,
@@ -241,48 +245,31 @@ def _first_moment(V, D, Y, factor=None):
     :func:`numkit.schur_psd`).  S is finite at pure points, so this is the limiting
     inverse.  At a point whose modes are all pure, (I - i A) / 2 is the projector onto the
     null coordinates of M; where the p columns of the reach (I - i A) G^T have full rank
-    (:func:`_sigma_min_floor` above RANK_CUT max|G|), every direction reaches them and the
-    limit is 0 exactly, which S carries only to rounding.  served is False at a point whose
-    modes are pure in part (True, a scalar, where no mode is pure): only eigenvectors
-    separate its null coordinates.
+    (smallest singular value above RANK_CUT max|G|), every direction reaches them and the
+    limit is 0 exactly, which S carries only to rounding.  A point with dd = 0 has
+    F_S = U = 0 exactly, and its limit is set to 0, the pinv of its F_R = 0.
     """
     cond, w, a, inv_nu = _whiten(V, factor)
     n = V.shape[-1] // 2
     if inv_nu is None:
         inv_nu = np.linalg.eigvalsh(1j * a)[..., n:]
     pure = _purity_cut(inv_nu, cond) == 1.0
+    if (pure != pure[..., :1]).any():  # modes pure in part
+        return None
     G = D @ w
     Gt = np.ascontiguousarray(numkit.transpose(G))
     f_s, u = G @ Gt, G @ a @ Gt  # halves of F_S and U, returned exactly (anti)symmetric
     Yt = np.ascontiguousarray(numkit.transpose(Y))
     f_r_inv = 0.5 * numkit.schur_psd(Yt @ V @ Y + 1j * (Yt @ omega(n) @ Y), D.shape[-2])
-    served = True
-    if pure.any():
-        whole = np.asarray(pure.all(axis=-1))  # 0-d for one point
-        served = whole | ~pure.any(axis=-1)
-        if whole.any():
-            reach = (np.eye(2 * n) - 1j * a[whole]) @ Gt[whole]
-            vanish = whole.copy()
-            vanish[whole] = _sigma_min_floor(reach) > RANK_CUT * np.abs(G[whole]).max(axis=(-2, -1))
-            f_r_inv[vanish] = 0.0
-    return served, (f_s + numkit.transpose(f_s), u - numkit.transpose(u), f_r_inv)
-
-
-def _sigma_min_floor(r):
-    """A floor on the smallest singular value of each (m, p) matrix r of a stack, with no LAPACK call.
-
-    Gram-Schmidt gives prod h_j = prod sigma, h_j the norm of column j less its part in the
-    span of those before it, each to eps times the column (det r^H r would lose a sigma_min
-    below sqrt(eps) sigma_max).  As sigma_max <= ||r||_F, sigma_min >= prod h_j / ||r||_F^(p-1):
-    equal for p = 1, within sqrt(2) for p = 2.
-    """
-    floor, q = np.linalg.norm(r, axis=(-2, -1)) ** (1 - r.shape[-1]), []
-    for v in np.moveaxis(r, -1, 0):
-        for qi in q:
-            v = v - qi * (qi.conj() * v).sum(axis=-1, keepdims=True)
-        h = np.linalg.norm(v, axis=-1, keepdims=True)
-        floor, q = floor * h[..., 0], q + [v / np.where(h > 0.0, h, 1.0)]
-    return floor
+    whole = np.asarray(pure[..., 0])  # every mode pure; 0-d for one point
+    if whole.any():
+        reach = (np.eye(2 * n) - 1j * a[whole]) @ Gt[whole]
+        vanish = whole.copy()
+        s_min = np.linalg.svd(reach, compute_uv=False)[..., -1]
+        vanish[whole] = s_min > RANK_CUT * np.abs(G[whole]).max(axis=(-2, -1))
+        f_r_inv[vanish] = 0.0
+    f_r_inv[zero] = 0.0
+    return f_s + numkit.transpose(f_s), u - numkit.transpose(u), f_r_inv
 
 
 def _inverse(x, zero_to):
@@ -343,13 +330,13 @@ class PointMoments:
     """A model evaluated at one parameter point, or at a stack of K points.
 
     Holds the state and its moment derivatives, dds (..., p, 2N) and dVs
-    (..., p, 2N, 2N), and, on first use, the solves at the points of a
-    first-moment model (:attr:`solved`) and one Williamson decomposition of V
-    per other point (:attr:`unserved`) with the coefficient rows and weights of
-    the module docstring.  A stack carries a leading axis of length K on the
-    state, dds, dVs and everything derived from them; each point's cuts, and its path
-    once the stack's reach has been counted for the whole stack, do not depend on the
-    other points of its stack.
+    (..., p, 2N, 2N), and, on first use, either the solves of a first-moment model
+    (:attr:`solved`) or one Williamson decomposition of V with the coefficient rows and
+    weights of the module docstring.  A stack carries a leading axis of length K on the
+    state, dds, dVs and everything derived from them.  Each point's cuts do not depend on
+    the other points of its stack; the path is chosen for the stack as a whole, so one
+    point that the solves do not serve sends its neighbours to the basis too, where they
+    match their own evaluation to rounding.
     """
 
     def __init__(self, st: GaussianState, dds, dVs, n_params: int):
@@ -360,19 +347,18 @@ class PointMoments:
 
     @cached_property
     def solved(self):
-        """(served, (F_S, U, limiting F_R^-1)) by solves (:func:`_first_moment`), or None.
+        """(F_S, U, limiting F_R^-1) of the whole stack by solves (:func:`_first_moment`), or None.
 
-        The solves serve each point whose every dV is zero, whose dd has full row rank,
-        certified point by point (:func:`numkit.inv_certified`), and whose modes are not
-        pure in part; served marks them, and the values of the other points are
-        meaningless.  The stack's dd must reach p coordinates between them: with X the
-        permutation that puts those first, D X = [B, 0], and Y = X diag(B^-1, I) gives
-        D Y = [I, 0]; an uncertified B takes I in place of B^-1, so its point stays
-        finite.  There is no QR: a stack whose dd reach another count returns None, as
-        one with no point served does, and the Williamson basis serves it whole.
+        The solves serve a stack whole or not at all.  They serve it where every dV is zero,
+        every dd has full row rank, certified point by point (:func:`numkit.inv_certified`),
+        or is exactly zero, and no point's modes are pure in part.  The stack's dd must
+        reach p coordinates between them: with X the permutation that puts those first,
+        D X = [B, 0], and Y = X diag(B^-1, I) gives D Y = [I, 0]; a zero B takes I in place
+        of B^-1, so its point stays finite.  There is no QR: a stack whose dd reach another
+        count returns None, as does any other unserved point, and the Williamson basis
+        serves the stack whole.
         """
-        dv = self.dVs.any(axis=(-3, -2, -1))  # the points with a nonzero dV
-        if dv.all():
+        if self.dVs.any():
             return None
         D = self.dds
         p, n2 = D.shape[-2:]
@@ -381,51 +367,19 @@ class PointMoments:
             return None
         X = np.eye(n2)[:, np.argsort(~reached, kind="stable")]
         ok, B_inv = numkit.inv_certified(D @ X[:, :p])
-        ok = ok & ~dv
-        if not ok.all():
-            if not ok.any():
+        zero = ~ok  # the solves keep an uncertified B only where dd = 0
+        if zero.any():
+            if D[zero].any():
                 return None
-            B_inv = np.where(ok[..., None, None], B_inv, np.eye(p))
+            B_inv[zero] = np.eye(p)
         rest = np.broadcast_to(X[:, p:], B_inv.shape[:-2] + (n2, n2 - p))
         Y = np.concatenate([X[:, :p] @ B_inv, rest], axis=-1)
-        served, values = _first_moment(self.st.V, D, Y, self.st.factor)
-        served = ok & served
-        return (served, values) if served.any() else None
-
-    @cached_property
-    def unserved(self):
-        """The points that :attr:`solved` does not serve, as one PointMoments for the Williamson basis.
-
-        None when it serves every point.
-        """
-        served = self.solved[0]
-        if served.all():
-            return None
-        keep = ~served
-        factor = self.st.factor
-        if factor is not None:
-            O, lam = factor
-            factor = O if O.ndim == 2 else O[keep], lam[keep]
-        st = GaussianState._built(self.st.d[keep], self.st.V[keep], factor)
-        dds, dVs = np.moveaxis(self.dds[keep], -2, 0), np.moveaxis(self.dVs[keep], -3, 0)
-        return PointMoments(st, dds, dVs, self.n_params)
+        return _first_moment(self.st.V, D, Y, zero, self.st.factor)
 
     def merged(self, k: int, in_basis: Callable[["PointMoments"], np.ndarray]) -> np.ndarray:
-        """Quantity k of :attr:`solved` at the points it serves, in_basis of the Williamson basis elsewhere.
-
-        k indexes (F_S, U, limiting F_R^-1).  A stack that the solves serve whole
-        returns their array as is; one that they do not serve at all, the one-point
-        case included, goes to in_basis whole; any other takes in_basis of
-        :attr:`unserved` at its points.
-        """
-        if self.solved is None:
-            return in_basis(self)
-        served, values = self.solved
-        if self.unserved is None:
-            return values[k]
-        out = values[k].copy()
-        out[~served] = in_basis(self.unserved)
-        return out
+        """Quantity k of (F_S, U, limiting F_R^-1): of :attr:`solved` where it serves the stack,
+        else in_basis of the Williamson basis, for the whole stack."""
+        return in_basis(self) if self.solved is None else self.solved[k]
 
     @cached_property
     def normal_modes(self):
@@ -599,11 +553,12 @@ def _quantumness(root_finv, u):
 def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """Limiting inverse of the RLD information matrix.
 
-    A point the solves serve takes the Schur complement of :func:`_first_moment`, or 0 where
-    the directions reach the null coordinates of M with full rank, cut by the RANK_CUT of
-    the rank below.  In the Williamson basis, coefficient rows with an infinite RLD weight
-    (pure-mode directions, see :func:`_weights`) make the RLD information diverge, and the
-    inverse must vanish on the parameter directions that reach them.  With A those rows,
+    A stack the solves serve takes at each point the Schur complement of
+    :func:`_first_moment`, or 0 where dd = 0 or the directions reach the null coordinates
+    of M with full rank, cut by the RANK_CUT of the rank below.  In the Williamson basis,
+    coefficient rows with an infinite RLD weight (pure-mode directions, see
+    :func:`_weights`) make the RLD information diverge, and the inverse must vanish on the
+    parameter directions that reach them.  With A those rows,
     F_R = C^H C from the remaining weighted rows, and Q the right-singular vectors of A
     with the first rank(A) (rank relative to RANK_CUT times the largest coefficient) set
     to zero, the limit is

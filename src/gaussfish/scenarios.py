@@ -48,6 +48,7 @@ ClosedForm = namedtuple("ClosedForm", ["b_s", "b_r", "r_q", "b_h_upper", "b_h_mi
 
 CSV_HEADER = "axis,b_s,b_r,b_h_mid,b_h_upper,hdb,r_q,sql"
 _CSV_ROW = ",".join(["%.17g"] * 8)  # the eight numeric fields of a SweepRow, in CSV_HEADER order
+_NULL_FIELDS = dict.fromkeys(SweepRow._fields[1:8])  # a degraded row's NaN fields, as JSON null
 # ScenarioConfig fields that hold numbers (weight only when given), with their shapes: each
 # entry must be real and finite.
 _NUMERIC_FIELDS = dict.fromkeys(
@@ -281,13 +282,17 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def rows_to_json(rows: Sequence[SweepRow], cfg: Optional[ScenarioConfig] = None) -> str:
-    out = {"schema": 1, "rows": [row._asdict() for row in rows]}
+    """The rows, and the config if given, as JSON; a degraded row's NaN fields are null."""
+    out = {
+        "schema": 1,
+        "rows": [(row if row.ok else row._replace(**_NULL_FIELDS))._asdict() for row in rows],
+    }
     if cfg is not None:
         d = dict(cfg.__dict__)
         if d["weight"] is not None:  # as floats, so a weight of ints reads 2.0, not 2
             d["weight"] = np.asarray(d["weight"], dtype=float).tolist()
         out["config"] = d
-    return json.dumps(out, indent=2, sort_keys=True, default=_numpy_to_json) + "\n"
+    return json.dumps(out, indent=2, sort_keys=True, allow_nan=False, default=_numpy_to_json) + "\n"
 
 
 def _numpy_to_json(x):

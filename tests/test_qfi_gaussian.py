@@ -49,7 +49,7 @@ from gaussfish.qfi_gaussian import (
     _purity_cut,
     _whiten,
 )
-from gaussfish.scenarios import closed_form_bounds
+from gaussfish.scenarios import ScenarioConfig, closed_form_bounds, sweep
 
 from linalg_helpers import vec
 
@@ -760,7 +760,7 @@ def test_solves_match_the_williamson_basis_on_random_first_moment_models(seed, m
 
 
 def _unserved_points():
-    """Two-parameter points that the solves do not serve: modes pure in part, dV != 0, dd = 0.
+    """Two-parameter points that the solves do not serve: modes pure in part, dV != 0.
 
     Each state carries an eigen-factor, so :func:`_stack_points` stacks them with it.
     """
@@ -774,33 +774,68 @@ def _unserved_points():
     return [
         evaluate(displacement_model(part_pure), [0, 0]),
         PointMoments(mixed.st, list(mixed.dds), [dV + dV.T, np.zeros((4, 4))], 2),
-        evaluate(displacement_model(probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.5), ch, 1600.0), [0, 0]),
     ]
 
 
-def test_a_stack_routes_each_point_alone(monkeypatch):
-    """Served and unserved points mixed in one stack: each equals its own evaluation.
+def _underflow_point():
+    """tmst at gamma t = 1600, where dd = e^{-gamma t / 2} (e1, e2) underflows to exactly 0."""
+    ch = NoisyChannel.uniform(2, 1.0, 0.5)
+    return evaluate(displacement_model(probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.5), ch, 1600.0), [0, 0])
 
-    Only the unserved points reach the Williamson basis, as one stack; f_rld, which
-    always takes the basis, is read after the spy is gone.
+
+def test_one_unserved_point_sends_its_whole_stack_to_the_basis(monkeypatch):
+    """The solves serve a stack whole or not at all: with two unserved points among six, the
+    Williamson basis takes the whole stack, in one decomposition, and each point equals its
+    own evaluation to rounding.  f_rld, which always takes the basis, is read after the spy
+    is gone.
     """
     served, unserved = _displacement_points(), _unserved_points()
-    points = [served[0], unserved[0], served[1], unserved[1], unserved[2], served[2]]
+    points = [served[0], unserved[0], served[1], unserved[1], _underflow_point(), served[2]]
     stack = _stack_points(points)
-    assert np.array_equal(stack.solved[0], [True, False, True, False, False, True])
+    assert stack.solved is None
     sizes = []
     real = qfi_gaussian.williamson
     monkeypatch.setattr(qfi_gaussian, "williamson", lambda V, *f: sizes.append(V.shape) or real(V, *f))
     W = np.array([[2.0, 0.3], [0.3, 1.0]])
     rep = qfim_report(stack, weight=W)
     monkeypatch.undo()
-    assert sizes == [(3, 4, 4)]
+    assert sizes == [(6, 4, 4)]
     limits = rld_inverse_limit(stack)
     for k, pt in enumerate(points):
-        np.testing.assert_allclose(limits[k], rld_inverse_limit(pt), rtol=1e-12, atol=0)
         one = qfim_report(pt, weight=W)
-        for name in ("f_sld", "f_rld", "u", "b_s", "b_r", "b_h_mid", "b_h_upper", "r_q"):
+        # each matrix to 1e-12 of its largest entry (U of F_S's: |U_ij| <= sqrt(F_ii F_jj)), as
+        # entries that vanish in exact arithmetic carry rounding of that size on either path
+        for got, want, scale in (
+            (limits[k], rld_inverse_limit(pt), limits[k]),
+            (rep.f_sld[k], one.f_sld, one.f_sld),
+            (rep.u[k], one.u, one.f_sld),
+            (rep.f_rld[k], one.f_rld, one.f_rld),
+        ):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(scale).max()
+        for name in ("b_s", "b_r", "b_h_mid", "b_h_upper", "r_q"):
             np.testing.assert_allclose(getattr(rep, name)[k], getattr(one, name), rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_a_point_whose_dd_underflows_stays_in_the_solves(monkeypatch):
+    """A point with dd = 0 keeps its stack in the solves: F_S, U and the limiting F_R^-1 are
+    exactly 0 there, as the Williamson basis gives them.  So tmst sweeps across the underflow
+    (from gamma t of about 1490) make no Williamson decomposition.
+    """
+    zero = _underflow_point()
+    assert not zero.dds.any()
+    stack = _stack_points(_displacement_points() + [zero])
+    assert stack.solved is not None
+    for fn in (qfim_sld, incompatibility, rld_inverse_limit):
+        got = fn(stack)[-1]
+        assert not got.any(), fn.__name__
+        assert np.array_equal(got, fn(_by_williamson(zero))), fn.__name__
+    calls = []
+    real = qfi_gaussian.williamson
+    monkeypatch.setattr(qfi_gaussian, "williamson", lambda V, *f: calls.append(V.shape) or real(V, *f))
+    for start, stop, step in ((1480.0, 1500.0, 0.1), (0.0, 1600.0, 8.0)):
+        rows = sweep(ScenarioConfig(probe="tmst", n_th=0.5, axis="t", start=start, stop=stop, step=step))
+        assert len(rows) == 201
+    assert calls == []
 
 
 def test_williamson_row_order_keeps_near_pure_b_r():

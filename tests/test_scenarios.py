@@ -210,6 +210,21 @@ def test_json_round_trips_numpy_scalars_that_validate_accepts():
     assert rows_to_json(rows, cfg) == rows_to_json(rows, plain)
 
 
+def test_json_writes_a_degraded_row_as_null():
+    """JSON has no NaN: a degraded row's seven numeric fields are null, and the whole output
+    parses with a parser that refuses NaN and Infinity."""
+    cfg = _cfg(axis="t", start=-0.1, stop=0.0, step=0.1)
+    rows = sweep(cfg)
+    assert [row.ok for row in rows] == [False, True]
+
+    def refuse(name):
+        raise ValueError("not JSON: %s" % name)
+
+    bad, good = json.loads(rows_to_json(rows, cfg), parse_constant=refuse)["rows"]
+    assert bad == dict(dict.fromkeys(scenarios.SweepRow._fields), axis=-0.1, ok=False, message=rows[0].message)
+    assert good == rows[1]._asdict()
+
+
 def test_numerical_overflow_degrades_to_nan_row():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -636,7 +651,7 @@ def _lapack_calls(monkeypatch, run):
         monkeypatch.undo()
 
 
-def test_factored_sweeps_make_no_lapack_call(monkeypatch):
+def test_factored_sweeps_call_lapack_only_for_their_pure_point(monkeypatch):
     """The LAPACK budget of each probe's 201-point t sweep, whatever its length.
 
     dV = 0, so F_S, U and the limiting RLD inverse come from solves on V, whose V^-1/2
@@ -644,11 +659,12 @@ def test_factored_sweeps_make_no_lapack_call(monkeypatch):
     V.  The symplectic eigenvalues come from the same Williamson form, and the 2x2
     inverses of the idler block and of dd's B in closed form.  F_S, F_C and the
     readout's outcome covariance are 2x2 and positive definite, so pinv_psd and inv_sym
-    take their certified closed forms: tmst, tmdt and tmsv make no LAPACK call at all.
-    tmdv adds one eigh, the pinv of its pure point's singular idler block.
+    take their certified closed forms: tmst and tmdt make no LAPACK call at all.  tmsv
+    and tmdv are pure at t = 0: each takes one svd, of that point's reach, and tmdv one
+    eigh, the pinv of its singular idler block.
     """
     alpha = (0.3, -0.2, 0.1, 0.4)
-    budget = {"tmst": [], "tmdt": [], "tmsv": [], "tmdv": ["eigh"]}
+    budget = {"tmst": [], "tmdt": [], "tmsv": ["svd"], "tmdv": ["eigh", "svd"]}
     for probe, want in budget.items():
         n_th = 0.5 if probe in ("tmst", "tmdt") else 0.0
         cfg = _cfg(probe=probe, n_th=n_th, alpha=alpha, axis="t", start=0.0, stop=1.0, step=0.005)
