@@ -8,7 +8,15 @@ Subcommands:
     classical-demo  MLE variance against the classical CRLB
     phase-demo      phase-estimation scalings for coherent and squeezed probes
 
-Data goes to stdout (or --out, rewritten in place); logging goes to stderr.
+Data goes to stdout (or --out, rewritten in place); status lines go to stderr,
+one per line as "LEVEL gaussfish: message" (LEVEL is INFO or ERROR), e.g.
+
+    INFO gaussfish: sweep: 201 points along t
+    INFO gaussfish: wrote out.csv
+    ERROR gaussfish: probe must be one of ('tmsv', 'tmst', 'tmdv', 'tmdt')
+
+They are written to the current sys.stderr directly: the CLI does not configure
+the logging module, so a host process's logging setup is left as it was.
 Exit codes: 0 on success, 2 on configuration or validation errors (malformed
 JSON is reported with line and column) and when --out cannot be written, 3 when
 a computation degraded (NaN rows, oracle gap above tolerance).
@@ -20,7 +28,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import logging
 import math
 import os
 import stat
@@ -40,13 +47,18 @@ from .scenarios import (
     sweep,
 )
 
-log = logging.getLogger("gaussfish")
-
 ORACLE_TOL = 1e-4
 
 
 class CliError(Exception):
     """Configuration or validation problem: exit code 2."""
+
+
+def _log(level: str, fmt: str, *args) -> None:
+    """Write the status line "LEVEL gaussfish: fmt % args" to the current sys.stderr."""
+    err = sys.stderr
+    err.write("%s gaussfish: %s\n" % (level, fmt % args))
+    err.flush()
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -150,7 +162,7 @@ def _emit(args, text: str) -> None:
                 os.ftruncate(fh.fileno(), len(data))
     except OSError as exc:
         raise CliError("cannot write output: %s" % exc) from exc
-    log.info("wrote %s", args.out)
+    _log("INFO", "wrote %s", args.out)
 
 
 def _rows_out(args, cfg, rows) -> int:
@@ -161,7 +173,7 @@ def _rows_out(args, cfg, rows) -> int:
     bad = [row for row in rows if not row.ok]
     if bad:
         for row in bad:
-            log.error("degraded point at %s=%.6g: %s", cfg.axis, row.axis, row.message)
+            _log("ERROR", "degraded point at %s=%.6g: %s", cfg.axis, row.axis, row.message)
         return 3
     return 0
 
@@ -182,7 +194,7 @@ def _cmd_sweep(args) -> int:
         rows = sweep(cfg)  # validates cfg; a numerical failure becomes a row, so only validate raises
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    log.info("sweep: %d points along %s", len(rows), cfg.axis)
+    _log("INFO", "sweep: %d points along %s", len(rows), cfg.axis)
     return _rows_out(args, cfg, rows)
 
 
@@ -210,7 +222,7 @@ def _cmd_oracle(args) -> int:
             ),
         ]
     except ValueError as exc:
-        log.error("oracle state construction failed: %s", exc)
+        _log("ERROR", "oracle state construction failed: %s", exc)
         return 3
     lines = []
     worst = 0.0
@@ -221,7 +233,7 @@ def _cmd_oracle(args) -> int:
     lines.append("max gap %.3e (tolerance %.0e), dim %d" % (worst, ORACLE_TOL, dim))
     _emit(args, "\n".join(lines) + "\n")
     if worst > ORACLE_TOL:
-        log.error("oracle disagreement %.3e exceeds %.0e", worst, ORACLE_TOL)
+        _log("ERROR", "oracle disagreement %.3e exceeds %.0e", worst, ORACLE_TOL)
         return 3
     return 0
 
@@ -266,17 +278,11 @@ def _cmd_phase(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        force=True,  # rebind the stream on every entry so repeated in-process calls behave
-    )
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
-        log.error("%s", exc)
+        _log("ERROR", "%s", exc)
         return 2
 
 

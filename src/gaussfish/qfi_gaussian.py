@@ -159,6 +159,14 @@ PURE_TOL = 1e-12
 RANK_CUT = 1e-10
 
 
+@lru_cache(maxsize=None)
+def _omega(n: int) -> np.ndarray:
+    """omega(n), built once per mode count; read-only, as one cached array serves every caller."""
+    om = omega(n)
+    om.flags.writeable = False
+    return om
+
+
 def _whiten(V, factor=None):
     """(cond(V), W, A, 1/nu): the condition number of V, W = u diag(lam)^-1/2, A = W^T Omega W
     and the inverse symplectic eigenvalues of V.
@@ -185,7 +193,7 @@ def _whiten(V, factor=None):
     if not (lo > 0.0).all():
         raise ValueError("covariance is not positive definite (smallest eigenvalue %.3e)" % lo.min())
     cond, root = lam.max(axis=-1) / lo, np.sqrt(lam)
-    w, om = u / root[..., None, :], omega(V.shape[-1] // 2)
+    w, om = u / root[..., None, :], _omega(V.shape[-1] // 2)
     if factor is None:
         return cond, w, numkit.transpose(w) @ (om @ w), None
     inv_nu = 1.0 / (root[..., 0::2] * root[..., 1::2])
@@ -260,7 +268,7 @@ def _first_moment(V, D, Y, zero, factor=None):
     Gt = np.ascontiguousarray(numkit.transpose(G))
     f_s, u = G @ Gt, G @ a @ Gt  # halves of F_S and U, returned exactly (anti)symmetric
     Yt = np.ascontiguousarray(numkit.transpose(Y))
-    f_r_inv = 0.5 * numkit.schur_psd(Yt @ V @ Y + 1j * (Yt @ omega(n) @ Y), D.shape[-2])
+    f_r_inv = 0.5 * numkit.schur_psd(Yt @ V @ Y + 1j * (Yt @ _omega(n) @ Y), D.shape[-2])
     whole = np.asarray(pure[..., 0])  # every mode pure; 0-d for one point
     if whole.any():
         reach = (np.eye(2 * n) - 1j * a[whole]) @ Gt[whole]
@@ -365,15 +373,16 @@ class PointMoments:
         reached = D.reshape(-1, n2).any(axis=0)
         if np.count_nonzero(reached) != p:
             return None
-        X = np.eye(n2)[:, np.argsort(~reached, kind="stable")]
-        ok, B_inv = numkit.inv_certified(D @ X[:, :p])
+        order = np.argsort(~reached, kind="stable")  # X = I[:, order]
+        ok, B_inv = numkit.inv_certified(D[..., order[:p]])
         zero = ~ok  # the solves keep an uncertified B only where dd = 0
         if zero.any():
             if D[zero].any():
                 return None
             B_inv[zero] = np.eye(p)
-        rest = np.broadcast_to(X[:, p:], B_inv.shape[:-2] + (n2, n2 - p))
-        Y = np.concatenate([X[:, :p] @ B_inv, rest], axis=-1)
+        Y = np.zeros(B_inv.shape[:-2] + (n2, n2))
+        Y[..., order[:p], :p] = B_inv
+        Y[..., order[p:], p:] = np.eye(n2 - p)
         return _first_moment(self.st.V, D, Y, zero, self.st.factor)
 
     def merged(self, k: int, in_basis: Callable[["PointMoments"], np.ndarray]) -> np.ndarray:

@@ -116,6 +116,15 @@ class ScenarioConfig:
             raise ValueError("channel (gamma, n_e, m_e): %s" % exc) from None
         if self.n_th < 0:
             raise ValueError("n_th must be nonnegative")
+        # a parameter that build_probe does not read for the probe may not be swept or set
+        if (self.axis == "r" and self.probe not in _SQUEEZED) or (
+            self.axis == "n_th" and self.probe not in _THERMAL
+        ):
+            raise ValueError("axis %s is ignored by probe %s" % (self.axis, self.probe))
+        if self.probe in _SQUEEZED and any(self.alpha):
+            raise ValueError("alpha must be zero for probe %s, which ignores it" % self.probe)
+        if self.probe not in _THERMAL and self.n_th != 0:
+            raise ValueError("n_th must be zero for probe %s, which ignores it" % self.probe)
         if self.t < 0:
             raise ValueError("t must be nonnegative")
         if not self.step > 0:
@@ -248,7 +257,8 @@ def _rows(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> list:
             return [SweepRow(float(values[0]), *[math.nan] * 7, False, str(exc))]
         half = len(values) // 2
         return _rows(cfg, values[:half], ch) + _rows(cfg, values[half:], ch)
-    rows = [SweepRow(*row, True, "") for row in columns.T.tolist()]
+    tail, make = [True, ""], SweepRow._make
+    rows = [make(row + tail) for row in columns.T.tolist()]
     for i in np.flatnonzero(~np.isfinite(columns).all(axis=0)):
         bad = SweepRow._fields[np.isfinite(columns[:, i]).argmin()]  # the first non-finite column
         rows[i] = SweepRow(rows[i].axis, *[math.nan] * 7, False, "overflow: %s is not finite" % bad)

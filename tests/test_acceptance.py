@@ -64,10 +64,11 @@ def _probe_kwargs(probe: str) -> dict:
 
 
 def _reference_sweeps():
-    """The two standard grids per probe: squeezing at t=0.2, decay at r=0.4."""
+    """The standard grids: squeezing at t=0.2 for the probes that read r, decay at r=0.4."""
     for probe in PROBES:
         kw = _probe_kwargs(probe)
-        yield ScenarioConfig(axis="r", start=0.0, stop=1.4, step=0.1, t=0.2, **kw)
+        if probe in ("tmsv", "tmst"):
+            yield ScenarioConfig(axis="r", start=0.0, stop=1.4, step=0.1, t=0.2, **kw)
         yield ScenarioConfig(axis="t", start=0.0, stop=1.0, step=0.05, r=0.4, **kw)
 
 

@@ -1,11 +1,16 @@
 import json
+import logging
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from gaussfish.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def _write_config(tmp_path, name="cfg.json", **kw):
@@ -111,6 +116,14 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, field, value):
         ({"threads": 1.5}, "threads must be an integer"),
         ({"threads": True}, "threads must be an integer"),
         ({"stop": 1e10, "step": 1e-3}, "sweep range: 10000000000001 points exceed the cap of 100000"),
+        ({"probe": "tmdv", "axis": "r"}, "axis r is ignored by probe tmdv"),
+        ({"probe": "tmdt", "n_th": 0.5, "alpha": [0.1, 0, 0, 0]}, "axis r is ignored by probe tmdt"),
+        ({"axis": "n_th"}, "axis n_th is ignored by probe tmsv"),
+        ({"probe": "tmdv", "axis": "n_th"}, "axis n_th is ignored by probe tmdv"),
+        ({"alpha": [0, 0, 0.1, 0]}, "alpha must be zero for probe tmsv, which ignores it"),
+        ({"probe": "tmst", "alpha": [0.1, 0, 0, 0]}, "alpha must be zero for probe tmst"),
+        ({"n_th": 0.5}, "n_th must be zero for probe tmsv, which ignores it"),
+        ({"probe": "tmdv", "axis": "t", "n_th": 0.5}, "n_th must be zero for probe tmdv"),
     ],
 )
 def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, fields, message):
@@ -120,6 +133,52 @@ def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, fields, messa
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+def test_sweep_writes_exact_status_lines_and_leaves_logging_alone(tmp_path, capsys):
+    """stderr carries "LEVEL gaussfish: message" lines and nothing else; the root logger's
+    handlers and level are the host's before and after."""
+    root = logging.getLogger()
+    handler = logging.NullHandler()
+    saved_handlers, saved_level = root.handlers[:], root.level
+    root.addHandler(handler)
+    root.setLevel(logging.WARNING)
+    try:
+        before = root.handlers[:]
+        cfg = _write_config(tmp_path, axis="t", start=0.0, stop=0.2, step=0.1)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert root.handlers == before and root.level == logging.WARNING
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "INFO gaussfish: sweep: 3 points along t\nINFO gaussfish: wrote %s\n" % out
+        bad = _write_config(tmp_path, name="bad.json", probe="nope")
+        assert main(["sweep", "--config", bad]) == 2
+        assert root.handlers == before and root.level == logging.WARNING
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ERROR gaussfish: probe must be one of ('tmsv', 'tmst', 'tmdv', 'tmdt')\n"
+    finally:
+        root.handlers[:] = saved_handlers
+        root.setLevel(saved_level)
+
+
+def test_module_run_writes_the_in_process_bytes_and_status_lines(tmp_path, capsys):
+    """python -m gaussfish.cli in a child process: the same CSV as an in-process call, and
+    both status lines on the real stderr, in order."""
+    cfg = _write_config(tmp_path, axis="t", start=0.0, stop=1.0, step=0.005)
+    here, child = tmp_path / "here.csv", tmp_path / "child.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(here)]) == 0
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaussfish.cli", "sweep", "--config", cfg, "--out", str(child)],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr == b"INFO gaussfish: sweep: 201 points along t\nINFO gaussfish: wrote %s\n" % bytes(child)
+    assert child.read_bytes() == here.read_bytes()
 
 
 def test_schema_only_config_runs(tmp_path, capsys):

@@ -32,6 +32,26 @@ def _cfg(**kw):
     return ScenarioConfig(**base)
 
 
+def _probe_args(probe, n_th, alpha):
+    """probe, n_th and alpha, with the one the probe ignores zeroed, as validate requires."""
+    return dict(probe=probe, n_th=n_th if probe in ("tmst", "tmdt") else 0.0,
+                alpha=alpha if probe in ("tmdv", "tmdt") else (0.0,) * 4)
+
+
+def _ignores(probe, axis):
+    """Whether the probe ignores the axis, which validate then refuses to sweep."""
+    return axis == "r" and probe in ("tmdv", "tmdt") or axis == "n_th" and probe in ("tmsv", "tmdv")
+
+
+def _grid_rows(cfg):
+    """The sweep's rows; on an axis the probe ignores, which sweep refuses, the run_point rows."""
+    if not _ignores(cfg.probe, cfg.axis):
+        return sweep(cfg)
+    with pytest.raises(ValueError, match="axis %s is ignored by probe %s" % (cfg.axis, cfg.probe)):
+        sweep(cfg)
+    return [run_point(cfg, v) for v in cfg.axis_values()]
+
+
 def test_closed_form_spot_values():
     x = math.exp(0.3)
     cf = closed_form_bounds("tmdt", 0.0, 0.5, 1.0, 0.3, 0.5)
@@ -199,13 +219,13 @@ def test_json_round_trip():
 
 def test_json_round_trips_numpy_scalars_that_validate_accepts():
     """validate takes numpy scalars and arrays; the JSON output carries their Python values."""
-    cfg = _cfg(axis="r", start=0.0, stop=0.1, step=0.1, threads=np.int64(2), t=np.float32(0.25))
+    cfg = _cfg(probe="tmdv", axis="n_e", start=0.0, stop=0.1, step=0.1, threads=np.int64(2), t=np.float32(0.25))
     cfg.alpha, cfg.weight = np.array([0.1, 0.2, 0.3, 0.4]), np.array([[2, 0], [0, 1]])
     rows = sweep(cfg)
     config = json.loads(rows_to_json(rows, cfg))["config"]
     assert config["threads"] == 2 and config["t"] == 0.25
     assert config["alpha"] == [0.1, 0.2, 0.3, 0.4] and config["weight"] == [[2.0, 0.0], [0.0, 1.0]]
-    plain = _cfg(axis="r", start=0.0, stop=0.1, step=0.1, threads=2, t=0.25, alpha=(0.1, 0.2, 0.3, 0.4))
+    plain = _cfg(probe="tmdv", axis="n_e", start=0.0, stop=0.1, step=0.1, threads=2, t=0.25, alpha=(0.1, 0.2, 0.3, 0.4))
     plain.weight = [[2, 0], [0, 1]]
     assert rows_to_json(rows, cfg) == rows_to_json(rows, plain)
 
@@ -290,7 +310,12 @@ def test_sweep_builds_the_probe_once_on_every_axis(monkeypatch, axis):
     monkeypatch.setattr(scenarios, "probe_tmsdt", counting_probe)
     for probe in PROBES:
         built.clear()
-        cfg = _cfg(probe=probe, n_th=0.3, axis=axis, start=0.1, stop=0.5, step=0.1)
+        cfg = _cfg(**_probe_args(probe, 0.3, (0.0,) * 4), axis=axis, start=0.1, stop=0.5, step=0.1)
+        if _ignores(probe, axis):
+            with pytest.raises(ValueError, match="axis %s is ignored" % axis):
+                sweep(cfg)
+            assert built == []
+            continue
         rows = sweep(cfg)
         assert len(rows) == 5 and all(row.ok for row in rows)
         assert len(built) == 1
@@ -345,9 +370,9 @@ def _generic_row(cfg, value):
 @pytest.mark.parametrize("probe", PROBES)
 def test_stacked_sweep_matches_generic_per_point_path(probe, grid):
     axis, start, stop, step = SWEEP_GRIDS[grid]
-    cfg = _cfg(probe=probe, r=0.6, n_th=0.3, n_e=0.4, gamma=0.7, t=0.4, alpha=(0.3, -0.2, 0.1, 0.4),
+    cfg = _cfg(**_probe_args(probe, 0.3, (0.3, -0.2, 0.1, 0.4)), r=0.6, n_e=0.4, gamma=0.7, t=0.4,
                axis=axis, start=start, stop=stop, step=step, weight=[[2.0, 0.3], [0.3, 1.0]])
-    rows = sweep(cfg)
+    rows = _grid_rows(cfg)
     assert len(rows) == (65 if grid == "t_stack" else 5) and all(row.ok for row in rows)
     for row in rows:
         got = [getattr(row, name) for name in ROW_FIELDS]
@@ -391,9 +416,9 @@ DEGRADE_GRIDS = [
 def test_a_row_degrades_exactly_where_the_per_point_path_fails(axis, start, stop, step, extra):
     """The per-point path, with numpy errors raised, referees which rows degrade."""
     for probe in PROBES:
-        cfg = _cfg(probe=probe, n_th=0.5, t=1.0, alpha=(0.3, -0.2, 0.1, 0.4),
+        cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), t=1.0,
                    axis=axis, start=start, stop=stop, step=step, **extra)
-        for row in sweep(cfg):
+        for row in _grid_rows(cfg):
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     want = _generic_row(cfg, row.axis)
@@ -421,7 +446,7 @@ def test_failing_points_cost_no_point_by_point_rerun(monkeypatch):
         return rows
 
     for probe in PROBES:
-        base = _cfg(probe=probe, n_th=0.5, t=1.0, alpha=(0.3, -0.2, 0.1, 0.4))
+        base = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), t=1.0)
         rows = run(replace(base, axis="gamma", start=0.0, stop=800.0, step=4.0))
         assert stacks == [201]
         assert [row.ok for row in rows] == [row.axis < 712.0 for row in rows]  # 23 rows fail
@@ -663,11 +688,9 @@ def test_factored_sweeps_call_lapack_only_for_their_pure_point(monkeypatch):
     and tmdv are pure at t = 0: each takes one svd, of that point's reach, and tmdv one
     eigh, the pinv of its singular idler block.
     """
-    alpha = (0.3, -0.2, 0.1, 0.4)
     budget = {"tmst": [], "tmdt": [], "tmsv": ["svd"], "tmdv": ["eigh", "svd"]}
     for probe, want in budget.items():
-        n_th = 0.5 if probe in ("tmst", "tmdt") else 0.0
-        cfg = _cfg(probe=probe, n_th=n_th, alpha=alpha, axis="t", start=0.0, stop=1.0, step=0.005)
+        cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), axis="t", start=0.0, stop=1.0, step=0.005)
         rows, calls = _lapack_calls(monkeypatch, lambda: sweep(cfg))
         assert len(rows) == 201 and all(row.ok for row in rows), probe
         assert calls == want, probe
