@@ -79,10 +79,17 @@ def diffusion_matrix(ch: NoisyChannel) -> np.ndarray:
 def evolve(ch: NoisyChannel, state: GaussianState, t) -> GaussianState:
     """Damp the state for a time t >= 0 (a float, or an array of times).
 
-    A state's eigen-factor (O, lam) is kept where G and V_inf are multiples of the
+    A state's eigen-factor (O, lam, delta) is kept where G and V_inf are multiples of the
     identity, m_e = 0 with gamma and n_e equal across modes at every stack point:
-    V -> O diag(e^{-gamma t} lam + (1 - e^{-gamma t}) (2 n_e + 1)) O^T, still in
-    Williamson form (:class:`GaussianState`).  Any other channel drops it.
+    V -> O diag(y lam + v eps) O^T, still in Williamson form (:class:`GaussianState`),
+    with y = e^{-gamma t}, v = 1 - y and eps = 2 n_e + 1.  Each mode's delta = nu^2 - 1
+    (lam = (a, b), nu = sqrt(a b)) goes to
+
+        y^2 delta + y v (eps (sqrt a - sqrt b)^2 + 2 (eps - 1) nu + 2 delta / (nu + 1))
+        + v^2 (eps^2 - 1),
+
+    a sum of nonnegative terms, so a mode stays pure exactly where delta is 0 and its
+    digits near purity are kept.  Any other channel drops it.
     """
     if ch.modes != state.modes:
         raise ValueError("channel acts on %d modes, state has %d" % (ch.modes, state.modes))
@@ -91,11 +98,16 @@ def evolve(ch: NoisyChannel, state: GaussianState, t) -> GaussianState:
         raise ValueError("t must be >= 0")
     rate = ch.gamma * t[..., None]
     g = np.repeat(np.exp(-0.5 * rate), 2, axis=-1)  # diagonal of G(t)
-    relax = np.repeat(1.0 - np.exp(-rate), 2, axis=-1)  # per row of the block-diagonal V_inf
+    relax = np.repeat(-np.expm1(-rate), 2, axis=-1)  # v = 1 - e^{-gamma t} per row of the block-diagonal V_inf
     V = g[..., :, None] * state.V * g[..., None, :] + relax[..., :, None] * diffusion_matrix(ch)
     factor = None
     if state.factor is not None and not ch.m_e.any():
         if (ch.gamma == ch.gamma[..., :1]).all() and (ch.n_e == ch.n_e[..., :1]).all():
-            O, lam = state.factor
-            factor = O, g[..., :1] ** 2 * lam + relax[..., :1] * (2.0 * ch.n_e[..., :1] + 1.0)
+            O, lam, delta = state.factor
+            y, v, n_e = g[..., :1] ** 2, relax[..., :1], ch.n_e[..., :1]
+            eps, root = 2.0 * n_e + 1.0, np.sqrt(lam)
+            nu = root[..., 0::2] * root[..., 1::2]
+            inner = eps * (root[..., 0::2] - root[..., 1::2]) ** 2 + 4.0 * n_e * nu + 2.0 * delta / (nu + 1.0)
+            delta = y * (y * delta + v * inner) + 4.0 * v * v * n_e * (1.0 + n_e)
+            factor = O, y * lam + v * eps, delta
     return GaussianState._built(g * state.d, numkit.hermitize(V), factor)

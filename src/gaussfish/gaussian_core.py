@@ -45,10 +45,12 @@ class GaussianState:
     A stack of K states has d of shape (K, 2N) and V of shape (K, 2N, 2N);
     :func:`apply` and :func:`gaussfish.channels.evolve` act on each member.
 
-    factor is None, or the eigen-factor (O, lam) with V = O diag(lam) O^T in Williamson
-    form: O orthogonal and symplectic (2N x 2N, or one per member of a stack) and lam
-    (..., 2N) positive, so each pair (lam_2k, lam_2k+1) is one mode squeezed along its
-    axes and nu_k = sqrt(lam_2k lam_2k+1) are the symplectic eigenvalues of V.  It keeps
+    factor is None, or the eigen-factor (O, lam, delta) with V = O diag(lam) O^T in
+    Williamson form: O orthogonal and symplectic (2N x 2N, or one per member of a stack)
+    and lam (..., 2N) positive, so each pair (lam_2k, lam_2k+1) is one mode squeezed along
+    its axes and nu_k = sqrt(lam_2k lam_2k+1) are the symplectic eigenvalues of V; delta
+    (..., N) holds nu_k^2 - 1, carried as a sum of nonnegative terms, so that a mode is
+    pure exactly where delta_k == 0 and nu - 1 keeps its digits near purity.  It keeps
     a small eigenvalue that the dense V loses at strong squeezing.  Only
     :func:`probe_tmsdt` sets it; :func:`gaussfish.channels.evolve` keeps it where it
     stays exact, and so do the displacement model's states.  The public constructor,
@@ -251,8 +253,9 @@ def probe_tmsdt(r, phi, q1, p1, q2, p2, n_th) -> GaussianState:
     (q1, p1, q2, p2) and then two-mode squeezed with S2(r, phi), so
     d = S2 (q1, p1, q2, p2)^T and V = (2 n_th + 1) S2 S2^T.  Arrays of r and
     n_th broadcast to a stack of probes, one per element.  The state carries its
-    eigen-factor (O, lam) in Williamson form (:class:`GaussianState`): O fixed by phi
-    and lam = (2 n_th + 1) (e^2r, e^-2r, e^-2r, e^2r), so nu = (2 n_th + 1, 2 n_th + 1).
+    eigen-factor (O, lam, delta) in Williamson form (:class:`GaussianState`): O fixed by
+    phi, lam = (2 n_th + 1) (e^2r, e^-2r, e^-2r, e^2r), so nu = (2 n_th + 1, 2 n_th + 1),
+    and delta = nu^2 - 1 = 4 n_th (1 + n_th) per mode.
     """
     n_th = np.asarray(n_th, dtype=float)
     if (n_th < 0).any():
@@ -262,7 +265,9 @@ def probe_tmsdt(r, phi, q1, p1, q2, p2, n_th) -> GaussianState:
     d = np.empty(V.shape[:-1])
     d[...] = S @ np.array([q1, p1, q2, p2], dtype=float)
     lam = (2.0 * n_th + 1.0)[..., None] * np.exp(np.multiply.outer(r, (2.0, -2.0, -2.0, 2.0)))
-    return GaussianState._built(d, numkit.hermitize(V), (_eigenbasis(phi), lam))
+    delta = np.empty(lam.shape[:-1] + (2,))
+    delta[...] = (4.0 * n_th * (1.0 + n_th))[..., None]
+    return GaussianState._built(d, numkit.hermitize(V), (_eigenbasis(phi), lam, delta))
 
 
 # ----------------------------------------------------------------------------

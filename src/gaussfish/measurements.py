@@ -138,7 +138,7 @@ def _outcome_cov(state, S_r, Vm):
     if state.factor is None:
         A = S_r @ state.V @ S_r.T
     else:
-        O, lam = state.factor
+        O, lam, _ = state.factor
         B = np.einsum("ij,...jk->...ik", S_r, O)
         A = (B * lam[..., None, :]) @ transpose(B)
     return 0.5 * (hermitize(A) + Vm)

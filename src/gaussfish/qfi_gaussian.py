@@ -10,13 +10,17 @@ has closed forms in V and M = V + i Omega:
 
     F^S = 2 D V^-1 D^T,   U = 2 D V^-1 Omega V^-1 D^T,   F^R = 2 D M^-1 D^T.
 
-:attr:`PointMoments.solved` takes them by solves, with no eigenvectors and no QR: F^S
-and U from G = D W, with W = u diag(lam)^-1/2 of an eigenbasis V = u diag(lam) u^T
-whitening on one side, V^-1 = W W^T (W, A = W^T Omega W and nu from the state's
-Williamson form where it carries one, :class:`GaussianState`), and the limiting inverse
-of F^R from the Schur complement S of M onto the directions of D, finite at pure points
-and 0 where the directions reach the null coordinates of M with full rank (Genoni et
-al., PRA 87, 012107 (2013); :func:`_first_moment`).
+:attr:`PointMoments.solved` takes them with no eigenvectors and no QR, by one of two
+routes.  A two-mode, two-parameter stack whose state carries its Williamson form
+V = O diag(lam) O^T with delta = nu^2 - 1 (:class:`GaussianState`), as every built-in
+probe through a symmetric channel does, takes all three, the limiting inverse of F^R
+included, in closed form from the 2x2 blocks of E = sqrt2 D O, one per mode, as sums of
+nonnegative terms in delta, with no LAPACK call (:func:`_first_moment_factored`).  Any
+other stack takes solves: F^S and U from G = D W, with W = u diag(lam)^-1/2 of an eigh
+V = u diag(lam) u^T whitening on one side, V^-1 = W W^T, and the limiting inverse of F^R
+from the Schur complement S of M onto the directions of D (:func:`_first_moment`).  On
+both routes the limit is finite at pure points and 0 where the directions reach the null
+coordinates of M with full rank (Genoni et al., PRA 87, 012107 (2013)).
 
 The Williamson basis.  Every other stack (some dV nonzero, a nonzero dd not of full row
 rank, or modes pure in part, at any of its points, or dd that reach more than p
@@ -155,8 +159,12 @@ PURE_TOL = 1e-12
 
 # Relative rank cut of the limiting RLD inverse at a pure point: a singular value at most
 # RANK_CUT times the largest entry counts as 0, of the reach (I - i A) G^T in the solves
-# (_first_moment) and of the pure-mode rows in the Williamson basis (_rld_inverse_in_basis).
+# (_first_moment) and of the pure-mode rows in the Williamson basis (_rld_inverse_in_basis);
+# in the factored closed form (_first_moment_factored) the anticonformal part of C,
+# ((c00 - c11)^2 + (c01 + c10)^2)^1/2, at most RANK_CUT ||C||_F counts as 0.
 RANK_CUT = 1e-10
+
+_SQRT2 = np.sqrt(2.0)  # E = sqrt2 D O: the built-in O holds cos and sin of phi/2 over sqrt2
 
 
 @lru_cache(maxsize=None)
@@ -168,36 +176,37 @@ def _omega(n: int) -> np.ndarray:
 
 
 def _whiten(V, factor=None):
-    """(cond(V), W, A, 1/nu): the condition number of V, W = u diag(lam)^-1/2, A = W^T Omega W
-    and the inverse symplectic eigenvalues of V.
+    """(cond(V), W, A): the condition number of V, W = u diag(lam)^-1/2 and A = W^T Omega W.
 
     (u, lam) is an eigenbasis of V = u diag(lam) u^T, so V^-1 = W W^T: W whitens on
     one side, each column at its own scale lam^-1/2.  The state's Williamson form
     V = O diag(lam) O^T, where it carries one (:class:`GaussianState`), is that basis with
     no LAPACK call; as O^T Omega O = Omega, A is then the blocks omega / nu_k,
     1/nu_k = 1 / sqrt(lam_2k lam_2k+1), with no matrix product and no lam in it.
-    Without a factor one eigh of V gives W and A, and 1/nu is None: it is the positive
-    eigenvalues of the Hermitian i A.  lam is checked first: an entry that is not
-    finite, or a lam that is not positive, raises ValueError.  A stack V (K, 2N, 2N) is
-    decomposed matrix by matrix.
+    Without a factor one eigh of V gives W and A.  lam is checked first
+    (:func:`_check_spectrum`).  A stack V (K, 2N, 2N) is decomposed matrix by matrix.
     """
     if factor is None:
         if not np.isfinite(V).all():
             raise ValueError("covariance is not finite")
         lam, u = np.linalg.eigh(V)
     else:
-        u, lam = factor
-        if not np.isfinite(lam).all():
-            raise ValueError("covariance is not finite")
-    lo = lam.min(axis=-1)
-    if not (lo > 0.0).all():
-        raise ValueError("covariance is not positive definite (smallest eigenvalue %.3e)" % lo.min())
-    cond, root = lam.max(axis=-1) / lo, np.sqrt(lam)
+        u, lam, _ = factor
+    _check_spectrum(lam)
+    cond, root = lam.max(axis=-1) / lam.min(axis=-1), np.sqrt(lam)
     w, om = u / root[..., None, :], _omega(V.shape[-1] // 2)
     if factor is None:
-        return cond, w, numkit.transpose(w) @ (om @ w), None
+        return cond, w, numkit.transpose(w) @ (om @ w)
     inv_nu = 1.0 / (root[..., 0::2] * root[..., 1::2])
-    return cond, w, om * np.repeat(inv_nu, 2, axis=-1)[..., None, :], inv_nu
+    return cond, w, om * np.repeat(inv_nu, 2, axis=-1)[..., None, :]
+
+
+def _check_spectrum(lam):
+    """ValueError for eigenvalues lam of V that are not finite, or not positive."""
+    if not (lam.min() > 0.0 and lam.max() < np.inf):
+        if not np.isfinite(lam).all():
+            raise ValueError("covariance is not finite")
+        raise ValueError("covariance is not positive definite (smallest eigenvalue %.3e)" % lam.min())
 
 
 def _purity_cut(lam, cond):
@@ -226,7 +235,7 @@ def williamson(V, factor=None):
     one is given) and :func:`_purity_cut`.  A stack V (K, 2N, 2N) is decomposed
     matrix by matrix.
     """
-    cond, w, a, _ = _whiten(V, factor)
+    cond, w, a = _whiten(V, factor)
     n = V.shape[-1] // 2
     lam, vecs = np.linalg.eigh(1j * a)
     nu = _purity_cut(lam[..., n:], cond)
@@ -236,19 +245,17 @@ def williamson(V, factor=None):
     return nu, np.sqrt(nu)[..., :, None] * z
 
 
-def _first_moment(V, D, Y, zero, factor=None):
+def _first_moment(V, D, Y, zero):
     """(F_S, U, limiting F_R^-1) of a model with dV = 0 from solves on V and M = V + i Omega, or None.
 
     D (..., p, 2N) is the stack of dd, and Y an invertible (..., 2N, 2N) with D Y = [I, 0],
-    except where zero marks dd = 0 (Y a permutation there).  W (V^-1 = W W^T),
-    A = W^T Omega W and 1/nu come from :func:`_whiten`: of the Williamson form where one
-    is given, and else 1/nu is the positive eigenvalues of i A by one eigvalsh, with no
-    eigenvectors.  :func:`_purity_cut` finds the pure modes; where some point's modes are
-    pure in part the result is None for the whole stack, as only eigenvectors separate
-    that point's null coordinates.
-    With G = D W, F_S = 2 G G^T and U = 2 G A G^T; from a Williamson form A holds no lam,
-    so nothing of size lam cancels in U.  F_R = 2 D M^-1 D^T = 2 ((Y^T M Y)^-1)_pp, so
-    F_R^-1 = S / 2 with S the Schur complement of Y^T M Y onto its first p coordinates,
+    except where zero marks dd = 0 (Y a permutation there).  W (V^-1 = W W^T) and
+    A = W^T Omega W come from one eigh of V (:func:`_whiten`), and 1/nu from the positive
+    eigenvalues of i A by one eigvalsh, with no eigenvectors.  :func:`_purity_cut` finds
+    the pure modes; where some point's modes are pure in part the result is None for the
+    whole stack, as only eigenvectors separate that point's null coordinates.
+    With G = D W, F_S = 2 G G^T and U = 2 G A G^T.  F_R = 2 D M^-1 D^T = 2 ((Y^T M Y)^-1)_pp,
+    so F_R^-1 = S / 2 with S the Schur complement of Y^T M Y onto its first p coordinates,
     the generalized one where the rest is singular (a pure idler; M is PSD:
     :func:`numkit.schur_psd`).  S is finite at pure points, so this is the limiting
     inverse.  At a point whose modes are all pure, (I - i A) / 2 is the projector onto the
@@ -257,11 +264,9 @@ def _first_moment(V, D, Y, zero, factor=None):
     limit is 0 exactly, which S carries only to rounding.  A point with dd = 0 has
     F_S = U = 0 exactly, and its limit is set to 0, the pinv of its F_R = 0.
     """
-    cond, w, a, inv_nu = _whiten(V, factor)
+    cond, w, a = _whiten(V)
     n = V.shape[-1] // 2
-    if inv_nu is None:
-        inv_nu = np.linalg.eigvalsh(1j * a)[..., n:]
-    pure = _purity_cut(inv_nu, cond) == 1.0
+    pure = _purity_cut(np.linalg.eigvalsh(1j * a)[..., n:], cond) == 1.0
     if (pure != pure[..., :1]).any():  # modes pure in part
         return None
     G = D @ w
@@ -278,6 +283,97 @@ def _first_moment(V, D, Y, zero, factor=None):
         f_r_inv[vanish] = 0.0
     f_r_inv[zero] = 0.0
     return f_s + numkit.transpose(f_s), u - numkit.transpose(u), f_r_inv
+
+
+def _first_moment_factored(D, factor, zero):
+    """(F_S, U, limiting F_R^-1) of a two-mode, two-parameter model with dV = 0, in closed form
+    from the state's Williamson form (O, lam, delta) (:class:`GaussianState`).
+
+    D (..., 2, 4) is the stack of dd, and zero marks the points where dd = 0.  E = sqrt2 D O,
+    whose entries for the built-in O are cos and sin of phi/2 unrounded, is read in 2x2
+    blocks E_k, one per mode k, with lam = (a_k, b_k), nu_k^2 = a_k b_k and delta_k =
+    nu_k^2 - 1 as carried.  As V = O diag(lam) O^T and M = O (diag(lam) + i Omega) O^T,
+    whose blocks invert to (adj(diag(a_k, b_k)) - i omega) / delta_k, with
+    G = E diag(lam)^-1/2 and G_k its blocks:
+
+        F_S = G G^T,   U_01 = sum_k det E_k / nu_k^2,
+        F_R = sum_k (nu_k^2 P_k - i nu_k det(G_k) omega) / delta_k,   P_k = G_k G_k^T.
+
+    With w_k = delta_k / nu_k^2 = delta_k / (1 + delta_k), q_k = det(G_k) / nu_k and k' the
+    other mode, F_R is (w_2 (P_1 - i q_1 omega) + w_1 (P_2 - i q_2 omega)) / (w_1 w_2), and its
+    2x2 inverse by the adjugate is
+
+        F_R^-1 = [sum_k w_k' adj(P_k) + i (w_2 q_1 + w_1 q_2) omega] / den,
+        den = w_2 det(G_1)^2 + w_1 det(G_2)^2 + m ||C||_F^2
+              + ((c00 - c11)^2 + (c01 + c10)^2) / (nu_1 nu_2),
+
+    with C = adj(G_1) G_2 and m = 1 - 1 / (nu_1 nu_2) = (w_1 + w_2 / (1 + delta_1)) /
+    (1 + 1 / (nu_1 nu_2)).  Every term of den is nonnegative and w_k is read from delta_k,
+    so nothing cancels near purity or at strong squeezing.  w_k <= 1 holds a hot mode's
+    delta to size 1, and each point's G is divided by its largest entry s first (the ratio
+    is homogeneous of degree -2 in G), so no intermediate over- or underflows before lam
+    does.  At a point whose modes are both pure (delta = 0) the limit is 0 where
+    (c00 - c11)^2 + (c01 + c10)^2 exceeds RANK_CUT^2 ||C||_F^2 (every direction reaches the
+    null coordinates of M), and else the same ratio with delta divided out (w_k = m = 1, the
+    last term of den 0).  A point with dd = 0 has F_S, U and the limit 0.  lam is checked
+    as :func:`_whiten` checks it.  There is no LAPACK call.
+    """
+    O, lam, delta = factor
+    _check_spectrum(lam)
+    lead, M = D.shape[:-2], _SQRT2 * O
+    if lam.shape[:-1] != lead or delta.shape[:-1] != lead:
+        lead = np.broadcast_shapes(lead, lam.shape[:-1], delta.shape[:-1])
+        D, zero = np.broadcast_to(D, lead + (2, 4)), np.broadcast_to(zero, lead)
+        lam, delta = np.broadcast_to(lam, lead + (4,)), np.broadcast_to(delta, lead + (2,))
+    E = (D.reshape(-1, 4) @ M) if M.ndim == 2 else (D @ M)  # one product for a shared O
+    # entries first, then mode k, then point: e[mu, j, k] = E[mu, 2k + j], root[j, k] = lam[2k + j]^1/2
+    e = np.ascontiguousarray(E.reshape(-1, 2, 2, 2).transpose(1, 3, 2, 0))
+    root = np.sqrt(np.ascontiguousarray(lam.reshape(-1, 2, 2).T))
+    delta, zero = delta.reshape(-1, 2).T, zero.reshape(-1)
+    inv_nu = 1.0 / (root[0] * root[1])
+    det_e = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+    u01 = det_e * inv_nu * inv_nu
+    g = e / root
+    s = np.abs(g).reshape(8, -1).max(axis=0)
+    s[zero] = 1.0
+    g /= s
+    det_g = det_e * inv_nu / s / s
+    sq, pr = g * g, g[0] * g[1]
+    # per mode k: (G_k G_k^T)_11, (G_k G_k^T)_00, (G_k G_k^T)_01 and det(G_k) / nu_k, all over s^2
+    Z = np.empty((4,) + det_g.shape)
+    np.add(sq[1, 0], sq[1, 1], out=Z[0])
+    np.add(sq[0, 0], sq[0, 1], out=Z[1])
+    np.add(pr[0], pr[1], out=Z[2])
+    np.multiply(det_g, inv_nu, out=Z[3])
+    b = g[:, :, 1]  # G_2, and C = adj(G_1) G_2 by its rows
+    c0, c1 = g[1, 1, 0] * b[0] - g[0, 1, 0] * b[1], g[0, 0, 0] * b[1] - g[1, 0, 0] * b[0]
+    cc = c0 * c0 + c1 * c1
+    cc, anti = cc[0] + cc[1], (c0[0] - c1[1]) ** 2 + (c0[1] + c1[0]) ** 2
+    inv_nn = inv_nu[0] * inv_nu[1]
+    w = (delta / (1.0 + delta))[::-1]  # w_k' of the other mode
+    m = (w[1] + w[0] / (1.0 + delta[0])) / (1.0 + inv_nn)
+    rest = anti * inv_nn
+    pure = delta[0] == 0.0  # both modes, as the caller checked
+    if pure.any():  # delta divided out: w = m = 1, and the last term of den is 0
+        w = np.where(pure, 1.0, w)
+        m, rest = np.where(pure, 1.0, m), np.where(pure, 0.0, rest)
+    den = w * det_g * det_g
+    den = (den[0] + den[1] + m * cc + rest) * s  # s den, and F_R^-1 = numerator / (s den) / s
+    den[zero] = 1.0  # dd = 0: g and every numerator below are 0
+    den[pure & (anti > RANK_CUT**2 * cc)] = np.inf  # every direction reaches a null coordinate
+    num = Z * w
+    num = (num[:, 0] + num[:, 1]) / den / s  # sum_k w_k' (adj(P_k), det(G_k) / nu_k)
+    fs = (Z[:3, 0] + Z[:3, 1]) * (s * s)
+    f_s, u, f_r_inv = np.empty((s.size, 2, 2)), np.zeros((s.size, 2, 2)), np.zeros((s.size, 2, 2), complex)
+    f_s[:, 0, 0], f_s[:, 1, 1], f_s[:, 0, 1], f_s[:, 1, 0] = fs[1], fs[0], fs[2], fs[2]
+    u[:, 0, 1] = u01[0] + u01[1]
+    u[:, 1, 0] = -u[:, 0, 1]
+    re, im = f_r_inv.real, f_r_inv.imag
+    re[:, 0, 0], re[:, 1, 1] = num[0], num[1]
+    re[:, 0, 1] = re[:, 1, 0] = -num[2]
+    im[:, 0, 1], im[:, 1, 0] = num[3], -num[3]
+    shape = lead + (2, 2)
+    return f_s.reshape(shape), u.reshape(shape), f_r_inv.reshape(shape)
 
 
 def _inverse(x, zero_to):
@@ -355,16 +451,20 @@ class PointMoments:
 
     @cached_property
     def solved(self):
-        """(F_S, U, limiting F_R^-1) of the whole stack by solves (:func:`_first_moment`), or None.
+        """(F_S, U, limiting F_R^-1) of the whole stack by closed forms or solves, or None.
 
         The solves serve a stack whole or not at all.  They serve it where every dV is zero,
         every dd has full row rank, certified point by point (:func:`numkit.inv_certified`),
         or is exactly zero, and no point's modes are pure in part.  The stack's dd must
         reach p coordinates between them: with X the permutation that puts those first,
-        D X = [B, 0], and Y = X diag(B^-1, I) gives D Y = [I, 0]; a zero B takes I in place
-        of B^-1, so its point stays finite.  There is no QR: a stack whose dd reach another
-        count returns None, as does any other unserved point, and the Williamson basis
-        serves the stack whole.
+        D X = [B, 0].  The route is decided before any work: a two-mode, two-parameter
+        stack whose state carries its eigen-factor with a finite delta, and whose points
+        have both modes pure (delta = 0) or neither, takes the closed form of the factor's
+        2x2 blocks (:func:`_first_moment_factored`); any other takes the solves on V and M
+        (:func:`_first_moment`) with Y = X diag(B^-1, I), so D Y = [I, 0], and a zero B
+        taking I in place of B^-1, so its point stays finite.  There is no QR: a stack whose
+        dd reach another count returns None, as does any other unserved point, and the
+        Williamson basis serves the stack whole.
         """
         if self.dVs.any():
             return None
@@ -380,10 +480,15 @@ class PointMoments:
             if D[zero].any():
                 return None
             B_inv[zero] = np.eye(p)
+        factor = self.st.factor
+        if factor is not None and p == 2 and n2 == 4 and np.isfinite(factor[2]).all():
+            pure = factor[2] == 0.0
+            if not (pure[..., 0] != pure[..., 1]).any():
+                return _first_moment_factored(D, factor, zero)
         Y = np.zeros(B_inv.shape[:-2] + (n2, n2))
         Y[..., order[:p], :p] = B_inv
         Y[..., order[p:], p:] = np.eye(n2 - p)
-        return _first_moment(self.st.V, D, Y, zero, self.st.factor)
+        return _first_moment(self.st.V, D, Y, zero)
 
     def merged(self, k: int, in_basis: Callable[["PointMoments"], np.ndarray]) -> np.ndarray:
         """Quantity k of (F_S, U, limiting F_R^-1): of :attr:`solved` where it serves the stack,
@@ -562,9 +667,10 @@ def _quantumness(root_finv, u):
 def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """Limiting inverse of the RLD information matrix.
 
-    A stack the solves serve takes at each point the Schur complement of
-    :func:`_first_moment`, or 0 where dd = 0 or the directions reach the null coordinates
-    of M with full rank, cut by the RANK_CUT of the rank below.  In the Williamson basis,
+    A stack the solves serve takes at each point the closed form of
+    :func:`_first_moment_factored` or the Schur complement of :func:`_first_moment`, or 0
+    where dd = 0 or the directions reach the null coordinates of M with full rank, cut by
+    RANK_CUT.  In the Williamson basis,
     coefficient rows with an infinite RLD weight (pure-mode directions, see
     :func:`_weights`) make the RLD information diverge, and the inverse must vanish on the
     parameter directions that reach them.  With A those rows,

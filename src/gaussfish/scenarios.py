@@ -184,14 +184,17 @@ def closed_form_bounds(probe: str, r, n_th, gamma, t, n_e, phi=math.pi, weight=N
     W = np.eye(2) if weight is None else np.asarray(weight, dtype=float)
     b_s, b_h_upper, terms = _standard_form(r, n_th, gamma, t, n_e, W)
     x, y, v, tau, eps, a_1, a, kappa, half_tr = terms
-    # divided one factor at a time: a_1 (a + 1) and a^2 overflow from r of about 177
-    k = np.divide(kappa / (a + 1.0), a_1, out=np.ones(np.shape(kappa)), where=a_1 > 0.0)
     root_det = math.sqrt(max(0.0, W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]))
+    # divided one factor at a time: a_1 (a + 1) and a^2 overflow from r of about 177, and k
+    # alone underflows (tmst at t = 0 from r of about 187), so b_r takes (a Tr W / 2 + ...) / a_1
+    a_w = a * half_tr + root_det
+    a_w_over_a_1 = np.divide(a_w, a_1, out=np.ones(np.shape(a_w)), where=a_1 > 0.0)
+    b_r = x * np.where(a_1 > 0.0, kappa / (a + 1.0) * a_w_over_a_1, a_w)
     b_h_mid = b_s + root_det * x * ((1.0 + kappa) / a) / a
     # a + c cos phi = y tau (e^(-2r) + 2 sinh 2r cos^2(phi/2)) + v eps, free of cancellation
     a_phi = y * tau * (np.exp(-2.0 * r) + 2.0 * np.sinh(2.0 * r) * np.cos(0.5 * phi) ** 2) + v * eps
     hdb = 2.0 * half_tr * x * a_phi
-    return ClosedForm(b_s, x * k * (a * half_tr + root_det), 1.0 / a, b_h_upper, b_h_mid, hdb)
+    return ClosedForm(b_s, b_r, 1.0 / a, b_h_upper, b_h_mid, hdb)
 
 
 def _standard_form(r, n_th, gamma, t, n_e, W):
@@ -213,6 +216,16 @@ def _standard_form(r, n_th, gamma, t, n_e, W):
 
 # Failures a layer raises for a point outside its domain; such a point degrades alone.
 NUMERICAL_ERRORS = (ValueError, np.linalg.LinAlgError)
+
+# Rounding allowance of the chain max(b_s, b_r) <= b_h_mid <= b_h_upper <= 2 b_s, relative to
+# b_s (about 4500 eps).  Its links come from 2x2 closed forms, and on the reference grids
+# no link is exceeded by more than 7.4e-16 b_s; a row whose b_r is wrong exceeds it by 6e-9
+# b_s and more (the unfactored m_e = 0.2 r grids from r = 10.3).
+CHAIN_TOL = 1e-12
+# The links of the chain, by name: rows 1..4 of _evaluate's columns (b_s, b_r, b_h_mid,
+# b_h_upper) may not exceed _CHAIN_BOUND times the rows _CHAIN_OVER.
+_CHAIN_LINKS = ("b_s > b_h_mid", "b_r > b_h_mid", "b_h_mid > b_h_upper", "b_h_upper > 2 b_s")
+_CHAIN_OVER, _CHAIN_BOUND = np.array([3, 3, 4, 1]), np.array([[1.0], [1.0], [1.0], [2.0]])
 
 
 def _on_axis(cfg: ScenarioConfig, values: np.ndarray, *names: str) -> list:
@@ -245,13 +258,16 @@ def _evaluate(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> np.ndarray:
 def _rows(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> list:
     """The rows at the axis values, from one evaluation of the stack with numpy errors ignored.
 
-    A row with a non-finite column becomes NaN with an "overflow" message.  If a layer
-    raises NUMERICAL_ERRORS, each half of the stack is evaluated the same way, down to
-    single points that keep the layer's message: at most 2K - 1 evaluations.
+    A row with a non-finite column becomes NaN with an "overflow" message, and a row that
+    breaks the chain (:func:`_broken_links`) NaN with a "chain broken" message naming the
+    first link it breaks.  If a layer raises NUMERICAL_ERRORS, each half of the stack is
+    evaluated the same way, down to single points that keep the layer's message: at most
+    2K - 1 evaluations.
     """
     try:
         with np.errstate(all="ignore"):
             columns = _evaluate(cfg, values, ch)
+            broken = _broken_links(columns)
     except NUMERICAL_ERRORS as exc:
         if len(values) == 1:
             return [SweepRow(float(values[0]), *[math.nan] * 7, False, str(exc))]
@@ -259,10 +275,21 @@ def _rows(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> list:
         return _rows(cfg, values[:half], ch) + _rows(cfg, values[half:], ch)
     tail, make = [True, ""], SweepRow._make
     rows = [make(row + tail) for row in columns.T.tolist()]
+    if broken.any():
+        for i in np.flatnonzero(broken.any(axis=0)):
+            link = _CHAIN_LINKS[broken[:, i].argmax()]
+            rows[i] = SweepRow(rows[i].axis, *[math.nan] * 7, False, "chain broken: %s" % link)
     for i in np.flatnonzero(~np.isfinite(columns).all(axis=0)):
         bad = SweepRow._fields[np.isfinite(columns[:, i]).argmin()]  # the first non-finite column
         rows[i] = SweepRow(rows[i].axis, *[math.nan] * 7, False, "overflow: %s is not finite" % bad)
     return rows
+
+
+def _broken_links(columns: np.ndarray) -> np.ndarray:
+    """(4, K): where each link of the chain (_CHAIN_LINKS) in :func:`_evaluate`'s columns is
+    exceeded by more than CHAIN_TOL b_s.  A non-finite row breaks no link; it degrades as an
+    overflow."""
+    return columns[1:5] - _CHAIN_BOUND * columns[_CHAIN_OVER] > CHAIN_TOL * columns[1]
 
 
 def run_point(cfg: ScenarioConfig, axis_value: float) -> SweepRow:

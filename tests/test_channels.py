@@ -25,16 +25,20 @@ def test_diffusion_matrix_with_correlated_noise():
 
 
 def test_evolve_keeps_the_eigen_factor_only_for_a_symmetric_channel():
-    """m_e = 0 with gamma and n_e equal across modes at each point keeps O and maps
-    lam -> y lam + v (2 n_e + 1); any other channel, or a state with no factor, drops it."""
+    """m_e = 0 with gamma and n_e equal across modes at each point keeps O, maps
+    lam -> y lam + v (2 n_e + 1) and carries delta = nu^2 - 1 of each mode; any other
+    channel, or a state with no factor, drops it."""
     probe = probe_tmsdt(0.6, 2.1, 0.3, -0.2, 0.1, 0.4, 0.5)
-    O, lam = probe.factor
+    O, lam, delta = probe.factor
+    assert np.array_equal(delta, [3.0, 3.0])
     t = np.linspace(0.0, 2.0, 7)
     gamma, n_e = np.linspace(0.2, 2.0, 7), np.linspace(0.0, 1.0, 7)
     out = evolve(NoisyChannel.uniform(2, gamma, n_e), probe, t)
     assert out.factor[0] is O
     y = np.exp(-gamma * t)
     np.testing.assert_allclose(out.factor[1], y[:, None] * lam + (1.0 - y)[:, None] * (2.0 * n_e + 1.0)[:, None], rtol=1e-14)
+    nu_sq = out.factor[1][:, 0::2] * out.factor[1][:, 1::2]
+    np.testing.assert_allclose(out.factor[2], nu_sq - 1.0, rtol=1e-14)
     scale = np.abs(out.V).max(axis=(-2, -1), keepdims=True)
     assert (np.abs((O * out.factor[1][..., None, :]) @ O.T - out.V) <= 1e-15 * scale).all()
     for ch in (
@@ -59,12 +63,14 @@ def test_evolve_keeps_a_strongly_squeezed_eigenvalue():
 def test_evolve_keeps_the_williamson_form(gt):
     """tmst (n_th = n_e = 0.5) on r 0..20: each pair of lam gives the symplectic eigenvalue
     sqrt(lam_0 lam_1) = sqrt(lam_2 lam_3) = sqrt(a^2 - c^2) of the standard form, whose
-    closed form sqrt(1 + kappa) is a sum of nonnegative terms, while a and c reach e^40."""
+    closed form sqrt(1 + kappa) is a sum of nonnegative terms, while a and c reach e^40;
+    the carried delta of each mode is kappa."""
     r, n_th, n_e = np.linspace(0.0, 20.0, 201), 0.5, 0.5
-    lam = evolve(NoisyChannel.uniform(2, 1.0, n_e), probe_tmsdt(r, np.pi, 0, 0, 0, 0, n_th), gt).factor[1]
+    _, lam, delta = evolve(NoisyChannel.uniform(2, 1.0, n_e), probe_tmsdt(r, np.pi, 0, 0, 0, 0, n_th), gt).factor
     kappa = _standard_form(r, n_th, 1.0, gt, n_e, np.eye(2))[2][7]
     for pair in (lam[:, :2], lam[:, 2:]):
         np.testing.assert_allclose(np.sqrt(pair.prod(axis=-1)), np.sqrt(1.0 + kappa), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(delta, np.stack([kappa, kappa], axis=-1), rtol=1e-14, atol=0)
 
 
 def test_uniform_constructor():

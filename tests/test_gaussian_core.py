@@ -249,13 +249,16 @@ def test_eigenbasis_is_orthogonal_and_symplectic(phi):
 def test_probe_tmsdt_carries_its_eigen_factor():
     """V = O diag(lam) O^T with O orthogonal, cached per phi and read-only.
 
-    lam = tau (e^2r, e^-2r, e^-2r, e^2r); the public constructor and apply give no factor,
-    and the displacement model's states keep the probe's.
+    lam = tau (e^2r, e^-2r, e^-2r, e^2r) and delta = 4 n_th (1 + n_th) per mode; the public
+    constructor and apply give no factor, and the displacement model's states keep the probe's.
     """
     for phi in (math.pi, 0.0, 2.1, -1.2):
         for r, n_th in ((0.4, 0.5), (-0.7, 0.0), (np.linspace(0.0, 2.0, 5), 0.3), (1.1, np.linspace(0.0, 1.0, 3))):
             st = probe_tmsdt(r, phi, 0.3, -0.2, 0.1, 0.4, n_th)
-            O, lam = st.factor
+            O, lam, delta = st.factor
+            n = np.asarray(n_th)[..., None]
+            assert delta.shape == lam.shape[:-1] + (2,)
+            np.testing.assert_array_equal(delta, np.broadcast_to(4.0 * n * (1.0 + n), delta.shape))
             assert O is probe_tmsdt(0.0, phi, 0, 0, 0, 0, 0.0).factor[0] and not O.flags.writeable
             np.testing.assert_allclose(O @ O.T, np.eye(4), rtol=0, atol=1e-15)
             e = np.exp(2.0 * np.asarray(r))[..., None]

@@ -484,7 +484,7 @@ _WILLIAMSON_KINDS = ("degenerate", "near_degenerate", "pure", "hot", "generic")
 
 
 def _williamson_factor(rng, kind):
-    """A two-mode Williamson form (O, lam): O a Haar passive network and lam_2k, lam_2k+1 = nu_k e^(+-2 s_k).
+    """A two-mode Williamson form (O, lam, delta): O a Haar passive network and lam_2k, lam_2k+1 = nu_k e^(+-2 s_k).
 
     Each mode is squeezed up to e^(4 s_k) = 1e10.  nu_2 / nu_1 - 1 is 0 (degenerate),
     1e-14..1e-6 (near_degenerate) or up to 1e6 (hot, each nu 1..1e6); pure has nu_1 = 1.
@@ -501,7 +501,9 @@ def _williamson_factor(rng, kind):
     squeeze = np.exp(0.5 * np.log(10.0) * rng.uniform(0.0, 10.0, 2))  # e^(2 s_k)
     lam = np.repeat(nu, 2) * np.repeat(squeeze, 2) ** np.tile([1.0, -1.0], 2)
     scale = 10.0 ** rng.uniform(0.0, 150.0) if rng.random() < 1 / 3 else 1.0
-    return _haar_passive(rng, 2), scale * lam
+    with np.errstate(over="ignore"):  # delta = nu^2 - 1 is inf past nu of about 1.3e154
+        delta = (scale * np.asarray(nu)) ** 2 - 1.0
+    return _haar_passive(rng, 2), scale * lam, delta
 
 
 @settings(max_examples=60, deadline=None)
@@ -516,10 +518,10 @@ def test_symplectic_eigenvalue_kernel_matches_williamson(seed, kinds):
     within KERNEL_C eps cond(V), and the purity cut gives both the same pure modes.
     """
     rng = np.random.default_rng(seed)
-    O, lam = (np.array(x) for x in zip(*(_williamson_factor(rng, kind) for kind in kinds)))
+    O, lam, delta = (np.array(x) for x in zip(*(_williamson_factor(rng, kind) for kind in kinds)))
     V = numkit.hermitize((O * lam[:, None, :]) @ numkit.transpose(O))
-    cond, _, _, inv_nu = _whiten(V, (O, lam))
-    nu = _purity_cut(inv_nu, cond)
+    cond, _, a = _whiten(V, (O, lam, delta))
+    nu = _purity_cut(a[:, [0, 2], [1, 3]], cond)  # A = the blocks omega / nu_k
     bound = KERNEL_C * numkit.EPS * np.linalg.cond(V)
     for k, (kind, v) in enumerate(zip(kinds, V)):
         nu_alone = np.sort(williamson(v)[0])
@@ -542,7 +544,7 @@ def test_williamson_normal_coordinates_equal_the_complex_product(modes):
         stacks.append(displacement_model(tmst, ch, t).state([0, 0]).V)
     for V in stacks:
         nu, Z = williamson(V)
-        _, w, a, _ = _whiten(V)
+        _, w, a = _whiten(V)
         vecs = np.linalg.eigh(1j * a)[1][..., modes:]
         ref = np.sqrt(nu)[..., :, None] * (numkit.adjoint(vecs) @ numkit.transpose(w).astype(complex))
         assert np.array_equal(Z, ref)
@@ -566,15 +568,16 @@ def test_whiten_factors_the_inverse_on_one_side(factored):
     form.  From the form A is exactly the blocks omega / nu_k, with 1/nu_k the positive
     eigenvalues of i A that the eigh of V gives."""
     for V, factor in _whiten_cases(factored):
-        cond, w, a, inv_nu = _whiten(V, factor)
+        cond, w, a = _whiten(V, factor)
         n2 = V.shape[-1]
         wt = numkit.transpose(w)
         eye = np.broadcast_to(np.eye(n2), V.shape)
         np.testing.assert_allclose(V @ w @ wt, eye, rtol=0, atol=1e-13 * cond.max())
         np.testing.assert_allclose(wt @ omega(n2 // 2) @ w, a, rtol=0, atol=1e-13 * np.abs(a).max())
         if not factored:
-            assert inv_nu is None
             continue
+        root = np.sqrt(factor[1])
+        inv_nu = 1.0 / (root[..., 0::2] * root[..., 1::2])
         blocks = np.zeros(V.shape)
         blocks[..., 0::2, 1::2] = inv_nu[..., None, :] * np.eye(n2 // 2)
         assert np.array_equal(a, blocks - numkit.transpose(blocks))
@@ -759,6 +762,65 @@ def test_solves_match_the_williamson_basis_on_random_first_moment_models(seed, m
     _assert_solves_match_the_williamson_basis(pt, 1e-10)
 
 
+def _assert_route_matches_the_dense_solves(pt, monkeypatch):
+    """pt, whose state carries its eigen-factor (O, lam, delta), against the same moments through
+    the public GaussianState, which carries none and takes the dense solves on V and M.
+
+    The factored route serves pt with no dense solve, and F_S, U and the limiting F_R^-1 of
+    each point agree within REFEREE_TOL of that matrix's largest entry at the point.
+    """
+    assert pt.st.factor is not None and len(pt.st.factor) == 3
+    p = pt.n_params
+    plain = PointMoments(GaussianState(pt.st.d, pt.st.V), [pt.dds[..., mu, :] for mu in range(p)], [pt.dVs[..., mu, :, :] for mu in range(p)], p)
+    dense = plain.solved
+    assert dense is not None
+    calls = []
+    real = qfi_gaussian._first_moment
+    monkeypatch.setattr(qfi_gaussian, "_first_moment", lambda *a: calls.append(1) or real(*a))
+    route = pt.solved
+    monkeypatch.undo()
+    assert calls == []
+    for name, got, want in zip(("f_sld", "u", "rld_inverse_limit"), route, dense):
+        scale = np.abs(want).max(axis=(-2, -1))
+        gap = np.abs(got - want).max(axis=(-2, -1))
+        assert (gap <= REFEREE_TOL * scale).all(), (name, (gap / np.where(scale > 0, scale, 1.0)).max())
+
+
+def _one_o_per_point(pt):
+    """pt with its factor's O repeated once per point of the stack."""
+    O, lam, delta = pt.st.factor
+    st = GaussianState._built(pt.st.d, pt.st.V, (np.array(np.broadcast_to(O, lam.shape[:-1] + O.shape)), lam, delta))
+    p = pt.n_params
+    return PointMoments(st, [pt.dds[..., mu, :] for mu in range(p)], [pt.dVs[..., mu, :, :] for mu in range(p)], p)
+
+
+@pytest.mark.parametrize("per_point", [False, True], ids=["one_O", "O_per_point"])
+@pytest.mark.parametrize("probe", sorted(_PROBE_ARGS))
+def test_factored_route_matches_the_dense_solves_on_the_reference_t_grid(probe, per_point, monkeypatch):
+    """Each probe's 201-point t grid, pure at t = 0 for tmsv and tmdv, from the closed form of
+    the eigen-factor's 2x2 blocks and from the dense solves with the factor dropped."""
+    r, *alpha, n_th = _PROBE_ARGS[probe]
+    model = displacement_model(probe_tmsdt(r, math.pi, *alpha, n_th), NoisyChannel.uniform(2, 1.0, 0.5), _REFERENCE_T)
+    pt = evaluate(model, [0.0, 0.0])
+    _assert_route_matches_the_dense_solves(_one_o_per_point(pt) if per_point else pt, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_factored_route_matches_the_dense_solves_on_random_draws(seed, monkeypatch):
+    """60 random two-mode draws of r <= 1.5, phi, n_th, n_e, gamma t and alpha, each with its
+    own O (one per point, stacked), from the route and from the dense solves."""
+    rng = np.random.default_rng(700 + seed)
+    points = []
+    for _ in range(60):
+        r, n_th, n_e, gt = rng.uniform(0.0, 1.5), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+        alpha = rng.uniform(-1.0, 1.0, 4) * rng.integers(0, 2)
+        probe = probe_tmsdt(r, rng.uniform(-math.pi, math.pi), *alpha, n_th)
+        points.append(evaluate(displacement_model(probe, NoisyChannel.uniform(2, 1.0, n_e), gt), [0.1, -0.2]))
+    stack = _stack_points(points)
+    assert stack.st.factor[0].shape == (60, 4, 4)
+    _assert_route_matches_the_dense_solves(stack, monkeypatch)
+
+
 def _unserved_points():
     """Two-parameter points that the solves do not serve: modes pure in part, dV != 0.
 
@@ -768,7 +830,7 @@ def _unserved_points():
     O = _haar_passive(np.random.default_rng(4), 2)  # a Williamson form, as every other point here carries
     lam = np.array([1.0, 1.0, 3.0, 3.0]) * np.exp([0.6, -0.6, 0.2, -0.2])
     V = numkit.hermitize((O * lam) @ O.T)
-    part_pure = GaussianState._built(np.array([0.1, 0.2, 0.0, 0.0]), V, (O, lam))
+    part_pure = GaussianState._built(np.array([0.1, 0.2, 0.0, 0.0]), V, (O, lam, np.array([0.0, 8.0])))
     mixed = evaluate(displacement_model(probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.5), ch, 0.3), [0, 0])
     dV = np.random.default_rng(5).normal(size=(4, 4))
     return [

@@ -676,24 +676,21 @@ def _lapack_calls(monkeypatch, run):
         monkeypatch.undo()
 
 
-def test_factored_sweeps_call_lapack_only_for_their_pure_point(monkeypatch):
-    """The LAPACK budget of each probe's 201-point t sweep, whatever its length.
+def test_factored_sweeps_make_no_lapack_call(monkeypatch):
+    """The LAPACK budget of each probe's 201-point t sweep, whatever its length: none.
 
-    dV = 0, so F_S, U and the limiting RLD inverse come from solves on V, whose V^-1/2
-    comes from the probe's eigen-factor, kept through the symmetric channel: no eigh of
-    V.  The symplectic eigenvalues come from the same Williamson form, and the 2x2
-    inverses of the idler block and of dd's B in closed form.  F_S, F_C and the
-    readout's outcome covariance are 2x2 and positive definite, so pinv_psd and inv_sym
-    take their certified closed forms: tmst and tmdt make no LAPACK call at all.  tmsv
-    and tmdv are pure at t = 0: each takes one svd, of that point's reach, and tmdv one
-    eigh, the pinv of its singular idler block.
+    dV = 0, so F_S, U and the limiting RLD inverse come in closed form from 2x2 blocks of
+    the probe's eigen-factor (O, lam, delta), kept through the symmetric channel: no eigh
+    of V, no Schur complement, and no svd at the pure point t = 0 of tmsv and tmdv, whose
+    rank cut reads the same blocks.  The 2x2 inverse of dd's B is in closed form, and
+    F_S, F_C and the readout's outcome covariance are 2x2 and positive definite, so
+    pinv_psd and inv_sym take their certified closed forms.
     """
-    budget = {"tmst": [], "tmdt": [], "tmsv": ["svd"], "tmdv": ["eigh", "svd"]}
-    for probe, want in budget.items():
+    for probe in PROBES:
         cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), axis="t", start=0.0, stop=1.0, step=0.005)
         rows, calls = _lapack_calls(monkeypatch, lambda: sweep(cfg))
         assert len(rows) == 201 and all(row.ok for row in rows), probe
-        assert calls == want, probe
+        assert calls == [], probe
         if probe == "tmsv":
             assert rows[0].b_r == 0.0
 
@@ -774,16 +771,27 @@ def test_eigen_factor_matches_the_eigh_of_v_on_random_draws(seed, k):
     _assert_factor_matches_eigh(evaluate(displacement_model(probe, NoisyChannel.uniform(2, gamma, n_e), t), [0.1, -0.2]))
 
 
+def _assert_chain(rows, tol=scenarios.CHAIN_TOL):
+    """max(b_s, b_r) <= b_h_mid <= b_h_upper <= 2 b_s on every ok row, to tol b_s."""
+    for row in rows:
+        if row.ok:
+            allow = tol * row.b_s
+            assert max(row.b_s, row.b_r) <= row.b_h_mid + allow, row
+            assert row.b_h_mid <= row.b_h_upper + allow and row.b_h_upper <= 2.0 * row.b_s + allow, row
+
+
 @pytest.mark.parametrize("probe", ["tmsv", "tmst"])
 def test_strongly_squeezed_rows_match_the_closed_form(probe):
     """The r 0..20 and 20..40 grids, n_e 0.5, gamma = t = 1: cond(V) reaches about e^160.
 
     The dense V loses its small eigenvalue y tau e^-2r + v eps there, and rows went wrong
     or degraded; the eigen-factor keeps it, so every row is ok and b_s, b_h_mid, b_h_upper
-    and hdb are within 1e-8 of the closed form.  r_q is within 1e-12: U = 2 G A G^T with
-    G = D V^-1/2 cancelled terms of size e^2r (r_q was off by 1.3 relative on r 20..40),
-    and G = D W with W W^T = V^-1 does not.  b_r still reads the dense M (CHANGES.md),
-    so it is not pinned here.
+    and hdb are within 1e-8 of the closed form.  b_r and r_q are within 1e-12, and every
+    row keeps the chain: with b_r from the dense M = V + i Omega, 97 (tmsv) and 101 (tmst)
+    rows of r 0..20 missed b_r by up to 5.7 relative and about half of them broke the
+    chain, and b_r read 0 from r = 20; the closed form from the eigen-factor's 2x2 blocks
+    does not cancel.  (b_h_mid = b_h_upper in exact arithmetic on these probes, so the
+    chain holds to the rounding allowance CHAIN_TOL.)
     """
     n_th = 0.5 if probe == "tmst" else 0.0
     for start in (0.0, 20.0):
@@ -792,9 +800,10 @@ def test_strongly_squeezed_rows_match_the_closed_form(probe):
         assert len(rows) == 201 and all(row.ok for row in rows), [row.message for row in rows if not row.ok]
         r = np.array([row.axis for row in rows])
         cf = closed_form_bounds(probe, r, n_th, 1.0, 1.0, 0.5)
-        for name, rtol in (("b_s", 1e-8), ("b_h_mid", 1e-8), ("b_h_upper", 1e-8), ("hdb", 1e-8), ("r_q", 1e-12)):
+        for name, rtol in (("b_s", 1e-8), ("b_h_mid", 1e-8), ("b_h_upper", 1e-8), ("hdb", 1e-8), ("b_r", 1e-12), ("r_q", 1e-12)):
             got = np.array([getattr(row, name) for row in rows])
             np.testing.assert_allclose(got, getattr(cf, name), rtol=rtol, atol=0, err_msg=(start, name))
+        _assert_chain(rows)
 
 
 @pytest.mark.parametrize("probe", ["tmsv", "tmst"])
@@ -802,8 +811,8 @@ def test_very_strongly_squeezed_rows_keep_the_holevo_bounds(probe):
     """The r 0..600 step 1 grid, n_e 0.5, gamma = t = 1: the rows to r = 354 are ok, the rest
     degrade as lam overflows.  With A from the dense V, the rows at r = 41..52 gave
     b_h_mid = b_h_upper = 13.75 and r_q = 1 against the closed form's 6.873; every ok row
-    now has b_s, b_h_mid, b_h_upper, r_q and hdb within 1e-12 of it, and the closed form
-    meets no floating-point error on them.
+    now has b_s, b_r, b_h_mid, b_h_upper, r_q and hdb within 1e-12 of it, and the closed
+    form meets no floating-point error on them.
     """
     n_th = 0.5 if probe == "tmst" else 0.0
     rows = sweep(_cfg(probe=probe, n_th=n_th, gamma=1.0, n_e=0.5, t=1.0, axis="r", start=0.0, stop=600.0, step=1.0))
@@ -812,9 +821,69 @@ def test_very_strongly_squeezed_rows_keep_the_holevo_bounds(probe):
     assert np.array_equal(ok, r <= 354.0)
     assert {row.message for row in rows if not row.ok} == {"covariance is not finite"}
     cf = closed_form_bounds(probe, r[ok], n_th, 1.0, 1.0, 0.5)
-    for name in ("b_s", "b_h_mid", "b_h_upper", "r_q", "hdb"):
+    for name in ("b_s", "b_r", "b_h_mid", "b_h_upper", "r_q", "hdb"):
         got = np.array([getattr(row, name) for row in rows if row.ok])
         np.testing.assert_allclose(got, getattr(cf, name), rtol=1e-12, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("r", [6.0, 9.0, 15.0])
+def test_strongly_squeezed_tmsv_just_after_t0_keeps_b_r(r):
+    """tmsv at t = 1e-9: nu^2 - 1 is about 2e-9 e^2r, while the dense V's small eigenvalue
+    (2e-9 against e^-2r) and M's Schur complement lost b_r, which read 0.0 against the
+    closed form's 4.0e-9.  The eigen-factor's carried delta keeps it within 1e-8."""
+    row = run_point(_cfg(probe="tmsv", r=r, axis="t"), 1e-9)
+    assert row.ok
+    assert row.b_r == pytest.approx(closed_form_bounds("tmsv", r, 0.0, 1.0, 1e-9, 0.5).b_r, rel=1e-8)
+
+
+@pytest.mark.parametrize("probe, first, count", [("tmsv", 10.3, 37), ("tmst", 10.2, 47)])
+def test_rows_that_break_the_chain_degrade_naming_the_link(probe, first, count):
+    """A squeezed reservoir (m_e = 0.2) drops the eigen-factor, so the r 0..40 grids take the
+    dense solves, whose b_r is wrong from about r = 10: those rows exceed b_h_mid by 6e-9 b_s
+    and more.  They degrade with the link they break; every other ok row keeps the chain."""
+    n_th = 0.5 if probe == "tmst" else 0.0
+    rows = sweep(_cfg(probe=probe, n_th=n_th, m_e=0.2, gamma=1.0, n_e=0.5, t=1.0, axis="r", start=0.0, stop=40.0, step=0.1))
+    broken = [row for row in rows if row.message.startswith("chain")]
+    assert len(broken) == count and min(row.axis for row in broken) == pytest.approx(first)
+    assert {row.message for row in broken} == {"chain broken: b_r > b_h_mid"}
+    assert all(math.isnan(row.b_s) and math.isnan(row.b_r) for row in broken)
+    assert all(row.ok for row in rows if row.axis < first - 0.05)
+    _assert_chain(rows)
+
+
+def test_chain_guard_names_each_link():
+    """Synthetic columns, one link broken per row beyond CHAIN_TOL b_s, one inside it."""
+    b_s = 2.0
+    tol = scenarios.CHAIN_TOL * b_s
+    columns = np.array([
+        # axis, b_s, b_r, b_h_mid, b_h_upper, hdb, r_q, sql
+        [0.0, b_s, 2.5, 2.5, 3.0, 4.0, 0.5, 5.0],  # sound, b_r = b_h_mid
+        [1.0, b_s, 2.5 + 3 * tol, 2.5, 3.0, 4.0, 0.5, 5.0],
+        [2.0, b_s, 2.5, 3.0 + 3 * tol, 3.0, 4.0, 0.5, 5.0],
+        [3.0, b_s, 2.5, 2.5, 4.0 + 3 * tol, 4.0, 0.5, 5.0],
+        [4.0, b_s, 2.5 + 0.5 * tol, 2.5, 4.0 + 0.5 * tol, 4.0, 0.5, 5.0],  # within the allowance
+        [5.0, b_s, 2.5, 1.5, 3.0, 4.0, 0.5, 5.0],  # b_h_mid < b_s and < b_r: the first link
+    ]).T
+    broken = scenarios._broken_links(columns)
+    names = [scenarios._CHAIN_LINKS[broken[:, i].argmax()] if broken[:, i].any() else None for i in range(6)]
+    assert names == [None, "b_r > b_h_mid", "b_h_mid > b_h_upper", "b_h_upper > 2 b_s", None, "b_s > b_h_mid"]
+
+
+def test_tmst_rows_at_t0_keep_b_r_to_r_354():
+    """tmst (n_th = 0.5) at t = 0 on the r 0..600 step 1 grid: b_r = 3 / (2 cosh 2r - 1) falls
+    to about 1e-307 at r = 354.  The dense Schur complement read 0 from r = 7, and the closed
+    form's kappa / (a + 1) / (a - 1) underflowed to 0 from r = 187; the pipeline and the
+    closed form now both match the 60-digit value to 1e-12 on every ok row."""
+    import mpmath as mp
+
+    rows = sweep(_cfg(probe="tmst", n_th=0.5, gamma=1.0, n_e=0.5, t=0.0, axis="r", start=0.0, stop=600.0, step=1.0))
+    ok = [row for row in rows if row.ok]
+    assert len(ok) == 355
+    r = np.array([row.axis for row in ok])
+    with mp.workdps(60):
+        want = np.array([float(3 / (2 * mp.cosh(2 * mp.mpf(x)) - 1)) for x in r])
+    np.testing.assert_allclose([row.b_r for row in ok], want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(closed_form_bounds("tmst", r, 0.5, 1.0, 0.0, 0.5).b_r, want, rtol=1e-12, atol=0)
 
 
 def test_a_very_strongly_squeezed_point_keeps_b_s():
@@ -828,12 +897,15 @@ def test_a_very_strongly_squeezed_point_keeps_b_s():
 def test_near_pure_rld_bound_matches_its_closed_form():
     """tmst at r = 1e-4, n_th = n_e = 1e-10, gamma t = 0.3: nu - 1 is about 1e-8.
 
-    The Williamson basis missed the closed form's b_r by 1.8e-7 relative here; the solves
-    on V and M = V + i Omega come within 2e-8.
+    The Williamson basis missed the closed form's b_r by 1.8e-7 relative here, and the
+    solves on V and M = V + i Omega by 1.6e-8.  The closed form from the eigen-factor,
+    with delta = nu^2 - 1 carried through the channel, comes within 6.6e-13; the bound
+    keeps a margin of about 7.5 over that.  What is left is the cancellation in
+    (sqrt a - sqrt b)^2 of evolve's delta at r = 1e-4.
     """
     row = run_point(_cfg(probe="tmst", r=1e-4, n_th=1e-10, n_e=1e-10, gamma=1.0, axis="t"), 0.3)
     assert row.ok
-    assert row.b_r == pytest.approx(closed_form_bounds("tmst", 1e-4, 1e-10, 1.0, 0.3, 1e-10).b_r, rel=5e-8)
+    assert row.b_r == pytest.approx(closed_form_bounds("tmst", 1e-4, 1e-10, 1.0, 0.3, 1e-10).b_r, rel=5e-12)
 
 
 def test_weighted_sweep_takes_one_root_of_its_weight(monkeypatch):
