@@ -90,6 +90,10 @@ def evolve(ch: NoisyChannel, state: GaussianState, t) -> GaussianState:
 
     a sum of nonnegative terms, so a mode stays pure exactly where delta is 0 and its
     digits near purity are kept.  Any other channel drops it.
+
+    Where the factor is kept, the dense V = G V G + v V_inf is deferred to its first read
+    (:class:`GaussianState`), which reads the parent's V and the channel then; the formula
+    is the one an eager V takes, so the bits are the same.  Any other channel forms V at once.
     """
     if ch.modes != state.modes:
         raise ValueError("channel acts on %d modes, state has %d" % (ch.modes, state.modes))
@@ -99,7 +103,10 @@ def evolve(ch: NoisyChannel, state: GaussianState, t) -> GaussianState:
     rate = ch.gamma * t[..., None]
     g = np.repeat(np.exp(-0.5 * rate), 2, axis=-1)  # diagonal of G(t)
     relax = np.repeat(-np.expm1(-rate), 2, axis=-1)  # v = 1 - e^{-gamma t} per row of the block-diagonal V_inf
-    V = g[..., :, None] * state.V * g[..., None, :] + relax[..., :, None] * diffusion_matrix(ch)
+
+    def V():
+        return numkit.hermitize(g[..., :, None] * state.V * g[..., None, :] + relax[..., :, None] * diffusion_matrix(ch))
+
     factor = None
     if state.factor is not None and not ch.m_e.any():
         if (ch.gamma == ch.gamma[..., :1]).all() and (ch.n_e == ch.n_e[..., :1]).all():
@@ -110,4 +117,4 @@ def evolve(ch: NoisyChannel, state: GaussianState, t) -> GaussianState:
             inner = eps * (root[..., 0::2] - root[..., 1::2]) ** 2 + 4.0 * n_e * nu + 2.0 * delta / (nu + 1.0)
             delta = y * (y * delta + v * inner) + 4.0 * v * v * n_e * (1.0 + n_e)
             factor = O, y * lam + v * eps, delta
-    return GaussianState._built(g * state.d, numkit.hermitize(V), factor)
+    return GaussianState._built(g * state.d, V if factor is not None else V(), factor)

@@ -55,6 +55,12 @@ class GaussianState:
     :func:`probe_tmsdt` sets it; :func:`gaussfish.channels.evolve` keeps it where it
     stays exact, and so do the displacement model's states.  The public constructor,
     :func:`apply` and every other operation give None.
+
+    A state the program builds may hold V as a recipe, formed on the first read of .V and
+    stored (:meth:`_built`): :func:`probe_tmsdt` and a factor-keeping
+    :func:`gaussfish.channels.evolve` defer their V, which a factored evaluation never
+    reads.  The recipe is the eager formula, so the V it forms is the same to the bit; a
+    state pickles with its V formed.
     """
 
     d: np.ndarray
@@ -80,9 +86,40 @@ class GaussianState:
 
     @classmethod
     def _built(cls, d, V, factor=None) -> "GaussianState":
-        """A state from float moments the program built, not re-checked: V must be symmetric."""
+        """A state from float moments the program built, not re-checked: V must be symmetric.
+
+        V may be a zero-argument callable, the recipe of a V formed on first read
+        (:meth:`__getattr__`); it must give the V that forming it eagerly gives.
+        """
         st = cls.__new__(cls)
-        st.d, st.V, st.factor = d, V, factor
+        st.d = d
+        if callable(V):
+            st._V_recipe = V
+        else:
+            st.V = V
+        st.factor = factor
+        return st
+
+    def __getattr__(self, name):
+        # Python calls this only when normal lookup fails: for V, that is the first read of
+        # a deferred V, which runs its recipe once and stores the result, so later reads and
+        # states built eagerly never come here.
+        recipe = self.__dict__.get("_V_recipe")
+        if name != "V" or recipe is None:
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        self.V = V = recipe()
+        del self._V_recipe
+        return V
+
+    def __getstate__(self):
+        # a recipe is a closure, which does not pickle: pickle the formed V, as an eager state
+        return {"d": self.d, "V": self.V, "factor": self.factor}
+
+    def _moved(self, d) -> "GaussianState":
+        """This state with first moments d, sharing V (formed or still a recipe) and the factor."""
+        st = object.__new__(type(self))
+        st.__dict__.update(self.__dict__)
+        st.d = d
         return st
 
     @property
@@ -260,14 +297,17 @@ def probe_tmsdt(r, phi, q1, p1, q2, p2, n_th) -> GaussianState:
     n_th = np.asarray(n_th, dtype=float)
     if (n_th < 0).any():
         raise ValueError("n_th must be >= 0")
-    S = _s2(r, phi)
-    V = (2.0 * n_th + 1.0)[..., None, None] * (S @ S.swapaxes(-1, -2))
-    d = np.empty(V.shape[:-1])
+    S, tau = _s2(r, phi), 2.0 * n_th + 1.0
+    lam = tau[..., None] * np.exp(np.multiply.outer(r, (2.0, -2.0, -2.0, 2.0)))
+    d = np.empty(lam.shape)
     d[...] = S @ np.array([q1, p1, q2, p2], dtype=float)
-    lam = (2.0 * n_th + 1.0)[..., None] * np.exp(np.multiply.outer(r, (2.0, -2.0, -2.0, 2.0)))
     delta = np.empty(lam.shape[:-1] + (2,))
     delta[...] = (4.0 * n_th * (1.0 + n_th))[..., None]
-    return GaussianState._built(d, numkit.hermitize(V), (_eigenbasis(phi), lam, delta))
+
+    def V():  # deferred: a factored evaluation reads only the factor
+        return numkit.hermitize(tau[..., None, None] * (S @ S.swapaxes(-1, -2)))
+
+    return GaussianState._built(d, V, (_eigenbasis(phi), lam, delta))
 
 
 # ----------------------------------------------------------------------------

@@ -204,7 +204,7 @@ def cfim_gaussian_outcomes(
     Sinv = inv_sym(_outcome_cov(pt.st, S_r, Vm))
     dmus = pt.dds @ S_r.T
     F = dmus @ Sinv @ transpose(dmus)
-    if pt.dVs.any():
+    if not pt.dV_zero:
         X = Sinv[..., None, :, :] @ (0.5 * (S_r @ pt.dVs @ S_r.T))  # Sigma^-1 dSigma_mu
         # Tr[X_j X_k] is the dot product of X_j and X_k^T, each flattened
         flat = X.reshape(X.shape[:-2] + (-1,))

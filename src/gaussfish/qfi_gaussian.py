@@ -434,9 +434,9 @@ class PointMoments:
     """A model evaluated at one parameter point, or at a stack of K points.
 
     Holds the state and its moment derivatives, dds (..., p, 2N) and dVs
-    (..., p, 2N, 2N), and, on first use, either the solves of a first-moment model
-    (:attr:`solved`) or one Williamson decomposition of V with the coefficient rows and
-    weights of the module docstring.  A stack carries a leading axis of length K on the
+    (..., p, 2N, 2N), with dV_zero telling whether every dV is zero, and, on first use,
+    either the solves of a first-moment model (:attr:`solved`) or one Williamson
+    decomposition of V with the coefficient rows and weights of the module docstring.  A stack carries a leading axis of length K on the
     state, dds, dVs and everything derived from them.  Each point's cuts do not depend on
     the other points of its stack; the path is chosen for the stack as a whole, so one
     point that the solves do not serve sends its neighbours to the basis too, where they
@@ -446,8 +446,14 @@ class PointMoments:
     def __init__(self, st: GaussianState, dds, dVs, n_params: int):
         self.st = st
         self.dds = np.stack(dds, axis=-2)
-        self.dVs = np.stack(dVs, axis=-3)
+        self._dV_list = dVs = tuple(dVs)
+        self.dV_zero = not any(np.any(dV) for dV in dVs)
         self.n_params = n_params
+
+    @cached_property
+    def dVs(self) -> np.ndarray:
+        """The dV stacked, (..., p, 2N, 2N), on first use: a first-moment model never stacks them."""
+        return np.stack(self._dV_list, axis=-3)
 
     @cached_property
     def solved(self):
@@ -466,7 +472,7 @@ class PointMoments:
         dd reach another count returns None, as does any other unserved point, and the
         Williamson basis serves the stack whole.
         """
-        if self.dVs.any():
+        if not self.dV_zero:
             return None
         D = self.dds
         p, n2 = D.shape[-2:]
@@ -832,7 +838,7 @@ def displacement_model(
     def state_fn(theta):
         shift = np.zeros(2 * modes)
         shift[:2] = theta[0], theta[1]
-        st = GaussianState._built(probe.d + shift, probe.V, probe.factor)
+        st = probe._moved(probe.d + shift)
         if channel is not None:
             st = evolve(channel, st, t)
         return st
@@ -840,7 +846,7 @@ def displacement_model(
     eta = 1.0
     if channel is not None:
         eta = np.exp(-0.5 * channel.gamma[..., 0] * np.asarray(t, dtype=float))
-    dd = np.zeros((2,) + np.broadcast_shapes(np.shape(eta), probe.V.shape[:-2]) + (2 * modes,))
+    dd = np.zeros((2,) + np.broadcast_shapes(np.shape(eta), probe.d.shape[:-1]) + (2 * modes,))
     dd[0, ..., 0] = dd[1, ..., 1] = eta  # e1, e2
     zero = np.zeros(dd.shape + (2 * modes,))
     return GaussianModel(

@@ -1,7 +1,50 @@
 """Dense linear-algebra helpers that only the tests use: vectorization for the
-kron-matrix oracles and a largest-eigenvalue scale."""
+kron-matrix oracles, a largest-eigenvalue scale, and one call recorder for the
+structural pins: the LAPACK drivers a run calls and the deferred covariances it forms."""
 
 import numpy as np
+
+from gaussfish.gaussian_core import GaussianState
+
+LAPACK_DRIVERS = ("svd", "eigvalsh", "qr", "eigh", "inv", "det", "solve", "eig", "eigvals", "cholesky", "lstsq", "pinv", "slogdet")
+
+
+def recorded_calls(monkeypatch, run, sites):
+    """run()'s result and the sorted names of the calls it made at sites.
+
+    sites holds (owner, attribute, name) triples: owner.attribute is wrapped for the run,
+    and name(*args) gives the name a call records, or None for a call not recorded.
+    Every patch of monkeypatch is undone afterwards.
+    """
+    calls = []
+    for owner, attr, name in sites:
+        fn = getattr(owner, attr)
+
+        def spy(*a, fn=fn, name=name, **kw):
+            label = name(*a)
+            if label is not None:
+                calls.append(label)
+            return fn(*a, **kw)
+
+        monkeypatch.setattr(owner, attr, spy)
+    try:
+        return run(), sorted(calls)
+    finally:
+        monkeypatch.undo()
+
+
+def lapack_calls(monkeypatch, run):
+    """run()'s result and the sorted names of the LAPACK drivers it called."""
+    sites = [(np.linalg, name, lambda *a, name=name: name) for name in LAPACK_DRIVERS]
+    return recorded_calls(monkeypatch, run, sites)
+
+
+def v_formations(monkeypatch, run):
+    """run()'s result and how many deferred covariances it formed: the first reads of the V
+    of a GaussianState that holds V as a recipe, each running the recipe once."""
+    pending = lambda st, name: "V" if name == "V" and "_V_recipe" in st.__dict__ else None
+    result, calls = recorded_calls(monkeypatch, run, [(GaussianState, "__getattr__", pending)])
+    return result, len(calls)
 
 
 def vec(a):

@@ -12,6 +12,7 @@ from gaussfish.gaussian_core import (
     two_mode_squeezer,
     vacuum,
 )
+from gaussfish.numkit import hermitize
 from gaussfish.scenarios import _standard_form
 
 
@@ -49,6 +50,24 @@ def test_evolve_keeps_the_eigen_factor_only_for_a_symmetric_channel():
     ):
         assert evolve(ch, probe, 0.3).factor is None
     assert evolve(NoisyChannel.uniform(2, 1.0, 0.5), GaussianState(probe.d, probe.V), 0.3).factor is None
+
+
+def test_a_kept_factor_defers_the_dense_v_to_the_eager_formula():
+    """Where evolve keeps the factor it defers V; the first read forms it from the parent as
+    hermitize(G V G + v V_inf), the eager formula, bit for bit, on a stack and on a single
+    point, and stores it.  A channel that drops the factor forms V at once."""
+    for r, gamma, t in ((np.linspace(0.0, 3.0, 31), np.linspace(0.1, 3.0, 31), np.linspace(0.0, 2.0, 31)), (0.6, 0.9, 0.4)):
+        probe = probe_tmsdt(r, 2.1, 0.3, -0.2, 0.1, 0.4, 0.5)
+        ch = NoisyChannel.uniform(2, gamma, 0.7)
+        out = evolve(ch, probe, t)
+        assert out.factor is not None and "V" not in vars(out)
+        rate = ch.gamma * np.asarray(t)[..., None]
+        g, v = (np.repeat(x, 2, axis=-1) for x in (np.exp(-0.5 * rate), -np.expm1(-rate)))
+        eager = hermitize(g[..., :, None] * probe.V * g[..., None, :] + v[..., :, None] * diffusion_matrix(ch))
+        assert np.array_equal(out.V, eager)
+        assert vars(out)["V"] is out.V and "_V_recipe" not in vars(out)
+    dropped = evolve(NoisyChannel.uniform(2, 0.9, 0.7, 0.2), probe, 0.4)
+    assert dropped.factor is None and "V" in vars(dropped)
 
 
 def test_evolve_keeps_a_strongly_squeezed_eigenvalue():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -236,6 +238,21 @@ def test_probe_tmsdt_on_arrays_stacks_the_per_value_probes_bit_for_bit():
             assert np.array_equal(one.V, (2.0 * nk + 1.0) * (S @ S.T))
     with pytest.raises(ValueError, match="n_th"):
         probe_tmsdt(r, 0.0, 0, 0, 0, 0, -n_th)
+
+
+def test_a_deferred_covariance_pickles_as_the_eager_state():
+    """A state that holds V as a recipe pickles with V formed: the same bytes as the state
+    built with that V eager, and a round trip or a deep copy keeps d, V and the factor."""
+    for r, n_th in ((0.7, 0.5), (np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.5, 9))):
+        probe = probe_tmsdt(r, 2.1, 0.3, -0.2, 0.1, 0.4, n_th)
+        for lazy in (probe, evolve(NoisyChannel.uniform(2, 0.9, 0.7), probe, 0.4)):
+            assert "V" not in vars(lazy)
+            eager = GaussianState._built(lazy.d, vars(lazy)["_V_recipe"](), lazy.factor)
+            assert pickle.dumps(lazy) == pickle.dumps(eager)
+            for twin in (pickle.loads(pickle.dumps(lazy)), copy.deepcopy(lazy)):
+                assert vars(twin).keys() == vars(eager).keys() == {"d", "V", "factor"}
+                for got, want in zip((twin.d, twin.V, *twin.factor), (eager.d, eager.V, *eager.factor)):
+                    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.3, 1.0, 2.1, math.pi, -1.2])

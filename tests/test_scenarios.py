@@ -25,6 +25,8 @@ from gaussfish.scenarios import (
     sweep,
 )
 
+from linalg_helpers import lapack_calls, v_formations
+
 
 def _cfg(**kw):
     base = dict(probe="tmsv", r=0.4, n_th=0.0, gamma=1.0, n_e=0.5, t=0.2)
@@ -663,19 +665,6 @@ def test_states_built_inside_a_run_are_not_rechecked(monkeypatch):
     assert calls == {"NoisyChannel": 1, "GaussianState": 1}
 
 
-def _lapack_calls(monkeypatch, run):
-    """run()'s result and the sorted names of the LAPACK drivers it called."""
-    calls = []
-    drivers = ("svd", "eigvalsh", "qr", "eigh", "inv", "det", "solve", "eig", "eigvals", "cholesky", "lstsq", "pinv", "slogdet")
-    for name in drivers:
-        fn = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, fn=fn, **kw: calls.append(name) or fn(*a, **kw))
-    try:
-        return run(), sorted(calls)
-    finally:
-        monkeypatch.undo()
-
-
 def test_factored_sweeps_make_no_lapack_call(monkeypatch):
     """The LAPACK budget of each probe's 201-point t sweep, whatever its length: none.
 
@@ -688,7 +677,7 @@ def test_factored_sweeps_make_no_lapack_call(monkeypatch):
     """
     for probe in PROBES:
         cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), axis="t", start=0.0, stop=1.0, step=0.005)
-        rows, calls = _lapack_calls(monkeypatch, lambda: sweep(cfg))
+        rows, calls = lapack_calls(monkeypatch, lambda: sweep(cfg))
         assert len(rows) == 201 and all(row.ok for row in rows), probe
         assert calls == [], probe
         if probe == "tmsv":
@@ -700,7 +689,7 @@ def test_an_unfactored_sweep_makes_one_eigh_and_one_eigvalsh(monkeypatch):
     t sweep takes V^-1/2 from one eigh of V and the symplectic eigenvalues from one
     eigvalsh of i V^-1/2 Omega V^-1/2, for the whole stack."""
     cfg = _cfg(probe="tmst", n_th=0.5, m_e=0.2, axis="t", start=0.0, stop=1.0, step=0.005)
-    rows, calls = _lapack_calls(monkeypatch, lambda: sweep(cfg))
+    rows, calls = lapack_calls(monkeypatch, lambda: sweep(cfg))
     assert len(rows) == 201 and all(row.ok for row in rows)
     assert calls == ["eigh", "eigvalsh"]
 
@@ -711,9 +700,49 @@ def test_one_point_makes_one_inv(monkeypatch):
     inv_sym takes LAPACK's inv for the readout's Sigma^-1; V^-1/2 comes from the
     probe's eigen-factor, and the other kernels keep their closed forms.
     """
-    row, calls = _lapack_calls(monkeypatch, lambda: run_point(_cfg(probe="tmst", n_th=0.5, axis="t"), 0.3))
+    row, calls = lapack_calls(monkeypatch, lambda: run_point(_cfg(probe="tmst", n_th=0.5, axis="t"), 0.3))
     assert row.ok
     assert calls == ["inv"]
+
+
+def test_factored_runs_form_no_dense_v(monkeypatch):
+    """The dense V of a factored state is a recipe (GaussianState), and a factored run never
+    reads it: each probe's 201-point t sweep and one run_point at m_e = 0 form none.  A
+    squeezed reservoir drops the factor, so evolve reads the probe's V: once per sweep."""
+    for probe in PROBES:
+        cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), axis="t", start=0.0, stop=1.0, step=0.005)
+        rows, formed = v_formations(monkeypatch, lambda: sweep(cfg))
+        assert len(rows) == 201 and all(row.ok for row in rows), probe
+        assert formed == 0, probe
+        row, formed = v_formations(monkeypatch, lambda: run_point(cfg, 0.3))
+        assert row.ok and formed == 0, probe
+    cfg = _cfg(probe="tmst", n_th=0.5, m_e=0.2, axis="t", start=0.0, stop=1.0, step=0.005)
+    rows, formed = v_formations(monkeypatch, lambda: sweep(cfg))
+    assert len(rows) == 201 and all(row.ok for row in rows)
+    assert formed == 1
+
+
+def _output(cfg):
+    rows = sweep(cfg)
+    return rows_to_csv(rows) + rows_to_json(rows, cfg)
+
+
+@pytest.mark.parametrize("probe", ["tmsv", "tmst"])
+def test_deferred_covariances_give_the_eager_output_byte_for_byte(monkeypatch, probe):
+    """The probe's reference t sweep and the m_e = 0.2 r 0..40 grid, whose rows from about
+    r = 10 degrade, print the same bytes, degraded messages included, as when every
+    deferred V is formed where its state is built."""
+    n_th = 0.5 if probe == "tmst" else 0.0
+    configs = [
+        _cfg(probe=probe, n_th=n_th, axis="t", start=0.0, stop=1.0, step=0.005),
+        _cfg(probe=probe, n_th=n_th, m_e=0.2, gamma=1.0, n_e=0.5, t=1.0, axis="r", start=0.0, stop=40.0, step=0.1),
+    ]
+    deferred = [_output(cfg) for cfg in configs]
+    built = GaussianState._built.__func__
+    eager = lambda cls, d, V, factor=None: built(cls, d, V() if callable(V) else V, factor)
+    monkeypatch.setattr(GaussianState, "_built", classmethod(eager))
+    assert [_output(cfg) for cfg in configs] == deferred
+    assert "chain broken: b_r > b_h_mid" in deferred[1] and "not positive definite" in deferred[1]
 
 
 def _report_and_hdb(pt, weight):
