@@ -76,20 +76,54 @@ def diffusion_matrix(ch: NoisyChannel) -> np.ndarray:
     return out
 
 
-def evolve(ch: NoisyChannel, state: GaussianState, t) -> GaussianState:
-    """Damp the state for a time t >= 0 (a float, or an array of times).
+def damping(ch: NoisyChannel, t):
+    """(e^{-gamma t / 2}, 1 - e^{-gamma t}) per mode, (..., modes), at a time t >= 0 (a float,
+    or an array of times that broadcasts with the channel's stack); a negative t raises
+    ValueError."""
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any():
+        raise ValueError("t must be >= 0")
+    rate = ch.gamma * t[..., None]
+    return np.exp(-0.5 * rate), -np.expm1(-rate)
 
-    A state's eigen-factor (O, lam, delta) is kept where G and V_inf are multiples of the
-    identity, m_e = 0 with gamma and n_e equal across modes at every stack point:
-    V -> O diag(y lam + v eps) O^T, still in Williamson form (:class:`GaussianState`),
-    with y = e^{-gamma t}, v = 1 - y and eps = 2 n_e + 1.  Each mode's delta = nu^2 - 1
-    (lam = (a, b), nu = sqrt(a b)) goes to
+
+def keeps_factor(ch: NoisyChannel) -> bool:
+    """Whether G and V_inf are multiples of the identity at every stack point: m_e = 0, with
+    gamma and n_e equal across modes.  Such a channel keeps a state's eigen-factor."""
+    if ch.m_e.any():
+        return False
+    return bool((ch.gamma == ch.gamma[..., :1]).all() and (ch.n_e == ch.n_e[..., :1]).all())
+
+
+def damp_factor(lam, delta, root_y, v, n_e):
+    """(lam, delta) of an eigen-factor (:class:`GaussianState`) after a channel that keeps it.
+
+    root_y and v are :func:`damping`'s, and n_e the channel's, each (..., modes) and read
+    in its first column, as the channel is the same on every mode (:func:`keeps_factor`).
+    With y = root_y^2 and eps = 2 n_e + 1, lam -> y lam + v eps, and each mode's
+    delta = nu^2 - 1 (lam = (a, b), nu = sqrt(a b)) goes to
 
         y^2 delta + y v (eps (sqrt a - sqrt b)^2 + 2 (eps - 1) nu + 2 delta / (nu + 1))
         + v^2 (eps^2 - 1),
 
     a sum of nonnegative terms, so a mode stays pure exactly where delta is 0 and its
-    digits near purity are kept.  Any other channel drops it.
+    digits near purity are kept.
+    """
+    y, v, n_e = root_y[..., :1] ** 2, v[..., :1], n_e[..., :1]
+    eps, root = 2.0 * n_e + 1.0, np.sqrt(lam)
+    nu = root[..., 0::2] * root[..., 1::2]
+    inner = eps * (root[..., 0::2] - root[..., 1::2]) ** 2 + 4.0 * n_e * nu + 2.0 * delta / (nu + 1.0)
+    delta = y * (y * delta + v * inner) + 4.0 * v * v * n_e * (1.0 + n_e)
+    return y * lam + v * eps, delta
+
+
+def evolve(ch: NoisyChannel, state: GaussianState, t) -> GaussianState:
+    """Damp the state for a time t >= 0 (a float, or an array of times).
+
+    A state's eigen-factor (O, lam, delta) is kept where the channel allows it
+    (:func:`keeps_factor`): V -> O diag(y lam + v eps) O^T, still in Williamson form
+    (:class:`GaussianState`), with y = e^{-gamma t}, v = 1 - y and eps = 2 n_e + 1, and
+    delta updated by :func:`damp_factor`.  Any other channel drops it.
 
     Where the factor is kept, the dense V = G V G + v V_inf is deferred to its first read
     (:class:`GaussianState`), which reads the parent's V and the channel then; the formula
@@ -97,24 +131,15 @@ def evolve(ch: NoisyChannel, state: GaussianState, t) -> GaussianState:
     """
     if ch.modes != state.modes:
         raise ValueError("channel acts on %d modes, state has %d" % (ch.modes, state.modes))
-    t = np.asarray(t, dtype=float)
-    if (t < 0).any():
-        raise ValueError("t must be >= 0")
-    rate = ch.gamma * t[..., None]
-    g = np.repeat(np.exp(-0.5 * rate), 2, axis=-1)  # diagonal of G(t)
-    relax = np.repeat(-np.expm1(-rate), 2, axis=-1)  # v = 1 - e^{-gamma t} per row of the block-diagonal V_inf
+    root_y, v = damping(ch, t)
+    g = np.repeat(root_y, 2, axis=-1)  # diagonal of G(t)
+    relax = np.repeat(v, 2, axis=-1)  # v = 1 - e^{-gamma t} per row of the block-diagonal V_inf
 
     def V():
         return numkit.hermitize(g[..., :, None] * state.V * g[..., None, :] + relax[..., :, None] * diffusion_matrix(ch))
 
     factor = None
-    if state.factor is not None and not ch.m_e.any():
-        if (ch.gamma == ch.gamma[..., :1]).all() and (ch.n_e == ch.n_e[..., :1]).all():
-            O, lam, delta = state.factor
-            y, v, n_e = g[..., :1] ** 2, relax[..., :1], ch.n_e[..., :1]
-            eps, root = 2.0 * n_e + 1.0, np.sqrt(lam)
-            nu = root[..., 0::2] * root[..., 1::2]
-            inner = eps * (root[..., 0::2] - root[..., 1::2]) ** 2 + 4.0 * n_e * nu + 2.0 * delta / (nu + 1.0)
-            delta = y * (y * delta + v * inner) + 4.0 * v * v * n_e * (1.0 + n_e)
-            factor = O, y * lam + v * eps, delta
+    if state.factor is not None and keeps_factor(ch):
+        O, lam, delta = state.factor
+        factor = (O,) + damp_factor(lam, delta, root_y, v, ch.n_e)
     return GaussianState._built(g * state.d, V if factor is not None else V(), factor)

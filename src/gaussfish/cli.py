@@ -118,7 +118,8 @@ def _load_config(args) -> ScenarioConfig:
             ) from exc
         if not isinstance(data, dict):
             raise CliError("config must be a JSON object")
-        if data.pop("schema", None) != 1:
+        schema = data.pop("schema", None)
+        if isinstance(schema, bool) or schema != 1:  # True == 1, as validate refuses it elsewhere
             raise CliError('config must declare "schema": 1')
     known = {f.name for f in dataclasses.fields(ScenarioConfig)}
     unknown = sorted(set(data) - known)

@@ -283,6 +283,22 @@ def displacement_op(theta1: float, theta2: float, mode: int = 0, modes: int = 1)
     return SymplecticOp(np.eye(2 * modes), shift)
 
 
+def probe_factor(r, phi: float, n_th):
+    """The eigen-factor (O, lam, delta) of :func:`probe_tmsdt`'s V, with no state built.
+
+    O is fixed by phi (:func:`_eigenbasis`), lam = (2 n_th + 1) (e^2r, e^-2r, e^-2r, e^2r),
+    so nu = (2 n_th + 1, 2 n_th + 1), and delta = nu^2 - 1 = 4 n_th (1 + n_th) per mode.
+    Arrays of r and n_th broadcast to a stack; a negative n_th raises ValueError.
+    """
+    n_th = np.asarray(n_th, dtype=float)
+    if (n_th < 0).any():
+        raise ValueError("n_th must be >= 0")
+    lam = (2.0 * n_th + 1.0)[..., None] * np.exp(np.multiply.outer(r, (2.0, -2.0, -2.0, 2.0)))
+    delta = np.empty(lam.shape[:-1] + (2,))
+    delta[...] = (4.0 * n_th * (1.0 + n_th))[..., None]
+    return _eigenbasis(phi), lam, delta
+
+
 def probe_tmsdt(r, phi, q1, p1, q2, p2, n_th) -> GaussianState:
     """Two-mode squeezed displaced thermal probe.
 
@@ -290,24 +306,19 @@ def probe_tmsdt(r, phi, q1, p1, q2, p2, n_th) -> GaussianState:
     (q1, p1, q2, p2) and then two-mode squeezed with S2(r, phi), so
     d = S2 (q1, p1, q2, p2)^T and V = (2 n_th + 1) S2 S2^T.  Arrays of r and
     n_th broadcast to a stack of probes, one per element.  The state carries its
-    eigen-factor (O, lam, delta) in Williamson form (:class:`GaussianState`): O fixed by
-    phi, lam = (2 n_th + 1) (e^2r, e^-2r, e^-2r, e^2r), so nu = (2 n_th + 1, 2 n_th + 1),
-    and delta = nu^2 - 1 = 4 n_th (1 + n_th) per mode.
+    eigen-factor (O, lam, delta) in Williamson form (:class:`GaussianState`) from
+    :func:`probe_factor`.
     """
-    n_th = np.asarray(n_th, dtype=float)
-    if (n_th < 0).any():
-        raise ValueError("n_th must be >= 0")
-    S, tau = _s2(r, phi), 2.0 * n_th + 1.0
-    lam = tau[..., None] * np.exp(np.multiply.outer(r, (2.0, -2.0, -2.0, 2.0)))
-    d = np.empty(lam.shape)
+    factor = probe_factor(r, phi, n_th)
+    S = _s2(r, phi)
+    d = np.empty(factor[1].shape)
     d[...] = S @ np.array([q1, p1, q2, p2], dtype=float)
-    delta = np.empty(lam.shape[:-1] + (2,))
-    delta[...] = (4.0 * n_th * (1.0 + n_th))[..., None]
 
     def V():  # deferred: a factored evaluation reads only the factor
+        tau = 2.0 * np.asarray(n_th, dtype=float) + 1.0
         return numkit.hermitize(tau[..., None, None] * (S @ S.swapaxes(-1, -2)))
 
-    return GaussianState._built(d, V, (_eigenbasis(phi), lam, delta))
+    return GaussianState._built(d, V, factor)
 
 
 # ----------------------------------------------------------------------------

@@ -376,6 +376,17 @@ def _first_moment_factored(D, factor, zero):
     return f_s.reshape(shape), u.reshape(shape), f_r_inv.reshape(shape)
 
 
+def closed_form_serves(delta) -> bool:
+    """Whether :func:`_first_moment_factored` serves a factored two-mode, two-parameter stack
+    whose state carries delta = nu^2 - 1, (..., 2): where every delta is finite and each
+    point has both modes pure (delta = 0) or neither.  A stack with a non-finite delta
+    (a lam that overflows) or with modes pure in part is left to the other routes."""
+    if not np.isfinite(delta).all():
+        return False
+    pure = delta == 0.0
+    return not (pure[..., 0] != pure[..., 1]).any()
+
+
 def _inverse(x, zero_to):
     """Elementwise 1/x, with zero_to where x == 0 (a pure-mode direction)."""
     return np.divide(1.0, x, out=np.full(x.shape, zero_to, dtype=x.dtype), where=x != 0)
@@ -465,7 +476,8 @@ class PointMoments:
         reach p coordinates between them: with X the permutation that puts those first,
         D X = [B, 0].  The route is decided before any work: a two-mode, two-parameter
         stack whose state carries its eigen-factor with a finite delta, and whose points
-        have both modes pure (delta = 0) or neither, takes the closed form of the factor's
+        have both modes pure (delta = 0) or neither (:func:`closed_form_serves`, which the
+        factored route of a scenario sweep asks too), takes the closed form of the factor's
         2x2 blocks (:func:`_first_moment_factored`); any other takes the solves on V and M
         (:func:`_first_moment`) with Y = X diag(B^-1, I), so D Y = [I, 0], and a zero B
         taking I in place of B^-1, so its point stays finite.  There is no QR: a stack whose
@@ -487,10 +499,8 @@ class PointMoments:
                 return None
             B_inv[zero] = np.eye(p)
         factor = self.st.factor
-        if factor is not None and p == 2 and n2 == 4 and np.isfinite(factor[2]).all():
-            pure = factor[2] == 0.0
-            if not (pure[..., 0] != pure[..., 1]).any():
-                return _first_moment_factored(D, factor, zero)
+        if factor is not None and p == 2 and n2 == 4 and closed_form_serves(factor[2]):
+            return _first_moment_factored(D, factor, zero)
         Y = np.zeros(B_inv.shape[:-2] + (n2, n2))
         Y[..., order[:p], :p] = B_inv
         Y[..., order[p:], p:] = np.eye(n2 - p)
@@ -843,15 +853,22 @@ def displacement_model(
             st = evolve(channel, st, t)
         return st
 
-    eta = 1.0
-    if channel is not None:
-        eta = np.exp(-0.5 * channel.gamma[..., 0] * np.asarray(t, dtype=float))
-    dd = np.zeros((2,) + np.broadcast_shapes(np.shape(eta), probe.d.shape[:-1]) + (2 * modes,))
-    dd[0, ..., 0] = dd[1, ..., 1] = eta  # e1, e2
+    dd = np.moveaxis(displacement_derivs(channel, t, probe.d.shape[:-1], modes), -2, 0)
     zero = np.zeros(dd.shape + (2 * modes,))
     return GaussianModel(
         state_fn, n_params=2, d_derivs=lambda theta: dd, v_derivs=lambda theta: zero
     )
+
+
+def displacement_derivs(channel: Optional[NoisyChannel], t, lead=(), modes: int = 2) -> np.ndarray:
+    """D = (dd_1, dd_2), (..., 2, 2N): the first-moment derivatives e^{-gamma t / 2} (e1, e2)
+    of :func:`displacement_model`, over the stack shapes of lead, the channel and t."""
+    eta = 1.0
+    if channel is not None:
+        eta = np.exp(-0.5 * channel.gamma[..., 0] * np.asarray(t, dtype=float))
+    D = np.zeros(np.broadcast_shapes(np.shape(eta), lead) + (2, 2 * modes))
+    D[..., 0, 0] = D[..., 1, 1] = eta  # e1, e2
+    return D
 
 
 def phase_model(probe: GaussianState) -> GaussianModel:

@@ -14,6 +14,15 @@ the double-homodyne bound hdb = Tr[W F_C^{-1}], and the coherent-probe
 benchmark sql (the b_h_upper of the displaced-vacuum probe under the same
 channel), all for the weight W (identity by default).
 
+A sweep is one stacked evaluation of its grid (:func:`_evaluate`), by one of two
+routes.  Where the channel keeps the probe's eigen-factor (m_e = 0), the columns
+are read from the factor (lam, delta) alone (:func:`_factored_columns`): no
+GaussianState, GaussianModel or PointMoments is built, whose set-up was most of the
+cost of a one-point evaluation.  A stack that the factored closed form does not serve
+(a delta that is not finite, or modes pure in part) and any other channel go through
+the probe's state and its displacement model (:func:`_model_columns`).  Both share
+every formula, so where both apply they give the same bits.
+
 :func:`closed_form_bounds` gives every column of every probe family in closed
 form, elementwise over arrays, for cross-checking the full pipeline; the sql
 column is its displaced-vacuum b_h_upper.
@@ -25,15 +34,32 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import numkit
-from .gaussian_core import GaussianState, probe_tmsdt
-from .channels import NoisyChannel
-from .qfi_gaussian import displacement_model, evaluate, qfim_report, weight_root
-from .measurements import cfim_gaussian_outcomes, epr_readout
+from .gaussian_core import GaussianState, _eigenbasis, probe_factor, probe_tmsdt
+from .channels import NoisyChannel, damp_factor, damping, keeps_factor
+from .qfi_gaussian import (
+    _first_moment_factored,
+    bound_chain,
+    closed_form_serves,
+    displacement_derivs,
+    displacement_model,
+    evaluate,
+    qfim_report,
+    weight_root,
+)
+from .measurements import (
+    _recorded,
+    cfim_gaussian_outcomes,
+    epr_readout,
+    factored_outcome_cov,
+    outcome_fisher,
+    rows_on_factor,
+)
 
 PROBES = ("tmsv", "tmst", "tmdv", "tmdt")
 _SQUEEZED = ("tmsv", "tmst")  # the probes that read r; the others read alpha
@@ -155,13 +181,20 @@ class ScenarioConfig:
         return np.asarray(self.weight, dtype=float)
 
 
-def build_probe(cfg: ScenarioConfig, r=None, n_th=None) -> GaussianState:
-    """The configured probe at r and n_th (arrays give a stack), by default cfg.r and cfg.n_th."""
+def _probe_params(cfg: ScenarioConfig, r=None, n_th=None):
+    """(r, n_th, alpha) as the configured probe reads them, by default cfg.r and cfg.n_th:
+    0 for a parameter that the probe ignores."""
     if cfg.probe not in PROBES:
         raise ValueError("probe must be one of %s" % (PROBES,))
     r = (cfg.r if r is None else r) if cfg.probe in _SQUEEZED else 0.0
     n_th = (cfg.n_th if n_th is None else n_th) if cfg.probe in _THERMAL else 0.0
     alpha = (0.0,) * 4 if cfg.probe in _SQUEEZED else cfg.alpha
+    return r, n_th, alpha
+
+
+def build_probe(cfg: ScenarioConfig, r=None, n_th=None) -> GaussianState:
+    """The configured probe at r and n_th (arrays give a stack), by default cfg.r and cfg.n_th."""
+    r, n_th, alpha = _probe_params(cfg, r, n_th)
     return probe_tmsdt(r, cfg.phi, *alpha, n_th)
 
 
@@ -236,23 +269,71 @@ def _on_axis(cfg: ScenarioConfig, values: np.ndarray, *names: str) -> list:
 def _evaluate(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> np.ndarray:
     """The (8, K) row columns at the K axis values, from one stacked evaluation per layer.
 
-    The probe is one :func:`probe_tmsdt` call on the grid's r and n_th, the channel ch (one
-    stacked NoisyChannel if None or on a gamma or n_e axis) and the decay one :func:`evolve`
-    call on a t that spans the grid, so an axis that the probe ignores still gives one point
-    per value.  What a layer raises for the stack propagates; an overflow leaves a non-finite entry.
+    The channel is ch (one stacked NoisyChannel if None or on a gamma or n_e axis), and t
+    spans the grid, so an axis that the probe ignores still gives one point per value.  A
+    channel that keeps the probe's eigen-factor (m_e = 0) takes :func:`_factored_columns`,
+    which builds no state or model; a stack that its closed form does not serve, and any
+    other channel, takes :func:`_model_columns`.  What a layer raises for the stack
+    propagates; an overflow leaves a non-finite entry.
     """
     r, n_th, gamma, n_e, t = _on_axis(cfg, values, "r", "n_th", "gamma", "n_e", "t")
     t = np.full(values.shape, t)
     if ch is None or cfg.axis in ("gamma", "n_e"):
         ch = NoisyChannel.uniform(2, gamma, n_e, cfg.m_e)
-    pt = evaluate(displacement_model(build_probe(cfg, r, n_th), ch, t), cfg.theta)
-    rep = qfim_report(pt, weight=cfg.weight)
-    pre, gd = epr_readout()
-    F_C = cfim_gaussian_outcomes(pt, gd, pre_op=pre)
+    chain, F_C = _factored_columns(cfg, r, n_th, ch, t) or _model_columns(cfg, r, n_th, ch, t)
     W = cfg.weight_matrix()
     hdb = (W @ numkit.pinv_psd(F_C)[0]).trace(axis1=-2, axis2=-1)
     sql = _standard_form(0.0, 0.0, gamma, t, n_e, W)[1]  # the tmdv closed form's b_h_upper
-    return np.array((values, rep.b_s, rep.b_r, rep.b_h_mid, rep.b_h_upper, hdb, rep.r_q, sql))
+    return np.array((values, chain.b_s, chain.b_r, chain.b_h_mid, chain.b_h_upper, hdb, chain.r_q, sql))
+
+
+def _model_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
+    """(bound chain, F_C) through the probe's state and its displacement model: one
+    :func:`probe_tmsdt`, one :func:`evolve` and one PointMoments for the stack."""
+    pt = evaluate(displacement_model(build_probe(cfg, r, n_th), ch, t), cfg.theta)
+    rep = qfim_report(pt, weight=cfg.weight)
+    pre, gd = epr_readout()
+    return rep, cfim_gaussian_outcomes(pt, gd, pre_op=pre)
+
+
+def _factored_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
+    """(bound chain, F_C) from the eigen-factor (lam, delta) alone, or None for a channel that
+    does not keep it (:func:`keeps_factor`) or a stack that :func:`closed_form_serves` refuses.
+
+    The numbers are those of :func:`_model_columns`, bit for bit: the probe factor, its
+    damping and dd come from the helpers that :func:`probe_tmsdt`, :func:`evolve` and
+    :func:`displacement_model` call, F_S, U and the limiting F_R^-1 from
+    :func:`_first_moment_factored`, which PointMoments.solved takes on the same stacks, and
+    F_C from the readout helpers of :func:`cfim_gaussian_outcomes`.  dd = eta (e1, e2), whose
+    B = eta I solved certifies wherever eta > 0, so its zero points are those where eta = 0.
+    Where every eta is 0 (gamma t past about 1490) solved leaves the stack to the Williamson
+    basis, whose zero rows give the same zeros as the closed form.
+    """
+    if not keeps_factor(ch):
+        return None
+    r, n_th, _ = _probe_params(cfg, r, n_th)
+    O, lam, delta = probe_factor(r, cfg.phi, n_th)
+    D = displacement_derivs(ch, t, lam.shape[:-1])
+    lam, delta = damp_factor(lam, delta, *damping(ch, t), ch.n_e)
+    if not closed_form_serves(delta):
+        return None
+    f_s, u, f_r_inv = _first_moment_factored(D, (O, lam, delta), D[..., 0, 0] == 0.0)
+    chain = bound_chain(f_s, u, rld_inverse=f_r_inv, weight=cfg.weight)
+    S_r, Vm, B = _readout_rows(cfg.phi)
+    return chain, outcome_fisher(D @ S_r.T, factored_outcome_cov(B, lam, Vm))
+
+
+@lru_cache(maxsize=64)
+def _readout_rows(phi: float):
+    """(S_r, Vm, S_r O) of the EPR readout (:func:`epr_readout`) on the probe basis O of phi:
+    its recorded rows, measurement covariance and rows on the factor, built once per phi.
+    Read-only, as one cached set serves every caller."""
+    pre, gd = epr_readout()
+    _, S_r, Vm = _recorded(gd, 2, pre, None)
+    out = S_r, Vm, rows_on_factor(S_r, _eigenbasis(phi))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _rows(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> list:

@@ -1,10 +1,12 @@
 """Dense linear-algebra helpers that only the tests use: vectorization for the
 kron-matrix oracles, a largest-eigenvalue scale, and one call recorder for the
-structural pins: the LAPACK drivers a run calls and the deferred covariances it forms."""
+structural pins: the LAPACK drivers a run calls, the deferred covariances it forms and
+the evaluated models (PointMoments) it builds."""
 
 import numpy as np
 
 from gaussfish.gaussian_core import GaussianState
+from gaussfish.qfi_gaussian import PointMoments
 
 LAPACK_DRIVERS = ("svd", "eigvalsh", "qr", "eigh", "inv", "det", "solve", "eig", "eigvals", "cholesky", "lstsq", "pinv", "slogdet")
 
@@ -44,6 +46,12 @@ def v_formations(monkeypatch, run):
     of a GaussianState that holds V as a recipe, each running the recipe once."""
     pending = lambda st, name: "V" if name == "V" and "_V_recipe" in st.__dict__ else None
     result, calls = recorded_calls(monkeypatch, run, [(GaussianState, "__getattr__", pending)])
+    return result, len(calls)
+
+
+def moments_built(monkeypatch, run):
+    """run()'s result and how many PointMoments it constructed: one per model evaluation."""
+    result, calls = recorded_calls(monkeypatch, run, [(PointMoments, "__init__", lambda *a: "PointMoments")])
     return result, len(calls)
 
 

@@ -68,6 +68,14 @@ def test_missing_schema_rejected(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+def test_boolean_schema_rejected(tmp_path, capsys):
+    """JSON true equals 1 in Python, but it is no schema number."""
+    for schema in (True, False):
+        cfg = _write_config(tmp_path, schema=schema)
+        assert main(["sweep", "--config", cfg]) == 2
+        assert 'config must declare "schema": 1' in capsys.readouterr().err
+
+
 def test_unknown_keys_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path, typo_field=3)
     assert main(["sweep", "--config", cfg]) == 2

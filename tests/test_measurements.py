@@ -259,22 +259,25 @@ def test_readout_pre_op_must_match_the_state_modes():
 
 
 def test_sweep_readout_makes_no_apply_call(monkeypatch):
-    """The readout of a 201-point sweep reads the recorded rows of the stacked moments directly."""
-    calls = []
-    for mod in (gaussian_core, qfi_gaussian, measurements):
-        if hasattr(mod, "apply"):
-            monkeypatch.setattr(mod, "apply", lambda *a, fn=mod.apply: calls.append("apply") or fn(*a))
-    readout = scenarios.cfim_gaussian_outcomes
+    """The readout of a 201-point sweep reads the recorded rows directly, with no apply call:
+    on the factored route (m_e = 0) F_C comes from S_r O and lam (outcome_fisher), and on the
+    model route (m_e = 0.2) from the stacked moments (cfim_gaussian_outcomes), once per sweep."""
+    for m_e, layer in ((0.0, "outcome_fisher"), (0.2, "cfim_gaussian_outcomes")):
+        calls = []
+        for mod in (gaussian_core, qfi_gaussian, measurements):
+            if hasattr(mod, "apply"):
+                monkeypatch.setattr(mod, "apply", lambda *a, fn=mod.apply: calls.append("apply") or fn(*a))
+        readout = getattr(scenarios, layer)
 
-    def traced(*a, **kw):
-        calls.append("readout")
-        out = readout(*a, **kw)
-        calls.append("done")
-        return out
+        def traced(*a, readout=readout, **kw):
+            calls.append("readout")
+            out = readout(*a, **kw)
+            calls.append("done")
+            return out
 
-    monkeypatch.setattr(scenarios, "cfim_gaussian_outcomes", traced)
-    cfg = scenarios.ScenarioConfig(probe="tmst", n_th=0.5, axis="t", start=0.0, stop=1.0, step=0.005)
-    rows = scenarios.sweep(cfg)
-    monkeypatch.undo()
-    assert len(rows) == 201 and all(row.ok for row in rows)
-    assert calls[calls.index("readout") + 1] == "done"
+        monkeypatch.setattr(scenarios, layer, traced)
+        cfg = scenarios.ScenarioConfig(probe="tmst", n_th=0.5, m_e=m_e, axis="t", start=0.0, stop=1.0, step=0.005)
+        rows = scenarios.sweep(cfg)
+        monkeypatch.undo()
+        assert len(rows) == 201 and all(row.ok for row in rows), m_e
+        assert calls == ["readout", "done"], m_e

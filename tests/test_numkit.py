@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gaussfish import measurements, numkit
 from gaussfish.channels import NoisyChannel
@@ -409,15 +409,37 @@ def test_two_by_two_pinv_psd_of_one_matrix_is_its_stack_member(stack):
     _assert_close_per_member([root], want_root, cond)
 
 
+def _lapack_refuses(a):
+    """Whether np.linalg.inv raises LinAlgError on a (one singular member refuses the whole stack)."""
+    try:
+        np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+# A near_cutoff member (lam about 0.7 eps at scale 1e16) whose LU pivot LAPACK finds exactly zero.
+_LU_SINGULAR_NEAR_CUTOFF = np.array([[5051771925651760.0, 7140539323431244.0], [7140539323431244.0, 1.0092954032735702e16]])
+
+
 @settings(max_examples=200, deadline=None)
 @given(stack=_sym2_stacks(kinds=("full", "near_cutoff", "indefinite"), sizes=(numkit.STACK_MIN, numkit.STACK_MIN + 6)),
        singular=st.booleans())
+@example(stack=np.concatenate([[_LU_SINGULAR_NEAR_CUTOFF], np.tile(np.eye(2), (numkit.STACK_MIN, 1, 1))]), singular=False)
 def test_two_by_two_inv_sym_is_the_lapack_inv(stack, singular):
-    """A stack of at least STACK_MIN members takes the closed form; a shorter one is LAPACK's inv."""
+    """A stack of at least STACK_MIN members takes the closed form; a shorter one is LAPACK's inv.
+
+    Where LAPACK refuses a stack, inv_sym refuses it with the same error.
+    """
     short = stack[: numkit.STACK_MIN - 1]
-    assert np.array_equal(numkit.inv_sym(short), np.linalg.inv(short))
-    if singular:  # an exactly singular member: LAPACK's refusal, for the whole stack
+    if _lapack_refuses(short):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            numkit.inv_sym(short)
+    else:
+        assert np.array_equal(numkit.inv_sym(short), np.linalg.inv(short))
+    if singular:  # an exactly singular member
         stack = np.concatenate([stack, [[[1.0, 2.0], [2.0, 4.0]]]])
+    if singular or _lapack_refuses(stack):  # LAPACK's refusal, for the whole stack
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             numkit.inv_sym(stack)
         return

@@ -25,7 +25,7 @@ from gaussfish.scenarios import (
     sweep,
 )
 
-from linalg_helpers import lapack_calls, v_formations
+from linalg_helpers import lapack_calls, moments_built, v_formations
 
 
 def _cfg(**kw):
@@ -257,18 +257,31 @@ def test_numerical_overflow_degrades_to_nan_row():
 
 
 def test_programming_error_propagates_instead_of_degrading(monkeypatch):
+    """A TypeError from a layer is a bug, not a degraded row: from the readout of the factored
+    route (m_e = 0, outcome_fisher) and of the model route (m_e = 0.2, cfim_gaussian_outcomes)."""
     def broken(*args, **kwargs):
         raise TypeError("broken layer")
 
-    monkeypatch.setattr(scenarios, "cfim_gaussian_outcomes", broken)
-    with pytest.raises(TypeError, match="broken layer"):
-        run_point(_cfg(), 0.4)
+    for m_e, layer in ((0.0, "outcome_fisher"), (0.2, "cfim_gaussian_outcomes")):
+        monkeypatch.setattr(scenarios, layer, broken)
+        with pytest.raises(TypeError, match="broken layer"):
+            run_point(_cfg(m_e=m_e), 0.4)
+        monkeypatch.undo()
 
 
 def test_run_point_evaluates_the_model_once(monkeypatch):
-    """A sweep is one stacked model evaluation; run_point is the same on a one-point stack."""
+    """A sweep is one stacked evaluation; run_point is the same on a one-point stack.
+
+    On the factored route (m_e = 0) that is one closed form of the eigen-factor's blocks
+    for the stack; on the model route (m_e = 0.2) one stacked state of the model.
+    """
     stacks = []
     build = scenarios.displacement_model
+    closed_form = scenarios._first_moment_factored
+
+    def counting_closed_form(D, *args):
+        stacks.append(D.shape[0])
+        return closed_form(D, *args)
 
     def counting_model(*args, **kwargs):
         model = build(*args, **kwargs)
@@ -289,38 +302,42 @@ def test_run_point_evaluates_the_model_once(monkeypatch):
         point_calls.append(1)
         return point(*args, **kwargs)
 
-    monkeypatch.setattr(scenarios, "displacement_model", counting_model)
-    monkeypatch.setattr(scenarios, "run_point", counting_point)
-    cfg = _cfg(probe="tmdt", n_th=0.5, alpha=(0.3, -0.2, 0.1, 0.4), axis="t", stop=0.4)
-    rows = sweep(cfg)
-    assert all(row.ok for row in rows)
-    assert stacks == [len(rows)] == [5]
-    assert point_calls == []
-    assert scenarios.run_point(cfg, 0.2).ok
-    assert stacks == [5, 1]
+    for m_e, layer, counting in ((0.0, "_first_moment_factored", counting_closed_form),
+                                 (0.2, "displacement_model", counting_model)):
+        stacks.clear()
+        point_calls.clear()
+        monkeypatch.setattr(scenarios, layer, counting)
+        monkeypatch.setattr(scenarios, "run_point", counting_point)
+        cfg = _cfg(probe="tmdt", n_th=0.5, alpha=(0.3, -0.2, 0.1, 0.4), m_e=m_e, axis="t", stop=0.4)
+        rows = sweep(cfg)
+        assert all(row.ok for row in rows)
+        assert stacks == [len(rows)] == [5], m_e
+        assert point_calls == []
+        assert scenarios.run_point(cfg, 0.2).ok
+        assert stacks == [5, 1], m_e
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("axis", scenarios.AXES)
 def test_sweep_builds_the_probe_once_on_every_axis(monkeypatch, axis):
-    built = []
-    probe_tmsdt = scenarios.probe_tmsdt
-
-    def counting_probe(*args):
-        built.append(args)
-        return probe_tmsdt(*args)
-
-    monkeypatch.setattr(scenarios, "probe_tmsdt", counting_probe)
-    for probe in PROBES:
-        built.clear()
-        cfg = _cfg(**_probe_args(probe, 0.3, (0.0,) * 4), axis=axis, start=0.1, stop=0.5, step=0.1)
-        if _ignores(probe, axis):
-            with pytest.raises(ValueError, match="axis %s is ignored" % axis):
-                sweep(cfg)
-            assert built == []
-            continue
-        rows = sweep(cfg)
-        assert len(rows) == 5 and all(row.ok for row in rows)
-        assert len(built) == 1
+    """One probe build per sweep: of its eigen-factor alone on the factored route (m_e = 0),
+    of its state on the model route (m_e = 0.2)."""
+    built = Counter()
+    for name in ("probe_factor", "probe_tmsdt"):
+        build = getattr(scenarios, name)
+        monkeypatch.setattr(scenarios, name, lambda *args, build=build, name=name: built.update([name]) or build(*args))
+    for m_e, layer in ((0.0, "probe_factor"), (0.2, "probe_tmsdt")):
+        for probe in PROBES:
+            built.clear()
+            cfg = _cfg(**_probe_args(probe, 0.3, (0.0,) * 4), m_e=m_e, axis=axis, start=0.1, stop=0.5, step=0.1)
+            if _ignores(probe, axis):
+                with pytest.raises(ValueError, match="axis %s is ignored" % axis):
+                    sweep(cfg)
+                assert not built
+                continue
+            rows = sweep(cfg)
+            assert len(rows) == 5 and all(row.ok for row in rows)
+            assert built == {layer: 1}, (m_e, probe)
 
 
 def test_sql_column_is_the_scalar_closed_form_at_every_point():
@@ -720,6 +737,79 @@ def test_factored_runs_form_no_dense_v(monkeypatch):
     rows, formed = v_formations(monkeypatch, lambda: sweep(cfg))
     assert len(rows) == 201 and all(row.ok for row in rows)
     assert formed == 1
+
+
+def test_factored_runs_build_no_model(monkeypatch):
+    """A channel that keeps the eigen-factor (m_e = 0) gives rows from (lam, delta) alone:
+    each probe's 201-point t sweep and one run_point construct no PointMoments.  A squeezed
+    reservoir (m_e = 0.2) takes the model route, one PointMoments per sweep.  On the tmsv
+    r 0..400 grid lam overflows from r = 355, so delta is not finite there: every stack
+    holding such a point falls back to the model route, which raises for it, and the halving
+    isolates the 91 degraded points in 187 model evaluations."""
+    for probe in PROBES:
+        cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), axis="t", start=0.0, stop=1.0, step=0.005)
+        rows, built = moments_built(monkeypatch, lambda: sweep(cfg))
+        assert len(rows) == 201 and all(row.ok for row in rows), probe
+        assert built == 0, probe
+        row, built = moments_built(monkeypatch, lambda: run_point(cfg, 0.3))
+        assert row.ok and built == 0, probe
+    cfg = _cfg(probe="tmst", n_th=0.5, m_e=0.2, axis="t", start=0.0, stop=1.0, step=0.005)
+    rows, built = moments_built(monkeypatch, lambda: sweep(cfg))
+    assert len(rows) == 201 and all(row.ok for row in rows)
+    assert built == 1
+    cfg = _cfg(probe="tmsv", r=0.6, axis="r", start=0.0, stop=400.0, step=0.5)
+    rows, built = moments_built(monkeypatch, lambda: sweep(cfg))
+    assert [row.ok for row in rows] == [row.axis < 355.0 for row in rows]
+    assert {row.message for row in rows if not row.ok} == {"covariance is not finite"}
+    assert built == 187
+
+
+# The referee battery of the factored route, (axis, start, stop, step): every probe's
+# grids, then those of the squeezed probes and of the thermal ones.
+ROUTE_GRIDS = [("t", 0.0, 1.0, 0.005), ("t", 0.0, 1600.0, 8.0), ("gamma", 0.0, 3.0, 0.015), ("n_e", 0.0, 2.0, 0.01)]
+SQUEEZED_ROUTE_GRIDS = [("r", 0.0, 400.0, 0.5), ("r", 0.0, 40.0, 0.1)]
+THERMAL_ROUTE_GRIDS = [("n_th", 0.0, 5.0, 0.025)]
+
+
+def _route_output(cfg):
+    """Everything a run prints of cfg: _evaluate's columns of the whole grid and of its last
+    value (or the message it raises), the sweep's CSV and JSON, and run_point's row at every
+    7th grid value."""
+    columns, values, ch = [], cfg.axis_values(), cfg.validate()
+    for stack in (values, values[-1:]):
+        with np.errstate(all="ignore"):
+            try:
+                columns.append(scenarios._evaluate(cfg, stack, ch))
+            except scenarios.NUMERICAL_ERRORS as exc:
+                columns.append(str(exc))
+    rows = sweep(cfg)
+    points = [run_point(cfg, value) for value in values[::7]]
+    return columns, rows_to_csv(rows), rows_to_json(rows, cfg), repr(points)
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_factored_route_matches_the_model_route_bit_for_bit(monkeypatch, probe):
+    """The factored route (m_e = 0) prints what the model route prints on the same config,
+    bit for bit: every column, degraded rows and their messages included, on the battery's
+    grids with and without a weight.  The model route, the only one for m_e != 0, referees."""
+    grids = list(ROUTE_GRIDS)
+    grids += SQUEEZED_ROUTE_GRIDS if probe in ("tmsv", "tmst") else []
+    grids += THERMAL_ROUTE_GRIDS if probe in ("tmst", "tmdt") else []
+    for weight in (None, [[2.0, 0.3], [0.3, 1.0]]):
+        for axis, start, stop, step in grids:
+            cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), r=0.6, weight=weight,
+                       axis=axis, start=start, stop=stop, step=step)
+            factored = _route_output(cfg)
+            monkeypatch.setattr(scenarios, "_factored_columns", lambda *args: None)
+            model = _route_output(cfg)
+            monkeypatch.undo()
+            where = (weight is not None, axis, stop)
+            for got, want in zip(factored[0], model[0]):
+                if isinstance(want, str):
+                    assert got == want, where
+                else:
+                    assert np.array_equal(got, want, equal_nan=True), where
+            assert factored[1:] == model[1:], where
 
 
 def _output(cfg):
