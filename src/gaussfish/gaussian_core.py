@@ -52,9 +52,11 @@ class GaussianState:
     (..., N) holds nu_k^2 - 1, carried as a sum of nonnegative terms, so that a mode is
     pure exactly where delta_k == 0 and nu - 1 keeps its digits near purity.  It keeps
     a small eigenvalue that the dense V loses at strong squeezing.  Only
-    :func:`probe_tmsdt` sets it; :func:`gaussfish.channels.evolve` keeps it where it
-    stays exact, and so do the displacement model's states.  The public constructor,
-    :func:`apply` and every other operation give None.
+    :func:`probe_tmsdt` sets it, with O of :func:`_eigenbasis`;
+    :func:`gaussfish.channels.evolve` keeps it through a channel the same on every mode,
+    turning each mode's axes by a rotation where the reservoir is squeezed, and so do the
+    displacement model's states.  The public constructor, :func:`apply` and every other
+    operation give None.
 
     A state the program builds may hold V as a recipe, formed on the first read of .V and
     stored (:meth:`_built`): :func:`probe_tmsdt` and a factor-keeping

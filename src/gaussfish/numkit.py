@@ -127,23 +127,18 @@ def inv_sym(a):
 
 
 def inv_certified(a):
-    """(ok, inverse) of each square n x n matrix of a stack, ok where it is certified of full rank.
+    """(ok, inverse) of each real 2x2 matrix of a stack, ok where it is certified of full rank.
 
     With b = a / max|a|, so that no scale over- or underflows, the certificate is
-    |det b| > SPD2_MARGIN eps n^n: as sigma_max(b) >= max|b| = 1 and
-    |det b| <= sigma_min sigma_max^(n-1) <= sigma_min sigma_max^n, it bounds
-    sigma_min / sigma_max from below by SPD2_MARGIN eps.  A zero or non-finite matrix
-    fails it, and where ok is False the inverse is meaningless.  A real 2x2 matrix
-    takes adj(b) / (det(b) max|a|), by its entries; other sizes take np.linalg.det and
-    np.linalg.inv.
+    |det b| > 4 SPD2_MARGIN eps: as |det b| = sigma_min sigma_max and
+    sigma_max <= ||b||_F <= 2, it bounds sigma_min / sigma_max from below by
+    SPD2_MARGIN eps.  A zero or non-finite matrix
+    fails it, and where ok is False the inverse is meaningless.  The inverse is
+    adj(b) / (det(b) max|a|), by its entries.
     """
     a = np.asarray(a)
-    n = a.shape[-1]
-    margin = SPD2_MARGIN * EPS * float(n) ** n
-    if n != 2:
-        with np.errstate(all="ignore"):
-            ok = np.abs(np.linalg.det(a / np.abs(a).max(axis=(-2, -1))[..., None, None])) > margin
-        return ok, np.linalg.inv(np.where(ok[..., None, None], a, np.eye(n)))
+    if a.shape[-2:] != (2, 2):
+        raise ValueError("inv_certified takes 2x2 matrices, not %s" % (a.shape[-2:],))
     flat = a.reshape(-1, 4)
     with np.errstate(all="ignore"):  # only a matrix that fails the certificate meets an error
         scale = np.abs(flat).max(axis=-1)
@@ -152,40 +147,7 @@ def inv_certified(a):
         f = np.reciprocal(det * scale)
         inverse = np.empty_like(flat)
         inverse[:, 0], inverse[:, 1], inverse[:, 2], inverse[:, 3] = b11 * f, -b01 * f, -b10 * f, b00 * f
-    return (np.abs(det) > margin).reshape(a.shape[:-2]), inverse.reshape(a.shape)
-
-
-def schur_psd(m, p):
-    """The generalized Schur complement m_pp - m_pc pinv(m_cc) m_cp of each Hermitian PSD m.
-
-    m is a matrix or a stack; m_pp is its leading p x p block, m_cc the trailing one,
-    and pinv(m_cc) is :func:`pinv_psd`'s.  As m is PSD, the range of m_cp lies in that
-    of m_cc, so this is the limit of the ordinary Schur complement as a singular m_cc
-    is approached.
-    A 4x4 stack with p = 2 is computed by its entries, which numpy runs faster than
-    matmul's loop over complex 2x2 matrices.
-    """
-    m = np.asarray(m)
-    if m.shape[-1] != 4 or p != 2:
-        m_pc = m[..., :p, p:]
-        return m[..., :p, :p] - m_pc @ pinv_psd(m[..., p:, p:])[0] @ adjoint(m_pc)
-    flat = m[..., 2:, 2:].reshape(-1, 2, 2)
-    with np.errstate(all="ignore"):  # only a matrix that fails the certificate meets an error
-        ok, P, *_ = _spd2(flat)  # pinv_psd's inverse, without its root
-    if np.count_nonzero(ok) < ok.size:
-        P[~ok] = _pinv_psd_eigh(flat[~ok])[0]
-    P = P.reshape(m.shape[:-2] + (2, 2))
-    (m00, m01), (m10, m11) = m[..., 0, 2:].T, m[..., 1, 2:].T  # m_pc
-    p00, p01, p11 = P[..., 0, 0].T, P[..., 0, 1].T, P[..., 1, 1].T
-    p10 = p01.conj()
-    y00, y01 = m00 * p00 + m01 * p10, m00 * p01 + m01 * p11  # m_pc pinv(m_cc)
-    y10, y11 = m10 * p00 + m11 * p10, m10 * p01 + m11 * p11
-    s = m[..., :2, :2].copy()
-    s[..., 0, 0] -= (y00 * m00.conj() + y01 * m01.conj()).real.T
-    s[..., 1, 1] -= (y10 * m10.conj() + y11 * m11.conj()).real.T
-    s[..., 0, 1] -= (y00 * m10.conj() + y01 * m11.conj()).T
-    s[..., 1, 0] = s[..., 0, 1].conj()
-    return s
+    return (np.abs(det) > 4.0 * SPD2_MARGIN * EPS).reshape(a.shape[:-2]), inverse.reshape(a.shape)
 
 
 def _spd2(a):

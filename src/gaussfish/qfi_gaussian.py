@@ -10,25 +10,22 @@ has closed forms in V and M = V + i Omega:
 
     F^S = 2 D V^-1 D^T,   U = 2 D V^-1 Omega V^-1 D^T,   F^R = 2 D M^-1 D^T.
 
-:attr:`PointMoments.solved` takes them with no eigenvectors and no QR, by one of two
-routes.  A two-mode, two-parameter stack whose state carries its Williamson form
+:attr:`PointMoments.solved` takes all three, the limiting inverse of F^R included, in
+closed form for a two-mode, two-parameter stack whose state carries its Williamson form
 V = O diag(lam) O^T with delta = nu^2 - 1 (:class:`GaussianState`), as every built-in
-probe through a symmetric channel does, takes all three, the limiting inverse of F^R
-included, in closed form from the 2x2 blocks of E = sqrt2 D O, one per mode, as sums of
-nonnegative terms in delta, with no LAPACK call (:func:`_first_moment_factored`).  Any
-other stack takes solves: F^S and U from G = D W, with W = u diag(lam)^-1/2 of an eigh
-V = u diag(lam) u^T whitening on one side, V^-1 = W W^T, and the limiting inverse of F^R
-from the Schur complement S of M onto the directions of D (:func:`_first_moment`).  On
-both routes the limit is finite at pure points and 0 where the directions reach the null
-coordinates of M with full rank (Genoni et al., PRA 87, 012107 (2013)).
+probe through a uniform channel does: from the 2x2 blocks of E = sqrt2 D O, one per mode,
+as sums of nonnegative terms in delta, with no LAPACK call (:func:`_first_moment_factored`).
+The limit is finite at pure points and 0 where the directions reach the null coordinates
+of M with full rank (Genoni et al., PRA 87, 012107 (2013)).
 
-The Williamson basis.  Every other stack (some dV nonzero, a nonzero dd not of full row
-rank, or modes pure in part, at any of its points, or dd that reach more than p
-coordinates between them; no built-in model builds one) is evaluated in the Williamson basis
-V = S diag(nu) S^T (S symplectic), which also referees the solves in the tests.  The rows
-of T = J S^-1, J taking each pair (q, p) to (q + i p, q - i p)/sqrt2, are normal
-coordinates a with eigenvalue nu_a and sign s_a = +-1, in which V + i Omega is diagonal
-with lam_a = nu_a + s_a (:func:`williamson` gives them up to a unit phase per row).
+The Williamson basis.  Every other stack (some dV nonzero, a state without an eigen-factor,
+modes pure in part, or a nonzero dd not of full row rank at any of its points, or dd that
+reach more than p coordinates between them; no built-in sweep builds one) is evaluated in
+the Williamson basis V = S diag(nu) S^T (S symplectic), which also referees the closed
+form in the tests.  The rows of T = J S^-1, J taking each pair (q, p) to
+(q + i p, q - i p)/sqrt2, are normal coordinates a with eigenvalue nu_a and sign
+s_a = +-1, in which V + i Omega is diagonal with lam_a = nu_a + s_a (:func:`williamson`
+gives them up to a unit phase per row).
 Both moments of parameter mu enter as one augmented matrix
 D_mu = [[dV_mu, dd_mu], [dd_mu^T, 0]], whose extra coordinate (kept as is by
 T) counts as nu = 1/2, s = 0.  Its coefficients k_mu = vec(T D_mu T^T) over
@@ -74,11 +71,11 @@ evaluated on a whole sweep grid gives.  Every function here then works on the le
 axis in one call and returns (K, p, p) matrices and (K,) bounds; without the axis it is
 the one-point case and returns (p, p) matrices and floats.  The formulas are elementwise
 in nu, and the purity cut, the rank cut of :func:`rld_inverse_limit` and every pinv
-cutoff are taken point by point.  The path is chosen per stack: the solves serve the
+cutoff are taken point by point.  The path is chosen per stack: the closed form serves the
 stack whole or not at all (:meth:`PointMoments.merged`), so a point whose modes are pure
 in part moves its neighbours to the Williamson basis, where they match their own
 evaluation to rounding.  A point whose dd is exactly 0 (dd = e^{-gamma t / 2} (e1, e2)
-underflows from gamma t of about 1490) stays in the solves.
+underflows from gamma t of about 1490) stays in the closed form.
 """
 
 from __future__ import annotations
@@ -157,11 +154,11 @@ BoundChain = namedtuple("BoundChain", ["b_s", "b_r", "b_h_mid", "b_h_upper", "r_
 # decomposition grows like eps * cond(V) (about 6e-9 at cond(V) = 5e8).
 PURE_TOL = 1e-12
 
-# Relative rank cut of the limiting RLD inverse at a pure point: a singular value at most
-# RANK_CUT times the largest entry counts as 0, of the reach (I - i A) G^T in the solves
-# (_first_moment) and of the pure-mode rows in the Williamson basis (_rld_inverse_in_basis);
-# in the factored closed form (_first_moment_factored) the anticonformal part of C,
-# ((c00 - c11)^2 + (c01 + c10)^2)^1/2, at most RANK_CUT ||C||_F counts as 0.
+# Relative rank cut of the limiting RLD inverse at a pure point: a singular value of the
+# pure-mode rows in the Williamson basis (_rld_inverse_in_basis) at most RANK_CUT times the
+# largest entry counts as 0; in the factored closed form (_first_moment_factored) the
+# anticonformal part of C, ((c00 - c11)^2 + (c01 + c10)^2)^1/2, at most RANK_CUT ||C||_F
+# counts as 0.
 RANK_CUT = 1e-10
 
 _SQRT2 = np.sqrt(2.0)  # E = sqrt2 D O: the built-in O holds cos and sin of phi/2 over sqrt2
@@ -245,46 +242,6 @@ def williamson(V, factor=None):
     return nu, np.sqrt(nu)[..., :, None] * z
 
 
-def _first_moment(V, D, Y, zero):
-    """(F_S, U, limiting F_R^-1) of a model with dV = 0 from solves on V and M = V + i Omega, or None.
-
-    D (..., p, 2N) is the stack of dd, and Y an invertible (..., 2N, 2N) with D Y = [I, 0],
-    except where zero marks dd = 0 (Y a permutation there).  W (V^-1 = W W^T) and
-    A = W^T Omega W come from one eigh of V (:func:`_whiten`), and 1/nu from the positive
-    eigenvalues of i A by one eigvalsh, with no eigenvectors.  :func:`_purity_cut` finds
-    the pure modes; where some point's modes are pure in part the result is None for the
-    whole stack, as only eigenvectors separate that point's null coordinates.
-    With G = D W, F_S = 2 G G^T and U = 2 G A G^T.  F_R = 2 D M^-1 D^T = 2 ((Y^T M Y)^-1)_pp,
-    so F_R^-1 = S / 2 with S the Schur complement of Y^T M Y onto its first p coordinates,
-    the generalized one where the rest is singular (a pure idler; M is PSD:
-    :func:`numkit.schur_psd`).  S is finite at pure points, so this is the limiting
-    inverse.  At a point whose modes are all pure, (I - i A) / 2 is the projector onto the
-    null coordinates of M; where the p columns of the reach (I - i A) G^T have full rank
-    (smallest singular value above RANK_CUT max|G|), every direction reaches them and the
-    limit is 0 exactly, which S carries only to rounding.  A point with dd = 0 has
-    F_S = U = 0 exactly, and its limit is set to 0, the pinv of its F_R = 0.
-    """
-    cond, w, a = _whiten(V)
-    n = V.shape[-1] // 2
-    pure = _purity_cut(np.linalg.eigvalsh(1j * a)[..., n:], cond) == 1.0
-    if (pure != pure[..., :1]).any():  # modes pure in part
-        return None
-    G = D @ w
-    Gt = np.ascontiguousarray(numkit.transpose(G))
-    f_s, u = G @ Gt, G @ a @ Gt  # halves of F_S and U, returned exactly (anti)symmetric
-    Yt = np.ascontiguousarray(numkit.transpose(Y))
-    f_r_inv = 0.5 * numkit.schur_psd(Yt @ V @ Y + 1j * (Yt @ _omega(n) @ Y), D.shape[-2])
-    whole = np.asarray(pure[..., 0])  # every mode pure; 0-d for one point
-    if whole.any():
-        reach = (np.eye(2 * n) - 1j * a[whole]) @ Gt[whole]
-        vanish = whole.copy()
-        s_min = np.linalg.svd(reach, compute_uv=False)[..., -1]
-        vanish[whole] = s_min > RANK_CUT * np.abs(G[whole]).max(axis=(-2, -1))
-        f_r_inv[vanish] = 0.0
-    f_r_inv[zero] = 0.0
-    return f_s + numkit.transpose(f_s), u - numkit.transpose(u), f_r_inv
-
-
 def _first_moment_factored(D, factor, zero):
     """(F_S, U, limiting F_R^-1) of a two-mode, two-parameter model with dV = 0, in closed form
     from the state's Williamson form (O, lam, delta) (:class:`GaussianState`).
@@ -320,6 +277,8 @@ def _first_moment_factored(D, factor, zero):
     """
     O, lam, delta = factor
     _check_spectrum(lam)
+    if not np.isfinite(delta).all():
+        raise ValueError("overflow: nu^2 - 1 of the covariance is not finite")
     lead, M = D.shape[:-2], _SQRT2 * O
     if lam.shape[:-1] != lead or delta.shape[:-1] != lead:
         lead = np.broadcast_shapes(lead, lam.shape[:-1], delta.shape[:-1])
@@ -378,11 +337,8 @@ def _first_moment_factored(D, factor, zero):
 
 def closed_form_serves(delta) -> bool:
     """Whether :func:`_first_moment_factored` serves a factored two-mode, two-parameter stack
-    whose state carries delta = nu^2 - 1, (..., 2): where every delta is finite and each
-    point has both modes pure (delta = 0) or neither.  A stack with a non-finite delta
-    (a lam that overflows) or with modes pure in part is left to the other routes."""
-    if not np.isfinite(delta).all():
-        return False
+    whose state carries delta = nu^2 - 1, (..., 2): where each point has both modes pure
+    (delta = 0) or neither.  A stack with modes pure in part is left to the Williamson basis."""
     pure = delta == 0.0
     return not (pure[..., 0] != pure[..., 1]).any()
 
@@ -446,12 +402,13 @@ class PointMoments:
 
     Holds the state and its moment derivatives, dds (..., p, 2N) and dVs
     (..., p, 2N, 2N), with dV_zero telling whether every dV is zero, and, on first use,
-    either the solves of a first-moment model (:attr:`solved`) or one Williamson
-    decomposition of V with the coefficient rows and weights of the module docstring.  A stack carries a leading axis of length K on the
-    state, dds, dVs and everything derived from them.  Each point's cuts do not depend on
-    the other points of its stack; the path is chosen for the stack as a whole, so one
-    point that the solves do not serve sends its neighbours to the basis too, where they
-    match their own evaluation to rounding.
+    either the closed form of a factored first-moment model (:attr:`solved`) or one
+    Williamson decomposition of V with the coefficient rows and weights of the module
+    docstring.  A stack carries a leading axis of length K on the state, dds, dVs and
+    everything derived from them.  Each point's cuts do not depend on the other points of
+    its stack; the path is chosen for the stack as a whole, so one point that the closed
+    form does not serve sends its neighbours to the basis too, where they match their own
+    evaluation to rounding.
     """
 
     def __init__(self, st: GaussianState, dds, dVs, n_params: int):
@@ -468,43 +425,26 @@ class PointMoments:
 
     @cached_property
     def solved(self):
-        """(F_S, U, limiting F_R^-1) of the whole stack by closed forms or solves, or None.
+        """(F_S, U, limiting F_R^-1) of the whole stack in closed form, or None.
 
-        The solves serve a stack whole or not at all.  They serve it where every dV is zero,
-        every dd has full row rank, certified point by point (:func:`numkit.inv_certified`),
-        or is exactly zero, and no point's modes are pure in part.  The stack's dd must
-        reach p coordinates between them: with X the permutation that puts those first,
-        D X = [B, 0].  The route is decided before any work: a two-mode, two-parameter
-        stack whose state carries its eigen-factor with a finite delta, and whose points
-        have both modes pure (delta = 0) or neither (:func:`closed_form_serves`, which the
-        factored route of a scenario sweep asks too), takes the closed form of the factor's
-        2x2 blocks (:func:`_first_moment_factored`); any other takes the solves on V and M
-        (:func:`_first_moment`) with Y = X diag(B^-1, I), so D Y = [I, 0], and a zero B
-        taking I in place of B^-1, so its point stays finite.  There is no QR: a stack whose
-        dd reach another count returns None, as does any other unserved point, and the
-        Williamson basis serves the stack whole.
+        The closed form of the eigen-factor's 2x2 blocks (:func:`_first_moment_factored`)
+        serves a two-mode, two-parameter stack whose every dV is zero and whose state carries
+        its eigen-factor, with both modes pure (delta = 0) or neither at each point
+        (:func:`closed_form_serves`, which the factored route of a scenario sweep asks too).
+        The stack's dd must reach two coordinates between them, on which each point's dd is
+        certified of full rank (:func:`numkit.inv_certified`) or exactly zero.  Any other stack
+        returns None, and the Williamson basis serves it whole.
         """
-        if not self.dV_zero:
+        factor, D = self.st.factor, self.dds
+        if not self.dV_zero or factor is None or D.shape[-2:] != (2, 4) or not closed_form_serves(factor[2]):
             return None
-        D = self.dds
-        p, n2 = D.shape[-2:]
-        reached = D.reshape(-1, n2).any(axis=0)
-        if np.count_nonzero(reached) != p:
+        reached = D.reshape(-1, 4).any(axis=0)
+        if np.count_nonzero(reached) != 2:
             return None
-        order = np.argsort(~reached, kind="stable")  # X = I[:, order]
-        ok, B_inv = numkit.inv_certified(D[..., order[:p]])
-        zero = ~ok  # the solves keep an uncertified B only where dd = 0
-        if zero.any():
-            if D[zero].any():
-                return None
-            B_inv[zero] = np.eye(p)
-        factor = self.st.factor
-        if factor is not None and p == 2 and n2 == 4 and closed_form_serves(factor[2]):
-            return _first_moment_factored(D, factor, zero)
-        Y = np.zeros(B_inv.shape[:-2] + (n2, n2))
-        Y[..., order[:p], :p] = B_inv
-        Y[..., order[p:], p:] = np.eye(n2 - p)
-        return _first_moment(self.st.V, D, Y, zero)
+        zero = ~numkit.inv_certified(D[..., reached])[0]  # full rank unless dd = 0
+        if D[zero].any():
+            return None
+        return _first_moment_factored(D, factor, zero)
 
     def merged(self, k: int, in_basis: Callable[["PointMoments"], np.ndarray]) -> np.ndarray:
         """Quantity k of (F_S, U, limiting F_R^-1): of :attr:`solved` where it serves the stack,
@@ -683,10 +623,9 @@ def _quantumness(root_finv, u):
 def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """Limiting inverse of the RLD information matrix.
 
-    A stack the solves serve takes at each point the closed form of
-    :func:`_first_moment_factored` or the Schur complement of :func:`_first_moment`, or 0
-    where dd = 0 or the directions reach the null coordinates of M with full rank, cut by
-    RANK_CUT.  In the Williamson basis,
+    A stack that :attr:`PointMoments.solved` serves takes at each point the closed form of
+    :func:`_first_moment_factored`, 0 where dd = 0 or the directions reach the null
+    coordinates of M with full rank, cut by RANK_CUT.  In the Williamson basis,
     coefficient rows with an infinite RLD weight (pure-mode directions, see
     :func:`_weights`) make the RLD information diverge, and the inverse must vanish on the
     parameter directions that reach them.  With A those rows,

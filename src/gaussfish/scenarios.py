@@ -14,14 +14,14 @@ the double-homodyne bound hdb = Tr[W F_C^{-1}], and the coherent-probe
 benchmark sql (the b_h_upper of the displaced-vacuum probe under the same
 channel), all for the weight W (identity by default).
 
-A sweep is one stacked evaluation of its grid (:func:`_evaluate`), by one of two
-routes.  Where the channel keeps the probe's eigen-factor (m_e = 0), the columns
-are read from the factor (lam, delta) alone (:func:`_factored_columns`): no
-GaussianState, GaussianModel or PointMoments is built, whose set-up was most of the
-cost of a one-point evaluation.  A stack that the factored closed form does not serve
-(a delta that is not finite, or modes pure in part) and any other channel go through
-the probe's state and its displacement model (:func:`_model_columns`).  Both share
-every formula, so where both apply they give the same bits.
+A sweep is one stacked evaluation of its grid (:func:`_evaluate`).  The channel is the
+same on both modes, so it keeps the probe's eigen-factor, with or without a squeezed
+reservoir, and the columns are read from the factor (O, lam, delta) alone
+(:func:`_factored_columns`): no GaussianState, GaussianModel or PointMoments is built,
+whose set-up was most of the cost of a one-point evaluation.  Only a stack whose modes are
+pure in part, which no built-in probe gives, goes through the probe's state and its
+displacement model to the Williamson basis (:func:`_model_columns`).  Both share every
+formula, so where both apply they give the same bits.
 
 :func:`closed_form_bounds` gives every column of every probe family in closed
 form, elementwise over arrays, for cross-checking the full pipeline; the sql
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import numkit
 from .gaussian_core import GaussianState, _eigenbasis, probe_factor, probe_tmsdt
-from .channels import NoisyChannel, damp_factor, damping, keeps_factor
+from .channels import NoisyChannel, damp_factor, damping
 from .qfi_gaussian import (
     _first_moment_factored,
     bound_chain,
@@ -93,6 +93,18 @@ def _leaves(value) -> list:
     return [value]
 
 
+def _check_shape(name: str, value) -> None:
+    """ValueError unless the ScenarioConfig field name holds its shape (_NUMERIC_FIELDS)."""
+    shape = _NUMERIC_FIELDS[name]
+    try:
+        ok = np.shape(value) == shape
+    except ValueError:  # a ragged nesting
+        ok = False
+    if not ok:
+        what = "an array of shape %s" % (shape,) if shape else "a number"
+        raise ValueError("%s must be %s" % (name, what))
+
+
 @dataclass
 class ScenarioConfig:
     """One sweep: a probe family, channel parameters, and a grid axis."""
@@ -116,7 +128,7 @@ class ScenarioConfig:
 
     def validate(self) -> NoisyChannel:
         """Raise ValueError for an invalid config; else return the configured channel."""
-        for name, shape in _NUMERIC_FIELDS.items():
+        for name in _NUMERIC_FIELDS:
             value = getattr(self, name)
             if value is None and name == "weight":
                 continue
@@ -125,13 +137,7 @@ class ScenarioConfig:
                     raise ValueError("%s must be a number or an array of numbers" % name)
                 if not math.isfinite(x):
                     raise ValueError("%s must be finite" % name)
-            try:
-                ok = np.shape(value) == shape
-            except ValueError:  # a ragged nesting
-                ok = False
-            if not ok:
-                what = "an array of shape %s" % (shape,) if shape else "a number"
-                raise ValueError("%s must be %s" % (name, what))
+            _check_shape(name, value)
         if self.probe not in PROBES:
             raise ValueError("probe must be one of %s" % (PROBES,))
         if self.axis not in AXES:
@@ -253,7 +259,7 @@ NUMERICAL_ERRORS = (ValueError, np.linalg.LinAlgError)
 # Rounding allowance of the chain max(b_s, b_r) <= b_h_mid <= b_h_upper <= 2 b_s, relative to
 # b_s (about 4500 eps).  Its links come from 2x2 closed forms, and on the reference grids
 # no link is exceeded by more than 7.4e-16 b_s; a row whose b_r is wrong exceeds it by 6e-9
-# b_s and more (the unfactored m_e = 0.2 r grids from r = 10.3).
+# b_s and more (the m_e = 0.2 r grids from r = 10.3, when a dense V served them).
 CHAIN_TOL = 1e-12
 # The links of the chain, by name: rows 1..4 of _evaluate's columns (b_s, b_r, b_h_mid,
 # b_h_upper) may not exceed _CHAIN_BOUND times the rows _CHAIN_OVER.
@@ -270,11 +276,10 @@ def _evaluate(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> np.ndarray:
     """The (8, K) row columns at the K axis values, from one stacked evaluation per layer.
 
     The channel is ch (one stacked NoisyChannel if None or on a gamma or n_e axis), and t
-    spans the grid, so an axis that the probe ignores still gives one point per value.  A
-    channel that keeps the probe's eigen-factor (m_e = 0) takes :func:`_factored_columns`,
-    which builds no state or model; a stack that its closed form does not serve, and any
-    other channel, takes :func:`_model_columns`.  What a layer raises for the stack
-    propagates; an overflow leaves a non-finite entry.
+    spans the grid, so an axis that the probe ignores still gives one point per value.  The
+    stack takes :func:`_factored_columns`, which builds no state or model, or where that
+    declines it, :func:`_model_columns`.  What a layer raises for the stack propagates; an
+    overflow leaves a non-finite entry.
     """
     r, n_th, gamma, n_e, t = _on_axis(cfg, values, "r", "n_th", "gamma", "n_e", "t")
     t = np.full(values.shape, t)
@@ -289,7 +294,9 @@ def _evaluate(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> np.ndarray:
 
 def _model_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
     """(bound chain, F_C) through the probe's state and its displacement model: one
-    :func:`probe_tmsdt`, one :func:`evolve` and one PointMoments for the stack."""
+    :func:`probe_tmsdt`, one :func:`evolve` and one PointMoments for the stack, which
+    PointMoments.solved serves as :func:`_factored_columns` does, or leaves to the
+    Williamson basis."""
     pt = evaluate(displacement_model(build_probe(cfg, r, n_th), ch, t), cfg.theta)
     rep = qfim_report(pt, weight=cfg.weight)
     pre, gd = epr_readout()
@@ -297,8 +304,9 @@ def _model_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
 
 
 def _factored_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
-    """(bound chain, F_C) from the eigen-factor (lam, delta) alone, or None for a channel that
-    does not keep it (:func:`keeps_factor`) or a stack that :func:`closed_form_serves` refuses.
+    """(bound chain, F_C) from the probe's eigen-factor (O, lam, delta) alone, or None for a
+    stack whose modes are pure in part (:func:`closed_form_serves`).  ch is uniform
+    (:meth:`NoisyChannel.uniform`), so it keeps the factor (:func:`damp_factor`).
 
     The numbers are those of :func:`_model_columns`, bit for bit: the probe factor, its
     damping and dd come from the helpers that :func:`probe_tmsdt`, :func:`evolve` and
@@ -307,19 +315,20 @@ def _factored_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
     F_C from the readout helpers of :func:`cfim_gaussian_outcomes`.  dd = eta (e1, e2), whose
     B = eta I solved certifies wherever eta > 0, so its zero points are those where eta = 0.
     Where every eta is 0 (gamma t past about 1490) solved leaves the stack to the Williamson
-    basis, whose zero rows give the same zeros as the closed form.
+    basis, whose zero rows give the same zeros as the closed form.  O is the probe's, shared
+    by the stack, where m_e = 0, and one per point otherwise, which S_r O then follows.
     """
-    if not keeps_factor(ch):
-        return None
     r, n_th, _ = _probe_params(cfg, r, n_th)
-    O, lam, delta = probe_factor(r, cfg.phi, n_th)
-    D = displacement_derivs(ch, t, lam.shape[:-1])
-    lam, delta = damp_factor(lam, delta, *damping(ch, t), ch.n_e)
+    factor = probe_factor(r, cfg.phi, n_th)
+    D = displacement_derivs(ch, t, factor[1].shape[:-1])
+    O, lam, delta = factor = damp_factor(factor, *damping(ch, t), ch)
     if not closed_form_serves(delta):
         return None
-    f_s, u, f_r_inv = _first_moment_factored(D, (O, lam, delta), D[..., 0, 0] == 0.0)
+    f_s, u, f_r_inv = _first_moment_factored(D, factor, D[..., 0, 0] == 0.0)
     chain = bound_chain(f_s, u, rld_inverse=f_r_inv, weight=cfg.weight)
     S_r, Vm, B = _readout_rows(cfg.phi)
+    if O.ndim > 2:
+        B = rows_on_factor(S_r, O)
     return chain, outcome_fisher(D @ S_r.T, factored_outcome_cov(B, lam, Vm))
 
 
@@ -376,9 +385,12 @@ def _broken_links(columns: np.ndarray) -> np.ndarray:
 def run_point(cfg: ScenarioConfig, axis_value: float) -> SweepRow:
     """Every reported quantity at one grid point: the row of a one-point grid (:func:`_rows`).
 
-    A numerical failure becomes a NaN row carrying its message; any other exception
-    is a bug and propagates.
+    The config is not validated, but a theta or alpha of the wrong shape raises validate's
+    ValueError.  A numerical failure becomes a NaN row carrying its message; any other
+    exception is a bug and propagates.
     """
+    _check_shape("alpha", cfg.alpha)
+    _check_shape("theta", cfg.theta)
     return _rows(cfg, np.array([float(axis_value)]))[0]
 
 

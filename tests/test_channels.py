@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,11 @@ def test_diffusion_matrix_with_correlated_noise():
 
 
 def test_evolve_keeps_the_eigen_factor_only_for_a_symmetric_channel():
-    """m_e = 0 with gamma and n_e equal across modes at each point keeps O, maps
-    lam -> y lam + v (2 n_e + 1) and carries delta = nu^2 - 1 of each mode; any other
-    channel, or a state with no factor, drops it."""
+    """A channel the same on both modes (gamma, n_e and m_e equal across modes at each point)
+    keeps the factor.  With m_e = 0 it keeps O and maps lam -> y lam + v (2 n_e + 1); a
+    squeezed reservoir, real or complex, turns each mode's axes, one O per point, orthogonal
+    and symplectic.  Either way O diag(lam) O^T is V and delta = nu^2 - 1 of each mode, also
+    for a state evolved twice; any other channel, or a state with no factor, drops it."""
     probe = probe_tmsdt(0.6, 2.1, 0.3, -0.2, 0.1, 0.4, 0.5)
     O, lam, delta = probe.factor
     assert np.array_equal(delta, [3.0, 3.0])
@@ -38,14 +42,24 @@ def test_evolve_keeps_the_eigen_factor_only_for_a_symmetric_channel():
     assert out.factor[0] is O
     y = np.exp(-gamma * t)
     np.testing.assert_allclose(out.factor[1], y[:, None] * lam + (1.0 - y)[:, None] * (2.0 * n_e + 1.0)[:, None], rtol=1e-14)
-    nu_sq = out.factor[1][:, 0::2] * out.factor[1][:, 1::2]
-    np.testing.assert_allclose(out.factor[2], nu_sq - 1.0, rtol=1e-14)
-    scale = np.abs(out.V).max(axis=(-2, -1), keepdims=True)
-    assert (np.abs((O * out.factor[1][..., None, :]) @ O.T - out.V) <= 1e-15 * scale).all()
+    bound = np.sqrt(n_e * (n_e + 1.0))
+    states = [out]
+    for m_e in (bound, -0.5 * bound, bound * np.exp(1j * np.linspace(-3.0, 3.0, 7))):
+        squeezed = evolve(NoisyChannel.uniform(2, gamma, n_e, m_e), probe, t)
+        assert squeezed.factor[0].shape == (7, 4, 4)
+        states += [squeezed, evolve(NoisyChannel.uniform(2, 0.7, n_e, m_e), squeezed, 0.4)]
+    om = omega(2)
+    for st in states:
+        O_k, lam_k, delta_k = st.factor
+        np.testing.assert_allclose(delta_k, lam_k[:, 0::2] * lam_k[:, 1::2] - 1.0, rtol=1e-14)
+        scale = np.abs(st.V).max(axis=(-2, -1), keepdims=True)
+        assert (np.abs((O_k * lam_k[..., None, :]) @ np.swapaxes(O_k, -1, -2) - st.V) <= 1e-15 * scale).all()
+        assert np.abs(O_k @ np.swapaxes(O_k, -1, -2) - np.eye(4)).max() <= 1e-15
+        assert np.abs(O_k @ om @ np.swapaxes(O_k, -1, -2) - om).max() <= 1e-15
     for ch in (
-        NoisyChannel.uniform(2, 1.0, 0.5, 0.2),
         NoisyChannel([1.0, 1.5], [0.5, 0.5], [0.0, 0.0]),
         NoisyChannel([1.0, 1.0], [0.5, 0.6], [0.0, 0.0]),
+        NoisyChannel([1.0, 1.0], [0.5, 0.5], [0.2, 0.0]),
         NoisyChannel(np.array([[1.0, 1.0], [1.0, 1.2]]), np.full((2, 2), 0.5), np.zeros((2, 2))),
     ):
         assert evolve(ch, probe, 0.3).factor is None
@@ -55,10 +69,13 @@ def test_evolve_keeps_the_eigen_factor_only_for_a_symmetric_channel():
 def test_a_kept_factor_defers_the_dense_v_to_the_eager_formula():
     """Where evolve keeps the factor it defers V; the first read forms it from the parent as
     hermitize(G V G + v V_inf), the eager formula, bit for bit, on a stack and on a single
-    point, and stores it.  A channel that drops the factor forms V at once."""
-    for r, gamma, t in ((np.linspace(0.0, 3.0, 31), np.linspace(0.1, 3.0, 31), np.linspace(0.0, 2.0, 31)), (0.6, 0.9, 0.4)):
+    point, with and without a squeezed reservoir, and stores it.  A channel that drops the
+    factor forms V at once."""
+    for (r, gamma, t), m_e in itertools.product(
+        ((np.linspace(0.0, 3.0, 31), np.linspace(0.1, 3.0, 31), np.linspace(0.0, 2.0, 31)), (0.6, 0.9, 0.4)), (0.0, 0.3 - 0.4j)
+    ):
         probe = probe_tmsdt(r, 2.1, 0.3, -0.2, 0.1, 0.4, 0.5)
-        ch = NoisyChannel.uniform(2, gamma, 0.7)
+        ch = NoisyChannel.uniform(2, gamma, 0.7, m_e)
         out = evolve(ch, probe, t)
         assert out.factor is not None and "V" not in vars(out)
         rate = ch.gamma * np.asarray(t)[..., None]
@@ -66,7 +83,7 @@ def test_a_kept_factor_defers_the_dense_v_to_the_eager_formula():
         eager = hermitize(g[..., :, None] * probe.V * g[..., None, :] + v[..., :, None] * diffusion_matrix(ch))
         assert np.array_equal(out.V, eager)
         assert vars(out)["V"] is out.V and "_V_recipe" not in vars(out)
-    dropped = evolve(NoisyChannel.uniform(2, 0.9, 0.7, 0.2), probe, 0.4)
+    dropped = evolve(NoisyChannel([0.9, 1.1], [0.7, 0.7], [0.0, 0.0]), probe, 0.4)
     assert dropped.factor is None and "V" in vars(dropped)
 
 
@@ -109,6 +126,9 @@ def test_channel_validation():
     with pytest.raises(ValueError):
         # |m_e|^2 must not exceed n_e (n_e + 1)
         NoisyChannel(gamma=[1.0], n_e=[0.1], m_e=[1.0])
+    with pytest.raises(ValueError):
+        # the bound's rounding slack is relative: a vacuum reservoir takes no squeezing
+        NoisyChannel(gamma=[1.0], n_e=[0.0], m_e=[1e-6])
 
 
 def test_evolve_identity_at_t0():

@@ -132,6 +132,7 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, field, value):
         ({"probe": "tmst", "alpha": [0.1, 0, 0, 0]}, "alpha must be zero for probe tmst"),
         ({"n_th": 0.5}, "n_th must be zero for probe tmsv, which ignores it"),
         ({"probe": "tmdv", "axis": "t", "n_th": 0.5}, "n_th must be zero for probe tmdv"),
+        ({"n_e": 0.0, "m_e": 1e-6}, "channel (gamma, n_e, m_e): reservoir squeezing violates |m_e|^2"),
     ],
 )
 def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, fields, message):

@@ -260,9 +260,10 @@ def test_readout_pre_op_must_match_the_state_modes():
 
 def test_sweep_readout_makes_no_apply_call(monkeypatch):
     """The readout of a 201-point sweep reads the recorded rows directly, with no apply call:
-    on the factored route (m_e = 0) F_C comes from S_r O and lam (outcome_fisher), and on the
-    model route (m_e = 0.2) from the stacked moments (cfim_gaussian_outcomes), once per sweep."""
-    for m_e, layer in ((0.0, "outcome_fisher"), (0.2, "cfim_gaussian_outcomes")):
+    F_C comes from S_r O and lam (outcome_fisher), once per sweep, with and without a
+    squeezed reservoir; on the model route, which a stack whose modes are pure in part
+    takes, from the stacked moments (cfim_gaussian_outcomes)."""
+    for m_e, layer in ((0.0, "outcome_fisher"), (0.2, "outcome_fisher"), (0.2, "cfim_gaussian_outcomes")):
         calls = []
         for mod in (gaussian_core, qfi_gaussian, measurements):
             if hasattr(mod, "apply"):
@@ -276,8 +277,10 @@ def test_sweep_readout_makes_no_apply_call(monkeypatch):
             return out
 
         monkeypatch.setattr(scenarios, layer, traced)
+        if layer == "cfim_gaussian_outcomes":
+            monkeypatch.setattr(scenarios, "_factored_columns", lambda *args: None)
         cfg = scenarios.ScenarioConfig(probe="tmst", n_th=0.5, m_e=m_e, axis="t", start=0.0, stop=1.0, step=0.005)
         rows = scenarios.sweep(cfg)
         monkeypatch.undo()
         assert len(rows) == 201 and all(row.ok for row in rows), m_e
-        assert calls == ["readout", "done"], m_e
+        assert calls == ["readout", "done"], (m_e, layer)

@@ -726,12 +726,12 @@ def test_solves_match_the_williamson_basis_on_the_reference_t_grid(probe):
     sparse=st.booleans(),
 )
 def test_solves_match_the_williamson_basis_on_random_first_moment_models(seed, modes, n_params, pure, sparse):
-    """dV = 0 and a full-row-rank dd: random N-mode states, mixed or pure.
+    """dV = 0 and a full-row-rank dd: random N-mode states, mixed or pure, with no eigen-factor.
 
-    A sparse dd reaches p coordinates only (the solves permute them first); a dense one
-    reaches them all, and where that is more than p it is left to the Williamson basis,
-    refereed by solves on V: F_S = 2 D V^-1 D^T and U = 2 D V^-1 Omega V^-1 D^T.  A state
-    pure in part is left to the Williamson basis too.
+    The Williamson basis serves them (solved is None), refereed by solves on V:
+    F_S = 2 D V^-1 D^T and U = 2 D V^-1 Omega V^-1 D^T, and where no mode is pure by the
+    inverse of F_R = 2 D M^-1 D^T, M = V + i Omega.  A sparse dd reaches p coordinates only,
+    a dense one them all.
     """
     rng = np.random.default_rng(seed)
     p = min(n_params, 2 * modes)
@@ -748,77 +748,66 @@ def test_solves_match_the_williamson_basis_on_random_first_moment_models(seed, m
     dd[:, reach] = rng.uniform(1.0, 3.0, (p, 1)) * np.linalg.qr(rng.normal(size=(reach.size, p)))[0].T
     st_ = GaussianState(rng.normal(size=2 * modes), 0.5 * (V + V.T))
     pt = PointMoments(st_, list(dd), [np.zeros((2 * modes, 2 * modes))] * p, p)
-    if reach.size > p:
-        assert pt.solved is None
-        x = np.linalg.solve(pt.st.V, dd.T)  # V^-1 D^T
-        f_s, u = 2.0 * dd @ x, 2.0 * x.T @ omega(modes) @ x
-        scale = np.abs(f_s).max()  # U's scale too: |U_ij| <= sqrt(F_ii F_jj)
-        assert np.abs(qfim_sld(pt) - f_s).max() <= 1e-10 * scale
-        assert np.abs(incompatibility(pt) - u).max() <= 1e-10 * scale
-        return
-    if 0 < np.count_nonzero(nu == 1.0) < modes:
-        assert pt.solved is None
-        return
-    _assert_solves_match_the_williamson_basis(pt, 1e-10)
+    assert pt.solved is None
+    om = omega(modes)
+    x = np.linalg.solve(pt.st.V, dd.T)  # V^-1 D^T
+    f_s, u = 2.0 * dd @ x, 2.0 * x.T @ om @ x
+    scale = np.abs(f_s).max()  # U's scale too: |U_ij| <= sqrt(F_ii F_jj)
+    assert np.abs(qfim_sld(pt) - f_s).max() <= 1e-10 * scale
+    assert np.abs(incompatibility(pt) - u).max() <= 1e-10 * scale
+    if pure == "none":
+        want = np.linalg.inv(2.0 * dd @ np.linalg.solve(pt.st.V + 1j * om, dd.T))
+        assert np.abs(rld_inverse_limit(pt) - want).max() <= 1e-10 * np.abs(want).max()
 
 
-def _assert_route_matches_the_dense_solves(pt, monkeypatch):
+def _assert_route_matches_the_williamson_basis(pt):
     """pt, whose state carries its eigen-factor (O, lam, delta), against the same moments through
-    the public GaussianState, which carries none and takes the dense solves on V and M.
+    the public GaussianState, which carries none and takes the Williamson basis from the eigh
+    of the dense V.
 
-    The factored route serves pt with no dense solve, and F_S, U and the limiting F_R^-1 of
-    each point agree within REFEREE_TOL of that matrix's largest entry at the point.
+    The closed form serves pt, and F_S, U and the limiting F_R^-1 of each point agree within
+    REFEREE_TOL of that matrix's largest entry at the point.
     """
     assert pt.st.factor is not None and len(pt.st.factor) == 3
     p = pt.n_params
     plain = PointMoments(GaussianState(pt.st.d, pt.st.V), [pt.dds[..., mu, :] for mu in range(p)], [pt.dVs[..., mu, :, :] for mu in range(p)], p)
-    dense = plain.solved
-    assert dense is not None
-    calls = []
-    real = qfi_gaussian._first_moment
-    monkeypatch.setattr(qfi_gaussian, "_first_moment", lambda *a: calls.append(1) or real(*a))
-    route = pt.solved
-    monkeypatch.undo()
-    assert calls == []
-    for name, got, want in zip(("f_sld", "u", "rld_inverse_limit"), route, dense):
+    assert plain.solved is None and pt.solved is not None
+    for name, got, want in zip(("f_sld", "u", "rld_inverse_limit"), pt.solved, (qfim_sld(plain), incompatibility(plain), rld_inverse_limit(plain))):
         scale = np.abs(want).max(axis=(-2, -1))
         gap = np.abs(got - want).max(axis=(-2, -1))
         assert (gap <= REFEREE_TOL * scale).all(), (name, (gap / np.where(scale > 0, scale, 1.0)).max())
 
 
-def _one_o_per_point(pt):
-    """pt with its factor's O repeated once per point of the stack."""
-    O, lam, delta = pt.st.factor
-    st = GaussianState._built(pt.st.d, pt.st.V, (np.array(np.broadcast_to(O, lam.shape[:-1] + O.shape)), lam, delta))
-    p = pt.n_params
-    return PointMoments(st, [pt.dds[..., mu, :] for mu in range(p)], [pt.dVs[..., mu, :, :] for mu in range(p)], p)
-
-
 @pytest.mark.parametrize("per_point", [False, True], ids=["one_O", "O_per_point"])
 @pytest.mark.parametrize("probe", sorted(_PROBE_ARGS))
-def test_factored_route_matches_the_dense_solves_on_the_reference_t_grid(probe, per_point, monkeypatch):
+def test_factored_route_matches_the_dense_solves_on_the_reference_t_grid(probe, per_point):
     """Each probe's 201-point t grid, pure at t = 0 for tmsv and tmdv, from the closed form of
-    the eigen-factor's 2x2 blocks and from the dense solves with the factor dropped."""
+    the eigen-factor's 2x2 blocks and from the Williamson basis of the dense V: through a
+    thermal reservoir, which keeps the probe's O, and a squeezed one (m_e = 0.2 + 0.1i),
+    which turns it, one O per point."""
     r, *alpha, n_th = _PROBE_ARGS[probe]
-    model = displacement_model(probe_tmsdt(r, math.pi, *alpha, n_th), NoisyChannel.uniform(2, 1.0, 0.5), _REFERENCE_T)
-    pt = evaluate(model, [0.0, 0.0])
-    _assert_route_matches_the_dense_solves(_one_o_per_point(pt) if per_point else pt, monkeypatch)
+    ch = NoisyChannel.uniform(2, 1.0, 0.5, 0.2 + 0.1j if per_point else 0.0)
+    pt = evaluate(displacement_model(probe_tmsdt(r, math.pi, *alpha, n_th), ch, _REFERENCE_T), [0.0, 0.0])
+    assert pt.st.factor[0].shape == ((201, 4, 4) if per_point else (4, 4))
+    _assert_route_matches_the_williamson_basis(pt)
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_factored_route_matches_the_dense_solves_on_random_draws(seed, monkeypatch):
-    """60 random two-mode draws of r <= 1.5, phi, n_th, n_e, gamma t and alpha, each with its
-    own O (one per point, stacked), from the route and from the dense solves."""
+def test_factored_route_matches_the_dense_solves_on_random_draws(seed):
+    """60 random two-mode draws of r <= 1.5, phi, n_th, n_e, gamma t and alpha, with a complex
+    m_e up to its bound in half of them, each with its own O (one per point, stacked), from
+    the route and from the Williamson basis of the dense V."""
     rng = np.random.default_rng(700 + seed)
     points = []
     for _ in range(60):
         r, n_th, n_e, gt = rng.uniform(0.0, 1.5), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+        m_e = rng.integers(0, 2) * rng.uniform(0.0, 1.0) * math.sqrt(n_e * (n_e + 1.0)) * np.exp(1j * rng.uniform(-math.pi, math.pi))
         alpha = rng.uniform(-1.0, 1.0, 4) * rng.integers(0, 2)
         probe = probe_tmsdt(r, rng.uniform(-math.pi, math.pi), *alpha, n_th)
-        points.append(evaluate(displacement_model(probe, NoisyChannel.uniform(2, 1.0, n_e), gt), [0.1, -0.2]))
+        points.append(evaluate(displacement_model(probe, NoisyChannel.uniform(2, 1.0, n_e, m_e), gt), [0.1, -0.2]))
     stack = _stack_points(points)
     assert stack.st.factor[0].shape == (60, 4, 4)
-    _assert_route_matches_the_dense_solves(stack, monkeypatch)
+    _assert_route_matches_the_williamson_basis(stack)
 
 
 def _unserved_points():

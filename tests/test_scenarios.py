@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -26,6 +28,7 @@ from gaussfish.scenarios import (
 )
 
 from linalg_helpers import lapack_calls, moments_built, v_formations
+from mp_referee import FIELDS as REFEREE_FIELDS, referee_row
 
 
 def _cfg(**kw):
@@ -178,6 +181,23 @@ def test_bad_point_degrades_to_nan_row():
     assert rows[1].ok and not math.isnan(rows[1].b_s)
 
 
+@pytest.mark.parametrize("m_e", [0.0, 0.2])
+def test_run_point_refuses_theta_and_alpha_of_the_wrong_shape(m_e):
+    """run_point does not validate its config, but a theta or alpha that validate refuses for
+    its shape raises validate's message rather than giving a row.  The axis range is not
+    checked: a value past the grid gives its row."""
+    for fields, message in (
+        ({"theta": (0.1, 0.2, 0.3)}, "theta must be an array of shape (2,)"),
+        ({"theta": 0.1}, "theta must be an array of shape (2,)"),
+        ({"alpha": (0.3, -0.2, 0.1)}, "alpha must be an array of shape (4,)"),
+        ({"alpha": [[0.3, -0.2], [0.1]]}, "alpha must be an array of shape (4,)"),
+    ):
+        cfg = _cfg(probe="tmdv", m_e=m_e, axis="t", **fields)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_point(cfg, 0.3)
+    assert run_point(_cfg(probe="tmdv", m_e=m_e, alpha=(0.3, -0.2, 0.1, 0.4), axis="t", stop=1.0), 5.0).ok
+
+
 def test_weight_scales_scalar_bounds():
     base = run_point(_cfg(), 0.4)
     weighted = run_point(_cfg(weight=[[2.0, 0.0], [0.0, 1.0]]), 0.4)
@@ -258,12 +278,15 @@ def test_numerical_overflow_degrades_to_nan_row():
 
 def test_programming_error_propagates_instead_of_degrading(monkeypatch):
     """A TypeError from a layer is a bug, not a degraded row: from the readout of the factored
-    route (m_e = 0, outcome_fisher) and of the model route (m_e = 0.2, cfim_gaussian_outcomes)."""
+    route (outcome_fisher), with and without a squeezed reservoir, and of the model route
+    (cfim_gaussian_outcomes), which a stack whose modes are pure in part takes."""
     def broken(*args, **kwargs):
         raise TypeError("broken layer")
 
-    for m_e, layer in ((0.0, "outcome_fisher"), (0.2, "cfim_gaussian_outcomes")):
+    for m_e, layer in ((0.0, "outcome_fisher"), (0.2, "outcome_fisher"), (0.2, "cfim_gaussian_outcomes")):
         monkeypatch.setattr(scenarios, layer, broken)
+        if layer == "cfim_gaussian_outcomes":
+            monkeypatch.setattr(scenarios, "_factored_columns", lambda *args: None)
         with pytest.raises(TypeError, match="broken layer"):
             run_point(_cfg(m_e=m_e), 0.4)
         monkeypatch.undo()
@@ -272,8 +295,9 @@ def test_programming_error_propagates_instead_of_degrading(monkeypatch):
 def test_run_point_evaluates_the_model_once(monkeypatch):
     """A sweep is one stacked evaluation; run_point is the same on a one-point stack.
 
-    On the factored route (m_e = 0) that is one closed form of the eigen-factor's blocks
-    for the stack; on the model route (m_e = 0.2) one stacked state of the model.
+    That is one closed form of the eigen-factor's blocks for the stack, with or without a
+    squeezed reservoir; on the model route, which a stack whose modes are pure in part
+    takes, one stacked state of the model.
     """
     stacks = []
     build = scenarios.displacement_model
@@ -303,10 +327,13 @@ def test_run_point_evaluates_the_model_once(monkeypatch):
         return point(*args, **kwargs)
 
     for m_e, layer, counting in ((0.0, "_first_moment_factored", counting_closed_form),
+                                 (0.2, "_first_moment_factored", counting_closed_form),
                                  (0.2, "displacement_model", counting_model)):
         stacks.clear()
         point_calls.clear()
         monkeypatch.setattr(scenarios, layer, counting)
+        if layer == "displacement_model":
+            monkeypatch.setattr(scenarios, "_factored_columns", lambda *args: None)
         monkeypatch.setattr(scenarios, "run_point", counting_point)
         cfg = _cfg(probe="tmdt", n_th=0.5, alpha=(0.3, -0.2, 0.1, 0.4), m_e=m_e, axis="t", stop=0.4)
         rows = sweep(cfg)
@@ -320,13 +347,13 @@ def test_run_point_evaluates_the_model_once(monkeypatch):
 
 @pytest.mark.parametrize("axis", scenarios.AXES)
 def test_sweep_builds_the_probe_once_on_every_axis(monkeypatch, axis):
-    """One probe build per sweep: of its eigen-factor alone on the factored route (m_e = 0),
-    of its state on the model route (m_e = 0.2)."""
+    """One probe build per sweep: of its eigen-factor alone, with or without a squeezed
+    reservoir."""
     built = Counter()
     for name in ("probe_factor", "probe_tmsdt"):
         build = getattr(scenarios, name)
         monkeypatch.setattr(scenarios, name, lambda *args, build=build, name=name: built.update([name]) or build(*args))
-    for m_e, layer in ((0.0, "probe_factor"), (0.2, "probe_tmsdt")):
+    for m_e in (0.0, 0.2):
         for probe in PROBES:
             built.clear()
             cfg = _cfg(**_probe_args(probe, 0.3, (0.0,) * 4), m_e=m_e, axis=axis, start=0.1, stop=0.5, step=0.1)
@@ -337,7 +364,7 @@ def test_sweep_builds_the_probe_once_on_every_axis(monkeypatch, axis):
                 continue
             rows = sweep(cfg)
             assert len(rows) == 5 and all(row.ok for row in rows)
-            assert built == {layer: 1}, (m_e, probe)
+            assert built == {"probe_factor": 1}, (m_e, probe)
 
 
 def test_sql_column_is_the_scalar_closed_form_at_every_point():
@@ -490,16 +517,15 @@ def test_pure_probe_rld_limits_at_t0():
 
 
 def test_whole_pure_points_zero_the_rld_limit_only_where_every_direction_is_null():
-    """At a point whose modes are all pure, the solves set the limiting F_R^-1 to 0 where the
-    reach (I - i A) G^T has full rank, and keep the Schur complement S elsewhere.
+    """At a point whose modes are all pure, the closed form sets the limiting F_R^-1 to 0 where
+    every direction reaches the null coordinates of M, and keeps its finite limit elsewhere.
 
     tmsv at t = 0: at r = 0 the two directions reach one null coordinate, and b_r is 2.0;
-    for r > 0 they reach them all, and b_r is 0.0.  At small r the idler block of Y^T M Y is
-    near singular (its scaled determinant is about r^2), so S is rounding far above eps
-    there, and at large r S is rounding of up to about eps e^2r: neither is cut by its
-    size.  Every ok row of the r 0..600 grid equals the closed form exactly, as do the
-    small r down to 1e-8, the point_calls draw 6.58e-5 among them.  The single-mode
-    vacuum's directions reach one null coordinate, so its limit keeps S.
+    for r > 0 they reach them all, and b_r is 0.0.  Every ok row of the r 0..600 grid
+    equals the closed form exactly, as do the small r down to 1e-8, the point_calls draw
+    6.58e-5 among them.  The single-mode vacuum, which carries no eigen-factor, takes the
+    Williamson basis: its directions reach one null coordinate, so its limit is finite,
+    [[1, i], [-i, 1]] / 2 to rounding.
     """
     rows = sweep(_cfg(probe="tmsv", n_e=0.5, gamma=1.0, t=0.0, axis="r", start=0.0, stop=600.0, step=1.0))
     ok = [row for row in rows if row.ok]
@@ -509,7 +535,7 @@ def test_whole_pure_points_zero_the_rld_limit_only_where_every_direction_is_null
     for r in [6.580906613401494e-05] + np.logspace(-8, -2, 25).tolist():
         assert run_point(_cfg(probe="tmsv", r=r, n_e=0.5, gamma=1.0, axis="t"), 0.0).b_r == 0.0, r
     limit = qfi_gaussian.rld_inverse_limit(displacement_model(vacuum(1)), [0.0, 0.0])
-    assert np.array_equal(limit, [[0.5, 0.5j], [-0.5j, 0.5]])
+    np.testing.assert_allclose(limit, [[0.5, 0.5j], [-0.5j, 0.5]], rtol=4 * numkit.EPS, atol=0)
 
 
 def test_tmst_closed_form_vacuum_pair_corner():
@@ -683,32 +709,24 @@ def test_states_built_inside_a_run_are_not_rechecked(monkeypatch):
 
 
 def test_factored_sweeps_make_no_lapack_call(monkeypatch):
-    """The LAPACK budget of each probe's 201-point t sweep, whatever its length: none.
+    """The LAPACK budget of each probe's 201-point t sweep, whatever its length: none, with
+    and without a squeezed reservoir (m_e = 0.2).
 
     dV = 0, so F_S, U and the limiting RLD inverse come in closed form from 2x2 blocks of
-    the probe's eigen-factor (O, lam, delta), kept through the symmetric channel: no eigh
-    of V, no Schur complement, and no svd at the pure point t = 0 of tmsv and tmdv, whose
-    rank cut reads the same blocks.  The 2x2 inverse of dd's B is in closed form, and
-    F_S, F_C and the readout's outcome covariance are 2x2 and positive definite, so
-    pinv_psd and inv_sym take their certified closed forms.
+    the probe's eigen-factor (O, lam, delta), kept through the uniform channel: no eigh of
+    V, and no svd at the pure point t = 0 of tmsv and tmdv, whose rank cut reads the same
+    blocks.  dd's 2x2 certificate is in closed form, and F_S, F_C and the readout's outcome
+    covariance are 2x2 and positive definite, so pinv_psd and inv_sym take their certified
+    closed forms.
     """
-    for probe in PROBES:
-        cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), axis="t", start=0.0, stop=1.0, step=0.005)
-        rows, calls = lapack_calls(monkeypatch, lambda: sweep(cfg))
-        assert len(rows) == 201 and all(row.ok for row in rows), probe
-        assert calls == [], probe
-        if probe == "tmsv":
-            assert rows[0].b_r == 0.0
-
-
-def test_an_unfactored_sweep_makes_one_eigh_and_one_eigvalsh(monkeypatch):
-    """A squeezed reservoir (m_e = 0.2) drops the probe's eigen-factor: the 201-point tmst
-    t sweep takes V^-1/2 from one eigh of V and the symplectic eigenvalues from one
-    eigvalsh of i V^-1/2 Omega V^-1/2, for the whole stack."""
-    cfg = _cfg(probe="tmst", n_th=0.5, m_e=0.2, axis="t", start=0.0, stop=1.0, step=0.005)
-    rows, calls = lapack_calls(monkeypatch, lambda: sweep(cfg))
-    assert len(rows) == 201 and all(row.ok for row in rows)
-    assert calls == ["eigh", "eigvalsh"]
+    for m_e in (0.0, 0.2):
+        for probe in PROBES:
+            cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), m_e=m_e, axis="t", start=0.0, stop=1.0, step=0.005)
+            rows, calls = lapack_calls(monkeypatch, lambda: sweep(cfg))
+            assert len(rows) == 201 and all(row.ok for row in rows), (m_e, probe)
+            assert calls == [], (m_e, probe)
+            if probe == "tmsv":
+                assert rows[0].b_r == 0.0
 
 
 def test_one_point_makes_one_inv(monkeypatch):
@@ -724,44 +742,36 @@ def test_one_point_makes_one_inv(monkeypatch):
 
 def test_factored_runs_form_no_dense_v(monkeypatch):
     """The dense V of a factored state is a recipe (GaussianState), and a factored run never
-    reads it: each probe's 201-point t sweep and one run_point at m_e = 0 form none.  A
-    squeezed reservoir drops the factor, so evolve reads the probe's V: once per sweep."""
-    for probe in PROBES:
-        cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), axis="t", start=0.0, stop=1.0, step=0.005)
-        rows, formed = v_formations(monkeypatch, lambda: sweep(cfg))
-        assert len(rows) == 201 and all(row.ok for row in rows), probe
-        assert formed == 0, probe
-        row, formed = v_formations(monkeypatch, lambda: run_point(cfg, 0.3))
-        assert row.ok and formed == 0, probe
-    cfg = _cfg(probe="tmst", n_th=0.5, m_e=0.2, axis="t", start=0.0, stop=1.0, step=0.005)
-    rows, formed = v_formations(monkeypatch, lambda: sweep(cfg))
-    assert len(rows) == 201 and all(row.ok for row in rows)
-    assert formed == 1
+    reads it: each probe's 201-point t sweep and one run_point form none, with and without a
+    squeezed reservoir."""
+    for m_e in (0.0, 0.2):
+        for probe in PROBES:
+            cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), m_e=m_e, axis="t", start=0.0, stop=1.0, step=0.005)
+            rows, formed = v_formations(monkeypatch, lambda: sweep(cfg))
+            assert len(rows) == 201 and all(row.ok for row in rows), (m_e, probe)
+            assert formed == 0, (m_e, probe)
+            row, formed = v_formations(monkeypatch, lambda: run_point(cfg, 0.3))
+            assert row.ok and formed == 0, (m_e, probe)
 
 
 def test_factored_runs_build_no_model(monkeypatch):
-    """A channel that keeps the eigen-factor (m_e = 0) gives rows from (lam, delta) alone:
-    each probe's 201-point t sweep and one run_point construct no PointMoments.  A squeezed
-    reservoir (m_e = 0.2) takes the model route, one PointMoments per sweep.  On the tmsv
-    r 0..400 grid lam overflows from r = 355, so delta is not finite there: every stack
-    holding such a point falls back to the model route, which raises for it, and the halving
-    isolates the 91 degraded points in 187 model evaluations."""
-    for probe in PROBES:
-        cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), axis="t", start=0.0, stop=1.0, step=0.005)
-        rows, built = moments_built(monkeypatch, lambda: sweep(cfg))
-        assert len(rows) == 201 and all(row.ok for row in rows), probe
-        assert built == 0, probe
-        row, built = moments_built(monkeypatch, lambda: run_point(cfg, 0.3))
-        assert row.ok and built == 0, probe
-    cfg = _cfg(probe="tmst", n_th=0.5, m_e=0.2, axis="t", start=0.0, stop=1.0, step=0.005)
-    rows, built = moments_built(monkeypatch, lambda: sweep(cfg))
-    assert len(rows) == 201 and all(row.ok for row in rows)
-    assert built == 1
+    """A uniform channel gives rows from the eigen-factor alone: each probe's 201-point t sweep
+    and one run_point construct no PointMoments, with and without a squeezed reservoir.  On
+    the tmsv r 0..400 grid lam overflows from r = 355: the closed form raises for every stack
+    holding such a point, and the halving isolates the 91 degraded points with no model."""
+    for m_e in (0.0, 0.2):
+        for probe in PROBES:
+            cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), m_e=m_e, axis="t", start=0.0, stop=1.0, step=0.005)
+            rows, built = moments_built(monkeypatch, lambda: sweep(cfg))
+            assert len(rows) == 201 and all(row.ok for row in rows), (m_e, probe)
+            assert built == 0, (m_e, probe)
+            row, built = moments_built(monkeypatch, lambda: run_point(cfg, 0.3))
+            assert row.ok and built == 0, (m_e, probe)
     cfg = _cfg(probe="tmsv", r=0.6, axis="r", start=0.0, stop=400.0, step=0.5)
     rows, built = moments_built(monkeypatch, lambda: sweep(cfg))
     assert [row.ok for row in rows] == [row.axis < 355.0 for row in rows]
     assert {row.message for row in rows if not row.ok} == {"covariance is not finite"}
-    assert built == 187
+    assert built == 0
 
 
 # The referee battery of the factored route, (axis, start, stop, step): every probe's
@@ -789,27 +799,27 @@ def _route_output(cfg):
 
 @pytest.mark.parametrize("probe", PROBES)
 def test_factored_route_matches_the_model_route_bit_for_bit(monkeypatch, probe):
-    """The factored route (m_e = 0) prints what the model route prints on the same config,
-    bit for bit: every column, degraded rows and their messages included, on the battery's
-    grids with and without a weight.  The model route, the only one for m_e != 0, referees."""
+    """The factored route prints what the model route prints on the same config, bit for bit:
+    every column, degraded rows and their messages included, on the battery's grids with and
+    without a weight and a squeezed reservoir (m_e = 0.2).  The model route, which builds
+    the probe's state and its displacement model, referees."""
     grids = list(ROUTE_GRIDS)
     grids += SQUEEZED_ROUTE_GRIDS if probe in ("tmsv", "tmst") else []
     grids += THERMAL_ROUTE_GRIDS if probe in ("tmst", "tmdt") else []
-    for weight in (None, [[2.0, 0.3], [0.3, 1.0]]):
-        for axis, start, stop, step in grids:
-            cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), r=0.6, weight=weight,
-                       axis=axis, start=start, stop=stop, step=step)
-            factored = _route_output(cfg)
-            monkeypatch.setattr(scenarios, "_factored_columns", lambda *args: None)
-            model = _route_output(cfg)
-            monkeypatch.undo()
-            where = (weight is not None, axis, stop)
-            for got, want in zip(factored[0], model[0]):
-                if isinstance(want, str):
-                    assert got == want, where
-                else:
-                    assert np.array_equal(got, want, equal_nan=True), where
-            assert factored[1:] == model[1:], where
+    for weight, m_e, (axis, start, stop, step) in itertools.product((None, [[2.0, 0.3], [0.3, 1.0]]), (0.0, 0.2), grids):
+        cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), r=0.6, weight=weight, m_e=m_e,
+                   axis=axis, start=start, stop=stop, step=step)
+        factored = _route_output(cfg)
+        monkeypatch.setattr(scenarios, "_factored_columns", lambda *args: None)
+        model = _route_output(cfg)
+        monkeypatch.undo()
+        where = (weight is not None, m_e, axis, stop)
+        for got, want in zip(factored[0], model[0]):
+            if isinstance(want, str):
+                assert got == want, where
+            else:
+                assert np.array_equal(got, want, equal_nan=True), where
+        assert factored[1:] == model[1:], where
 
 
 def _output(cfg):
@@ -819,20 +829,23 @@ def _output(cfg):
 
 @pytest.mark.parametrize("probe", ["tmsv", "tmst"])
 def test_deferred_covariances_give_the_eager_output_byte_for_byte(monkeypatch, probe):
-    """The probe's reference t sweep and the m_e = 0.2 r 0..40 grid, whose rows from about
-    r = 10 degrade, print the same bytes, degraded messages included, as when every
-    deferred V is formed where its state is built."""
+    """The probe's reference t sweep, with and without a squeezed reservoir (m_e = 0.2), the
+    m_e = 0.2 r 0..40 grid and the r 0..400 grid, whose rows from r = 354.5 degrade, print
+    the same bytes, degraded messages included, as when every deferred V is formed where
+    its state is built."""
     n_th = 0.5 if probe == "tmst" else 0.0
     configs = [
         _cfg(probe=probe, n_th=n_th, axis="t", start=0.0, stop=1.0, step=0.005),
+        _cfg(probe=probe, n_th=n_th, m_e=0.2, axis="t", start=0.0, stop=1.0, step=0.005),
         _cfg(probe=probe, n_th=n_th, m_e=0.2, gamma=1.0, n_e=0.5, t=1.0, axis="r", start=0.0, stop=40.0, step=0.1),
+        _cfg(probe=probe, n_th=n_th, gamma=1.0, n_e=10.0, t=math.log(2.0), axis="r", start=0.0, stop=400.0, step=0.5),
     ]
     deferred = [_output(cfg) for cfg in configs]
     built = GaussianState._built.__func__
     eager = lambda cls, d, V, factor=None: built(cls, d, V() if callable(V) else V, factor)
     monkeypatch.setattr(GaussianState, "_built", classmethod(eager))
     assert [_output(cfg) for cfg in configs] == deferred
-    assert "chain broken: b_r > b_h_mid" in deferred[1] and "not positive definite" in deferred[1]
+    assert '"ok": false' not in deferred[1] + deferred[2] and "not finite" in deferred[3]
 
 
 def _report_and_hdb(pt, weight):
@@ -955,19 +968,38 @@ def test_strongly_squeezed_tmsv_just_after_t0_keeps_b_r(r):
     assert row.b_r == pytest.approx(closed_form_bounds("tmsv", r, 0.0, 1.0, 1e-9, 0.5).b_r, rel=1e-8)
 
 
-@pytest.mark.parametrize("probe, first, count", [("tmsv", 10.3, 37), ("tmst", 10.2, 47)])
-def test_rows_that_break_the_chain_degrade_naming_the_link(probe, first, count):
-    """A squeezed reservoir (m_e = 0.2) drops the eigen-factor, so the r 0..40 grids take the
-    dense solves, whose b_r is wrong from about r = 10: those rows exceed b_h_mid by 6e-9 b_s
-    and more.  They degrade with the link they break; every other ok row keeps the chain."""
+@pytest.mark.parametrize("probe", ["tmsv", "tmst"])
+def test_squeezed_reservoir_rows_match_the_referee(probe):
+    """The m_e = 0.2 r 0..40 grids, n_e 0.5, gamma = t = 1: a squeezed reservoir keeps the
+    eigen-factor, so every row is ok, keeps the chain and has b_s, b_r, b_h_mid and r_q
+    within 1e-12 of the high-precision referee (the worst is 9.7e-16).  With the dense V,
+    rows from r of about 9.5 were wrong by up to 1.8e15 relative and still kept the chain,
+    and others broke it."""
     n_th = 0.5 if probe == "tmst" else 0.0
-    rows = sweep(_cfg(probe=probe, n_th=n_th, m_e=0.2, gamma=1.0, n_e=0.5, t=1.0, axis="r", start=0.0, stop=40.0, step=0.1))
-    broken = [row for row in rows if row.message.startswith("chain")]
-    assert len(broken) == count and min(row.axis for row in broken) == pytest.approx(first)
-    assert {row.message for row in broken} == {"chain broken: b_r > b_h_mid"}
-    assert all(math.isnan(row.b_s) and math.isnan(row.b_r) for row in broken)
-    assert all(row.ok for row in rows if row.axis < first - 0.05)
+    cfg = _cfg(probe=probe, n_th=n_th, m_e=0.2, gamma=1.0, n_e=0.5, t=1.0, axis="r", start=0.0, stop=40.0, step=0.1)
+    rows = sweep(cfg)
+    assert len(rows) == 401 and all(row.ok for row in rows), [row.message for row in rows if not row.ok]
     _assert_chain(rows)
+    for row in rows:
+        want = referee_row(cfg, row.axis)
+        for name in REFEREE_FIELDS:
+            assert getattr(row, name) == pytest.approx(want[name], rel=1e-12, abs=0), (row.axis, name)
+
+
+@pytest.mark.parametrize("probe", ["tmsv", "tmst"])
+def test_rows_whose_nu_squared_overflows_degrade_naming_it(probe):
+    """n_e = 10, gamma t = ln 2, r 0..400 step 0.5: from r = 353.5 the carried delta = nu^2 - 1
+    overflows while lam is still finite, and from r = 355 lam overflows too.  The closed
+    form refuses both, naming what overflowed, and the halving gives each row its message.
+    (The dense V, the fallback before, degraded the first three as "covariance is not
+    positive definite (smallest eigenvalue -3.087e+290)" and the like.)"""
+    n_th = 0.5 if probe == "tmst" else 0.0
+    rows = sweep(_cfg(probe=probe, n_th=n_th, gamma=1.0, n_e=10.0, t=math.log(2.0), axis="r", start=0.0, stop=400.0, step=0.5))
+    assert [row.ok for row in rows] == [row.axis < 353.5 for row in rows]
+    messages = {row.axis: row.message for row in rows if not row.ok}
+    assert [messages.pop(r) for r in (353.5, 354.0, 354.5)] == ["overflow: nu^2 - 1 of the covariance is not finite"] * 3
+    assert set(messages.values()) == {"covariance is not finite"}
+    assert all(math.isnan(row.b_s) for row in rows if not row.ok)
 
 
 def test_chain_guard_names_each_link():
