@@ -177,21 +177,14 @@ def evolve(ch: NoisyChannel, state: GaussianState, t) -> GaussianState:
     (:func:`keeps_factor`), still in Williamson form (:class:`GaussianState`), by
     :func:`damp_factor`: with m_e = 0 O is kept and V -> O diag(y lam + v eps) O^T, with
     y = e^{-gamma t}, v = 1 - y and eps = 2 n_e + 1; a squeezed reservoir turns each mode's
-    axes, one O per point.  Any other channel drops it.
-
-    Where the factor is kept, the dense V = G V G + v V_inf is deferred to its first read
-    (:class:`GaussianState`), which reads the parent's V and the channel then; the formula
-    is the one an eager V takes, so the bits are the same.  Any other channel forms V at once.
+    axes, one O per point.  Any other channel drops it.  The dense V = G V G + v V_inf is
+    formed either way.
     """
     if ch.modes != state.modes:
         raise ValueError("channel acts on %d modes, state has %d" % (ch.modes, state.modes))
     root_y, v = damping(ch, t)
     g = np.repeat(root_y, 2, axis=-1)  # diagonal of G(t)
     relax = np.repeat(v, 2, axis=-1)  # v = 1 - e^{-gamma t} per row of the block-diagonal V_inf
-
-    def V():
-        return numkit.hermitize(g[..., :, None] * state.V * g[..., None, :] + relax[..., :, None] * diffusion_matrix(ch))
-
-    if state.factor is not None and keeps_factor(ch):
-        return GaussianState._built(g * state.d, V, damp_factor(state.factor, root_y, v, ch))
-    return GaussianState._built(g * state.d, V())
+    V = numkit.hermitize(g[..., :, None] * state.V * g[..., None, :] + relax[..., :, None] * diffusion_matrix(ch))
+    keep = state.factor is not None and keeps_factor(ch)
+    return GaussianState._built(g * state.d, V, damp_factor(state.factor, root_y, v, ch) if keep else None)

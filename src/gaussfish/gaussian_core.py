@@ -56,13 +56,8 @@ class GaussianState:
     :func:`gaussfish.channels.evolve` keeps it through a channel the same on every mode,
     turning each mode's axes by a rotation where the reservoir is squeezed, and so do the
     displacement model's states.  The public constructor, :func:`apply` and every other
-    operation give None.
-
-    A state the program builds may hold V as a recipe, formed on the first read of .V and
-    stored (:meth:`_built`): :func:`probe_tmsdt` and a factor-keeping
-    :func:`gaussfish.channels.evolve` defer their V, which a factored evaluation never
-    reads.  The recipe is the eager formula, so the V it forms is the same to the bit; a
-    state pickles with its V formed.
+    operation give None.  A scenario sweep reads the factor alone and builds no state
+    (:mod:`gaussfish.scenarios`).
     """
 
     d: np.ndarray
@@ -88,40 +83,9 @@ class GaussianState:
 
     @classmethod
     def _built(cls, d, V, factor=None) -> "GaussianState":
-        """A state from float moments the program built, not re-checked: V must be symmetric.
-
-        V may be a zero-argument callable, the recipe of a V formed on first read
-        (:meth:`__getattr__`); it must give the V that forming it eagerly gives.
-        """
+        """A state from float moments the program built, not re-checked: V must be symmetric."""
         st = cls.__new__(cls)
-        st.d = d
-        if callable(V):
-            st._V_recipe = V
-        else:
-            st.V = V
-        st.factor = factor
-        return st
-
-    def __getattr__(self, name):
-        # Python calls this only when normal lookup fails: for V, that is the first read of
-        # a deferred V, which runs its recipe once and stores the result, so later reads and
-        # states built eagerly never come here.
-        recipe = self.__dict__.get("_V_recipe")
-        if name != "V" or recipe is None:
-            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
-        self.V = V = recipe()
-        del self._V_recipe
-        return V
-
-    def __getstate__(self):
-        # a recipe is a closure, which does not pickle: pickle the formed V, as an eager state
-        return {"d": self.d, "V": self.V, "factor": self.factor}
-
-    def _moved(self, d) -> "GaussianState":
-        """This state with first moments d, sharing V (formed or still a recipe) and the factor."""
-        st = object.__new__(type(self))
-        st.__dict__.update(self.__dict__)
-        st.d = d
+        st.d, st.V, st.factor = d, V, factor
         return st
 
     @property
@@ -315,12 +279,8 @@ def probe_tmsdt(r, phi, q1, p1, q2, p2, n_th) -> GaussianState:
     S = _s2(r, phi)
     d = np.empty(factor[1].shape)
     d[...] = S @ np.array([q1, p1, q2, p2], dtype=float)
-
-    def V():  # deferred: a factored evaluation reads only the factor
-        tau = 2.0 * np.asarray(n_th, dtype=float) + 1.0
-        return numkit.hermitize(tau[..., None, None] * (S @ S.swapaxes(-1, -2)))
-
-    return GaussianState._built(d, V, factor)
+    tau = 2.0 * np.asarray(n_th, dtype=float) + 1.0
+    return GaussianState._built(d, numkit.hermitize(tau[..., None, None] * (S @ S.swapaxes(-1, -2))), factor)
 
 
 # ----------------------------------------------------------------------------

@@ -127,27 +127,21 @@ def inv_sym(a):
 
 
 def inv_certified(a):
-    """(ok, inverse) of each real 2x2 matrix of a stack, ok where it is certified of full rank.
+    """Whether each real 2x2 matrix of a stack is certified of full rank.
 
     With b = a / max|a|, so that no scale over- or underflows, the certificate is
     |det b| > 4 SPD2_MARGIN eps: as |det b| = sigma_min sigma_max and
     sigma_max <= ||b||_F <= 2, it bounds sigma_min / sigma_max from below by
-    SPD2_MARGIN eps.  A zero or non-finite matrix
-    fails it, and where ok is False the inverse is meaningless.  The inverse is
-    adj(b) / (det(b) max|a|), by its entries.
+    SPD2_MARGIN eps.  A zero or non-finite matrix fails it.
     """
     a = np.asarray(a)
     if a.shape[-2:] != (2, 2):
         raise ValueError("inv_certified takes 2x2 matrices, not %s" % (a.shape[-2:],))
     flat = a.reshape(-1, 4)
     with np.errstate(all="ignore"):  # only a matrix that fails the certificate meets an error
-        scale = np.abs(flat).max(axis=-1)
-        b00, b01, b10, b11 = (flat / scale[:, None]).T
+        b00, b01, b10, b11 = (flat / np.abs(flat).max(axis=-1)[:, None]).T
         det = b00 * b11 - b01 * b10
-        f = np.reciprocal(det * scale)
-        inverse = np.empty_like(flat)
-        inverse[:, 0], inverse[:, 1], inverse[:, 2], inverse[:, 3] = b11 * f, -b01 * f, -b10 * f, b00 * f
-    return (np.abs(det) > 4.0 * SPD2_MARGIN * EPS).reshape(a.shape[:-2]), inverse.reshape(a.shape)
+    return (np.abs(det) > 4.0 * SPD2_MARGIN * EPS).reshape(a.shape[:-2])
 
 
 def _spd2(a):

@@ -14,13 +14,15 @@ has closed forms in V and M = V + i Omega:
 closed form for a two-mode, two-parameter stack whose state carries its Williamson form
 V = O diag(lam) O^T with delta = nu^2 - 1 (:class:`GaussianState`), as every built-in
 probe through a uniform channel does: from the 2x2 blocks of E = sqrt2 D O, one per mode,
-as sums of nonnegative terms in delta, with no LAPACK call (:func:`_first_moment_factored`).
-The limit is finite at pure points and 0 where the directions reach the null coordinates
-of M with full rank (Genoni et al., PRA 87, 012107 (2013)).
+as sums of nonnegative terms in delta, with no LAPACK call (:func:`_first_moment_factored`),
+whichever of its modes are pure at each point.  The limit is finite at pure points and 0
+where the directions reach the null coordinates of M with full rank (Genoni et al., PRA
+87, 012107 (2013)).  A scenario sweep calls the same kernel on the probe's eigen-factor
+with no state built (:mod:`gaussfish.scenarios`).
 
 The Williamson basis.  Every other stack (some dV nonzero, a state without an eigen-factor,
-modes pure in part, or a nonzero dd not of full row rank at any of its points, or dd that
-reach more than p coordinates between them; no built-in sweep builds one) is evaluated in
+a nonzero dd not of full row rank at any of its points, or dd that reach more than p
+coordinates between them; no built-in probe builds one) is evaluated in
 the Williamson basis V = S diag(nu) S^T (S symplectic), which also referees the closed
 form in the tests.  The rows of T = J S^-1, J taking each pair (q, p) to
 (q + i p, q - i p)/sqrt2, are normal coordinates a with eigenvalue nu_a and sign
@@ -72,10 +74,10 @@ axis in one call and returns (K, p, p) matrices and (K,) bounds; without the axi
 the one-point case and returns (p, p) matrices and floats.  The formulas are elementwise
 in nu, and the purity cut, the rank cut of :func:`rld_inverse_limit` and every pinv
 cutoff are taken point by point.  The path is chosen per stack: the closed form serves the
-stack whole or not at all (:meth:`PointMoments.merged`), so a point whose modes are pure
-in part moves its neighbours to the Williamson basis, where they match their own
-evaluation to rounding.  A point whose dd is exactly 0 (dd = e^{-gamma t / 2} (e1, e2)
-underflows from gamma t of about 1490) stays in the closed form.
+stack whole or not at all (:meth:`PointMoments.merged`), so a point that it does not serve
+moves its neighbours to the Williamson basis, where they match their own evaluation to
+rounding.  A point whose dd is exactly 0 (dd = e^{-gamma t / 2} (e1, e2) underflows from
+gamma t of about 1490) stays in the closed form.
 """
 
 from __future__ import annotations
@@ -269,7 +271,8 @@ def _first_moment_factored(D, factor, zero):
     so nothing cancels near purity or at strong squeezing.  w_k <= 1 holds a hot mode's
     delta to size 1, and each point's G is divided by its largest entry s first (the ratio
     is homogeneous of degree -2 in G), so no intermediate over- or underflows before lam
-    does.  At a point whose modes are both pure (delta = 0) the limit is 0 where
+    does.  A point with one mode pure (delta_k = 0, so w_k = 0) takes these formulas as
+    they stand.  At a point whose modes are both pure the limit is 0 where
     (c00 - c11)^2 + (c01 + c10)^2 exceeds RANK_CUT^2 ||C||_F^2 (every direction reaches the
     null coordinates of M), and else the same ratio with delta divided out (w_k = m = 1, the
     last term of den 0).  A point with dd = 0 has F_S, U and the limit 0.  lam is checked
@@ -312,7 +315,7 @@ def _first_moment_factored(D, factor, zero):
     w = (delta / (1.0 + delta))[::-1]  # w_k' of the other mode
     m = (w[1] + w[0] / (1.0 + delta[0])) / (1.0 + inv_nn)
     rest = anti * inv_nn
-    pure = delta[0] == 0.0  # both modes, as the caller checked
+    pure = (delta[0] == 0.0) & (delta[1] == 0.0)  # both modes
     if pure.any():  # delta divided out: w = m = 1, and the last term of den is 0
         w = np.where(pure, 1.0, w)
         m, rest = np.where(pure, 1.0, m), np.where(pure, 0.0, rest)
@@ -333,14 +336,6 @@ def _first_moment_factored(D, factor, zero):
     im[:, 0, 1], im[:, 1, 0] = num[3], -num[3]
     shape = lead + (2, 2)
     return f_s.reshape(shape), u.reshape(shape), f_r_inv.reshape(shape)
-
-
-def closed_form_serves(delta) -> bool:
-    """Whether :func:`_first_moment_factored` serves a factored two-mode, two-parameter stack
-    whose state carries delta = nu^2 - 1, (..., 2): where each point has both modes pure
-    (delta = 0) or neither.  A stack with modes pure in part is left to the Williamson basis."""
-    pure = delta == 0.0
-    return not (pure[..., 0] != pure[..., 1]).any()
 
 
 def _inverse(x, zero_to):
@@ -429,19 +424,18 @@ class PointMoments:
 
         The closed form of the eigen-factor's 2x2 blocks (:func:`_first_moment_factored`)
         serves a two-mode, two-parameter stack whose every dV is zero and whose state carries
-        its eigen-factor, with both modes pure (delta = 0) or neither at each point
-        (:func:`closed_form_serves`, which the factored route of a scenario sweep asks too).
-        The stack's dd must reach two coordinates between them, on which each point's dd is
-        certified of full rank (:func:`numkit.inv_certified`) or exactly zero.  Any other stack
-        returns None, and the Williamson basis serves it whole.
+        its eigen-factor, with any of its modes pure.  The stack's dd must reach two
+        coordinates between them, on which each point's dd is certified of full rank
+        (:func:`numkit.inv_certified`) or exactly zero.  Any other stack returns None, and the
+        Williamson basis serves it whole.
         """
         factor, D = self.st.factor, self.dds
-        if not self.dV_zero or factor is None or D.shape[-2:] != (2, 4) or not closed_form_serves(factor[2]):
+        if not self.dV_zero or factor is None or D.shape[-2:] != (2, 4):
             return None
         reached = D.reshape(-1, 4).any(axis=0)
         if np.count_nonzero(reached) != 2:
             return None
-        zero = ~numkit.inv_certified(D[..., reached])[0]  # full rank unless dd = 0
+        zero = ~numkit.inv_certified(D[..., reached])  # full rank unless dd = 0
         if D[zero].any():
             return None
         return _first_moment_factored(D, factor, zero)
@@ -787,7 +781,7 @@ def displacement_model(
     def state_fn(theta):
         shift = np.zeros(2 * modes)
         shift[:2] = theta[0], theta[1]
-        st = probe._moved(probe.d + shift)
+        st = GaussianState._built(probe.d + shift, probe.V, probe.factor)
         if channel is not None:
             st = evolve(channel, st, t)
         return st

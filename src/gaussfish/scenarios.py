@@ -12,19 +12,17 @@ For each grid point the sweep reports the scalar bound family
 
 the double-homodyne bound hdb = Tr[W F_C^{-1}], and the coherent-probe
 benchmark sql (the b_h_upper of the displaced-vacuum probe under the same
-channel), all for the weight W (identity by default).
+channel, :func:`_coherent_bound`), all for the weight W (identity by default).
 
 A sweep is one stacked evaluation of its grid (:func:`_evaluate`).  The channel is the
 same on both modes, so it keeps the probe's eigen-factor, with or without a squeezed
 reservoir, and the columns are read from the factor (O, lam, delta) alone
 (:func:`_factored_columns`): no GaussianState, GaussianModel or PointMoments is built,
-whose set-up was most of the cost of a one-point evaluation.  Only a stack whose modes are
-pure in part, which no built-in probe gives, goes through the probe's state and its
-displacement model to the Williamson basis (:func:`_model_columns`).  Both share every
-formula, so where both apply they give the same bits.
+whose set-up was most of the cost of a one-point evaluation.  The public library gives
+the same bits on the probe's state (:func:`build_probe`) and its displacement model.
 
 :func:`closed_form_bounds` gives every column of every probe family in closed
-form, elementwise over arrays, for cross-checking the full pipeline; the sql
+form, elementwise over arrays, for cross-checking the full pipeline; at m_e = 0 the sql
 column is its displaced-vacuum b_h_upper.
 """
 
@@ -42,19 +40,9 @@ import numpy as np
 from . import numkit
 from .gaussian_core import GaussianState, _eigenbasis, probe_factor, probe_tmsdt
 from .channels import NoisyChannel, damp_factor, damping
-from .qfi_gaussian import (
-    _first_moment_factored,
-    bound_chain,
-    closed_form_serves,
-    displacement_derivs,
-    displacement_model,
-    evaluate,
-    qfim_report,
-    weight_root,
-)
+from .qfi_gaussian import _first_moment_factored, bound_chain, displacement_derivs, weight_root
 from .measurements import (
     _recorded,
-    cfim_gaussian_outcomes,
     epr_readout,
     factored_outcome_cov,
     outcome_fisher,
@@ -253,6 +241,23 @@ def _standard_form(r, n_th, gamma, t, n_e, W):
     return b_s, (1.0 + 1.0 / a) * b_s, (x, y, v, tau, eps, a_1, a, kappa, half_tr)
 
 
+def _coherent_bound(gamma, t, n_e, m_e, W):
+    """sql: the displaced vacuum's b_h_upper through the channel, x Tr(W V1) / 2 (1 + det(V1)^-1/2).
+
+    V1 = y I + v V_inf = a I + v Z is each mode's covariance, with Z = [[Re m_e, Im m_e],
+    [Im m_e, -Re m_e]] the reservoir's squeezing (:mod:`gaussfish.channels`), so
+    Tr(W V1) = a Tr W + v Tr(W Z) and det V1 = a^2 (1 - (v |m_e| / a)^2), where
+    v |m_e| / a < 1/2 by the channel's bound on |m_e|.  At m_e = 0 this is
+    :func:`closed_form_bounds`' tmdv b_h_upper, which is returned without the m_e terms.
+    """
+    b_s, b_h_upper, (x, _, v, *_, a, _, _) = _standard_form(0.0, 0.0, gamma, t, n_e, W)
+    if m_e == 0:  # the terms below are exactly 0; skipping them keeps a run_point call cheap
+        return b_h_upper
+    m = complex(m_e)
+    b_s = b_s + 0.5 * x * v * (m.real * (W[0, 0] - W[1, 1]) + m.imag * (W[0, 1] + W[1, 0]))
+    return (1.0 + 1.0 / a / np.sqrt(1.0 - (v * abs(m) / a) ** 2)) * b_s
+
+
 # Failures a layer raises for a point outside its domain; such a point degrades alone.
 NUMERICAL_ERRORS = (ValueError, np.linalg.LinAlgError)
 
@@ -277,39 +282,27 @@ def _evaluate(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> np.ndarray:
 
     The channel is ch (one stacked NoisyChannel if None or on a gamma or n_e axis), and t
     spans the grid, so an axis that the probe ignores still gives one point per value.  The
-    stack takes :func:`_factored_columns`, which builds no state or model, or where that
-    declines it, :func:`_model_columns`.  What a layer raises for the stack propagates; an
-    overflow leaves a non-finite entry.
+    stack takes :func:`_factored_columns`, which builds no state or model.  What a layer
+    raises for the stack propagates; an overflow leaves a non-finite entry.
     """
     r, n_th, gamma, n_e, t = _on_axis(cfg, values, "r", "n_th", "gamma", "n_e", "t")
     t = np.full(values.shape, t)
     if ch is None or cfg.axis in ("gamma", "n_e"):
         ch = NoisyChannel.uniform(2, gamma, n_e, cfg.m_e)
-    chain, F_C = _factored_columns(cfg, r, n_th, ch, t) or _model_columns(cfg, r, n_th, ch, t)
+    chain, F_C = _factored_columns(cfg, r, n_th, ch, t)
     W = cfg.weight_matrix()
     hdb = (W @ numkit.pinv_psd(F_C)[0]).trace(axis1=-2, axis2=-1)
-    sql = _standard_form(0.0, 0.0, gamma, t, n_e, W)[1]  # the tmdv closed form's b_h_upper
+    sql = _coherent_bound(gamma, t, n_e, cfg.m_e, W)
     return np.array((values, chain.b_s, chain.b_r, chain.b_h_mid, chain.b_h_upper, hdb, chain.r_q, sql))
 
 
-def _model_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
-    """(bound chain, F_C) through the probe's state and its displacement model: one
-    :func:`probe_tmsdt`, one :func:`evolve` and one PointMoments for the stack, which
-    PointMoments.solved serves as :func:`_factored_columns` does, or leaves to the
-    Williamson basis."""
-    pt = evaluate(displacement_model(build_probe(cfg, r, n_th), ch, t), cfg.theta)
-    rep = qfim_report(pt, weight=cfg.weight)
-    pre, gd = epr_readout()
-    return rep, cfim_gaussian_outcomes(pt, gd, pre_op=pre)
-
-
 def _factored_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
-    """(bound chain, F_C) from the probe's eigen-factor (O, lam, delta) alone, or None for a
-    stack whose modes are pure in part (:func:`closed_form_serves`).  ch is uniform
+    """(bound chain, F_C) from the probe's eigen-factor (O, lam, delta) alone.  ch is uniform
     (:meth:`NoisyChannel.uniform`), so it keeps the factor (:func:`damp_factor`).
 
-    The numbers are those of :func:`_model_columns`, bit for bit: the probe factor, its
-    damping and dd come from the helpers that :func:`probe_tmsdt`, :func:`evolve` and
+    The numbers are those of the public library on the probe's state, bit for bit
+    (qfim_report and cfim_gaussian_outcomes of its displacement model): the probe factor,
+    its damping and dd come from the helpers that :func:`probe_tmsdt`, :func:`evolve` and
     :func:`displacement_model` call, F_S, U and the limiting F_R^-1 from
     :func:`_first_moment_factored`, which PointMoments.solved takes on the same stacks, and
     F_C from the readout helpers of :func:`cfim_gaussian_outcomes`.  dd = eta (e1, e2), whose
@@ -321,9 +314,7 @@ def _factored_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
     r, n_th, _ = _probe_params(cfg, r, n_th)
     factor = probe_factor(r, cfg.phi, n_th)
     D = displacement_derivs(ch, t, factor[1].shape[:-1])
-    O, lam, delta = factor = damp_factor(factor, *damping(ch, t), ch)
-    if not closed_form_serves(delta):
-        return None
+    O, lam, _ = factor = damp_factor(factor, *damping(ch, t), ch)
     f_s, u, f_r_inv = _first_moment_factored(D, factor, D[..., 0, 0] == 0.0)
     chain = bound_chain(f_s, u, rld_inverse=f_r_inv, weight=cfg.weight)
     S_r, Vm, B = _readout_rows(cfg.phi)

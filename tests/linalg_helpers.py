@@ -1,7 +1,7 @@
 """Dense linear-algebra helpers that only the tests use: vectorization for the
 kron-matrix oracles, a largest-eigenvalue scale, and one call recorder for the
-structural pins: the LAPACK drivers a run calls, the deferred covariances it forms and
-the evaluated models (PointMoments) it builds."""
+structural pins: the LAPACK drivers a run calls, the states (GaussianState) and the
+evaluated models (PointMoments) it builds."""
 
 import numpy as np
 
@@ -41,11 +41,11 @@ def lapack_calls(monkeypatch, run):
     return recorded_calls(monkeypatch, run, sites)
 
 
-def v_formations(monkeypatch, run):
-    """run()'s result and how many deferred covariances it formed: the first reads of the V
-    of a GaussianState that holds V as a recipe, each running the recipe once."""
-    pending = lambda st, name: "V" if name == "V" and "_V_recipe" in st.__dict__ else None
-    result, calls = recorded_calls(monkeypatch, run, [(GaussianState, "__getattr__", pending)])
+def states_built(monkeypatch, run):
+    """run()'s result and how many GaussianState it built, by the public constructor or by
+    the unchecked internal one (GaussianState._built)."""
+    sites = [(GaussianState, name, lambda *a: "GaussianState") for name in ("__init__", "_built")]
+    result, calls = recorded_calls(monkeypatch, run, sites)
     return result, len(calls)
 
 

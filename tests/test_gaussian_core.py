@@ -241,17 +241,15 @@ def test_probe_tmsdt_on_arrays_stacks_the_per_value_probes_bit_for_bit():
 
 
 def test_a_deferred_covariance_pickles_as_the_eager_state():
-    """A state that holds V as a recipe pickles with V formed: the same bytes as the state
-    built with that V eager, and a round trip or a deep copy keeps d, V and the factor."""
+    """A factored state, the probe's and after a factor-keeping channel, survives a pickle
+    round trip and a deep copy: d, V and the factor come back bit for bit."""
     for r, n_th in ((0.7, 0.5), (np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.5, 9))):
         probe = probe_tmsdt(r, 2.1, 0.3, -0.2, 0.1, 0.4, n_th)
-        for lazy in (probe, evolve(NoisyChannel.uniform(2, 0.9, 0.7), probe, 0.4)):
-            assert "V" not in vars(lazy)
-            eager = GaussianState._built(lazy.d, vars(lazy)["_V_recipe"](), lazy.factor)
-            assert pickle.dumps(lazy) == pickle.dumps(eager)
-            for twin in (pickle.loads(pickle.dumps(lazy)), copy.deepcopy(lazy)):
-                assert vars(twin).keys() == vars(eager).keys() == {"d", "V", "factor"}
-                for got, want in zip((twin.d, twin.V, *twin.factor), (eager.d, eager.V, *eager.factor)):
+        for state in (probe, evolve(NoisyChannel.uniform(2, 0.9, 0.7), probe, 0.4)):
+            assert state.factor is not None
+            for twin in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+                assert vars(twin).keys() == vars(state).keys() == {"d", "V", "factor"}
+                for got, want in zip((twin.d, twin.V, *twin.factor), (state.d, state.V, *state.factor)):
                     assert np.array_equal(got, want)
 
 

@@ -261,14 +261,13 @@ def test_readout_pre_op_must_match_the_state_modes():
 def test_sweep_readout_makes_no_apply_call(monkeypatch):
     """The readout of a 201-point sweep reads the recorded rows directly, with no apply call:
     F_C comes from S_r O and lam (outcome_fisher), once per sweep, with and without a
-    squeezed reservoir; on the model route, which a stack whose modes are pure in part
-    takes, from the stacked moments (cfim_gaussian_outcomes)."""
-    for m_e, layer in ((0.0, "outcome_fisher"), (0.2, "outcome_fisher"), (0.2, "cfim_gaussian_outcomes")):
+    squeezed reservoir."""
+    for m_e in (0.0, 0.2):
         calls = []
         for mod in (gaussian_core, qfi_gaussian, measurements):
             if hasattr(mod, "apply"):
                 monkeypatch.setattr(mod, "apply", lambda *a, fn=mod.apply: calls.append("apply") or fn(*a))
-        readout = getattr(scenarios, layer)
+        readout = scenarios.outcome_fisher
 
         def traced(*a, readout=readout, **kw):
             calls.append("readout")
@@ -276,11 +275,9 @@ def test_sweep_readout_makes_no_apply_call(monkeypatch):
             calls.append("done")
             return out
 
-        monkeypatch.setattr(scenarios, layer, traced)
-        if layer == "cfim_gaussian_outcomes":
-            monkeypatch.setattr(scenarios, "_factored_columns", lambda *args: None)
+        monkeypatch.setattr(scenarios, "outcome_fisher", traced)
         cfg = scenarios.ScenarioConfig(probe="tmst", n_th=0.5, m_e=m_e, axis="t", start=0.0, stop=1.0, step=0.005)
         rows = scenarios.sweep(cfg)
         monkeypatch.undo()
         assert len(rows) == 201 and all(row.ok for row in rows), m_e
-        assert calls == ["readout", "done"], (m_e, layer)
+        assert calls == ["readout", "done"], m_e

@@ -450,19 +450,18 @@ def test_two_by_two_inv_sym_is_the_lapack_inv(stack, singular):
 
 
 def test_inv_certified_inverts_exactly_the_members_it_certifies():
-    """2x2 by its entries; the certificate refuses rank-deficient, nearly rank-deficient,
-    zero and non-finite members, and no scale over- or underflows.  Other sizes raise."""
+    """The certificate of full rank of each 2x2: it passes well conditioned members at any
+    scale, with no over- or underflow, and refuses rank-deficient, nearly rank-deficient,
+    zero and non-finite members.  Other sizes raise."""
     rng = np.random.default_rng(83)
     good = [_conditioned(rng, 2, 2, c) for c in (1.0, 1e3, 1e10)] + [np.diag([2.0, 3.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
     good += [1e-150 * good[1], 1e150 * good[1]]
     bad = [np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 3e-15]]), np.array([[1.0, 2.0], [2.0, 4.0]]), np.full((2, 2), np.nan), np.diag([1.0, np.inf])]
-    ok, inverse = numkit.inv_certified(np.array(good + bad))
+    ok = numkit.inv_certified(np.array(good + bad))
     assert ok.tolist() == [True] * len(good) + [False] * len(bad)
-    for a, x in zip(good, inverse):
-        want = np.linalg.inv(a)
-        np.testing.assert_allclose(x, want, rtol=0, atol=KERNEL_C * numkit.EPS * np.linalg.cond(a) * np.abs(want).max())
-    one_ok, one = numkit.inv_certified(good[1])
-    assert one_ok.shape == () and one_ok and np.array_equal(one, inverse[1])
+    assert ok.reshape(3, 4).tolist() == numkit.inv_certified(np.array(good + bad).reshape(3, 4, 2, 2)).tolist()
+    one = numkit.inv_certified(good[1])
+    assert one.shape == () and one
     with pytest.raises(ValueError, match="2x2"):
         numkit.inv_certified(np.array([_conditioned(rng, 3, 3, 10.0)] * 4))
 

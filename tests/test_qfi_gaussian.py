@@ -792,10 +792,26 @@ def test_factored_route_matches_the_dense_solves_on_the_reference_t_grid(probe, 
     _assert_route_matches_the_williamson_basis(pt)
 
 
+def _pure_in_part_point(rng):
+    """A random two-mode Williamson form V = O diag(lam) O^T, O a Haar passive network and each
+    mode squeezed by up to e^(+-3), with mode 0, mode 1 or both pure (the other's nu - 1 in
+    0.1..10), and dd a random 2x2 of cond <= 3 on the first mode's coordinates."""
+    pure = [(True, False), (False, True), (True, True)][rng.integers(0, 3)]
+    nu_1 = np.where(pure, 0.0, rng.uniform(0.1, 10.0, 2))  # nu - 1
+    nu, delta = 1.0 + nu_1, nu_1 * (2.0 + nu_1)
+    lam = np.repeat(nu, 2) * np.repeat(np.exp(rng.uniform(0.0, 3.0, 2)), 2) ** np.tile([1.0, -1.0], 2)
+    O = _haar_passive(rng, 2)
+    st_ = GaussianState._built(rng.normal(size=4), numkit.hermitize((O * lam) @ O.T), (O, lam, delta))
+    dd = np.zeros((2, 4))
+    dd[:, :2] = rng.uniform(1.0, 3.0, (2, 1)) * np.linalg.qr(rng.normal(size=(2, 2)))[0]
+    return PointMoments(st_, list(dd), [np.zeros((4, 4))] * 2, 2)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_factored_route_matches_the_dense_solves_on_random_draws(seed):
     """60 random two-mode draws of r <= 1.5, phi, n_th, n_e, gamma t and alpha, with a complex
-    m_e up to its bound in half of them, each with its own O (one per point, stacked), from
+    m_e up to its bound in half of them, and 40 random Williamson forms with one or both modes
+    pure (:func:`_pure_in_part_point`), each with its own O (one per point, stacked), from
     the route and from the Williamson basis of the dense V."""
     rng = np.random.default_rng(700 + seed)
     points = []
@@ -805,26 +821,23 @@ def test_factored_route_matches_the_dense_solves_on_random_draws(seed):
         alpha = rng.uniform(-1.0, 1.0, 4) * rng.integers(0, 2)
         probe = probe_tmsdt(r, rng.uniform(-math.pi, math.pi), *alpha, n_th)
         points.append(evaluate(displacement_model(probe, NoisyChannel.uniform(2, 1.0, n_e, m_e), gt), [0.1, -0.2]))
+    points += [_pure_in_part_point(rng) for _ in range(40)]
     stack = _stack_points(points)
-    assert stack.st.factor[0].shape == (60, 4, 4)
+    assert stack.st.factor[0].shape == (100, 4, 4)
     _assert_route_matches_the_williamson_basis(stack)
 
 
 def _unserved_points():
-    """Two-parameter points that the solves do not serve: modes pure in part, dV != 0.
+    """Two-parameter points that the solves do not serve: a dd of rank 1, dV != 0.
 
     Each state carries an eigen-factor, so :func:`_stack_points` stacks them with it.
     """
-    ch = NoisyChannel.uniform(2, 1.0, 0.5)
-    O = _haar_passive(np.random.default_rng(4), 2)  # a Williamson form, as every other point here carries
-    lam = np.array([1.0, 1.0, 3.0, 3.0]) * np.exp([0.6, -0.6, 0.2, -0.2])
-    V = numkit.hermitize((O * lam) @ O.T)
-    part_pure = GaussianState._built(np.array([0.1, 0.2, 0.0, 0.0]), V, (O, lam, np.array([0.0, 8.0])))
-    mixed = evaluate(displacement_model(probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.5), ch, 0.3), [0, 0])
+    mixed = evaluate(displacement_model(probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.5), NoisyChannel.uniform(2, 1.0, 0.5), 0.3), [0, 0])
+    zero = np.zeros((4, 4))
     dV = np.random.default_rng(5).normal(size=(4, 4))
     return [
-        evaluate(displacement_model(part_pure), [0, 0]),
-        PointMoments(mixed.st, list(mixed.dds), [dV + dV.T, np.zeros((4, 4))], 2),
+        PointMoments(mixed.st, [mixed.dds[0], 2.0 * mixed.dds[0]], [zero, zero], 2),
+        PointMoments(mixed.st, list(mixed.dds), [dV + dV.T, zero], 2),
     ]
 
 

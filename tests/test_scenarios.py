@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gaussfish import numkit, qfi_gaussian, scenarios
-from gaussfish.channels import NoisyChannel
+from gaussfish.channels import NoisyChannel, diffusion_matrix
 from gaussfish.gaussian_core import GaussianState, probe_tmsdt, vacuum
 from gaussfish.measurements import cfim_gaussian_outcomes, epr_readout
 from gaussfish.qfi_gaussian import PointMoments, displacement_model, evaluate, qfim_report
@@ -27,7 +27,7 @@ from gaussfish.scenarios import (
     sweep,
 )
 
-from linalg_helpers import lapack_calls, moments_built, v_formations
+from linalg_helpers import lapack_calls, moments_built, states_built
 from mp_referee import FIELDS as REFEREE_FIELDS, referee_row
 
 
@@ -277,16 +277,13 @@ def test_numerical_overflow_degrades_to_nan_row():
 
 
 def test_programming_error_propagates_instead_of_degrading(monkeypatch):
-    """A TypeError from a layer is a bug, not a degraded row: from the readout of the factored
-    route (outcome_fisher), with and without a squeezed reservoir, and of the model route
-    (cfim_gaussian_outcomes), which a stack whose modes are pure in part takes."""
+    """A TypeError from a layer is a bug, not a degraded row: from the readout
+    (outcome_fisher), with and without a squeezed reservoir."""
     def broken(*args, **kwargs):
         raise TypeError("broken layer")
 
-    for m_e, layer in ((0.0, "outcome_fisher"), (0.2, "outcome_fisher"), (0.2, "cfim_gaussian_outcomes")):
-        monkeypatch.setattr(scenarios, layer, broken)
-        if layer == "cfim_gaussian_outcomes":
-            monkeypatch.setattr(scenarios, "_factored_columns", lambda *args: None)
+    for m_e in (0.0, 0.2):
+        monkeypatch.setattr(scenarios, "outcome_fisher", broken)
         with pytest.raises(TypeError, match="broken layer"):
             run_point(_cfg(m_e=m_e), 0.4)
         monkeypatch.undo()
@@ -296,28 +293,14 @@ def test_run_point_evaluates_the_model_once(monkeypatch):
     """A sweep is one stacked evaluation; run_point is the same on a one-point stack.
 
     That is one closed form of the eigen-factor's blocks for the stack, with or without a
-    squeezed reservoir; on the model route, which a stack whose modes are pure in part
-    takes, one stacked state of the model.
+    squeezed reservoir.
     """
     stacks = []
-    build = scenarios.displacement_model
     closed_form = scenarios._first_moment_factored
 
     def counting_closed_form(D, *args):
         stacks.append(D.shape[0])
         return closed_form(D, *args)
-
-    def counting_model(*args, **kwargs):
-        model = build(*args, **kwargs)
-        state_fn = model.state_fn
-
-        def counted(theta):
-            st = state_fn(theta)
-            stacks.append(st.V.shape[0])
-            return st
-
-        model.state_fn = counted
-        return model
 
     point_calls = []
     point = scenarios.run_point
@@ -326,14 +309,10 @@ def test_run_point_evaluates_the_model_once(monkeypatch):
         point_calls.append(1)
         return point(*args, **kwargs)
 
-    for m_e, layer, counting in ((0.0, "_first_moment_factored", counting_closed_form),
-                                 (0.2, "_first_moment_factored", counting_closed_form),
-                                 (0.2, "displacement_model", counting_model)):
+    for m_e in (0.0, 0.2):
         stacks.clear()
         point_calls.clear()
-        monkeypatch.setattr(scenarios, layer, counting)
-        if layer == "displacement_model":
-            monkeypatch.setattr(scenarios, "_factored_columns", lambda *args: None)
+        monkeypatch.setattr(scenarios, "_first_moment_factored", counting_closed_form)
         monkeypatch.setattr(scenarios, "run_point", counting_point)
         cfg = _cfg(probe="tmdt", n_th=0.5, alpha=(0.3, -0.2, 0.1, 0.4), m_e=m_e, axis="t", stop=0.4)
         rows = sweep(cfg)
@@ -379,12 +358,16 @@ def test_sql_column_is_the_scalar_closed_form_at_every_point():
 
 
 def test_weighted_sql_is_the_displaced_vacuum_upper_bound():
-    for weight in ([[2.0, 0.0], [0.0, 2.0]], [[2.0, 0.3], [0.3, 1.0]]):
-        rows = sweep(_cfg(probe="tmdv", weight=weight, axis="t", start=0.0, stop=1.0, step=0.25))
+    """sql is tmdv's own b_h_upper through the same channel, with and without a weight and a
+    squeezed reservoir (m_e real, and complex through run_point, which does not validate)."""
+    for weight, m_e in itertools.product((None, [[2.0, 0.0], [0.0, 2.0]], [[2.0, 0.3], [0.3, 1.0]]), (0.0, 0.2, 0.5)):
+        rows = sweep(_cfg(probe="tmdv", weight=weight, m_e=m_e, axis="t", start=0.0, stop=1.0, step=0.25))
         for row in rows:
-            assert row.sql == pytest.approx(row.b_h_upper, rel=1e-12)
-        squeezed = sweep(_cfg(weight=weight, axis="r", start=0.0, stop=0.4, step=0.2))
+            assert row.sql == pytest.approx(row.b_h_upper, rel=1e-12), (weight, m_e)
+        squeezed = sweep(_cfg(weight=weight, m_e=m_e, axis="r", start=0.0, stop=0.4, step=0.2))
         assert squeezed[0].sql == pytest.approx(squeezed[0].b_h_upper, rel=1e-12)  # r = 0
+        row = run_point(_cfg(probe="tmdv", weight=weight, m_e=0.3 - 0.4j, axis="t"), 1.0)
+        assert row.sql == pytest.approx(row.b_h_upper, rel=1e-12), weight
 
 
 # Each axis on 5 points, and a t grid of 65 points, above numkit.STACK_MIN, whose stack
@@ -401,14 +384,19 @@ ROW_FIELDS = ("b_s", "b_r", "b_h_mid", "b_h_upper", "hdb", "r_q", "sql")
 
 
 def _generic_row(cfg, value):
-    """The row at one value through the per-point GaussianModel route (qfim_report, cfim)."""
+    """The row at one value through the per-point GaussianModel route (qfim_report, cfim);
+    sql is the displaced vacuum's b_h_upper, x Tr(W V1) / 2 (1 + det(V1)^-1/2) with
+    V1 = y I + v V_inf the covariance of its damped mode."""
     c = replace(cfg, **{cfg.axis: value})
-    model = displacement_model(build_probe(c), NoisyChannel.uniform(2, c.gamma, c.n_e, c.m_e), c.t)
+    ch = NoisyChannel.uniform(2, c.gamma, c.n_e, c.m_e)
+    model = displacement_model(build_probe(c), ch, c.t)
     W = c.weight_matrix()
     rep = qfim_report(model, c.theta, weight=W)
     pre, gd = epr_readout()
     hdb = float(np.trace(W @ numkit.pinv(cfim_gaussian_outcomes(model, gd, c.theta, pre_op=pre))))
-    sql = closed_form_bounds("tmdv", 0.0, 0.0, c.gamma, c.t, c.n_e, weight=W).b_h_upper
+    y = math.exp(-c.gamma * c.t)
+    V1 = y * np.eye(2) + (1.0 - y) * diffusion_matrix(ch)[:2, :2]
+    sql = np.exp(c.gamma * c.t) * np.trace(W @ V1) / 2.0 * (1.0 + 1.0 / np.sqrt(np.linalg.det(V1)))
     return (rep.b_s, rep.b_r, rep.b_h_mid, rep.b_h_upper, hdb, rep.r_q, sql)
 
 
@@ -741,17 +729,21 @@ def test_one_point_makes_one_inv(monkeypatch):
 
 
 def test_factored_runs_form_no_dense_v(monkeypatch):
-    """The dense V of a factored state is a recipe (GaussianState), and a factored run never
-    reads it: each probe's 201-point t sweep and one run_point form none, with and without a
-    squeezed reservoir."""
+    """Every GaussianState holds a dense V, and a factored run builds none: each probe's
+    201-point t sweep and one run_point, with and without a squeezed reservoir, and the
+    tmsv r 0..400 grid, whose 91 points past lam's overflow at r = 355 degrade alone."""
     for m_e in (0.0, 0.2):
         for probe in PROBES:
             cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), m_e=m_e, axis="t", start=0.0, stop=1.0, step=0.005)
-            rows, formed = v_formations(monkeypatch, lambda: sweep(cfg))
+            rows, formed = states_built(monkeypatch, lambda: sweep(cfg))
             assert len(rows) == 201 and all(row.ok for row in rows), (m_e, probe)
             assert formed == 0, (m_e, probe)
-            row, formed = v_formations(monkeypatch, lambda: run_point(cfg, 0.3))
+            row, formed = states_built(monkeypatch, lambda: run_point(cfg, 0.3))
             assert row.ok and formed == 0, (m_e, probe)
+    cfg = _cfg(probe="tmsv", r=0.6, axis="r", start=0.0, stop=400.0, step=0.5)
+    rows, formed = states_built(monkeypatch, lambda: sweep(cfg))
+    assert [row.ok for row in rows] == [row.axis < 355.0 for row in rows]
+    assert formed == 0
 
 
 def test_factored_runs_build_no_model(monkeypatch):
@@ -797,12 +789,22 @@ def _route_output(cfg):
     return columns, rows_to_csv(rows), rows_to_json(rows, cfg), repr(points)
 
 
+def _library_columns(cfg, r, n_th, ch, t):
+    """(bound chain, F_C) of a stack by the public library: the probe's state
+    (build_probe), its displacement model through ch, one evaluation of it, qfim_report and
+    cfim_gaussian_outcomes of the EPR readout."""
+    pt = evaluate(displacement_model(build_probe(cfg, r, n_th), ch, t), cfg.theta)
+    pre, gd = epr_readout()
+    return qfim_report(pt, weight=cfg.weight), cfim_gaussian_outcomes(pt, gd, pre_op=pre)
+
+
 @pytest.mark.parametrize("probe", PROBES)
 def test_factored_route_matches_the_model_route_bit_for_bit(monkeypatch, probe):
-    """The factored route prints what the model route prints on the same config, bit for bit:
-    every column, degraded rows and their messages included, on the battery's grids with and
-    without a weight and a squeezed reservoir (m_e = 0.2).  The model route, which builds
-    the probe's state and its displacement model, referees."""
+    """The factored route prints what the public library's model route prints on the same
+    config, bit for bit: every column, degraded rows and their messages included, on the
+    battery's grids with and without a weight and a squeezed reservoir (m_e = 0.2).  The
+    model route (_library_columns), which builds the probe's state and its displacement
+    model, stands in for the factored columns of each stack and referees."""
     grids = list(ROUTE_GRIDS)
     grids += SQUEEZED_ROUTE_GRIDS if probe in ("tmsv", "tmst") else []
     grids += THERMAL_ROUTE_GRIDS if probe in ("tmst", "tmdt") else []
@@ -810,7 +812,7 @@ def test_factored_route_matches_the_model_route_bit_for_bit(monkeypatch, probe):
         cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), r=0.6, weight=weight, m_e=m_e,
                    axis=axis, start=start, stop=stop, step=step)
         factored = _route_output(cfg)
-        monkeypatch.setattr(scenarios, "_factored_columns", lambda *args: None)
+        monkeypatch.setattr(scenarios, "_factored_columns", _library_columns)
         model = _route_output(cfg)
         monkeypatch.undo()
         where = (weight is not None, m_e, axis, stop)
@@ -820,32 +822,6 @@ def test_factored_route_matches_the_model_route_bit_for_bit(monkeypatch, probe):
             else:
                 assert np.array_equal(got, want, equal_nan=True), where
         assert factored[1:] == model[1:], where
-
-
-def _output(cfg):
-    rows = sweep(cfg)
-    return rows_to_csv(rows) + rows_to_json(rows, cfg)
-
-
-@pytest.mark.parametrize("probe", ["tmsv", "tmst"])
-def test_deferred_covariances_give_the_eager_output_byte_for_byte(monkeypatch, probe):
-    """The probe's reference t sweep, with and without a squeezed reservoir (m_e = 0.2), the
-    m_e = 0.2 r 0..40 grid and the r 0..400 grid, whose rows from r = 354.5 degrade, print
-    the same bytes, degraded messages included, as when every deferred V is formed where
-    its state is built."""
-    n_th = 0.5 if probe == "tmst" else 0.0
-    configs = [
-        _cfg(probe=probe, n_th=n_th, axis="t", start=0.0, stop=1.0, step=0.005),
-        _cfg(probe=probe, n_th=n_th, m_e=0.2, axis="t", start=0.0, stop=1.0, step=0.005),
-        _cfg(probe=probe, n_th=n_th, m_e=0.2, gamma=1.0, n_e=0.5, t=1.0, axis="r", start=0.0, stop=40.0, step=0.1),
-        _cfg(probe=probe, n_th=n_th, gamma=1.0, n_e=10.0, t=math.log(2.0), axis="r", start=0.0, stop=400.0, step=0.5),
-    ]
-    deferred = [_output(cfg) for cfg in configs]
-    built = GaussianState._built.__func__
-    eager = lambda cls, d, V, factor=None: built(cls, d, V() if callable(V) else V, factor)
-    monkeypatch.setattr(GaussianState, "_built", classmethod(eager))
-    assert [_output(cfg) for cfg in configs] == deferred
-    assert '"ok": false' not in deferred[1] + deferred[2] and "not finite" in deferred[3]
 
 
 def _report_and_hdb(pt, weight):
