@@ -68,34 +68,13 @@ def pinv_gram(a, size=None):
 def pinv_psd(a):
     """Pseudo-inverse of a symmetric (Hermitian) PSD matrix and the PSD root of that inverse.
 
-    Both equal pinv(a) and sqrtm_psd(pinv(a)).  A 2x2 matrix, real or complex, that
-    passes the certificate of :func:`_spd2` (positive definite, well inside pinv's
-    cutoff) takes closed forms in b = a / tr(a), which has trace 1: with
-    g = sqrt(det b), a^-1 = adj(b) / (det(b) tr(a)) and
-    a^-1/2 = (adj(b) + g I) / (g sqrt(1 + 2 g) sqrt(tr(a))), the root of a
-    2x2 PSD matrix by Cayley-Hamilton.  Any other matrix takes one
-    eigendecomposition of the Hermitian part, for that subset only.
-    Its cutoff is pinv's: for a Hermitian matrix the singular values are |w|,
-    so eigenvalues with |w| <= eps * n * max|w| count as zero.  A kept inverse
-    eigenvalue below -NEG_TOL is rejected as sqrtm_psd rejects it.  A stack
-    (..., n, n) is treated matrix by matrix, each with its own cutoff.
+    Both equal pinv(a) and sqrtm_psd(pinv(a)), from one eigendecomposition of each matrix's
+    Hermitian part.  Its cutoff is pinv's: for a Hermitian matrix the singular values are
+    |w|, so eigenvalues with |w| <= eps * n * max|w| count as zero.  A kept inverse
+    eigenvalue below -NEG_TOL is rejected as sqrtm_psd rejects it.  A stack (..., n, n) is
+    treated matrix by matrix, each with its own cutoff.
     """
     a = np.asarray(a)
-    if a.shape[-2:] != (2, 2):
-        return _pinv_psd_eigh(a)
-    flat = a.reshape(-1, 2, 2)
-    with np.errstate(all="ignore"):  # only a matrix that fails the certificate meets an error
-        ok, inverse, (s, nq, p), det, tr = _spd2(flat)
-        g = np.sqrt(det)
-        f = np.reciprocal(g * np.sqrt(1.0 + 2.0 * g) * np.sqrt(tr))
-        root = _sym2((s + g) * f, nq * f, (p + g) * f)
-    if np.count_nonzero(ok) < ok.size:
-        inverse[~ok], root[~ok] = _pinv_psd_eigh(flat[~ok])
-    return inverse.reshape(a.shape), root.reshape(a.shape)
-
-
-def _pinv_psd_eigh(a):
-    """:func:`pinv_psd` by one eigendecomposition of each matrix's Hermitian part."""
     w, u = np.linalg.eigh(hermitize(a))
     tol = EPS * a.shape[-1] * np.abs(w).max(axis=-1, initial=0.0)
     inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > tol[..., None])
@@ -120,7 +99,8 @@ def inv_sym(a):
         return np.linalg.inv(a)
     flat = a.reshape(-1, 2, 2)
     with np.errstate(all="ignore"):  # only a matrix that fails the certificate meets an error
-        ok, inverse, *_ = _spd2(flat)
+        ok, (s, nq, p), f, _, _ = _spd2(flat)
+        inverse = _sym2(s * f, nq * f, p * f)
     if np.count_nonzero(ok) < ok.size:
         inverse[~ok] = np.linalg.inv(flat[~ok])
     return inverse.reshape(a.shape)
@@ -145,36 +125,37 @@ def inv_certified(a):
 
 
 def _spd2(a):
-    """Certified closed-form inverses of a (K, 2, 2) stack: (ok, inverse, (s, -q, p), det, tr).
+    """The certificate and trace-scaled entries of a (..., 2, 2) stack: (ok, (s, -q, p), f,
+    det, tr).
 
-    Each matrix a is read as Hermitian (real: symmetric) and divided by its trace tr
-    first, so no scale over- or underflows: b = [[p, q], [conj(q), s]] = (a + a^H) / (2 tr)
-    has trace 1 and determinant det, and a^-1 = adj / (det tr),
-    adj = [[s, -q], [-conj(q), p]].  For a PSD matrix the trace lies between max |entry|
-    and twice it, and det is about lam_min / lam_max.  The certificate ok is
-    det > SPD2_MARGIN eps and det tr > TINY (so tr > 0): the smaller eigenvalue then
-    exceeds the rounding of det (about eps) and pinv's cutoff 2 eps lam_max with room
-    to spare, so only positive definite matrices that eigh keeps at full rank pass, and
-    their inverse is finite.  Where ok is False the values are meaningless: a zero,
+    Each real matrix a is read as symmetric and divided by its trace tr first, so no scale
+    over- or underflows: b = [[p, q], [q, s]] = (a + a^T) / (2 tr) has trace 1 and
+    determinant det, and a^-1 = f adj with f = 1 / (det tr) and adj = [[s, -q], [-q, p]].
+    For a PSD matrix the trace lies between max |entry| and twice it, and det is about
+    lam_min / lam_max.  The certificate ok is det > SPD2_MARGIN eps and det tr > TINY (so
+    tr > 0): the smaller eigenvalue then exceeds the rounding of det (about eps) and
+    pinv's cutoff 2 eps lam_max with room to spare, so only positive definite matrices
+    that eigh keeps at full rank pass, and their inverse is finite.  Where ok is False the values are meaningless: a zero,
     indefinite or non-finite matrix fails, so call this under np.errstate(all="ignore").
     The work is on (K,) columns, which numpy runs faster than (K, 2, 2) stacks, in few
-    calls: each costs about 1 us whatever K.
+    calls: each costs about 1 us whatever K.  :func:`inv_sym` forms f adj from the columns,
+    and the two-parameter bound chain of :mod:`gaussfish.qfi_gaussian` reads its terms from
+    them.
     """
-    a00, a11 = a[:, 0, 0].real, a[:, 1, 1].real
+    a00, a11 = a[..., 0, 0], a[..., 1, 1]
     tr = a00 + a11
     h = np.reciprocal(tr)
-    p, s, q = a00 * h, a11 * h, (a[:, 0, 1] + a[:, 1, 0].conj()) * (0.5 * h)
-    det = p * s - (q * q.conj()).real
+    p, s, q = a00 * h, a11 * h, (a[..., 0, 1] + a[..., 1, 0]) * (0.5 * h)
+    det = p * s - q * q
     det_tr = det * tr
     ok = (det > SPD2_MARGIN * EPS) & (det_tr > TINY)
-    nq, f = -q, np.reciprocal(det_tr)
-    return ok, _sym2(s * f, nq * f, p * f), (s, nq, p), det, tr
+    return ok, (s, -q, p), np.reciprocal(det_tr), det, tr
 
 
 def _sym2(p, q, s):
-    """The (K, 2, 2) stack [[p, q], [conj(q), s]] from its (K,) columns."""
-    out = np.empty(p.shape + (4,), dtype=q.dtype)
-    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = p, q, q.conj(), s
+    """The (K, 2, 2) stack [[p, q], [q, s]] from its (K,) columns."""
+    out = np.empty(p.shape + (4,))
+    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = p, q, q, s
     return out.reshape(-1, 2, 2)
 
 

@@ -63,7 +63,12 @@ Scalar bounds for a weight matrix W (default identity):
     b_h_mid    = b_s + TrAbs(sqrt(W) F_S^{-1} U F_S^{-1} sqrt(W))
     b_h_upper  = (1 + R_Q) b_s,   R_Q = || i F_S^{-1} U ||_inf in [0, 1]
 
-and the chain max(b_s, b_r) <= b_h_mid <= b_h_upper <= 2 b_s holds pointwise.
+and the chain max(b_s, b_r) <= b_h_mid <= b_h_upper <= 2 b_s holds pointwise.  For two
+parameters, F_S = [[a, c], [c, b]] with d = ab - c^2 and U antisymmetric, these are short
+formulas in the entries, which :func:`bound_chain` takes with no pseudo-inverse or root:
+
+    b_h_mid = b_s + 2 sqrt(det W) |u01| / d,   R_Q = |u01| / sqrt(d),
+    b_r     = Tr[W Re F_R^{-1}] + 2 sqrt(det W) |Im (F_R^{-1})_01|
 
 A pure mode (nu = 1) makes M singular; see :func:`rld_inverse_limit`.
 
@@ -590,28 +595,24 @@ def _incompatibility_in_basis(pt: PointMoments) -> np.ndarray:
 def quantumness(f_sld, u) -> float:
     """R_Q = largest |eigenvalue| of i F^{-1} U, the incompatibility ratio.
 
-    Evaluated through the similarity-equivalent Hermitian matrix
-    i F^{-1/2} U F^{-1/2}.  For p = 2 its eigenvalues are
-    +-|(F^{-1/2} U F^{-1/2})_01| (an antisymmetric 2x2 x has the one pair
-    +-i x_01), so no eigvalsh is needed.  Values outside [0, 1] by more than
-    1e-8 indicate an inconsistent (F, U) pair and trigger a warning; round-off
-    excursions are clamped.  Stacks of (F, U) give an array of ratios.
+    It is the r_q of :func:`bound_chain`: for p = 2 the closed form |u01| / sqrt(det F), else
+    through the similarity-equivalent Hermitian matrix i F^{-1/2} U F^{-1/2}.  Values
+    outside [0, 1] by more than 1e-8 indicate an inconsistent (F, U) pair and trigger a
+    warning; round-off excursions are clamped.  Stacks of (F, U) give an array of ratios.
     """
-    _, root_finv = numkit.pinv_psd(np.asarray(f_sld, dtype=float))
-    return _quantumness(root_finv, np.asarray(u, dtype=float))
+    return bound_chain(f_sld, u, rld_inverse=np.zeros(np.shape(f_sld))).r_q
 
 
 def _quantumness(root_finv, u):
-    """R_Q from the PSD root of F^{-1}; see :func:`quantumness`."""
+    """R_Q from the PSD root of F^{-1}, unclamped; see :func:`quantumness`.
+
+    The eigenvalues of i x, x = F^{-1/2} U F^{-1/2}, are +-|x_01| for p = 2 (an
+    antisymmetric 2x2 x has the one pair +-i x_01), so no eigvalsh is needed there.
+    """
     x = root_finv @ u @ root_finv
     if x.shape[-2:] == (2, 2):  # the entry of the antisymmetric part, as hermitize keeps it
-        rq = 0.5 * np.abs(x[..., 0, 1] - x[..., 1, 0])
-    else:
-        rq = np.abs(np.linalg.eigvalsh(numkit.hermitize(1j * x))).max(axis=-1)
-    inconsistent = rq > 1.0 + 1e-8
-    if inconsistent.any():
-        warnings.warn("quantumness ratio %.6g exceeds 1; F and U are inconsistent" % rq.max())
-    return numkit.float_or_stack(np.where(inconsistent, rq, np.minimum(rq, 1.0)))
+        return 0.5 * np.abs(x[..., 0, 1] - x[..., 1, 0])
+    return np.abs(np.linalg.eigvalsh(numkit.hermitize(1j * x))).max(axis=-1)
 
 
 def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
@@ -685,13 +686,73 @@ def bound_chain(f_sld, u, *, rld_inverse, weight=None) -> BoundChain:
     rld_inverse is the limiting inverse of the RLD information matrix, the
     output of :func:`rld_inverse_limit`; a plain pinv of F_R is wrong at
     pure points.  Stacked matrices (K, p, p) share the weight and give
-    arrays of K bounds.  Without a weight no product with the identity is
-    formed; a weight's root comes from :func:`weight_root`.
+    arrays of K bounds.  Two parameters take the closed forms of :func:`_chain2`;
+    any other p takes the pseudo-inverse and PSD root of F_S from :func:`numkit.pinv_psd`
+    (:func:`_chain_generic`).  A ratio r_q over 1 + 1e-8 warns that (F_S, U) is
+    inconsistent, and round-off over 1 is clamped.
     """
     f_sld = np.asarray(f_sld, dtype=float)
-    finv_s, root_finv_s = numkit.pinv_psd(f_sld)
-    finv_r = np.asarray(rld_inverse, dtype=complex)
     u = np.asarray(u, dtype=float)
+    finv_r = np.asarray(rld_inverse, dtype=complex)
+    chain = _chain2 if f_sld.shape[-2:] == (2, 2) else _chain_generic
+    b_s, b_r, b_h_mid, r_q = chain(f_sld, u, finv_r, weight)
+    inconsistent = r_q > 1.0 + 1e-8
+    if inconsistent.any():
+        warnings.warn("quantumness ratio %.6g exceeds 1; F and U are inconsistent" % r_q.max())
+        r_q = np.where(inconsistent, r_q, np.minimum(r_q, 1.0))
+    else:
+        r_q = np.minimum(r_q, 1.0)
+    b_h_upper = (1.0 + r_q) * b_s
+    return BoundChain(*(numkit.float_or_stack(x) for x in (b_s, b_r, b_h_mid, b_h_upper, r_q)))
+
+
+def _chain2(f_sld, u, finv_r, weight):
+    """(b_s, b_r, b_h_mid, unclamped r_q) of (..., 2, 2) stacks in closed form.
+
+    With F_S = tr [[p, q], [q, s]] read by the certificate of :func:`numkit._spd2`
+    (trace-scaled, det = ps - q^2, f = 1 / (det tr), so F_S^-1 = f [[s, -q], [-q, p]]),
+    d = det F_S = det tr^2, an antisymmetric U with entry u01 and W's root sqrt(W):
+
+        b_s     = Tr(W F_S^-1)
+        b_h_mid = b_s + 2 sqrt(det W) |u01| / d = b_s + sqrt(det W) (|u01 - u10| / tr) f
+        r_q     = |u01| / sqrt(d) = (|u01 - u10| / tr) / (2 sqrt(det))
+        b_r     = Tr(W Re F_R^-1) + sqrt(det W) |Im (F_R^-1)_01 - Im (F_R^-1)_10|
+
+    as sqrt(W) X sqrt(W) = det(sqrt W) x01 J for an antisymmetric X = x01 J, and
+    F_S^-1 U F_S^-1 = u01 det(F_S^-1) J.  Every term is read from the trace-scaled matrix,
+    so none over- or underflows before F_S^-1 itself: det(F_S^-1) alone overflows from
+    gamma t of about 350.  A difference of the two off-diagonal entries drops a symmetric
+    part, as numkit.trace_abs does.  Points that fail the certificate (zero, rank-deficient,
+    indefinite or non-finite F_S) take :func:`_chain_generic`, for that subset only.
+    """
+    if not f_sld.shape == u.shape == finv_r.shape:
+        f_sld, u, finv_r = np.broadcast_arrays(f_sld, u, finv_r)
+    if f_sld.ndim == 2:  # one matrix: the member of a stack of one
+        return [col[0] for col in _chain2(f_sld[None], u[None], finv_r[None], weight)]
+    w = _weight2(weight)
+    re, im = finv_r.real, finv_r.imag
+    b_r = _trace_w(w, re[..., 0, 0], re[..., 0, 1], re[..., 1, 1])
+    b_r += _root_det(w, np.abs(im[..., 0, 1] - im[..., 1, 0]))
+    with np.errstate(all="ignore"):  # only a point that fails the certificate meets an error
+        ok, (s, nq, p), f, det, tr = numkit._spd2(f_sld)
+        b_s = _inverse_trace(w, s, nq, p, f)
+        ua = np.abs(u[..., 0, 1] - u[..., 1, 0]) / tr
+        b_h_mid = b_s + _root_det(w, ua * f)
+        r_q = 0.5 * ua / np.sqrt(det)
+    columns = [b_s, b_r, b_h_mid, r_q]
+    if np.count_nonzero(ok) < ok.size:
+        bad = ~ok
+        for col, x in zip(columns, _chain_generic(f_sld[bad], u[bad], finv_r[bad], weight)):
+            col[bad] = x
+    return columns
+
+
+def _chain_generic(f_sld, u, finv_r, weight):
+    """(b_s, b_r, b_h_mid, unclamped r_q) of (..., p, p) stacks from the pseudo-inverse and
+    PSD root of F_S (:func:`numkit.pinv_psd`) and the trace norms of the module docstring.
+    Without a weight no product with the identity is formed; a weight's root comes from
+    :func:`weight_root`."""
+    finv_s, root_finv_s = numkit.pinv_psd(f_sld)
     if weight is None:  # W = sqrt(W) = I, whose products would change no finite entry
         w_s, w_r = finv_s, finv_r.real
         inner_r, inner_u = finv_r.imag, finv_s @ u @ finv_s
@@ -703,11 +764,55 @@ def bound_chain(f_sld, u, *, rld_inverse, weight=None) -> BoundChain:
     # one stacked call for both trace norms, of sw Im F_R^-1 sw and of sw F_S^-1 U F_S^-1 sw
     tn_r, tn_u = numkit.trace_abs(np.array([inner_r, inner_u]))
     b_s = w_s.trace(axis1=-2, axis2=-1)
-    b_r = w_r.trace(axis1=-2, axis2=-1) + tn_r
-    b_h_mid = b_s + tn_u
-    r_q = _quantumness(root_finv_s, u)
-    b_h_upper = (1.0 + r_q) * b_s
-    return BoundChain(*(numkit.float_or_stack(x) for x in (b_s, b_r, b_h_mid, b_h_upper, r_q)))
+    return b_s, w_r.trace(axis1=-2, axis2=-1) + tn_r, b_s + tn_u, _quantumness(root_finv_s, u)
+
+
+def _trace_w_inverse(a, weight=None):
+    """Tr(W a^-1) of each symmetric PSD matrix of a (K, 2, 2) stack, with the pseudo-inverse
+    where a is singular: :func:`bound_chain`'s b_s of a = F_S in closed form, which the
+    double-homodyne bound takes of a = F_C.  Points that fail the certificate of
+    :func:`numkit._spd2` take Tr(W pinv_psd(a)), for that subset only."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(all="ignore"):  # only a point that fails the certificate meets an error
+        ok, (s, nq, p), f, _, _ = numkit._spd2(a)
+        t = _inverse_trace(_weight2(weight), s, nq, p, f)
+    if np.count_nonzero(ok) < ok.size:
+        W = np.eye(2) if weight is None else np.asarray(weight, dtype=float)
+        t[~ok] = (W @ numkit.pinv_psd(a[~ok])[0]).trace(axis1=-2, axis2=-1)
+    return t
+
+
+def _inverse_trace(w, s, nq, p, f):
+    """Tr(W a^-1) from :func:`numkit._spd2`'s columns of a, a^-1 = f [[s, -q], [-q, p]];
+    w as :func:`_weight2` gives it."""
+    if w is None:
+        return s * f + p * f
+    return _trace_w(w, s * f, nq * f, p * f)
+
+
+def _trace_w(w, x00, x01, x11):
+    """Tr(W X) of the symmetric 2x2 matrices X = [[x00, x01], [x01, x11]] from their entries;
+    w is :func:`_weight2`'s, None for the identity."""
+    if w is None:
+        return x00 + x11
+    w00, w_off, w11, _ = w
+    t = w00 * x00 + w11 * x11
+    return t + w_off * x01 if w_off else t  # a diagonal W reads no x01, as I does not
+
+
+def _root_det(w, x):
+    """x times det(sqrt W) = sqrt(det W), of :func:`_weight2`'s w."""
+    return x if w is None else w[3] * x
+
+
+def _weight2(weight):
+    """(W00, W01 + W10, W11, det sqrt(W)) of a 2x2 weight, checked by :func:`weight_root`;
+    None for no weight."""
+    if weight is None:
+        return None
+    sw = weight_root(weight, 2)
+    (w00, w01), (w10, w11) = np.asarray(weight, dtype=float).tolist()
+    return w00, w01 + w10, w11, abs(float(sw[0, 0] * sw[1, 1] - sw[0, 1] * sw[1, 0]))
 
 
 @dataclass

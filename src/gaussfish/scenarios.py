@@ -37,10 +37,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import numkit
 from .gaussian_core import GaussianState, _eigenbasis, probe_factor, probe_tmsdt
 from .channels import NoisyChannel, damp_factor, damping
-from .qfi_gaussian import _first_moment_factored, bound_chain, displacement_derivs, weight_root
+from .qfi_gaussian import _first_moment_factored, _trace_w_inverse, bound_chain, displacement_derivs, weight_root
 from .measurements import (
     _recorded,
     epr_readout,
@@ -282,17 +281,18 @@ def _evaluate(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> np.ndarray:
 
     The channel is ch (one stacked NoisyChannel if None or on a gamma or n_e axis), and t
     spans the grid, so an axis that the probe ignores still gives one point per value.  The
-    stack takes :func:`_factored_columns`, which builds no state or model.  What a layer
-    raises for the stack propagates; an overflow leaves a non-finite entry.
+    stack takes :func:`_factored_columns`, which builds no state or model, and hdb is
+    Tr(W F_C^-1) from the certified entries of each 2x2 F_C (:func:`_trace_w_inverse`, which
+    the chain's b_s shares).  What a layer raises for the stack propagates; an overflow
+    leaves a non-finite entry.
     """
     r, n_th, gamma, n_e, t = _on_axis(cfg, values, "r", "n_th", "gamma", "n_e", "t")
     t = np.full(values.shape, t)
     if ch is None or cfg.axis in ("gamma", "n_e"):
         ch = NoisyChannel.uniform(2, gamma, n_e, cfg.m_e)
     chain, F_C = _factored_columns(cfg, r, n_th, ch, t)
-    W = cfg.weight_matrix()
-    hdb = (W @ numkit.pinv_psd(F_C)[0]).trace(axis1=-2, axis2=-1)
-    sql = _coherent_bound(gamma, t, n_e, cfg.m_e, W)
+    hdb = _trace_w_inverse(F_C, cfg.weight)
+    sql = _coherent_bound(gamma, t, n_e, cfg.m_e, cfg.weight_matrix())
     return np.array((values, chain.b_s, chain.b_r, chain.b_h_mid, chain.b_h_upper, hdb, chain.r_q, sql))
 
 
@@ -304,7 +304,8 @@ def _factored_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
     (qfim_report and cfim_gaussian_outcomes of its displacement model): the probe factor,
     its damping and dd come from the helpers that :func:`probe_tmsdt`, :func:`evolve` and
     :func:`displacement_model` call, F_S, U and the limiting F_R^-1 from
-    :func:`_first_moment_factored`, which PointMoments.solved takes on the same stacks, and
+    :func:`_first_moment_factored`, which PointMoments.solved takes on the same stacks, the
+    chain from the 2x2 closed forms of :func:`bound_chain`, which qfim_report takes too, and
     F_C from the readout helpers of :func:`cfim_gaussian_outcomes`.  dd = eta (e1, e2), whose
     B = eta I solved certifies wherever eta > 0, so its zero points are those where eta = 0.
     Where every eta is 0 (gamma t past about 1490) solved leaves the stack to the Williamson

@@ -331,8 +331,9 @@ def test_bound_chain_without_a_weight_is_the_identity_weight_bit_for_bit():
             assert np.array_equal(x, y), name
 
 
-# The 2x2 closed forms against LAPACK.  Both sides are backward stable, so a member's
-# entries agree to c eps cond of its largest; 20,000 random members gave c <= 2.2.
+# 2x2 kernels against a reference by LAPACK: inv_sym's closed form and the readout's, and
+# pinv_psd on 2x2 members.  Both sides are backward stable, so a member's entries agree to
+# c eps cond of its largest; 20,000 random members gave c <= 2.2.
 KERNEL_C = 8.0
 _KINDS2 = ("full", "rank1", "zero", "near_cutoff", "indefinite")
 
@@ -342,7 +343,7 @@ def _sym2_stacks(draw, kinds=_KINDS2, exponents=(-290.0, 300.0), sizes=(1, 6), c
     """A (K, 2, 2) stack of symmetric members R diag(1, lam) R^T 10^e of mixed kinds, K in sizes.
 
     lam is 10^-13..1 (full), 0 (rank1), 0.7..280 eps around pinv's cutoff 2 eps and the
-    closed form's certificate (near_cutoff), or -10^-13..-1 (indefinite); e >= -290 keeps
+    2x2 certificate of numkit._spd2 (near_cutoff), or -10^-13..-1 (indefinite); e >= -290 keeps
     every kept inverse eigenvalue below about 1e306.  With complex_, the members are
     Hermitian: R's second column carries a random phase, and R^T is R^H.
     """
@@ -386,6 +387,10 @@ def _assert_close_per_member(got, want, cond):
 @settings(max_examples=200, deadline=None)
 @given(stack=_sym2_stacks() | _sym2_stacks(complex_=True))
 def test_two_by_two_pinv_psd_is_the_eigh_pinv_psd(stack):
+    """pinv_psd of 2x2 members of every kind, real or Hermitian, against its definition by a
+    plain eigh: the inverse and root, and the same refusal of a kept negative eigenvalue.
+    pinv_psd is the eigh route for every size; the bound chain and hdb take it only at the
+    points that the 2x2 certificate refuses."""
     try:
         want, want_root, cond = _eigh_pinv_psd(stack)
     except ValueError as exc:  # a kept negative inverse eigenvalue: the same refusal
@@ -402,6 +407,7 @@ def test_two_by_two_pinv_psd_is_the_eigh_pinv_psd(stack):
 @settings(max_examples=50, deadline=None)
 @given(stack=_sym2_stacks(kinds=("full",)))
 def test_two_by_two_pinv_psd_of_one_matrix_is_its_stack_member(stack):
+    """One 2x2 matrix gives (2, 2) results, as the one-member stack of its definition."""
     inverse, root = numkit.pinv_psd(stack[0])
     assert inverse.shape == root.shape == (2, 2)
     want, want_root, cond = _eigh_pinv_psd(stack[:1])

@@ -218,6 +218,138 @@ def test_bound_chain_requires_the_limiting_rld_inverse():
         rld_inverse_limit(model, [0, 0], fr)
 
 
+def _chain_draws(rng, k, max_exp=3.0, scale_exp=3.0):
+    """k certified two-parameter inputs (F_S, U, F_R^-1, cond F_S): F_S = R diag(1, lam) R^T
+    times 10^e, lam = 10^-(0..max_exp) and e in +-scale_exp, U antisymmetric with r_q < 1,
+    and F_R^-1 Hermitian positive definite."""
+    angle = rng.uniform(0.0, 2 * np.pi, k)
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
+    lam = np.stack([np.ones(k), 10.0 ** -rng.uniform(0.0, max_exp, k)], axis=-1)
+    lam *= 10.0 ** rng.uniform(-scale_exp, scale_exp, k)[:, None]
+    F = (rot * lam[:, None, :]) @ numkit.transpose(rot)
+    F = 0.5 * (F + numkit.transpose(F))
+    u01 = rng.uniform(0.0, 1.0, k) * np.sqrt(lam[:, 0] * lam[:, 1]) * rng.choice([-1.0, 1.0], k)
+    U = np.zeros((k, 2, 2))
+    U[:, 0, 1], U[:, 1, 0] = u01, -u01
+    b = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+    R = numkit.hermitize(b @ numkit.adjoint(b)) / lam[:, :1, None]
+    return F, U, R, lam[:, 0] / lam[:, 1]
+
+
+def _generic_chain(monkeypatch, F, U, R, weight):
+    """bound_chain by the pseudo-inverse, PSD root and trace norms of any p."""
+    with monkeypatch.context() as m:
+        m.setattr(qfi_gaussian, "_chain2", qfi_gaussian._chain_generic)
+        return bound_chain(F, U, rld_inverse=R, weight=weight)
+
+
+def _generic_hdb(F, weight):
+    W = np.eye(2) if weight is None else np.asarray(weight)
+    return (W @ numkit.pinv_psd(F)[0]).trace(axis1=-2, axis2=-1)
+
+
+CHAIN_WEIGHTS = (None, np.array([[2.0, 0.3], [0.3, 1.0]]), np.diag([0.5, 3.0]))
+
+
+@pytest.mark.parametrize("weight", CHAIN_WEIGHTS, ids=["none", "full", "diagonal"])
+@pytest.mark.parametrize("seed", range(4))
+def test_two_parameter_chain_is_the_generic_route(monkeypatch, seed, weight):
+    """The closed forms of p = 2 against the eigh route on certified random draws: b_s, b_h_mid,
+    b_h_upper, r_q and Tr(W F^-1) (the hdb column, of F_C) to 8 eps cond(F_S) relative, and
+    b_r, which reads no F_S, to 8 eps."""
+    F, U, R, cond = _chain_draws(np.random.default_rng(90 + seed), 300)
+    got = bound_chain(F, U, rld_inverse=R, weight=weight)
+    want = _generic_chain(monkeypatch, F, U, R, weight)
+    tol = 8 * numkit.EPS * cond
+    for name in ("b_s", "b_h_mid", "b_h_upper", "r_q"):
+        err = np.abs(getattr(got, name) - getattr(want, name)) / np.abs(getattr(want, name))
+        assert (err <= tol).all(), (name, err.max())
+    np.testing.assert_allclose(got.b_r, want.b_r, rtol=8 * numkit.EPS, atol=0)
+    hdb = qfi_gaussian._trace_w_inverse(F, weight)
+    assert (np.abs(hdb - _generic_hdb(F, weight)) <= tol * hdb).all()
+
+
+@pytest.mark.parametrize("weight", CHAIN_WEIGHTS[:2], ids=["none", "full"])
+@pytest.mark.parametrize("c", [1e-300, 1e300])
+def test_two_parameter_chain_scales_without_over_or_underflow(c, weight):
+    """F_S, U and F_R^-1 as c F_S, c U and F_R^-1 / c scale every bound by 1 / c and keep r_q:
+    each term is read from the trace-scaled F_S, so det(F_S^-1), which would over- or
+    underflow here, is never formed."""
+    F, U, R, _ = _chain_draws(np.random.default_rng(94), 100, max_exp=1.0, scale_exp=0.0)
+    one = bound_chain(F, U, rld_inverse=R, weight=weight)
+    scaled = bound_chain(c * F, c * U, rld_inverse=R / c, weight=weight)
+    for name, x, y in zip(one._fields, one, scaled):
+        want = x if name == "r_q" else x / c
+        assert np.isfinite(y).all() and (y != 0).all(), name
+        np.testing.assert_allclose(y, want, rtol=8 * numkit.EPS, atol=0, err_msg=name)
+    hdb = qfi_gaussian._trace_w_inverse(c * F, weight)
+    assert np.isfinite(hdb).all() and (hdb != 0).all()
+    np.testing.assert_allclose(hdb, qfi_gaussian._trace_w_inverse(F, weight) / c, rtol=8 * numkit.EPS, atol=0)
+
+
+def _uncertified_members():
+    """F_S that fail the 2x2 certificate: zero, rank 1, nearly rank 1, and non-finite."""
+    return np.array([
+        np.zeros((2, 2)),
+        [[1.0, 2.0], [2.0, 4.0]],
+        1e-100 * np.array([[1.0, 2.0], [2.0, 4.0]]),
+        [[1.0, 1.0], [1.0, 1.0 + 1e-15]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+    ])
+
+
+@pytest.mark.parametrize("weight", CHAIN_WEIGHTS[:2], ids=["none", "full"])
+def test_uncertified_points_take_the_generic_route_bit_for_bit(monkeypatch, weight):
+    """Each uncertified F_S gives the generic route's output bit for bit, alone (as floats) or
+    among certified points, and so does Tr(W F^-1); its certified neighbours keep the closed
+    form."""
+    bad = _uncertified_members()
+    F, U, R, _ = _chain_draws(np.random.default_rng(95), 2 * len(bad))
+    where = np.arange(len(bad)) * 2 + 1
+    F[where] = bad
+    got = bound_chain(F, U, rld_inverse=R, weight=weight)
+    want = _generic_chain(monkeypatch, F[where], U[where], R[where], weight)
+    closed = bound_chain(np.delete(F, where, 0), np.delete(U, where, 0), rld_inverse=np.delete(R, where, 0), weight=weight)
+    for name, x, y, z in zip(got._fields, got, want, closed):
+        assert np.array_equal(x[where], y, equal_nan=True), name
+        assert np.array_equal(np.delete(x, where), z), name
+    for k in where:
+        one = bound_chain(F[k], U[k], rld_inverse=R[k], weight=weight)
+        alone = _generic_chain(monkeypatch, F[k], U[k], R[k], weight)
+        assert all(type(x) is float for x in one)
+        assert np.array_equal(one, alone, equal_nan=True)
+    hdb = qfi_gaussian._trace_w_inverse(F, weight)
+    assert np.array_equal(hdb[where], _generic_hdb(bad, weight), equal_nan=True)
+    with pytest.raises(ValueError, match="positive semidefinite") as got_exc:  # a kept negative eigenvalue
+        bound_chain(np.diag([1.0, -0.5]), U[0], rld_inverse=R[0])
+    with pytest.raises(ValueError) as want_exc:
+        _generic_chain(monkeypatch, np.diag([1.0, -0.5]), U[0], R[0], None)
+    assert str(got_exc.value) == str(want_exc.value)
+
+
+def test_two_parameter_chain_keeps_the_checks():
+    """On the p = 2 path a non-symmetric or indefinite weight raises, an inconsistent (F, U)
+    warns and keeps its ratio over 1, and one matrix gives floats; quantumness is the
+    chain's r_q."""
+    F, U, R, _ = _chain_draws(np.random.default_rng(96), 5)
+    for f, u, r in ((F, U, R), (F[0], U[0], R[0])):
+        with pytest.raises(ValueError, match="symmetric"):
+            bound_chain(f, u, rld_inverse=r, weight=np.array([[1.0, 0.3], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            bound_chain(f, u, rld_inverse=r, weight=np.diag([-1.0, 1.0]))
+    one = bound_chain(F[0], U[0], rld_inverse=R[0], weight=CHAIN_WEIGHTS[1])
+    assert all(type(x) is float for x in one)
+    stack = bound_chain(F, U, rld_inverse=R, weight=CHAIN_WEIGHTS[1])
+    assert np.array_equal(one, [x[0] for x in stack])
+    assert np.array_equal(quantumness(F, U), stack.r_q) and quantumness(F[0], U[0]) == one.r_q
+    U[2] *= 1.5 / bound_chain(F[2], U[2], rld_inverse=R[2]).r_q
+    with pytest.warns(UserWarning, match="exceeds 1"):
+        r_q = bound_chain(F, U, rld_inverse=R).r_q
+    assert r_q[2] == pytest.approx(1.5, rel=1e-14) and (np.delete(r_q, 2) < 1.0).all()
+
+
 def test_rld_inverse_limit_vacuum_pair():
     model = displacement_model(vacuum(1))
     inv = rld_inverse_limit(model, [0, 0])

@@ -704,8 +704,9 @@ def test_factored_sweeps_make_no_lapack_call(monkeypatch):
     the probe's eigen-factor (O, lam, delta), kept through the uniform channel: no eigh of
     V, and no svd at the pure point t = 0 of tmsv and tmdv, whose rank cut reads the same
     blocks.  dd's 2x2 certificate is in closed form, and F_S, F_C and the readout's outcome
-    covariance are 2x2 and positive definite, so pinv_psd and inv_sym take their certified
-    closed forms.
+    covariance are 2x2 and positive definite, so they pass the 2x2 certificate
+    (numkit._spd2): the bound chain and hdb read their entries in closed form, with no
+    pseudo-inverse, and inv_sym takes its closed form.
     """
     for m_e in (0.0, 0.2):
         for probe in PROBES:
