@@ -72,14 +72,17 @@ def pinv_psd(a):
     Hermitian part.  Its cutoff is pinv's: for a Hermitian matrix the singular values are
     |w|, so eigenvalues with |w| <= eps * n * max|w| count as zero.  A kept inverse
     eigenvalue below -NEG_TOL is rejected as sqrtm_psd rejects it.  A stack (..., n, n) is
-    treated matrix by matrix, each with its own cutoff.
+    treated matrix by matrix, each with its own cutoff.  A matrix with a non-finite eigenvalue
+    (eigh gives NaN for a NaN or inf entry) has no cutoff: its inverse and root are NaN.
     """
     a = np.asarray(a)
     w, u = np.linalg.eigh(hermitize(a))
     tol = EPS * a.shape[-1] * np.abs(w).max(axis=-1, initial=0.0)
     inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > tol[..., None])
-    if inv_w.size and inv_w.min() < -NEG_TOL:
-        raise ValueError("matrix is not positive semidefinite (min eig %.3e)" % inv_w.min())
+    inv_w[~np.isfinite(tol)] = np.nan
+    low = np.fmin.reduce(inv_w, axis=None, initial=np.inf)  # the NaN of such a matrix aside
+    if low < -NEG_TOL:
+        raise ValueError("matrix is not positive semidefinite (min eig %.3e)" % low)
     uh = adjoint(u)
     inverse = (u * inv_w[..., None, :]) @ uh
     root = (u * np.sqrt(inv_w.clip(0.0, None))[..., None, :]) @ uh

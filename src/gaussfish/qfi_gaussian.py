@@ -18,7 +18,8 @@ as sums of nonnegative terms in delta, with no LAPACK call (:func:`_first_moment
 whichever of its modes are pure at each point.  The limit is finite at pure points and 0
 where the directions reach the null coordinates of M with full rank (Genoni et al., PRA
 87, 012107 (2013)).  A scenario sweep calls the same kernel on the probe's eigen-factor
-with no state built (:mod:`gaussfish.scenarios`).
+with no state built, at the unit dd (e1, e2) of a displacement, and scales its bounds by
+e^(gamma t) (:mod:`gaussfish.scenarios`).
 
 The Williamson basis.  Every other stack (some dV nonzero, a state without an eigen-factor,
 a nonzero dd not of full row rank at any of its points, or dd that reach more than p
@@ -81,8 +82,8 @@ in nu, and the purity cut, the rank cut of :func:`rld_inverse_limit` and every p
 cutoff are taken point by point.  The path is chosen per stack: the closed form serves the
 stack whole or not at all (:meth:`PointMoments.merged`), so a point that it does not serve
 moves its neighbours to the Williamson basis, where they match their own evaluation to
-rounding.  A point whose dd is exactly 0 (dd = e^{-gamma t / 2} (e1, e2) underflows from
-gamma t of about 1490) stays in the closed form.
+rounding.  A point whose dd is 0 is one of those (dd = e^{-gamma t / 2} (e1, e2) underflows
+from gamma t of about 1490); the basis gives it exact zeros.
 """
 
 from __future__ import annotations
@@ -249,11 +250,11 @@ def williamson(V, factor=None):
     return nu, np.sqrt(nu)[..., :, None] * z
 
 
-def _first_moment_factored(D, factor, zero):
+def _first_moment_factored(D, factor):
     """(F_S, U, limiting F_R^-1) of a two-mode, two-parameter model with dV = 0, in closed form
     from the state's Williamson form (O, lam, delta) (:class:`GaussianState`).
 
-    D (..., 2, 4) is the stack of dd, and zero marks the points where dd = 0.  E = sqrt2 D O,
+    D (..., 2, 4), or one D for the stack, is dd, of full rank at every point.  E = sqrt2 D O,
     whose entries for the built-in O are cos and sin of phi/2 unrounded, is read in 2x2
     blocks E_k, one per mode k, with lam = (a_k, b_k), nu_k^2 = a_k b_k and delta_k =
     nu_k^2 - 1 as carried.  As V = O diag(lam) O^T and M = O (diag(lam) + i Omega) O^T,
@@ -280,8 +281,8 @@ def _first_moment_factored(D, factor, zero):
     they stand.  At a point whose modes are both pure the limit is 0 where
     (c00 - c11)^2 + (c01 + c10)^2 exceeds RANK_CUT^2 ||C||_F^2 (every direction reaches the
     null coordinates of M), and else the same ratio with delta divided out (w_k = m = 1, the
-    last term of den 0).  A point with dd = 0 has F_S, U and the limit 0.  lam is checked
-    as :func:`_whiten` checks it.  There is no LAPACK call.
+    last term of den 0).  lam is checked as :func:`_whiten` checks it.  There is no LAPACK
+    call.
     """
     O, lam, delta = factor
     _check_spectrum(lam)
@@ -290,19 +291,18 @@ def _first_moment_factored(D, factor, zero):
     lead, M = D.shape[:-2], _SQRT2 * O
     if lam.shape[:-1] != lead or delta.shape[:-1] != lead:
         lead = np.broadcast_shapes(lead, lam.shape[:-1], delta.shape[:-1])
-        D, zero = np.broadcast_to(D, lead + (2, 4)), np.broadcast_to(zero, lead)
+        D = np.broadcast_to(D, lead + (2, 4))
         lam, delta = np.broadcast_to(lam, lead + (4,)), np.broadcast_to(delta, lead + (2,))
     E = (D.reshape(-1, 4) @ M) if M.ndim == 2 else (D @ M)  # one product for a shared O
     # entries first, then mode k, then point: e[mu, j, k] = E[mu, 2k + j], root[j, k] = lam[2k + j]^1/2
     e = np.ascontiguousarray(E.reshape(-1, 2, 2, 2).transpose(1, 3, 2, 0))
     root = np.sqrt(np.ascontiguousarray(lam.reshape(-1, 2, 2).T))
-    delta, zero = delta.reshape(-1, 2).T, zero.reshape(-1)
+    delta = delta.reshape(-1, 2).T
     inv_nu = 1.0 / (root[0] * root[1])
     det_e = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
     u01 = det_e * inv_nu * inv_nu
     g = e / root
     s = np.abs(g).reshape(8, -1).max(axis=0)
-    s[zero] = 1.0
     g /= s
     det_g = det_e * inv_nu / s / s
     sq, pr = g * g, g[0] * g[1]
@@ -326,7 +326,6 @@ def _first_moment_factored(D, factor, zero):
         m, rest = np.where(pure, 1.0, m), np.where(pure, 0.0, rest)
     den = w * det_g * det_g
     den = (den[0] + den[1] + m * cc + rest) * s  # s den, and F_R^-1 = numerator / (s den) / s
-    den[zero] = 1.0  # dd = 0: g and every numerator below are 0
     den[pure & (anti > RANK_CUT**2 * cc)] = np.inf  # every direction reaches a null coordinate
     num = Z * w
     num = (num[:, 0] + num[:, 1]) / den / s  # sum_k w_k' (adj(P_k), det(G_k) / nu_k)
@@ -431,8 +430,8 @@ class PointMoments:
         serves a two-mode, two-parameter stack whose every dV is zero and whose state carries
         its eigen-factor, with any of its modes pure.  The stack's dd must reach two
         coordinates between them, on which each point's dd is certified of full rank
-        (:func:`numkit.inv_certified`) or exactly zero.  Any other stack returns None, and the
-        Williamson basis serves it whole.
+        (:func:`numkit.inv_certified`).  Any other stack returns None, and the Williamson
+        basis serves it whole: a point whose dd is 0 gets exact zeros there.
         """
         factor, D = self.st.factor, self.dds
         if not self.dV_zero or factor is None or D.shape[-2:] != (2, 4):
@@ -440,10 +439,9 @@ class PointMoments:
         reached = D.reshape(-1, 4).any(axis=0)
         if np.count_nonzero(reached) != 2:
             return None
-        zero = ~numkit.inv_certified(D[..., reached])  # full rank unless dd = 0
-        if D[zero].any():
+        if not numkit.inv_certified(D[..., reached]).all():
             return None
-        return _first_moment_factored(D, factor, zero)
+        return _first_moment_factored(D, factor)
 
     def merged(self, k: int, in_basis: Callable[["PointMoments"], np.ndarray]) -> np.ndarray:
         """Quantity k of (F_S, U, limiting F_R^-1): of :attr:`solved` where it serves the stack,
@@ -619,8 +617,8 @@ def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.nda
     """Limiting inverse of the RLD information matrix.
 
     A stack that :attr:`PointMoments.solved` serves takes at each point the closed form of
-    :func:`_first_moment_factored`, 0 where dd = 0 or the directions reach the null
-    coordinates of M with full rank, cut by RANK_CUT.  In the Williamson basis,
+    :func:`_first_moment_factored`, 0 where the directions reach the null coordinates of M
+    with full rank, cut by RANK_CUT.  In the Williamson basis,
     coefficient rows with an infinite RLD weight (pure-mode directions, see
     :func:`_weights`) make the RLD information diverge, and the inverse must vanish on the
     parameter directions that reach them.  With A those rows,
@@ -891,22 +889,15 @@ def displacement_model(
             st = evolve(channel, st, t)
         return st
 
-    dd = np.moveaxis(displacement_derivs(channel, t, probe.d.shape[:-1], modes), -2, 0)
+    eta = 1.0
+    if channel is not None:
+        eta = np.exp(-0.5 * channel.gamma[..., 0] * np.asarray(t, dtype=float))
+    dd = np.zeros((2,) + np.broadcast_shapes(np.shape(eta), probe.d.shape[:-1]) + (2 * modes,))
+    dd[0, ..., 0] = dd[1, ..., 1] = eta  # e1, e2
     zero = np.zeros(dd.shape + (2 * modes,))
     return GaussianModel(
         state_fn, n_params=2, d_derivs=lambda theta: dd, v_derivs=lambda theta: zero
     )
-
-
-def displacement_derivs(channel: Optional[NoisyChannel], t, lead=(), modes: int = 2) -> np.ndarray:
-    """D = (dd_1, dd_2), (..., 2, 2N): the first-moment derivatives e^{-gamma t / 2} (e1, e2)
-    of :func:`displacement_model`, over the stack shapes of lead, the channel and t."""
-    eta = 1.0
-    if channel is not None:
-        eta = np.exp(-0.5 * channel.gamma[..., 0] * np.asarray(t, dtype=float))
-    D = np.zeros(np.broadcast_shapes(np.shape(eta), lead) + (2, 2 * modes))
-    D[..., 0, 0] = D[..., 1, 1] = eta  # e1, e2
-    return D
 
 
 def phase_model(probe: GaussianState) -> GaussianModel:

@@ -18,8 +18,8 @@ A sweep is one stacked evaluation of its grid (:func:`_evaluate`).  The channel 
 same on both modes, so it keeps the probe's eigen-factor, with or without a squeezed
 reservoir, and the columns are read from the factor (O, lam, delta) alone
 (:func:`_factored_columns`): no GaussianState, GaussianModel or PointMoments is built,
-whose set-up was most of the cost of a one-point evaluation.  The public library gives
-the same bits on the probe's state (:func:`build_probe`) and its displacement model.
+whose set-up was most of the cost of a one-point evaluation.  They are taken at unit dd and
+scaled by e^(gamma t) once, and the public library gives the same unit-dd bits.
 
 :func:`closed_form_bounds` gives every column of every probe family in closed
 form, elementwise over arrays, for cross-checking the full pipeline; at m_e = 0 the sql
@@ -39,7 +39,7 @@ import numpy as np
 
 from .gaussian_core import GaussianState, _eigenbasis, probe_factor, probe_tmsdt
 from .channels import NoisyChannel, damp_factor, damping
-from .qfi_gaussian import _first_moment_factored, _trace_w_inverse, bound_chain, displacement_derivs, weight_root
+from .qfi_gaussian import _first_moment_factored, _trace_w_inverse, bound_chain, weight_root
 from .measurements import (
     _recorded,
     epr_readout,
@@ -283,8 +283,10 @@ def _evaluate(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> np.ndarray:
     spans the grid, so an axis that the probe ignores still gives one point per value.  The
     stack takes :func:`_factored_columns`, which builds no state or model, and hdb is
     Tr(W F_C^-1) from the certified entries of each 2x2 F_C (:func:`_trace_w_inverse`, which
-    the chain's b_s shares).  What a layer raises for the stack propagates; an overflow
-    leaves a non-finite entry.
+    the chain's b_s shares), both at unit dd: dd = e^(-gamma t / 2) (e1, e2) scales F_S, U,
+    F_R and F_C by e^(-gamma t), so every bound but r_q is multiplied by x = e^(gamma t) here
+    (sql carries x already).  What a layer raises for the stack propagates; an overflow
+    leaves a non-finite entry, in b_s from gamma t of about 709.8.
     """
     r, n_th, gamma, n_e, t = _on_axis(cfg, values, "r", "n_th", "gamma", "n_e", "t")
     t = np.full(values.shape, t)
@@ -293,35 +295,37 @@ def _evaluate(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> np.ndarray:
     chain, F_C = _factored_columns(cfg, r, n_th, ch, t)
     hdb = _trace_w_inverse(F_C, cfg.weight)
     sql = _coherent_bound(gamma, t, n_e, cfg.m_e, cfg.weight_matrix())
-    return np.array((values, chain.b_s, chain.b_r, chain.b_h_mid, chain.b_h_upper, hdb, chain.r_q, sql))
+    columns = np.array((values, chain.b_s, chain.b_r, chain.b_h_mid, chain.b_h_upper, hdb, chain.r_q, sql))
+    columns[1:6] *= np.exp(np.multiply(gamma, t))  # b_s .. hdb
+    return columns
 
 
 def _factored_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
-    """(bound chain, F_C) from the probe's eigen-factor (O, lam, delta) alone.  ch is uniform
-    (:meth:`NoisyChannel.uniform`), so it keeps the factor (:func:`damp_factor`).
+    """(bound chain, F_C) at the unit dd (e1, e2) from the probe's eigen-factor (O, lam, delta)
+    alone.  ch is uniform (:meth:`NoisyChannel.uniform`), so it keeps the factor
+    (:func:`damp_factor`).
 
-    The numbers are those of the public library on the probe's state, bit for bit
-    (qfim_report and cfim_gaussian_outcomes of its displacement model): the probe factor,
-    its damping and dd come from the helpers that :func:`probe_tmsdt`, :func:`evolve` and
-    :func:`displacement_model` call, F_S, U and the limiting F_R^-1 from
+    The numbers are those of the public library bit for bit (qfim_report and
+    cfim_gaussian_outcomes of a PointMoments of the probe's evolved state with dd (e1, e2)
+    and dV = 0): the probe factor and its damping come from the helpers that
+    :func:`probe_tmsdt` and :func:`evolve` call, F_S, U and the limiting F_R^-1 from
     :func:`_first_moment_factored`, which PointMoments.solved takes on the same stacks, the
     chain from the 2x2 closed forms of :func:`bound_chain`, which qfim_report takes too, and
-    F_C from the readout helpers of :func:`cfim_gaussian_outcomes`.  dd = eta (e1, e2), whose
-    B = eta I solved certifies wherever eta > 0, so its zero points are those where eta = 0.
-    Where every eta is 0 (gamma t past about 1490) solved leaves the stack to the Williamson
-    basis, whose zero rows give the same zeros as the closed form.  O is the probe's, shared
-    by the stack, where m_e = 0, and one per point otherwise, which S_r O then follows.
+    F_C from the readout helpers of :func:`cfim_gaussian_outcomes`.  One D, viewed at the
+    stack's length, serves every point.  O is the probe's, shared by the stack, where
+    m_e = 0, and one per point otherwise, which S_r O then follows.
     """
     r, n_th, _ = _probe_params(cfg, r, n_th)
-    factor = probe_factor(r, cfg.phi, n_th)
-    D = displacement_derivs(ch, t, factor[1].shape[:-1])
-    O, lam, _ = factor = damp_factor(factor, *damping(ch, t), ch)
-    f_s, u, f_r_inv = _first_moment_factored(D, factor, D[..., 0, 0] == 0.0)
+    O, lam, _ = factor = damp_factor(probe_factor(r, cfg.phi, n_th), *damping(ch, t), ch)
+    f_s, u, f_r_inv = _first_moment_factored(np.broadcast_to(_UNIT_DD, lam.shape[:-1] + (2, 4)), factor)
     chain = bound_chain(f_s, u, rld_inverse=f_r_inv, weight=cfg.weight)
     S_r, Vm, B = _readout_rows(cfg.phi)
     if O.ndim > 2:
         B = rows_on_factor(S_r, O)
-    return chain, outcome_fisher(D @ S_r.T, factored_outcome_cov(B, lam, Vm))
+    return chain, outcome_fisher(_UNIT_DD @ S_r.T, factored_outcome_cov(B, lam, Vm))
+
+
+_UNIT_DD = np.eye(2, 4)  # dd = (e1, e2): the derivatives of an undamped shift of (Q1, P1)
 
 
 @lru_cache(maxsize=64)

@@ -329,6 +329,22 @@ def test_uncertified_points_take_the_generic_route_bit_for_bit(monkeypatch, weig
     assert str(got_exc.value) == str(want_exc.value)
 
 
+@pytest.mark.parametrize("weight", CHAIN_WEIGHTS[:2], ids=["none", "full"])
+def test_a_non_finite_f_s_gives_nan_bounds(weight):
+    """An F_S with a NaN or inf entry gives NaN for every bound read from it, alone or in a
+    stack, and so does Tr(W F^-1): pinv_psd keeps the NaN eigenvalues that eigh gives, and a
+    negative eigenvalue beside them is still refused."""
+    bad = _uncertified_members()[-2:]
+    _, U, R, _ = _chain_draws(np.random.default_rng(97), 2)
+    for f, u, r in ((bad, U, R), (bad[0], U[0], R[0]), (bad[1], U[1], R[1])):
+        chain = bound_chain(f, u, rld_inverse=r, weight=weight)
+        for name in ("b_s", "b_h_mid", "b_h_upper", "r_q"):
+            assert np.isnan(getattr(chain, name)).all(), name
+    assert np.isnan(qfi_gaussian._trace_w_inverse(bad, weight)).all()
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        numkit.pinv_psd(np.array([bad[0], np.diag([1.0, -0.5])]))
+
+
 def test_two_parameter_chain_keeps_the_checks():
     """On the p = 2 path a non-symmetric or indefinite weight raises, an inconsistent (F, U)
     warns and keeps its ratio over 1, and one matrix gives floats; quantumness is the
@@ -1012,19 +1028,26 @@ def test_one_unserved_point_sends_its_whole_stack_to_the_basis(monkeypatch):
             np.testing.assert_allclose(getattr(rep, name)[k], getattr(one, name), rtol=1e-12, atol=0, err_msg=name)
 
 
-def test_a_point_whose_dd_underflows_stays_in_the_solves(monkeypatch):
-    """A point with dd = 0 keeps its stack in the solves: F_S, U and the limiting F_R^-1 are
-    exactly 0 there, as the Williamson basis gives them.  So tmst sweeps across the underflow
-    (from gamma t of about 1490) make no Williamson decomposition.
+def test_a_point_whose_dd_underflows_sends_its_stack_to_the_basis(monkeypatch):
+    """A point with dd = 0 leaves its stack to the Williamson basis, which gives F_S, U and the
+    limiting F_R^-1 exactly 0 there, and its neighbours their own closed form to rounding.
+    Sweeps take dd at unit size, so tmst sweeps across the underflow (from gamma t of about
+    1490) make no Williamson decomposition.
     """
-    zero = _underflow_point()
+    zero, points = _underflow_point(), _displacement_points()
     assert not zero.dds.any()
-    stack = _stack_points(_displacement_points() + [zero])
-    assert stack.solved is not None
+    stack = _stack_points(points + [zero])
+    assert stack.solved is None
     for fn in (qfim_sld, incompatibility, rld_inverse_limit):
-        got = fn(stack)[-1]
-        assert not got.any(), fn.__name__
-        assert np.array_equal(got, fn(_by_williamson(zero))), fn.__name__
+        got = fn(stack)
+        assert not got[-1].any(), fn.__name__
+        assert np.array_equal(got[-1], fn(_by_williamson(zero))), fn.__name__
+        for k, pt in enumerate(points):
+            assert pt.solved is not None
+            # to 1e-12 of F_S's largest entry (U's bound), or F_S^-1's for the limit
+            f_s = qfim_sld(pt)
+            scale = np.linalg.inv(f_s) if fn is rld_inverse_limit else f_s
+            assert np.abs(got[k] - fn(pt)).max() <= 1e-12 * np.abs(scale).max(), (fn.__name__, k)
     calls = []
     real = qfi_gaussian.williamson
     monkeypatch.setattr(qfi_gaussian, "williamson", lambda V, *f: calls.append(V.shape) or real(V, *f))

@@ -268,12 +268,23 @@ def test_json_writes_a_degraded_row_as_null():
 
 
 def test_numerical_overflow_degrades_to_nan_row():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        row = run_point(_cfg(axis="t"), 800.0)  # F_R ~ e^{-800}: its limiting inverse overflows
-    assert not row.ok and math.isnan(row.b_s)
-    assert "overflow" in row.message
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    """tmsv on the t axis (gamma = 1, n_e = 0.5): the bounds are x = e^(gamma t) times their
+    unit-dd values, b_s about 2x and b_r about 3x.  So b_r overflows first, and from x's own
+    overflow (gamma t of about 709.8) b_s is the first column that is not finite.  There
+    every bound of the raw columns is inf, none 0, as eta = e^(-gamma t / 2) is never formed.
+    """
+    cfg = _cfg(axis="t")
+    for t, column in ((709.0, "b_r"), (720.0, "b_s"), (800.0, "b_s"), (1000.0, "b_s"), (1500.0, "b_s")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            row = run_point(cfg, t)
+        assert not row.ok and math.isnan(row.b_s), t
+        assert row.message == "overflow: %s is not finite" % column, t
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], t
+        if column == "b_s":
+            with np.errstate(all="ignore"):
+                columns = scenarios._evaluate(cfg, np.array([t]))
+            assert np.isposinf(columns[1:6]).all(), t  # b_s, b_r, b_h_mid, b_h_upper, hdb
 
 
 def test_programming_error_propagates_instead_of_degrading(monkeypatch):
@@ -298,9 +309,9 @@ def test_run_point_evaluates_the_model_once(monkeypatch):
     stacks = []
     closed_form = scenarios._first_moment_factored
 
-    def counting_closed_form(D, *args):
-        stacks.append(D.shape[0])
-        return closed_form(D, *args)
+    def counting_closed_form(D, factor):
+        stacks.append(factor[1].shape[0])
+        return closed_form(D, factor)
 
     point_calls = []
     point = scenarios.run_point
@@ -791,10 +802,12 @@ def _route_output(cfg):
 
 
 def _library_columns(cfg, r, n_th, ch, t):
-    """(bound chain, F_C) of a stack by the public library: the probe's state
-    (build_probe), its displacement model through ch, one evaluation of it, qfim_report and
-    cfim_gaussian_outcomes of the EPR readout."""
-    pt = evaluate(displacement_model(build_probe(cfg, r, n_th), ch, t), cfg.theta)
+    """(bound chain, F_C) of a stack at unit dd by the public library: the probe's state
+    (build_probe) through ch by its displacement model, a PointMoments of the evolved state
+    with dd (e1, e2) and dV = 0, qfim_report and cfim_gaussian_outcomes of the EPR readout."""
+    st = evaluate(displacement_model(build_probe(cfg, r, n_th), ch, t), cfg.theta).st
+    e1, e2 = np.eye(4)[:2]
+    pt = PointMoments(st, [e1, e2], [0, 0], 2)
     pre, gd = epr_readout()
     return qfim_report(pt, weight=cfg.weight), cfim_gaussian_outcomes(pt, gd, pre_op=pre)
 
