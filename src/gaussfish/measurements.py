@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .gaussian_core import GaussianState, SymplecticOp, beam_splitter_5050, rotation
-from .numkit import hermitize, inv_sym, transpose
+from .numkit import hermitize, transpose
 from .qfi_gaussian import GaussianModel, PointMoments, evaluate
 
 _KINDS = ("general", "heterodyne", "homodyne_q", "homodyne_p")
@@ -130,43 +130,21 @@ def _recorded(measurement: GeneralDyne, modes: int, pre_op, dressing):
 def _outcome_cov(state, S_r, Vm):
     """Sigma = (A + V_m) / 2 with A the symmetric part of S_r V S_r^T.
 
-    A state that carries its eigen-factor V = O diag(lam) O^T takes
-    :func:`factored_outcome_cov` of S_r O (:func:`rows_on_factor`).
+    A state that carries its eigen-factor V = O diag(lam) O^T takes A = B diag(lam) B^T
+    with B = S_r O (:func:`rows_on_factor`): A keeps a squeezed quadrature that the dense V
+    loses to rounding.
     """
     if state.factor is None:
         return 0.5 * (hermitize(S_r @ state.V @ S_r.T) + Vm)
     O, lam, _ = state.factor
-    return factored_outcome_cov(rows_on_factor(S_r, O), lam, Vm)
+    B = rows_on_factor(S_r, O)
+    return 0.5 * (hermitize((B * lam[..., None, :]) @ transpose(B)) + Vm)
 
 
 def rows_on_factor(S_r, O):
     """S_r O, summed from rounded products (einsum; BLAS may fuse them), so an entry that
-    cancels exactly is 0 before lam multiplies it (:func:`factored_outcome_cov`)."""
+    cancels exactly is 0 before lam multiplies it."""
     return np.einsum("ij,...jk->...ik", S_r, O)
-
-
-def factored_outcome_cov(B, lam, Vm):
-    """Sigma = (A + V_m) / 2 with A = B diag(lam) B^T, B = S_r O of an eigen-factor
-    V = O diag(lam) O^T: A keeps a squeezed quadrature that the dense V loses to rounding."""
-    A = (B * lam[..., None, :]) @ transpose(B)
-    return 0.5 * (hermitize(A) + Vm)
-
-
-def outcome_fisher(dmus, Sigma, dSigmas=None):
-    """F = dmu Sigma^-1 dmu^T + Tr[Sigma^-1 dSigma Sigma^-1 dSigma] / 2, made exactly symmetric.
-
-    dmus (..., p, k) are the outcome mean's derivatives and dSigmas (..., p, k, k) the
-    covariance's, None where every one is zero.  Sigma^-1 is :func:`gaussfish.numkit.inv_sym`:
-    a 2x2 closed form, or LAPACK's inv, which raises LinAlgError for a singular Sigma.
-    """
-    Sinv = inv_sym(Sigma)
-    F = dmus @ Sinv @ transpose(dmus)
-    if dSigmas is not None:
-        X = Sinv[..., None, :, :] @ dSigmas  # Sigma^-1 dSigma_mu
-        # Tr[X_j X_k] is the dot product of X_j and X_k^T, each flattened
-        flat = X.reshape(X.shape[:-2] + (-1,))
-        F = F + 0.5 * flat @ transpose(transpose(X).reshape(flat.shape))
-    return 0.5 * (F + transpose(F))
 
 
 def outcome_mean_cov(state: GaussianState, measurement: GeneralDyne, dressing=None):
@@ -212,21 +190,28 @@ def cfim_gaussian_outcomes(
     """Classical Fisher information matrix of the outcome distribution.
 
     F = dmu^T Sigma^{-1} dmu + Tr[Sigma^{-1} dSigma Sigma^{-1} dSigma] / 2,
-    with an optional symplectic pre_op applied between the model state and
-    the detectors (its shift drops out of the derivatives).  Only the
+    made exactly symmetric, with an optional symplectic pre_op applied between the model
+    state and the detectors (its shift drops out of the derivatives).  Only the
     recorded rows are formed: with S_r = pre_op.S[rows], Sigma =
     (S_r V S_r^T + V_m) / 2 (:func:`_outcome_cov`, from the state's eigen-factor
-    where it carries one), dmu = dd S_r^T and dSigma = S_r dV S_r^T / 2, and F is
-    :func:`outcome_fisher`'s, with the trace term only when some dV is nonzero.
-    model is a
+    where it carries one), dmu = dd S_r^T and dSigma = S_r dV S_r^T / 2, with the trace
+    term only when some dV is nonzero.  Sigma^-1 is LAPACK's inv, which raises
+    LinAlgError for a singular Sigma.  model is a
     GaussianModel evaluated at theta, or a PointMoments from
     :func:`gaussfish.qfi_gaussian.evaluate`; a stacked PointMoments gives a
     (K, p, p) stack of matrices.
     """
     pt = evaluate(model, theta)
     _, S_r, Vm = _recorded(measurement, pt.st.modes, pre_op, dressing)
-    Sigma = _outcome_cov(pt.st, S_r, Vm)
-    return outcome_fisher(pt.dds @ S_r.T, Sigma, None if pt.dV_zero else 0.5 * (S_r @ pt.dVs @ S_r.T))
+    Sinv = np.linalg.inv(_outcome_cov(pt.st, S_r, Vm))
+    dmus = pt.dds @ S_r.T
+    F = dmus @ Sinv @ transpose(dmus)
+    if not pt.dV_zero:
+        X = Sinv[..., None, :, :] @ (0.5 * (S_r @ pt.dVs @ S_r.T))  # Sigma^-1 dSigma_mu
+        # Tr[X_j X_k] is the dot product of X_j and X_k^T, each flattened
+        flat = X.reshape(X.shape[:-2] + (-1,))
+        F = F + 0.5 * flat @ transpose(transpose(X).reshape(flat.shape))
+    return 0.5 * (F + transpose(F))
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,10 +16,6 @@ TINY = float(np.finfo(float).tiny)
 NEG_TOL = 1e-10
 # Margin of the 2x2 closed-form certificate det(a / tr a) > SPD2_MARGIN eps (see _spd2).
 SPD2_MARGIN = 16.0
-# A stack of at least STACK_MIN 2x2 matrices takes the closed form of inv_sym; a shorter one
-# takes LAPACK's inv, whose fixed cost per call is lower.  Measured on one core, the closed
-# form breaks even near 48 matrices (CHANGES.md has the timings).
-STACK_MIN = 48
 
 
 def transpose(a):
@@ -89,26 +85,6 @@ def pinv_psd(a):
     return inverse, root
 
 
-def inv_sym(a):
-    """Inverse of a real symmetric matrix, or of each matrix of a stack.
-
-    In a stack of at least STACK_MIN 2x2 matrices, a matrix that passes the
-    certificate of :func:`_spd2` takes the closed form adj / det; any other
-    matrix takes np.linalg.inv, for that subset only, which raises LinAlgError
-    for a singular matrix.  A shorter stack takes np.linalg.inv whole.
-    """
-    a = np.asarray(a)
-    if a.shape[-2:] != (2, 2) or a.dtype.kind == "c" or a.size < 4 * STACK_MIN:
-        return np.linalg.inv(a)
-    flat = a.reshape(-1, 2, 2)
-    with np.errstate(all="ignore"):  # only a matrix that fails the certificate meets an error
-        ok, (s, nq, p), f, _, _ = _spd2(flat)
-        inverse = _sym2(s * f, nq * f, p * f)
-    if np.count_nonzero(ok) < ok.size:
-        inverse[~ok] = np.linalg.inv(flat[~ok])
-    return inverse.reshape(a.shape)
-
-
 def inv_certified(a):
     """Whether each real 2x2 matrix of a stack is certified of full rank.
 
@@ -141,9 +117,8 @@ def _spd2(a):
     that eigh keeps at full rank pass, and their inverse is finite.  Where ok is False the values are meaningless: a zero,
     indefinite or non-finite matrix fails, so call this under np.errstate(all="ignore").
     The work is on (K,) columns, which numpy runs faster than (K, 2, 2) stacks, in few
-    calls: each costs about 1 us whatever K.  :func:`inv_sym` forms f adj from the columns,
-    and the two-parameter bound chain of :mod:`gaussfish.qfi_gaussian` reads its terms from
-    them.
+    calls: each costs about 1 us whatever K.  The two-parameter bound chain of
+    :mod:`gaussfish.qfi_gaussian` reads its terms from them.
     """
     a00, a11 = a[..., 0, 0], a[..., 1, 1]
     tr = a00 + a11
@@ -153,13 +128,6 @@ def _spd2(a):
     det_tr = det * tr
     ok = (det > SPD2_MARGIN * EPS) & (det_tr > TINY)
     return ok, (s, -q, p), np.reciprocal(det_tr), det, tr
-
-
-def _sym2(p, q, s):
-    """The (K, 2, 2) stack [[p, q], [q, s]] from its (K,) columns."""
-    out = np.empty(p.shape + (4,))
-    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = p, q, q, s
-    return out.reshape(-1, 2, 2)
 
 
 def float_or_stack(x):

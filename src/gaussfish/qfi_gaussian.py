@@ -733,7 +733,7 @@ def _chain2(f_sld, u, finv_r, weight):
     b_r += _root_det(w, np.abs(im[..., 0, 1] - im[..., 1, 0]))
     with np.errstate(all="ignore"):  # only a point that fails the certificate meets an error
         ok, (s, nq, p), f, det, tr = numkit._spd2(f_sld)
-        b_s = _inverse_trace(w, s, nq, p, f)
+        b_s = _trace_w(w, s * f, nq * f, p * f)  # Tr(W F_S^-1)
         ua = np.abs(u[..., 0, 1] - u[..., 1, 0]) / tr
         b_h_mid = b_s + _root_det(w, ua * f)
         r_q = 0.5 * ua / np.sqrt(det)
@@ -763,29 +763,6 @@ def _chain_generic(f_sld, u, finv_r, weight):
     tn_r, tn_u = numkit.trace_abs(np.array([inner_r, inner_u]))
     b_s = w_s.trace(axis1=-2, axis2=-1)
     return b_s, w_r.trace(axis1=-2, axis2=-1) + tn_r, b_s + tn_u, _quantumness(root_finv_s, u)
-
-
-def _trace_w_inverse(a, weight=None):
-    """Tr(W a^-1) of each symmetric PSD matrix of a (K, 2, 2) stack, with the pseudo-inverse
-    where a is singular: :func:`bound_chain`'s b_s of a = F_S in closed form, which the
-    double-homodyne bound takes of a = F_C.  Points that fail the certificate of
-    :func:`numkit._spd2` take Tr(W pinv_psd(a)), for that subset only."""
-    a = np.asarray(a, dtype=float)
-    with np.errstate(all="ignore"):  # only a point that fails the certificate meets an error
-        ok, (s, nq, p), f, _, _ = numkit._spd2(a)
-        t = _inverse_trace(_weight2(weight), s, nq, p, f)
-    if np.count_nonzero(ok) < ok.size:
-        W = np.eye(2) if weight is None else np.asarray(weight, dtype=float)
-        t[~ok] = (W @ numkit.pinv_psd(a[~ok])[0]).trace(axis1=-2, axis2=-1)
-    return t
-
-
-def _inverse_trace(w, s, nq, p, f):
-    """Tr(W a^-1) from :func:`numkit._spd2`'s columns of a, a^-1 = f [[s, -q], [-q, p]];
-    w as :func:`_weight2` gives it."""
-    if w is None:
-        return s * f + p * f
-    return _trace_w(w, s * f, nq * f, p * f)
 
 
 def _trace_w(w, x00, x01, x11):

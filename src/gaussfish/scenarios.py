@@ -18,8 +18,10 @@ A sweep is one stacked evaluation of its grid (:func:`_evaluate`).  The channel 
 same on both modes, so it keeps the probe's eigen-factor, with or without a squeezed
 reservoir, and the columns are read from the factor (O, lam, delta) alone
 (:func:`_factored_columns`): no GaussianState, GaussianModel or PointMoments is built,
-whose set-up was most of the cost of a one-point evaluation.  They are taken at unit dd and
-scaled by e^(gamma t) once, and the public library gives the same unit-dd bits.
+whose set-up was most of the cost of a one-point evaluation, and no matrix is inverted.
+They are taken at unit dd and scaled by e^(gamma t) once.  The public library gives the
+same unit-dd bits of the chain; hdb is read as a trace of the readout's outcome covariance,
+Tr(dmu^-1 W dmu^-T Sigma), which equals the library's Tr(W F_C^-1) to rounding.
 
 :func:`closed_form_bounds` gives every column of every probe family in closed
 form, elementwise over arrays, for cross-checking the full pipeline; at m_e = 0 the sql
@@ -39,14 +41,8 @@ import numpy as np
 
 from .gaussian_core import GaussianState, _eigenbasis, probe_factor, probe_tmsdt
 from .channels import NoisyChannel, damp_factor, damping
-from .qfi_gaussian import _first_moment_factored, _trace_w_inverse, bound_chain, weight_root
-from .measurements import (
-    _recorded,
-    epr_readout,
-    factored_outcome_cov,
-    outcome_fisher,
-    rows_on_factor,
-)
+from .qfi_gaussian import _first_moment_factored, bound_chain, weight_root
+from .measurements import _recorded, epr_readout, rows_on_factor
 
 PROBES = ("tmsv", "tmst", "tmdv", "tmdt")
 _SQUEEZED = ("tmsv", "tmst")  # the probes that read r; the others read alpha
@@ -281,19 +277,17 @@ def _evaluate(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> np.ndarray:
 
     The channel is ch (one stacked NoisyChannel if None or on a gamma or n_e axis), and t
     spans the grid, so an axis that the probe ignores still gives one point per value.  The
-    stack takes :func:`_factored_columns`, which builds no state or model, and hdb is
-    Tr(W F_C^-1) from the certified entries of each 2x2 F_C (:func:`_trace_w_inverse`, which
-    the chain's b_s shares), both at unit dd: dd = e^(-gamma t / 2) (e1, e2) scales F_S, U,
-    F_R and F_C by e^(-gamma t), so every bound but r_q is multiplied by x = e^(gamma t) here
-    (sql carries x already).  What a layer raises for the stack propagates; an overflow
-    leaves a non-finite entry, in b_s from gamma t of about 709.8.
+    stack takes :func:`_factored_columns`, which builds no state or model and inverts no
+    matrix, at unit dd: dd = e^(-gamma t / 2) (e1, e2) scales F_S, U, F_R and F_C by
+    e^(-gamma t), so every bound but r_q is multiplied by x = e^(gamma t) here (sql carries
+    x already).  What a layer raises for the stack propagates; an overflow leaves a
+    non-finite entry, in b_s from gamma t of about 709.8.
     """
     r, n_th, gamma, n_e, t = _on_axis(cfg, values, "r", "n_th", "gamma", "n_e", "t")
     t = np.full(values.shape, t)
     if ch is None or cfg.axis in ("gamma", "n_e"):
         ch = NoisyChannel.uniform(2, gamma, n_e, cfg.m_e)
-    chain, F_C = _factored_columns(cfg, r, n_th, ch, t)
-    hdb = _trace_w_inverse(F_C, cfg.weight)
+    chain, hdb = _factored_columns(cfg, r, n_th, ch, t)
     sql = _coherent_bound(gamma, t, n_e, cfg.m_e, cfg.weight_matrix())
     columns = np.array((values, chain.b_s, chain.b_r, chain.b_h_mid, chain.b_h_upper, hdb, chain.r_q, sql))
     columns[1:6] *= np.exp(np.multiply(gamma, t))  # b_s .. hdb
@@ -301,44 +295,54 @@ def _evaluate(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> np.ndarray:
 
 
 def _factored_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
-    """(bound chain, F_C) at the unit dd (e1, e2) from the probe's eigen-factor (O, lam, delta)
+    """(bound chain, hdb) at the unit dd (e1, e2) from the probe's eigen-factor (O, lam, delta)
     alone.  ch is uniform (:meth:`NoisyChannel.uniform`), so it keeps the factor
     (:func:`damp_factor`).
 
-    The numbers are those of the public library bit for bit (qfim_report and
-    cfim_gaussian_outcomes of a PointMoments of the probe's evolved state with dd (e1, e2)
-    and dV = 0): the probe factor and its damping come from the helpers that
-    :func:`probe_tmsdt` and :func:`evolve` call, F_S, U and the limiting F_R^-1 from
-    :func:`_first_moment_factored`, which PointMoments.solved takes on the same stacks, the
-    chain from the 2x2 closed forms of :func:`bound_chain`, which qfim_report takes too, and
-    F_C from the readout helpers of :func:`cfim_gaussian_outcomes`.  One D, viewed at the
-    stack's length, serves every point.  O is the probe's, shared by the stack, where
-    m_e = 0, and one per point otherwise, which S_r O then follows.
+    The chain is that of the public library bit for bit (qfim_report of a PointMoments of the
+    probe's evolved state with dd (e1, e2) and dV = 0): the probe factor and its damping come
+    from the helpers that :func:`probe_tmsdt` and :func:`evolve` call, F_S, U and the
+    limiting F_R^-1 from :func:`_first_moment_factored`, which PointMoments.solved takes on
+    the same stacks, and the chain from the 2x2 closed forms of :func:`bound_chain`, which
+    qfim_report takes too.  One D, viewed at the stack's length, serves every point.
+
+    hdb = Tr(W F_C^-1) of the EPR readout, F_C = dmu Sigma^-1 dmu^T, takes no inverse: its
+    two recorded outcomes give a 2x2 invertible dmu, so F_C^-1 = dmu^-T Sigma dmu^-1 and
+    hdb = Tr(W_C Sigma) with W_C = dmu^-1 W dmu^-T.  Two homodynes add no measurement noise,
+    so Sigma = B diag(lam) B^T / 2 with B = S_r O (:func:`rows_on_factor`), and hdb is
+    sum_j lam_j b_j^T (W_C / 2) b_j over the columns b_j of B: nonnegative terms, with an
+    exact 0 for a direction the readout does not see, however large its lam_j.  The 1/2 is
+    taken into W_C before the sum, which would overflow first (tmst, phi = 1, r = 354).  O is
+    the probe's, shared by the stack, where m_e = 0, and one per point otherwise, which
+    S_r O then follows.
     """
     r, n_th, _ = _probe_params(cfg, r, n_th)
     O, lam, _ = factor = damp_factor(probe_factor(r, cfg.phi, n_th), *damping(ch, t), ch)
     f_s, u, f_r_inv = _first_moment_factored(np.broadcast_to(_UNIT_DD, lam.shape[:-1] + (2, 4)), factor)
     chain = bound_chain(f_s, u, rld_inverse=f_r_inv, weight=cfg.weight)
-    S_r, Vm, B = _readout_rows(cfg.phi)
+    B = _readout_rows(cfg.phi)
     if O.ndim > 2:
-        B = rows_on_factor(S_r, O)
-    return chain, outcome_fisher(_UNIT_DD @ S_r.T, factored_outcome_cov(B, lam, Vm))
+        B = rows_on_factor(_S_R, O)
+    w_c = 0.5 * (_DMU_INV @ cfg.weight_matrix() @ _DMU_INV.T)  # W_C / 2, halved before the sum
+    return chain, (lam * (B * (w_c @ B)).sum(axis=-2)).sum(axis=-1)
 
 
 _UNIT_DD = np.eye(2, 4)  # dd = (e1, e2): the derivatives of an undamped shift of (Q1, P1)
+# The EPR readout's recorded rows S_r (:func:`epr_readout`) and the inverse of its 2x2
+# dmu = dd S_r^T at the unit dd (det -1/2), which does not depend on phi: formed once.
+_S_R = _recorded(epr_readout()[1], 2, epr_readout()[0], None)[1]
+_DMU_INV = np.linalg.inv(_UNIT_DD @ _S_R.T)
+_S_R.flags.writeable = _DMU_INV.flags.writeable = False
 
 
 @lru_cache(maxsize=64)
-def _readout_rows(phi: float):
-    """(S_r, Vm, S_r O) of the EPR readout (:func:`epr_readout`) on the probe basis O of phi:
-    its recorded rows, measurement covariance and rows on the factor, built once per phi.
-    Read-only, as one cached set serves every caller."""
-    pre, gd = epr_readout()
-    _, S_r, Vm = _recorded(gd, 2, pre, None)
-    out = S_r, Vm, rows_on_factor(S_r, _eigenbasis(phi))
-    for a in out:
-        a.flags.writeable = False
-    return out
+def _readout_rows(phi: float) -> np.ndarray:
+    """S_r O: the EPR readout's recorded rows on the probe basis O of phi
+    (:func:`rows_on_factor`), built once per phi.  Read-only, as one cached array serves
+    every caller."""
+    B = rows_on_factor(_S_R, _eigenbasis(phi))
+    B.flags.writeable = False
+    return B
 
 
 def _rows(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> list:

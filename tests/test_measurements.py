@@ -258,26 +258,42 @@ def test_readout_pre_op_must_match_the_state_modes():
         cfim_gaussian_outcomes(model, gd, [0, 0], pre_op=beam_splitter_5050())
 
 
+def test_a_singular_outcome_covariance_stops_the_stack():
+    """Sigma^-1 is LAPACK's inv: one singular outcome covariance in a stack raises its
+    LinAlgError for the whole stack, with or without a dV, through the EPR readout."""
+    rng = np.random.default_rng(64)
+    k = 50
+    b = rng.normal(size=(k, 4, 4))
+    V = np.eye(4) + b @ b.swapaxes(-1, -2)
+    V[-1] = 0.0
+    dds = rng.normal(size=(2, k, 4))
+    pre, gd = epr_readout()
+    for dVs in (np.zeros((2, k, 4, 4)), rng.normal(size=(2, k, 4, 4))):
+        singular = PointMoments(GaussianState(np.zeros((k, 4)), V), dds, dVs, 2)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            cfim_gaussian_outcomes(singular, gd, pre_op=pre)
+
+
 def test_sweep_readout_makes_no_apply_call(monkeypatch):
     """The readout of a 201-point sweep reads the recorded rows directly, with no apply call:
-    F_C comes from S_r O and lam (outcome_fisher), once per sweep, with and without a
-    squeezed reservoir."""
+    hdb comes from S_r O and lam in the factored columns (_factored_columns), once per
+    sweep, with and without a squeezed reservoir."""
     for m_e in (0.0, 0.2):
         calls = []
         for mod in (gaussian_core, qfi_gaussian, measurements):
             if hasattr(mod, "apply"):
                 monkeypatch.setattr(mod, "apply", lambda *a, fn=mod.apply: calls.append("apply") or fn(*a))
-        readout = scenarios.outcome_fisher
+        columns = scenarios._factored_columns
 
-        def traced(*a, readout=readout, **kw):
-            calls.append("readout")
-            out = readout(*a, **kw)
+        def traced(*a, columns=columns, **kw):
+            calls.append("columns")
+            out = columns(*a, **kw)
             calls.append("done")
             return out
 
-        monkeypatch.setattr(scenarios, "outcome_fisher", traced)
+        monkeypatch.setattr(scenarios, "_factored_columns", traced)
         cfg = scenarios.ScenarioConfig(probe="tmst", n_th=0.5, m_e=m_e, axis="t", start=0.0, stop=1.0, step=0.005)
         rows = scenarios.sweep(cfg)
         monkeypatch.undo()
         assert len(rows) == 201 and all(row.ok for row in rows), m_e
-        assert calls == ["readout", "done"], m_e
+        assert calls == ["columns", "done"], m_e

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from gaussfish import measurements, numkit
+from gaussfish import numkit
 from gaussfish.channels import NoisyChannel
-from gaussfish.gaussian_core import GaussianState, probe_tmsdt
-from gaussfish.measurements import GeneralDyne, MeasureMode, cfim_gaussian_outcomes, epr_readout
+from gaussfish.gaussian_core import probe_tmsdt
 from gaussfish.qfi_gaussian import (
-    PointMoments,
     _quantumness,
     bound_chain,
     displacement_model,
@@ -331,9 +329,9 @@ def test_bound_chain_without_a_weight_is_the_identity_weight_bit_for_bit():
             assert np.array_equal(x, y), name
 
 
-# 2x2 kernels against a reference by LAPACK: inv_sym's closed form and the readout's, and
-# pinv_psd on 2x2 members.  Both sides are backward stable, so a member's entries agree to
-# c eps cond of its largest; 20,000 random members gave c <= 2.2.
+# 2x2 kernels against a reference by LAPACK: pinv_psd on 2x2 members.  Both sides are
+# backward stable, so a member's entries agree to c eps cond of its largest; 20,000 random
+# members gave c <= 2.2.
 KERNEL_C = 8.0
 _KINDS2 = ("full", "rank1", "zero", "near_cutoff", "indefinite")
 
@@ -417,46 +415,6 @@ def test_two_by_two_pinv_psd_of_one_matrix_is_its_stack_member(stack):
     _assert_close_per_member([root], want_root, cond)
 
 
-def _lapack_refuses(a):
-    """Whether np.linalg.inv raises LinAlgError on a (one singular member refuses the whole stack)."""
-    try:
-        np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return True
-    return False
-
-
-# A near_cutoff member (lam about 0.7 eps at scale 1e16) whose LU pivot LAPACK finds exactly zero.
-_LU_SINGULAR_NEAR_CUTOFF = np.array([[5051771925651760.0, 7140539323431244.0], [7140539323431244.0, 1.0092954032735702e16]])
-
-
-@settings(max_examples=200, deadline=None)
-@given(stack=_sym2_stacks(kinds=("full", "near_cutoff", "indefinite"), sizes=(numkit.STACK_MIN, numkit.STACK_MIN + 6)),
-       singular=st.booleans())
-@example(stack=np.concatenate([[_LU_SINGULAR_NEAR_CUTOFF], np.tile(np.eye(2), (numkit.STACK_MIN, 1, 1))]), singular=False)
-def test_two_by_two_inv_sym_is_the_lapack_inv(stack, singular):
-    """A stack of at least STACK_MIN members takes the closed form; a shorter one is LAPACK's inv.
-
-    Where LAPACK refuses a stack, inv_sym refuses it with the same error.
-    """
-    short = stack[: numkit.STACK_MIN - 1]
-    if _lapack_refuses(short):
-        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            numkit.inv_sym(short)
-    else:
-        assert np.array_equal(numkit.inv_sym(short), np.linalg.inv(short))
-    if singular:  # an exactly singular member
-        stack = np.concatenate([stack, [[[1.0, 2.0], [2.0, 4.0]]]])
-    if singular or _lapack_refuses(stack):  # LAPACK's refusal, for the whole stack
-        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            numkit.inv_sym(stack)
-        return
-    want = np.linalg.inv(stack)
-    got = numkit.inv_sym(stack)
-    assert got.shape == stack.shape and numkit.inv_sym(stack[0]).shape == (2, 2)
-    _assert_close_per_member(got, want, np.linalg.cond(stack))
-
-
 def test_inv_certified_inverts_exactly_the_members_it_certifies():
     """The certificate of full rank of each 2x2: it passes well conditioned members at any
     scale, with no over- or underflow, and refuses rank-deficient, nearly rank-deficient,
@@ -495,33 +453,3 @@ def test_two_column_pinv_gram_mixes_certified_and_uncertified_members(data, comp
         got = numkit.pinv_gram(stack)
     assert got.shape == (len(members), 2, 2) and np.iscomplexobj(got) == complex_
     _assert_pinv_gram_per_matrix(stack, got, [None] * len(stack))
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(numkit.STACK_MIN, numkit.STACK_MIN + 4), has_dv=st.booleans(),
-       scale=st.floats(-100.0, 100.0))
-def test_cfim_with_the_closed_form_sigma_inverse_is_the_lapack_one(seed, k, has_dv, scale):
-    """The 2x2 outcome covariance of the EPR readout, and a 4x4 one, against np.linalg.inv.
-
-    k >= STACK_MIN, so the readout's Sigma^-1 takes the closed form.
-    """
-    rng = np.random.default_rng(seed)
-    b = rng.normal(size=(k, 4, 4))
-    V = 10.0**scale * (np.eye(4) + b @ numkit.transpose(b))
-    dds = rng.normal(size=(2, k, 4))
-    dVs = rng.normal(size=(2, k, 4, 4)) * has_dv
-    pt = PointMoments(GaussianState(np.zeros((k, 4)), V), dds, dVs + numkit.transpose(dVs), 2)
-    pre, gd = epr_readout()
-    het = GeneralDyne((MeasureMode("heterodyne"), MeasureMode("heterodyne")))
-    for args in ((gd,), (gd, None, pre), (het,)):
-        got = cfim_gaussian_outcomes(pt, *args)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(measurements, "inv_sym", np.linalg.inv)
-            want = cfim_gaussian_outcomes(pt, *args)
-        sigma = measurements.outcome_mean_cov(pt.st, args[0])[1]
-        cond = np.linalg.cond(sigma) ** (2 if has_dv else 1)  # the trace term holds Sigma^-1 twice
-        _assert_close_per_member(got, want, cond)
-    V[-1] = 0.0  # a singular outcome covariance stops the stack, as LAPACK does
-    singular = PointMoments(GaussianState(np.zeros((k, 4)), V), dds, dVs, 2)
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        cfim_gaussian_outcomes(singular, gd, pre_op=pre)

@@ -9,8 +9,9 @@ from gaussfish.scenarios import PROBES, ScenarioConfig, run_point
 
 from mp_referee import FIELDS, referee_row
 
-# Relative budget of b_s, b_r, b_h_mid and r_q of an ok row against the referee.  The draws
-# below meet it with a margin of about 1000: every row is ok, and the worst is 9.0e-16.
+# Relative budget of every column of an ok row (mp_referee.FIELDS: b_s, b_r, b_h_mid,
+# b_h_upper, hdb, r_q and sql) against the referee.  The draws below meet it with a margin
+# of about 1000: every row is ok, and the worst is 1.2e-15 (b_r; hdb 7.9e-16).
 BUDGET = 1e-12
 DRAWS = 200
 

@@ -288,13 +288,13 @@ def test_numerical_overflow_degrades_to_nan_row():
 
 
 def test_programming_error_propagates_instead_of_degrading(monkeypatch):
-    """A TypeError from a layer is a bug, not a degraded row: from the readout
-    (outcome_fisher), with and without a squeezed reservoir."""
+    """A TypeError from a layer is a bug, not a degraded row: from the bound chain
+    (bound_chain), with and without a squeezed reservoir."""
     def broken(*args, **kwargs):
         raise TypeError("broken layer")
 
     for m_e in (0.0, 0.2):
-        monkeypatch.setattr(scenarios, "outcome_fisher", broken)
+        monkeypatch.setattr(scenarios, "bound_chain", broken)
         with pytest.raises(TypeError, match="broken layer"):
             run_point(_cfg(m_e=m_e), 0.4)
         monkeypatch.undo()
@@ -381,8 +381,7 @@ def test_weighted_sql_is_the_displaced_vacuum_upper_bound():
         assert row.sql == pytest.approx(row.b_h_upper, rel=1e-12), weight
 
 
-# Each axis on 5 points, and a t grid of 65 points, above numkit.STACK_MIN, whose stack
-# takes inv_sym's closed form for the readout's Sigma^-1.
+# Each axis on 5 points, and a t grid of 65 points.
 SWEEP_GRIDS = {
     "t": ("t", 0.0, 1.0, 0.25),
     "r": ("r", 0.0, 1.2, 0.3),
@@ -714,10 +713,10 @@ def test_factored_sweeps_make_no_lapack_call(monkeypatch):
     dV = 0, so F_S, U and the limiting RLD inverse come in closed form from 2x2 blocks of
     the probe's eigen-factor (O, lam, delta), kept through the uniform channel: no eigh of
     V, and no svd at the pure point t = 0 of tmsv and tmdv, whose rank cut reads the same
-    blocks.  dd's 2x2 certificate is in closed form, and F_S, F_C and the readout's outcome
-    covariance are 2x2 and positive definite, so they pass the 2x2 certificate
-    (numkit._spd2): the bound chain and hdb read their entries in closed form, with no
-    pseudo-inverse, and inv_sym takes its closed form.
+    blocks.  dd's 2x2 certificate is in closed form, and F_S is 2x2 and positive definite,
+    so it passes the 2x2 certificate (numkit._spd2): the bound chain reads its entries in
+    closed form, with no pseudo-inverse.  hdb is a trace of the readout's outcome
+    covariance, which inverts nothing.
     """
     for m_e in (0.0, 0.2):
         for probe in PROBES:
@@ -729,15 +728,15 @@ def test_factored_sweeps_make_no_lapack_call(monkeypatch):
                 assert rows[0].b_r == 0.0
 
 
-def test_one_point_makes_one_inv(monkeypatch):
-    """The LAPACK budget of one run_point, a stack of one, below numkit.STACK_MIN.
+def test_one_point_makes_no_lapack_call(monkeypatch):
+    """The LAPACK budget of one run_point, a stack of one: none.
 
-    inv_sym takes LAPACK's inv for the readout's Sigma^-1; V^-1/2 comes from the
-    probe's eigen-factor, and the other kernels keep their closed forms.
+    V^-1/2 comes from the probe's eigen-factor, the bound chain from the certified entries
+    of the 2x2 F_S, and hdb from the readout's outcome covariance with no inverse.
     """
     row, calls = lapack_calls(monkeypatch, lambda: run_point(_cfg(probe="tmst", n_th=0.5, axis="t"), 0.3))
     assert row.ok
-    assert calls == ["inv"]
+    assert calls == []
 
 
 def test_factored_runs_form_no_dense_v(monkeypatch):
@@ -787,8 +786,8 @@ THERMAL_ROUTE_GRIDS = [("n_th", 0.0, 5.0, 0.025)]
 
 def _route_output(cfg):
     """Everything a run prints of cfg: _evaluate's columns of the whole grid and of its last
-    value (or the message it raises), the sweep's CSV and JSON, and run_point's row at every
-    7th grid value."""
+    value (or the message it raises), the sweep's rows, and run_point's row at every 7th
+    grid value."""
     columns, values, ch = [], cfg.axis_values(), cfg.validate()
     for stack in (values, values[-1:]):
         with np.errstate(all="ignore"):
@@ -796,29 +795,54 @@ def _route_output(cfg):
                 columns.append(scenarios._evaluate(cfg, stack, ch))
             except scenarios.NUMERICAL_ERRORS as exc:
                 columns.append(str(exc))
-    rows = sweep(cfg)
-    points = [run_point(cfg, value) for value in values[::7]]
-    return columns, rows_to_csv(rows), rows_to_json(rows, cfg), repr(points)
+    return columns, sweep(cfg), [run_point(cfg, value) for value in values[::7]]
 
 
 def _library_columns(cfg, r, n_th, ch, t):
-    """(bound chain, F_C) of a stack at unit dd by the public library: the probe's state
+    """(bound chain, hdb) of a stack at unit dd by the public library: the probe's state
     (build_probe) through ch by its displacement model, a PointMoments of the evolved state
-    with dd (e1, e2) and dV = 0, qfim_report and cfim_gaussian_outcomes of the EPR readout."""
+    with dd (e1, e2) and dV = 0, qfim_report, and Tr(W F_C^-1) of cfim_gaussian_outcomes of
+    the EPR readout."""
     st = evaluate(displacement_model(build_probe(cfg, r, n_th), ch, t), cfg.theta).st
     e1, e2 = np.eye(4)[:2]
     pt = PointMoments(st, [e1, e2], [0, 0], 2)
     pre, gd = epr_readout()
-    return qfim_report(pt, weight=cfg.weight), cfim_gaussian_outcomes(pt, gd, pre_op=pre)
+    f_c_inv = np.linalg.inv(cfim_gaussian_outcomes(pt, gd, pre_op=pre))
+    return qfim_report(pt, weight=cfg.weight), (cfg.weight_matrix() @ f_c_inv).trace(axis1=-2, axis2=-1)
+
+
+# hdb of the factored route, a trace of the readout's outcome covariance, against the
+# library's Tr(W F_C^-1), relative: on the route grids above it is at most 2.3 eps.
+HDB_RTOL = 8 * numkit.EPS
+
+
+def _assert_hdb_close(got, want, where):
+    """got and want agree to HDB_RTOL relative where finite, and are equal elsewhere."""
+    got, want = np.asarray(got), np.asarray(want)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True), where
+    assert (np.abs(got[finite] - want[finite]) <= HDB_RTOL * np.abs(want[finite])).all(), where
+
+
+def _assert_same_rows(got, want, where):
+    """Two lists of SweepRow: the same status and message, every field bit for bit but hdb,
+    and hdb to HDB_RTOL."""
+    assert len(got) == len(want), where
+    for g, w in zip(got, want):
+        assert g.ok == w.ok and g.message == w.message, where
+        assert np.array_equal(g[:5] + g[6:8], w[:5] + w[6:8], equal_nan=True), where
+    _assert_hdb_close([row.hdb for row in got], [row.hdb for row in want], where)
 
 
 @pytest.mark.parametrize("probe", PROBES)
 def test_factored_route_matches_the_model_route_bit_for_bit(monkeypatch, probe):
     """The factored route prints what the public library's model route prints on the same
-    config, bit for bit: every column, degraded rows and their messages included, on the
-    battery's grids with and without a weight and a squeezed reservoir (m_e = 0.2).  The
-    model route (_library_columns), which builds the probe's state and its displacement
-    model, stands in for the factored columns of each stack and referees."""
+    config, bit for bit in every column but hdb, degraded rows and their messages included,
+    on the battery's grids with and without a weight and a squeezed reservoir (m_e = 0.2).
+    The model route (_library_columns), which builds the probe's state and its displacement
+    model, stands in for the factored columns of each stack and referees.  hdb, which the
+    factored route reads as Tr(dmu^-1 W dmu^-T Sigma) and the library as Tr(W F_C^-1), is
+    held to HDB_RTOL."""
     grids = list(ROUTE_GRIDS)
     grids += SQUEEZED_ROUTE_GRIDS if probe in ("tmsv", "tmst") else []
     grids += THERMAL_ROUTE_GRIDS if probe in ("tmst", "tmdt") else []
@@ -834,8 +858,11 @@ def test_factored_route_matches_the_model_route_bit_for_bit(monkeypatch, probe):
             if isinstance(want, str):
                 assert got == want, where
             else:
-                assert np.array_equal(got, want, equal_nan=True), where
-        assert factored[1:] == model[1:], where
+                others = [0, 1, 2, 3, 4, 6, 7]
+                assert np.array_equal(got[others], want[others], equal_nan=True), where
+                _assert_hdb_close(got[5], want[5], where)
+        for got, want in zip(factored[1:], model[1:]):
+            _assert_same_rows(got, want, where)
 
 
 def _report_and_hdb(pt, weight):
@@ -883,7 +910,7 @@ def test_eigen_factor_matches_the_eigh_of_v_on_the_reference_grids(probe):
 @pytest.mark.parametrize("k", [None, 3, 60])
 def test_eigen_factor_matches_the_eigh_of_v_on_random_draws(seed, k):
     """Random two-mode draws of r <= 1.5, phi, n_th, n_e and gamma t: single points (k None)
-    and stacks on both sides of numkit.STACK_MIN, one channel per point."""
+    and stacks of 3 and 60 points, one channel per point."""
     rng = np.random.default_rng([seed, k or 1])
     shape = () if k is None else (k,)
     r, n_th, n_e = rng.uniform(0.0, 1.5, shape), rng.uniform(0.0, 1.0, shape), rng.uniform(0.0, 1.0, shape)
@@ -948,6 +975,20 @@ def test_very_strongly_squeezed_rows_keep_the_holevo_bounds(probe):
         np.testing.assert_allclose(got, getattr(cf, name), rtol=1e-12, atol=0, err_msg=name)
 
 
+def test_the_last_finite_hdb_rows_stay_ok():
+    """tmst, phi = 1, n_th 0.5, t = 0.2 and W = [[2, .3], [.3, 1]]: hdb grows like e^2r, to
+    1.4e308 at r = 354, where the other columns stay near 1.  The readout's sum over the
+    factor's columns takes W_C / 2, halved before the sum: halved after it, the sum
+    overflows at r = 354.  Both rows are ok, alone and in a sweep, with hdb within 8 eps of
+    Tr(W F_C^-1) by an inverse of F_C (the values of the route that inverted Sigma and F_C).
+    """
+    want = {352.0: 2.5588361652313775e306, 354.0: 1.397077208595382e308}
+    cfg = _cfg(probe="tmst", phi=1.0, n_th=0.5, t=0.2, weight=[[2.0, 0.3], [0.3, 1.0]], axis="r", start=352.0, stop=354.0, step=2.0)
+    for row in sweep(cfg) + [run_point(cfg, r) for r in want]:
+        assert row.ok, row
+        assert math.isfinite(row.hdb) and abs(row.hdb - want[row.axis]) <= 8 * numkit.EPS * want[row.axis], row
+
+
 @pytest.mark.parametrize("r", [6.0, 9.0, 15.0])
 def test_strongly_squeezed_tmsv_just_after_t0_keeps_b_r(r):
     """tmsv at t = 1e-9: nu^2 - 1 is about 2e-9 e^2r, while the dense V's small eigenvalue
@@ -961,8 +1002,8 @@ def test_strongly_squeezed_tmsv_just_after_t0_keeps_b_r(r):
 @pytest.mark.parametrize("probe", ["tmsv", "tmst"])
 def test_squeezed_reservoir_rows_match_the_referee(probe):
     """The m_e = 0.2 r 0..40 grids, n_e 0.5, gamma = t = 1: a squeezed reservoir keeps the
-    eigen-factor, so every row is ok, keeps the chain and has b_s, b_r, b_h_mid and r_q
-    within 1e-12 of the high-precision referee (the worst is 9.7e-16).  With the dense V,
+    eigen-factor, so every row is ok, keeps the chain and has every column within 1e-12 of
+    the high-precision referee (the worst is 7.7e-16).  With the dense V,
     rows from r of about 9.5 were wrong by up to 1.8e15 relative and still kept the chain,
     and others broke it."""
     n_th = 0.5 if probe == "tmst" else 0.0
