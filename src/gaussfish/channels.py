@@ -43,12 +43,13 @@ class NoisyChannel:
         self.m_e = np.atleast_1d(np.asarray(self.m_e, dtype=complex))
         if not (self.gamma.shape == self.n_e.shape == self.m_e.shape):
             raise ValueError("per-mode parameter arrays must have equal length")
-        if np.any(self.gamma < 0):
-            raise ValueError("damping rates must be >= 0")
-        if np.any(self.n_e < 0):
-            raise ValueError("reservoir occupations must be >= 0")
         bound = self.n_e * (self.n_e + 1.0)
-        if np.any(np.abs(self.m_e) ** 2 > bound * (1.0 + 1e-12)):  # rounding slack, relative
+        over = np.abs(self.m_e) ** 2 > bound * (1.0 + 1e-12)  # rounding slack, relative
+        if ((self.gamma < 0) | (self.n_e < 0) | over).any():  # one test; a NaN passes it
+            if np.any(self.gamma < 0):
+                raise ValueError("damping rates must be >= 0")
+            if np.any(self.n_e < 0):
+                raise ValueError("reservoir occupations must be >= 0")
             raise ValueError("reservoir squeezing violates |m_e|^2 <= n_e(n_e+1)")
 
     @property

@@ -262,7 +262,7 @@ def probe_factor(r, phi: float, n_th):
     lam = (2.0 * n_th + 1.0)[..., None] * np.exp(np.multiply.outer(r, (2.0, -2.0, -2.0, 2.0)))
     delta = np.empty(lam.shape[:-1] + (2,))
     delta[...] = (4.0 * n_th * (1.0 + n_th))[..., None]
-    return _eigenbasis(phi), lam, delta
+    return _eigenbasis(float(phi)), lam, delta  # a float key: a 0-d array is unhashable
 
 
 def probe_tmsdt(r, phi, q1, p1, q2, p2, n_th) -> GaussianState:

@@ -103,11 +103,11 @@ def inv_certified(a):
     return (np.abs(det) > 4.0 * SPD2_MARGIN * EPS).reshape(a.shape[:-2])
 
 
-def _spd2(a):
-    """The certificate and trace-scaled entries of a (..., 2, 2) stack: (ok, (s, -q, p), f,
-    det, tr).
+def _spd2(a00, a11, a01):
+    """The certificate and trace-scaled entries of a stack of real 2x2 matrices a, from the
+    columns a00, a11 and a01 = a_01 + a_10: (ok, (s, -q, p), f, det, tr).
 
-    Each real matrix a is read as symmetric and divided by its trace tr first, so no scale
+    Each matrix a is read as symmetric and divided by its trace tr first, so no scale
     over- or underflows: b = [[p, q], [q, s]] = (a + a^T) / (2 tr) has trace 1 and
     determinant det, and a^-1 = f adj with f = 1 / (det tr) and adj = [[s, -q], [-q, p]].
     For a PSD matrix the trace lies between max |entry| and twice it, and det is about
@@ -120,10 +120,9 @@ def _spd2(a):
     calls: each costs about 1 us whatever K.  The two-parameter bound chain of
     :mod:`gaussfish.qfi_gaussian` reads its terms from them.
     """
-    a00, a11 = a[..., 0, 0], a[..., 1, 1]
     tr = a00 + a11
     h = np.reciprocal(tr)
-    p, s, q = a00 * h, a11 * h, (a[..., 0, 1] + a[..., 1, 0]) * (0.5 * h)
+    p, s, q = a00 * h, a11 * h, a01 * (0.5 * h)
     det = p * s - q * q
     det_tr = det * tr
     ok = (det > SPD2_MARGIN * EPS) & (det_tr > TINY)

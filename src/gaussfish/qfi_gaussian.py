@@ -14,11 +14,12 @@ has closed forms in V and M = V + i Omega:
 closed form for a two-mode, two-parameter stack whose state carries its Williamson form
 V = O diag(lam) O^T with delta = nu^2 - 1 (:class:`GaussianState`), as every built-in
 probe through a uniform channel does: from the 2x2 blocks of E = sqrt2 D O, one per mode,
-as sums of nonnegative terms in delta, with no LAPACK call (:func:`_first_moment_factored`),
+as sums of nonnegative terms in delta, with no LAPACK call (:func:`first_moment_columns`),
 whichever of its modes are pure at each point.  The limit is finite at pure points and 0
 where the directions reach the null coordinates of M with full rank (Genoni et al., PRA
 87, 012107 (2013)).  A scenario sweep calls the same kernel on the probe's eigen-factor
-with no state built, at the unit dd (e1, e2) of a displacement, and scales its bounds by
+with no state built, at the unit dd (e1, e2) of a displacement, reads the bound chain from
+its (K,) columns with no matrix packed (:func:`factored_chain`), and scales its bounds by
 e^(gamma t) (:mod:`gaussfish.scenarios`).
 
 The Williamson basis.  Every other stack (some dV nonzero, a state without an eigen-factor,
@@ -164,7 +165,7 @@ PURE_TOL = 1e-12
 
 # Relative rank cut of the limiting RLD inverse at a pure point: a singular value of the
 # pure-mode rows in the Williamson basis (_rld_inverse_in_basis) at most RANK_CUT times the
-# largest entry counts as 0; in the factored closed form (_first_moment_factored) the
+# largest entry counts as 0; in the factored closed form (first_moment_columns) the
 # anticonformal part of C, ((c00 - c11)^2 + (c01 + c10)^2)^1/2, at most RANK_CUT ||C||_F
 # counts as 0.
 RANK_CUT = 1e-10
@@ -251,10 +252,18 @@ def williamson(V, factor=None):
 
 
 def _first_moment_factored(D, factor):
-    """(F_S, U, limiting F_R^-1) of a two-mode, two-parameter model with dV = 0, in closed form
-    from the state's Williamson form (O, lam, delta) (:class:`GaussianState`).
+    """(F_S, U, limiting F_R^-1) as matrices: :func:`first_moment_columns` of D and the factor."""
+    lead = np.broadcast_shapes(D.shape[:-2], factor[1].shape[:-1], factor[2].shape[:-1])
+    return tuple(x.reshape(lead + (2, 2)) for x in _pack(*first_moment_columns(D, factor)))
 
-    D (..., 2, 4), or one D for the stack, is dd, of full rank at every point.  E = sqrt2 D O,
+
+def first_moment_columns(D, factor):
+    """The entries (f00, f11, f01, u01, r00, r11, r01, i01) of F_S, U and the limiting F_R^-1 =
+    R + i I of a two-mode, two-parameter model with dV = 0, as (K,) columns, in closed form from
+    the state's Williamson form (O, lam, delta) (:class:`GaussianState`).
+
+    D (..., 2, 4), or one D (2, 4) for the stack, which is then not broadcast, is dd, of full
+    rank at every point.  E = sqrt2 D O,
     whose entries for the built-in O are cos and sin of phi/2 unrounded, is read in 2x2
     blocks E_k, one per mode k, with lam = (a_k, b_k), nu_k^2 = a_k b_k and delta_k =
     nu_k^2 - 1 as carried.  As V = O diag(lam) O^T and M = O (diag(lam) + i Omega) O^T,
@@ -288,9 +297,9 @@ def _first_moment_factored(D, factor):
     _check_spectrum(lam)
     if not np.isfinite(delta).all():
         raise ValueError("overflow: nu^2 - 1 of the covariance is not finite")
-    lead, M = D.shape[:-2], _SQRT2 * O
-    if lam.shape[:-1] != lead or delta.shape[:-1] != lead:
-        lead = np.broadcast_shapes(lead, lam.shape[:-1], delta.shape[:-1])
+    lead, M = lam.shape[:-1], _SQRT2 * O
+    if D.shape[:-2] not in ((), lead) or delta.shape[:-1] != lead:
+        lead = np.broadcast_shapes(D.shape[:-2], lead, delta.shape[:-1])
         D = np.broadcast_to(D, lead + (2, 4))
         lam, delta = np.broadcast_to(lam, lead + (4,)), np.broadcast_to(delta, lead + (2,))
     E = (D.reshape(-1, 4) @ M) if M.ndim == 2 else (D @ M)  # one product for a shared O
@@ -321,25 +330,28 @@ def _first_moment_factored(D, factor):
     m = (w[1] + w[0] / (1.0 + delta[0])) / (1.0 + inv_nn)
     rest = anti * inv_nn
     pure = (delta[0] == 0.0) & (delta[1] == 0.0)  # both modes
-    if pure.any():  # delta divided out: w = m = 1, and the last term of den is 0
-        w = np.where(pure, 1.0, w)
-        m, rest = np.where(pure, 1.0, m), np.where(pure, 0.0, rest)
+    if pure.any():  # delta divided out: w = m = 1, and the last term of den is 0, or inf where
+        w = np.where(pure, 1.0, w)  # every direction reaches a null coordinate (s > 0 is finite)
+        m, cut = np.where(pure, 1.0, m), np.where(anti > RANK_CUT**2 * cc, np.inf, 0.0)
+        rest = np.where(pure, cut, rest)
     den = w * det_g * det_g
     den = (den[0] + den[1] + m * cc + rest) * s  # s den, and F_R^-1 = numerator / (s den) / s
-    den[pure & (anti > RANK_CUT**2 * cc)] = np.inf  # every direction reaches a null coordinate
     num = Z * w
     num = (num[:, 0] + num[:, 1]) / den / s  # sum_k w_k' (adj(P_k), det(G_k) / nu_k)
     fs = (Z[:3, 0] + Z[:3, 1]) * (s * s)
-    f_s, u, f_r_inv = np.empty((s.size, 2, 2)), np.zeros((s.size, 2, 2)), np.zeros((s.size, 2, 2), complex)
-    f_s[:, 0, 0], f_s[:, 1, 1], f_s[:, 0, 1], f_s[:, 1, 0] = fs[1], fs[0], fs[2], fs[2]
-    u[:, 0, 1] = u01[0] + u01[1]
-    u[:, 1, 0] = -u[:, 0, 1]
+    return fs[1], fs[0], fs[2], u01[0] + u01[1], num[0], num[1], -num[2], num[3]
+
+
+def _pack(f00, f11, f01, u01, r00, r11, r01, i01):
+    """The (K, 2, 2) stacks (F_S, U, F_R^-1) of :func:`first_moment_columns`' columns."""
+    shape = (f00.size, 2, 2)
+    f_s, u, f_r_inv = np.empty(shape), np.zeros(shape), np.zeros(shape, complex)
+    f_s[:, 0, 0], f_s[:, 1, 1], f_s[:, 0, 1], f_s[:, 1, 0] = f00, f11, f01, f01
+    u[:, 0, 1], u[:, 1, 0] = u01, -u01
     re, im = f_r_inv.real, f_r_inv.imag
-    re[:, 0, 0], re[:, 1, 1] = num[0], num[1]
-    re[:, 0, 1] = re[:, 1, 0] = -num[2]
-    im[:, 0, 1], im[:, 1, 0] = num[3], -num[3]
-    shape = lead + (2, 2)
-    return f_s.reshape(shape), u.reshape(shape), f_r_inv.reshape(shape)
+    re[:, 0, 0], re[:, 1, 1], re[:, 0, 1], re[:, 1, 0] = r00, r11, r01, r01
+    im[:, 0, 1], im[:, 1, 0] = i01, -i01
+    return f_s, u, f_r_inv
 
 
 def _inverse(x, zero_to):
@@ -693,7 +705,20 @@ def bound_chain(f_sld, u, *, rld_inverse, weight=None) -> BoundChain:
     u = np.asarray(u, dtype=float)
     finv_r = np.asarray(rld_inverse, dtype=complex)
     chain = _chain2 if f_sld.shape[-2:] == (2, 2) else _chain_generic
-    b_s, b_r, b_h_mid, r_q = chain(f_sld, u, finv_r, weight)
+    return _clamped(*chain(f_sld, u, finv_r, weight))
+
+
+def factored_chain(columns, weight=None) -> BoundChain:
+    """:func:`bound_chain` of the matrices of :func:`first_moment_columns`' columns, bit for
+    bit, read from the columns (:func:`_chain_columns`): only uncertified points are packed."""
+    f00, f11, f01, u01, r00, r11, r01, i01 = columns
+    return _clamped(*_chain_columns(f00, f11, f01 + f01, u01 - (-u01), r00, r11, r01, i01 - (-i01),
+                                    weight, lambda bad: _pack(*(x[bad] for x in columns))))
+
+
+def _clamped(b_s, b_r, b_h_mid, r_q) -> BoundChain:
+    """The BoundChain of (b_s, b_r, b_h_mid, r_q): r_q over 1 + 1e-8 warns that (F_S, U) is
+    inconsistent and is kept, round-off over 1 is clamped, and b_h_upper = (1 + r_q) b_s."""
     inconsistent = r_q > 1.0 + 1e-8
     if inconsistent.any():
         warnings.warn("quantumness ratio %.6g exceeds 1; F and U are inconsistent" % r_q.max())
@@ -705,7 +730,24 @@ def bound_chain(f_sld, u, *, rld_inverse, weight=None) -> BoundChain:
 
 
 def _chain2(f_sld, u, finv_r, weight):
-    """(b_s, b_r, b_h_mid, unclamped r_q) of (..., 2, 2) stacks in closed form.
+    """(b_s, b_r, b_h_mid, unclamped r_q) of (..., 2, 2) stacks: :func:`_chain_columns` of their
+    entries, the points that fail the certificate with their own matrices."""
+    if not f_sld.shape == u.shape == finv_r.shape:
+        f_sld, u, finv_r = np.broadcast_arrays(f_sld, u, finv_r)
+    if f_sld.ndim == 2:  # one matrix: the member of a stack of one
+        return [col[0] for col in _chain2(f_sld[None], u[None], finv_r[None], weight)]
+    re, im = finv_r.real, finv_r.imag
+    return _chain_columns(
+        f_sld[..., 0, 0], f_sld[..., 1, 1], f_sld[..., 0, 1] + f_sld[..., 1, 0], u[..., 0, 1] - u[..., 1, 0],
+        re[..., 0, 0], re[..., 1, 1], re[..., 0, 1], im[..., 0, 1] - im[..., 1, 0],
+        weight, lambda bad: (f_sld[bad], u[bad], finv_r[bad]),
+    )
+
+
+def _chain_columns(f00, f11, f01, u01, r00, r11, r01, i01, weight, generic):
+    """(b_s, b_r, b_h_mid, unclamped r_q) in closed form from (K,) columns: f00, f11, f01 = f_01 +
+    f_10 of F_S, u01 = u_01 - u_10 of U, r00, r11, r01 of Re F_R^-1 and i01 = i_01 - i_10 of Im
+    F_R^-1 (the differences drop a symmetric part, as numkit.trace_abs does).
 
     With F_S = tr [[p, q], [q, s]] read by the certificate of :func:`numkit._spd2`
     (trace-scaled, det = ps - q^2, f = 1 / (det tr), so F_S^-1 = f [[s, -q], [-q, p]]),
@@ -719,28 +761,22 @@ def _chain2(f_sld, u, finv_r, weight):
     as sqrt(W) X sqrt(W) = det(sqrt W) x01 J for an antisymmetric X = x01 J, and
     F_S^-1 U F_S^-1 = u01 det(F_S^-1) J.  Every term is read from the trace-scaled matrix,
     so none over- or underflows before F_S^-1 itself: det(F_S^-1) alone overflows from
-    gamma t of about 350.  A difference of the two off-diagonal entries drops a symmetric
-    part, as numkit.trace_abs does.  Points that fail the certificate (zero, rank-deficient,
-    indefinite or non-finite F_S) take :func:`_chain_generic`, for that subset only.
+    gamma t of about 350.  Points that fail the certificate (zero, rank-deficient,
+    indefinite or non-finite F_S) take :func:`_chain_generic` of the matrices (F_S, U,
+    F_R^-1) = generic(bad) of that subset only.
     """
-    if not f_sld.shape == u.shape == finv_r.shape:
-        f_sld, u, finv_r = np.broadcast_arrays(f_sld, u, finv_r)
-    if f_sld.ndim == 2:  # one matrix: the member of a stack of one
-        return [col[0] for col in _chain2(f_sld[None], u[None], finv_r[None], weight)]
     w = _weight2(weight)
-    re, im = finv_r.real, finv_r.imag
-    b_r = _trace_w(w, re[..., 0, 0], re[..., 0, 1], re[..., 1, 1])
-    b_r += _root_det(w, np.abs(im[..., 0, 1] - im[..., 1, 0]))
+    b_r = _trace_w(w, r00, r01, r11) + _root_det(w, np.abs(i01))
     with np.errstate(all="ignore"):  # only a point that fails the certificate meets an error
-        ok, (s, nq, p), f, det, tr = numkit._spd2(f_sld)
+        ok, (s, nq, p), f, det, tr = numkit._spd2(f00, f11, f01)
         b_s = _trace_w(w, s * f, nq * f, p * f)  # Tr(W F_S^-1)
-        ua = np.abs(u[..., 0, 1] - u[..., 1, 0]) / tr
+        ua = np.abs(u01) / tr
         b_h_mid = b_s + _root_det(w, ua * f)
         r_q = 0.5 * ua / np.sqrt(det)
     columns = [b_s, b_r, b_h_mid, r_q]
     if np.count_nonzero(ok) < ok.size:
         bad = ~ok
-        for col, x in zip(columns, _chain_generic(f_sld[bad], u[bad], finv_r[bad], weight)):
+        for col, x in zip(columns, _chain_generic(*generic(bad), weight)):
             col[bad] = x
     return columns
 

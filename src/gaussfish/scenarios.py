@@ -41,7 +41,7 @@ import numpy as np
 
 from .gaussian_core import GaussianState, _eigenbasis, probe_factor, probe_tmsdt
 from .channels import NoisyChannel, damp_factor, damping
-from .qfi_gaussian import _first_moment_factored, bound_chain, weight_root
+from .qfi_gaussian import factored_chain, first_moment_columns, weight_root
 from .measurements import _recorded, epr_readout, rows_on_factor
 
 PROBES = ("tmsv", "tmst", "tmdv", "tmdt")
@@ -65,12 +65,15 @@ _NUMERIC_FIELDS = dict.fromkeys(
 )
 _NUMERIC_FIELDS.update(alpha=(4,), theta=(2,), weight=(2, 2))
 _REAL_TYPES = (int, float, np.integer, np.floating)  # bool, an int subclass, is refused apart
-# Largest sweep grid: a stacked sweep holds about 3 KB per point.
+# Largest sweep grid: a stacked sweep peaks at about 1 KB per point, its rows included (tracemalloc,
+# 10,000-point t sweeps: 0.6 KB at m_e = 0, 1.0 KB behind a squeezed reservoir).
 MAX_POINTS = 100_000
 
 
 def _leaves(value) -> list:
-    """The entries of a scalar, or of a (nested) list, tuple or array."""
+    """The entries of a scalar, or of a (nested) list, tuple or array; a 0-d array is a scalar."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        return [value[()]]
     if isinstance(value, (list, tuple, np.ndarray)):
         return [x for v in value for x in _leaves(v)]
     return [value]
@@ -301,10 +304,10 @@ def _factored_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
 
     The chain is that of the public library bit for bit (qfim_report of a PointMoments of the
     probe's evolved state with dd (e1, e2) and dV = 0): the probe factor and its damping come
-    from the helpers that :func:`probe_tmsdt` and :func:`evolve` call, F_S, U and the
-    limiting F_R^-1 from :func:`_first_moment_factored`, which PointMoments.solved takes on
-    the same stacks, and the chain from the 2x2 closed forms of :func:`bound_chain`, which
-    qfim_report takes too.  One D, viewed at the stack's length, serves every point.
+    from the helpers that :func:`probe_tmsdt` and :func:`evolve` call, and F_S, U, the limiting
+    F_R^-1 and the chain stay (K,) columns of the closed form that PointMoments.solved packs
+    as matrices (:func:`first_moment_columns`, :func:`factored_chain`).  One unit dd serves
+    every point, unbroadcast.
 
     hdb = Tr(W F_C^-1) of the EPR readout, F_C = dmu Sigma^-1 dmu^T, takes no inverse: its
     two recorded outcomes give a 2x2 invertible dmu, so F_C^-1 = dmu^-T Sigma dmu^-1 and
@@ -318,12 +321,10 @@ def _factored_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
     """
     r, n_th, _ = _probe_params(cfg, r, n_th)
     O, lam, _ = factor = damp_factor(probe_factor(r, cfg.phi, n_th), *damping(ch, t), ch)
-    f_s, u, f_r_inv = _first_moment_factored(np.broadcast_to(_UNIT_DD, lam.shape[:-1] + (2, 4)), factor)
-    chain = bound_chain(f_s, u, rld_inverse=f_r_inv, weight=cfg.weight)
-    B = _readout_rows(cfg.phi)
+    chain = factored_chain(first_moment_columns(_UNIT_DD, factor), cfg.weight)
+    B, w_c = _readout(float(cfg.phi), cfg.weight_matrix().tobytes())
     if O.ndim > 2:
         B = rows_on_factor(_S_R, O)
-    w_c = 0.5 * (_DMU_INV @ cfg.weight_matrix() @ _DMU_INV.T)  # W_C / 2, halved before the sum
     return chain, (lam * (B * (w_c @ B)).sum(axis=-2)).sum(axis=-1)
 
 
@@ -336,13 +337,14 @@ _S_R.flags.writeable = _DMU_INV.flags.writeable = False
 
 
 @lru_cache(maxsize=64)
-def _readout_rows(phi: float) -> np.ndarray:
-    """S_r O: the EPR readout's recorded rows on the probe basis O of phi
-    (:func:`rows_on_factor`), built once per phi.  Read-only, as one cached array serves
-    every caller."""
+def _readout(phi: float, w_bytes: bytes):
+    """(S_r O, W_C / 2): the EPR readout's recorded rows on the probe basis O of phi
+    (:func:`rows_on_factor`) and dmu^-1 W dmu^-T / 2 of the weight W whose float64 bytes are
+    w_bytes, built once per (phi, W).  Read-only, as one cached pair serves every caller."""
     B = rows_on_factor(_S_R, _eigenbasis(phi))
-    B.flags.writeable = False
-    return B
+    w_c = 0.5 * (_DMU_INV @ np.frombuffer(w_bytes).reshape(2, 2) @ _DMU_INV.T)
+    B.flags.writeable = w_c.flags.writeable = False
+    return B, w_c
 
 
 def _rows(cfg: ScenarioConfig, values: np.ndarray, ch=None) -> list:

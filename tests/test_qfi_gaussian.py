@@ -330,6 +330,42 @@ def test_a_non_finite_f_s_gives_nan_bounds(weight):
         numkit.pinv_psd(np.array([bad[0], np.diag([1.0, -0.5])]))
 
 
+def _columns(F, U, R):
+    """The entries (f00, f11, f01, u01, r00, r11, r01, i01) of first_moment_columns for stacks
+    F_S, U and F_R^-1 that are symmetric, antisymmetric and Hermitian."""
+    re, im = R.real, R.imag
+    return F[:, 0, 0], F[:, 1, 1], F[:, 0, 1], U[:, 0, 1], re[:, 0, 0], re[:, 1, 1], re[:, 0, 1], im[:, 0, 1]
+
+
+@pytest.mark.parametrize("weight", CHAIN_WEIGHTS, ids=["none", "full", "diagonal"])
+def test_the_column_chain_is_bound_chain_bit_for_bit(weight):
+    """factored_chain of the closed form's (K,) columns is bound_chain of the matrices they
+    pack, bit for bit: on a stack whose uncertified members (zero, rank 1, NaN, inf, and
+    indefinite within pinv's cutoff) take the generic route among certified ones, and on each
+    member alone, a stack of one against one matrix.  An F_S indefinite beyond the cutoff
+    raises bound_chain's error."""
+    bad = np.concatenate([_uncertified_members(), [np.diag([1.0, -1e-17])]])
+    F, U, R, _ = _chain_draws(np.random.default_rng(98), 2 * len(bad))
+    where = np.arange(len(bad)) * 2 + 1
+    F[where] = bad
+    columns = _columns(F, U, R)
+    assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(qfi_gaussian._pack(*columns), (F, U, R)))
+    got = qfi_gaussian.factored_chain(columns, weight)
+    want = bound_chain(F, U, rld_inverse=R, weight=weight)
+    for name, x, y in zip(got._fields, got, want):
+        assert np.array_equal(x, y, equal_nan=True), name
+    for k in range(len(F)):
+        one = qfi_gaussian.factored_chain([x[k:k + 1] for x in columns], weight)
+        alone = bound_chain(F[k], U[k], rld_inverse=R[k], weight=weight)
+        assert np.array_equal(np.concatenate(one), alone, equal_nan=True), k
+    F[where[-1]] = np.diag([1.0, -0.5])
+    with pytest.raises(ValueError, match="positive semidefinite") as got_exc:
+        qfi_gaussian.factored_chain(_columns(F, U, R), weight)
+    with pytest.raises(ValueError) as want_exc:
+        bound_chain(F, U, rld_inverse=R, weight=weight)
+    assert str(got_exc.value) == str(want_exc.value)
+
+
 def test_two_parameter_chain_keeps_the_checks():
     """On the p = 2 path a non-symmetric or indefinite weight raises, an inconsistent (F, U)
     warns and keeps its ratio over 1, and one matrix gives floats; quantumness is the

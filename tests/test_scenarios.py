@@ -252,6 +252,42 @@ def test_json_round_trips_numpy_scalars_that_validate_accepts():
     assert rows_to_json(rows, cfg) == rows_to_json(rows, plain)
 
 
+def test_zero_d_array_fields_are_numbers():
+    """A 0-d numpy array is a number to validate, sweep and run_point: phi = np.array(1.0) and
+    r = np.array(0.3) give the rows of the floats, bit for bit, and a bad one raises
+    validate's ValueError (a 0-d array cannot be iterated, nor key the probe and readout
+    caches)."""
+    for name, value in (("phi", 1.0), ("r", 0.3)):
+        cfg, plain = _cfg(axis="t", stop=0.4, **{name: np.array(value)}), _cfg(axis="t", stop=0.4, **{name: value})
+        cfg.validate()
+        assert rows_to_csv(sweep(cfg)) == rows_to_csv(sweep(plain))
+        assert rows_to_json(sweep(cfg), cfg) == rows_to_json(sweep(plain), plain)
+        assert run_point(cfg, 0.3) == run_point(plain, 0.3)
+    for bad, message in ((np.array(math.nan), "phi must be finite"), (np.array(True), "phi must be a number")):
+        with pytest.raises(ValueError, match=message):
+            _cfg(phi=bad).validate()
+
+
+def test_sweeps_and_run_point_pack_no_matrix(monkeypatch):
+    """A sweep and a run_point read the bound chain from the closed form's (K,) columns
+    (factored_chain): with the matrix packer _first_moment_factored and the (K, 2, 2)
+    packing _pack made to raise, each probe's t sweep and a run_point still give their rows,
+    with and without a squeezed reservoir."""
+    def broken(*args, **kwargs):
+        raise AssertionError("a (K, 2, 2) F_S was packed")
+
+    want = {}
+    for m_e, probe in itertools.product((0.0, 0.2), PROBES):
+        cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), m_e=m_e, axis="t", start=0.0, stop=1.0, step=0.005)
+        want[m_e, probe] = sweep(cfg), run_point(cfg, 0.3)
+    monkeypatch.setattr(qfi_gaussian, "_first_moment_factored", broken)
+    monkeypatch.setattr(qfi_gaussian, "_pack", broken)
+    for (m_e, probe), (rows, row) in want.items():
+        cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), m_e=m_e, axis="t", start=0.0, stop=1.0, step=0.005)
+        assert all(row.ok for row in rows), (m_e, probe)
+        assert sweep(cfg) == rows and run_point(cfg, 0.3) == row, (m_e, probe)
+
+
 def test_json_writes_a_degraded_row_as_null():
     """JSON has no NaN: a degraded row's seven numeric fields are null, and the whole output
     parses with a parser that refuses NaN and Infinity."""
@@ -289,12 +325,12 @@ def test_numerical_overflow_degrades_to_nan_row():
 
 def test_programming_error_propagates_instead_of_degrading(monkeypatch):
     """A TypeError from a layer is a bug, not a degraded row: from the bound chain
-    (bound_chain), with and without a squeezed reservoir."""
+    (factored_chain), with and without a squeezed reservoir."""
     def broken(*args, **kwargs):
         raise TypeError("broken layer")
 
     for m_e in (0.0, 0.2):
-        monkeypatch.setattr(scenarios, "bound_chain", broken)
+        monkeypatch.setattr(scenarios, "factored_chain", broken)
         with pytest.raises(TypeError, match="broken layer"):
             run_point(_cfg(m_e=m_e), 0.4)
         monkeypatch.undo()
@@ -303,11 +339,11 @@ def test_programming_error_propagates_instead_of_degrading(monkeypatch):
 def test_run_point_evaluates_the_model_once(monkeypatch):
     """A sweep is one stacked evaluation; run_point is the same on a one-point stack.
 
-    That is one closed form of the eigen-factor's blocks for the stack, with or without a
-    squeezed reservoir.
+    That is one closed form of the eigen-factor's blocks for the stack
+    (first_moment_columns), with or without a squeezed reservoir.
     """
     stacks = []
-    closed_form = scenarios._first_moment_factored
+    closed_form = scenarios.first_moment_columns
 
     def counting_closed_form(D, factor):
         stacks.append(factor[1].shape[0])
@@ -323,7 +359,7 @@ def test_run_point_evaluates_the_model_once(monkeypatch):
     for m_e in (0.0, 0.2):
         stacks.clear()
         point_calls.clear()
-        monkeypatch.setattr(scenarios, "_first_moment_factored", counting_closed_form)
+        monkeypatch.setattr(scenarios, "first_moment_columns", counting_closed_form)
         monkeypatch.setattr(scenarios, "run_point", counting_point)
         cfg = _cfg(probe="tmdt", n_th=0.5, alpha=(0.3, -0.2, 0.1, 0.4), m_e=m_e, axis="t", stop=0.4)
         rows = sweep(cfg)
