@@ -43,8 +43,9 @@ class NoisyChannel:
         self.m_e = np.atleast_1d(np.asarray(self.m_e, dtype=complex))
         if not (self.gamma.shape == self.n_e.shape == self.m_e.shape):
             raise ValueError("per-mode parameter arrays must have equal length")
-        bound = self.n_e * (self.n_e + 1.0)
-        over = np.abs(self.m_e) ** 2 > bound * (1.0 + 1e-12)  # rounding slack, relative
+        n_e = np.maximum(self.n_e, 0.0)  # a negative n_e fails below, and takes no root
+        # |m_e| <= (n_e (n_e + 1))^1/2 by roots, which cannot overflow; slack 1e-12 on |m_e|^2
+        over = np.abs(self.m_e) > np.sqrt(n_e) * np.sqrt(n_e + 1.0) * (1.0 + 5e-13)
         if ((self.gamma < 0) | (self.n_e < 0) | over).any():  # one test; a NaN passes it
             if np.any(self.gamma < 0):
                 raise ValueError("damping rates must be >= 0")

@@ -29,7 +29,8 @@ the Williamson basis V = S diag(nu) S^T (S symplectic), which also referees the 
 form in the tests.  The rows of T = J S^-1, J taking each pair (q, p) to
 (q + i p, q - i p)/sqrt2, are normal coordinates a with eigenvalue nu_a and sign
 s_a = +-1, in which V + i Omega is diagonal with lam_a = nu_a + s_a (:func:`williamson`
-gives them up to a unit phase per row).
+gives them up to a unit phase per row: a state's eigen-factor holds them, with a mode pure
+exactly where delta == 0; any other state takes them from eigh, cut by PURE_TOL cond(V)).
 Both moments of parameter mu enter as one augmented matrix
 D_mu = [[dV_mu, dd_mu], [dd_mu^T, 0]], whose extra coordinate (kept as is by
 T) counts as nu = 1/2, s = 0.  Its coefficients k_mu = vec(T D_mu T^T) over
@@ -79,7 +80,7 @@ and V of shape (K, 2N, 2N), with dds (K, p, 2N) and dVs (K, p, 2N, 2N), as a mod
 evaluated on a whole sweep grid gives.  Every function here then works on the leading
 axis in one call and returns (K, p, p) matrices and (K,) bounds; without the axis it is
 the one-point case and returns (p, p) matrices and floats.  The formulas are elementwise
-in nu, and the purity cut, the rank cut of :func:`rld_inverse_limit` and every pinv
+in nu, and the purity rule, the rank cut of :func:`rld_inverse_limit` and every pinv
 cutoff are taken point by point.  The path is chosen per stack: the closed form serves the
 stack whole or not at all (:meth:`PointMoments.merged`), so a point that it does not serve
 moves its neighbours to the Williamson basis, where they match their own evaluation to
@@ -181,30 +182,21 @@ def _omega(n: int) -> np.ndarray:
     return om
 
 
-def _whiten(V, factor=None):
+def _whiten(V):
     """(cond(V), W, A): the condition number of V, W = u diag(lam)^-1/2 and A = W^T Omega W.
 
-    (u, lam) is an eigenbasis of V = u diag(lam) u^T, so V^-1 = W W^T: W whitens on
-    one side, each column at its own scale lam^-1/2.  The state's Williamson form
-    V = O diag(lam) O^T, where it carries one (:class:`GaussianState`), is that basis with
-    no LAPACK call; as O^T Omega O = Omega, A is then the blocks omega / nu_k,
-    1/nu_k = 1 / sqrt(lam_2k lam_2k+1), with no matrix product and no lam in it.
-    Without a factor one eigh of V gives W and A.  lam is checked first
-    (:func:`_check_spectrum`).  A stack V (K, 2N, 2N) is decomposed matrix by matrix.
+    One eigh of V = u diag(lam) u^T gives (u, lam), so V^-1 = W W^T: W whitens on one side,
+    each column at its own scale lam^-1/2.  lam is checked first (:func:`_check_spectrum`).
+    A stack V (K, 2N, 2N) is decomposed matrix by matrix.  Only a state without an
+    eigen-factor comes here (:func:`williamson`).
     """
-    if factor is None:
-        if not np.isfinite(V).all():
-            raise ValueError("covariance is not finite")
-        lam, u = np.linalg.eigh(V)
-    else:
-        u, lam, _ = factor
+    if not np.isfinite(V).all():
+        raise ValueError("covariance is not finite")
+    lam, u = np.linalg.eigh(V)
     _check_spectrum(lam)
     cond, root = lam.max(axis=-1) / lam.min(axis=-1), np.sqrt(lam)
     w, om = u / root[..., None, :], _omega(V.shape[-1] // 2)
-    if factor is None:
-        return cond, w, numkit.transpose(w) @ (om @ w)
-    inv_nu = 1.0 / (root[..., 0::2] * root[..., 1::2])
-    return cond, w, om * np.repeat(inv_nu, 2, axis=-1)[..., None, :]
+    return cond, w, numkit.transpose(w) @ (om @ w)
 
 
 def _check_spectrum(lam):
@@ -215,12 +207,20 @@ def _check_spectrum(lam):
         raise ValueError("covariance is not positive definite (smallest eigenvalue %.3e)" % lam.min())
 
 
+def _checked(factor):
+    """The eigen-factor (O, lam, delta), with lam checked (:func:`_check_spectrum`) and delta finite."""
+    _check_spectrum(factor[1])
+    if not np.isfinite(factor[2]).all():
+        raise ValueError("overflow: nu^2 - 1 of the covariance is not finite")
+    return factor
+
+
 def _purity_cut(lam, cond):
     """The symplectic eigenvalues nu = 1 / lam of a V of condition number cond, checked and cut.
 
-    lam are the positive eigenvalues of i A, A = W^T Omega W (:func:`_whiten`).  A mode with
-    nu - 1 <= PURE_TOL cond(V) is pure and gets nu = 1 exactly; a nu below 1 by
-    more raises ValueError.  The cut is taken point by point.
+    lam are the positive eigenvalues of i A, A = W^T Omega W (:func:`_whiten`), of a state
+    without an eigen-factor.  A mode with nu - 1 <= PURE_TOL cond(V) is pure and gets nu = 1
+    exactly; a nu below 1 by more raises ValueError.  The cut is taken point by point.
     """
     nu = 1.0 / lam
     tol = (PURE_TOL * cond)[..., None]
@@ -232,16 +232,21 @@ def _purity_cut(lam, cond):
 def williamson(V, factor=None):
     """(nu, Z): the symplectic eigenvalues, one per mode, and the normal coordinates of V.
 
-    The eigenvectors u_k of the Hermitian i A, A = W^T Omega W with W W^T = V^-1
-    (:func:`_whiten`), for its eigenvalues 1/nu_k (np.linalg.eigh) give the rows
-    z_k = sqrt(nu_k) u_k^H W^T of the complex Z (N x 2N).  These are the
-    s = +1 rows of the normal coordinates T of the module docstring, and
-    conj(Z) its s = -1 rows, so T (V + i Omega) T^H = diag(nu + s).  The checks
-    of V and the purity cut are those of :func:`_whiten` (of the eigen-factor where
-    one is given) and :func:`_purity_cut`.  A stack V (K, 2N, 2N) is decomposed
-    matrix by matrix.
+    The rows z_k of the complex Z (N x 2N) are the s = +1 rows of the normal coordinates T of
+    the module docstring, and conj(Z) its s = -1 rows, so T (V + i Omega) T^H = diag(nu + s).
+    A state's Williamson form (O, lam, delta) (:class:`GaussianState`) is the decomposition:
+    nu_k = sqrt(1 + delta_k), pure exactly where delta_k == 0, and z_k = sqrt(nu_k / 2)
+    (o_2k / sqrt(lam_2k) + i o_2k+1 / sqrt(lam_2k+1)) from the columns o_j of O, with no LAPACK
+    call and the checks of :func:`_checked`.  Without a factor the eigenvectors u_k
+    of i A, A = W^T Omega W (:func:`_whiten`), for its eigenvalues 1/nu_k give z_k =
+    sqrt(nu_k) u_k^H W^T, and nu is cut by :func:`_purity_cut`.  A stack V (K, 2N, 2N) is
+    decomposed matrix by matrix.
     """
-    cond, w, a = _whiten(V, factor)
+    if factor is not None:
+        O, lam, delta = _checked(factor)
+        nu, w = np.sqrt(1.0 + delta), O / np.sqrt(lam)[..., None, :]
+        return nu, np.sqrt(0.5 * nu)[..., :, None] * numkit.transpose(w[..., 0::2] + 1j * w[..., 1::2])
+    cond, w, a = _whiten(V)
     n = V.shape[-1] // 2
     lam, vecs = np.linalg.eigh(1j * a)
     nu = _purity_cut(lam[..., n:], cond)
@@ -249,12 +254,6 @@ def williamson(V, factor=None):
     z = np.empty(uh.shape, complex)  # u^H W^T by two real products: W is not cast
     z.real, z.imag = uh.real @ wt, uh.imag @ wt
     return nu, np.sqrt(nu)[..., :, None] * z
-
-
-def _first_moment_factored(D, factor):
-    """(F_S, U, limiting F_R^-1) as matrices: :func:`first_moment_columns` of D and the factor."""
-    lead = np.broadcast_shapes(D.shape[:-2], factor[1].shape[:-1], factor[2].shape[:-1])
-    return tuple(x.reshape(lead + (2, 2)) for x in _pack(*first_moment_columns(D, factor)))
 
 
 def first_moment_columns(D, factor):
@@ -290,13 +289,9 @@ def first_moment_columns(D, factor):
     they stand.  At a point whose modes are both pure the limit is 0 where
     (c00 - c11)^2 + (c01 + c10)^2 exceeds RANK_CUT^2 ||C||_F^2 (every direction reaches the
     null coordinates of M), and else the same ratio with delta divided out (w_k = m = 1, the
-    last term of den 0).  lam is checked as :func:`_whiten` checks it.  There is no LAPACK
-    call.
+    last term of den 0).  The factor is checked by :func:`_checked`.  There is no LAPACK call.
     """
-    O, lam, delta = factor
-    _check_spectrum(lam)
-    if not np.isfinite(delta).all():
-        raise ValueError("overflow: nu^2 - 1 of the covariance is not finite")
+    O, lam, delta = _checked(factor)
     lead, M = lam.shape[:-1], _SQRT2 * O
     if D.shape[:-2] not in ((), lead) or delta.shape[:-1] != lead:
         lead = np.broadcast_shapes(D.shape[:-2], lead, delta.shape[:-1])
@@ -438,10 +433,10 @@ class PointMoments:
     def solved(self):
         """(F_S, U, limiting F_R^-1) of the whole stack in closed form, or None.
 
-        The closed form of the eigen-factor's 2x2 blocks (:func:`_first_moment_factored`)
-        serves a two-mode, two-parameter stack whose every dV is zero and whose state carries
-        its eigen-factor, with any of its modes pure.  The stack's dd must reach two
-        coordinates between them, on which each point's dd is certified of full rank
+        The closed form of the eigen-factor's 2x2 blocks (:func:`first_moment_columns`, packed
+        by :func:`_pack`) serves a two-mode, two-parameter stack whose every dV is zero and whose
+        state carries its eigen-factor, with any of its modes pure.  The stack's dd must reach
+        two coordinates between them, on which each point's dd is certified of full rank
         (:func:`numkit.inv_certified`).  Any other stack returns None, and the Williamson
         basis serves it whole: a point whose dd is 0 gets exact zeros there.
         """
@@ -453,7 +448,8 @@ class PointMoments:
             return None
         if not numkit.inv_certified(D[..., reached]).all():
             return None
-        return _first_moment_factored(D, factor)
+        lead = np.broadcast_shapes(D.shape[:-2], factor[1].shape[:-1], factor[2].shape[:-1])
+        return tuple(x.reshape(lead + (2, 2)) for x in _pack(*first_moment_columns(D, factor)))
 
     def merged(self, k: int, in_basis: Callable[["PointMoments"], np.ndarray]) -> np.ndarray:
         """Quantity k of (F_S, U, limiting F_R^-1): of :attr:`solved` where it serves the stack,
@@ -629,7 +625,7 @@ def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.nda
     """Limiting inverse of the RLD information matrix.
 
     A stack that :attr:`PointMoments.solved` serves takes at each point the closed form of
-    :func:`_first_moment_factored`, 0 where the directions reach the null coordinates of M
+    :func:`first_moment_columns`, 0 where the directions reach the null coordinates of M
     with full rank, cut by RANK_CUT.  In the Williamson basis,
     coefficient rows with an infinite RLD weight (pure-mode directions, see
     :func:`_weights`) make the RLD information diverge, and the inverse must vanish on the

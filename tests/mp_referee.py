@@ -9,18 +9,19 @@ For the configured probe, channel and weight, at one value of the sweep axis, it
 with y = e^(-gamma t), v = 1 - y, tau = 2 n_th + 1, S2 the two-mode squeezer of r and phi and
 V_inf the reservoir block of n_e and m_e (complex), and returns b_s, b_r, b_h_mid, r_q and
 b_h_upper = (1 + r_q) b_s of F_S = 2 D V^-1 D^T, U = 2 D V^-1 Omega V^-1 D^T and
-F_R = 2 D M^-1 D^T.  hdb is Tr(W F_C^-1) of the EPR readout, F_C = dmu Sigma^-1 dmu^T with
-Sigma = S_r V S_r^T / 2 and dmu = D S_r^T, where S_r holds the rows (1, 0, 1, 0) / sqrt2 and
-(0, -1, 0, 1) / sqrt2 of the 50:50 beam splitter that its two homodynes record.  sql is the
-displaced vacuum's x Tr(W V1) / 2 (1 + det(V1)^-1/2), with x = e^(gamma t) and V1 = y I +
-v V_inf.  The state must be mixed (M invertible), which n_e > 0 and gamma t > 0 ensure, and
-dd nonzero.
+F_R = 2 D M^-1 D^T, and F_R itself as "f_r", a complex 2x2 array.  hdb is Tr(W F_C^-1) of the
+EPR readout, F_C = dmu Sigma^-1 dmu^T with Sigma = S_r V S_r^T / 2 and dmu = D S_r^T, where S_r
+holds the rows (1, 0, 1, 0) / sqrt2 and (0, -1, 0, 1) / sqrt2 of the 50:50 beam splitter that
+its two homodynes record.  sql is the displaced vacuum's x Tr(W V1) / 2 (1 + det(V1)^-1/2),
+with x = e^(gamma t) and V1 = y I + v V_inf.  The state must be mixed (M invertible), which
+n_e > 0 and gamma t > 0 ensure, and dd nonzero.
 """
 
 import math
 from dataclasses import replace
 
 import mpmath as mp
+import numpy as np
 
 from gaussfish.scenarios import ScenarioConfig, _probe_params
 
@@ -85,4 +86,5 @@ def referee_row(cfg: ScenarioConfig, value: float, dps=None) -> dict:
             "hdb": float(_trace_w(W, f_c_inv)),
             "r_q": float(r_q),
             "sql": float(mp.exp(gamma * t) * _trace_w(W, V1) / 2 * (1 + 1 / mp.sqrt(mp.det(V1)))),
+            "f_r": np.array([[complex(f_r[i, j]) for j in range(2)] for i in range(2)]),
         }

@@ -132,6 +132,14 @@ def test_channel_validation():
     with pytest.raises(ValueError):
         # the bound's rounding slack is relative: a vacuum reservoir takes no squeezing
         NoisyChannel(gamma=[1.0], n_e=[0.0], m_e=[1e-6])
+    # the bound holds where n_e (n_e + 1) overflows: at its edge, and not twice over it
+    NoisyChannel(gamma=[1.0], n_e=[1e200], m_e=[1e200])
+    with pytest.raises(ValueError, match="violates"):
+        NoisyChannel(gamma=[1.0], n_e=[1e200], m_e=[2e200])
+    # a negative n_e is named first, with no warning from the bound's roots
+    for n_e in (-0.2, -1.0, -2.0, -1e300):
+        with pytest.raises(ValueError, match="reservoir occupations must be >= 0"):
+            NoisyChannel(gamma=[1.0], n_e=[n_e], m_e=[1.0])
 
 
 def test_evolve_identity_at_t0():

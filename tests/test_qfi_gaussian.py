@@ -49,9 +49,10 @@ from gaussfish.qfi_gaussian import (
     _purity_cut,
     _whiten,
 )
-from gaussfish.scenarios import ScenarioConfig, closed_form_bounds, sweep
+from gaussfish.scenarios import ScenarioConfig, build_probe, closed_form_bounds, sweep
 
-from linalg_helpers import vec
+from linalg_helpers import lapack_calls, vec
+from mp_referee import referee_row
 
 
 def test_displacement_qfim_vacuum_and_thermal():
@@ -645,9 +646,9 @@ def test_williamson_basis_matches_kron_oracle(modes):
             assert np.max(np.abs(new - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-# The symplectic eigenvalues that _whiten reads from a Williamson form against williamson's
-# eigh of the dense V, in units of eps cond(V): over 25,600 members of the kinds below
-# (800 stacks of 32) the relative gap in nu reached 6.1.
+# The symplectic eigenvalues that williamson reads from a Williamson form against its eigh of
+# the dense V, in units of eps cond(V): over 25,600 members of the kinds below (800 stacks of
+# 32) the relative gap in nu reached 6.1.
 KERNEL_C = 32.0
 _WILLIAMSON_KINDS = ("degenerate", "near_degenerate", "pure", "hot", "generic")
 
@@ -684,18 +685,35 @@ def test_symplectic_eigenvalue_kernel_matches_williamson(seed, kinds):
     """nu of a two-mode stack read from its Williamson form against each member's williamson.
 
     The dense V = O diag(lam) O^T goes through the eigh of V and of i A.  They agree
-    within KERNEL_C eps cond(V), and the purity cut gives both the same pure modes.
+    within KERNEL_C eps cond(V).  A factored mode is pure exactly where delta == 0, and
+    the dense purity cut calls it pure too.  Where the cut, nu - 1 <= PURE_TOL cond(V), calls
+    a mode pure whose delta is not 0, the dense nu is wrong, and the factored one is kept: those
+    modes are not compared.  The stack gives each member's nu; a member whose delta overflows
+    raises, and so does its stack.
     """
     rng = np.random.default_rng(seed)
     O, lam, delta = (np.array(x) for x in zip(*(_williamson_factor(rng, kind) for kind in kinds)))
     V = numkit.hermitize((O * lam[:, None, :]) @ numkit.transpose(O))
-    cond, _, a = _whiten(V, (O, lam, delta))
-    nu = _purity_cut(a[:, [0, 2], [1, 3]], cond)  # A = the blocks omega / nu_k
+    finite = np.isfinite(delta).all(axis=-1)
+    if not finite.all():
+        with pytest.raises(ValueError, match="overflow: nu\\^2 - 1 of the covariance is not finite"):
+            williamson(V, (O, lam, delta))
+    else:
+        stacked = williamson(V, (O, lam, delta))[0]
     bound = KERNEL_C * numkit.EPS * np.linalg.cond(V)
     for k, (kind, v) in enumerate(zip(kinds, V)):
-        nu_alone = np.sort(williamson(v)[0])
-        np.testing.assert_allclose(np.sort(nu[k]), nu_alone, rtol=bound[k], atol=0, err_msg=kind)
-        assert np.array_equal(np.sort(nu[k]) == 1.0, nu_alone == 1.0), kind
+        if not finite[k]:
+            with pytest.raises(ValueError, match="overflow"):
+                williamson(v, (O[k], lam[k], delta[k]))
+            continue
+        nu = williamson(v, (O[k], lam[k], delta[k]))[0]
+        if finite.all():
+            assert np.array_equal(stacked[k], nu), kind
+        nu, nu_alone = np.sort(nu), np.sort(williamson(v)[0])
+        assert np.array_equal(nu == 1.0, np.sort(delta[k]) == 0.0), kind
+        assert (nu_alone[nu == 1.0] == 1.0).all(), kind
+        kept = ~((nu_alone == 1.0) & (nu != 1.0))  # the dense cut's defect, removed for factors
+        np.testing.assert_allclose(nu[kept], nu_alone[kept], rtol=bound[k], atol=0, err_msg=kind)
 
 
 @pytest.mark.parametrize("modes", [1, 2, 3])
@@ -733,25 +751,39 @@ def _whiten_cases(factored):
 
 @pytest.mark.parametrize("factored", [False, True])
 def test_whiten_factors_the_inverse_on_one_side(factored):
-    """W W^T = V^-1 and W^T Omega W = A, from an eigh of V or from the state's Williamson
-    form.  From the form A is exactly the blocks omega / nu_k, with 1/nu_k the positive
-    eigenvalues of i A that the eigh of V gives."""
-    for V, factor in _whiten_cases(factored):
-        cond, w, a = _whiten(V, factor)
+    """Without a factor: W W^T = V^-1 and W^T Omega W = A, from an eigh of V.  With one,
+    williamson takes the normal form from the factor alone: T (V + i Omega) T^H = diag(nu + s),
+    on the channel's states and on random Williamson forms (:func:`_williamson_factor`), within
+    KERNEL_C eps cond(V) nu_max (the dense V's rounding, seen through rows of size
+    (nu / lam_min)^1/2)."""
+    if factored:
+        rng = np.random.default_rng(501)
+        draws = [_williamson_factor(rng, kind) for kind in _WILLIAMSON_KINDS * 40]
+        draws = [(O, lam, delta) for O, lam, delta in draws if np.isfinite(delta).all()]
+        O, lam, delta = (np.array(x) for x in zip(*draws))
+        V = numkit.hermitize((O * lam[:, None, :]) @ numkit.transpose(O))
+        for V, factor in _whiten_cases(True) + [(V, (O, lam, delta))]:
+            nu, Z = williamson(V, factor)
+            bound = KERNEL_C * numkit.EPS * (factor[1].max(axis=-1) / factor[1].min(axis=-1)) * nu.max(axis=-1)
+            assert (_normal_form_error(V, nu, Z) <= bound).all()
+        return
+    for V, _ in _whiten_cases(False):
+        cond, w, a = _whiten(V)
         n2 = V.shape[-1]
         wt = numkit.transpose(w)
         eye = np.broadcast_to(np.eye(n2), V.shape)
         np.testing.assert_allclose(V @ w @ wt, eye, rtol=0, atol=1e-13 * cond.max())
         np.testing.assert_allclose(wt @ omega(n2 // 2) @ w, a, rtol=0, atol=1e-13 * np.abs(a).max())
-        if not factored:
-            continue
-        root = np.sqrt(factor[1])
-        inv_nu = 1.0 / (root[..., 0::2] * root[..., 1::2])
-        blocks = np.zeros(V.shape)
-        blocks[..., 0::2, 1::2] = inv_nu[..., None, :] * np.eye(n2 // 2)
-        assert np.array_equal(a, blocks - numkit.transpose(blocks))
-        dense = np.linalg.eigvalsh(1j * _whiten(V)[2])[..., n2 // 2 :]
-        np.testing.assert_allclose(np.sort(inv_nu, axis=-1), dense, rtol=1e-13, atol=0)
+
+
+def test_a_factored_williamson_makes_no_lapack_call(monkeypatch):
+    """The factor is the decomposition: williamson(V, factor) calls no LAPACK driver, on a
+    stack with one O shared and on one with an O per point."""
+    for m_e in (0.0, 0.2):
+        probe = probe_tmsdt(np.linspace(0.0, 40.0, 21), 0.7, 0, 0, 0, 0, 0.3)
+        st = displacement_model(probe, NoisyChannel.uniform(2, 1.0, 0.5, m_e), 0.4).state([0, 0])
+        (nu, Z), calls = lapack_calls(monkeypatch, lambda: williamson(st.V, st.factor))
+        assert calls == [] and nu.shape == (21, 2) and Z.shape == (21, 2, 4), m_e
 
 
 @pytest.mark.parametrize("n_th", [0.0, 1e-9, 1e-6])
@@ -929,17 +961,20 @@ def test_solves_match_the_williamson_basis_on_random_first_moment_models(seed, m
         assert np.abs(rld_inverse_limit(pt) - want).max() <= 1e-10 * np.abs(want).max()
 
 
-def _assert_route_matches_the_williamson_basis(pt):
-    """pt, whose state carries its eigen-factor (O, lam, delta), against the same moments through
-    the public GaussianState, which carries none and takes the Williamson basis from the eigh
-    of the dense V.
+def _assert_route_matches_the_williamson_basis(pt, dense=True):
+    """pt, whose state carries its eigen-factor (O, lam, delta), against the same moments in
+    the Williamson basis: through the public GaussianState, which carries no factor and takes
+    the basis from the eigh of the dense V, or (dense False, for squeezing that the dense V
+    loses to rounding) through the factor's own basis (:func:`_by_williamson`).
 
     The closed form serves pt, and F_S, U and the limiting F_R^-1 of each point agree within
     REFEREE_TOL of that matrix's largest entry at the point.
     """
     assert pt.st.factor is not None and len(pt.st.factor) == 3
     p = pt.n_params
-    plain = PointMoments(GaussianState(pt.st.d, pt.st.V), [pt.dds[..., mu, :] for mu in range(p)], [pt.dVs[..., mu, :, :] for mu in range(p)], p)
+    plain = _by_williamson(pt)
+    if dense:
+        plain = PointMoments(GaussianState(pt.st.d, pt.st.V), [pt.dds[..., mu, :] for mu in range(p)], [pt.dVs[..., mu, :, :] for mu in range(p)], p)
     assert plain.solved is None and pt.solved is not None
     for name, got, want in zip(("f_sld", "u", "rld_inverse_limit"), pt.solved, (qfim_sld(plain), incompatibility(plain), rld_inverse_limit(plain))):
         scale = np.abs(want).max(axis=(-2, -1))
@@ -961,14 +996,14 @@ def test_factored_route_matches_the_dense_solves_on_the_reference_t_grid(probe, 
     _assert_route_matches_the_williamson_basis(pt)
 
 
-def _pure_in_part_point(rng):
+def _pure_in_part_point(rng, squeeze=3.0):
     """A random two-mode Williamson form V = O diag(lam) O^T, O a Haar passive network and each
-    mode squeezed by up to e^(+-3), with mode 0, mode 1 or both pure (the other's nu - 1 in
+    mode squeezed by up to e^(+-squeeze), with mode 0, mode 1 or both pure (the other's nu - 1 in
     0.1..10), and dd a random 2x2 of cond <= 3 on the first mode's coordinates."""
     pure = [(True, False), (False, True), (True, True)][rng.integers(0, 3)]
     nu_1 = np.where(pure, 0.0, rng.uniform(0.1, 10.0, 2))  # nu - 1
     nu, delta = 1.0 + nu_1, nu_1 * (2.0 + nu_1)
-    lam = np.repeat(nu, 2) * np.repeat(np.exp(rng.uniform(0.0, 3.0, 2)), 2) ** np.tile([1.0, -1.0], 2)
+    lam = np.repeat(nu, 2) * np.repeat(np.exp(rng.uniform(0.0, squeeze, 2)), 2) ** np.tile([1.0, -1.0], 2)
     O = _haar_passive(rng, 2)
     st_ = GaussianState._built(rng.normal(size=4), numkit.hermitize((O * lam) @ O.T), (O, lam, delta))
     dd = np.zeros((2, 4))
@@ -981,7 +1016,9 @@ def test_factored_route_matches_the_dense_solves_on_random_draws(seed):
     """60 random two-mode draws of r <= 1.5, phi, n_th, n_e, gamma t and alpha, with a complex
     m_e up to its bound in half of them, and 40 random Williamson forms with one or both modes
     pure (:func:`_pure_in_part_point`), each with its own O (one per point, stacked), from
-    the route and from the Williamson basis of the dense V."""
+    the route and from the Williamson basis of the dense V.  40 more such forms, squeezed by up
+    to e^(+-40), where the dense V has lost its small eigenvalues and a purity cut of
+    cond(V) would call every mode pure, against the factor's own basis."""
     rng = np.random.default_rng(700 + seed)
     points = []
     for _ in range(60):
@@ -994,6 +1031,7 @@ def test_factored_route_matches_the_dense_solves_on_random_draws(seed):
     stack = _stack_points(points)
     assert stack.st.factor[0].shape == (100, 4, 4)
     _assert_route_matches_the_williamson_basis(stack)
+    _assert_route_matches_the_williamson_basis(_stack_points([_pure_in_part_point(rng, 40.0) for _ in range(40)]), dense=False)
 
 
 def _unserved_points():
@@ -1090,6 +1128,33 @@ def test_williamson_row_order_keeps_near_pure_b_r():
     pt = _by_williamson(evaluate(model, [0.0, 0.0]))
     chain = bound_chain(qfim_sld(pt), incompatibility(pt), rld_inverse=rld_inverse_limit(pt))
     assert chain.b_r == pytest.approx(closed_form_bounds("tmsv", 0.0, 0.0, 1.0, t, n_e).b_r, rel=1e-12, abs=0)
+
+
+# The squeezing up to which the basis's U, and with it r_q, is held to the referee: from r of
+# about 288 (tmsv and tmst, t = 0.2) the weighted rows w_U K of PointMoments.gram underflow in
+# their small entries, and U reads half its value.
+_U_HELD_TO_R = 280.0
+
+
+@pytest.mark.parametrize("m_e", [0.0, 0.2])
+@pytest.mark.parametrize("probe", ["tmsv", "tmst"])
+def test_the_factored_basis_matches_the_referee_at_strong_squeezing(probe, m_e):
+    """The Williamson basis of a factored stack (the solves turned off) on the r 0..354 step 6
+    grid against the mpmath referee: F_R (qfim_rld) within REFEREE_TOL of its largest entry,
+    b_s, b_r and b_h_mid within REFEREE_TOL relative, and r_q too up to _U_HELD_TO_R.  A purity
+    cut of cond(V), which grows like e^2r where nu grows like e^r, called every mode pure from
+    r of about 28, and b_r missed by 100 %."""
+    cfg = ScenarioConfig(probe=probe, n_th=0.5 if probe == "tmst" else 0.0, m_e=m_e)
+    grid = np.arange(0.0, 355.0, 6.0)
+    model = displacement_model(build_probe(cfg, r=grid), cfg.validate(), cfg.t)
+    rep = qfim_report(_by_williamson(evaluate(model, [0.0, 0.0])))
+    for k, r in enumerate(grid):
+        want = referee_row(cfg, r)
+        scale = np.abs(want["f_r"]).max()
+        assert np.abs(rep.f_rld[k] - want["f_r"]).max() <= REFEREE_TOL * scale, r
+        for name in ("b_s", "b_r", "b_h_mid") + (("r_q",) if r <= _U_HELD_TO_R else ()):
+            got = getattr(rep, name)[k]
+            assert abs(got - want[name]) <= REFEREE_TOL * abs(want[name]), (name, r, got, want[name])
 
 
 def _haar_passive(rng, modes):

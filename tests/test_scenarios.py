@@ -270,8 +270,7 @@ def test_zero_d_array_fields_are_numbers():
 
 def test_sweeps_and_run_point_pack_no_matrix(monkeypatch):
     """A sweep and a run_point read the bound chain from the closed form's (K,) columns
-    (factored_chain): with the matrix packer _first_moment_factored and the (K, 2, 2)
-    packing _pack made to raise, each probe's t sweep and a run_point still give their rows,
+    (factored_chain): with the (K, 2, 2) packing _pack made to raise, each probe's t sweep and a run_point still give their rows,
     with and without a squeezed reservoir."""
     def broken(*args, **kwargs):
         raise AssertionError("a (K, 2, 2) F_S was packed")
@@ -280,7 +279,6 @@ def test_sweeps_and_run_point_pack_no_matrix(monkeypatch):
     for m_e, probe in itertools.product((0.0, 0.2), PROBES):
         cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), m_e=m_e, axis="t", start=0.0, stop=1.0, step=0.005)
         want[m_e, probe] = sweep(cfg), run_point(cfg, 0.3)
-    monkeypatch.setattr(qfi_gaussian, "_first_moment_factored", broken)
     monkeypatch.setattr(qfi_gaussian, "_pack", broken)
     for (m_e, probe), (rows, row) in want.items():
         cfg = _cfg(**_probe_args(probe, 0.5, (0.3, -0.2, 0.1, 0.4)), m_e=m_e, axis="t", start=0.0, stop=1.0, step=0.005)
