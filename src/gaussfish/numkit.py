@@ -85,24 +85,6 @@ def pinv_psd(a):
     return inverse, root
 
 
-def inv_certified(a):
-    """Whether each real 2x2 matrix of a stack is certified of full rank.
-
-    With b = a / max|a|, so that no scale over- or underflows, the certificate is
-    |det b| > 4 SPD2_MARGIN eps: as |det b| = sigma_min sigma_max and
-    sigma_max <= ||b||_F <= 2, it bounds sigma_min / sigma_max from below by
-    SPD2_MARGIN eps.  A zero or non-finite matrix fails it.
-    """
-    a = np.asarray(a)
-    if a.shape[-2:] != (2, 2):
-        raise ValueError("inv_certified takes 2x2 matrices, not %s" % (a.shape[-2:],))
-    flat = a.reshape(-1, 4)
-    with np.errstate(all="ignore"):  # only a matrix that fails the certificate meets an error
-        b00, b01, b10, b11 = (flat / np.abs(flat).max(axis=-1)[:, None]).T
-        det = b00 * b11 - b01 * b10
-    return (np.abs(det) > 4.0 * SPD2_MARGIN * EPS).reshape(a.shape[:-2])
-
-
 def _spd2(a00, a11, a01):
     """The certificate and trace-scaled entries of a stack of real 2x2 matrices a, from the
     columns a00, a11 and a01 = a_01 + a_10: (ok, (s, -q, p), f, det, tr).

@@ -10,23 +10,21 @@ has closed forms in V and M = V + i Omega:
 
     F^S = 2 D V^-1 D^T,   U = 2 D V^-1 Omega V^-1 D^T,   F^R = 2 D M^-1 D^T.
 
-:attr:`PointMoments.solved` takes all three, the limiting inverse of F^R included, in
-closed form for a two-mode, two-parameter stack whose state carries its Williamson form
-V = O diag(lam) O^T with delta = nu^2 - 1 (:class:`GaussianState`), as every built-in
-probe through a uniform channel does: from the 2x2 blocks of E = sqrt2 D O, one per mode,
-as sums of nonnegative terms in delta, with no LAPACK call (:func:`first_moment_columns`),
-whichever of its modes are pure at each point.  The limit is finite at pure points and 0
-where the directions reach the null coordinates of M with full rank (Genoni et al., PRA
-87, 012107 (2013)).  A scenario sweep calls the same kernel on the probe's eigen-factor
-with no state built, at the unit dd (e1, e2) of a displacement, reads the bound chain from
-its (K,) columns with no matrix packed (:func:`factored_chain`), and scales its bounds by
-e^(gamma t) (:mod:`gaussfish.scenarios`).
+:func:`first_moment_columns`, the sweep kernel, takes all three, the limiting inverse of F^R
+included, in closed form for a two-mode, two-parameter model whose state carries its
+Williamson form V = O diag(lam) O^T with delta = nu^2 - 1 (:class:`GaussianState`), as every
+built-in probe through a uniform channel does: from the 2x2 blocks of E = sqrt2 D O, one per
+mode, as sums of nonnegative terms in delta, with no LAPACK call, whichever of its modes are
+pure at each point.  The limit is finite at pure points and 0 where the directions reach the
+null coordinates of M with full rank (Genoni et al., PRA 87, 012107 (2013)).  A scenario
+sweep calls it on the probe's eigen-factor with no state built, at the unit dd (e1, e2) of a
+displacement, reads the bound chain from its (K,) columns with no matrix packed
+(:func:`factored_chain`), and scales its bounds by e^(gamma t) (:mod:`gaussfish.scenarios`).
 
-The Williamson basis.  Every other stack (some dV nonzero, a state without an eigen-factor,
-a nonzero dd not of full row rank at any of its points, or dd that reach more than p
-coordinates between them; no built-in probe builds one) is evaluated in
-the Williamson basis V = S diag(nu) S^T (S symplectic), which also referees the closed
-form in the tests.  The rows of T = J S^-1, J taking each pair (q, p) to
+The Williamson basis.  The library's information functions take every model, first-moment
+models included, in the Williamson basis V = S diag(nu) S^T (S symplectic), which is thus an
+independent route to the kernel's F_S, U and F^R^-1 and referees it in the tests.  The rows
+of T = J S^-1, J taking each pair (q, p) to
 (q + i p, q - i p)/sqrt2, are normal coordinates a with eigenvalue nu_a and sign
 s_a = +-1, in which V + i Omega is diagonal with lam_a = nu_a + s_a (:func:`williamson`
 gives them up to a unit phase per row: a state's eigen-factor holds them, with a mode pure
@@ -81,11 +79,9 @@ evaluated on a whole sweep grid gives.  Every function here then works on the le
 axis in one call and returns (K, p, p) matrices and (K,) bounds; without the axis it is
 the one-point case and returns (p, p) matrices and floats.  The formulas are elementwise
 in nu, and the purity rule, the rank cut of :func:`rld_inverse_limit` and every pinv
-cutoff are taken point by point.  The path is chosen per stack: the closed form serves the
-stack whole or not at all (:meth:`PointMoments.merged`), so a point that it does not serve
-moves its neighbours to the Williamson basis, where they match their own evaluation to
-rounding.  A point whose dd is 0 is one of those (dd = e^{-gamma t / 2} (e1, e2) underflows
-from gamma t of about 1490); the basis gives it exact zeros.
+cutoff are taken point by point, so no point depends on the other points of its stack.  A
+point whose dd is 0 (dd = e^{-gamma t / 2} (e1, e2) underflows from gamma t of about 1490)
+gets exact zeros.
 """
 
 from __future__ import annotations
@@ -408,13 +404,10 @@ class PointMoments:
 
     Holds the state and its moment derivatives, dds (..., p, 2N) and dVs
     (..., p, 2N, 2N), with dV_zero telling whether every dV is zero, and, on first use,
-    either the closed form of a factored first-moment model (:attr:`solved`) or one
-    Williamson decomposition of V with the coefficient rows and weights of the module
+    one Williamson decomposition of V with the coefficient rows and weights of the module
     docstring.  A stack carries a leading axis of length K on the state, dds, dVs and
-    everything derived from them.  Each point's cuts do not depend on the other points of
-    its stack; the path is chosen for the stack as a whole, so one point that the closed
-    form does not serve sends its neighbours to the basis too, where they match their own
-    evaluation to rounding.
+    everything derived from them, and each point's cuts do not depend on the other points
+    of its stack.
     """
 
     def __init__(self, st: GaussianState, dds, dVs, n_params: int):
@@ -428,33 +421,6 @@ class PointMoments:
     def dVs(self) -> np.ndarray:
         """The dV stacked, (..., p, 2N, 2N), on first use: a first-moment model never stacks them."""
         return np.stack(self._dV_list, axis=-3)
-
-    @cached_property
-    def solved(self):
-        """(F_S, U, limiting F_R^-1) of the whole stack in closed form, or None.
-
-        The closed form of the eigen-factor's 2x2 blocks (:func:`first_moment_columns`, packed
-        by :func:`_pack`) serves a two-mode, two-parameter stack whose every dV is zero and whose
-        state carries its eigen-factor, with any of its modes pure.  The stack's dd must reach
-        two coordinates between them, on which each point's dd is certified of full rank
-        (:func:`numkit.inv_certified`).  Any other stack returns None, and the Williamson
-        basis serves it whole: a point whose dd is 0 gets exact zeros there.
-        """
-        factor, D = self.st.factor, self.dds
-        if not self.dV_zero or factor is None or D.shape[-2:] != (2, 4):
-            return None
-        reached = D.reshape(-1, 4).any(axis=0)
-        if np.count_nonzero(reached) != 2:
-            return None
-        if not numkit.inv_certified(D[..., reached]).all():
-            return None
-        lead = np.broadcast_shapes(D.shape[:-2], factor[1].shape[:-1], factor[2].shape[:-1])
-        return tuple(x.reshape(lead + (2, 2)) for x in _pack(*first_moment_columns(D, factor)))
-
-    def merged(self, k: int, in_basis: Callable[["PointMoments"], np.ndarray]) -> np.ndarray:
-        """Quantity k of (F_S, U, limiting F_R^-1): of :attr:`solved` where it serves the stack,
-        else in_basis of the Williamson basis, for the whole stack."""
-        return in_basis(self) if self.solved is None else self.solved[k]
 
     @cached_property
     def normal_modes(self):
@@ -483,25 +449,41 @@ class PointMoments:
         (T_n = T[:n, :n]) on the pairs (a, extra) and (extra, a), and the
         block T_n dV_mu T_n^T on the pairs (a, b) of normal coordinates.  Only
         the rows that are nonzero at some point of the stack are kept, in the
-        order of :func:`_layout`; the block of a zero dV is exactly zero, so a
-        displacement model keeps its 2n border rows.
+        order of :func:`_layout`; the block of a zero dV is exactly zero and is not formed,
+        so a displacement model keeps its 2n border rows.
         ia, ib are the pair indices of the rows kept.
         """
         T, nu, s = self.normal_modes
         n = nu.shape[-1] - 1
         Tn = T[..., None, :n, :n]
         coef = (Tn @ self.dds[..., None])[..., 0]  # (..., p, n): the border T_n dd_mu
-        block = Tn @ self.dVs @ numkit.transpose(Tn)
-        coef = np.concatenate([coef, block.reshape(coef.shape[:-1] + (n * n,))], axis=-1)
+        if not self.dV_zero:
+            block = Tn @ self.dVs @ numkit.transpose(Tn)
+            coef = np.concatenate([coef, block.reshape(coef.shape[:-1] + (n * n,))], axis=-1)
         ia, ib, src = _layout(n)
-        live = (coef != 0).any(axis=-2).reshape(-1, coef.shape[-1]).any(axis=0)[src]
+        live = np.zeros(n + n * n, dtype=bool)  # the block's rows of a zero dV stay dead
+        live[: coef.shape[-1]] = (coef != 0).any(axis=-2).reshape(-1, coef.shape[-1]).any(axis=0)
+        live = live[src]
         ia, ib, src = ia[live], ib[live], src[live]
         K = numkit.transpose(np.take(coef, src, axis=-1))
         return K, (ia, ib), _weights(nu, s, ia, ib)
 
     def gram(self, kind: str) -> np.ndarray:
+        """K^H (w K) of the live rows' weights w of a kind, point by point.
+
+        Each point's K is scaled by 2^m first and the product by 2^-m twice, with
+        m = floor(-log2(max|w|) / 2) clipped to 0..600, so that a small weight times the
+        small entries of K does not underflow (w_U, about 1 / nu^2, loses one of the two equal
+        terms of Im(conj(k_mu) k_nu) from squeezing r of about 288 without it).  Powers of two
+        are exact, and m = 0 unless max|w| <= 1/4.
+        """
         K, _, w = self.rows
-        return numkit.adjoint(K) @ (w[kind][..., :, None] * K)
+        w = w[kind]
+        with np.errstate(divide="ignore"):  # a point with no live rows has max|w| = 0: m = 600
+            m = np.clip(np.floor(-0.5 * np.log2(np.abs(w).max(axis=-1, initial=0.0))), 0.0, 600.0)
+        up, down = np.exp2(m)[..., None, None], np.exp2(-m)[..., None, None]
+        K = up * K
+        return numkit.adjoint(K) @ (w[..., :, None] * K) * down * down
 
     @cached_property
     def rld_split(self):
@@ -570,7 +552,7 @@ def rld_components(model: GaussianModel | PointMoments, theta, mu: int) -> RldCo
 
 def qfim_sld(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """SLD quantum Fisher information matrix (real symmetric; (K, p, p) for a stack)."""
-    return evaluate(model, theta).merged(0, lambda pt: numkit.hermitize(pt.gram("sld").real))
+    return numkit.hermitize(evaluate(model, theta).gram("sld").real)
 
 
 def qfim_rld(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
@@ -590,11 +572,7 @@ def incompatibility(model: GaussianModel | PointMoments, theta=None) -> np.ndarr
     U = 0 iff the SLD bound is attainable without measurement incompatibility
     penalty; in general b_h_upper = (1 + R_Q) b_s with R_Q built from U.
     """
-    return evaluate(model, theta).merged(1, _incompatibility_in_basis)
-
-
-def _incompatibility_in_basis(pt: PointMoments) -> np.ndarray:
-    U = pt.gram("u").real
+    U = evaluate(model, theta).gram("u").real
     return 0.5 * (U - numkit.transpose(U))
 
 
@@ -624,12 +602,9 @@ def _quantumness(root_finv, u):
 def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.ndarray:
     """Limiting inverse of the RLD information matrix.
 
-    A stack that :attr:`PointMoments.solved` serves takes at each point the closed form of
-    :func:`first_moment_columns`, 0 where the directions reach the null coordinates of M
-    with full rank, cut by RANK_CUT.  In the Williamson basis,
-    coefficient rows with an infinite RLD weight (pure-mode directions, see
-    :func:`_weights`) make the RLD information diverge, and the inverse must vanish on the
-    parameter directions that reach them.  With A those rows,
+    In the Williamson basis, coefficient rows with an infinite RLD weight (pure-mode
+    directions, see :func:`_weights`) make the RLD information diverge, and the inverse must
+    vanish on the parameter directions that reach them.  With A those rows,
     F_R = C^H C from the remaining weighted rows, and Q the right-singular vectors of A
     with the first rank(A) (rank relative to RANK_CUT times the largest coefficient) set
     to zero, the limit is
@@ -640,12 +615,10 @@ def rld_inverse_limit(model: GaussianModel | PointMoments, theta=None) -> np.nda
     zero inverse) when ker A = 0.  A stack is one :func:`numkit.pinv_gram`
     call on X = C, or C Q at the points with out-of-range rows, each point
     with its own cutoff, size max(n_c, p - rank(A)).  Q and the products with
-    it are formed only at the points with out-of-range rows.
+    it are formed only at the points with out-of-range rows.  The sweep kernel
+    (:func:`first_moment_columns`) takes the same limit in closed form.
     """
-    return evaluate(model, theta).merged(2, _rld_inverse_in_basis)
-
-
-def _rld_inverse_in_basis(pt: PointMoments) -> np.ndarray:
+    pt = evaluate(model, theta)
     C, A, n_c = pt.rld_split
     pure = A.any(axis=(-2, -1))  # points with out-of-range rows
     if not pure.any():

@@ -302,12 +302,12 @@ def _factored_columns(cfg: ScenarioConfig, r, n_th, ch: NoisyChannel, t):
     alone.  ch is uniform (:meth:`NoisyChannel.uniform`), so it keeps the factor
     (:func:`damp_factor`).
 
-    The chain is that of the public library bit for bit (qfim_report of a PointMoments of the
-    probe's evolved state with dd (e1, e2) and dV = 0): the probe factor and its damping come
-    from the helpers that :func:`probe_tmsdt` and :func:`evolve` call, and F_S, U, the limiting
-    F_R^-1 and the chain stay (K,) columns of the closed form that PointMoments.solved packs
-    as matrices (:func:`first_moment_columns`, :func:`factored_chain`).  One unit dd serves
-    every point, unbroadcast.
+    The probe factor and its damping come from the helpers that :func:`probe_tmsdt` and
+    :func:`evolve` call, and F_S, U, the limiting F_R^-1 and the chain stay (K,) columns of
+    the closed form (:func:`first_moment_columns`, :func:`factored_chain`).  One unit dd
+    serves every point, unbroadcast.  The public library (qfim_report of a PointMoments of
+    the probe's evolved state with dd (e1, e2) and dV = 0) reaches the same chain through the
+    Williamson basis, an independent route, and agrees to 64 eps relative (a tier-1 test).
 
     hdb = Tr(W F_C^-1) of the EPR readout, F_C = dmu Sigma^-1 dmu^T, takes no inverse: its
     two recorded outcomes give a 2x2 invertible dmu, so F_C^-1 = dmu^-T Sigma dmu^-1 and

@@ -36,6 +36,7 @@ from gaussfish.qfi_gaussian import (
     bound_chain,
     displacement_model,
     evaluate,
+    first_moment_columns,
     incompatibility,
     phase_model,
     qfim_report,
@@ -46,6 +47,7 @@ from gaussfish.qfi_gaussian import (
     rld_inverse_limit,
     sld_components,
     williamson,
+    _pack,
     _purity_cut,
     _whiten,
 )
@@ -830,22 +832,17 @@ def _stack_points(points):
     return PointMoments(st, dds, dVs, n_params)
 
 
-def _by_williamson(pt):
-    """The same model moments with the solves turned off: the Williamson basis serves all.
-
-    PointMoments.solved is a cached_property, so an assigned None stands in for it.
-    """
-    p = pt.n_params
-    twin = PointMoments(pt.st, [pt.dds[..., mu, :] for mu in range(p)], [pt.dVs[..., mu, :, :] for mu in range(p)], p)
-    twin.solved = None
-    return twin
+def _closed_form(pt):
+    """(F_S, U, limiting F_R^-1) of a factored first-moment pt by the sweep kernel
+    (:func:`first_moment_columns`), packed as (K, 2, 2) stacks."""
+    return _pack(*first_moment_columns(pt.dds, pt.st.factor))
 
 
 def test_stacked_information_layer_matches_each_point(monkeypatch):
     """rld_inverse_limit cuts rank per point: a stack of ranks 2, 1 and 0 equals its points.
 
-    The solves serve the stack with no SVD pinv; in the Williamson basis the whole
-    stack, whatever its ranks, is one pinv call (through pinv_gram), with the same limits.
+    In the Williamson basis the whole stack, whatever its ranks, is one pinv call (through
+    pinv_gram).
     """
     ch = NoisyChannel.uniform(2, 1.0, 0.5)
     points = [
@@ -859,15 +856,11 @@ def test_stacked_information_layer_matches_each_point(monkeypatch):
     pinv = numkit.pinv
     monkeypatch.setattr(numkit, "pinv", lambda *a, **kw: calls.append(a[0].shape) or pinv(*a, **kw))
     limits = rld_inverse_limit(stack)
-    assert calls == []
-    in_basis = rld_inverse_limit(_by_williamson(stack))
     monkeypatch.undo()
     assert calls == [(4, 8, 2)]
-    for got in (limits, in_basis):
-        assert got.shape == (4, 2, 2)
-        assert not np.any(got[0]) and not np.any(got[3])
-        assert np.linalg.matrix_rank(got[1]) == 1 and np.linalg.matrix_rank(got[2]) == 2
-    np.testing.assert_allclose(limits, in_basis, rtol=1e-12, atol=1e-15)
+    assert limits.shape == (4, 2, 2)
+    assert not np.any(limits[0]) and not np.any(limits[3])
+    assert np.linalg.matrix_rank(limits[1]) == 1 and np.linalg.matrix_rank(limits[2]) == 2
     W = np.array([[2.0, 0.3], [0.3, 1.0]])
     rep = qfim_report(stack, weight=W)
     for k, pt in enumerate(points):
@@ -877,7 +870,7 @@ def test_stacked_information_layer_matches_each_point(monkeypatch):
             np.testing.assert_allclose(getattr(rep, name)[k], getattr(one, name), rtol=1e-12, atol=0, err_msg=name)
 
 
-# The solves against the Williamson basis (the referee): F_S and U of each point within
+# The sweep kernel against the Williamson basis (the referee): F_S and U of each point within
 # REFEREE_TOL of the referee's largest F_S entry at that point, the limiting F_R^-1 within
 # REFEREE_TOL of its own largest entry (a zero limit exactly zero), and the bound chain
 # within REFEREE_TOL relative (r_q absolute).
@@ -892,14 +885,14 @@ _PROBE_ARGS = {
 
 
 def _assert_solves_match_the_williamson_basis(pt, tol, weight=None):
-    ref = _by_williamson(pt)
-    assert pt.solved is not None
-    f_sld = qfim_sld(ref)  # U's scale too: |U_ij| <= sqrt(F_ii F_jj)
-    for fn, scale_of in ((qfim_sld, f_sld), (incompatibility, f_sld), (rld_inverse_limit, None)):
-        got, want = fn(pt), fn(ref)
+    closed = _closed_form(pt)
+    f_sld = qfim_sld(pt)  # U's scale too: |U_ij| <= sqrt(F_ii F_jj)
+    for got, fn, scale_of in zip(closed, (qfim_sld, incompatibility, rld_inverse_limit), (f_sld, f_sld, None)):
+        want = fn(pt)
         scale = np.abs(want if scale_of is None else scale_of).max(axis=(-2, -1), keepdims=True)
         assert np.all(np.abs(got - want) <= tol * scale), fn.__name__
-    chains = [bound_chain(qfim_sld(x), incompatibility(x), rld_inverse=rld_inverse_limit(x), weight=weight) for x in (pt, ref)]
+    by_basis = (f_sld, incompatibility(pt), rld_inverse_limit(pt))
+    chains = [bound_chain(f_s, u, rld_inverse=r, weight=weight) for f_s, u, r in (closed, by_basis)]
     for name, got, want in zip(BoundChain._fields, *chains):
         if name == "r_q":
             np.testing.assert_allclose(got, want, rtol=0, atol=tol, err_msg=name)
@@ -910,7 +903,8 @@ def _assert_solves_match_the_williamson_basis(pt, tol, weight=None):
 @pytest.mark.parametrize("probe", sorted(_PROBE_ARGS))
 def test_solves_match_the_williamson_basis_on_the_reference_t_grid(probe):
     """Each probe's 201-point t grid (pure at t = 0 for tmsv and tmdv; a degenerate
-    pair at every tmdv and tmdt point), stacked, with and without a weight."""
+    pair at every tmdv and tmdt point), stacked, with and without a weight: the sweep kernel
+    against the library's Williamson basis."""
     r, *alpha, n_th = _PROBE_ARGS[probe]
     model = displacement_model(probe_tmsdt(r, math.pi, *alpha, n_th), NoisyChannel.uniform(2, 1.0, 0.5), _REFERENCE_T)
     pt = evaluate(model, [0.0, 0.0])
@@ -929,7 +923,7 @@ def test_solves_match_the_williamson_basis_on_the_reference_t_grid(probe):
 def test_solves_match_the_williamson_basis_on_random_first_moment_models(seed, modes, n_params, pure, sparse):
     """dV = 0 and a full-row-rank dd: random N-mode states, mixed or pure, with no eigen-factor.
 
-    The Williamson basis serves them (solved is None), refereed by solves on V:
+    The Williamson basis serves them, refereed by solves on V:
     F_S = 2 D V^-1 D^T and U = 2 D V^-1 Omega V^-1 D^T, and where no mode is pure by the
     inverse of F_R = 2 D M^-1 D^T, M = V + i Omega.  A sparse dd reaches p coordinates only,
     a dense one them all.
@@ -949,7 +943,6 @@ def test_solves_match_the_williamson_basis_on_random_first_moment_models(seed, m
     dd[:, reach] = rng.uniform(1.0, 3.0, (p, 1)) * np.linalg.qr(rng.normal(size=(reach.size, p)))[0].T
     st_ = GaussianState(rng.normal(size=2 * modes), 0.5 * (V + V.T))
     pt = PointMoments(st_, list(dd), [np.zeros((2 * modes, 2 * modes))] * p, p)
-    assert pt.solved is None
     om = omega(modes)
     x = np.linalg.solve(pt.st.V, dd.T)  # V^-1 D^T
     f_s, u = 2.0 * dd @ x, 2.0 * x.T @ om @ x
@@ -962,21 +955,20 @@ def test_solves_match_the_williamson_basis_on_random_first_moment_models(seed, m
 
 
 def _assert_route_matches_the_williamson_basis(pt, dense=True):
-    """pt, whose state carries its eigen-factor (O, lam, delta), against the same moments in
-    the Williamson basis: through the public GaussianState, which carries no factor and takes
-    the basis from the eigh of the dense V, or (dense False, for squeezing that the dense V
-    loses to rounding) through the factor's own basis (:func:`_by_williamson`).
+    """The sweep kernel of pt, whose state carries its eigen-factor (O, lam, delta), against
+    the same moments in the Williamson basis: through the public GaussianState, which carries
+    no factor and takes the basis from the eigh of the dense V, or (dense False, for squeezing
+    that the dense V loses to rounding) through the factor's own basis, pt itself.
 
-    The closed form serves pt, and F_S, U and the limiting F_R^-1 of each point agree within
-    REFEREE_TOL of that matrix's largest entry at the point.
+    F_S, U and the limiting F_R^-1 of each point agree within REFEREE_TOL of that matrix's
+    largest entry at the point.
     """
     assert pt.st.factor is not None and len(pt.st.factor) == 3
     p = pt.n_params
-    plain = _by_williamson(pt)
+    plain = pt
     if dense:
         plain = PointMoments(GaussianState(pt.st.d, pt.st.V), [pt.dds[..., mu, :] for mu in range(p)], [pt.dVs[..., mu, :, :] for mu in range(p)], p)
-    assert plain.solved is None and pt.solved is not None
-    for name, got, want in zip(("f_sld", "u", "rld_inverse_limit"), pt.solved, (qfim_sld(plain), incompatibility(plain), rld_inverse_limit(plain))):
+    for name, got, want in zip(("f_sld", "u", "rld_inverse_limit"), _closed_form(pt), (qfim_sld(plain), incompatibility(plain), rld_inverse_limit(plain))):
         scale = np.abs(want).max(axis=(-2, -1))
         gap = np.abs(got - want).max(axis=(-2, -1))
         assert (gap <= REFEREE_TOL * scale).all(), (name, (gap / np.where(scale > 0, scale, 1.0)).max())
@@ -1035,7 +1027,7 @@ def test_factored_route_matches_the_dense_solves_on_random_draws(seed):
 
 
 def _unserved_points():
-    """Two-parameter points that the solves do not serve: a dd of rank 1, dV != 0.
+    """Two-parameter points that the sweep kernel does not take: a dd of rank 1, dV != 0.
 
     Each state carries an eigen-factor, so :func:`_stack_points` stacks them with it.
     """
@@ -1055,15 +1047,13 @@ def _underflow_point():
 
 
 def test_one_unserved_point_sends_its_whole_stack_to_the_basis(monkeypatch):
-    """The solves serve a stack whole or not at all: with two unserved points among six, the
-    Williamson basis takes the whole stack, in one decomposition, and each point equals its
-    own evaluation to rounding.  f_rld, which always takes the basis, is read after the spy
-    is gone.
+    """A stack that mixes displacement points with two the sweep kernel does not take and one
+    whose dd is 0 is one Williamson decomposition, and each point equals its own evaluation
+    to rounding.  f_rld is read after the spy is gone.
     """
     served, unserved = _displacement_points(), _unserved_points()
     points = [served[0], unserved[0], served[1], unserved[1], _underflow_point(), served[2]]
     stack = _stack_points(points)
-    assert stack.solved is None
     sizes = []
     real = qfi_gaussian.williamson
     monkeypatch.setattr(qfi_gaussian, "williamson", lambda V, *f: sizes.append(V.shape) or real(V, *f))
@@ -1088,21 +1078,19 @@ def test_one_unserved_point_sends_its_whole_stack_to_the_basis(monkeypatch):
 
 
 def test_a_point_whose_dd_underflows_sends_its_stack_to_the_basis(monkeypatch):
-    """A point with dd = 0 leaves its stack to the Williamson basis, which gives F_S, U and the
-    limiting F_R^-1 exactly 0 there, and its neighbours their own closed form to rounding.
+    """A point with dd = 0 in a stack gets F_S, U and the limiting F_R^-1 exactly 0 from the
+    Williamson basis, as it does alone, and its neighbours their own evaluation to rounding.
     Sweeps take dd at unit size, so tmst sweeps across the underflow (from gamma t of about
     1490) make no Williamson decomposition.
     """
     zero, points = _underflow_point(), _displacement_points()
     assert not zero.dds.any()
     stack = _stack_points(points + [zero])
-    assert stack.solved is None
     for fn in (qfim_sld, incompatibility, rld_inverse_limit):
         got = fn(stack)
         assert not got[-1].any(), fn.__name__
-        assert np.array_equal(got[-1], fn(_by_williamson(zero))), fn.__name__
+        assert np.array_equal(got[-1], fn(zero)), fn.__name__
         for k, pt in enumerate(points):
-            assert pt.solved is not None
             # to 1e-12 of F_S's largest entry (U's bound), or F_S^-1's for the limit
             f_s = qfim_sld(pt)
             scale = np.linalg.inv(f_s) if fn is rld_inverse_limit else f_s
@@ -1119,40 +1107,35 @@ def test_a_point_whose_dd_underflows_sends_its_stack_to_the_basis(monkeypatch):
 def test_williamson_row_order_keeps_near_pure_b_r():
     """The RLD split's rows, heaviest first, keep b_r of the basis at the closed form.
 
-    At tmsv, r = 0, n_e = 2^-14, gamma t = 1e-8 (nu - 1 about 1.2e-12) the solves
-    serve the point, so the basis is forced.  LAPACK's SVD of the tall split starts
-    with a Householder QR: with the light rows on top b_r missed by 5e-10 relative.
+    At tmsv, r = 0, n_e = 2^-14, gamma t = 1e-8 (nu - 1 about 1.2e-12), LAPACK's SVD of the
+    tall split starts with a Householder QR: with the light rows on top b_r missed by 5e-10
+    relative.
     """
     n_e, t = 6.103515625e-05, 1e-8
     model = displacement_model(probe_tmsdt(0.0, math.pi, 0, 0, 0, 0, 0.0), NoisyChannel.uniform(2, 1.0, n_e), t)
-    pt = _by_williamson(evaluate(model, [0.0, 0.0]))
+    pt = evaluate(model, [0.0, 0.0])
     chain = bound_chain(qfim_sld(pt), incompatibility(pt), rld_inverse=rld_inverse_limit(pt))
     assert chain.b_r == pytest.approx(closed_form_bounds("tmsv", 0.0, 0.0, 1.0, t, n_e).b_r, rel=1e-12, abs=0)
-
-
-# The squeezing up to which the basis's U, and with it r_q, is held to the referee: from r of
-# about 288 (tmsv and tmst, t = 0.2) the weighted rows w_U K of PointMoments.gram underflow in
-# their small entries, and U reads half its value.
-_U_HELD_TO_R = 280.0
 
 
 @pytest.mark.parametrize("m_e", [0.0, 0.2])
 @pytest.mark.parametrize("probe", ["tmsv", "tmst"])
 def test_the_factored_basis_matches_the_referee_at_strong_squeezing(probe, m_e):
-    """The Williamson basis of a factored stack (the solves turned off) on the r 0..354 step 6
-    grid against the mpmath referee: F_R (qfim_rld) within REFEREE_TOL of its largest entry,
-    b_s, b_r and b_h_mid within REFEREE_TOL relative, and r_q too up to _U_HELD_TO_R.  A purity
-    cut of cond(V), which grows like e^2r where nu grows like e^r, called every mode pure from
-    r of about 28, and b_r missed by 100 %."""
+    """The Williamson basis of a factored stack on the r 0..354 step 6 grid against the mpmath
+    referee: F_R (qfim_rld) within REFEREE_TOL of its largest entry, and b_s, b_r, b_h_mid and
+    r_q within REFEREE_TOL relative.  A purity cut of cond(V), which grows like e^2r where nu
+    grows like e^r, called every mode pure from r of about 28, and b_r missed by 100 %.
+    r_q from r of about 288 needs the scaling of PointMoments.gram: unscaled, the weighted
+    rows w_U K underflow in their small entries, and U, with it r_q, reads half its value."""
     cfg = ScenarioConfig(probe=probe, n_th=0.5 if probe == "tmst" else 0.0, m_e=m_e)
     grid = np.arange(0.0, 355.0, 6.0)
     model = displacement_model(build_probe(cfg, r=grid), cfg.validate(), cfg.t)
-    rep = qfim_report(_by_williamson(evaluate(model, [0.0, 0.0])))
+    rep = qfim_report(evaluate(model, [0.0, 0.0]))
     for k, r in enumerate(grid):
         want = referee_row(cfg, r)
         scale = np.abs(want["f_r"]).max()
         assert np.abs(rep.f_rld[k] - want["f_r"]).max() <= REFEREE_TOL * scale, r
-        for name in ("b_s", "b_r", "b_h_mid") + (("r_q",) if r <= _U_HELD_TO_R else ()):
+        for name in ("b_s", "b_r", "b_h_mid", "r_q"):
             got = getattr(rep, name)[k]
             assert abs(got - want[name]) <= REFEREE_TOL * abs(want[name]), (name, r, got, want[name])
 
@@ -1305,6 +1288,23 @@ def test_displacement_stack_keeps_exactly_its_border_rows():
     pairs = list(zip(ia.tolist(), ib.tolist()))
     mirror = [pairs.index((b, a)) for a, b in pairs]
     assert np.array_equal(K, K[:, mirror])  # the border is one vector T_n dd_mu, read twice
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one_point", "stack"])
+def test_scalar_zero_dvs_give_the_first_moment_report(stacked):
+    """A state without an eigen-factor whose dVs are scalar zeros: the rows form no dV block,
+    dVs is never stacked, and the report is that of (2N, 2N) zero dVs, bit for bit."""
+    t = np.linspace(0.0, 1.0, 5) if stacked else 0.3
+    evolved = displacement_model(probe_tmsdt(0.4, math.pi, 0, 0, 0, 0, 0.5), NoisyChannel.uniform(2, 1.0, 0.5), t).state([0, 0])
+    st_ = GaussianState(evolved.d, evolved.V)
+    assert st_.factor is None
+    e1, e2 = np.eye(4)[:2]
+    pt = PointMoments(st_, [e1, e2], [0, 0], 2)
+    want = qfim_report(PointMoments(st_, [e1, e2], [np.zeros((4, 4))] * 2, 2))
+    got = qfim_report(pt)
+    for name in ("f_sld", "f_rld", "u", "b_s", "b_r", "b_h_mid", "b_h_upper", "r_q"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert "dVs" not in vars(pt)
 
 
 @pytest.mark.parametrize(
